@@ -7,11 +7,10 @@ CI failure message says exactly which bound broke.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .metrics_oracle import exact_expected_loss, mc_expected_loss
+from .metrics_oracle import exact_expected_loss, mc_expected_loss, mean_se
 from .scenarios import LATENCY_FACTOR, SLOPE_WINDOW
 
 CHECK_NAMES = ("regret-bound", "scaling", "properties", "oracle-agreement")
@@ -22,15 +21,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _mean_se(xs: Sequence[float]) -> tuple[float, float]:
-    n = len(xs)
-    mean = sum(xs) / n
-    if n < 2:
-        return mean, 0.0
-    var = sum((x - mean) ** 2 for x in xs) / (n - 1)
-    return mean, math.sqrt(var / n)
 
 
 def _failed_runs(summaries: Sequence[dict]) -> list[dict]:
@@ -50,7 +40,7 @@ def check_regret_bound(summaries: Sequence[dict]) -> CheckResult:
                 margins.setdefault(key, []).append(ep["bound"] - ep["regret"])
     worst = None
     for key, vals in sorted(margins.items()):
-        mean, se = _mean_se(vals)
+        mean, se = mean_se(vals)
         slack = mean + 3 * se
         if worst is None or slack < worst[1]:
             worst = (key, slack, mean, se)
@@ -76,7 +66,7 @@ def check_scaling(summaries: Sequence[dict]) -> CheckResult:
                 slopes.append(prov["slope"])
     if not slopes:
         return CheckResult("scaling", False, "no defined slopes (zero regret throughout?)")
-    mean, se = _mean_se(slopes)
+    mean, se = mean_se(slopes)
     lo, hi = SLOPE_WINDOW
     detail = (
         f"mean slope over {len(slopes)} fits = {mean:.4f} (se {se:.4f}), "

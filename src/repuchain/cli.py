@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import statistics
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,11 +21,15 @@ from .metrics_oracle import (
     compute_regret,
     emit_csv,
     exact_expected_loss,
+    summary_dict,
     theorem_bound,
     write_summary,
 )
 from .scenarios import DRAIN_ROUNDS
-from .sim_engine import ConfigError, ScenarioConfig, load_config, run
+from .sim_engine import ConfigError, ScenarioConfig, check_seed, load_config, run
+
+# A lone number is a seed count; past this it is almost surely one seed.
+MAX_SEED_COUNT = 10_000
 
 
 @dataclass(frozen=True)
@@ -39,12 +43,26 @@ class RunManifest:
 
 
 def parse_seeds(spec: str) -> tuple[int, ...]:
+    """A seed count ("20" runs seeds 0..19) or a comma list ("0,7,13", "7,").
+
+    Raises ValueError naming the field 'seeds' for anything else.
+    """
     spec = spec.strip()
+    parts = [s for s in spec.split(",") if s.strip()]
+    try:
+        numbers = [int(s) for s in parts]
+    except ValueError:
+        raise ValueError(f"field 'seeds': cannot parse {spec!r}") from None
+    if not numbers:
+        raise ValueError(f"field 'seeds': no seeds in {spec!r}")
     if "," in spec:
-        return tuple(int(s) for s in spec.split(",") if s.strip() != "")
-    count = int(spec)
-    if count < 1:
-        raise ValueError("seed count must be positive")
+        return tuple(check_seed(s, "seeds") for s in numbers)
+    (count,) = numbers
+    if not 1 <= count <= MAX_SEED_COUNT:
+        raise ValueError(
+            f"field 'seeds': a seed count must be in [1, {MAX_SEED_COUNT}], got {count}; "
+            f"write '{count},' to run that single seed"
+        )
     return tuple(range(count))
 
 
@@ -54,7 +72,11 @@ def run_seed(config: ScenarioConfig, seed: int, out_dir: Path | None) -> dict:
     try:
         ledger, metrics = run(cfg)
     except Exception as exc:  # surfaced in the aggregate; properties check fails
-        return {"seed": seed, "error": f"{type(exc).__name__}: {exc}"}
+        return {
+            "seed": seed,
+            "error": f"{type(exc).__name__}: {exc}",
+            "traceback": traceback.format_exc(),
+        }
     reports = [compute_regret(metrics, p) for p in range(cfg.l)]
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -67,23 +89,9 @@ def run_seed(config: ScenarioConfig, seed: int, out_dir: Path | None) -> dict:
     on_chain_ok = all(
         tx.txid in generated for b in ledger.blocks for tx in b.tx_list
     )
-    from .metrics_oracle import summary_dict
-    from .scenarios import REGRET_WINDOW
-
-    windows = []
-    for p in range(cfg.l):
-        loss, counts, regret = metrics.window_regret(p, first_n=REGRET_WINDOW)
-        windows.append({
-            "provider_id": p,
-            "n": min(len(metrics.events[p]), REGRET_WINDOW),
-            "loss": loss,
-            "s_min": min(counts),
-            "regret": regret,
-        })
     return {
         "seed": seed,
         "providers": summary_dict(reports)["providers"],
-        "windows": windows,
         "inclusion": {
             "cutoff": cutoff,
             "rate": metrics.inclusion_rate(cutoff),
@@ -102,12 +110,6 @@ def _worker(args: tuple[dict, int, str]) -> dict:
     raw, seed, out = args
     config = ScenarioConfig.from_dict(raw)
     return run_seed(config, seed, Path(out))
-
-
-def summary_worker(args: tuple[dict, int]) -> dict:
-    """Picklable no-artifact runner for parallel seed sweeps."""
-    raw, seed = args
-    return run_seed(ScenarioConfig.from_dict(raw), seed, None)
 
 
 def cmd_run(manifest: RunManifest) -> int:
@@ -235,8 +237,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         try:
             seeds = parse_seeds(args.seeds)
-        except ValueError:
-            print(f"error: field 'seeds': cannot parse {args.seeds!r}", file=sys.stderr)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
         checks = tuple(c for c in args.checks.split(",") if c)
         manifest = RunManifest(

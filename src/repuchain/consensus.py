@@ -27,7 +27,6 @@ from .core_types import (
     lists_commitment_root,
     make_genesis,
     merkle_root,
-    tx_signing_bytes,
 )
 from .crypto_sim import KeyPair, KeyRegistry, sign, vrf_eval
 
@@ -197,10 +196,7 @@ def validate_block(
     if len(block.tx_list) > b_limit:
         return Violation.OVERSIZE_TX_LIST
     for tx in block.tx_list:
-        public = provider_publics.get(tx.provider_id)
-        if public is None or not registry.verify(
-            public, tx_signing_bytes(tx.provider_id, tx.seq, tx.timestamp), tx.signature
-        ):
+        if not registry.verify_tx(provider_publics, tx):
             return Violation.BAD_TX_SIGNATURE
         labels = evidence.get(tx.txid)
         if not labels or not any(lab == 1 for _, lab in labels):
@@ -304,8 +300,5 @@ def validate_chain(
         if cur.prev_hash != hash_block(prev):
             raise ChainViolation(Violation.CHAIN_INTEGRITY, f"at serial {cur.serial}")
         for tx in cur.tx_list:
-            public = provider_publics.get(tx.provider_id)
-            if public is None or not registry.verify(
-                public, tx_signing_bytes(tx.provider_id, tx.seq, tx.timestamp), tx.signature
-            ):
+            if not registry.verify_tx(provider_publics, tx):
                 raise ChainViolation(Violation.BAD_TX_SIGNATURE, f"at serial {cur.serial}")

@@ -12,8 +12,9 @@ import hashlib
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Mapping
 
-from .core_types import SimSignature, enc_int, sha256
+from .core_types import SimSignature, Transaction, enc_int, sha256, tx_signing_bytes
 
 SECRET_SIZE = 32
 
@@ -91,6 +92,13 @@ class KeyRegistry:
         if secret is None:
             return False
         return sig.tag == _sig_tag(secret, msg)
+
+    def verify_tx(self, provider_publics: Mapping[int, bytes], tx: Transaction) -> bool:
+        """Check a transaction's provider signature; unknown providers fail closed."""
+        public = provider_publics.get(tx.provider_id)
+        return public is not None and self.verify(
+            public, tx_signing_bytes(tx.provider_id, tx.seq, tx.timestamp), tx.signature
+        )
 
     def vrf_verify(self, public: bytes, vrf_input: bytes, out: VrfOutput) -> bool:
         secret = self._by_public.get(public)

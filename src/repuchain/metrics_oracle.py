@@ -40,6 +40,9 @@ ORACLE_MAX_T = 12
 OUTCOME_UNCHECKED = 0
 OUTCOME_VALID = 1
 OUTCOME_INVALID = 2
+OUTCOME_CODES = {
+    "unchecked": OUTCOME_UNCHECKED, "valid": OUTCOME_VALID, "invalid": OUTCOME_INVALID,
+}
 
 ROUND_COLUMNS = (
     "round", "leader_id", "txs_screened", "txs_verified", "wasted_verifications",
@@ -107,16 +110,10 @@ class MetricsLog:
 
     def record_screening(self, result: ScreeningResult) -> None:
         p = result.provider_id
-        if result.outcome == "valid":
-            outcome = OUTCOME_VALID
-        elif result.outcome == "invalid":
-            outcome = OUTCOME_INVALID
-        else:
-            outcome = OUTCOME_UNCHECKED
         if result.verified:
             self.verification_calls[p] += 1
         self.events[p].append(
-            (result.epoch_index, outcome, result.loss, result.penalized)
+            (result.epoch_index, OUTCOME_CODES[result.outcome], result.loss, result.penalized)
         )
 
     def record_epoch_close(self, closure: EpochClosure) -> None:
@@ -400,6 +397,16 @@ def exact_expected_loss(
     )
 
 
+def mean_se(xs: Sequence[float]) -> tuple[float, float]:
+    """Sample mean and its standard error (zero for a single sample)."""
+    n = len(xs)
+    mean = sum(xs) / n
+    if n < 2:
+        return mean, 0.0
+    var = sum((x - mean) ** 2 for x in xs) / (n - 1)
+    return mean, math.sqrt(var / n)
+
+
 @dataclass(frozen=True, slots=True)
 class MonteCarloLoss:
     mean_proof: float
@@ -448,15 +455,8 @@ def mc_expected_loss(
             state = update_reputations(state, received, valid)
         proof_samples.append(proof)
         prose_samples.append(prose)
-
-    def mean_se(xs: list[float]) -> tuple[float, float]:
-        n = len(xs)
-        m = sum(xs) / n
-        var = sum((x - m) ** 2 for x in xs) / (n - 1) if n > 1 else 0.0
-        return m, math.sqrt(var / n)
-
     mp, sp = mean_se(proof_samples)
-    mw, sw = mean_se([float(x) for x in prose_samples])
+    mw, sw = mean_se(prose_samples)
     return MonteCarloLoss(mp, sp, mw, sw, n_runs)
 
 

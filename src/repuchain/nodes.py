@@ -6,6 +6,12 @@ back unchecked. Collectors label transactions per a pluggable strategy
 the replicated reputation state, screen transactions after the waiting
 window, and verify only when the drawn slot vouched +1.
 
+A verified transaction changes governor state through one transition,
+``GovernorNode.apply_verdict``: penalize the slots, advance the epoch at its
+boundary and settle the transaction. The leader runs it after its draw and
+broadcasts a signed ``VerificationMessage``; every other governor runs the
+same transition when it replays that message, in per-provider ``cnt`` order.
+
 Ground truth is read exclusively through ``validate_collector`` /
 ``validate_governor``; the rest of the node logic treats validity as unknown.
 """
@@ -187,10 +193,7 @@ class CollectorNode:
         """Label one delivered transaction, or withhold it."""
         if tx.txid in self.ignored:
             return None
-        public = self.provider_publics.get(tx.provider_id)
-        if public is None or not self.registry.verify(
-            public, tx_signing_bytes(tx.provider_id, tx.seq, tx.timestamp), tx.signature
-        ):
+        if not self.registry.verify_tx(self.provider_publics, tx):
             self.dropped_bad_signature += 1
             return None
         label = self._label_for(tx)
@@ -259,27 +262,6 @@ def verification_message_bytes(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class ScreeningResult:
-    """Everything the leader learned screening one expired transaction."""
-
-    txid: TxId
-    provider_id: int
-    outcome: str  # "valid" | "invalid" | "unchecked" | "skipped"
-    probs: tuple[float, ...]
-    drawn_slot: int
-    labels: dict[int, int]
-    loss: float
-    penalized: tuple[int, ...]
-    epoch_index: int
-    message: VerificationMessage | None
-    revenue: RevenueReport | None
-
-    @property
-    def verified(self) -> bool:
-        return self.outcome in ("valid", "invalid")
-
-
 @dataclass(slots=True)
 class EpochClosure:
     provider_id: int
@@ -289,6 +271,25 @@ class EpochClosure:
     revenue: RevenueReport
 
 
+@dataclass(frozen=True, slots=True)
+class ScreeningResult:
+    """Everything the leader learned screening one expired transaction."""
+
+    txid: TxId
+    provider_id: int
+    outcome: str  # "valid" | "invalid" | "unchecked"
+    probs: tuple[float, ...]
+    loss: float
+    penalized: tuple[int, ...]
+    epoch_index: int
+    message: VerificationMessage | None
+    closure: EpochClosure | None
+
+    @property
+    def verified(self) -> bool:
+        return self.outcome in ("valid", "invalid")
+
+
 class GovernorNode:
     """Top-tier node: replicated reputation state, screening, chain view."""
 
@@ -296,7 +297,6 @@ class GovernorNode:
         self,
         node_id: int,
         keypair: KeyPair,
-        stake: int,
         registry: KeyRegistry,
         topology: list[tuple[int, ...]],
         provider_publics: dict[int, bytes],
@@ -310,7 +310,6 @@ class GovernorNode:
     ):
         self.id = node_id
         self.keypair = keypair
-        self.stake = stake
         self.registry = registry
         self.topology = topology
         self.slot_of = [
@@ -336,7 +335,6 @@ class GovernorNode:
         self.on_chain_ids: set[TxId] = set()
         self.pending_valid: list[Transaction] = []  # carry-over queue, FIFO
         self.evidence: dict[TxId, tuple[tuple[int, int], ...]] = {}
-        self.epoch_closures: list[EpochClosure] = []
         self.dropped_bad_signature = 0
         self.dropped_forged = 0
         self._msg_buffer: dict[int, dict[int, VerificationMessage]] = {}
@@ -352,10 +350,7 @@ class GovernorNode:
         ):
             self.dropped_bad_signature += 1
             return "bad_collector_sig"
-        ppub = self.provider_publics.get(tx.provider_id)
-        if ppub is None or not self.registry.verify(
-            ppub, tx_signing_bytes(tx.provider_id, tx.seq, tx.timestamp), tx.signature
-        ):
+        if not self.registry.verify_tx(self.provider_publics, tx):
             self.dropped_forged += 1
             return "forged"
         if tx.provider_id >= len(self.slot_of) or ltx.collector_id not in self.slot_of[tx.provider_id]:
@@ -382,52 +377,33 @@ class GovernorNode:
         for txid in txids:
             self.received.pop(txid, None)
             self.timers.pop(txid, None)
-            if txid not in self.settled:
+            if txid not in self.evidence:  # valid ones wait for their block
                 self.tx_objects.pop(txid, None)
 
     # -- screening (current leader only) ----------------------------------
 
     def screen(self, txid: TxId) -> ScreeningResult:
         """Draw one slot by reputation; verify only if it vouched +1."""
-        if txid in self.on_chain_ids or txid in self.invalid_archive:
-            return ScreeningResult(
-                txid, txid[0], "skipped", (), -1, {}, 0.0, (), 0, None, None
-            )
         tx = self.tx_objects[txid]
         provider = tx.provider_id
+        received = self.received.get(txid, {})
         slot_map = self.slot_of[provider]
-        labels = {
-            slot_map[cid]: lab
-            for cid, lab in self.received.get(txid, {}).items()
-        }
+        labels = {slot_map[cid]: lab for cid, lab in received.items()}
         state = self.rep[provider]
         probs = selection_probabilities(state.reps, state.eta)
         drawn = draw_collector(probs, self.draw_rng)
-        epoch_index = state.epoch_index
         if labels.get(drawn) != 1:
             # Absent counts as -1: discard unverified, no reputation change.
             return ScreeningResult(
-                txid, provider, "unchecked", probs, drawn, labels, 0.0, (), epoch_index,
-                None, None,
+                txid, provider, "unchecked", probs, 0.0, (), state.epoch_index, None, None
             )
         validbit = validate_governor(tx)
         pen = penalized_slots(len(state.reps), labels, validbit)
         loss = sum(probs[k] for k in pen)
-        snapshot = tuple(sorted(self.received[txid].items()))
-        new_state = update_reputations(state, labels, validbit)
-        cnt = new_state.cnt
-        new_state, revenue = maybe_advance_epoch(
-            new_state, len(state.reps), self.mu, self.eta_policy
-        )
-        if revenue is not None:
-            self.epoch_closures.append(
-                EpochClosure(provider, epoch_index, state.epoch_threshold, state.eta, revenue)
-            )
-        self.rep[provider] = new_state
-        self._settle(txid, tx, validbit, snapshot)
-        body = verification_message_bytes(
-            self.id, provider, txid, validbit, snapshot, cnt
-        )
+        snapshot = tuple(sorted(received.items()))
+        cnt = state.cnt + 1  # this verdict's place in the provider's update order
+        closure = self.apply_verdict(provider, txid, validbit, snapshot)
+        body = verification_message_bytes(self.id, provider, txid, validbit, snapshot, cnt)
         message = VerificationMessage(
             leader_id=self.id,
             provider_id=provider,
@@ -438,72 +414,64 @@ class GovernorNode:
             signature=sign(self.keypair, body),
         )
         return ScreeningResult(
-            txid, provider, "valid" if validbit else "invalid", probs, drawn, labels,
-            loss, pen, epoch_index, message, revenue,
+            txid, provider, "valid" if validbit else "invalid", probs,
+            loss, pen, state.epoch_index, message, closure,
         )
 
-    def _settle(
+    # -- the one state transition, shared by the leader and every replica ---
+
+    def apply_verdict(
         self,
+        provider: int,
         txid: TxId,
-        tx: Transaction,
         validbit: bool,
-        snapshot: tuple[tuple[int, int], ...],
-    ) -> None:
+        received: tuple[tuple[int, int], ...],
+    ) -> EpochClosure | None:
+        """Apply one verified transaction: penalize, advance the epoch, settle.
+
+        ``received`` is the sorted (collector, label) snapshot the leader
+        signed. Returns the closure of the epoch this verdict ended, if any.
+        """
+        tx = self.tx_objects.get(txid)
+        if tx is None:
+            raise SimulationError(f"verdict for unseen transaction {txid}")
+        slot_map = self.slot_of[provider]
+        labels = {slot_map[cid]: lab for cid, lab in received if cid in slot_map}
+        state = self.rep[provider]
+        self.rep[provider], revenue = maybe_advance_epoch(
+            update_reputations(state, labels, validbit), len(state.reps), self.mu,
+            self.eta_policy,
+        )
         self.settled.add(txid)
         if validbit:
             self.pending_valid.append(tx)
-            self.evidence[txid] = snapshot
+            self.evidence[txid] = received
         else:
             self.invalid_archive.add(txid)
-
-    # -- replication on the other governors --------------------------------
+        if revenue is None:
+            return None
+        return EpochClosure(
+            provider, state.epoch_index, state.epoch_threshold, state.eta, revenue
+        )
 
     def on_verification_message(self, msg: VerificationMessage) -> None:
-        """Replay the leader's reputation update, buffering out-of-order cnt."""
+        """Replay the leader's verdict; out-of-order cnt waits in a buffer."""
         body = verification_message_bytes(
             msg.leader_id, msg.provider_id, msg.txid, msg.validbit, msg.received, msg.cnt
         )
         lpub = self.governor_publics.get(msg.leader_id)
         if lpub is None or not self.registry.verify(lpub, body, msg.signature):
             raise SimulationError(f"bad leader signature on verification message {msg.txid}")
-        state = self.rep[msg.provider_id]
-        expected = state.cnt + 1
+        provider = msg.provider_id
+        expected = self.rep[provider].cnt + 1
         if msg.cnt < expected:
             raise SimulationError(
                 f"stale verification message cnt={msg.cnt}, expected {expected}"
             )
-        if msg.cnt > expected:
-            self._msg_buffer.setdefault(msg.provider_id, {})[msg.cnt] = msg
-            return
-        self._apply_verification(msg)
-        buffered = self._msg_buffer.get(msg.provider_id, {})
-        while True:
-            state = self.rep[msg.provider_id]
-            nxt = buffered.pop(state.cnt + 1, None)
-            if nxt is None:
-                break
-            self._apply_verification(nxt)
-
-    def _apply_verification(self, msg: VerificationMessage) -> None:
-        provider = msg.provider_id
-        slot_map = self.slot_of[provider]
-        labels = {slot_map[cid]: lab for cid, lab in msg.received if cid in slot_map}
-        state = self.rep[provider]
-        epoch_index = state.epoch_index
-        threshold, eta = state.epoch_threshold, state.eta
-        new_state = update_reputations(state, labels, msg.validbit)
-        new_state, revenue = maybe_advance_epoch(
-            new_state, len(state.reps), self.mu, self.eta_policy
-        )
-        if revenue is not None:
-            self.epoch_closures.append(
-                EpochClosure(provider, epoch_index, threshold, eta, revenue)
-            )
-        self.rep[provider] = new_state
-        tx = self.tx_objects.get(msg.txid)
-        if tx is None:
-            raise SimulationError(f"verification message for unseen transaction {msg.txid}")
-        self._settle(msg.txid, tx, msg.validbit, msg.received)
+        buffered = self._msg_buffer.setdefault(provider, {})
+        buffered[msg.cnt] = msg
+        while (nxt := buffered.pop(self.rep[provider].cnt + 1, None)) is not None:
+            self.apply_verdict(provider, nxt.txid, nxt.validbit, nxt.received)
 
     def assert_no_gaps(self) -> None:
         """Synchronous lossless delivery means the buffer must drain each round."""

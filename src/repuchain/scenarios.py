@@ -2,23 +2,17 @@
 
 Every scenario is an ordinary config dict (see ``ScenarioConfig.from_dict``);
 the JSON files under scenarios/ are generated from these builders so the two
-never drift. Tolerances and seed counts for the acceptance checks are pinned
-here as constants.
+never drift. Tolerances for the acceptance checks are pinned here as
+constants.
 """
 
 from __future__ import annotations
 
 import math
 
-from .sim_engine import ScenarioConfig
-
-# Seeds used by the statistical acceptance checks; fixed for reproducibility.
-ACCEPTANCE_SEEDS = tuple(range(20))
-
 # Criterion parameters.
 REGRET_WINDOW = 10_000            # screened transactions per regret run
 DOUBLING_T0 = 500                 # first epoch threshold
-DOUBLING_EPOCHS = 6
 SLOPE_WINDOW = (0.35, 0.65)
 DRAIN_ROUNDS = 60                 # tail excluded from inclusion metrics
 LATENCY_FACTOR = 3                # median latency bound is 3 * u
@@ -47,9 +41,9 @@ def regret_bound(u: int) -> dict:
     """One provider, one governor, one honest collector among always-plus ones.
 
     Sized so at least REGRET_WINDOW transactions are screened within a single
-    epoch; eta is fixed at sqrt(ln u / REGRET_WINDOW), matching the bound
-    (3/2) * sqrt(T ln u) the check asserts over the first REGRET_WINDOW
-    screened transactions.
+    epoch; eta is fixed at sqrt(ln u / REGRET_WINDOW), which minimizes the
+    per-epoch bound ln(u)/eta + eta*T/2 at T = REGRET_WINDOW. The
+    regret-bound check compares each epoch's regret with that epoch's bound.
     """
     gen_rate = 200
     gen_rounds = (REGRET_WINDOW + gen_rate - 1) // gen_rate
@@ -147,7 +141,7 @@ def oracle_uniform_invalid() -> dict:
 
 
 def all_named() -> dict[str, dict]:
-    out = {
+    return {
         "smoke": smoke(),
         "regret_u2": regret_bound(2),
         "regret_u4": regret_bound(4),
@@ -155,8 +149,3 @@ def all_named() -> dict[str, dict]:
         "doubling": doubling(),
         "properties_0": properties(0),
     }
-    return out
-
-
-def build(name: str) -> ScenarioConfig:
-    return ScenarioConfig.from_dict(all_named()[name])

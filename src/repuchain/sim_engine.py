@@ -48,6 +48,13 @@ class ConfigError(ValueError):
     """Scenario rejected before any round runs; message names the field."""
 
 
+def check_seed(seed: Any, field: str = "seed") -> int:
+    """Return ``seed`` if it is an integer in [0, 2^64), the range enc_int encodes."""
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 1 << 64:
+        raise ConfigError(f"field '{field}': expected integer in [0, 2^64), got {seed!r}")
+    return seed
+
+
 CONFIG_FIELDS = (
     "seed", "l", "n", "m", "topology", "strategies", "stakes", "T", "eta_policy",
     "mu", "delta_rounds", "b_limit", "gen_rate", "invalid_fraction", "total_rounds",
@@ -73,7 +80,7 @@ class ScenarioConfig:
     total_rounds: int
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
-        return replace(self, seed=seed)
+        return replace(self, seed=check_seed(seed))
 
     @staticmethod
     def from_dict(raw: dict[str, Any]) -> "ScenarioConfig":
@@ -90,9 +97,7 @@ class ScenarioConfig:
                 raise ConfigError(f"field '{key}': expected integer >= {lo}, got {v!r}")
             return v
 
-        seed = raw["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError(f"field 'seed': expected integer, got {seed!r}")
+        seed = check_seed(raw["seed"])
         l = need_int("l", 1)
         n = need_int("n", 1)
         m = need_int("m", 1)
@@ -259,7 +264,6 @@ class World:
             GovernorNode(
                 node_id=k,
                 keypair=governor_kps[k],
-                stake=config.stakes[k],
                 registry=self.registry,
                 topology=topology,
                 provider_publics=provider_publics,
@@ -373,15 +377,12 @@ def step_round(world: World) -> World:
     leader = governors[leader_idx]
 
     expired = leader.expired(r)
-    results = [leader.screen(txid) for txid in expired]
-    screening = [res for res in results if res.outcome != "skipped"]
+    screening = [leader.screen(txid) for txid in expired]
     messages = [res.message for res in screening if res.message is not None]
     for res in screening:
         metrics.record_screening(res)
-    for closure in leader.epoch_closures:
-        metrics.record_epoch_close(closure)
-    for g in governors:
-        g.epoch_closures.clear()
+        if res.closure is not None:
+            metrics.record_epoch_close(res.closure)
 
     for g in governors:
         if g is not leader:
@@ -389,15 +390,10 @@ def step_round(world: World) -> World:
                 g.on_verification_message(msg)
             g.assert_no_gaps()
 
-    valid_this = tuple(
-        leader.tx_objects[res.txid] for res in screening if res.outcome == "valid"
-    )
-    invalid_this = tuple(
-        leader.tx_objects[res.txid] for res in screening if res.outcome == "invalid"
-    )
-    unchecked_this = tuple(
-        leader.tx_objects[res.txid] for res in screening if res.outcome == "unchecked"
-    )
+    by_outcome: dict[str, list[Transaction]] = {"valid": [], "invalid": [], "unchecked": []}
+    for res in screening:
+        by_outcome[res.outcome].append(leader.tx_objects[res.txid])
+    valid_this, invalid_this, unchecked_this = (tuple(txs) for txs in by_outcome.values())
 
     tx_list = leader.take_block_txs(config.b_limit)
     made_block = bool(tx_list or invalid_this or unchecked_this)
@@ -430,8 +426,6 @@ def step_round(world: World) -> World:
         metrics.record_on_chain(tx.txid, r)
     for g in governors:
         g.clear_screened(expired)
-        for tx in invalid_this:
-            g.tx_objects.pop(tx.txid, None)
 
     if m > 1:
         tip = governors[0].ledger.tip_hash()

@@ -49,7 +49,6 @@ def make_governor(
     return GovernorNode(
         node_id=gov_index,
         keypair=gov_kp,
-        stake=1,
         registry=registry,
         topology=[tuple(adj) for adj in topology],
         provider_publics=provider_publics,

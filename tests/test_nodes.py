@@ -10,6 +10,7 @@ from repuchain.core_types import (
     label_signing_bytes,
 )
 from repuchain.crypto_sim import sign, substream
+from repuchain.reputation import revenue_shares
 from repuchain.nodes import (
     CollectorNode,
     ProviderNode,
@@ -353,6 +354,70 @@ def test_verification_message_bad_signature_rejected(registry):
     deliver(registry, replica, tx, 0, round_no=1, kind="AlwaysPlus")
     with pytest.raises(SimulationError):
         replica.on_verification_message(tampered)
+
+
+def _closing_epoch_run(registry):
+    """A leader with T=2 screens invalid, valid, valid: the epoch closes on tx 2."""
+    leader = make_governor(registry, topology=((0, 1),), threshold=2, gov_index=0)
+    leader.draw_rng = ForcedRng([])  # always draws slot 0, the AlwaysPlus one
+    p = make_provider(registry, gen_rate=1, connected=(0, 1))
+    p.invalid_fraction = 1.0
+    txs = p.generate(1)
+    p.invalid_fraction = 0.0
+    txs += p.generate(1) + p.generate(1)
+    for tx in txs:
+        deliver(registry, leader, tx, 0, round_no=1, kind="AlwaysPlus")
+        deliver(registry, leader, tx, 1, round_no=1, kind="Honest")
+    results = [leader.screen(tx.txid) for tx in txs]
+    return leader, txs, results
+
+
+def test_leader_screening_reports_epoch_closure(registry):
+    leader, txs, results = _closing_epoch_run(registry)
+    assert [r.outcome for r in results] == ["invalid", "valid", "valid"]
+    assert [r.message.cnt for r in results] == [1, 2, 1]
+    assert results[0].closure is None and results[2].closure is None
+    closure = results[1].closure
+    assert (closure.provider_id, closure.epoch_index, closure.threshold) == (0, 0, 2)
+    assert closure.eta == 0.5
+    assert closure.revenue == revenue_shares((-1, 0), 0.7)
+    state = leader.rep[0]
+    assert (state.epoch_index, state.epoch_threshold, state.cnt) == (1, 4, 1)
+    assert [r.epoch_index for r in results] == [0, 0, 1]
+
+
+def test_replica_replay_reaches_leader_state(registry):
+    leader, txs, results = _closing_epoch_run(registry)
+    replica = make_governor(registry, topology=((0, 1),), threshold=2, gov_index=1)
+    replica.governor_publics[0] = leader.keypair.public
+    for tx in txs:
+        deliver(registry, replica, tx, 0, round_no=1, kind="AlwaysPlus")
+        deliver(registry, replica, tx, 1, round_no=1, kind="Honest")
+    for res in results:
+        replica.on_verification_message(res.message)
+    replica.assert_no_gaps()
+    assert replica.rep == leader.rep
+    assert replica.evidence == leader.evidence
+    assert replica.invalid_archive == leader.invalid_archive == {txs[0].txid}
+    assert replica.pending_valid == leader.pending_valid == txs[1:]
+    assert replica.state_fingerprint() == leader.state_fingerprint()
+
+
+def test_settled_transaction_is_refused_and_starts_no_timer(registry):
+    leader, txs, _ = _closing_epoch_run(registry)
+    leader.clear_screened([tx.txid for tx in txs])
+    for tx in txs:
+        assert deliver(registry, leader, tx, 0, round_no=9, kind="AlwaysPlus") == "settled"
+    assert not leader.timers and not leader.received
+    assert leader.expired(10) == []
+
+
+def test_clear_screened_keeps_valid_txs_until_their_block(registry):
+    leader, txs, _ = _closing_epoch_run(registry)
+    leader.clear_screened([tx.txid for tx in txs])
+    assert set(leader.tx_objects) == {tx.txid for tx in txs[1:]}
+    leader.note_block_appended(leader.take_block_txs(8))
+    assert not leader.tx_objects and not leader.evidence
 
 
 def test_validate_governor_reads_ground_truth(registry):
