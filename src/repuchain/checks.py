@@ -55,7 +55,7 @@ def check_regret_bound(summaries: Sequence[dict]) -> CheckResult:
 
 
 def check_scaling(summaries: Sequence[dict]) -> CheckResult:
-    """Mean log-log slope of cumulative regret vs T_total within the window."""
+    """Mean log-log slope of per-epoch regret vs epoch size within the window."""
     failed = _failed_runs(summaries)
     if failed:
         return CheckResult("scaling", False, f"{len(failed)} run(s) aborted")

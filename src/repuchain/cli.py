@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import traceback
@@ -113,6 +114,9 @@ def _worker(args: tuple[dict, int, str]) -> dict:
 
 
 def cmd_run(manifest: RunManifest) -> int:
+    if manifest.parallel < 1:
+        print(f"error: field 'parallel': must be >= 1, got {manifest.parallel}", file=sys.stderr)
+        return 2
     try:
         config = load_config(manifest.config_path)
     except FileNotFoundError:
@@ -143,8 +147,11 @@ def cmd_run(manifest: RunManifest) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
 
     jobs = [(config.to_dict(), seed, str(seed_dirs[seed])) for seed in manifest.seeds]
-    if manifest.parallel > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=manifest.parallel) as pool:
+    # The fork start method launches every worker up front, so never ask for
+    # more than there are jobs or cores.
+    workers = min(manifest.parallel, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(_worker, jobs))
     else:
         summaries = [_worker(job) for job in jobs]

@@ -144,15 +144,13 @@ def propose_block(
     leader_id: int,
     leader_kp: KeyPair,
     tx_list: tuple[Transaction, ...],
-    round_valid: tuple[Transaction, ...],
     invalid_list: tuple[Transaction, ...],
     unchecked_list: tuple[Transaction, ...],
     prev_hash: bytes,
 ) -> tuple[SignedBlock, RoundLists]:
     """Assemble and sign the round's block plus the broadcast lists.
 
-    ``tx_list`` is the capped payload (carry-over queue head); ``round_valid``
-    is what was verified valid this round, kept in the RoundLists archive.
+    ``tx_list`` is the capped payload (carry-over queue head).
     """
     block = Block(
         serial=serial,
@@ -162,9 +160,7 @@ def propose_block(
         prev_hash=prev_hash,
     )
     signed = SignedBlock(block=block, signature=sign(leader_kp, block_bytes(block)))
-    return signed, RoundLists(
-        tx_list=round_valid, invalid_list=invalid_list, unchecked_list=unchecked_list
-    )
+    return signed, RoundLists(invalid_list=invalid_list, unchecked_list=unchecked_list)
 
 
 def validate_block(

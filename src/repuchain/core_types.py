@@ -7,6 +7,10 @@ byte length as an 8-byte big-endian integer; integer payloads are themselves
 the length-prefixed elements. The hash everywhere is SHA-256 (256-bit
 digests), frozen so the published test vectors stay stable.
 
+Each signed object builds the bytes its signature covers once, at
+construction, and carries them as ``signing_bytes`` (and ``wire_bytes``);
+every check reads the carried bytes and computes its own digest.
+
 The ``ground_truth_valid`` bit on a transaction is a simulation-only oracle
 field. By convention it is read exclusively through the ``validate_*``
 helpers in :mod:`repuchain.nodes`; it is not part of the canonical wire
@@ -16,8 +20,7 @@ bytes, so digests and signatures never depend on it.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Sequence
 
 DIGEST_SIZE = 32
@@ -56,6 +59,15 @@ class SimSignature:
     tag: bytes
 
 
+def tx_signing_bytes(provider_id: int, seq: int, timestamp: int) -> bytes:
+    """Bytes the provider signs: identity triple only (oracle bit excluded)."""
+    return (
+        enc_field(enc_int(provider_id))
+        + enc_field(enc_int(seq))
+        + enc_field(enc_int(timestamp))
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class Transaction:
     """Provider-signed payload; (provider_id, seq, timestamp) is its identity.
@@ -69,29 +81,22 @@ class Transaction:
     timestamp: int
     ground_truth_valid: bool
     signature: SimSignature
+    signing_bytes: bytes = field(init=False, repr=False, compare=False)
+    wire_bytes: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        signing = tx_signing_bytes(self.provider_id, self.seq, self.timestamp)
+        object.__setattr__(self, "signing_bytes", signing)
+        object.__setattr__(self, "wire_bytes", signing + enc_field(self.signature.tag))
 
     @property
     def txid(self) -> tuple[int, int, int]:
         return (self.provider_id, self.seq, self.timestamp)
 
 
-# Cached: the same transaction's bytes are rebuilt at every signature check
-# along the provider -> collector -> governor path.
-@lru_cache(maxsize=1 << 16)
-def tx_signing_bytes(provider_id: int, seq: int, timestamp: int) -> bytes:
-    """Bytes the provider signs: identity triple only (oracle bit excluded)."""
-    return (
-        enc_field(enc_int(provider_id))
-        + enc_field(enc_int(seq))
-        + enc_field(enc_int(timestamp))
-    )
-
-
 def tx_wire_bytes(tx: Transaction) -> bytes:
     """Canonical wire form: signed triple plus the provider signature tag."""
-    return tx_signing_bytes(tx.provider_id, tx.seq, tx.timestamp) + enc_field(
-        tx.signature.tag
-    )
+    return tx.wire_bytes
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,15 +107,17 @@ class LabeledTransaction:
     label: int
     collector_id: int
     signature: SimSignature
+    signing_bytes: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.label not in (+1, -1):
             raise ValueError(f"label must be +1 or -1, got {self.label}")
+        object.__setattr__(self, "signing_bytes", label_signing_bytes(self.tx, self.label))
 
 
 def label_signing_bytes(tx: Transaction, label: int) -> bytes:
     """Bytes the collector signs: the wire transaction and its label."""
-    return enc_field(tx_wire_bytes(tx)) + enc_field(enc_int(1 if label == 1 else 0))
+    return enc_field(tx.wire_bytes) + enc_field(enc_int(1 if label == 1 else 0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,7 +135,7 @@ def block_bytes(block: Block) -> bytes:
     return (
         enc_field(enc_int(block.serial))
         + enc_field(enc_int(block.leader_id))
-        + enc_field(enc_list([tx_wire_bytes(t) for t in block.tx_list]))
+        + enc_field(enc_list([t.wire_bytes for t in block.tx_list]))
         + enc_field(block.mt_root)
         + enc_field(block.prev_hash)
     )
@@ -145,9 +152,8 @@ def make_genesis() -> Block:
 
 @dataclass(frozen=True, slots=True)
 class RoundLists:
-    """One round's screening partition; the three lists are disjoint."""
+    """One round's broadcast lists: screened invalid, and left unchecked."""
 
-    tx_list: tuple[Transaction, ...]
     invalid_list: tuple[Transaction, ...]
     unchecked_list: tuple[Transaction, ...]
 
@@ -176,8 +182,8 @@ def commitment_items(
     invalid_list: Sequence[Transaction], unchecked_list: Sequence[Transaction]
 ) -> list[bytes]:
     """Tagged leaves committing (invalid_list, unchecked_list) jointly."""
-    return [TAG_INVALID + tx_wire_bytes(t) for t in invalid_list] + [
-        TAG_UNCHECKED + tx_wire_bytes(t) for t in unchecked_list
+    return [TAG_INVALID + t.wire_bytes for t in invalid_list] + [
+        TAG_UNCHECKED + t.wire_bytes for t in unchecked_list
     ]
 
 

@@ -11,23 +11,17 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping
 
-from .core_types import SimSignature, Transaction, enc_int, sha256, tx_signing_bytes
+from .core_types import SimSignature, Transaction, enc_int, sha256
 
 SECRET_SIZE = 32
 
 
-# The same (secret, message) tag is computed when signing and again at every
-# verifying hop; memoizing the pure function keeps the simulation honest
-# while dropping the duplicate hashing.
-@lru_cache(maxsize=1 << 16)
 def _sig_tag(secret: bytes, msg: bytes) -> bytes:
     return sha256(b"sig" + secret + msg)
 
 
-@lru_cache(maxsize=1 << 14)
 def _vrf_pair(secret: bytes, vrf_input: bytes) -> tuple[bytes, bytes]:
     return (
         sha256(b"vrf" + secret + vrf_input),
@@ -96,9 +90,7 @@ class KeyRegistry:
     def verify_tx(self, provider_publics: Mapping[int, bytes], tx: Transaction) -> bool:
         """Check a transaction's provider signature; unknown providers fail closed."""
         public = provider_publics.get(tx.provider_id)
-        return public is not None and self.verify(
-            public, tx_signing_bytes(tx.provider_id, tx.seq, tx.timestamp), tx.signature
-        )
+        return public is not None and self.verify(public, tx.signing_bytes, tx.signature)
 
     def vrf_verify(self, public: bytes, vrf_input: bytes, out: VrfOutput) -> bool:
         secret = self._by_public.get(public)

@@ -72,14 +72,6 @@ class RoundRow:
     messages_gg: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class EpochRecord:
-    epoch_index: int
-    threshold: int
-    eta: float
-    revenue: tuple[float, ...]
-
-
 class MetricsLog:
     """Per-run event log: screening events, epochs, latencies, message counts."""
 
@@ -89,7 +81,7 @@ class MetricsLog:
         self.events: list[list[tuple[int, int, float, tuple[int, ...]]]] = [
             [] for _ in range(n_providers)
         ]
-        self.epoch_records: list[list[EpochRecord]] = [[] for _ in range(n_providers)]
+        self.epoch_records: list[list[EpochClosure]] = [[] for _ in range(n_providers)]
         self.final_states: list[ReputationState] | None = None
         self.gen_round: dict[TxId, int] = {}
         self.gen_valid: dict[TxId, int] = {}
@@ -117,14 +109,7 @@ class MetricsLog:
         )
 
     def record_epoch_close(self, closure: EpochClosure) -> None:
-        self.epoch_records[closure.provider_id].append(
-            EpochRecord(
-                epoch_index=closure.epoch_index,
-                threshold=closure.threshold,
-                eta=closure.eta,
-                revenue=closure.revenue.shares,
-            )
-        )
+        self.epoch_records[closure.provider_id].append(closure)
 
     def record_on_chain(self, txid: TxId, round_no: int) -> None:
         self.chain_round[txid] = round_no
@@ -205,6 +190,12 @@ class EpochRegret:
 
 @dataclass(frozen=True, slots=True)
 class RegretReport:
+    """Per-epoch regrets; ``slope`` fits log(regret) vs log(T) over closed epochs.
+
+    The per-epoch bound 1.5*sqrt(T_i ln u) predicts 0.5; summed over the
+    doubling epochs it gives O(sqrt(T_total)). Linear regret reads 1.0.
+    """
+
     provider_id: int
     u: int
     epochs: tuple[EpochRegret, ...]
@@ -253,14 +244,6 @@ def compute_regret(log: MetricsLog, provider: int) -> RegretReport:
                 closed=rec is not None,
             )
         )
-    points = []
-    t_acc, r_acc = 0, 0.0
-    for ep in epochs:
-        if not ep.closed:
-            break
-        t_acc += ep.T
-        r_acc += ep.regret
-        points.append((float(t_acc), r_acc))
     return RegretReport(
         provider_id=provider,
         u=u,
@@ -268,12 +251,12 @@ def compute_regret(log: MetricsLog, provider: int) -> RegretReport:
         T_total=sum(ep.T for ep in epochs),
         cumulative_regret=sum(ep.regret for ep in epochs),
         cumulative_prose_loss=sum(ep.prose_loss for ep in epochs),
-        slope=scaling_fit(points),
+        slope=scaling_fit([(float(ep.T), ep.regret) for ep in epochs if ep.closed]),
     )
 
 
 def scaling_fit(points: Sequence[tuple[float, float]]) -> float | None:
-    """Least-squares slope of log(cumulative regret) vs log(T_total).
+    """Least-squares slope of log(regret) vs log(T) over (T, regret) points.
 
     Roughly 0.5 signals square-root scaling. Returns None when regret never
     rose above zero (slope undefined, not an error).

@@ -18,7 +18,7 @@ Ground truth is read exclusively through ``validate_collector`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .consensus import Ledger
@@ -36,7 +36,6 @@ from .crypto_sim import KeyPair, KeyRegistry, sign
 from .reputation import (
     EtaPolicy,
     ReputationState,
-    RevenueReport,
     draw_collector,
     initial_state,
     maybe_advance_epoch,
@@ -246,6 +245,13 @@ class VerificationMessage:
     received: tuple[tuple[int, int], ...]
     cnt: int
     signature: SimSignature
+    signing_bytes: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        body = verification_message_bytes(
+            self.leader_id, self.provider_id, self.txid, self.validbit, self.received, self.cnt
+        )
+        object.__setattr__(self, "signing_bytes", body)
 
 
 def verification_message_bytes(
@@ -262,13 +268,13 @@ def verification_message_bytes(
     )
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class EpochClosure:
     provider_id: int
     epoch_index: int
     threshold: int
     eta: float
-    revenue: RevenueReport
+    revenue: tuple[float, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -345,9 +351,7 @@ class GovernorNode:
         """Ingest one labeled copy; returns a disposition code for metrics."""
         tx = ltx.tx
         cpub = self.collector_publics.get(ltx.collector_id)
-        if cpub is None or not self.registry.verify(
-            cpub, label_signing_bytes(tx, ltx.label), ltx.signature
-        ):
+        if cpub is None or not self.registry.verify(cpub, ltx.signing_bytes, ltx.signature):
             self.dropped_bad_signature += 1
             return "bad_collector_sig"
         if not self.registry.verify_tx(self.provider_publics, tx):
@@ -451,16 +455,13 @@ class GovernorNode:
         if revenue is None:
             return None
         return EpochClosure(
-            provider, state.epoch_index, state.epoch_threshold, state.eta, revenue
+            provider, state.epoch_index, state.epoch_threshold, state.eta, revenue.shares
         )
 
     def on_verification_message(self, msg: VerificationMessage) -> None:
         """Replay the leader's verdict; out-of-order cnt waits in a buffer."""
-        body = verification_message_bytes(
-            msg.leader_id, msg.provider_id, msg.txid, msg.validbit, msg.received, msg.cnt
-        )
         lpub = self.governor_publics.get(msg.leader_id)
-        if lpub is None or not self.registry.verify(lpub, body, msg.signature):
+        if lpub is None or not self.registry.verify(lpub, msg.signing_bytes, msg.signature):
             raise SimulationError(f"bad leader signature on verification message {msg.txid}")
         provider = msg.provider_id
         expected = self.rep[provider].cnt + 1

@@ -390,10 +390,10 @@ def step_round(world: World) -> World:
                 g.on_verification_message(msg)
             g.assert_no_gaps()
 
-    by_outcome: dict[str, list[Transaction]] = {"valid": [], "invalid": [], "unchecked": []}
-    for res in screening:
-        by_outcome[res.outcome].append(leader.tx_objects[res.txid])
-    valid_this, invalid_this, unchecked_this = (tuple(txs) for txs in by_outcome.values())
+    invalid_this, unchecked_this = (
+        tuple(leader.tx_objects[res.txid] for res in screening if res.outcome == outcome)
+        for outcome in ("invalid", "unchecked")
+    )
 
     tx_list = leader.take_block_txs(config.b_limit)
     made_block = bool(tx_list or invalid_this or unchecked_this)
@@ -404,7 +404,6 @@ def step_round(world: World) -> World:
             leader_id=leader_idx,
             leader_kp=leader.keypair,
             tx_list=tx_list,
-            round_valid=valid_this,
             invalid_list=invalid_this,
             unchecked_list=unchecked_this,
             prev_hash=leader.ledger.tip_hash(),

@@ -44,6 +44,8 @@ def test_failing_check_exits_one(smoke_config, tmp_path, capsys):
     (["--seeds", "1", "--checks", "properties,bananas"], "unknown check 'bananas'"),
     (["--seeds", "abc"], "field 'seeds': cannot parse"),
     (["--seeds", ","], "field 'seeds': no seeds"),
+    (["--seeds", "1", "--parallel", "0"], "field 'parallel'"),
+    (["--seeds", "1", "--parallel", "-3"], "field 'parallel'"),
 ])
 def test_usage_errors_exit_two(smoke_config, tmp_path, capsys, argv, message):
     argv = [a.format(missing=tmp_path / "nope.json") for a in argv]
@@ -67,6 +69,33 @@ def test_parallel_runs_match_serial(smoke_config, tmp_path):
     assert run_cli(smoke_config, serial, "--seeds", "3,4", "--parallel", "1") == 0
     assert run_cli(smoke_config, parallel, "--seeds", "3,4", "--parallel", "2") == 0
     assert aggregate(parallel)["runs"] == aggregate(serial)["runs"]
+
+
+@pytest.mark.parametrize("cpus, sizes", [(8, [2]), (1, []), (None, [])])
+def test_parallel_workers_bounded_by_jobs_and_cores(smoke_config, tmp_path, monkeypatch,
+                                                    cpus, sizes):
+    started = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, runs in process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert run_cli(smoke_config, tmp_path / "out", "--seeds", "3,4", "--parallel", "500") == 0
+    assert started == sizes
+    assert aggregate(tmp_path / "out")["seeds"] == [3, 4]
 
 
 # -- seeds fail closed ----------------------------------------------------------

@@ -64,7 +64,6 @@ class Chain:
             leader_id=self.leader_id,
             leader_kp=self.leader_kp,
             tx_list=tuple(txs),
-            round_valid=tuple(txs),
             invalid_list=(),
             unchecked_list=tuple(unchecked),
             prev_hash=self.ledger.tip_hash(),
@@ -233,7 +232,7 @@ def test_tx_without_positive_label_detected():
 def test_mt_root_mismatch_detected():
     chain = Chain()
     signed, lists = chain.next_block(n_unchecked=2)
-    shorter = type(lists)(lists.tx_list, lists.invalid_list, lists.unchecked_list[:1])
+    shorter = type(lists)(lists.invalid_list, lists.unchecked_list[:1])
     assert chain.validate_only(signed, shorter) is Violation.MT_ROOT_MISMATCH
 
 

@@ -1,8 +1,12 @@
+import dataclasses
 import hashlib
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import repuchain
 from repuchain.core_types import (
     ZERO_DIGEST,
     Block,
@@ -11,6 +15,7 @@ from repuchain.core_types import (
     SimSignature,
     block_bytes,
     hash_block,
+    label_signing_bytes,
     lists_commitment_root,
     make_genesis,
     merkle_root,
@@ -18,6 +23,7 @@ from repuchain.core_types import (
     tx_signing_bytes,
     tx_wire_bytes,
 )
+from repuchain.crypto_sim import keypair_from_secret, sign
 
 
 def ref_merkle(items):
@@ -149,3 +155,45 @@ def test_commitment_separates_lists_by_domain_tag():
 
 def test_commitment_empty_lists_is_zero():
     assert lists_commitment_root([], []) == ZERO_DIGEST
+
+
+# -- bytes carried by signed objects ---------------------------------------------
+
+
+def test_carried_bytes_match_encoders_and_vectors(crypto_vectors):
+    v = crypto_vectors["transaction"]
+    kp = keypair_from_secret(0, bytes.fromhex(v["secret"]))
+    ident = (v["provider_id"], v["seq"], v["timestamp"])
+    tx = Transaction(*ident, True, sign(kp, tx_signing_bytes(*ident)))
+    assert tx.signature.tag.hex() == v["signature"]
+    assert tx.signing_bytes == tx_signing_bytes(*ident)
+    assert tx.signing_bytes.hex() == v["signing_bytes"]
+    assert tx_wire_bytes(tx) == tx.wire_bytes
+    assert tx.wire_bytes.hex() == v["wire_bytes"]
+    for label, key in ((1, "label_plus_bytes"), (-1, "label_minus_bytes")):
+        ltx = LabeledTransaction(tx=tx, label=label, collector_id=1, signature=tx.signature)
+        assert ltx.signing_bytes == label_signing_bytes(tx, label)
+        assert ltx.signing_bytes.hex() == v[key]
+
+
+def test_equal_transactions_compare_and_hash_equal():
+    a, b = make_tx(seq=4), make_tx(seq=4)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b, make_tx(seq=5)}) == 2
+    assert "wire_bytes" not in repr(a)
+
+
+def test_replace_rebuilds_carried_bytes():
+    tx = make_tx(provider=2, seq=8, ts=3)
+    nxt = dataclasses.replace(tx, seq=tx.seq + 1)
+    assert nxt.signing_bytes == tx_signing_bytes(2, 9, 3) != tx.signing_bytes
+    assert nxt.wire_bytes == tx_signing_bytes(2, 9, 3) + tx.wire_bytes[len(tx.signing_bytes):]
+
+
+def test_no_module_level_caches():
+    # Bytes are carried by the objects; a module-level memo would let a
+    # verifier reuse the signer's result instead of checking for itself.
+    for info in pkgutil.iter_modules(repuchain.__path__):
+        module = importlib.import_module(f"repuchain.{info.name}")
+        cached = [name for name, value in vars(module).items() if hasattr(value, "cache_clear")]
+        assert not cached, f"repuchain.{info.name} caches {cached}"

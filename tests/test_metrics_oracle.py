@@ -14,6 +14,9 @@ from repuchain.metrics_oracle import (
     scaling_fit,
     theorem_bound,
 )
+from repuchain.checks import check_scaling
+from repuchain.nodes import EpochClosure
+from repuchain.reputation import EtaPolicy, initial_state
 from repuchain.sim_engine import ScenarioConfig, run
 from repuchain import scenarios
 
@@ -172,6 +175,32 @@ def test_scaling_fit_linear_slope():
 def test_scaling_fit_zero_regret_undefined():
     assert scaling_fit([(100, 0.0), (200, 0.0), (400, 0.0), (800, 0.0)]) is None
     assert scaling_fit([]) is None
+
+
+def doubling_log(regret_of, epochs=6, t0=50):
+    """A one-provider log whose closed epoch i holds t0*2^i verified events
+    with total regret regret_of(T_i), plus an open epoch after them."""
+    log = MetricsLog(1)
+    policy = EtaPolicy(kind="PerEpochSqrt")
+    for i in range(epochs + 1):
+        T = t0 * 2**i
+        n = T if i < epochs else T // 2  # the last epoch is still open
+        log.events[0].extend((i, 1, regret_of(T) / T, ()) for _ in range(n))
+        if i < epochs:
+            log.record_epoch_close(EpochClosure(0, i, T, math.sqrt(math.log(2) / T), (0.5, 0.5)))
+    log.finalize([initial_state(2, t0 * 2**epochs, policy)])
+    return compute_regret(log, 0)
+
+
+@pytest.mark.parametrize("regret_of, slope, passes", [
+    (lambda T: 1.5 * math.sqrt(T * math.log(2)), 0.5, True),
+    (lambda T: 0.1 * T, 1.0, False),
+])
+def test_scaling_fits_per_epoch_regret_of_closed_epochs(regret_of, slope, passes):
+    report = doubling_log(regret_of)
+    assert report.slope == pytest.approx(slope, abs=1e-9)
+    result = check_scaling([{"seed": 0, "providers": [{"slope": report.slope}]}])
+    assert result.passed is passes
 
 
 # -- regret over engine runs --------------------------------------------------------

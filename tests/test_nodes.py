@@ -17,6 +17,7 @@ from repuchain.nodes import (
     SimulationError,
     StrategySpec,
     validate_governor,
+    verification_message_bytes,
 )
 
 
@@ -219,6 +220,20 @@ def test_bad_collector_signature_dropped(registry):
     assert tx.txid not in g.received
 
 
+def test_relabeled_copy_with_original_signature_refused(registry):
+    g = make_governor(registry, topology=((0,),))
+    p = make_provider(registry, gen_rate=1)
+    (tx,) = p.generate(1)
+    c = make_collector(registry, index=0, kind="Honest", n_providers=1)
+    ltx = c.process(tx)
+    flipped = LabeledTransaction(
+        tx=tx, label=-ltx.label, collector_id=0, signature=ltx.signature
+    )
+    assert flipped.signing_bytes == label_signing_bytes(tx, -ltx.label)
+    assert g.on_labeled_transaction(flipped, 1) == "bad_collector_sig"
+    assert g.on_labeled_transaction(ltx, 1) == "ok"
+
+
 def test_forged_transactions_rejected_10k_attempts(registry):
     g = make_governor(registry, topology=((0,), (0,)), n_providers=2)
     forger = make_collector(registry, index=0, kind="Forger", forge_rate=10_000,
@@ -349,6 +364,9 @@ def test_verification_message_bad_signature_rejected(registry):
         validbit=not msg.validbit, received=msg.received, cnt=msg.cnt,
         signature=msg.signature,
     )
+    assert msg.signing_bytes == verification_message_bytes(
+        msg.leader_id, msg.provider_id, msg.txid, msg.validbit, msg.received, msg.cnt
+    ) != tampered.signing_bytes
     replica = make_governor(registry, topology=((0,),), gov_index=1)
     replica.governor_publics[0] = leader.keypair.public
     deliver(registry, replica, tx, 0, round_no=1, kind="AlwaysPlus")
@@ -380,7 +398,7 @@ def test_leader_screening_reports_epoch_closure(registry):
     closure = results[1].closure
     assert (closure.provider_id, closure.epoch_index, closure.threshold) == (0, 0, 2)
     assert closure.eta == 0.5
-    assert closure.revenue == revenue_shares((-1, 0), 0.7)
+    assert closure.revenue == revenue_shares((-1, 0), 0.7).shares
     state = leader.rep[0]
     assert (state.epoch_index, state.epoch_threshold, state.cnt) == (1, 4, 1)
     assert [r.epoch_index for r in results] == [0, 0, 1]
