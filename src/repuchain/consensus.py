@@ -28,7 +28,7 @@ from .core_types import (
     make_genesis,
     merkle_root,
 )
-from .crypto_sim import KeyPair, KeyRegistry, sign, vrf_eval
+from .crypto_sim import KeyPair, KeyRegistry, sign, vrf_eval_units
 
 
 class Violation(Enum):
@@ -111,29 +111,29 @@ def elect_leader(
 ) -> ElectionRecord:
     """Every stake unit hashes the seed via its owner's VRF; least value wins.
 
-    All governors verify all proofs and reach the same winner. A governor
-    whose proof fails verification has its units excluded for the round.
-    Ties break on (value, governor id), which matters only in theory with
-    256-bit values.
+    Unit j of a governor evaluates ``vrf_eval(kp, round_seed + enc_int(j))``.
+    The election makes one pass per governor: ``vrf_eval_units`` absorbs the
+    key and seed once and evaluates every unit from a copy, and
+    ``vrf_verify_units`` checks every unit's value and proof the same way.
+    All governors verify all proofs and reach the same winner. Exclusion is
+    all or nothing: a governor with any failing proof has all of its units
+    excluded for the round. Ties break on (value, governor id), which
+    matters only in theory with 256-bit values.
     """
     if stakes.total < 1:
         raise ValueError("total stake must be at least 1")
     best: tuple[bytes, int] | None = None
     excluded = []
     for gov_id in sorted(stakes.units):
-        units = stakes.units[gov_id]
         kp = keypairs[gov_id]
-        ok = True
-        for j in range(units):
-            out = vrf_eval(kp, round_seed + enc_int(j))
-            if not registry.vrf_verify(kp.public, round_seed + enc_int(j), out):
-                ok = False
-                break
-            cand = (out.value, gov_id)
+        outs = vrf_eval_units(kp, round_seed, stakes.units[gov_id])
+        if not registry.vrf_verify_units(kp.public, round_seed, outs):
+            excluded.append(gov_id)
+            continue
+        if outs:
+            cand = (min(out.value for out in outs), gov_id)
             if best is None or cand < best:
                 best = cand
-        if not ok:
-            excluded.append(gov_id)
     if best is None:
         raise ValueError("no governor produced a verifiable VRF output")
     return ElectionRecord(winner=best[1], excluded=tuple(excluded))

@@ -9,7 +9,8 @@ digests), frozen so the published test vectors stay stable.
 
 Each signed object builds the bytes its signature covers once, at
 construction, and carries them as ``signing_bytes`` (and ``wire_bytes``);
-every check reads the carried bytes and computes its own digest.
+every check reads the carried bytes and computes its own digest. A
+transaction carries its identity triple as ``txid`` the same way.
 
 The ``ground_truth_valid`` bit on a transaction is a simulation-only oracle
 field. By convention it is read exclusively through the ``validate_*``
@@ -81,17 +82,15 @@ class Transaction:
     timestamp: int
     ground_truth_valid: bool
     signature: SimSignature
+    txid: tuple[int, int, int] = field(init=False, repr=False, compare=False)
     signing_bytes: bytes = field(init=False, repr=False, compare=False)
     wire_bytes: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "txid", (self.provider_id, self.seq, self.timestamp))
         signing = tx_signing_bytes(self.provider_id, self.seq, self.timestamp)
         object.__setattr__(self, "signing_bytes", signing)
         object.__setattr__(self, "wire_bytes", signing + enc_field(self.signature.tag))
-
-    @property
-    def txid(self) -> tuple[int, int, int]:
-        return (self.provider_id, self.seq, self.timestamp)
 
 
 def tx_wire_bytes(tx: Transaction) -> bytes:

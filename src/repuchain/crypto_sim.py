@@ -4,6 +4,20 @@ Signatures are keyed SHA-256 tags; verification goes through a registry of
 issued keys that models the identity manager installing verification keys on
 every node. This gives unforgeability-by-assumption without real asymmetric
 crypto, keeps runs reproducible, and needs no dependencies.
+
+A tag is SHA-256 over ``b"sig" + secret + msg``. The registry keeps, per
+public key, a SHA-256 state that has absorbed ``b"sig" + secret``; it is
+built on the first verification under that key, so issuing keys costs no
+more than before. Every verification copies that state, hashes its own
+message into the copy and compares the digest with the tag, so each check
+still computes its own digest and none reuses another's verdict.
+
+The VRF works the same way for a stake-weighted election: a governor's
+value and proof for unit ``j`` hash ``round_seed + enc_int(j)`` after the
+prefix ``b"vrf"``/``b"vrfp" + secret``. ``vrf_eval_units`` and
+``KeyRegistry.vrf_verify_units`` absorb that prefix and the round seed once
+per governor and then evaluate, or check, every unit from a copy; they
+equal ``vrf_eval``/``vrf_verify`` unit by unit, which stay the definition.
 """
 
 from __future__ import annotations
@@ -19,7 +33,7 @@ SECRET_SIZE = 32
 
 
 def _sig_tag(secret: bytes, msg: bytes) -> bytes:
-    return sha256(b"sig" + secret + msg)
+    return hashlib.sha256(b"sig" + secret + msg).digest()
 
 
 def _vrf_pair(secret: bytes, vrf_input: bytes) -> tuple[bytes, bytes]:
@@ -61,6 +75,27 @@ def vrf_eval(kp: KeyPair, vrf_input: bytes) -> VrfOutput:
     return VrfOutput(value=value, proof=proof)
 
 
+def _vrf_unit_pairs(secret: bytes, round_seed: bytes, units: int) -> list[tuple[bytes, bytes]]:
+    """``_vrf_pair(secret, round_seed + enc_int(j))`` for every j < units."""
+    value_state = hashlib.sha256(b"vrf" + secret + round_seed)
+    proof_state = hashlib.sha256(b"vrfp" + secret + round_seed)
+    pairs = []
+    for j in range(units):
+        suffix = enc_int(j)
+        value = value_state.copy()
+        value.update(suffix)
+        proof = proof_state.copy()
+        proof.update(suffix)
+        pairs.append((value.digest(), proof.digest()))
+    return pairs
+
+
+def vrf_eval_units(kp: KeyPair, round_seed: bytes, units: int) -> list[VrfOutput]:
+    """Unit j's output is ``vrf_eval(kp, round_seed + enc_int(j))``."""
+    pairs = _vrf_unit_pairs(kp.secret, round_seed, units)
+    return [VrfOutput(value, proof) for value, proof in pairs]
+
+
 class KeyRegistry:
     """Simulated identity manager: issues keys and resolves them for verifiers.
 
@@ -71,6 +106,8 @@ class KeyRegistry:
     def __init__(self, root_seed: int = 0):
         self._root = enc_int(root_seed)
         self._by_public: dict[bytes, bytes] = {}
+        # public -> SHA-256 state after b"sig" + secret, built on first verify
+        self._sig_states: dict[bytes, hashlib._Hash] = {}
 
     def issue(self, node_id: int) -> KeyPair:
         secret = sha256(b"key" + self._root + enc_int(node_id))
@@ -82,10 +119,15 @@ class KeyRegistry:
         self._by_public[kp.public] = kp.secret
 
     def verify(self, public: bytes, msg: bytes, sig: SimSignature) -> bool:
-        secret = self._by_public.get(public)
-        if secret is None:
-            return False
-        return sig.tag == _sig_tag(secret, msg)
+        state = self._sig_states.get(public)
+        if state is None:
+            secret = self._by_public.get(public)
+            if secret is None:
+                return False
+            state = self._sig_states[public] = hashlib.sha256(b"sig" + secret)
+        h = state.copy()
+        h.update(msg)
+        return h.digest() == sig.tag
 
     def verify_tx(self, provider_publics: Mapping[int, bytes], tx: Transaction) -> bool:
         """Check a transaction's provider signature; unknown providers fail closed."""
@@ -97,6 +139,17 @@ class KeyRegistry:
         if secret is None:
             return False
         return (out.value, out.proof) == _vrf_pair(secret, vrf_input)
+
+    def vrf_verify_units(self, public: bytes, round_seed: bytes, outs: list[VrfOutput]) -> bool:
+        """True iff every ``outs[j]`` passes ``vrf_verify`` on ``round_seed + enc_int(j)``."""
+        secret = self._by_public.get(public)
+        if secret is None:
+            return False
+        expected = _vrf_unit_pairs(secret, round_seed, len(outs))
+        return all(
+            out.value == value and out.proof == proof
+            for out, (value, proof) in zip(outs, expected)
+        )
 
 
 def substream(seed: int, *labels: int | str | bytes) -> random.Random:

@@ -499,10 +499,14 @@ class GovernorNode:
             self.tx_objects.pop(tx.txid, None)
 
     def state_fingerprint(self) -> tuple:
-        """Replication check: byte-identical state across governors each round."""
+        """Replication check: equal fingerprints mean equal replicated state.
+
+        The invalid archive is a snapshot compared by set equality, so the
+        per-round check across governors sorts nothing.
+        """
         return (
             tuple(self.rep),
             tuple(tx.txid for tx in self.pending_valid),
-            tuple(sorted(self.invalid_archive)),
+            frozenset(self.invalid_archive),
             len(self.on_chain_ids),
         )

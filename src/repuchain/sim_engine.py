@@ -484,7 +484,8 @@ def world_state_hash(world: World) -> str:
     h = hashlib.sha256()
     h.update(str(world.round).encode())
     h.update(g0.ledger.tip_hash())
-    h.update(repr(g0.state_fingerprint()).encode())
+    rep, pending, invalid, n_on_chain = g0.state_fingerprint()
+    h.update(repr((rep, pending, tuple(sorted(invalid)), n_on_chain)).encode())
     h.update(repr(sorted(world.metrics.gen_round.items())).encode())
     h.update(repr([sorted(p.pending) for p in world.providers]).encode())
     return h.hexdigest()

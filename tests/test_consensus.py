@@ -23,11 +23,18 @@ from repuchain.core_types import (
     SimSignature,
     Transaction,
     block_bytes,
+    enc_int,
     hash_block,
     lists_commitment_root,
     tx_signing_bytes,
 )
-from repuchain.crypto_sim import KeyRegistry, keypair_from_secret, sign
+from repuchain.crypto_sim import (
+    KeyRegistry,
+    keypair_from_secret,
+    sign,
+    vrf_eval,
+    vrf_eval_units,
+)
 
 
 def make_signed_tx(registry, provider_kp, seq, valid=True):
@@ -135,6 +142,74 @@ def test_unverifiable_governor_excluded():
     rec = elect_leader(stakes, b"seed", kps, registry)
     assert rec.winner == 0
     assert rec.excluded == (1,)
+
+
+def test_vrf_eval_units_match_scalar_vrf():
+    registry = KeyRegistry(root_seed=5)
+    kp = registry.issue(3)
+    for seed in (b"", b"s", (7).to_bytes(8, "big"), b"\xff" * 40):
+        outs = vrf_eval_units(kp, seed, 33)
+        assert len(outs) == 33
+        for j, out in enumerate(outs):
+            assert out == vrf_eval(kp, seed + enc_int(j))
+    assert vrf_eval_units(kp, b"s", 0) == []
+
+
+def reference_winner(stakes, round_seed, keypairs, registry):
+    """The election's definition, one stake unit at a time."""
+    best = None
+    for gov_id in sorted(stakes.units):
+        kp = keypairs[gov_id]
+        for j in range(stakes.units[gov_id]):
+            vrf_input = round_seed + enc_int(j)
+            out = vrf_eval(kp, vrf_input)
+            assert registry.vrf_verify(kp.public, vrf_input, out)
+            if best is None or (out.value, gov_id) < best:
+                best = (out.value, gov_id)
+    return best[1]
+
+
+def test_election_matches_unit_by_unit_reference():
+    registry = KeyRegistry(root_seed=6)
+    kps = {k: registry.issue(k) for k in range(4)}
+    rng = random.Random(11)
+    winners = set()
+    for i in range(200):
+        stakes = StakeTable(units={k: rng.randint(1, 40) for k in range(4)})
+        seed = rng.randbytes(8) + enc_int(i)
+        rec = elect_leader(stakes, seed, kps, registry)
+        assert rec.excluded == ()
+        assert rec.winner == reference_winner(stakes, seed, kps, registry)
+        winners.add(rec.winner)
+    assert winners == {0, 1, 2, 3}
+
+
+class FailingUnitsRegistry(KeyRegistry):
+    """Registry whose batch VRF check always fails for one public key."""
+
+    def __init__(self, root_seed, bad_public):
+        super().__init__(root_seed)
+        self.bad_public = bad_public
+
+    def vrf_verify_units(self, public, round_seed, outs):
+        if public == self.bad_public:
+            return False
+        return super().vrf_verify_units(public, round_seed, outs)
+
+
+def test_failing_governor_excluded_as_a_whole():
+    keys = KeyRegistry(root_seed=7)
+    kps = {k: keys.issue(k) for k in range(3)}
+    registry = FailingUnitsRegistry(7, bad_public=kps[1].public)
+    for kp in kps.values():
+        registry.register(kp)
+    stakes = StakeTable(units={0: 1, 1: 30, 2: 2})
+    winners = set()
+    for i in range(100):
+        rec = elect_leader(stakes, enc_int(i), kps, registry)
+        assert rec.excluded == (1,)
+        winners.add(rec.winner)
+    assert winners == {0, 2}
 
 
 # -- block proposal --------------------------------------------------------------

@@ -186,6 +186,7 @@ def test_equal_transactions_compare_and_hash_equal():
 def test_replace_rebuilds_carried_bytes():
     tx = make_tx(provider=2, seq=8, ts=3)
     nxt = dataclasses.replace(tx, seq=tx.seq + 1)
+    assert nxt.txid == (2, 9, 3) != tx.txid == (2, 8, 3)
     assert nxt.signing_bytes == tx_signing_bytes(2, 9, 3) != tx.signing_bytes
     assert nxt.wire_bytes == tx_signing_bytes(2, 9, 3) + tx.wire_bytes[len(tx.signing_bytes):]
 

@@ -10,6 +10,7 @@ from repuchain.crypto_sim import (
     sign,
     substream,
     vrf_eval,
+    vrf_eval_units,
 )
 
 
@@ -39,6 +40,62 @@ def test_verify_rejects_other_messages(registry):
 def test_verify_rejects_unknown_public(registry):
     stranger = keypair_from_secret(99, b"\x55" * 32)
     assert not registry.verify(stranger.public, b"m", sign(stranger, b"m"))
+
+
+def test_verify_accepts_vector_tags_and_rejects_tampering(crypto_vectors):
+    registry = KeyRegistry()
+    for entry in crypto_vectors["sign"]:
+        kp = keypair_from_secret(0, bytes.fromhex(entry["secret"]))
+        registry.register(kp)
+        msg = bytes.fromhex(entry["msg"])
+        tag = SimSignature(tag=bytes.fromhex(entry["tag"]))
+        assert sign(kp, msg) == tag
+        assert registry.verify(kp.public, msg, tag)
+        for i in range(len(msg)):
+            flipped = bytearray(msg)
+            flipped[i] ^= 0x01
+            assert not registry.verify(kp.public, bytes(flipped), tag)
+
+
+def test_verify_rejects_another_keys_tag(registry):
+    a, b = registry.issue(1), registry.issue(2)
+    msg = b"same message"
+    assert registry.verify(b.public, msg, sign(b, msg))
+    assert not registry.verify(a.public, msg, sign(b, msg))
+    assert not registry.verify(b.public, msg, sign(a, msg))
+
+
+def test_verify_keeps_key_state_between_messages(registry):
+    # The per-key hash state is shared by every check under that key, so a
+    # check that hashed into it instead of a copy would break the next one.
+    kp = registry.issue(1)
+    m1, m2 = b"first message", b"second, longer message"
+    s1, s2 = sign(kp, m1), sign(kp, m2)
+    for _ in range(3):
+        assert registry.verify(kp.public, m1, s1)
+        assert registry.verify(kp.public, m2, s2)
+        assert not registry.verify(kp.public, m2, s1)
+        assert not registry.verify(kp.public, m1, s2)
+
+
+def test_vrf_verify_units_checks_every_unit(registry):
+    kp = registry.issue(4)
+    seed = b"round-seed"
+    outs = vrf_eval_units(kp, seed, 6)
+    assert registry.vrf_verify_units(kp.public, seed, outs)
+    assert not registry.vrf_verify_units(kp.public, b"other-seed", outs)
+    stranger = keypair_from_secret(9, b"\x77" * 32)
+    assert not registry.vrf_verify_units(stranger.public, seed, vrf_eval_units(stranger, seed, 6))
+    for j in range(6):
+        for field in ("value", "proof"):
+            tampered = list(outs)
+            raw = bytearray(getattr(outs[j], field))
+            raw[j] ^= 0x80
+            tampered[j] = VrfOutput(
+                bytes(raw) if field == "value" else outs[j].value,
+                bytes(raw) if field == "proof" else outs[j].proof,
+            )
+            assert not registry.vrf_verify_units(kp.public, seed, tampered)
 
 
 def test_unforgeability_100k_random_attempts(registry):

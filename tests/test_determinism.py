@@ -1,0 +1,60 @@
+"""Pinned ledger tips and world-state hashes of whole worlds.
+
+Any change to encoding, signing, the VRF election, screening or the replica
+bookkeeping that alters behaviour moves one of these digests.
+"""
+
+import pytest
+
+from repuchain import scenarios
+from repuchain.sim_engine import (
+    ScenarioConfig,
+    finalize,
+    init_world,
+    step_round,
+    world_state_hash,
+)
+
+
+def unequal_stakes() -> dict:
+    """Four governors with unequal stakes, uneven topology and a forger."""
+    return {
+        "seed": 21, "l": 6, "n": 5, "m": 4,
+        "topology": [[0, 1, 2, 3, 4], [0, 2, 4], [1, 3], [0, 1, 2], [2, 3, 4], [0, 4]],
+        "strategies": [
+            {"kind": "Honest"},
+            {"kind": "AlwaysPlus"},
+            {"kind": "FlipProb", "q": 0.3},
+            {"kind": "Withhold", "q": 0.4},
+            {"kind": "Forger", "forge_rate": 3},
+        ],
+        "stakes": [30, 50, 70, 90],
+        "T": 25,
+        "eta_policy": {"kind": "PerEpochSqrt"},
+        "mu": 0.7,
+        "delta_rounds": 1,
+        "b_limit": 5,
+        "gen_rate": 2,
+        "invalid_fraction": 0.3,
+        "total_rounds": 30,
+    }
+
+
+PINS = [
+    ("regret_u8", scenarios.regret_bound(8), "1394c68c9f881b9c", "12c077b8e01038c8"),
+    ("properties_10", scenarios.properties(10), "d698ac0d23d22e07", "4d5fc22380f0d32c"),
+    ("properties_11_seed7", dict(scenarios.properties(11), seed=7),
+     "f33858e8f0e74515", "0e9cae260fbf09d7"),
+    ("unequal_stakes", unequal_stakes(), "20f06ddf676ce906", "c820ab2f42f6de66"),
+]
+
+
+@pytest.mark.parametrize("raw,tip,state", [p[1:] for p in PINS], ids=[p[0] for p in PINS])
+def test_world_digests_pinned(raw, tip, state):
+    cfg = ScenarioConfig.from_dict(raw)
+    world = init_world(cfg)
+    for _ in range(cfg.total_rounds):
+        step_round(world)
+    finalize(world)
+    assert world.ledger.tip_hash().hex()[:16] == tip
+    assert world_state_hash(world)[:16] == state

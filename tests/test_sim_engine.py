@@ -1,10 +1,13 @@
+import dataclasses
 import json
 
 import pytest
 
 from conftest import SCENARIOS_DIR
 from repuchain import scenarios
+from repuchain.consensus import ChainViolation
 from repuchain.metrics_oracle import compute_regret, emit_csv
+from repuchain.nodes import SimulationError
 from repuchain.sim_engine import (
     ConfigError,
     ScenarioConfig,
@@ -181,6 +184,37 @@ def test_multi_governor_replicas_stay_identical():
     assert len(tips) == 1
     reps = {tuple(g.rep) for g in w.governors}
     assert len(reps) == 1
+
+
+def _bump_rep(g):
+    p = max(range(len(g.rep)), key=lambda i: g.rep[i].cnt)
+    reps = list(g.rep[p].reps)
+    reps[0] += 1
+    g.rep[p] = dataclasses.replace(g.rep[p], reps=tuple(reps))
+
+
+def _reorder_pending_tail(g):
+    # The next block takes only the head (b_limit 1), so the block checks
+    # pass and only the replica comparison sees the new order.
+    assert len(g.pending_valid) >= 3
+    g.pending_valid[1:] = g.pending_valid[:0:-1]
+
+
+@pytest.mark.parametrize("alter", [
+    _bump_rep,
+    _reorder_pending_tail,
+    lambda g: g.invalid_archive.add((99, 99, 99)),
+    lambda g: g.on_chain_ids.add((99, 99, 99)),
+], ids=["rep", "pending_order", "invalid_archive", "on_chain_count"])
+def test_replica_divergence_detected(alter):
+    cfg = ScenarioConfig.from_dict(dict(scenarios.properties(10), b_limit=1))
+    w = init_world(cfg)
+    assert cfg.m == 3
+    for _ in range(12):
+        step_round(w)
+    alter(w.governors[1])
+    with pytest.raises((SimulationError, ChainViolation), match="divergence"):
+        step_round(w)
 
 
 def test_round_row_count_matches_total_rounds():
