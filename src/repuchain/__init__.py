@@ -5,14 +5,10 @@ from .consensus import (
     ChainViolation,
     Ledger,
     SignedBlock,
-    StakeTable,
-    StakeTransfer,
     Violation,
-    apply_stake_transfer,
     elect_leader,
     propose_block,
     validate_and_append,
-    validate_chain,
 )
 from .core_types import (
     Block,
@@ -75,14 +71,14 @@ __all__ = [
     "KeyRegistry", "LabeledTransaction", "Ledger", "MetricsLog",
     "ProviderNode", "RegretReport", "ReputationState", "RevenueReport",
     "RoundLists", "ScenarioConfig", "SignedBlock", "SimSignature",
-    "SimulationError", "StakeTable", "StakeTransfer", "StrategySpec",
+    "SimulationError", "StrategySpec",
     "TopologyError", "Transaction", "Violation", "VrfOutput", "World",
-    "apply_stake_transfer", "compute_regret", "draw_collector", "elect_leader",
+    "compute_regret", "draw_collector", "elect_leader",
     "emit_csv", "exact_expected_loss", "hash_block", "init_world",
     "lists_commitment_root", "load_config", "make_genesis", "maybe_advance_epoch",
     "mc_expected_loss", "merkle_root", "propose_block", "revenue_shares",
     "run", "scaling_fit", "selection_probabilities", "sign", "step_round",
     "substream", "theorem_bound", "update_reputations", "validate_and_append",
-    "validate_chain", "validate_collector", "validate_governor", "vrf_eval",
+    "validate_collector", "validate_governor", "vrf_eval",
     "world_state_hash",
 ]

@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .checks import CHECK_NAMES, evaluate
 from .metrics_oracle import (
-    InstanceTooLargeError,
     compute_regret,
     emit_csv,
     exact_expected_loss,
@@ -176,6 +175,27 @@ def cmd_run(manifest: RunManifest) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def oracle_instance_error(raw) -> str | None:
+    """Why ``raw`` is not an oracle instance, naming the field; None if it is."""
+    if not isinstance(raw, dict):
+        return "instance: expected a JSON object"
+    for key in ("labels", "validity", "eta"):
+        if key not in raw:
+            return f"field '{key}': missing"
+    labels, validity, eta = raw["labels"], raw["validity"], raw["eta"]
+    reps = raw.get("initial_reps")
+    if not (isinstance(labels, list) and labels and all(type(r) is list for r in labels)):
+        return "field 'labels': expected a non-empty list of lists"
+    if not (isinstance(validity, list) and all(type(v) is bool for v in validity)):
+        return "field 'validity': expected a list of booleans"
+    # The upper bound also refuses NaN, the infinities and ints too large for a float.
+    if not (type(eta) in (int, float) and 0 < eta <= sys.float_info.max):
+        return f"field 'eta': expected a finite number > 0, got {eta!r}"
+    if reps is not None and not (isinstance(reps, list) and all(type(r) is int for r in reps)):
+        return "field 'initial_reps': expected a list of integers"
+    return None
+
+
 def cmd_oracle(instance_path: str) -> int:
     try:
         raw = json.loads(Path(instance_path).read_text())
@@ -185,19 +205,16 @@ def cmd_oracle(instance_path: str) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON at line {exc.lineno}: {exc.msg}", file=sys.stderr)
         return 2
-    for key in ("labels", "validity", "eta"):
-        if key not in raw:
-            print(f"error: field '{key}': missing", file=sys.stderr)
-            return 2
+    problem = oracle_instance_error(raw)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     try:
         result = exact_expected_loss(
             raw["labels"], raw["validity"], float(raw["eta"]),
             initial_reps=raw.get("initial_reps"),
         )
-    except InstanceTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # includes InstanceTooLargeError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     u = len(raw["labels"][0])

@@ -1,32 +1,30 @@
-"""Stake-weighted VRF leader election, block proposal, and chain validation.
+"""Stake-weighted VRF leader election, block proposal, and block validation.
 
 Governors are trusted not to equivocate, so consensus is modeled as a
 deterministic replicated state machine: every governor runs the same
 election, replays the same update stream, and appends the same block. The
-validation layer still enforces the four safety properties (agreement, chain
-integrity, no skipping, almost-no-creation) and halts the simulation on any
-violation, which would indicate a bug rather than an attack.
+stake of each governor is fixed for the run (``ScenarioConfig.stakes``).
+Every append is validated against the chain tip and the round's broadcast
+lists, so the four safety properties (agreement, chain integrity, no
+skipping, almost-no-creation) hold block by block; any violation halts the
+simulation, since it would indicate a bug rather than an attack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core_types import (
-    TAG_TRANSFER,
     Block,
     RoundLists,
     SimSignature,
     Transaction,
     block_bytes,
-    enc_field,
-    enc_int,
     hash_block,
     lists_commitment_root,
     make_genesis,
-    merkle_root,
 )
 from .crypto_sim import KeyPair, KeyRegistry, sign, vrf_eval_units
 
@@ -54,36 +52,12 @@ class SignedBlock:
     signature: SimSignature
 
 
-@dataclass(frozen=True, slots=True)
-class StakeTransfer:
-    from_id: int
-    to_id: int
-    amount: int
-    signature: SimSignature
-
-
-def transfer_signing_bytes(from_id: int, to_id: int, amount: int) -> bytes:
-    return enc_field(enc_int(from_id)) + enc_field(enc_int(to_id)) + enc_field(enc_int(amount))
-
-
-@dataclass(frozen=True)
-class StakeTable:
-    """Governor id -> positive stake units; changes only via transfer blocks."""
-
-    units: Mapping[int, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.units.values())
-
-
 @dataclass
 class Ledger:
     """Hash chain of blocks plus the ephemeral per-round broadcast archives."""
 
     blocks: list[Block] = field(default_factory=lambda: [make_genesis()])
     round_lists: dict[int, RoundLists] = field(default_factory=dict)
-    transfers: dict[int, tuple[StakeTransfer, ...]] = field(default_factory=dict)
 
     @property
     def last(self) -> Block:
@@ -104,13 +78,14 @@ class ElectionRecord:
 
 
 def elect_leader(
-    stakes: StakeTable,
+    stakes: Sequence[int],
     round_seed: bytes,
-    keypairs: Mapping[int, KeyPair],
+    keypairs: Sequence[KeyPair],
     registry: KeyRegistry,
 ) -> ElectionRecord:
     """Every stake unit hashes the seed via its owner's VRF; least value wins.
 
+    Governor k holds ``stakes[k]`` units and signs with ``keypairs[k]``.
     Unit j of a governor evaluates ``vrf_eval(kp, round_seed + enc_int(j))``.
     The election makes one pass per governor: ``vrf_eval_units`` absorbs the
     key and seed once and evaluates every unit from a copy, and
@@ -120,13 +95,13 @@ def elect_leader(
     excluded for the round. Ties break on (value, governor id), which
     matters only in theory with 256-bit values.
     """
-    if stakes.total < 1:
+    if sum(stakes) < 1:
         raise ValueError("total stake must be at least 1")
     best: tuple[bytes, int] | None = None
     excluded = []
-    for gov_id in sorted(stakes.units):
+    for gov_id, units in enumerate(stakes):
         kp = keypairs[gov_id]
-        outs = vrf_eval_units(kp, round_seed, stakes.units[gov_id])
+        outs = vrf_eval_units(kp, round_seed, units)
         if not registry.vrf_verify_units(kp.public, round_seed, outs):
             excluded.append(gov_id)
             continue
@@ -172,12 +147,13 @@ def validate_block(
     provider_publics: Mapping[int, bytes],
     b_limit: int,
     evidence: Mapping[tuple[int, int, int], tuple[tuple[int, int], ...]],
-    round_lists: RoundLists | None = None,
+    round_lists: RoundLists,
 ) -> Violation | None:
     """Check one block against the chain; returns the first violation found.
 
     Every packed transaction must carry a valid provider signature and at
-    least one +1 label in the leader's broadcast evidence.
+    least one +1 label in the leader's broadcast evidence, and the block's
+    ``mt_root`` must commit to the round's broadcast lists.
     """
     block = signed.block
     last = ledger.last
@@ -197,12 +173,9 @@ def validate_block(
         labels = evidence.get(tx.txid)
         if not labels or not any(lab == 1 for _, lab in labels):
             return Violation.UNLABELED_TX
-    if round_lists is not None:
-        recomputed = lists_commitment_root(
-            round_lists.invalid_list, round_lists.unchecked_list
-        )
-        if recomputed != block.mt_root:
-            return Violation.MT_ROOT_MISMATCH
+    recomputed = lists_commitment_root(round_lists.invalid_list, round_lists.unchecked_list)
+    if recomputed != block.mt_root:
+        return Violation.MT_ROOT_MISMATCH
     return None
 
 
@@ -215,7 +188,7 @@ def validate_and_append(
     provider_publics: Mapping[int, bytes],
     b_limit: int,
     evidence: Mapping[tuple[int, int, int], tuple[tuple[int, int], ...]],
-    round_lists: RoundLists | None = None,
+    round_lists: RoundLists,
 ) -> Violation | None:
     violation = validate_block(
         ledger, signed, expected_leader, registry, leader_public, provider_publics,
@@ -224,77 +197,6 @@ def validate_and_append(
     if violation is not None:
         return violation
     ledger.blocks.append(signed.block)
-    if round_lists is not None:
-        ledger.round_lists[signed.block.serial] = round_lists
+    ledger.round_lists[signed.block.serial] = round_lists
     return None
 
-
-def apply_stake_transfer(
-    stakes: StakeTable,
-    transfer: StakeTransfer,
-    ledger: Ledger,
-    leader_id: int,
-    leader_kp: KeyPair,
-    registry: KeyRegistry,
-    payer_public: bytes,
-) -> StakeTable:
-    """Move stake and record it in a transfer block sharing the serial sequence.
-
-    Transfer blocks carry an empty payload; the transfer records are
-    committed through the mt_root with their own domain tag and archived
-    alongside the chain. Rejects overdrafts and bad signatures.
-    """
-    if not registry.verify(
-        payer_public,
-        transfer_signing_bytes(transfer.from_id, transfer.to_id, transfer.amount),
-        transfer.signature,
-    ):
-        raise ChainViolation(Violation.BAD_TX_SIGNATURE, "stake transfer signature invalid")
-    units = dict(stakes.units)
-    if transfer.amount <= 0 or units.get(transfer.from_id, 0) < transfer.amount:
-        raise ValueError(
-            f"overdraft: governor {transfer.from_id} holds "
-            f"{units.get(transfer.from_id, 0)}, tried to move {transfer.amount}"
-        )
-    units[transfer.from_id] -= transfer.amount
-    units[transfer.to_id] = units.get(transfer.to_id, 0) + transfer.amount
-
-    record = TAG_TRANSFER + transfer_signing_bytes(
-        transfer.from_id, transfer.to_id, transfer.amount
-    ) + enc_field(transfer.signature.tag)
-    block = Block(
-        serial=ledger.last.serial + 1,
-        leader_id=leader_id,
-        tx_list=(),
-        mt_root=merkle_root([record]),
-        prev_hash=ledger.tip_hash(),
-    )
-    signed = SignedBlock(block=block, signature=sign(leader_kp, block_bytes(block)))
-    violation = validate_and_append(
-        ledger, signed, leader_id, registry,
-        leader_public=leader_kp.public,
-        provider_publics={}, b_limit=0, evidence={},
-    )
-    if violation is not None:
-        raise ChainViolation(violation, "stake transfer block rejected")
-    ledger.transfers[block.serial] = (transfer,)
-    return StakeTable(units=units)
-
-
-def validate_chain(
-    ledger: Ledger,
-    provider_publics: Mapping[int, bytes],
-    registry: KeyRegistry,
-) -> None:
-    """Full-chain audit of serial continuity, hash links, and tx signatures."""
-    blocks = ledger.blocks
-    if blocks[0] != make_genesis():
-        raise ChainViolation(Violation.CHAIN_INTEGRITY, "bad genesis block")
-    for prev, cur in zip(blocks, blocks[1:]):
-        if cur.serial != prev.serial + 1:
-            raise ChainViolation(Violation.NO_SKIPPING, f"serial {cur.serial} after {prev.serial}")
-        if cur.prev_hash != hash_block(prev):
-            raise ChainViolation(Violation.CHAIN_INTEGRITY, f"at serial {cur.serial}")
-        for tx in cur.tx_list:
-            if not registry.verify_tx(provider_publics, tx):
-                raise ChainViolation(Violation.BAD_TX_SIGNATURE, f"at serial {cur.serial}")

@@ -31,7 +31,6 @@ ZERO_DIGEST = b"\x00" * DIGEST_SIZE
 # unchecked entries, each tagged so the two lists cannot be confused.
 TAG_INVALID = b"\x01"
 TAG_UNCHECKED = b"\x02"
-TAG_TRANSFER = b"\x03"
 
 
 def sha256(data: bytes) -> bytes:

@@ -30,6 +30,7 @@ from .nodes import EpochClosure, ScreeningResult, TxId
 from .reputation import (
     ReputationState,
     draw_collector,
+    penalized_slots,
     selection_probabilities,
     update_reputations,
 )
@@ -101,7 +102,7 @@ class MetricsLog:
             self.gen_valid[txid] = round_no
 
     def record_screening(self, result: ScreeningResult) -> None:
-        p = result.provider_id
+        p = result.tx.provider_id
         if result.verified:
             self.verification_calls[p] += 1
         self.events[p].append(
@@ -429,12 +430,9 @@ def mc_expected_loss(
             k = draw_collector(probs, rng)
             if received.get(k) != 1:
                 continue
-            if valid:
-                pen = [j for j in range(u) if received.get(j) != 1]
-            else:
-                pen = [j for j in range(u) if received.get(j) == 1]
+            if not valid:
                 prose += 1
-            proof += sum(probs[j] for j in pen)
+            proof += sum(probs[j] for j in penalized_slots(u, received, valid))
             state = update_reputations(state, received, valid)
         proof_samples.append(proof)
         prose_samples.append(prose)

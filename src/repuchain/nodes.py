@@ -6,11 +6,19 @@ back unchecked. Collectors label transactions per a pluggable strategy
 the replicated reputation state, screen transactions after the waiting
 window, and verify only when the drawn slot vouched +1.
 
+Each transaction a governor has seen lives in exactly one place: the
+``inbox`` while it waits out its window and is screened; ``pending_valid``
+(with its labels in ``evidence``) once verified valid, until its block;
+``on_chain_ids`` after that; or ``invalid_archive`` once verified invalid.
+An unchecked transaction leaves the inbox at the end of its screening round
+and comes back, if its provider resubmits it, as a fresh arrival.
+
 A verified transaction changes governor state through one transition,
 ``GovernorNode.apply_verdict``: penalize the slots, advance the epoch at its
-boundary and settle the transaction. The leader runs it after its draw and
-broadcasts a signed ``VerificationMessage``; every other governor runs the
-same transition when it replays that message, in per-provider ``cnt`` order.
+boundary and move the transaction out of the inbox. The leader runs it after
+its draw and broadcasts a signed ``VerificationMessage``; every other
+governor runs the same transition when it replays that message, in
+per-provider ``cnt`` order.
 
 Ground truth is read exclusively through ``validate_collector`` /
 ``validate_governor``; the rest of the node logic treats validity as unknown.
@@ -45,6 +53,8 @@ from .reputation import (
 )
 
 TxId = tuple[int, int, int]
+# An unsettled transaction on a governor: (tx, expiry round, collector -> label).
+InboxEntry = tuple[Transaction, int, dict[int, int]]
 
 STRATEGY_KINDS = ("Honest", "AlwaysPlus", "AlwaysMinus", "FlipProb", "Withhold", "Forger")
 
@@ -281,8 +291,7 @@ class EpochClosure:
 class ScreeningResult:
     """Everything the leader learned screening one expired transaction."""
 
-    txid: TxId
-    provider_id: int
+    tx: Transaction
     outcome: str  # "valid" | "invalid" | "unchecked"
     probs: tuple[float, ...]
     loss: float
@@ -333,14 +342,12 @@ class GovernorNode:
         self.rep: list[ReputationState] = [
             initial_state(len(c), initial_threshold, eta_policy) for c in topology
         ]
-        self.received: dict[TxId, dict[int, int]] = {}
-        self.timers: dict[TxId, int] = {}  # txid -> expiry round
-        self.tx_objects: dict[TxId, Transaction] = {}
-        self.settled: set[TxId] = set()
-        self.invalid_archive: set[TxId] = set()
+        # One home per transaction; see the module docstring for the moves.
+        self.inbox: dict[TxId, InboxEntry] = {}  # unsettled, in arrival order
+        self.pending_valid: list[Transaction] = []  # verified valid, FIFO
+        self.evidence: dict[TxId, tuple[tuple[int, int], ...]] = {}  # labels of pending_valid
         self.on_chain_ids: set[TxId] = set()
-        self.pending_valid: list[Transaction] = []  # carry-over queue, FIFO
-        self.evidence: dict[TxId, tuple[tuple[int, int], ...]] = {}
+        self.invalid_archive: set[TxId] = set()
         self.dropped_bad_signature = 0
         self.dropped_forged = 0
         self._msg_buffer: dict[int, dict[int, VerificationMessage]] = {}
@@ -360,37 +367,32 @@ class GovernorNode:
         if tx.provider_id >= len(self.slot_of) or ltx.collector_id not in self.slot_of[tx.provider_id]:
             return "not_connected"
         txid = tx.txid
-        if txid in self.settled:
-            return "settled"
-        bucket = self.received.get(txid)
-        if bucket is None:
-            bucket = {}
-            self.received[txid] = bucket
-            self.timers[txid] = round_no + self.delta_rounds
-            self.tx_objects[txid] = tx
-        if ltx.collector_id in bucket:
+        entry = self.inbox.get(txid)
+        if entry is None:
+            if txid in self.evidence or txid in self.invalid_archive or txid in self.on_chain_ids:
+                return "settled"
+            entry = self.inbox[txid] = (tx, round_no + self.delta_rounds, {})
+        labels = entry[2]
+        if ltx.collector_id in labels:
             return "duplicate"  # first label wins, conflicting or not
-        bucket[ltx.collector_id] = ltx.label
+        labels[ltx.collector_id] = ltx.label
         return "ok"
 
     def expired(self, round_no: int) -> list[TxId]:
         """Transactions whose waiting window ends this round, in arrival order."""
-        return [txid for txid, expiry in self.timers.items() if expiry == round_no]
+        return [txid for txid, (_, expiry, _) in self.inbox.items() if expiry == round_no]
 
     def clear_screened(self, txids: Iterable[TxId]) -> None:
+        """Drop the screened transactions no verdict settled (the unchecked)."""
         for txid in txids:
-            self.received.pop(txid, None)
-            self.timers.pop(txid, None)
-            if txid not in self.evidence:  # valid ones wait for their block
-                self.tx_objects.pop(txid, None)
+            self.inbox.pop(txid, None)
 
     # -- screening (current leader only) ----------------------------------
 
     def screen(self, txid: TxId) -> ScreeningResult:
         """Draw one slot by reputation; verify only if it vouched +1."""
-        tx = self.tx_objects[txid]
+        tx, _, received = self.inbox[txid]
         provider = tx.provider_id
-        received = self.received.get(txid, {})
         slot_map = self.slot_of[provider]
         labels = {slot_map[cid]: lab for cid, lab in received.items()}
         state = self.rep[provider]
@@ -399,7 +401,7 @@ class GovernorNode:
         if labels.get(drawn) != 1:
             # Absent counts as -1: discard unverified, no reputation change.
             return ScreeningResult(
-                txid, provider, "unchecked", probs, 0.0, (), state.epoch_index, None, None
+                tx, "unchecked", probs, 0.0, (), state.epoch_index, None, None
             )
         validbit = validate_governor(tx)
         pen = penalized_slots(len(state.reps), labels, validbit)
@@ -418,7 +420,7 @@ class GovernorNode:
             signature=sign(self.keypair, body),
         )
         return ScreeningResult(
-            txid, provider, "valid" if validbit else "invalid", probs,
+            tx, "valid" if validbit else "invalid", probs,
             loss, pen, state.epoch_index, message, closure,
         )
 
@@ -434,11 +436,14 @@ class GovernorNode:
         """Apply one verified transaction: penalize, advance the epoch, settle.
 
         ``received`` is the sorted (collector, label) snapshot the leader
-        signed. Returns the closure of the epoch this verdict ended, if any.
+        signed. The transaction leaves the inbox for ``pending_valid`` and
+        ``evidence`` if valid, or for ``invalid_archive``. Returns the closure
+        of the epoch this verdict ended, if any.
         """
-        tx = self.tx_objects.get(txid)
-        if tx is None:
-            raise SimulationError(f"verdict for unseen transaction {txid}")
+        entry = self.inbox.pop(txid, None)
+        if entry is None:
+            raise SimulationError(f"verdict for unseen or settled transaction {txid}")
+        tx = entry[0]
         slot_map = self.slot_of[provider]
         labels = {slot_map[cid]: lab for cid, lab in received if cid in slot_map}
         state = self.rep[provider]
@@ -446,7 +451,6 @@ class GovernorNode:
             update_reputations(state, labels, validbit), len(state.reps), self.mu,
             self.eta_policy,
         )
-        self.settled.add(txid)
         if validbit:
             self.pending_valid.append(tx)
             self.evidence[txid] = received
@@ -496,7 +500,6 @@ class GovernorNode:
         for tx in txs:
             self.on_chain_ids.add(tx.txid)
             self.evidence.pop(tx.txid, None)
-            self.tx_objects.pop(tx.txid, None)
 
     def state_fingerprint(self) -> tuple:
         """Replication check: equal fingerprints mean equal replicated state.

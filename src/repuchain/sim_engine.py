@@ -24,7 +24,6 @@ from typing import Any
 from .consensus import (
     ChainViolation,
     Ledger,
-    StakeTable,
     Violation,
     elect_leader,
     propose_block,
@@ -226,7 +225,6 @@ class World:
         self.round = 0
         self.bus = MessageBus()
         self.metrics = MetricsLog(config.l)
-        self.stake_table = StakeTable(units={k: config.stakes[k] for k in range(config.m)})
 
         provider_kps = [self.registry.issue(i) for i in range(config.l)]
         collector_kps = [self.registry.issue(config.l + j) for j in range(config.n)]
@@ -288,7 +286,7 @@ class World:
         unchecked_archive: set[TxId] = set()
         for rl in g0.ledger.round_lists.values():
             unchecked_archive.update(t.txid for t in rl.unchecked_list)
-        in_flight = self.bus.in_flight_txids() | set(g0.received) | {
+        in_flight = self.bus.in_flight_txids() | set(g0.inbox) | {
             t.txid for t in g0.pending_valid
         }
         pending = set()
@@ -369,10 +367,7 @@ def step_round(world: World) -> World:
             g.on_labeled_transaction(ltx, r)
 
     round_seed = hash_block(governors[0].ledger.last)
-    election = elect_leader(
-        world.stake_table, round_seed,
-        {k: world.governor_kps[k] for k in range(m)}, world.registry,
-    )
+    election = elect_leader(config.stakes, round_seed, world.governor_kps, world.registry)
     leader_idx = election.winner
     leader = governors[leader_idx]
 
@@ -391,7 +386,7 @@ def step_round(world: World) -> World:
             g.assert_no_gaps()
 
     invalid_this, unchecked_this = (
-        tuple(leader.tx_objects[res.txid] for res in screening if res.outcome == outcome)
+        tuple(res.tx for res in screening if res.outcome == outcome)
         for outcome in ("invalid", "unchecked")
     )
 

@@ -147,3 +147,30 @@ def test_failed_run_keeps_its_traceback(smoke_config, tmp_path, monkeypatch, cap
     assert run["traceback"].startswith("Traceback (most recent call last):")
     assert "in explode" in run["traceback"]
     assert "run seed=0 FAILED: RuntimeError: boom" in capsys.readouterr().out
+
+
+# -- oracle ----------------------------------------------------------------------
+
+
+ORACLE_INSTANCE = {"labels": [[1, -1], [1, 1]], "validity": [True, False], "eta": 0.5}
+
+
+def test_oracle_accepts_a_well_formed_instance(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(ORACLE_INSTANCE))
+    assert cli.main(["oracle", "--instance", str(path)]) == 0
+    assert "theorem bound" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field,value", [
+    ("labels", 5),
+    ("validity", False),
+    ("eta", 0),
+    ("eta", -0.5),
+    ("eta", "x"),
+])
+def test_oracle_rejects_malformed_instance_naming_the_field(tmp_path, capsys, field, value):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({**ORACLE_INSTANCE, field: value}))
+    assert cli.main(["oracle", "--instance", str(path)]) == 2
+    assert f"error: field '{field}': " in capsys.readouterr().err

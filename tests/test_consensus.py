@@ -1,21 +1,12 @@
-import math
 import random
 
-import pytest
-
 from repuchain.consensus import (
-    ChainViolation,
     Ledger,
-    StakeTable,
-    StakeTransfer,
     Violation,
-    apply_stake_transfer,
     elect_leader,
     propose_block,
-    transfer_signing_bytes,
     validate_and_append,
     validate_block,
-    validate_chain,
 )
 from repuchain.core_types import (
     ZERO_DIGEST,
@@ -77,7 +68,7 @@ class Chain:
         )
         return signed, lists
 
-    def append(self, signed, lists=None):
+    def append(self, signed, lists):
         return validate_and_append(
             self.ledger, signed, self.leader_id, self.registry,
             leader_public=self.leader_kp.public,
@@ -87,7 +78,7 @@ class Chain:
             round_lists=lists,
         )
 
-    def validate_only(self, signed, lists=None):
+    def validate_only(self, signed, lists):
         return validate_block(
             self.ledger, signed, self.leader_id, self.registry,
             leader_public=self.leader_kp.public,
@@ -104,17 +95,16 @@ class Chain:
 def test_single_governor_always_leads():
     registry = KeyRegistry(root_seed=1)
     kp = registry.issue(0)
-    stakes = StakeTable(units={0: 3})
     for i in range(50):
-        rec = elect_leader(stakes, i.to_bytes(8, "big"), {0: kp}, registry)
+        rec = elect_leader([3], i.to_bytes(8, "big"), [kp], registry)
         assert rec.winner == 0
         assert rec.excluded == ()
 
 
 def test_equal_stakes_win_half_each():
     registry = KeyRegistry(root_seed=2)
-    kps = {k: registry.issue(k) for k in range(2)}
-    stakes = StakeTable(units={0: 1, 1: 1})
+    kps = [registry.issue(k) for k in range(2)]
+    stakes = [1, 1]
     n = 10_000
     wins = sum(
         elect_leader(stakes, i.to_bytes(8, "big"), kps, registry).winner == 0
@@ -125,8 +115,8 @@ def test_equal_stakes_win_half_each():
 
 def test_three_to_one_stake_wins_three_quarters():
     registry = KeyRegistry(root_seed=3)
-    kps = {k: registry.issue(k) for k in range(2)}
-    stakes = StakeTable(units={0: 3, 1: 1})
+    kps = [registry.issue(k) for k in range(2)]
+    stakes = [3, 1]
     n = 10_000
     wins = sum(
         elect_leader(stakes, i.to_bytes(8, "big"), kps, registry).winner == 0
@@ -137,9 +127,8 @@ def test_three_to_one_stake_wins_three_quarters():
 
 def test_unverifiable_governor_excluded():
     registry = KeyRegistry(root_seed=4)
-    kps = {0: registry.issue(0), 1: keypair_from_secret(1, b"\x99" * 32)}
-    stakes = StakeTable(units={0: 1, 1: 5})
-    rec = elect_leader(stakes, b"seed", kps, registry)
+    kps = [registry.issue(0), keypair_from_secret(1, b"\x99" * 32)]
+    rec = elect_leader([1, 5], b"seed", kps, registry)
     assert rec.winner == 0
     assert rec.excluded == (1,)
 
@@ -158,9 +147,9 @@ def test_vrf_eval_units_match_scalar_vrf():
 def reference_winner(stakes, round_seed, keypairs, registry):
     """The election's definition, one stake unit at a time."""
     best = None
-    for gov_id in sorted(stakes.units):
+    for gov_id, units in enumerate(stakes):
         kp = keypairs[gov_id]
-        for j in range(stakes.units[gov_id]):
+        for j in range(units):
             vrf_input = round_seed + enc_int(j)
             out = vrf_eval(kp, vrf_input)
             assert registry.vrf_verify(kp.public, vrf_input, out)
@@ -171,11 +160,11 @@ def reference_winner(stakes, round_seed, keypairs, registry):
 
 def test_election_matches_unit_by_unit_reference():
     registry = KeyRegistry(root_seed=6)
-    kps = {k: registry.issue(k) for k in range(4)}
+    kps = [registry.issue(k) for k in range(4)]
     rng = random.Random(11)
     winners = set()
     for i in range(200):
-        stakes = StakeTable(units={k: rng.randint(1, 40) for k in range(4)})
+        stakes = [rng.randint(1, 40) for _ in range(4)]
         seed = rng.randbytes(8) + enc_int(i)
         rec = elect_leader(stakes, seed, kps, registry)
         assert rec.excluded == ()
@@ -199,11 +188,11 @@ class FailingUnitsRegistry(KeyRegistry):
 
 def test_failing_governor_excluded_as_a_whole():
     keys = KeyRegistry(root_seed=7)
-    kps = {k: keys.issue(k) for k in range(3)}
+    kps = [keys.issue(k) for k in range(3)]
     registry = FailingUnitsRegistry(7, bad_public=kps[1].public)
-    for kp in kps.values():
+    for kp in kps:
         registry.register(kp)
-    stakes = StakeTable(units={0: 1, 1: 30, 2: 2})
+    stakes = [1, 30, 2]
     winners = set()
     for i in range(100):
         rec = elect_leader(stakes, enc_int(i), kps, registry)
@@ -236,7 +225,6 @@ def test_chain_of_blocks_validates():
         signed, lists = chain.next_block()
         assert chain.append(signed, lists) is None
     assert [b.serial for b in chain.ledger.blocks] == [0, 1, 2, 3, 4, 5]
-    validate_chain(chain.ledger, {0: chain.provider_kp.public}, chain.registry)
 
 
 # -- violations -------------------------------------------------------------------
@@ -284,24 +272,24 @@ def test_oversize_tx_list_detected():
 
 def test_unsigned_tx_detected():
     chain = Chain()
-    signed, _ = chain.next_block(n_txs=1)
+    signed, lists = chain.next_block(n_txs=1)
     b = signed.block
     fake_tx = Transaction(0, 777, 777, True, SimSignature(b"\x01" * 32))
     chain.evidence[fake_tx.txid] = ((3, 1),)
     bad = Block(b.serial, b.leader_id, (fake_tx,), b.mt_root, b.prev_hash)
     resigned = type(signed)(bad, sign(chain.leader_kp, block_bytes(bad)))
-    assert chain.validate_only(resigned) is Violation.BAD_TX_SIGNATURE
+    assert chain.validate_only(resigned, lists) is Violation.BAD_TX_SIGNATURE
 
 
 def test_tx_without_positive_label_detected():
     chain = Chain()
     tx = make_signed_tx(chain.registry, chain.provider_kp, 500)
     chain.evidence[tx.txid] = ((3, -1),)  # only a -1 label in evidence
-    signed, _ = chain.next_block(n_txs=0, n_unchecked=0)
+    signed, lists = chain.next_block(n_txs=0, n_unchecked=0)
     b = signed.block
     bad = Block(b.serial, b.leader_id, (tx,), b.mt_root, b.prev_hash)
     resigned = type(signed)(bad, sign(chain.leader_kp, block_bytes(bad)))
-    assert chain.validate_only(resigned) is Violation.UNLABELED_TX
+    assert chain.validate_only(resigned, lists) is Violation.UNLABELED_TX
 
 
 def test_mt_root_mismatch_detected():
@@ -357,59 +345,3 @@ def mutate_signed_block(signed, rng):
         return type(signed)(b, SimSignature(bytes(tag))), "signature"
     return type(signed)(mutated, signed.signature), f"field_{kind}"
 
-
-# -- stake transfers ---------------------------------------------------------------
-
-
-def make_transfer(registry, payer_kp, from_id, to_id, amount):
-    return StakeTransfer(
-        from_id=from_id, to_id=to_id, amount=amount,
-        signature=sign(payer_kp, transfer_signing_bytes(from_id, to_id, amount)),
-    )
-
-
-def test_stake_transfer_moves_units():
-    registry = KeyRegistry(root_seed=6)
-    payer = registry.issue(0)
-    leader = registry.issue(1)
-    stakes = StakeTable(units={0: 2, 1: 1})
-    ledger = Ledger()
-    transfer = make_transfer(registry, payer, 0, 1, 1)
-    new = apply_stake_transfer(stakes, transfer, ledger, 1, leader, registry, payer.public)
-    assert new.units == {0: 1, 1: 2}
-    assert new.total == stakes.total
-    assert ledger.last.serial == 1
-    assert ledger.transfers[1] == (transfer,)
-
-
-def test_stake_transfer_overdraft_rejected():
-    registry = KeyRegistry(root_seed=7)
-    payer = registry.issue(0)
-    leader = registry.issue(1)
-    stakes = StakeTable(units={0: 2, 1: 1})
-    transfer = make_transfer(registry, payer, 0, 1, 5)
-    with pytest.raises(ValueError, match="overdraft"):
-        apply_stake_transfer(stakes, transfer, Ledger(), 1, leader, registry, payer.public)
-
-
-def test_stake_transfer_bad_signature_rejected():
-    registry = KeyRegistry(root_seed=8)
-    payer = registry.issue(0)
-    leader = registry.issue(1)
-    stakes = StakeTable(units={0: 2, 1: 1})
-    bad = StakeTransfer(0, 1, 1, SimSignature(b"\x00" * 32))
-    with pytest.raises(ChainViolation):
-        apply_stake_transfer(stakes, bad, Ledger(), 1, leader, registry, payer.public)
-
-
-def test_transfer_blocks_share_serial_sequence():
-    registry = KeyRegistry(root_seed=9)
-    payer = registry.issue(0)
-    leader = registry.issue(1)
-    stakes = StakeTable(units={0: 3, 1: 1})
-    ledger = Ledger()
-    for i in range(3):
-        transfer = make_transfer(registry, payer, 0, 1, 1)
-        stakes = apply_stake_transfer(stakes, transfer, ledger, 1, leader, registry, payer.public)
-    assert [b.serial for b in ledger.blocks] == [0, 1, 2, 3]
-    assert stakes.units == {0: 0, 1: 4}

@@ -186,9 +186,9 @@ def test_first_copy_starts_timer(registry):
     p = make_provider(registry, gen_rate=1, connected=(0, 1))
     (tx,) = p.generate(4)
     assert deliver(registry, g, tx, 0, round_no=5) == "ok"
-    assert g.timers[tx.txid] == 7  # first sighting + delta
+    assert g.inbox[tx.txid][:2] == (tx, 7)  # first sighting + delta
     deliver(registry, g, tx, 1, round_no=5)
-    assert g.timers[tx.txid] == 7  # unchanged by later copies
+    assert g.inbox[tx.txid] == (tx, 7, {0: 1, 1: 1})  # expiry unchanged by later copies
     assert g.expired(7) == [tx.txid]
 
 
@@ -204,10 +204,10 @@ def test_conflicting_label_from_same_collector_ignored(registry):
     )
     assert g.on_labeled_transaction(plus, 1) == "ok"
     assert g.on_labeled_transaction(minus, 1) == "duplicate"
-    assert g.received[tx.txid] == {0: 1}
+    assert g.inbox[tx.txid][2] == {0: 1}
     # exact duplicate also leaves the set unchanged
     assert g.on_labeled_transaction(plus, 1) == "duplicate"
-    assert g.received[tx.txid] == {0: 1}
+    assert g.inbox[tx.txid][2] == {0: 1}
 
 
 def test_bad_collector_signature_dropped(registry):
@@ -217,7 +217,7 @@ def test_bad_collector_signature_dropped(registry):
     fake = LabeledTransaction(tx=tx, label=1, collector_id=0, signature=SimSignature(b"\1" * 32))
     assert g.on_labeled_transaction(fake, 1) == "bad_collector_sig"
     assert g.dropped_bad_signature == 1
-    assert tx.txid not in g.received
+    assert tx.txid not in g.inbox
 
 
 def test_relabeled_copy_with_original_signature_refused(registry):
@@ -243,7 +243,7 @@ def test_forged_transactions_rejected_10k_attempts(registry):
     accepted = sum(1 for ltx in attempts if g.on_labeled_transaction(ltx, 1) == "ok")
     assert accepted == 0
     assert g.dropped_forged == 10_000
-    assert not g.received
+    assert not g.inbox
 
 
 def test_screen_single_honest_collector_always_verifies(registry):
@@ -272,6 +272,9 @@ def test_screen_drawn_minus_goes_unchecked(registry):
     assert res.message is None
     assert g.rep[0].cnt == 0  # no reputation change either
     assert g.rep[0].reps == (0, 0)
+    assert tx.txid in g.inbox  # no verdict: it stays until the round clears it
+    g.clear_screened([tx.txid])
+    assert not g.inbox and not g.evidence and not g.invalid_archive
 
 
 def test_screen_verified_invalid_loss_is_plus_mass(registry):
@@ -426,16 +429,30 @@ def test_settled_transaction_is_refused_and_starts_no_timer(registry):
     leader.clear_screened([tx.txid for tx in txs])
     for tx in txs:
         assert deliver(registry, leader, tx, 0, round_no=9, kind="AlwaysPlus") == "settled"
-    assert not leader.timers and not leader.received
+    assert not leader.inbox
     assert leader.expired(10) == []
 
 
 def test_clear_screened_keeps_valid_txs_until_their_block(registry):
     leader, txs, _ = _closing_epoch_run(registry)
     leader.clear_screened([tx.txid for tx in txs])
-    assert set(leader.tx_objects) == {tx.txid for tx in txs[1:]}
+    assert not leader.inbox
+    assert leader.pending_valid == txs[1:]
+    assert set(leader.evidence) == {tx.txid for tx in txs[1:]}
     leader.note_block_appended(leader.take_block_txs(8))
-    assert not leader.tx_objects and not leader.evidence
+    assert not leader.evidence and not leader.pending_valid
+    assert leader.on_chain_ids == {tx.txid for tx in txs[1:]}
+    assert leader.invalid_archive == {txs[0].txid}
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["invalid", "valid"])
+def test_second_verdict_for_settled_tx_raises(registry, index):
+    leader, txs, results = _closing_epoch_run(registry)
+    msg = results[index].message
+    before = (list(leader.pending_valid), set(leader.invalid_archive), tuple(leader.rep))
+    with pytest.raises(SimulationError, match="settled"):
+        leader.apply_verdict(msg.provider_id, msg.txid, msg.validbit, msg.received)
+    assert (leader.pending_valid, leader.invalid_archive, tuple(leader.rep)) == before
 
 
 def test_validate_governor_reads_ground_truth(registry):

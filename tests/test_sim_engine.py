@@ -145,12 +145,12 @@ def test_message_takes_one_round_per_hop():
     step_round(w)
     # sent in round 1, not yet visible to the collector
     assert w.metrics.rounds[0].messages_pc == 1
-    assert not w.governors[0].received
+    assert not w.governors[0].inbox
     step_round(w)
     # collector labeled in round 2; governor still unaware
-    assert not w.governors[0].received
+    assert not w.governors[0].inbox
     step_round(w)
-    assert len(w.governors[0].received) == 1
+    assert len(w.governors[0].inbox) == 1
 
 
 def test_carry_over_respects_b_limit():
@@ -184,6 +184,43 @@ def test_multi_governor_replicas_stay_identical():
     assert len(tips) == 1
     reps = {tuple(g.rep) for g in w.governors}
     assert len(reps) == 1
+
+
+def _record_ingested(g, seen):
+    """Wrap one governor's ingest so every txid it accepts lands in ``seen``."""
+    ingest = g.on_labeled_transaction
+
+    def wrapped(ltx, round_no):
+        code = ingest(ltx, round_no)
+        if code == "ok":
+            seen.add(ltx.tx.txid)
+        return code
+
+    g.on_labeled_transaction = wrapped
+
+
+@pytest.mark.parametrize("raw", [scenarios.smoke(), scenarios.properties(10)],
+                         ids=["smoke", "properties_10"])
+def test_every_governor_keeps_each_tx_in_one_home(raw):
+    cfg = ScenarioConfig.from_dict(raw)
+    w = init_world(cfg)
+    seen = [set() for _ in w.governors]
+    for g, s in zip(w.governors, seen):
+        _record_ingested(g, s)
+    for _ in range(cfg.total_rounds):
+        step_round(w)
+        for g, s in zip(w.governors, seen):
+            homes = (g.inbox.keys(), g.evidence.keys(), g.invalid_archive, g.on_chain_ids)
+            unchecked = {
+                t.txid for rl in g.ledger.round_lists.values() for t in rl.unchecked_list
+            }
+            for txid in s:
+                n_homes = sum(txid in home for home in homes)
+                # An unchecked tx leaves the governor until its provider resubmits it.
+                assert n_homes == 1 or (n_homes == 0 and txid in unchecked), txid
+            assert set().union(*homes) <= s
+            assert list(g.evidence) == [t.txid for t in g.pending_valid]
+    assert len(w.governors) == cfg.m and any(g.on_chain_ids for g in w.governors)
 
 
 def _bump_rep(g):
