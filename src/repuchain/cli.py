@@ -21,6 +21,7 @@ from .metrics_oracle import (
     compute_regret,
     emit_csv,
     exact_expected_loss,
+    instance_shape_error,
     summary_dict,
     theorem_bound,
     write_summary,
@@ -186,6 +187,10 @@ def oracle_instance_error(raw) -> str | None:
     reps = raw.get("initial_reps")
     if not (isinstance(labels, list) and labels and all(type(r) is list for r in labels)):
         return "field 'labels': expected a non-empty list of lists"
+    for row in labels:
+        for lab in row:
+            if not (lab is None or (type(lab) is int and lab in (1, -1, 0))):
+                return f"field 'labels': expected +1, -1, or 0/null for absent, got {lab!r}"
     if not (isinstance(validity, list) and all(type(v) is bool for v in validity)):
         return "field 'validity': expected a list of booleans"
     # The upper bound also refuses NaN, the infinities and ints too large for a float.
@@ -193,7 +198,7 @@ def oracle_instance_error(raw) -> str | None:
         return f"field 'eta': expected a finite number > 0, got {eta!r}"
     if reps is not None and not (isinstance(reps, list) and all(type(r) is int for r in reps)):
         return "field 'initial_reps': expected a list of integers"
-    return None
+    return instance_shape_error(labels, validity, reps)
 
 
 def cmd_oracle(instance_path: str) -> int:

@@ -7,6 +7,13 @@ byte length as an 8-byte big-endian integer; integer payloads are themselves
 the length-prefixed elements. The hash everywhere is SHA-256 (256-bit
 digests), frozen so the published test vectors stay stable.
 
+``enc_int``/``enc_field``/``enc_list`` state that rule. Every signed message
+has a fixed layout under it, so the encoders the program runs pack each
+layout with one precompiled ``struct.Struct`` instead of composing the
+``enc_*`` calls; ``docs/encoding.md`` tables the layouts. Integers outside
+[0, 2^64) raise in both forms (``struct.error`` here, ``OverflowError`` from
+``enc_int``).
+
 Each signed object builds the bytes its signature covers once, at
 construction, and carries them as ``signing_bytes`` (and ``wire_bytes``);
 every check reads the carried bytes and computes its own digest. A
@@ -21,6 +28,7 @@ bytes, so digests and signatures never depend on it.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -31,6 +39,16 @@ ZERO_DIGEST = b"\x00" * DIGEST_SIZE
 # unchecked entries, each tagged so the two lists cannot be confused.
 TAG_INVALID = b"\x01"
 TAG_UNCHECKED = b"\x02"
+
+# Precompiled layouts; each ``Q`` is one 8-byte big-endian length or integer.
+_U64 = struct.Struct(">Q")
+# Three length-prefixed integers: (8, provider_id, 8, seq, 8, timestamp).
+_TX_SIGNING = struct.Struct(">QQQQQQ")
+# The label field of a label's signing bytes: (8, 1) for +1, (8, 0) for -1.
+_LABEL_PLUS = struct.pack(">QQ", 8, 1)
+_LABEL_MINUS = struct.pack(">QQ", 8, 0)
+# A block's serial and leader fields, then its list field's length and count.
+_BLOCK_HEAD = struct.Struct(">QQQQQQ")
 
 
 def sha256(data: bytes) -> bytes:
@@ -61,11 +79,7 @@ class SimSignature:
 
 def tx_signing_bytes(provider_id: int, seq: int, timestamp: int) -> bytes:
     """Bytes the provider signs: identity triple only (oracle bit excluded)."""
-    return (
-        enc_field(enc_int(provider_id))
-        + enc_field(enc_int(seq))
-        + enc_field(enc_int(timestamp))
-    )
+    return _TX_SIGNING.pack(8, provider_id, 8, seq, 8, timestamp)
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,7 +103,8 @@ class Transaction:
         object.__setattr__(self, "txid", (self.provider_id, self.seq, self.timestamp))
         signing = tx_signing_bytes(self.provider_id, self.seq, self.timestamp)
         object.__setattr__(self, "signing_bytes", signing)
-        object.__setattr__(self, "wire_bytes", signing + enc_field(self.signature.tag))
+        tag = self.signature.tag
+        object.__setattr__(self, "wire_bytes", signing + _U64.pack(len(tag)) + tag)
 
 
 def tx_wire_bytes(tx: Transaction) -> bytes:
@@ -115,7 +130,8 @@ class LabeledTransaction:
 
 def label_signing_bytes(tx: Transaction, label: int) -> bytes:
     """Bytes the collector signs: the wire transaction and its label."""
-    return enc_field(tx.wire_bytes) + enc_field(enc_int(1 if label == 1 else 0))
+    wire = tx.wire_bytes
+    return _U64.pack(len(wire)) + wire + (_LABEL_PLUS if label == 1 else _LABEL_MINUS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,13 +146,14 @@ class Block:
 
 
 def block_bytes(block: Block) -> bytes:
-    return (
-        enc_field(enc_int(block.serial))
-        + enc_field(enc_int(block.leader_id))
-        + enc_field(enc_list([t.wire_bytes for t in block.tx_list]))
-        + enc_field(block.mt_root)
-        + enc_field(block.prev_hash)
-    )
+    """Serial, leader, the length-prefixed wire transactions, Merkle root, prev hash."""
+    pack = _U64.pack
+    items = b"".join([pack(len(t.wire_bytes)) + t.wire_bytes for t in block.tx_list])
+    mt_root, prev_hash = block.mt_root, block.prev_hash
+    return b"".join((
+        _BLOCK_HEAD.pack(8, block.serial, 8, block.leader_id, 8 + len(items), len(block.tx_list)),
+        items, pack(len(mt_root)), mt_root, pack(len(prev_hash)), prev_hash,
+    ))
 
 
 def hash_block(block: Block) -> bytes:

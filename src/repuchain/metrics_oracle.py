@@ -296,6 +296,31 @@ def _normalize_labels(
     return rows
 
 
+def instance_shape_error(
+    label_matrix: Sequence[Sequence[int | None]],
+    validity: Sequence[bool],
+    initial_reps: Sequence[int] | None = None,
+) -> str | None:
+    """Why an oracle instance has the wrong shape, naming the field; None if right.
+
+    One validity entry per label row, every row one slot per collector (at
+    least one), and one initial reputation per slot. Both oracles and the
+    ``oracle`` command check this.
+    """
+    u = len(label_matrix[0]) if label_matrix else 0
+    if u == 0:
+        return "field 'labels': instance has no collector slots"
+    if any(len(row) != u for row in label_matrix):
+        return f"field 'labels': every row must have {u} slots, as the first does"
+    if len(validity) != len(label_matrix):
+        return (f"field 'validity': {len(validity)} entries, "
+                f"but 'labels' has {len(label_matrix)} rows")
+    if initial_reps is not None and len(initial_reps) != u:
+        return (f"field 'initial_reps': {len(initial_reps)} entries, "
+                f"but each label row has {u} slots")
+    return None
+
+
 @dataclass(frozen=True, slots=True)
 class ExactLoss:
     proof_loss: float
@@ -323,22 +348,17 @@ def exact_expected_loss(
     it shares no code with the reputation module it validates.
     """
     labels = _normalize_labels(label_matrix)
+    problem = instance_shape_error(labels, validity, initial_reps)
+    if problem is not None:
+        raise ValueError(problem)
     T = len(labels)
-    if T != len(validity):
-        raise ValueError("label matrix and validity vector lengths differ")
-    u = len(labels[0]) if labels else 0
-    if any(len(row) != u for row in labels):
-        raise ValueError("label matrix rows have inconsistent widths")
+    u = len(labels[0])
     if u > ORACLE_MAX_U or T > ORACLE_MAX_T:
         raise InstanceTooLargeError(
             f"instance with u={u}, T={T} exceeds oracle bounds "
             f"(u <= {ORACLE_MAX_U}, T <= {ORACLE_MAX_T})"
         )
-    if u == 0:
-        raise ValueError("instance has no collector slots")
     reps0 = tuple(initial_reps) if initial_reps is not None else (0,) * u
-    if len(reps0) != u:
-        raise ValueError("initial reputation vector width differs from label matrix")
 
     dist: dict[tuple[int, ...], float] = {reps0: 1.0}
     proof_loss = 0.0
@@ -412,6 +432,9 @@ def mc_expected_loss(
     production selection/update code paths, for agreement checks against
     the exact oracle."""
     labels = _normalize_labels(label_matrix)
+    problem = instance_shape_error(labels, validity, initial_reps)
+    if problem is not None:
+        raise ValueError(problem)
     u = len(labels[0])
     reps0 = tuple(initial_reps) if initial_reps is not None else (0,) * u
     rng = substream(seed, "oracle-mc")

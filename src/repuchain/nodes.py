@@ -26,6 +26,7 @@ Ground truth is read exclusively through ``validate_collector`` /
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -34,9 +35,6 @@ from .core_types import (
     LabeledTransaction,
     SimSignature,
     Transaction,
-    enc_field,
-    enc_int,
-    enc_list,
     label_signing_bytes,
     tx_signing_bytes,
 )
@@ -61,6 +59,13 @@ STRATEGY_KINDS = ("Honest", "AlwaysPlus", "AlwaysMinus", "FlipProb", "Withhold",
 # Forged transactions get sequence numbers far above anything a provider
 # could reach, so fabricated identities never collide with real ones.
 FORGED_SEQ_BASE = 1 << 40
+
+# A verification message's layout (see verification_message_bytes): the head
+# is the length-prefixed leader and provider ids, the 24-byte txid triple, the
+# validbit, then the received list's field length and element count.
+_VMSG_HEAD = struct.Struct(">12Q")
+_VMSG_ITEM = struct.Struct(">QQQ")
+_VMSG_TAIL = struct.Struct(">QQ")
 
 
 class SimulationError(RuntimeError):
@@ -268,14 +273,19 @@ def verification_message_bytes(
     leader_id: int, provider_id: int, txid: TxId, validbit: bool,
     received: tuple[tuple[int, int], ...], cnt: int,
 ) -> bytes:
-    return (
-        enc_field(enc_int(leader_id))
-        + enc_field(enc_int(provider_id))
-        + enc_field(enc_int(txid[0]) + enc_int(txid[1]) + enc_int(txid[2]))
-        + enc_field(enc_int(1 if validbit else 0))
-        + enc_field(enc_list([enc_int(c) + enc_int(1 if lab == 1 else 0) for c, lab in received]))
-        + enc_field(enc_int(cnt))
-    )
+    """Bytes the leader signs: ids, txid, verdict, the (collector, label) list, cnt.
+
+    Packed per the canonical rule: one head, one 24-byte item per received
+    label (its 16-byte length, then collector id and 1/0 for +1/-1), a tail.
+    """
+    n = len(received)
+    item = _VMSG_ITEM.pack
+    parts = [_VMSG_HEAD.pack(8, leader_id, 8, provider_id, 24, *txid,
+                             8, 1 if validbit else 0, 8 + 24 * n, n)]
+    for c, lab in received:
+        parts.append(item(16, c, 1 if lab == 1 else 0))
+    parts.append(_VMSG_TAIL.pack(8, cnt))
+    return b"".join(parts)
 
 
 @dataclass(frozen=True, slots=True)

@@ -168,6 +168,11 @@ def test_oracle_accepts_a_well_formed_instance(tmp_path, capsys):
     ("eta", 0),
     ("eta", -0.5),
     ("eta", "x"),
+    ("labels", [[5, 1], [1, 1]]),
+    ("labels", [[1, -1], [1]]),
+    ("labels", [[True, -1], [1, 1]]),
+    ("validity", [True]),
+    ("initial_reps", [0, 0, 0]),
 ])
 def test_oracle_rejects_malformed_instance_naming_the_field(tmp_path, capsys, field, value):
     path = tmp_path / "instance.json"

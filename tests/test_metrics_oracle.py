@@ -76,6 +76,22 @@ def test_oracle_rejects_malformed_input():
         exact_expected_loss([[1, 1], [1]], [True, False], eta=0.5)
 
 
+@pytest.mark.parametrize("field,labels,validity,reps", [
+    ("validity", [[1, 1], [1, -1]], [False], None),
+    ("validity", [[1, 1]], [True, False], None),
+    ("labels", [[1, 1], [1]], [True, False], None),
+    ("labels", [[1], [1, -1]], [True, False], None),
+    ("labels", [[]], [True], None),
+    ("initial_reps", [[1, 1]], [True], [0, 0, 0]),
+    ("initial_reps", [[1, 1]], [True], [0]),
+])
+def test_both_oracles_reject_malformed_shapes(field, labels, validity, reps):
+    with pytest.raises(ValueError, match=f"field '{field}'"):
+        exact_expected_loss(labels, validity, eta=0.5, initial_reps=reps)
+    with pytest.raises(ValueError, match=f"field '{field}'"):
+        mc_expected_loss(labels, validity, 0.5, n_runs=10, seed=0, initial_reps=reps)
+
+
 def test_theorem_bound_closed_form():
     # at eta = sqrt(ln u / T) the bound collapses to (3/2) sqrt(T ln u)
     eta = math.sqrt(math.log(2) / 100)
