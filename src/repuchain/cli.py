@@ -1,7 +1,8 @@
 """Batch scenario runner and small-instance oracle CLI.
 
-Exit codes: 0 all requested checks passed, 1 a check failed (the failing
-inequality is printed), 2 usage or config errors.
+Exit codes: 0 every run finished and all requested checks passed, 1 a run
+crashed or a check failed (the error or the failing inequality is printed),
+2 usage or config errors.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import statistics
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 from .checks import CHECK_NAMES, evaluate
@@ -31,16 +31,6 @@ from .sim_engine import ConfigError, ScenarioConfig, check_seed, load_config, ru
 
 # A lone number is a seed count; past this it is almost surely one seed.
 MAX_SEED_COUNT = 10_000
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    config_path: str
-    seeds: tuple[int, ...]
-    out_dir: str
-    checks: tuple[str, ...]
-    parallel: int = 1
-    overwrite: bool = False
 
 
 def parse_seeds(spec: str) -> tuple[int, ...]:
@@ -107,25 +97,31 @@ def run_seed(config: ScenarioConfig, seed: int, out_dir: Path | None) -> dict:
     }
 
 
-def _worker(args: tuple[dict, int, str]) -> dict:
-    raw, seed, out = args
-    config = ScenarioConfig.from_dict(raw)
+def _worker(args: tuple[ScenarioConfig, int, str]) -> dict:
+    config, seed, out = args
     return run_seed(config, seed, Path(out))
 
 
-def cmd_run(manifest: RunManifest) -> int:
-    if manifest.parallel < 1:
-        print(f"error: field 'parallel': must be >= 1, got {manifest.parallel}", file=sys.stderr)
+def cmd_run(
+    config_path: str,
+    seeds: tuple[int, ...],
+    out_dir: str,
+    checks: tuple[str, ...],
+    parallel: int,
+    overwrite: bool,
+) -> int:
+    if parallel < 1:
+        print(f"error: field 'parallel': must be >= 1, got {parallel}", file=sys.stderr)
         return 2
     try:
-        config = load_config(manifest.config_path)
+        config = load_config(config_path)
     except FileNotFoundError:
-        print(f"error: config file not found: {manifest.config_path}", file=sys.stderr)
+        print(f"error: config file not found: {config_path}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for name in manifest.checks:
+    for name in checks:
         if name not in CHECK_NAMES:
             print(
                 f"error: unknown check '{name}' (known: {', '.join(CHECK_NAMES)})",
@@ -133,10 +129,10 @@ def cmd_run(manifest: RunManifest) -> int:
             )
             return 2
 
-    out_root = Path(manifest.out_dir)
-    seed_dirs = {seed: out_root / f"seed_{seed}" for seed in manifest.seeds}
+    out_root = Path(out_dir)
+    seed_dirs = {seed: out_root / f"seed_{seed}" for seed in seeds}
     aggregate_path = out_root / "aggregate.json"
-    if not manifest.overwrite:
+    if not overwrite:
         existing = [p for p in [aggregate_path, *seed_dirs.values()] if p.exists()]
         if existing:
             print(
@@ -146,10 +142,10 @@ def cmd_run(manifest: RunManifest) -> int:
             return 2
     out_root.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(config.to_dict(), seed, str(seed_dirs[seed])) for seed in manifest.seeds]
+    jobs = [(config, seed, str(seed_dirs[seed])) for seed in seeds]
     # The fork start method launches every worker up front, so never ask for
     # more than there are jobs or cores.
-    workers = min(manifest.parallel, len(jobs), os.cpu_count() or 1)
+    workers = min(parallel, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(_worker, jobs))
@@ -157,10 +153,10 @@ def cmd_run(manifest: RunManifest) -> int:
         summaries = [_worker(job) for job in jobs]
     summaries.sort(key=lambda s: s["seed"])
 
-    results = evaluate(manifest.checks, summaries)
+    results = evaluate(checks, summaries)
     aggregate = {
         "config": config.to_dict(),
-        "seeds": list(manifest.seeds),
+        "seeds": list(seeds),
         "checks": {r.name: {"passed": r.passed, "detail": r.detail} for r in results},
         "runs": summaries,
     }
@@ -171,9 +167,7 @@ def cmd_run(manifest: RunManifest) -> int:
         print(f"run seed={s['seed']} FAILED: {s['error']}")
     for r in results:
         print(f"check {r.name}: {'PASS' if r.passed else 'FAIL'} — {r.detail}")
-    if failed_runs and not manifest.checks:
-        return 1
-    return 0 if all(r.passed for r in results) else 1
+    return 0 if not failed_runs and all(r.passed for r in results) else 1
 
 
 def oracle_instance_error(raw) -> str | None:
@@ -270,15 +264,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         checks = tuple(c for c in args.checks.split(",") if c)
-        manifest = RunManifest(
-            config_path=args.config,
-            seeds=seeds,
-            out_dir=args.out,
-            checks=checks,
-            parallel=args.parallel,
-            overwrite=args.overwrite,
-        )
-        return cmd_run(manifest)
+        return cmd_run(args.config, seeds, args.out, checks, args.parallel, args.overwrite)
     if args.command == "oracle":
         return cmd_oracle(args.instance)
     parser.error(f"unknown command {args.command!r}")

@@ -22,7 +22,6 @@ from .core_types import (
     SimSignature,
     Transaction,
     block_bytes,
-    hash_block,
     lists_commitment_root,
     make_genesis,
 )
@@ -64,7 +63,7 @@ class Ledger:
         return self.blocks[-1]
 
     def tip_hash(self) -> bytes:
-        return hash_block(self.last)
+        return self.last.hash
 
     def export_lines(self) -> list[str]:
         """Canonical block serializations as hex, one per line."""
@@ -159,7 +158,7 @@ def validate_block(
     last = ledger.last
     if block.serial != last.serial + 1:
         return Violation.NO_SKIPPING
-    if block.prev_hash != hash_block(last):
+    if block.prev_hash != last.hash:
         return Violation.CHAIN_INTEGRITY
     if block.leader_id != expected_leader:
         return Violation.WRONG_LEADER

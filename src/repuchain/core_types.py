@@ -19,6 +19,11 @@ construction, and carries them as ``signing_bytes`` (and ``wire_bytes``);
 every check reads the carried bytes and computes its own digest. A
 transaction carries its identity triple as ``txid`` the same way.
 
+A block carries its SHA-256 digest as ``hash``, but not its bytes: a copy
+of those would duplicate every chained transaction's wire bytes. The
+leader signs ``block_bytes(block)``, and every governor verifies that
+signature over freshly encoded bytes.
+
 The ``ground_truth_valid`` bit on a transaction is a simulation-only oracle
 field. By convention it is read exclusively through the ``validate_*``
 helpers in :mod:`repuchain.nodes`; it is not part of the canonical wire
@@ -143,6 +148,10 @@ class Block:
     tx_list: tuple[Transaction, ...]
     mt_root: bytes
     prev_hash: bytes
+    hash: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "hash", hash_block(self))
 
 
 def block_bytes(block: Block) -> bytes:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -45,11 +45,6 @@ OUTCOME_CODES = {
     "unchecked": OUTCOME_UNCHECKED, "valid": OUTCOME_VALID, "invalid": OUTCOME_INVALID,
 }
 
-ROUND_COLUMNS = (
-    "round", "leader_id", "txs_screened", "txs_verified", "wasted_verifications",
-    "blocks", "messages_pc", "messages_cg", "messages_gg",
-)
-
 
 class InstanceTooLargeError(ValueError):
     """The exact oracle only enumerates instances with u <= 3 and T <= 12."""
@@ -62,6 +57,8 @@ def theorem_bound(u: int, eta: float, T: int) -> float:
 
 @dataclass(slots=True)
 class RoundRow:
+    """One round's counters; each field is a ``rounds.csv`` column, in order."""
+
     round: int
     leader_id: int
     txs_screened: int = 0
@@ -88,10 +85,8 @@ class MetricsLog:
         self.gen_valid: dict[TxId, int] = {}
         self.chain_round: dict[TxId, int] = {}
         self.rounds: list[RoundRow] = []
-        self.verification_calls = [0] * n_providers
         self.forgery_attempts = 0
         self.dropped_forged = 0
-        self.dropped_bad_signature = 0
         self.resubmissions = 0
 
     # -- recording hooks driven by the engine -------------------------------
@@ -102,10 +97,7 @@ class MetricsLog:
             self.gen_valid[txid] = round_no
 
     def record_screening(self, result: ScreeningResult) -> None:
-        p = result.tx.provider_id
-        if result.verified:
-            self.verification_calls[p] += 1
-        self.events[p].append(
+        self.events[result.tx.provider_id].append(
             (result.epoch_index, OUTCOME_CODES[result.outcome], result.loss, result.penalized)
         )
 
@@ -471,15 +463,12 @@ def emit_csv(log: MetricsLog, reports: Sequence[RegretReport], out_dir) -> None:
     """Write rounds.csv and epochs.csv with deterministic ordering."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    columns = [f.name for f in fields(RoundRow)]
     with open(out / "rounds.csv", "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(ROUND_COLUMNS)
+        w.writerow(columns)
         for row in log.rounds:
-            w.writerow([
-                row.round, row.leader_id, row.txs_screened, row.txs_verified,
-                row.wasted_verifications, row.blocks, row.messages_pc,
-                row.messages_cg, row.messages_gg,
-            ])
+            w.writerow([getattr(row, name) for name in columns])
     max_u = max((r.u for r in reports), default=0)
     with open(out / "epochs.csv", "w", newline="") as fh:
         w = csv.writer(fh)

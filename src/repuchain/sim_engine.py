@@ -4,7 +4,9 @@ Each round: (1) providers generate and resubmit, (2) collectors label what
 arrived, (3) governors elect a leader, screen transactions whose waiting
 window expired, replicate the reputation updates, and append the block.
 Provider->collector and collector->governor messages, plus the feedback
-broadcast, are delivered exactly one round after sending. Governor-to-
+broadcast, are delivered exactly one round after sending: each of these
+three hops is a ``World`` field holding what the previous round sent, and
+``step_round`` swaps in what this round sends. Governor-to-
 governor consensus traffic (verification messages, the block, the lists)
 completes within the round's processing phase: governors are modeled as a
 deterministic replicated state machine, and their equality is asserted at
@@ -29,7 +31,7 @@ from .consensus import (
     propose_block,
     validate_and_append,
 )
-from .core_types import Transaction, hash_block
+from .core_types import LabeledTransaction, Transaction
 from .crypto_sim import KeyRegistry, substream
 from .metrics_oracle import MetricsLog, RoundRow
 from .nodes import (
@@ -191,31 +193,6 @@ class ScenarioConfig:
         }
 
 
-class MessageBus:
-    """Per-round queues; anything sent in round r is delivered at r+1."""
-
-    def __init__(self):
-        self._store: dict[tuple[str, int], list] = {}
-
-    def put(self, channel: str, round_sent: int, payload: list) -> None:
-        key = (channel, round_sent)
-        if key in self._store:
-            raise SimulationError(f"duplicate send on {channel} in round {round_sent}")
-        self._store[key] = payload
-
-    def take(self, channel: str, round_now: int) -> list:
-        return self._store.pop((channel, round_now - 1), [])
-
-    def in_flight_txids(self) -> set[TxId]:
-        out: set[TxId] = set()
-        for (channel, _), payload in self._store.items():
-            if channel == "pc":
-                out.update(tx.txid for _, tx in payload)
-            elif channel == "cg":
-                out.update(ltx.tx.txid for ltx in payload)
-        return out
-
-
 class World:
     """Full mutable simulation state; advance it with step_round."""
 
@@ -223,7 +200,10 @@ class World:
         self.config = config
         self.registry = KeyRegistry(root_seed=config.seed)
         self.round = 0
-        self.bus = MessageBus()
+        # The one-round hops: what the last completed round sent.
+        self.to_collectors: list[tuple[int, Transaction]] = []
+        self.to_governors: list[LabeledTransaction] = []
+        self.feedback: tuple[tuple[TxId, ...], tuple[TxId, ...], tuple[TxId, ...]] | None = None
         self.metrics = MetricsLog(config.l)
 
         provider_kps = [self.registry.issue(i) for i in range(config.l)]
@@ -286,9 +266,12 @@ class World:
         unchecked_archive: set[TxId] = set()
         for rl in g0.ledger.round_lists.values():
             unchecked_archive.update(t.txid for t in rl.unchecked_list)
-        in_flight = self.bus.in_flight_txids() | set(g0.inbox) | {
-            t.txid for t in g0.pending_valid
-        }
+        in_flight = (
+            {tx.txid for _, tx in self.to_collectors}
+            | {ltx.tx.txid for ltx in self.to_governors}
+            | set(g0.inbox)
+            | {t.txid for t in g0.pending_valid}
+        )
         pending = set()
         for p in self.providers:
             pending.update(p.pending)
@@ -323,10 +306,10 @@ def step_round(world: World) -> World:
     m = config.m
 
     # Feedback from the previous round's block reaches providers/collectors now.
-    feedback = world.bus.take("fb", r)
+    feedback, world.feedback = world.feedback, None
     resubmissions: dict[int, list[Transaction]] = {}
-    if feedback:
-        invalid_ids, unchecked_ids, chained_ids = feedback[0]
+    if feedback is not None:
+        invalid_ids, unchecked_ids, chained_ids = feedback
         for p in world.providers:
             p.on_chain(chained_ids)
             resub = p.on_feedback(invalid_ids, unchecked_ids)
@@ -345,11 +328,11 @@ def step_round(world: World) -> World:
         for tx in fresh + resubmissions.get(p.id, []):
             for cid in p.connected_collectors:
                 sends_pc.append((cid, tx))
-    world.bus.put("pc", r, sends_pc)
+    arrived, world.to_collectors = world.to_collectors, sends_pc
 
     # Phase 2: uploading (labels what arrived this round, i.e. sent at r-1).
     uploads = []
-    for cid, tx in world.bus.take("pc", r):
+    for cid, tx in arrived:
         ltx = world.collectors[cid].process(tx)
         if ltx is not None:
             uploads.append(ltx)
@@ -358,15 +341,14 @@ def step_round(world: World) -> World:
         if forged:
             metrics.forgery_attempts += len(forged)
             uploads.extend(forged)
-    world.bus.put("cg", r, uploads)
+    batch, world.to_governors = world.to_governors, uploads
 
     # Phase 3: processing.
-    batch = world.bus.take("cg", r)
     for g in governors:
         for ltx in batch:
             g.on_labeled_transaction(ltx, r)
 
-    round_seed = hash_block(governors[0].ledger.last)
+    round_seed = governors[0].ledger.tip_hash()
     election = elect_leader(config.stakes, round_seed, world.governor_kps, world.registry)
     leader_idx = election.winner
     leader = governors[leader_idx]
@@ -431,13 +413,10 @@ def step_round(world: World) -> World:
                 raise SimulationError(f"replicated state divergence at round {r}")
 
     if made_block:
-        world.bus.put(
-            "fb", r,
-            [(
-                tuple(t.txid for t in invalid_this),
-                tuple(t.txid for t in unchecked_this),
-                tuple(t.txid for t in tx_list),
-            )],
+        world.feedback = (
+            tuple(t.txid for t in invalid_this),
+            tuple(t.txid for t in unchecked_this),
+            tuple(t.txid for t in tx_list),
         )
 
     row = RoundRow(round=r, leader_id=leader_idx)
@@ -459,9 +438,6 @@ def finalize(world: World) -> None:
     g0 = world.governors[0]
     world.metrics.finalize(list(g0.rep))
     world.metrics.dropped_forged = sum(g.dropped_forged for g in world.governors)
-    world.metrics.dropped_bad_signature = sum(
-        g.dropped_bad_signature for g in world.governors
-    ) + sum(c.dropped_bad_signature for c in world.collectors)
 
 
 def run(config: ScenarioConfig) -> tuple[Ledger, MetricsLog]:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import SCENARIOS_DIR
 from repuchain import cli, scenarios
 from repuchain.sim_engine import ConfigError, ScenarioConfig
 
@@ -149,7 +150,30 @@ def test_failed_run_keeps_its_traceback(smoke_config, tmp_path, monkeypatch, cap
     assert "run seed=0 FAILED: RuntimeError: boom" in capsys.readouterr().out
 
 
+def test_failed_run_exits_one_even_when_its_check_ignores_runs(smoke_config, tmp_path,
+                                                               monkeypatch):
+    def explode(config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run", explode)
+    out = tmp_path / "out"
+    assert run_cli(smoke_config, out, "--seeds", "1", "--checks", "oracle-agreement") == 1
+    agg = aggregate(out)
+    assert agg["checks"]["oracle-agreement"]["passed"] is True
+    (run,) = agg["runs"]
+    assert run["traceback"].startswith("Traceback (most recent call last):")
+
+
 # -- oracle ----------------------------------------------------------------------
+
+
+def test_shipped_oracle_instance_matches_its_builder(capsys):
+    path = SCENARIOS_DIR / "oracle_uniform_invalid.json"
+    assert json.loads(path.read_text()) == scenarios.oracle_uniform_invalid()
+    assert cli.main(["oracle", "--instance", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "expected wasted verifications (prose L_T): 0.500000" in out
+    assert "expected governor loss (proof-consistent L_T): 0.250000" in out
 
 
 ORACLE_INSTANCE = {"labels": [[1, -1], [1, 1]], "validity": [True, False], "eta": 0.5}

@@ -6,6 +6,7 @@ Each packed encoder must produce the bytes the rule produces, on the frozen
 vectors and on random inputs, and must refuse what the rule refuses.
 """
 
+import dataclasses
 import random
 import struct
 
@@ -113,6 +114,21 @@ def test_block_vector(crypto_vectors):
     assert hash_block(block).hex() == v["digest"]
 
 
+def test_block_carries_its_hash(crypto_vectors):
+    v = crypto_vectors["block"]
+    kp = keypair_from_secret(0, bytes.fromhex(v["secret"]))
+    txs = tuple(
+        Transaction(*ident, True, sign(kp, tx_signing_bytes(*ident))) for ident in v["transactions"]
+    )
+    block = Block(v["serial"], v["leader_id"], txs,
+                  bytes.fromhex(v["mt_root"]), bytes.fromhex(v["prev_hash"]))
+    genesis = make_genesis()
+    assert genesis.hash == hash_block(genesis) == bytes.fromhex(crypto_vectors["genesis"]["digest"])
+    assert block.hash == hash_block(block) == bytes.fromhex(v["digest"])
+    moved = dataclasses.replace(block, serial=block.serial + 1)
+    assert moved.hash == hash_block(moved) != block.hash
+
+
 # -- packed layouts against the specification on random inputs -------------------------
 
 
@@ -189,7 +205,8 @@ def test_objects_call_the_encoders_through_their_module_globals(monkeypatch):
     # object that bound an encoder early would bypass it and read 0.
     calls = {}
     targets = [(core_types, "tx_signing_bytes"), (core_types, "label_signing_bytes"),
-               (core_types, "block_bytes"), (nodes, "verification_message_bytes")]
+               (core_types, "block_bytes"), (core_types, "hash_block"),
+               (nodes, "verification_message_bytes")]
     for module, name in targets:
         def counting(*args, _original=getattr(module, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
@@ -198,6 +215,7 @@ def test_objects_call_the_encoders_through_their_module_globals(monkeypatch):
         monkeypatch.setattr(module, name, counting)
     tx = Transaction(1, 2, 3, True, SimSignature(b"\x07" * 32))
     LabeledTransaction(tx, 1, 4, SimSignature(b""))
-    hash_block(Block(1, 0, (tx,), core_types.ZERO_DIGEST, core_types.ZERO_DIGEST))
+    block = Block(1, 0, (tx,), core_types.ZERO_DIGEST, core_types.ZERO_DIGEST)
+    assert len(block.hash) == core_types.DIGEST_SIZE
     VerificationMessage(0, 1, tx.txid, True, ((4, 1),), 1, SimSignature(b""))
     assert calls == {name: 1 for _, name in targets}
