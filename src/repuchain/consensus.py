@@ -1,5 +1,11 @@
 """Stake-weighted VRF leader election, block proposal, and block validation.
 
+Each round every governor evaluates one VRF value on the round seed (the
+chain tip's hash), and every governor checks every proof. The value is read
+as a uniform U in [0, 1) and turned into an exponential race key
+``-log1p(-U) / stake``; the least key leads, so a governor leads with
+probability stake / total stake (``docs/election.md``).
+
 Governors are trusted not to equivocate, so consensus is modeled as a
 deterministic replicated state machine: every governor runs the same
 election, replays the same update stream, and appends the same block. The
@@ -12,6 +18,7 @@ simulation, since it would indicate a bug rather than an attack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
@@ -25,7 +32,7 @@ from .core_types import (
     lists_commitment_root,
     make_genesis,
 )
-from .crypto_sim import KeyPair, KeyRegistry, sign, vrf_eval_units
+from .crypto_sim import KeyPair, KeyRegistry, sign, vrf_eval
 
 
 class Violation(Enum):
@@ -70,6 +77,9 @@ class Ledger:
         return [block_bytes(b).hex() for b in self.blocks]
 
 
+UNIT_SCALE = float(1 << 53)  # U = (top 64 bits >> 11) / 2^53 lies in [0, 1)
+
+
 @dataclass(frozen=True, slots=True)
 class ElectionRecord:
     winner: int
@@ -82,32 +92,32 @@ def elect_leader(
     keypairs: Sequence[KeyPair],
     registry: KeyRegistry,
 ) -> ElectionRecord:
-    """Every stake unit hashes the seed via its owner's VRF; least value wins.
+    """One VRF value per governor on ``round_seed``; the least race key leads.
 
-    Governor k holds ``stakes[k]`` units and signs with ``keypairs[k]``.
-    Unit j of a governor evaluates ``vrf_eval(kp, round_seed + enc_int(j))``.
-    The election makes one pass per governor: ``vrf_eval_units`` absorbs the
-    key and seed once and evaluates every unit from a copy, and
-    ``vrf_verify_units`` checks every unit's value and proof the same way.
-    All governors verify all proofs and reach the same winner. Exclusion is
-    all or nothing: a governor with any failing proof has all of its units
-    excluded for the round. Ties break on (value, governor id), which
-    matters only in theory with 256-bit values.
+    Governor k stakes ``stakes[k]`` and signs with ``keypairs[k]``. Its
+    output ``vrf_eval(kp, round_seed)`` is checked with
+    ``registry.vrf_verify``; a governor whose proof fails is excluded for the
+    round. The top 53 bits of the value give U in [0, 1), and the key
+    ``-log1p(-U) / stake`` is an Exp(stake) draw, so the least key belongs
+    to governor k with probability ``stakes[k] / sum(stakes)``. Ties break
+    on (key, governor id). A governor with no stake draws nothing.
     """
     if sum(stakes) < 1:
         raise ValueError("total stake must be at least 1")
-    best: tuple[bytes, int] | None = None
+    best: tuple[float, int] | None = None
     excluded = []
-    for gov_id, units in enumerate(stakes):
+    for gov_id, stake in enumerate(stakes):
+        if stake < 1:
+            continue
         kp = keypairs[gov_id]
-        outs = vrf_eval_units(kp, round_seed, units)
-        if not registry.vrf_verify_units(kp.public, round_seed, outs):
+        out = vrf_eval(kp, round_seed)
+        if not registry.vrf_verify(kp.public, round_seed, out):
             excluded.append(gov_id)
             continue
-        if outs:
-            cand = (min(out.value for out in outs), gov_id)
-            if best is None or cand < best:
-                best = cand
+        u = (int.from_bytes(out.value[:8], "big") >> 11) / UNIT_SCALE
+        cand = (-math.log1p(-u) / stake, gov_id)
+        if best is None or cand < best:
+            best = cand
     if best is None:
         raise ValueError("no governor produced a verifiable VRF output")
     return ElectionRecord(winner=best[1], excluded=tuple(excluded))

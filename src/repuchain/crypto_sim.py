@@ -12,12 +12,12 @@ more than before. Every verification copies that state, hashes its own
 message into the copy and compares the digest with the tag, so each check
 still computes its own digest and none reuses another's verdict.
 
-The VRF works the same way for a stake-weighted election: a governor's
-value and proof for unit ``j`` hash ``round_seed + enc_int(j)`` after the
-prefix ``b"vrf"``/``b"vrfp" + secret``. ``vrf_eval_units`` and
-``KeyRegistry.vrf_verify_units`` absorb that prefix and the round seed once
-per governor and then evaluate, or check, every unit from a copy; they
-equal ``vrf_eval``/``vrf_verify`` unit by unit, which stay the definition.
+The VRF is a pair of keyed hashes: a governor's value and proof for an
+input are SHA-256 over ``b"vrf" + secret + input`` and
+``b"vrfp" + secret + input``, and ``KeyRegistry.vrf_verify`` recomputes both
+from the registered secret. The election (``consensus.elect_leader``) draws
+one value per governor per round from the round seed alone; the stake
+weighting happens in how that value is read (see ``docs/election.md``).
 """
 
 from __future__ import annotations
@@ -75,27 +75,6 @@ def vrf_eval(kp: KeyPair, vrf_input: bytes) -> VrfOutput:
     return VrfOutput(value=value, proof=proof)
 
 
-def _vrf_unit_pairs(secret: bytes, round_seed: bytes, units: int) -> list[tuple[bytes, bytes]]:
-    """``_vrf_pair(secret, round_seed + enc_int(j))`` for every j < units."""
-    value_state = hashlib.sha256(b"vrf" + secret + round_seed)
-    proof_state = hashlib.sha256(b"vrfp" + secret + round_seed)
-    pairs = []
-    for j in range(units):
-        suffix = enc_int(j)
-        value = value_state.copy()
-        value.update(suffix)
-        proof = proof_state.copy()
-        proof.update(suffix)
-        pairs.append((value.digest(), proof.digest()))
-    return pairs
-
-
-def vrf_eval_units(kp: KeyPair, round_seed: bytes, units: int) -> list[VrfOutput]:
-    """Unit j's output is ``vrf_eval(kp, round_seed + enc_int(j))``."""
-    pairs = _vrf_unit_pairs(kp.secret, round_seed, units)
-    return [VrfOutput(value, proof) for value, proof in pairs]
-
-
 class KeyRegistry:
     """Simulated identity manager: issues keys and resolves them for verifiers.
 
@@ -139,17 +118,6 @@ class KeyRegistry:
         if secret is None:
             return False
         return (out.value, out.proof) == _vrf_pair(secret, vrf_input)
-
-    def vrf_verify_units(self, public: bytes, round_seed: bytes, outs: list[VrfOutput]) -> bool:
-        """True iff every ``outs[j]`` passes ``vrf_verify`` on ``round_seed + enc_int(j)``."""
-        secret = self._by_public.get(public)
-        if secret is None:
-            return False
-        expected = _vrf_unit_pairs(secret, round_seed, len(outs))
-        return all(
-            out.value == value and out.proof == proof
-            for out, (value, proof) in zip(outs, expected)
-        )
 
 
 def substream(seed: int, *labels: int | str | bytes) -> random.Random:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -49,9 +50,19 @@ class ConfigError(ValueError):
     """Scenario rejected before any round runs; message names the field."""
 
 
+def is_int(v: Any) -> bool:
+    """A JSON integer: ``int`` but not ``bool``."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_number(v: Any) -> bool:
+    """A JSON number: a finite ``int`` or ``float``, never ``bool``."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def check_seed(seed: Any, field: str = "seed") -> int:
     """Return ``seed`` if it is an integer in [0, 2^64), the range enc_int encodes."""
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 1 << 64:
+    if not is_int(seed) or not 0 <= seed < 1 << 64:
         raise ConfigError(f"field '{field}': expected integer in [0, 2^64), got {seed!r}")
     return seed
 
@@ -94,7 +105,7 @@ class ScenarioConfig:
 
         def need_int(key: str, lo: int) -> int:
             v = raw[key]
-            if not isinstance(v, int) or isinstance(v, bool) or v < lo:
+            if not is_int(v) or v < lo:
                 raise ConfigError(f"field '{key}': expected integer >= {lo}, got {v!r}")
             return v
 
@@ -118,7 +129,7 @@ class ScenarioConfig:
             if len(set(adj)) != len(adj):
                 raise ConfigError(f"field 'topology[{i}]': duplicate collector index")
             for c in adj:
-                if not isinstance(c, int) or not 0 <= c < n:
+                if not is_int(c) or not 0 <= c < n:
                     raise ConfigError(f"field 'topology[{i}]': collector index {c!r} out of range")
             topology.append(tuple(adj))
 
@@ -129,14 +140,16 @@ class ScenarioConfig:
         for j, s in enumerate(strategies_raw):
             if not isinstance(s, dict) or "kind" not in s:
                 raise ConfigError(f"field 'strategies[{j}]': expected an object with 'kind'")
-            try:
-                strategies.append(
-                    StrategySpec(
-                        kind=s["kind"],
-                        q=float(s.get("q", 0.0)),
-                        forge_rate=int(s.get("forge_rate", 1)),
-                    )
+            q = s.get("q", 0.0)
+            if not is_number(q) or not 0 <= q <= 1:
+                raise ConfigError(f"field 'strategies[{j}].q': expected number in [0, 1], got {q!r}")
+            forge_rate = s.get("forge_rate", 1)
+            if not is_int(forge_rate) or forge_rate < 0:
+                raise ConfigError(
+                    f"field 'strategies[{j}].forge_rate': expected integer >= 0, got {forge_rate!r}"
                 )
+            try:
+                strategies.append(StrategySpec(kind=s["kind"], q=float(q), forge_rate=forge_rate))
             except ValueError as exc:
                 raise ConfigError(f"field 'strategies[{j}]': {exc}") from exc
 
@@ -144,25 +157,25 @@ class ScenarioConfig:
         if not isinstance(stakes_raw, (list, tuple)) or len(stakes_raw) != m:
             raise ConfigError(f"field 'stakes': expected {m} entries")
         for k, s in enumerate(stakes_raw):
-            if not isinstance(s, int) or s < 1:
+            if not is_int(s) or s < 1:
                 raise ConfigError(f"field 'stakes[{k}]': expected positive integer, got {s!r}")
 
         policy_raw = raw["eta_policy"]
         if not isinstance(policy_raw, dict) or "kind" not in policy_raw:
             raise ConfigError("field 'eta_policy': expected an object with 'kind'")
+        value = policy_raw.get("value")
+        if value is not None and (not is_number(value) or value <= 0):
+            raise ConfigError(f"field 'eta_policy.value': expected positive number, got {value!r}")
         try:
-            eta_policy = EtaPolicy(
-                kind=policy_raw["kind"],
-                value=policy_raw.get("value"),
-            )
+            eta_policy = EtaPolicy(kind=policy_raw["kind"], value=value)
         except ValueError as exc:
             raise ConfigError(f"field 'eta_policy': {exc}") from exc
 
         mu = raw["mu"]
-        if not isinstance(mu, (int, float)) or mu <= 0:
+        if not is_number(mu) or mu <= 0:
             raise ConfigError(f"field 'mu': expected positive number, got {mu!r}")
         invalid_fraction = raw["invalid_fraction"]
-        if not isinstance(invalid_fraction, (int, float)) or not 0 <= invalid_fraction <= 1:
+        if not is_number(invalid_fraction) or not 0 <= invalid_fraction <= 1:
             raise ConfigError(
                 f"field 'invalid_fraction': expected number in [0, 1], got {invalid_fraction!r}"
             )
@@ -309,15 +322,20 @@ def step_round(world: World) -> World:
     feedback, world.feedback = world.feedback, None
     resubmissions: dict[int, list[Transaction]] = {}
     if feedback is not None:
-        invalid_ids, unchecked_ids, chained_ids = feedback
-        for p in world.providers:
+        # A provider's pending set holds only its own txids, so each provider
+        # is handed only the ids it minted (txid[0] is the provider id).
+        per_provider = [([], [], []) for _ in world.providers]
+        for i, ids in enumerate(feedback):
+            for txid in ids:
+                per_provider[txid[0]][i].append(txid)
+        for p, (invalid_ids, unchecked_ids, chained_ids) in zip(world.providers, per_provider):
             p.on_chain(chained_ids)
             resub = p.on_feedback(invalid_ids, unchecked_ids)
             if resub:
                 resubmissions[p.id] = resub
                 metrics.resubmissions += len(resub)
         for c in world.collectors:
-            c.note_invalid(invalid_ids)
+            c.note_invalid(feedback[0])
 
     # Phase 1: collecting.
     sends_pc: list[tuple[int, Transaction]] = []

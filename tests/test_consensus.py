@@ -1,5 +1,10 @@
+import hashlib
 import random
 
+import pytest
+from scipy import stats
+
+from repuchain import consensus
 from repuchain.consensus import (
     Ledger,
     Violation,
@@ -24,7 +29,6 @@ from repuchain.crypto_sim import (
     keypair_from_secret,
     sign,
     vrf_eval,
-    vrf_eval_units,
 )
 
 
@@ -133,19 +137,24 @@ def test_unverifiable_governor_excluded():
     assert rec.excluded == (1,)
 
 
-def test_vrf_eval_units_match_scalar_vrf():
-    registry = KeyRegistry(root_seed=5)
-    kp = registry.issue(3)
-    for seed in (b"", b"s", (7).to_bytes(8, "big"), b"\xff" * 40):
-        outs = vrf_eval_units(kp, seed, 33)
-        assert len(outs) == 33
-        for j, out in enumerate(outs):
-            assert out == vrf_eval(kp, seed + enc_int(j))
-    assert vrf_eval_units(kp, b"s", 0) == []
+# The m=8 stakes of the benchmark's replicated world (bench/workloads.py).
+REPLICATED_STAKES = (100, 150, 200, 250, 300, 350, 400, 450)
+CHI_SQUARE_ROUNDS = 10_000
+
+
+def round_seeds(n):
+    """Fixed 32-byte round seeds, shaped like the chain-tip hashes they stand for."""
+    return [hashlib.sha256(b"round" + enc_int(i)).digest() for i in range(n)]
 
 
 def reference_winner(stakes, round_seed, keypairs, registry):
-    """The election's definition, one stake unit at a time."""
+    """The previous election law, one stake unit at a time.
+
+    Unit j of governor k draws ``vrf_eval(kp, round_seed + enc_int(j))`` and
+    the least (value, governor id) over all units wins. It costs one VRF
+    evaluation and check per stake unit; the election now makes one per
+    governor and must follow the same law: P(k leads) = stakes[k] / total.
+    """
     best = None
     for gov_id, units in enumerate(stakes):
         kp = keypairs[gov_id]
@@ -158,38 +167,51 @@ def reference_winner(stakes, round_seed, keypairs, registry):
     return best[1]
 
 
-def test_election_matches_unit_by_unit_reference():
-    registry = KeyRegistry(root_seed=6)
-    kps = [registry.issue(k) for k in range(4)]
-    rng = random.Random(11)
-    winners = set()
-    for i in range(200):
-        stakes = [rng.randint(1, 40) for _ in range(4)]
-        seed = rng.randbytes(8) + enc_int(i)
-        rec = elect_leader(stakes, seed, kps, registry)
-        assert rec.excluded == ()
-        assert rec.winner == reference_winner(stakes, seed, kps, registry)
-        winners.add(rec.winner)
-    assert winners == {0, 1, 2, 3}
+def chi_square_against_stakes(winner_of, stakes):
+    """p-value of the winner counts over the fixed round seeds against stake shares."""
+    registry = KeyRegistry(root_seed=len(stakes))
+    kps = [registry.issue(k) for k in range(len(stakes))]
+    counts = [0] * len(stakes)
+    for seed in round_seeds(CHI_SQUARE_ROUNDS):
+        counts[winner_of(stakes, seed, kps, registry)] += 1
+    total = sum(stakes)
+    expected = [CHI_SQUARE_ROUNDS * s / total for s in stakes]
+    return stats.chisquare(counts, expected).pvalue
 
 
-class FailingUnitsRegistry(KeyRegistry):
-    """Registry whose batch VRF check always fails for one public key."""
+def elected(stakes, seed, kps, registry):
+    rec = elect_leader(stakes, seed, kps, registry)
+    assert rec.excluded == ()
+    return rec.winner
+
+
+@pytest.mark.parametrize("stakes", [(1, 2, 3, 4), REPLICATED_STAKES], ids=["1-4", "replicated"])
+def test_winners_follow_stake_shares(stakes):
+    assert chi_square_against_stakes(elected, stakes) > 1e-3
+
+
+def test_unit_by_unit_reference_follows_stake_shares():
+    assert chi_square_against_stakes(reference_winner, (1, 2, 3, 4)) > 1e-3
+
+
+class FailingVrfRegistry(KeyRegistry):
+    """Registry whose VRF check always fails for one public key."""
 
     def __init__(self, root_seed, bad_public):
         super().__init__(root_seed)
         self.bad_public = bad_public
 
-    def vrf_verify_units(self, public, round_seed, outs):
+    def vrf_verify(self, public, vrf_input, out):
         if public == self.bad_public:
             return False
-        return super().vrf_verify_units(public, round_seed, outs)
+        return super().vrf_verify(public, vrf_input, out)
 
 
 def test_failing_governor_excluded_as_a_whole():
+    # The largest stake cannot lead in any round once its proof fails.
     keys = KeyRegistry(root_seed=7)
     kps = [keys.issue(k) for k in range(3)]
-    registry = FailingUnitsRegistry(7, bad_public=kps[1].public)
+    registry = FailingVrfRegistry(7, bad_public=kps[1].public)
     for kp in kps:
         registry.register(kp)
     stakes = [1, 30, 2]
@@ -199,6 +221,30 @@ def test_failing_governor_excluded_as_a_whole():
         assert rec.excluded == (1,)
         winners.add(rec.winner)
     assert winners == {0, 2}
+
+
+def test_election_calls_the_vrf_through_its_module_globals(monkeypatch):
+    # The benchmark's tracer counts crypto_sim.vrf_calls by rebinding
+    # consensus.vrf_eval and KeyRegistry.vrf_verify; an election that bound
+    # either early would count 0, and one that evaluated per stake unit would
+    # count the total stake.
+    calls = {"vrf_eval": 0, "vrf_verify": 0}
+    original_eval, original_verify = consensus.vrf_eval, KeyRegistry.vrf_verify
+
+    def counting_eval(*args):
+        calls["vrf_eval"] += 1
+        return original_eval(*args)
+
+    def counting_verify(*args):
+        calls["vrf_verify"] += 1
+        return original_verify(*args)
+
+    monkeypatch.setattr(consensus, "vrf_eval", counting_eval)
+    monkeypatch.setattr(KeyRegistry, "vrf_verify", counting_verify)
+    registry = KeyRegistry(root_seed=8)
+    kps = [registry.issue(k) for k in range(4)]
+    elect_leader([100, 150, 200, 250], b"\x01" * 32, kps, registry)
+    assert calls == {"vrf_eval": 4, "vrf_verify": 4}
 
 
 # -- block proposal --------------------------------------------------------------

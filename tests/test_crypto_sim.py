@@ -10,7 +10,6 @@ from repuchain.crypto_sim import (
     sign,
     substream,
     vrf_eval,
-    vrf_eval_units,
 )
 
 
@@ -76,26 +75,6 @@ def test_verify_keeps_key_state_between_messages(registry):
         assert registry.verify(kp.public, m2, s2)
         assert not registry.verify(kp.public, m2, s1)
         assert not registry.verify(kp.public, m1, s2)
-
-
-def test_vrf_verify_units_checks_every_unit(registry):
-    kp = registry.issue(4)
-    seed = b"round-seed"
-    outs = vrf_eval_units(kp, seed, 6)
-    assert registry.vrf_verify_units(kp.public, seed, outs)
-    assert not registry.vrf_verify_units(kp.public, b"other-seed", outs)
-    stranger = keypair_from_secret(9, b"\x77" * 32)
-    assert not registry.vrf_verify_units(stranger.public, seed, vrf_eval_units(stranger, seed, 6))
-    for j in range(6):
-        for field in ("value", "proof"):
-            tampered = list(outs)
-            raw = bytearray(getattr(outs[j], field))
-            raw[j] ^= 0x80
-            tampered[j] = VrfOutput(
-                bytes(raw) if field == "value" else outs[j].value,
-                bytes(raw) if field == "proof" else outs[j].proof,
-            )
-            assert not registry.vrf_verify_units(kp.public, seed, tampered)
 
 
 def test_unforgeability_100k_random_attempts(registry):

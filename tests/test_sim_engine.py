@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import re
 
 import pytest
 
@@ -59,6 +61,63 @@ def test_bad_values_rejected():
         minimal_config(eta_policy={"kind": "Fixed"})
     with pytest.raises(ConfigError, match="unknown"):
         ScenarioConfig.from_dict({**scenarios.smoke(), "bananas": 1})
+
+
+def smoke_with(field, value):
+    """``scenarios.smoke()`` with one value replaced; a dotted field reaches inside."""
+    raw = scenarios.smoke()
+    if field == "mu" or field == "invalid_fraction":
+        raw[field] = value
+    elif field == "stakes[0]":
+        raw["stakes"] = [value]
+    elif field == "eta_policy.value":
+        raw["eta_policy"] = {"kind": "Fixed", "value": value}
+    else:
+        key = field.rpartition(".")[2]
+        kind = "Forger" if key == "forge_rate" else "FlipProb"
+        raw["strategies"] = [{"kind": kind, key: value}]
+    return raw
+
+
+def json_schema_validator():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((SCENARIOS_DIR.parent / "docs" / "scenario_schema.json").read_text())
+    # A JSON number is finite (RFC 8259, section 6), but Python's json module
+    # also reads NaN and Infinity; validate with JSON's own number type.
+    base = jsonschema.Draft202012Validator
+    checker = base.TYPE_CHECKER.redefine(
+        "number", lambda c, v: base.TYPE_CHECKER.is_type(v, "number") and math.isfinite(v)
+    )
+    return jsonschema.validators.extend(base, type_checker=checker)(schema)
+
+
+NAN, INF = float("nan"), float("inf")
+MALFORMED_VALUES = [
+    ("mu", True), ("mu", NAN), ("mu", INF),
+    ("invalid_fraction", True),
+    ("stakes[0]", True),
+    ("strategies[0].forge_rate", 2.9), ("strategies[0].forge_rate", True),
+    ("strategies[0].forge_rate", -1),
+    ("strategies[0].q", "0.5"), ("strategies[0].q", True),
+    ("eta_policy.value", True), ("eta_policy.value", NAN), ("eta_policy.value", INF),
+    ("eta_policy.value", "0.5"),
+]
+# Per field, a value both accept, so each case fails on its value alone.
+WELL_FORMED = {"mu": 0.5, "invalid_fraction": 0.5, "stakes[0]": 2, "strategies[0].forge_rate": 2,
+               "strategies[0].q": 0.5, "eta_policy.value": 0.5}
+
+
+@pytest.mark.parametrize("field,value", MALFORMED_VALUES,
+                         ids=[f"{f}={v!r}" for f, v in MALFORMED_VALUES])
+def test_malformed_value_fails_closed_like_the_schema(field, value):
+    validator = json_schema_validator()
+    good = smoke_with(field, WELL_FORMED[field])
+    ScenarioConfig.from_dict(good)
+    assert validator.is_valid(good)
+    raw = smoke_with(field, value)
+    with pytest.raises(ConfigError, match=re.escape(f"field '{field}'")):
+        ScenarioConfig.from_dict(raw)
+    assert not validator.is_valid(raw)
 
 
 def test_scenario_files_match_builders():
