@@ -69,10 +69,11 @@ def run_seed(config: ScenarioConfig, seed: int, out_dir: Path | None) -> dict:
             "traceback": traceback.format_exc(),
         }
     reports = [compute_regret(metrics, p) for p in range(cfg.l)]
+    summary = summary_dict(reports)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         emit_csv(metrics, reports, out_dir)
-        write_summary(reports, out_dir / "summary.json")
+        write_summary(summary, out_dir / "summary.json")
         (out_dir / "ledger.hex").write_text("\n".join(ledger.export_lines()) + "\n")
     cutoff = max(cfg.total_rounds - DRAIN_ROUNDS, 1)
     latencies = metrics.inclusion_latencies(max_gen_round=cutoff)
@@ -82,7 +83,7 @@ def run_seed(config: ScenarioConfig, seed: int, out_dir: Path | None) -> dict:
     )
     return {
         "seed": seed,
-        "providers": summary_dict(reports)["providers"],
+        "providers": summary["providers"],
         "inclusion": {
             "cutoff": cutoff,
             "rate": metrics.inclusion_rate(cutoff),

@@ -21,19 +21,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .crypto_sim import substream
 from .nodes import EpochClosure, ScreeningResult, TxId
-from .reputation import (
-    ReputationState,
-    draw_collector,
-    penalized_slots,
-    selection_probabilities,
-    update_reputations,
-)
+from .reputation import ReputationState, screen_draw, update_reputations
 
 ORACLE_MAX_U = 3
 ORACLE_MAX_T = 12
@@ -112,34 +106,15 @@ class MetricsLog:
 
     # -- derived views -------------------------------------------------------
 
-    def wasted_verifications(self, provider: int) -> int:
-        return sum(1 for _, o, _, _ in self.events[provider] if o == OUTCOME_INVALID)
-
-    def slot_penalties(
-        self, provider: int, first_n: int | None = None, epoch_index: int | None = None
-    ) -> list[int]:
-        assert self.final_states is not None, "finalize() not called"
-        u = len(self.final_states[provider].reps)
-        counts = [0] * u
-        events = self.events[provider]
-        if first_n is not None:
-            events = events[:first_n]
-        for ep, _, _, penalized in events:
-            if epoch_index is not None and ep != epoch_index:
-                continue
-            for k in penalized:
-                counts[k] += 1
-        return counts
-
     def window_regret(
         self, provider: int, first_n: int | None = None
     ) -> tuple[float, list[int], float]:
         """(loss, per-slot penalties, regret) over the first_n screened events."""
+        assert self.final_states is not None, "finalize() not called"
         events = self.events[provider]
         if first_n is not None:
             events = events[:first_n]
-        loss = sum(e[2] for e in events)
-        counts = self.slot_penalties(provider, first_n=first_n)
+        loss, _, _, counts = tally(events, len(self.final_states[provider].reps))
         return loss, counts, loss - min(counts)
 
     def inclusion_latencies(self, max_gen_round: int | None = None) -> list[int]:
@@ -166,15 +141,35 @@ class MetricsLog:
         return on_chain / len(eligible)
 
 
+def tally(
+    events: Sequence[tuple[int, int, float, tuple[int, ...]]], u: int
+) -> tuple[float, int, int, list[int]]:
+    """(loss, wasted verifications, verified, per-slot penalties) over screening events."""
+    counts = [0] * u
+    verified = 0
+    for _, outcome, _, penalized in events:
+        if outcome != OUTCOME_UNCHECKED:
+            verified += 1
+        for k in penalized:
+            counts[k] += 1
+    loss = sum(e[2] for e in events)
+    return loss, sum(1 for e in events if e[1] == OUTCOME_INVALID), verified, counts
+
+
 @dataclass(frozen=True, slots=True)
 class EpochRegret:
+    """One epoch of one provider; each field is a ``summary.json`` key.
+
+    ``docs/artifacts.md`` maps the fields to the paper's quantities.
+    """
+
     epoch_index: int
     T: int
     eta: float
-    loss: float
+    L_T: float
     prose_loss: int
     slot_penalties: tuple[int, ...]
-    s_min: int
+    S_T_min: int
     regret: float
     bound: float
     revenue: tuple[float, ...] | None
@@ -209,16 +204,7 @@ def compute_regret(log: MetricsLog, provider: int) -> RegretReport:
         by_epoch.setdefault(ev[0], []).append(ev)
     epochs = []
     for idx in sorted(set(by_epoch) | set(closed)):
-        events = by_epoch.get(idx, [])
-        loss = sum(e[2] for e in events)
-        prose = sum(1 for e in events if e[1] == OUTCOME_INVALID)
-        counts = [0] * u
-        verified = 0
-        for _, outcome, _, penalized in events:
-            if outcome != OUTCOME_UNCHECKED:
-                verified += 1
-            for k in penalized:
-                counts[k] += 1
+        loss, prose, verified, counts = tally(by_epoch.get(idx, []), u)
         rec = closed.get(idx)
         eta = rec.eta if rec is not None else final.eta
         s_min = min(counts)
@@ -227,10 +213,10 @@ def compute_regret(log: MetricsLog, provider: int) -> RegretReport:
                 epoch_index=idx,
                 T=verified,
                 eta=eta,
-                loss=loss,
+                L_T=loss,
                 prose_loss=prose,
                 slot_penalties=tuple(counts),
-                s_min=s_min,
+                S_T_min=s_min,
                 regret=loss - s_min,
                 bound=theorem_bound(u, eta, verified) if verified else math.log(u) / eta,
                 revenue=rec.revenue if rec is not None else None,
@@ -278,12 +264,11 @@ def _normalize_labels(
     for row in label_matrix:
         norm = []
         for lab in row:
-            if lab in (None, 0):
-                norm.append(None)
-            elif lab in (1, -1):
-                norm.append(lab)
-            else:
-                raise ValueError(f"label must be +1, -1, or absent, got {lab!r}")
+            if isinstance(lab, bool) or lab not in (None, 0, 1, -1):
+                raise ValueError(
+                    f"field 'labels': expected +1, -1, or 0/null for absent, got {lab!r}"
+                )
+            norm.append(None if lab in (None, 0) else lab)
         rows.append(tuple(norm))
     return rows
 
@@ -435,20 +420,20 @@ def mc_expected_loss(
     base = ReputationState(
         reps=reps0, cnt=0, epoch_threshold=1 << 30, eta=eta, epoch_index=0
     )
+    rows = [({k: lab for k, lab in enumerate(row) if lab is not None}, valid)
+            for row, valid in zip(labels, validity)]
     for _ in range(n_runs):
         state = base
         proof = 0.0
         prose = 0
-        for row, valid in zip(labels, validity):
-            received = {k: lab for k, lab in enumerate(row) if lab is not None}
-            probs = selection_probabilities(state.reps, eta)
-            k = draw_collector(probs, rng)
-            if received.get(k) != 1:
+        for received, valid in rows:
+            _, verdict, _, loss = screen_draw(state, received, rng, bool, valid)
+            if verdict is None:
                 continue
-            if not valid:
+            if not verdict:
                 prose += 1
-            proof += sum(probs[j] for j in penalized_slots(u, received, valid))
-            state = update_reputations(state, received, valid)
+            proof += loss
+            state = update_reputations(state, received, verdict)
         proof_samples.append(proof)
         prose_samples.append(prose)
     mp, sp = mean_se(proof_samples)
@@ -483,43 +468,15 @@ def emit_csv(log: MetricsLog, reports: Sequence[RegretReport], out_dir) -> None:
                 revenue += [""] * (max_u - len(revenue))
                 w.writerow(
                     [report.provider_id, ep.epoch_index, ep.T, repr(ep.eta),
-                     repr(ep.loss), ep.s_min, repr(ep.regret), repr(ep.bound)]
+                     repr(ep.L_T), ep.S_T_min, repr(ep.regret), repr(ep.bound)]
                     + [repr(x) if x != "" else "" for x in revenue]
                 )
 
 
 def summary_dict(reports: Sequence[RegretReport]) -> dict:
-    """Structured summary mirroring the RegretReport fields."""
-    return {
-        "providers": [
-            {
-                "provider_id": r.provider_id,
-                "u": r.u,
-                "T_total": r.T_total,
-                "cumulative_regret": r.cumulative_regret,
-                "cumulative_prose_loss": r.cumulative_prose_loss,
-                "slope": r.slope,
-                "epochs": [
-                    {
-                        "epoch_index": ep.epoch_index,
-                        "T": ep.T,
-                        "eta": ep.eta,
-                        "L_T": ep.loss,
-                        "prose_loss": ep.prose_loss,
-                        "S_T_min": ep.s_min,
-                        "slot_penalties": list(ep.slot_penalties),
-                        "regret": ep.regret,
-                        "bound": ep.bound,
-                        "revenue": list(ep.revenue) if ep.revenue else None,
-                        "closed": ep.closed,
-                    }
-                    for ep in r.epochs
-                ],
-            }
-            for r in reports
-        ]
-    }
+    """The run's ``summary.json``: every RegretReport field, by its own name."""
+    return {"providers": [asdict(r) for r in reports]}
 
 
-def write_summary(reports: Sequence[RegretReport], path) -> None:
-    Path(path).write_text(json.dumps(summary_dict(reports), indent=2, sort_keys=True))
+def write_summary(summary: dict, path) -> None:
+    Path(path).write_text(json.dumps(summary, indent=2, sort_keys=True))

@@ -42,11 +42,9 @@ from .crypto_sim import KeyPair, KeyRegistry, sign
 from .reputation import (
     EtaPolicy,
     ReputationState,
-    draw_collector,
     initial_state,
     maybe_advance_epoch,
-    penalized_slots,
-    selection_probabilities,
+    screen_draw,
     update_reputations,
 )
 
@@ -406,16 +404,12 @@ class GovernorNode:
         slot_map = self.slot_of[provider]
         labels = {slot_map[cid]: lab for cid, lab in received.items()}
         state = self.rep[provider]
-        probs = selection_probabilities(state.reps, state.eta)
-        drawn = draw_collector(probs, self.draw_rng)
-        if labels.get(drawn) != 1:
-            # Absent counts as -1: discard unverified, no reputation change.
-            return ScreeningResult(
-                tx, "unchecked", probs, 0.0, (), state.epoch_index, None, None
-            )
-        validbit = validate_governor(tx)
-        pen = penalized_slots(len(state.reps), labels, validbit)
-        loss = sum(probs[k] for k in pen)
+        probs, validbit, pen, loss = screen_draw(
+            state, labels, self.draw_rng, validate_governor, tx
+        )
+        if validbit is None:
+            # Discarded unverified, no reputation change.
+            return ScreeningResult(tx, "unchecked", probs, loss, pen, state.epoch_index, None, None)
         snapshot = tuple(sorted(received.items()))
         cnt = state.cnt + 1  # this verdict's place in the provider's update order
         closure = self.apply_verdict(provider, txid, validbit, snapshot)

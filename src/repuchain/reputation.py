@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 
 class TopologyError(ValueError):
@@ -115,6 +115,25 @@ def penalized_slots(
     if valid:
         return tuple(k for k in range(u) if received_labels.get(k) != 1)
     return tuple(k for k in range(u) if received_labels.get(k) == 1)
+
+
+def screen_draw(
+    state: ReputationState, labels: Mapping[int, int], rng,
+    verify: Callable[[Any], bool], subject: Any,
+) -> tuple[tuple[float, ...], bool | None, tuple[int, ...], float]:
+    """One screening step: draw a slot by reputation, verify only on its +1.
+
+    Returns the selection probabilities, the verdict ``verify(subject)`` (None
+    when the drawn slot did not vouch +1; an absent label counts as -1, so
+    the transaction stays unchecked), the slots to penalize and the step's
+    loss, the probability mass on those slots. Leaves ``state`` unchanged.
+    """
+    probs = selection_probabilities(state.reps, state.eta)
+    if labels.get(draw_collector(probs, rng)) != 1:
+        return probs, None, (), 0.0
+    valid = verify(subject)
+    pen = penalized_slots(len(state.reps), labels, valid)
+    return probs, valid, pen, sum(probs[k] for k in pen)
 
 
 def update_reputations(

@@ -114,6 +114,11 @@ def properties(index: int) -> dict:
             strategies.append(entry)
     # Every provider gets all collectors, so each has an honest slot.
     topology = [list(range(n)) for _ in range(l)]
+    gen_rate = 1 + index % 3
+    invalid_fraction = 0.2 + 0.1 * (index % 4)
+    # Blocks must hold the expected valid arrivals, or the backlog and the
+    # inclusion latency grow for the whole run.
+    b_limit = max(3 + index % 5, math.ceil(l * gen_rate * (1 - invalid_fraction)))
     return {
         "seed": 1000 + index,
         "l": l, "n": n, "m": m,
@@ -124,9 +129,9 @@ def properties(index: int) -> dict:
         "eta_policy": {"kind": "PerEpochSqrt"},
         "mu": 0.7,
         "delta_rounds": 1 + index % 2,
-        "b_limit": 3 + index % 5,
-        "gen_rate": 1 + index % 3,
-        "invalid_fraction": 0.2 + 0.1 * (index % 4),
+        "b_limit": b_limit,
+        "gen_rate": gen_rate,
+        "invalid_fraction": invalid_fraction,
         "total_rounds": 90,
     }
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any
 
 from .consensus import (
@@ -50,9 +50,18 @@ class ConfigError(ValueError):
     """Scenario rejected before any round runs; message names the field."""
 
 
-def is_int(v: Any) -> bool:
-    """A JSON integer: ``int`` but not ``bool``."""
-    return isinstance(v, int) and not isinstance(v, bool)
+def need_int(v: Any, field: str, lo: int, hi: int | None = None) -> int:
+    """``v`` as the ``int`` it equals if it is a JSON integer in [lo, hi).
+
+    As in JSON Schema, an integral float such as 2.0 is an integer; a
+    ``bool``, a fraction and a non-finite float are not. Anything else
+    raises ConfigError naming ``field``.
+    """
+    i = int(v) if isinstance(v, float) and v.is_integer() else v
+    if not isinstance(i, int) or isinstance(i, bool) or i < lo or (hi is not None and i >= hi):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+        raise ConfigError(f"field '{field}': expected integer {span}, got {v!r}")
+    return i
 
 
 def is_number(v: Any) -> bool:
@@ -61,16 +70,8 @@ def is_number(v: Any) -> bool:
 
 
 def check_seed(seed: Any, field: str = "seed") -> int:
-    """Return ``seed`` if it is an integer in [0, 2^64), the range enc_int encodes."""
-    if not is_int(seed) or not 0 <= seed < 1 << 64:
-        raise ConfigError(f"field '{field}': expected integer in [0, 2^64), got {seed!r}")
-    return seed
-
-
-CONFIG_FIELDS = (
-    "seed", "l", "n", "m", "topology", "strategies", "stakes", "T", "eta_policy",
-    "mu", "delta_rounds", "b_limit", "gen_rate", "invalid_fraction", "total_rounds",
-)
+    """``seed`` as an integer in [0, 2^64), the range enc_int encodes."""
+    return need_int(seed, field, 0, 1 << 64)
 
 
 @dataclass(frozen=True)
@@ -103,35 +104,26 @@ class ScenarioConfig:
         if unknown:
             raise ConfigError(f"field '{sorted(unknown)[0]}': unknown")
 
-        def need_int(key: str, lo: int) -> int:
-            v = raw[key]
-            if not is_int(v) or v < lo:
-                raise ConfigError(f"field '{key}': expected integer >= {lo}, got {v!r}")
-            return v
-
         seed = check_seed(raw["seed"])
-        l = need_int("l", 1)
-        n = need_int("n", 1)
-        m = need_int("m", 1)
-        T = need_int("T", 1)
-        delta_rounds = need_int("delta_rounds", 0)
-        b_limit = need_int("b_limit", 1)
-        gen_rate = need_int("gen_rate", 0)
-        total_rounds = need_int("total_rounds", 1)
+        l, n, m, T, delta_rounds, b_limit, gen_rate, total_rounds = (
+            need_int(raw[key], key, lo) for key, lo in (
+                ("l", 1), ("n", 1), ("m", 1), ("T", 1), ("delta_rounds", 0),
+                ("b_limit", 1), ("gen_rate", 0), ("total_rounds", 1),
+            )
+        )
 
         topology_raw = raw["topology"]
         if not isinstance(topology_raw, (list, tuple)) or len(topology_raw) != l:
             raise ConfigError(f"field 'topology': expected {l} adjacency lists")
         topology = []
         for i, adj in enumerate(topology_raw):
+            name = f"topology[{i}]"
             if not isinstance(adj, (list, tuple)) or not adj:
-                raise ConfigError(f"field 'topology[{i}]': provider needs at least one collector")
-            if len(set(adj)) != len(adj):
-                raise ConfigError(f"field 'topology[{i}]': duplicate collector index")
-            for c in adj:
-                if not is_int(c) or not 0 <= c < n:
-                    raise ConfigError(f"field 'topology[{i}]': collector index {c!r} out of range")
-            topology.append(tuple(adj))
+                raise ConfigError(f"field '{name}': provider needs at least one collector")
+            slots = tuple(need_int(c, name, 0, n) for c in adj)
+            if len(set(slots)) != len(slots):
+                raise ConfigError(f"field '{name}': duplicate collector index")
+            topology.append(slots)
 
         strategies_raw = raw["strategies"]
         if not isinstance(strategies_raw, (list, tuple)) or len(strategies_raw) != n:
@@ -143,11 +135,7 @@ class ScenarioConfig:
             q = s.get("q", 0.0)
             if not is_number(q) or not 0 <= q <= 1:
                 raise ConfigError(f"field 'strategies[{j}].q': expected number in [0, 1], got {q!r}")
-            forge_rate = s.get("forge_rate", 1)
-            if not is_int(forge_rate) or forge_rate < 0:
-                raise ConfigError(
-                    f"field 'strategies[{j}].forge_rate': expected integer >= 0, got {forge_rate!r}"
-                )
+            forge_rate = need_int(s.get("forge_rate", 1), f"strategies[{j}].forge_rate", 0)
             try:
                 strategies.append(StrategySpec(kind=s["kind"], q=float(q), forge_rate=forge_rate))
             except ValueError as exc:
@@ -156,9 +144,7 @@ class ScenarioConfig:
         stakes_raw = raw["stakes"]
         if not isinstance(stakes_raw, (list, tuple)) or len(stakes_raw) != m:
             raise ConfigError(f"field 'stakes': expected {m} entries")
-        for k, s in enumerate(stakes_raw):
-            if not is_int(s) or s < 1:
-                raise ConfigError(f"field 'stakes[{k}]': expected positive integer, got {s!r}")
+        stakes = tuple(need_int(s, f"stakes[{k}]", 1) for k, s in enumerate(stakes_raw))
 
         policy_raw = raw["eta_policy"]
         if not isinstance(policy_raw, dict) or "kind" not in policy_raw:
@@ -182,28 +168,21 @@ class ScenarioConfig:
 
         return ScenarioConfig(
             seed=seed, l=l, n=n, m=m, topology=tuple(topology),
-            strategies=tuple(strategies), stakes=tuple(stakes_raw), T=T,
+            strategies=tuple(strategies), stakes=stakes, T=T,
             eta_policy=eta_policy, mu=float(mu), delta_rounds=delta_rounds,
             b_limit=b_limit, gen_rate=gen_rate,
             invalid_fraction=float(invalid_fraction), total_rounds=total_rounds,
         )
 
     def to_dict(self) -> dict[str, Any]:
-        policy: dict[str, Any] = {"kind": self.eta_policy.kind}
-        if self.eta_policy.value is not None:
-            policy["value"] = self.eta_policy.value
-        return {
-            "seed": self.seed, "l": self.l, "n": self.n, "m": self.m,
-            "topology": [list(a) for a in self.topology],
-            "strategies": [
-                {"kind": s.kind, "q": s.q, "forge_rate": s.forge_rate}
-                for s in self.strategies
-            ],
-            "stakes": list(self.stakes), "T": self.T, "eta_policy": policy,
-            "mu": self.mu, "delta_rounds": self.delta_rounds, "b_limit": self.b_limit,
-            "gen_rate": self.gen_rate, "invalid_fraction": self.invalid_fraction,
-            "total_rounds": self.total_rounds,
-        }
+        """The config as ``from_dict`` reads it; an unset eta value is left out."""
+        raw = asdict(self)
+        if raw["eta_policy"]["value"] is None:
+            del raw["eta_policy"]["value"]
+        return raw
+
+
+CONFIG_FIELDS = tuple(f.name for f in fields(ScenarioConfig))
 
 
 class World:

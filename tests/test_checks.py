@@ -1,11 +1,16 @@
+import pytest
+
+from repuchain import scenarios
 from repuchain.checks import (
     check_properties,
     check_regret_bound,
     check_scaling,
     evaluate,
 )
+from repuchain.cli import run_seed
 from repuchain.metrics_oracle import mean_se
 from repuchain.scenarios import LATENCY_FACTOR, SLOPE_WINDOW
+from repuchain.sim_engine import ScenarioConfig
 
 ABORTED = {"seed": 9, "error": "SimulationError: replicated state divergence"}
 
@@ -100,6 +105,16 @@ def test_properties_fails_on_each_violation():
     for needle, bad in cases.items():
         result = check_properties([summary(seed=5), bad])
         assert not result.passed and needle in result.detail
+
+
+@pytest.mark.parametrize("index", range(12))
+def test_every_properties_world_passes_at_its_own_seed(index):
+    # Block capacity must cover the expected valid arrivals; a world whose
+    # backlog grows all run fails on median latency.
+    raw = scenarios.properties(index)
+    summary = run_seed(ScenarioConfig.from_dict(raw), raw["seed"], None)
+    result = check_properties([summary])
+    assert result.passed, result.detail
 
 
 def test_properties_reports_the_aborted_run():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,20 @@ def run_cli(config, out, *extra):
 
 def aggregate(out):
     return json.loads((out / "aggregate.json").read_text())
+
+
+# -- artifacts ------------------------------------------------------------------
+
+
+def test_artifacts_match_the_golden_files(tmp_path):
+    # Any change to the simulation, the analysis or the writers moves a byte.
+    golden = Path(__file__).resolve().parent / "golden" / "properties_0"
+    out = tmp_path / "out"
+    assert run_cli(SCENARIOS_DIR / "properties_0.json", out, "--seeds", "0,") == 0
+    names = sorted(p.relative_to(golden) for p in golden.rglob("*") if p.is_file())
+    assert names == sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+    for name in names:
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 # -- exit codes -----------------------------------------------------------------

@@ -46,7 +46,7 @@ PINS = [
     ("regret_u8", scenarios.regret_bound(8), "1394c68c9f881b9c", "12c077b8e01038c8"),
     ("properties_10", scenarios.properties(10), "b832cfb9341b7d6f", "df0a86725ff06a89"),
     ("properties_11_seed7", dict(scenarios.properties(11), seed=7),
-     "c6962afef2996699", "f921837d57c69948"),
+     "b8015ae5613430bc", "176d0d9010cdfa97"),
     ("unequal_stakes", unequal_stakes(), "1df0eff7b7cb63e5", "d0ffb3da87bb00fa"),
 ]
 

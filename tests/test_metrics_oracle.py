@@ -84,6 +84,7 @@ def test_oracle_rejects_malformed_input():
     ("labels", [[]], [True], None),
     ("initial_reps", [[1, 1]], [True], [0, 0, 0]),
     ("initial_reps", [[1, 1]], [True], [0]),
+    ("labels", [[True, False]], [False], None),
 ])
 def test_both_oracles_reject_malformed_shapes(field, labels, validity, reps):
     with pytest.raises(ValueError, match=f"field '{field}'"):
@@ -162,7 +163,7 @@ def test_full_engine_mean_loss_matches_enumerated_oracle():
         events = metrics.events[0]
         assert len(events) == T_steps
         proof_samples.append(sum(e[2] for e in events))
-        prose_samples.append(metrics.wasted_verifications(0))
+        prose_samples.append(compute_regret(metrics, 0).cumulative_prose_loss)
 
     def mean_se(xs):
         mu = sum(xs) / len(xs)
@@ -227,7 +228,7 @@ def test_all_honest_run_has_zero_regret():
     _, metrics = run(cfg)
     report = compute_regret(metrics, 0)
     assert report.cumulative_regret == 0.0
-    assert all(ep.s_min == 0 for ep in report.epochs)
+    assert all(ep.S_T_min == 0 for ep in report.epochs)
 
 
 def test_honest_plus_alwaysplus_on_valid_only_traffic():
@@ -254,11 +255,10 @@ def test_slot_penalty_counters_match_reputation_deltas():
     world_run = run(cfg)
     ledger, metrics = world_run
     final = metrics.final_states[0]
-    open_epoch = final.epoch_index
-    counts = metrics.slot_penalties(0, epoch_index=open_epoch)
-    assert tuple(-c for c in counts) == final.reps
-    # and across all epochs, totals equal the total decrement count
     report = compute_regret(metrics, 0)
+    (open_epoch,) = [ep for ep in report.epochs if ep.epoch_index == final.epoch_index]
+    assert tuple(-c for c in open_epoch.slot_penalties) == final.reps
+    # and across all epochs, totals equal the total decrement count
     for ep in report.epochs:
         assert sum(ep.slot_penalties) == sum(
             len(e[3]) for e in metrics.events[0] if e[0] == ep.epoch_index

@@ -10,6 +10,8 @@ from repuchain.core_types import (
     label_signing_bytes,
 )
 from repuchain.crypto_sim import sign, substream
+from repuchain import metrics_oracle, nodes, reputation
+from repuchain.metrics_oracle import mc_expected_loss
 from repuchain.reputation import revenue_shares
 from repuchain.nodes import (
     CollectorNode,
@@ -293,6 +295,37 @@ def test_screen_verified_invalid_loss_is_plus_mass(registry):
     assert msg is not None
     assert msg.cnt == 1 and msg.validbit is False
     assert dict(msg.received) == {0: 1, 1: -1}
+
+
+def test_screen_and_the_mc_oracle_run_the_one_screening_step(registry, monkeypatch):
+    # The oracle-agreement check covers the leader's screening rule only if
+    # the Monte-Carlo oracle runs the same step; a copy of the rule in either
+    # caller would count 0 here. The verifier runs only on a drawn +1.
+    calls = {"steps": 0, "verified": 0}
+
+    def counting_step(state, labels, rng, verify, subject):
+        calls["steps"] += 1
+
+        def counting_verify(x):
+            calls["verified"] += 1
+            return verify(x)
+
+        return reputation.screen_draw(state, labels, rng, counting_verify, subject)
+
+    monkeypatch.setattr(nodes, "screen_draw", counting_step)
+    monkeypatch.setattr(metrics_oracle, "screen_draw", counting_step)
+    g = make_governor(registry, topology=((0, 1),))
+    g.draw_rng = ForcedRng([0.0, 0.9, 0.9])  # slot 0 (+1), then slot 1 (absent) twice
+    p = make_provider(registry, gen_rate=3, invalid=0.0)
+    txs = p.generate(1)
+    for tx in txs:
+        deliver(registry, g, tx, 0, round_no=1)
+    assert [g.screen(tx.txid).outcome for tx in txs] == ["valid", "unchecked", "unchecked"]
+    assert calls == {"steps": 3, "verified": 1}
+
+    calls["steps"] = 0
+    mc_expected_loss([[1, -1], [1, 1], [-1, 0]], [False, True, False], 0.5, n_runs=7, seed=0)
+    assert calls["steps"] == 3 * 7
 
 
 def test_screen_verified_valid_penalizes_minus_and_absent(registry):

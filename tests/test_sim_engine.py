@@ -66,7 +66,7 @@ def test_bad_values_rejected():
 def smoke_with(field, value):
     """``scenarios.smoke()`` with one value replaced; a dotted field reaches inside."""
     raw = scenarios.smoke()
-    if field == "mu" or field == "invalid_fraction":
+    if field in raw:
         raw[field] = value
     elif field == "stakes[0]":
         raw["stakes"] = [value]
@@ -101,10 +101,11 @@ MALFORMED_VALUES = [
     ("strategies[0].q", "0.5"), ("strategies[0].q", True),
     ("eta_policy.value", True), ("eta_policy.value", NAN), ("eta_policy.value", INF),
     ("eta_policy.value", "0.5"),
+    ("gen_rate", 2.9), ("gen_rate", NAN), ("gen_rate", INF), ("gen_rate", True),
 ]
 # Per field, a value both accept, so each case fails on its value alone.
 WELL_FORMED = {"mu": 0.5, "invalid_fraction": 0.5, "stakes[0]": 2, "strategies[0].forge_rate": 2,
-               "strategies[0].q": 0.5, "eta_policy.value": 0.5}
+               "strategies[0].q": 0.5, "eta_policy.value": 0.5, "gen_rate": 2}
 
 
 @pytest.mark.parametrize("field,value", MALFORMED_VALUES,
@@ -118,6 +119,16 @@ def test_malformed_value_fails_closed_like_the_schema(field, value):
     with pytest.raises(ConfigError, match=re.escape(f"field '{field}'")):
         ScenarioConfig.from_dict(raw)
     assert not validator.is_valid(raw)
+
+
+@pytest.mark.parametrize("field", ["gen_rate", "stakes[0]", "strategies[0].forge_rate"])
+def test_integral_float_loads_as_the_int_it_equals(field):
+    # JSON Schema counts 2.0 as an integer, so the loader must too.
+    raw = smoke_with(field, 2.0)
+    assert json_schema_validator().is_valid(raw)
+    # repr tells 2.0 from 2, which == does not.
+    as_int = ScenarioConfig.from_dict(smoke_with(field, 2))
+    assert repr(ScenarioConfig.from_dict(raw)) == repr(as_int)
 
 
 def test_scenario_files_match_builders():
@@ -168,7 +179,7 @@ def test_end_to_end_honest_all_on_chain():
     assert len(generated) == 100
     on_chain = {tx.txid for b in ledger.blocks for tx in b.tx_list}
     assert set(generated) <= on_chain
-    assert metrics.wasted_verifications(0) == 0
+    assert compute_regret(metrics, 0).cumulative_prose_loss == 0
     loss, counts, regret = metrics.window_regret(0)
     assert loss == 0.0
     assert regret == 0.0
