@@ -27,7 +27,7 @@ from .metrics_oracle import (
     write_summary,
 )
 from .scenarios import DRAIN_ROUNDS
-from .sim_engine import ConfigError, ScenarioConfig, check_seed, load_config, run
+from .sim_engine import ConfigError, ScenarioConfig, check_seed, is_number, load_config, run
 
 # A lone number is a seed count; past this it is almost surely one seed.
 MAX_SEED_COUNT = 10_000
@@ -188,8 +188,7 @@ def oracle_instance_error(raw) -> str | None:
                 return f"field 'labels': expected +1, -1, or 0/null for absent, got {lab!r}"
     if not (isinstance(validity, list) and all(type(v) is bool for v in validity)):
         return "field 'validity': expected a list of booleans"
-    # The upper bound also refuses NaN, the infinities and ints too large for a float.
-    if not (type(eta) in (int, float) and 0 < eta <= sys.float_info.max):
+    if not (is_number(eta) and eta > 0):
         return f"field 'eta': expected a finite number > 0, got {eta!r}"
     if reps is not None and not (isinstance(reps, list) and all(type(r) is int for r in reps)):
         return "field 'initial_reps': expected a list of integers"

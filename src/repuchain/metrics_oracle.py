@@ -45,8 +45,8 @@ class InstanceTooLargeError(ValueError):
 
 
 def theorem_bound(u: int, eta: float, T: int) -> float:
-    """Regret ceiling ln(u)/eta + eta*T/2 for one fixed-eta window."""
-    return math.log(u) / eta + eta * T / 2.0
+    """Regret ceiling ln(u)/eta + eta*T/2 for one fixed-eta window; 0 when eta = 0 (u = 1)."""
+    return math.log(u) / eta + eta * T / 2.0 if eta else 0.0
 
 
 @dataclass(slots=True)
@@ -218,7 +218,7 @@ def compute_regret(log: MetricsLog, provider: int) -> RegretReport:
                 slot_penalties=tuple(counts),
                 S_T_min=s_min,
                 regret=loss - s_min,
-                bound=theorem_bound(u, eta, verified) if verified else math.log(u) / eta,
+                bound=theorem_bound(u, eta, verified),
                 revenue=rec.revenue if rec is not None else None,
                 closed=rec is not None,
             )

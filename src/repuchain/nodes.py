@@ -17,8 +17,9 @@ A verified transaction changes governor state through one transition,
 ``GovernorNode.apply_verdict``: penalize the slots, advance the epoch at its
 boundary and move the transaction out of the inbox. The leader runs it after
 its draw and broadcasts a signed ``VerificationMessage``; every other
-governor runs the same transition when it replays that message, in
-per-provider ``cnt`` order.
+governor runs the same transition when it replays that message. Replay is
+strict: a message whose per-provider ``cnt`` is not exactly the next one
+raises ``SimulationError`` before any state changes.
 
 Ground truth is read exclusively through ``validate_collector`` /
 ``validate_governor``; the rest of the node logic treats validity as unknown.
@@ -143,16 +144,12 @@ class ProviderNode:
             out.append(tx)
         return out
 
-    def on_feedback(
-        self, invalid_ids: Iterable[TxId], unchecked_ids: Iterable[TxId]
-    ) -> list[Transaction]:
-        """React to the broadcast lists: rebroadcast unchecked, drop invalid.
+    def on_feedback(self, unchecked_ids: Iterable[TxId]) -> list[Transaction]:
+        """The pending transactions among ``unchecked_ids``, to rebroadcast.
 
-        The invalid branch cannot fire for a genuinely valid transaction
-        (governor verification is noiseless); it guards misconfigured runs.
+        The block's invalid list needs no reaction: ``pending`` holds only
+        valid transactions and governor verification is noiseless.
         """
-        for txid in invalid_ids:
-            self.pending.pop(txid, None)
         return [self.pending[txid] for txid in unchecked_ids if txid in self.pending]
 
     def on_chain(self, txids: Iterable[TxId]) -> None:
@@ -334,7 +331,6 @@ class GovernorNode:
         self.id = node_id
         self.keypair = keypair
         self.registry = registry
-        self.topology = topology
         self.slot_of = [
             {cid: slot for slot, cid in enumerate(collectors)} for collectors in topology
         ]
@@ -358,7 +354,6 @@ class GovernorNode:
         self.invalid_archive: set[TxId] = set()
         self.dropped_bad_signature = 0
         self.dropped_forged = 0
-        self._msg_buffer: dict[int, dict[int, VerificationMessage]] = {}
 
     # -- uploading-phase intake -------------------------------------------
 
@@ -467,29 +462,22 @@ class GovernorNode:
         )
 
     def on_verification_message(self, msg: VerificationMessage) -> None:
-        """Replay the leader's verdict; out-of-order cnt waits in a buffer."""
+        """Replay the leader's verdict; raise, changing nothing, unless signed and next."""
         lpub = self.governor_publics.get(msg.leader_id)
         if lpub is None or not self.registry.verify(lpub, msg.signing_bytes, msg.signature):
             raise SimulationError(f"bad leader signature on verification message {msg.txid}")
-        provider = msg.provider_id
-        expected = self.rep[provider].cnt + 1
-        if msg.cnt < expected:
-            raise SimulationError(
-                f"stale verification message cnt={msg.cnt}, expected {expected}"
-            )
-        buffered = self._msg_buffer.setdefault(provider, {})
-        buffered[msg.cnt] = msg
-        while (nxt := buffered.pop(self.rep[provider].cnt + 1, None)) is not None:
-            self.apply_verdict(provider, nxt.txid, nxt.validbit, nxt.received)
+        self.assert_no_gaps(msg)
+        self.apply_verdict(msg.provider_id, msg.txid, msg.validbit, msg.received)
 
-    def assert_no_gaps(self) -> None:
-        """Synchronous lossless delivery means the buffer must drain each round."""
-        for provider, buffered in self._msg_buffer.items():
-            if buffered:
-                raise SimulationError(
-                    f"verification message gap for provider {provider}: "
-                    f"buffered cnt values {sorted(buffered)}"
-                )
+    def assert_no_gaps(self, msg: VerificationMessage) -> None:
+        """Raise unless ``msg.cnt`` is the provider's next update: not stale, none skipped."""
+        expected = self.rep[msg.provider_id].cnt + 1
+        if msg.cnt != expected:
+            kind = "stale" if msg.cnt < expected else "skipped-ahead"
+            raise SimulationError(
+                f"{kind} verification message for provider {msg.provider_id}: "
+                f"cnt={msg.cnt}, expected {expected}"
+            )
 
     # -- chain bookkeeping --------------------------------------------------
 

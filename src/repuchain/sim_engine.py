@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any
 
@@ -65,8 +65,9 @@ def need_int(v: Any, field: str, lo: int, hi: int | None = None) -> int:
 
 
 def is_number(v: Any) -> bool:
-    """A JSON number: a finite ``int`` or ``float``, never ``bool``."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A JSON number a float can hold (not NaN, inf or a huge int), never ``bool``."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def check_seed(seed: Any, field: str = "seed") -> int:
@@ -303,13 +304,13 @@ def step_round(world: World) -> World:
     if feedback is not None:
         # A provider's pending set holds only its own txids, so each provider
         # is handed only the ids it minted (txid[0] is the provider id).
-        per_provider = [([], [], []) for _ in world.providers]
-        for i, ids in enumerate(feedback):
+        per_provider = [([], []) for _ in world.providers]
+        for i, ids in enumerate(feedback[1:]):
             for txid in ids:
                 per_provider[txid[0]][i].append(txid)
-        for p, (invalid_ids, unchecked_ids, chained_ids) in zip(world.providers, per_provider):
-            p.on_chain(chained_ids)
-            resub = p.on_feedback(invalid_ids, unchecked_ids)
+        for p, (unchecked, chained) in zip(world.providers, per_provider):
+            p.on_chain(chained)
+            resub = p.on_feedback(unchecked)
             if resub:
                 resubmissions[p.id] = resub
                 metrics.resubmissions += len(resub)
@@ -362,7 +363,6 @@ def step_round(world: World) -> World:
         if g is not leader:
             for msg in messages:
                 g.on_verification_message(msg)
-            g.assert_no_gaps()
 
     invalid_this, unchecked_this = (
         tuple(res.tx for res in screening if res.outcome == outcome)

@@ -40,6 +40,25 @@ def test_artifacts_match_the_golden_files(tmp_path):
 # -- exit codes -----------------------------------------------------------------
 
 
+def test_one_slot_per_epoch_sqrt_run_passes_regret_bound(tmp_path):
+    # One slot makes eta = sqrt(ln 1 / T) = 0; its regret and its bound are 0.
+    path = tmp_path / "one_slot.json"
+    path.write_text(json.dumps({**scenarios.smoke(), "eta_policy": {"kind": "PerEpochSqrt"}}))
+    out = tmp_path / "out"
+    assert run_cli(path, out, "--seeds", "1", "--checks", "regret-bound") == 0
+    agg = aggregate(out)
+    assert agg["checks"]["regret-bound"]["passed"] is True
+    (provider,) = agg["runs"][0]["providers"]
+    assert provider["epochs"] and all(ep["bound"] == 0.0 for ep in provider["epochs"])
+
+
+def test_number_past_the_float_range_exits_two(tmp_path, capsys):
+    path = tmp_path / "huge_mu.json"
+    path.write_text(json.dumps({**scenarios.smoke(), "mu": 10**400}))
+    assert run_cli(path, tmp_path / "out", "--seeds", "1") == 2
+    assert "error: field 'mu': expected positive number" in capsys.readouterr().err
+
+
 def test_passing_check_exits_zero(smoke_config, tmp_path):
     out = tmp_path / "out"
     assert run_cli(smoke_config, out, "--seeds", "2", "--checks", "properties") == 0
@@ -212,6 +231,7 @@ def test_oracle_accepts_a_well_formed_instance(tmp_path, capsys):
     ("labels", [[True, -1], [1, 1]]),
     ("validity", [True]),
     ("initial_reps", [0, 0, 0]),
+    pytest.param("eta", 10**400, id="eta-huge"),
 ])
 def test_oracle_rejects_malformed_instance_naming_the_field(tmp_path, capsys, field, value):
     path = tmp_path / "instance.json"

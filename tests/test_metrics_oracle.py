@@ -100,6 +100,13 @@ def test_theorem_bound_closed_form():
     assert theorem_bound(2, eta, 100) == pytest.approx(12.4883, abs=1e-3)
 
 
+def test_theorem_bound_is_zero_for_one_slot():
+    # u = 1 gives eta = sqrt(ln 1 / T) = 0 under PerEpochSqrt; regret is identically 0.
+    eta = EtaPolicy(kind="PerEpochSqrt").eta_for(1, 100)
+    assert eta == 0.0
+    assert theorem_bound(1, eta, 0) == theorem_bound(1, eta, 100) == 0.0
+
+
 def test_theorem_inequality_exhaustive_tiny():
     # zero-tolerance sweep over every u=2 pattern for T <= 2
     alphabet = list(itertools.product((1, -1, None), repeat=2))

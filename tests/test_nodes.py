@@ -95,20 +95,20 @@ def test_generated_signatures_verify(registry):
 def test_feedback_resubmits_unchecked(registry):
     p = make_provider(registry, gen_rate=1)
     (tx,) = p.generate(1)
-    assert p.on_feedback([], [tx.txid]) == [tx]
+    assert p.on_feedback([tx.txid]) == [tx]
     # same transaction identity on every retry
     for _ in range(3):
-        resub = p.on_feedback([], [tx.txid])
+        resub = p.on_feedback([tx.txid])
         assert resub == [tx]
 
 
-def test_feedback_drops_invalid_and_ignores_settled(registry):
+def test_feedback_resubmits_only_pending(registry):
     p = make_provider(registry, gen_rate=2)
     t1, t2 = p.generate(1)
     p.on_chain([t1.txid])
     assert t1.txid not in p.pending
-    assert p.on_feedback([t2.txid], []) == []
-    assert t2.txid not in p.pending
+    assert p.on_feedback([t1.txid, t2.txid]) == [t2]
+    assert set(p.pending) == {t2.txid}
 
 
 # -- collectors ----------------------------------------------------------------
@@ -177,7 +177,7 @@ def test_collector_signature_binds_label(registry):
 
 def deliver(registry, governor, tx, collector_index=0, round_no=5, kind="Honest"):
     c = make_collector(registry, index=collector_index, kind=kind,
-                       n_providers=len(governor.topology))
+                       n_providers=len(governor.slot_of))
     ltx = c.process(tx)
     assert ltx is not None
     return governor.on_labeled_transaction(ltx, round_no)
@@ -343,50 +343,57 @@ def test_screen_verified_valid_penalizes_minus_and_absent(registry):
     assert g.rep[0].reps == (0, -1, -1)
 
 
-def test_verification_replay_in_and_out_of_order(registry):
-    def fresh(gov_index):
-        return make_governor(registry, topology=((0,),), gov_index=gov_index)
-
-    leader = fresh(0)
+def _two_verdicts(registry):
+    """A leader's two messages for one provider, and a replica that saw both txs."""
+    leader = make_governor(registry, topology=((0,),), gov_index=0)
     p = make_provider(registry, gen_rate=2, invalid=1.0)
-    t1, t2 = p.generate(1)
-    for tx in (t1, t2):
+    txs = p.generate(1)
+    for tx in txs:
         deliver(registry, leader, tx, 0, round_no=1, kind="AlwaysPlus")
-    m1 = leader.screen(t1.txid).message
-    m2 = leader.screen(t2.txid).message
+    messages = [leader.screen(tx.txid).message for tx in txs]
+    replica = make_governor(registry, topology=((0,),), gov_index=1)
+    replica.governor_publics[0] = leader.keypair.public
+    for tx in txs:
+        deliver(registry, replica, tx, 0, round_no=1, kind="AlwaysPlus")
+    return leader, replica, messages
+
+
+def replica_state(g):
+    return (dict(g.inbox), list(g.pending_valid), set(g.invalid_archive), tuple(g.rep))
+
+
+def test_verification_replay_in_and_out_of_order(registry):
+    leader, replica_in_order, (m1, m2) = _two_verdicts(registry)
     assert (m1.cnt, m2.cnt) == (1, 2)
-
-    replica_in_order = fresh(1)
-    replica_reversed = fresh(2)
-    for rep in (replica_in_order, replica_reversed):
-        rep.governor_publics[0] = leader.keypair.public
-        for tx in (t1, t2):
-            deliver(registry, rep, tx, 0, round_no=1, kind="AlwaysPlus")
-
     replica_in_order.on_verification_message(m1)
     replica_in_order.on_verification_message(m2)
-    replica_reversed.on_verification_message(m2)  # buffered
-    assert replica_reversed.rep[0].cnt == 0
-    replica_reversed.on_verification_message(m1)  # applies 1 then drains 2
-    assert replica_reversed.rep[0] == replica_in_order.rep[0] == leader.rep[0]
-    replica_reversed.assert_no_gaps()
+    assert replica_in_order.rep[0] == leader.rep[0]
+
+    _, replica_reversed, _ = _two_verdicts(registry)
+    before = replica_state(replica_reversed)
+    with pytest.raises(SimulationError, match="skipped-ahead.*cnt=2, expected 1"):
+        replica_reversed.on_verification_message(m2)
+    assert replica_state(replica_reversed) == before
 
 
 def test_verification_gap_is_fatal(registry):
-    leader = make_governor(registry, topology=((0,),), gov_index=0)
-    p = make_provider(registry, gen_rate=2, invalid=1.0)
-    t1, t2 = p.generate(1)
-    for tx in (t1, t2):
-        deliver(registry, leader, tx, 0, round_no=1, kind="AlwaysPlus")
-    leader.screen(t1.txid)
-    m2 = leader.screen(t2.txid).message
+    _, replica, (m1, m2) = _two_verdicts(registry)
+    del replica.inbox[m1.txid]  # only the second transaction reached it
+    before = replica_state(replica)
+    with pytest.raises(SimulationError, match="skipped-ahead"):
+        replica.on_verification_message(m2)
+    assert replica_state(replica) == before
 
-    replica = make_governor(registry, topology=((0,),), gov_index=1)
-    replica.governor_publics[0] = leader.keypair.public
-    deliver(registry, replica, t2, 0, round_no=1, kind="AlwaysPlus")
+
+def test_stale_verification_message_is_fatal(registry):
+    _, replica, (m1, m2) = _two_verdicts(registry)
+    replica.on_verification_message(m1)
     replica.on_verification_message(m2)
-    with pytest.raises(SimulationError):
-        replica.assert_no_gaps()
+    before = replica_state(replica)
+    for msg in (m1, m2):
+        with pytest.raises(SimulationError, match=f"stale.*cnt={msg.cnt}, expected 3"):
+            replica.on_verification_message(msg)
+    assert replica_state(replica) == before
 
 
 def test_verification_message_bad_signature_rejected(registry):
@@ -449,7 +456,6 @@ def test_replica_replay_reaches_leader_state(registry):
         deliver(registry, replica, tx, 1, round_no=1, kind="Honest")
     for res in results:
         replica.on_verification_message(res.message)
-    replica.assert_no_gaps()
     assert replica.rep == leader.rep
     assert replica.evidence == leader.evidence
     assert replica.invalid_archive == leader.invalid_archive == {txs[0].txid}

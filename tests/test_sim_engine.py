@@ -121,6 +121,14 @@ def test_malformed_value_fails_closed_like_the_schema(field, value):
     assert not validator.is_valid(raw)
 
 
+@pytest.mark.parametrize("field", ["mu", "invalid_fraction", "strategies[0].q",
+                                   "eta_policy.value"])
+def test_number_past_the_float_range_is_refused(field):
+    # 10**400 is a JSON integer no float can hold; converting it would overflow.
+    with pytest.raises(ConfigError, match=re.escape(f"field '{field}'")):
+        ScenarioConfig.from_dict(smoke_with(field, 10**400))
+
+
 @pytest.mark.parametrize("field", ["gen_rate", "stakes[0]", "strategies[0].forge_rate"])
 def test_integral_float_loads_as_the_int_it_equals(field):
     # JSON Schema counts 2.0 as an integer, so the loader must too.
