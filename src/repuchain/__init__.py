@@ -46,7 +46,6 @@ from .nodes import (
 from .reputation import (
     EtaPolicy,
     ReputationState,
-    RevenueReport,
     TopologyError,
     draw_collector,
     maybe_advance_epoch,
@@ -69,7 +68,7 @@ __all__ = [
     "Block", "ChainViolation", "CollectorNode", "ConfigError", "EtaPolicy",
     "ExactLoss", "GovernorNode", "InstanceTooLargeError", "KeyPair",
     "KeyRegistry", "LabeledTransaction", "Ledger", "MetricsLog",
-    "ProviderNode", "RegretReport", "ReputationState", "RevenueReport",
+    "ProviderNode", "RegretReport", "ReputationState",
     "RoundLists", "ScenarioConfig", "SignedBlock", "SimSignature",
     "SimulationError", "StrategySpec",
     "TopologyError", "Transaction", "Violation", "VrfOutput", "World",

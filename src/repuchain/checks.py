@@ -13,8 +13,6 @@ from typing import Sequence
 from .metrics_oracle import exact_expected_loss, mc_expected_loss, mean_se
 from .scenarios import LATENCY_FACTOR, SLOPE_WINDOW
 
-CHECK_NAMES = ("regret-bound", "scaling", "properties", "oracle-agreement")
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -148,12 +146,9 @@ CHECKS = {
     "properties": check_properties,
     "oracle-agreement": check_oracle_agreement,
 }
+CHECK_NAMES = tuple(CHECKS)
 
 
 def evaluate(names: Sequence[str], summaries: Sequence[dict]) -> list[CheckResult]:
-    results = []
-    for name in names:
-        if name not in CHECKS:
-            raise KeyError(name)
-        results.append(CHECKS[name](summaries))
-    return results
+    """Run the named checks in order; an unknown name raises KeyError."""
+    return [CHECKS[name](summaries) for name in names]

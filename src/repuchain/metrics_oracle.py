@@ -67,13 +67,12 @@ class RoundRow:
 class MetricsLog:
     """Per-run event log: screening events, epochs, latencies, message counts."""
 
-    def __init__(self, n_providers: int):
-        self.n_providers = n_providers
+    def __init__(self, provider_count: int):
         # One (epoch_index, outcome, loss, penalized) tuple per screened tx.
         self.events: list[list[tuple[int, int, float, tuple[int, ...]]]] = [
-            [] for _ in range(n_providers)
+            [] for _ in range(provider_count)
         ]
-        self.epoch_records: list[list[EpochClosure]] = [[] for _ in range(n_providers)]
+        self.epoch_records: list[list[EpochClosure]] = [[] for _ in range(provider_count)]
         self.final_states: list[ReputationState] | None = None
         self.gen_round: dict[TxId, int] = {}
         self.gen_valid: dict[TxId, int] = {}
@@ -182,6 +181,7 @@ class RegretReport:
 
     The per-epoch bound 1.5*sqrt(T_i ln u) predicts 0.5; summed over the
     doubling epochs it gives O(sqrt(T_total)). Linear regret reads 1.0.
+    ``prose_slope`` fits the verification cost, log(prose_loss), the same way.
     """
 
     provider_id: int
@@ -191,6 +191,7 @@ class RegretReport:
     cumulative_regret: float
     cumulative_prose_loss: int
     slope: float | None
+    prose_slope: float | None
 
 
 def compute_regret(log: MetricsLog, provider: int) -> RegretReport:
@@ -231,14 +232,15 @@ def compute_regret(log: MetricsLog, provider: int) -> RegretReport:
         cumulative_regret=sum(ep.regret for ep in epochs),
         cumulative_prose_loss=sum(ep.prose_loss for ep in epochs),
         slope=scaling_fit([(float(ep.T), ep.regret) for ep in epochs if ep.closed]),
+        prose_slope=scaling_fit([(float(ep.T), ep.prose_loss) for ep in epochs if ep.closed]),
     )
 
 
 def scaling_fit(points: Sequence[tuple[float, float]]) -> float | None:
-    """Least-squares slope of log(regret) vs log(T) over (T, regret) points.
+    """Least-squares slope of log(y) vs log(T) over (T, y) points, y a regret or a loss.
 
-    Roughly 0.5 signals square-root scaling. Returns None when regret never
-    rose above zero (slope undefined, not an error).
+    Roughly 0.5 signals square-root scaling. Returns None when fewer than two
+    points have y above zero (slope undefined, not an error).
     """
     usable = [(t, r) for t, r in points if t > 0 and r > 0]
     if len(usable) < 2:
@@ -264,7 +266,7 @@ def _normalize_labels(
     for row in label_matrix:
         norm = []
         for lab in row:
-            if isinstance(lab, bool) or lab not in (None, 0, 1, -1):
+            if not (lab is None or (type(lab) is int and lab in (1, -1, 0))):
                 raise ValueError(
                     f"field 'labels': expected +1, -1, or 0/null for absent, got {lab!r}"
                 )
@@ -281,8 +283,8 @@ def instance_shape_error(
     """Why an oracle instance has the wrong shape, naming the field; None if right.
 
     One validity entry per label row, every row one slot per collector (at
-    least one), and one initial reputation per slot. Both oracles and the
-    ``oracle`` command check this.
+    least one), and one initial reputation per slot. Both oracles check this,
+    so the ``oracle`` command does through ``exact_expected_loss``.
     """
     u = len(label_matrix[0]) if label_matrix else 0
     if u == 0:
@@ -427,7 +429,7 @@ def mc_expected_loss(
         proof = 0.0
         prose = 0
         for received, valid in rows:
-            _, verdict, _, loss = screen_draw(state, received, rng, bool, valid)
+            verdict, _, loss = screen_draw(state, received, rng, bool, valid)
             if verdict is None:
                 continue
             if not verdict:
@@ -459,7 +461,7 @@ def emit_csv(log: MetricsLog, reports: Sequence[RegretReport], out_dir) -> None:
         w = csv.writer(fh)
         w.writerow(
             ["provider_id", "epoch_index", "T_i", "eta", "L_T", "S_T_min",
-             "regret", "bound"]
+             "regret", "bound", "prose_loss"]
             + [f"revenue_share_{k + 1}" for k in range(max_u)]
         )
         for report in reports:
@@ -468,7 +470,8 @@ def emit_csv(log: MetricsLog, reports: Sequence[RegretReport], out_dir) -> None:
                 revenue += [""] * (max_u - len(revenue))
                 w.writerow(
                     [report.provider_id, ep.epoch_index, ep.T, repr(ep.eta),
-                     repr(ep.L_T), ep.S_T_min, repr(ep.regret), repr(ep.bound)]
+                     repr(ep.L_T), ep.S_T_min, repr(ep.regret), repr(ep.bound),
+                     ep.prose_loss]
                     + [repr(x) if x != "" else "" for x in revenue]
                 )
 

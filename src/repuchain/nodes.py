@@ -14,12 +14,13 @@ An unchecked transaction leaves the inbox at the end of its screening round
 and comes back, if its provider resubmits it, as a fresh arrival.
 
 A verified transaction changes governor state through one transition,
-``GovernorNode.apply_verdict``: penalize the slots, advance the epoch at its
-boundary and move the transaction out of the inbox. The leader runs it after
-its draw and broadcasts a signed ``VerificationMessage``; every other
-governor runs the same transition when it replays that message. Replay is
-strict: a message whose per-provider ``cnt`` is not exactly the next one
-raises ``SimulationError`` before any state changes.
+``GovernorNode.apply_verdict(msg)``, whose one input is the leader's signed
+``VerificationMessage``: penalize the slots, advance the epoch at its
+boundary and move the transaction out of the inbox. The leader signs the
+message after its draw (``cnt`` is the provider's next update) and applies
+it; every other governor applies the same object after checking the
+signature and that ``cnt`` is exactly the next one, raising
+``SimulationError`` before any state changes otherwise.
 
 Ground truth is read exclusively through ``validate_collector`` /
 ``validate_governor``; the rest of the node logic treats validity as unknown.
@@ -56,8 +57,12 @@ InboxEntry = tuple[Transaction, int, dict[int, int]]
 STRATEGY_KINDS = ("Honest", "AlwaysPlus", "AlwaysMinus", "FlipProb", "Withhold", "Forger")
 
 # Forged transactions get sequence numbers far above anything a provider
-# could reach, so fabricated identities never collide with real ones.
+# could reach, so fabricated identities never collide with real ones:
+# collector j's k-th forgery has seq FORGED_SEQ_BASE + j*FORGED_SEQ_STRIDE + k.
+# ``ScenarioConfig.from_dict`` keeps provider seqs below the base and every
+# forged seq below 2^64.
 FORGED_SEQ_BASE = 1 << 40
+FORGED_SEQ_STRIDE = 1 << 20
 
 # A verification message's layout (see verification_message_bytes): the head
 # is the length-prefixed leader and provider ids, the 24-byte txid triple, the
@@ -215,7 +220,7 @@ class CollectorNode:
             signature=sign(self.keypair, label_signing_bytes(tx, label)),
         )
 
-    def forge(self, round_no: int, n_providers: int) -> list[LabeledTransaction]:
+    def forge(self, round_no: int, provider_count: int) -> list[LabeledTransaction]:
         """Fabricate transactions with bogus provider signatures (Forger only)."""
         if self.strategy.kind != "Forger":
             return []
@@ -223,8 +228,8 @@ class CollectorNode:
         for _ in range(self.strategy.forge_rate):
             self._forge_seq += 1
             fake = Transaction(
-                provider_id=self.rng.randrange(n_providers),
-                seq=FORGED_SEQ_BASE + self.id * (1 << 20) + self._forge_seq,
+                provider_id=self.rng.randrange(provider_count),
+                seq=FORGED_SEQ_BASE + self.id * FORGED_SEQ_STRIDE + self._forge_seq,
                 timestamp=round_no,
                 ground_truth_valid=False,
                 signature=SimSignature(tag=self.rng.randbytes(32)),
@@ -287,7 +292,6 @@ def verification_message_bytes(
 class EpochClosure:
     provider_id: int
     epoch_index: int
-    threshold: int
     eta: float
     revenue: tuple[float, ...]
 
@@ -298,7 +302,6 @@ class ScreeningResult:
 
     tx: Transaction
     outcome: str  # "valid" | "invalid" | "unchecked"
-    probs: tuple[float, ...]
     loss: float
     penalized: tuple[int, ...]
     epoch_index: int
@@ -399,67 +402,51 @@ class GovernorNode:
         slot_map = self.slot_of[provider]
         labels = {slot_map[cid]: lab for cid, lab in received.items()}
         state = self.rep[provider]
-        probs, validbit, pen, loss = screen_draw(
-            state, labels, self.draw_rng, validate_governor, tx
-        )
+        validbit, pen, loss = screen_draw(state, labels, self.draw_rng, validate_governor, tx)
         if validbit is None:
             # Discarded unverified, no reputation change.
-            return ScreeningResult(tx, "unchecked", probs, loss, pen, state.epoch_index, None, None)
+            return ScreeningResult(tx, "unchecked", loss, pen, state.epoch_index, None, None)
         snapshot = tuple(sorted(received.items()))
         cnt = state.cnt + 1  # this verdict's place in the provider's update order
-        closure = self.apply_verdict(provider, txid, validbit, snapshot)
-        body = verification_message_bytes(self.id, provider, txid, validbit, snapshot, cnt)
-        message = VerificationMessage(
-            leader_id=self.id,
-            provider_id=provider,
-            txid=txid,
-            validbit=validbit,
-            received=snapshot,
-            cnt=cnt,
-            signature=sign(self.keypair, body),
-        )
+        body = (self.id, provider, txid, validbit, snapshot, cnt)  # every field but the signature
+        message = VerificationMessage(*body, sign(self.keypair, verification_message_bytes(*body)))
+        closure = self.apply_verdict(message)
         return ScreeningResult(
-            tx, "valid" if validbit else "invalid", probs,
+            tx, "valid" if validbit else "invalid",
             loss, pen, state.epoch_index, message, closure,
         )
 
     # -- the one state transition, shared by the leader and every replica ---
 
-    def apply_verdict(
-        self,
-        provider: int,
-        txid: TxId,
-        validbit: bool,
-        received: tuple[tuple[int, int], ...],
-    ) -> EpochClosure | None:
-        """Apply one verified transaction: penalize, advance the epoch, settle.
+    def apply_verdict(self, msg: VerificationMessage) -> EpochClosure | None:
+        """Apply one signed verdict: penalize, advance the epoch, settle.
 
-        ``received`` is the sorted (collector, label) snapshot the leader
-        signed. The transaction leaves the inbox for ``pending_valid`` and
-        ``evidence`` if valid, or for ``invalid_archive``. Returns the closure
-        of the epoch this verdict ended, if any.
+        The leader applies the message it just signed; a replica, the same
+        object once its signature and ``cnt`` checked out. The transaction
+        leaves the inbox for ``pending_valid`` and ``evidence`` (the signed
+        labels) if valid, else for ``invalid_archive``. Returns the closure of
+        the epoch this verdict ended, if any.
         """
+        txid = msg.txid
         entry = self.inbox.pop(txid, None)
         if entry is None:
             raise SimulationError(f"verdict for unseen or settled transaction {txid}")
         tx = entry[0]
+        provider = msg.provider_id
         slot_map = self.slot_of[provider]
-        labels = {slot_map[cid]: lab for cid, lab in received if cid in slot_map}
+        labels = {slot_map[cid]: lab for cid, lab in msg.received if cid in slot_map}
         state = self.rep[provider]
         self.rep[provider], revenue = maybe_advance_epoch(
-            update_reputations(state, labels, validbit), len(state.reps), self.mu,
-            self.eta_policy,
+            update_reputations(state, labels, msg.validbit), self.mu, self.eta_policy
         )
-        if validbit:
+        if msg.validbit:
             self.pending_valid.append(tx)
-            self.evidence[txid] = received
+            self.evidence[txid] = msg.received
         else:
             self.invalid_archive.add(txid)
         if revenue is None:
             return None
-        return EpochClosure(
-            provider, state.epoch_index, state.epoch_threshold, state.eta, revenue.shares
-        )
+        return EpochClosure(provider, state.epoch_index, state.eta, revenue)
 
     def on_verification_message(self, msg: VerificationMessage) -> None:
         """Replay the leader's verdict; raise, changing nothing, unless signed and next."""
@@ -467,7 +454,7 @@ class GovernorNode:
         if lpub is None or not self.registry.verify(lpub, msg.signing_bytes, msg.signature):
             raise SimulationError(f"bad leader signature on verification message {msg.txid}")
         self.assert_no_gaps(msg)
-        self.apply_verdict(msg.provider_id, msg.txid, msg.validbit, msg.received)
+        self.apply_verdict(msg)
 
     def assert_no_gaps(self, msg: VerificationMessage) -> None:
         """Raise unless ``msg.cnt`` is the provider's next update: not stale, none skipped."""

@@ -54,13 +54,6 @@ class ReputationState:
     epoch_index: int
 
 
-@dataclass(frozen=True, slots=True)
-class RevenueReport:
-    """Per-slot revenue shares of one epoch's unit profit; shares sum to 1."""
-
-    shares: tuple[float, ...]
-
-
 def initial_state(u: int, threshold: int, policy: EtaPolicy) -> ReputationState:
     if u < 1:
         raise TopologyError("provider has no collector slots")
@@ -120,20 +113,20 @@ def penalized_slots(
 def screen_draw(
     state: ReputationState, labels: Mapping[int, int], rng,
     verify: Callable[[Any], bool], subject: Any,
-) -> tuple[tuple[float, ...], bool | None, tuple[int, ...], float]:
+) -> tuple[bool | None, tuple[int, ...], float]:
     """One screening step: draw a slot by reputation, verify only on its +1.
 
-    Returns the selection probabilities, the verdict ``verify(subject)`` (None
-    when the drawn slot did not vouch +1; an absent label counts as -1, so
-    the transaction stays unchecked), the slots to penalize and the step's
-    loss, the probability mass on those slots. Leaves ``state`` unchanged.
+    Returns ``(verdict, penalized, loss)``: ``verify(subject)``, or None when
+    the drawn slot did not vouch +1 (an absent label counts as -1); the slots
+    to penalize; and the selection-probability mass on them. Leaves ``state``
+    unchanged.
     """
     probs = selection_probabilities(state.reps, state.eta)
     if labels.get(draw_collector(probs, rng)) != 1:
-        return probs, None, (), 0.0
+        return None, (), 0.0
     valid = verify(subject)
     pen = penalized_slots(len(state.reps), labels, valid)
-    return probs, valid, pen, sum(probs[k] for k in pen)
+    return valid, pen, sum(probs[k] for k in pen)
 
 
 def update_reputations(
@@ -152,22 +145,24 @@ def update_reputations(
     )
 
 
-def revenue_shares(reps: Sequence[int], mu: float) -> RevenueReport:
-    """Softmax of reputations with parameter mu > 0."""
-    return RevenueReport(shares=_softmax(reps, mu))
+def revenue_shares(reps: Sequence[int], mu: float) -> tuple[float, ...]:
+    """Per-slot shares of one epoch's unit profit, summing to 1: softmax(mu * reps)."""
+    return _softmax(reps, mu)
 
 
 def maybe_advance_epoch(
-    state: ReputationState, u: int, mu: float, policy: EtaPolicy
-) -> tuple[ReputationState, RevenueReport | None]:
+    state: ReputationState, mu: float, policy: EtaPolicy
+) -> tuple[ReputationState, tuple[float, ...] | None]:
     """At the epoch boundary: pay revenue, reset reputations, double T, retune eta.
 
-    Call after every update_reputations; anywhere short of the boundary this
-    is the identity.
+    Call after every update_reputations. At the boundary it returns the next
+    epoch's state (u = ``len(state.reps)`` zeros) and the closed epoch's
+    revenue shares; anywhere short of it, ``(state, None)``.
     """
     if state.cnt < state.epoch_threshold:
         return state, None
-    report = revenue_shares(state.reps, mu)
+    shares = revenue_shares(state.reps, mu)
+    u = len(state.reps)
     new_threshold = state.epoch_threshold * 2
     return (
         ReputationState(
@@ -177,5 +172,5 @@ def maybe_advance_epoch(
             eta=policy.eta_for(u, new_threshold),
             epoch_index=state.epoch_index + 1,
         ),
-        report,
+        shares,
     )

@@ -36,6 +36,8 @@ from .core_types import LabeledTransaction, Transaction
 from .crypto_sim import KeyRegistry, substream
 from .metrics_oracle import MetricsLog, RoundRow
 from .nodes import (
+    FORGED_SEQ_BASE,
+    FORGED_SEQ_STRIDE,
     CollectorNode,
     GovernorNode,
     ProviderNode,
@@ -50,7 +52,10 @@ class ConfigError(ValueError):
     """Scenario rejected before any round runs; message names the field."""
 
 
-def need_int(v: Any, field: str, lo: int, hi: int | None = None) -> int:
+INT_LIMIT = 1 << 64  # every integer field is below 2^64, the range enc_int encodes
+
+
+def need_int(v: Any, field: str, lo: int, hi: int = INT_LIMIT) -> int:
     """``v`` as the ``int`` it equals if it is a JSON integer in [lo, hi).
 
     As in JSON Schema, an integral float such as 2.0 is an integer; a
@@ -58,9 +63,8 @@ def need_int(v: Any, field: str, lo: int, hi: int | None = None) -> int:
     raises ConfigError naming ``field``.
     """
     i = int(v) if isinstance(v, float) and v.is_integer() else v
-    if not isinstance(i, int) or isinstance(i, bool) or i < lo or (hi is not None and i >= hi):
-        span = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
-        raise ConfigError(f"field '{field}': expected integer {span}, got {v!r}")
+    if not isinstance(i, int) or isinstance(i, bool) or not lo <= i < hi:
+        raise ConfigError(f"field '{field}': expected integer in [{lo}, {hi}), got {v!r}")
     return i
 
 
@@ -72,7 +76,7 @@ def is_number(v: Any) -> bool:
 
 def check_seed(seed: Any, field: str = "seed") -> int:
     """``seed`` as an integer in [0, 2^64), the range enc_int encodes."""
-    return need_int(seed, field, 0, 1 << 64)
+    return need_int(seed, field, 0)
 
 
 @dataclass(frozen=True)
@@ -112,6 +116,9 @@ class ScenarioConfig:
                 ("b_limit", 1), ("gen_rate", 0), ("total_rounds", 1),
             )
         )
+        if gen_rate * total_rounds >= FORGED_SEQ_BASE:
+            raise ConfigError("field 'gen_rate': gen_rate * total_rounds must be below 2^40, "
+                              "where forged sequence numbers start")
 
         topology_raw = raw["topology"]
         if not isinstance(topology_raw, (list, tuple)) or len(topology_raw) != l:
@@ -137,6 +144,10 @@ class ScenarioConfig:
             if not is_number(q) or not 0 <= q <= 1:
                 raise ConfigError(f"field 'strategies[{j}].q': expected number in [0, 1], got {q!r}")
             forge_rate = need_int(s.get("forge_rate", 1), f"strategies[{j}].forge_rate", 0)
+            last_forged = FORGED_SEQ_BASE + j * FORGED_SEQ_STRIDE + forge_rate * total_rounds
+            if s["kind"] == "Forger" and last_forged >= INT_LIMIT:
+                raise ConfigError(f"field 'strategies[{j}].forge_rate': largest forged "
+                                  f"sequence number {last_forged} is not below 2^64")
             try:
                 strategies.append(StrategySpec(kind=s["kind"], q=float(q), forge_rate=forge_rate))
             except ValueError as exc:

@@ -59,6 +59,13 @@ def test_number_past_the_float_range_exits_two(tmp_path, capsys):
     assert "error: field 'mu': expected positive number" in capsys.readouterr().err
 
 
+def test_integer_past_two_to_the_64_exits_two(tmp_path, capsys):
+    path = tmp_path / "huge_gen_rate.json"
+    path.write_text(json.dumps({**scenarios.smoke(), "gen_rate": 10**400}))
+    assert run_cli(path, tmp_path / "out", "--seeds", "1") == 2
+    assert "error: field 'gen_rate': expected integer" in capsys.readouterr().err
+
+
 def test_passing_check_exits_zero(smoke_config, tmp_path):
     out = tmp_path / "out"
     assert run_cli(smoke_config, out, "--seeds", "2", "--checks", "properties") == 0
@@ -232,6 +239,7 @@ def test_oracle_accepts_a_well_formed_instance(tmp_path, capsys):
     ("validity", [True]),
     ("initial_reps", [0, 0, 0]),
     pytest.param("eta", 10**400, id="eta-huge"),
+    pytest.param("labels", [[1.0, -1], [1, 1]], id="labels-float"),
 ])
 def test_oracle_rejects_malformed_instance_naming_the_field(tmp_path, capsys, field, value):
     path = tmp_path / "instance.json"

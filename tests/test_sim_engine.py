@@ -9,7 +9,7 @@ from conftest import SCENARIOS_DIR
 from repuchain import scenarios
 from repuchain.consensus import ChainViolation
 from repuchain.metrics_oracle import compute_regret, emit_csv
-from repuchain.nodes import SimulationError
+from repuchain.nodes import FORGED_SEQ_BASE, FORGED_SEQ_STRIDE, SimulationError
 from repuchain.sim_engine import (
     ConfigError,
     ScenarioConfig,
@@ -83,15 +83,17 @@ def json_schema_validator():
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads((SCENARIOS_DIR.parent / "docs" / "scenario_schema.json").read_text())
     # A JSON number is finite (RFC 8259, section 6), but Python's json module
-    # also reads NaN and Infinity; validate with JSON's own number type.
+    # also reads NaN and Infinity; validate with JSON's own number type. An
+    # int is always finite, and one past the float range cannot go to isfinite.
     base = jsonschema.Draft202012Validator
     checker = base.TYPE_CHECKER.redefine(
-        "number", lambda c, v: base.TYPE_CHECKER.is_type(v, "number") and math.isfinite(v)
+        "number", lambda c, v: base.TYPE_CHECKER.is_type(v, "number")
+        and (isinstance(v, int) or math.isfinite(v))
     )
     return jsonschema.validators.extend(base, type_checker=checker)(schema)
 
 
-NAN, INF = float("nan"), float("inf")
+NAN, INF, HUGE = float("nan"), float("inf"), 10**400
 MALFORMED_VALUES = [
     ("mu", True), ("mu", NAN), ("mu", INF),
     ("invalid_fraction", True),
@@ -102,14 +104,18 @@ MALFORMED_VALUES = [
     ("eta_policy.value", True), ("eta_policy.value", NAN), ("eta_policy.value", INF),
     ("eta_policy.value", "0.5"),
     ("gen_rate", 2.9), ("gen_rate", NAN), ("gen_rate", INF), ("gen_rate", True),
+    # Past 2^64, the range every integer field shares with the seed.
+    ("gen_rate", HUGE), ("T", HUGE), ("b_limit", HUGE), ("strategies[0].forge_rate", HUGE),
 ]
 # Per field, a value both accept, so each case fails on its value alone.
 WELL_FORMED = {"mu": 0.5, "invalid_fraction": 0.5, "stakes[0]": 2, "strategies[0].forge_rate": 2,
-               "strategies[0].q": 0.5, "eta_policy.value": 0.5, "gen_rate": 2}
+               "strategies[0].q": 0.5, "eta_policy.value": 0.5, "gen_rate": 2, "T": 3,
+               "b_limit": 3}
 
 
 @pytest.mark.parametrize("field,value", MALFORMED_VALUES,
-                         ids=[f"{f}={v!r}" for f, v in MALFORMED_VALUES])
+                         ids=[f"{f}={'10**400' if v is HUGE else repr(v)}"
+                              for f, v in MALFORMED_VALUES])
 def test_malformed_value_fails_closed_like_the_schema(field, value):
     validator = json_schema_validator()
     good = smoke_with(field, WELL_FORMED[field])
@@ -127,6 +133,29 @@ def test_number_past_the_float_range_is_refused(field):
     # 10**400 is a JSON integer no float can hold; converting it would overflow.
     with pytest.raises(ConfigError, match=re.escape(f"field '{field}'")):
         ScenarioConfig.from_dict(smoke_with(field, 10**400))
+
+
+def test_provider_seqs_stay_below_the_forged_range():
+    # Provider seqs run 1..gen_rate*total_rounds; forged ones start past 2^40.
+    ScenarioConfig.from_dict({**scenarios.smoke(), "gen_rate": 1 << 20,
+                              "total_rounds": (1 << 20) - 1})
+    with pytest.raises(ConfigError, match=re.escape("field 'gen_rate'")):
+        ScenarioConfig.from_dict({**scenarios.smoke(), "gen_rate": 1 << 20,
+                                  "total_rounds": 1 << 20})
+
+
+def test_forged_seqs_stay_below_two_to_the_64():
+    # The forger at collector index 1 forges seqs up to
+    # FORGED_SEQ_BASE + 1*FORGED_SEQ_STRIDE + forge_rate*total_rounds.
+    room = (1 << 64) - FORGED_SEQ_BASE - FORGED_SEQ_STRIDE
+
+    def raw(forge_rate):
+        return {**scenarios.smoke(), "n": 2, "topology": [[0, 1]], "total_rounds": 2,
+                "strategies": [{"kind": "Honest"}, {"kind": "Forger", "forge_rate": forge_rate}]}
+
+    ScenarioConfig.from_dict(raw((room - 1) // 2))
+    with pytest.raises(ConfigError, match=re.escape("field 'strategies[1].forge_rate'")):
+        ScenarioConfig.from_dict(raw(room // 2))
 
 
 @pytest.mark.parametrize("field", ["gen_rate", "stakes[0]", "strategies[0].forge_rate"])
@@ -262,6 +291,35 @@ def test_multi_governor_replicas_stay_identical():
     assert len(tips) == 1
     reps = {tuple(g.rep) for g in w.governors}
     assert len(reps) == 1
+
+
+def test_every_governor_applies_each_signed_verdict_once():
+    # The leader applies the message it signed, the replicas the same object:
+    # one input to the one transition, at all m governors.
+    cfg = ScenarioConfig.from_dict(scenarios.properties(10))
+    w = init_world(cfg)
+    assert cfg.m == 3
+    signed = []
+    applied = [[] for _ in w.governors]
+    for g, log in zip(w.governors, applied):
+        def recording_apply(msg, apply=g.apply_verdict, log=log):
+            log.append(msg)
+            return apply(msg)
+
+        def recording_screen(txid, screen=g.screen):
+            res = screen(txid)
+            if res.message is not None:
+                signed.append(res.message)
+            return res
+
+        g.apply_verdict = recording_apply
+        g.screen = recording_screen
+    for _ in range(cfg.total_rounds):
+        step_round(w)
+    assert 0 < len(signed) == sum(row.txs_verified for row in w.metrics.rounds)
+    for log in applied:
+        assert len(log) == len(signed)
+        assert all(got is msg for got, msg in zip(log, signed))
 
 
 def _record_ingested(g, seen):
