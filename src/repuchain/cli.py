@@ -76,9 +76,7 @@ def run_seed(config: ScenarioConfig, seed: int, out_dir: Path | None) -> dict:
         (out_dir / "ledger.hex").write_text("\n".join(ledger.export_lines()) + "\n")
     cutoff = max(cfg.total_rounds - DRAIN_ROUNDS, 1)
     latencies = metrics.inclusion_latencies(max_gen_round=cutoff)
-    on_chain_ok = all(
-        tx.txid in metrics.gen_round for b in ledger.blocks for tx in b.tx_list
-    )
+    on_chain_ok = ledger.settled <= metrics.gen_round.keys()
     return {
         "seed": seed,
         "providers": summary["providers"],

@@ -34,6 +34,10 @@ from .core_types import (
 )
 from .crypto_sim import KeyPair, KeyRegistry, sign, vrf_eval
 
+TxId = tuple[int, int, int]
+# A verified-valid transaction awaiting its block, with its verdict's signed labels.
+PendingEntry = tuple[Transaction, tuple[tuple[int, int], ...]]
+
 
 class Violation(Enum):
     NO_SKIPPING = "no_skipping"
@@ -60,10 +64,15 @@ class SignedBlock:
 
 @dataclass
 class Ledger:
-    """Hash chain of blocks plus the ephemeral per-round broadcast archives."""
+    """Hash chain of blocks, the per-round broadcast lists, and what they settled.
+
+    ``settled`` holds every txid a block packed or a round's invalid list
+    named; ``validate_and_append`` is its only writer.
+    """
 
     blocks: list[Block] = field(default_factory=lambda: [make_genesis()])
     round_lists: dict[int, RoundLists] = field(default_factory=dict)
+    settled: set[TxId] = field(default_factory=set)
 
     @property
     def last(self) -> Block:
@@ -155,14 +164,14 @@ def validate_block(
     leader_public: bytes,
     provider_publics: Mapping[int, bytes],
     b_limit: int,
-    evidence: Mapping[tuple[int, int, int], tuple[tuple[int, int], ...]],
+    pending: Mapping[TxId, PendingEntry],
     round_lists: RoundLists,
 ) -> Violation | None:
     """Check one block against the chain; returns the first violation found.
 
     Every packed transaction must carry a valid provider signature and at
-    least one +1 label in the leader's broadcast evidence, and the block's
-    ``mt_root`` must commit to the round's broadcast lists.
+    least one +1 label among the signed labels of its ``pending`` entry, and
+    the block's ``mt_root`` must commit to the round's broadcast lists.
     """
     block = signed.block
     last = ledger.last
@@ -179,8 +188,8 @@ def validate_block(
     for tx in block.tx_list:
         if not registry.verify_tx(provider_publics, tx):
             return Violation.BAD_TX_SIGNATURE
-        labels = evidence.get(tx.txid)
-        if not labels or not any(lab == 1 for _, lab in labels):
+        entry = pending.get(tx.txid)
+        if entry is None or not any(lab == 1 for _, lab in entry[1]):
             return Violation.UNLABELED_TX
     recomputed = lists_commitment_root(round_lists.invalid_list, round_lists.unchecked_list)
     if recomputed != block.mt_root:
@@ -196,16 +205,18 @@ def validate_and_append(
     leader_public: bytes,
     provider_publics: Mapping[int, bytes],
     b_limit: int,
-    evidence: Mapping[tuple[int, int, int], tuple[tuple[int, int], ...]],
+    pending: Mapping[TxId, PendingEntry],
     round_lists: RoundLists,
 ) -> Violation | None:
     violation = validate_block(
         ledger, signed, expected_leader, registry, leader_public, provider_publics,
-        b_limit, evidence, round_lists,
+        b_limit, pending, round_lists,
     )
     if violation is not None:
         return violation
     ledger.blocks.append(signed.block)
     ledger.round_lists[signed.block.serial] = round_lists
+    ledger.settled.update(tx.txid for tx in signed.block.tx_list)
+    ledger.settled.update(tx.txid for tx in round_lists.invalid_list)
     return None
 

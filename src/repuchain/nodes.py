@@ -6,11 +6,11 @@ back unchecked. Collectors label transactions per a pluggable strategy
 the replicated reputation state, screen transactions after the waiting
 window, and verify only when the drawn slot vouched +1.
 
-Each transaction a governor has seen lives in exactly one place: the
-``inbox`` while it waits out its window and is screened; ``pending_valid``
-(with its labels in ``evidence``) once verified valid, until its block;
-``on_chain_ids`` after that; or ``invalid_archive`` once verified invalid.
-An unchecked transaction leaves the inbox at the end of its screening round
+A governor keeps only what its ``Ledger.settled`` has not indexed: the
+``inbox`` while a transaction waits out its window and is screened, then
+``pending`` (with its verdict's signed labels) once verified valid, until
+its block. A block settles its payload and the round's invalid list. An
+unchecked transaction leaves the inbox at the end of its screening round
 and comes back, if its provider resubmits it, as a fresh arrival.
 
 A verified transaction changes governor state through one transition,
@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable
 
-from .consensus import Ledger
+from .consensus import Ledger, PendingEntry, TxId
 from .core_types import (
     LabeledTransaction,
     SimSignature,
@@ -50,7 +51,6 @@ from .reputation import (
     update_reputations,
 )
 
-TxId = tuple[int, int, int]
 # An unsettled transaction on a governor: (tx, expiry round, collector -> label).
 InboxEntry = tuple[Transaction, int, dict[int, int]]
 
@@ -321,7 +321,7 @@ class GovernorNode:
         node_id: int,
         keypair: KeyPair,
         registry: KeyRegistry,
-        topology: list[tuple[int, ...]],
+        topology: tuple[tuple[int, ...], ...],
         provider_publics: dict[int, bytes],
         collector_publics: dict[int, bytes],
         governor_publics: dict[int, bytes],
@@ -351,10 +351,7 @@ class GovernorNode:
         ]
         # One home per transaction; see the module docstring for the moves.
         self.inbox: dict[TxId, InboxEntry] = {}  # unsettled, in arrival order
-        self.pending_valid: list[Transaction] = []  # verified valid, FIFO
-        self.evidence: dict[TxId, tuple[tuple[int, int], ...]] = {}  # labels of pending_valid
-        self.on_chain_ids: set[TxId] = set()
-        self.invalid_archive: set[TxId] = set()
+        self.pending: dict[TxId, PendingEntry] = {}  # verified valid, in verdict order
         self.dropped_bad_signature = 0
         self.dropped_forged = 0
 
@@ -375,7 +372,7 @@ class GovernorNode:
         txid = tx.txid
         entry = self.inbox.get(txid)
         if entry is None:
-            if txid in self.evidence or txid in self.invalid_archive or txid in self.on_chain_ids:
+            if txid in self.pending or txid in self.ledger.settled:
                 return "settled"
             entry = self.inbox[txid] = (tx, round_no + self.delta_rounds, {})
         labels = entry[2]
@@ -419,31 +416,27 @@ class GovernorNode:
     # -- the one state transition, shared by the leader and every replica ---
 
     def apply_verdict(self, msg: VerificationMessage) -> EpochClosure | None:
-        """Apply one signed verdict: penalize, advance the epoch, settle.
+        """Apply one signed verdict: penalize, advance the epoch, leave the inbox.
 
         The leader applies the message it just signed; a replica, the same
-        object once its signature and ``cnt`` checked out. The transaction
-        leaves the inbox for ``pending_valid`` and ``evidence`` (the signed
-        labels) if valid, else for ``invalid_archive``. Returns the closure of
+        object once its signature and ``cnt`` checked out. A valid transaction
+        moves to ``pending`` with the signed labels; an invalid one waits for
+        the round's block, whose append settles it. Returns the closure of
         the epoch this verdict ended, if any.
         """
         txid = msg.txid
         entry = self.inbox.pop(txid, None)
         if entry is None:
             raise SimulationError(f"verdict for unseen or settled transaction {txid}")
-        tx = entry[0]
         provider = msg.provider_id
         slot_map = self.slot_of[provider]
-        labels = {slot_map[cid]: lab for cid, lab in msg.received if cid in slot_map}
+        labels = {slot_map[cid]: lab for cid, lab in msg.received}
         state = self.rep[provider]
         self.rep[provider], revenue = maybe_advance_epoch(
             update_reputations(state, labels, msg.validbit), self.mu, self.eta_policy
         )
         if msg.validbit:
-            self.pending_valid.append(tx)
-            self.evidence[txid] = msg.received
-        else:
-            self.invalid_archive.add(txid)
+            self.pending[txid] = (entry[0], msg.received)
         if revenue is None:
             return None
         return EpochClosure(provider, state.epoch_index, state.eta, revenue)
@@ -470,25 +463,18 @@ class GovernorNode:
 
     def take_block_txs(self, b_limit: int) -> tuple[Transaction, ...]:
         """Next block's payload: oldest verified-valid transactions first."""
-        return tuple(self.pending_valid[:b_limit])
+        return tuple(tx for tx, _ in islice(self.pending.values(), b_limit))
 
     def note_block_appended(self, txs: tuple[Transaction, ...]) -> None:
-        if tuple(self.pending_valid[: len(txs)]) != txs:
+        if self.take_block_txs(len(txs)) != txs:
             raise SimulationError("block payload does not match the carry-over queue")
-        del self.pending_valid[: len(txs)]
         for tx in txs:
-            self.on_chain_ids.add(tx.txid)
-            self.evidence.pop(tx.txid, None)
+            del self.pending[tx.txid]
 
     def state_fingerprint(self) -> tuple:
         """Replication check: equal fingerprints mean equal replicated state.
 
-        The invalid archive is a snapshot compared by set equality, so the
-        per-round check across governors sorts nothing.
+        The tip hash already proves the ledgers equal, so the settled index
+        is compared by size alone, and nothing is copied or sorted.
         """
-        return (
-            tuple(self.rep),
-            tuple(tx.txid for tx in self.pending_valid),
-            frozenset(self.invalid_archive),
-            len(self.on_chain_ids),
-        )
+        return (tuple(self.rep), tuple(self.pending), len(self.ledger.settled))

@@ -241,13 +241,12 @@ class World:
             )
             for j in range(config.n)
         ]
-        topology = [tuple(adj) for adj in config.topology]
         self.governors = [
             GovernorNode(
                 node_id=k,
                 keypair=governor_kps[k],
                 registry=self.registry,
-                topology=topology,
+                topology=config.topology,
                 provider_publics=provider_publics,
                 collector_publics=collector_publics,
                 governor_publics=governor_publics,
@@ -274,20 +273,18 @@ class World:
             {tx.txid for _, tx in self.to_collectors}
             | {ltx.tx.txid for ltx in self.to_governors}
             | set(g0.inbox)
-            | {t.txid for t in g0.pending_valid}
+            | set(g0.pending)
         )
         pending = set()
         for p in self.providers:
             pending.update(p.pending)
         buckets: dict[str, set[TxId]] = {
-            "on_chain": set(), "invalid": set(), "in_flight": set(),
+            "settled": set(), "in_flight": set(),
             "unchecked_or_pending": set(), "unclassified": set(),
         }
         for txid in self.metrics.gen_round:
-            if txid in g0.on_chain_ids:
-                buckets["on_chain"].add(txid)
-            elif txid in g0.invalid_archive:
-                buckets["invalid"].add(txid)
+            if txid in g0.ledger.settled:
+                buckets["settled"].add(txid)
             elif txid in in_flight:
                 buckets["in_flight"].add(txid)
             elif txid in unchecked_archive or txid in pending:
@@ -399,7 +396,7 @@ def step_round(world: World) -> World:
                 leader_public=g.governor_publics[leader_idx],
                 provider_publics=world.provider_publics,
                 b_limit=config.b_limit,
-                evidence=g.evidence,
+                pending=g.pending,
                 round_lists=round_lists,
             )
             if violation is not None:
@@ -463,8 +460,10 @@ def world_state_hash(world: World) -> str:
     h = hashlib.sha256()
     h.update(str(world.round).encode())
     h.update(g0.ledger.tip_hash())
-    rep, pending, invalid, n_on_chain = g0.state_fingerprint()
-    h.update(repr((rep, pending, tuple(sorted(invalid)), n_on_chain)).encode())
+    rep, pending, _ = g0.state_fingerprint()
+    invalid = sorted(t.txid for rl in g0.ledger.round_lists.values() for t in rl.invalid_list)
+    n_on_chain = sum(len(b.tx_list) for b in g0.ledger.blocks)
+    h.update(repr((rep, pending, tuple(invalid), n_on_chain)).encode())
     h.update(repr(sorted(world.metrics.gen_round.items())).encode())
     h.update(repr([sorted(p.pending) for p in world.providers]).encode())
     return h.hexdigest()

@@ -50,11 +50,13 @@ def test_regret_bound_passes_within_bound():
     assert "provider 0 epoch 0" in result.detail  # the tightest epoch is reported
 
 
-def test_regret_bound_allows_three_standard_errors():
-    # Margins -1 and +3: mean 1 >= 0 regardless of spread.
-    assert check_regret_bound([summary(margins=(-1.0,)), summary(seed=1, margins=(3.0,))]).passed
-    # Margins -3 and -1: mean -2, se 1, so mean + 3*se = 1 >= 0.
-    assert check_regret_bound([summary(margins=(-3.0,)), summary(seed=1, margins=(-1.0,))]).passed
+def test_regret_bound_fails_when_one_run_exceeds_its_bound():
+    # The bound is deterministic, so a seed over it is not averaged away by
+    # another seed far under it (mean margin 24.5 here).
+    result = check_regret_bound([summary(margins=(-1.0,)), summary(seed=1, margins=(50.0,))])
+    assert not result.passed
+    assert "seed 0 provider 0 epoch 0" in result.detail
+    assert check_regret_bound([summary(margins=(-1e-10,))]).passed  # rounding slack
 
 
 def test_regret_bound_fails_beyond_bound():

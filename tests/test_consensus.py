@@ -46,27 +46,30 @@ class Chain:
         self.leader_kp = self.registry.issue(50)
         self.leader_id = 0
         self.ledger = Ledger()
-        self.evidence = {}
+        self.pending = {}
         self.seq = 0
         self.b_limit = 4
 
-    def next_block(self, n_txs=2, n_unchecked=1):
+    def next_block(self, n_txs=2, n_unchecked=1, n_invalid=0):
         txs = []
         for _ in range(n_txs):
             self.seq += 1
             tx = make_signed_tx(self.registry, self.provider_kp, self.seq)
-            self.evidence[tx.txid] = ((3, 1),)
+            self.pending[tx.txid] = (tx, ((3, 1),))
             txs.append(tx)
-        unchecked = []
+        unchecked, invalid = [], []
         for _ in range(n_unchecked):
             self.seq += 1
             unchecked.append(make_signed_tx(self.registry, self.provider_kp, self.seq))
+        for _ in range(n_invalid):
+            self.seq += 1
+            invalid.append(make_signed_tx(self.registry, self.provider_kp, self.seq, valid=False))
         signed, lists = propose_block(
             serial=self.ledger.last.serial + 1,
             leader_id=self.leader_id,
             leader_kp=self.leader_kp,
             tx_list=tuple(txs),
-            invalid_list=(),
+            invalid_list=tuple(invalid),
             unchecked_list=tuple(unchecked),
             prev_hash=self.ledger.tip_hash(),
         )
@@ -78,7 +81,7 @@ class Chain:
             leader_public=self.leader_kp.public,
             provider_publics={0: self.provider_kp.public},
             b_limit=self.b_limit,
-            evidence=self.evidence,
+            pending=self.pending,
             round_lists=lists,
         )
 
@@ -88,7 +91,7 @@ class Chain:
             leader_public=self.leader_kp.public,
             provider_publics={0: self.provider_kp.public},
             b_limit=self.b_limit,
-            evidence=self.evidence,
+            pending=self.pending,
             round_lists=lists,
         )
 
@@ -273,6 +276,20 @@ def test_chain_of_blocks_validates():
     assert [b.serial for b in chain.ledger.blocks] == [0, 1, 2, 3, 4, 5]
 
 
+def test_append_indexes_chained_and_invalid_listed_txids_only():
+    chain = Chain()
+    signed, lists = chain.next_block(n_txs=2, n_unchecked=2, n_invalid=2)
+    tampered = type(signed)(signed.block, SimSignature(b"\x00" * 32))
+    assert chain.append(tampered, lists) is Violation.BAD_LEADER_SIGNATURE
+    assert chain.ledger.settled == set()  # a rejected block settles nothing
+    assert chain.append(signed, lists) is None
+    chained = {tx.txid for tx in signed.block.tx_list}
+    invalid = {tx.txid for tx in lists.invalid_list}
+    assert len(chained) == len(invalid) == len(lists.unchecked_list) == 2
+    assert chain.ledger.settled == chained | invalid
+    assert chain.ledger.settled.isdisjoint(tx.txid for tx in lists.unchecked_list)
+
+
 # -- violations -------------------------------------------------------------------
 
 
@@ -321,7 +338,7 @@ def test_unsigned_tx_detected():
     signed, lists = chain.next_block(n_txs=1)
     b = signed.block
     fake_tx = Transaction(0, 777, 777, True, SimSignature(b"\x01" * 32))
-    chain.evidence[fake_tx.txid] = ((3, 1),)
+    chain.pending[fake_tx.txid] = (fake_tx, ((3, 1),))
     bad = Block(b.serial, b.leader_id, (fake_tx,), b.mt_root, b.prev_hash)
     resigned = type(signed)(bad, sign(chain.leader_kp, block_bytes(bad)))
     assert chain.validate_only(resigned, lists) is Violation.BAD_TX_SIGNATURE
@@ -330,7 +347,7 @@ def test_unsigned_tx_detected():
 def test_tx_without_positive_label_detected():
     chain = Chain()
     tx = make_signed_tx(chain.registry, chain.provider_kp, 500)
-    chain.evidence[tx.txid] = ((3, -1),)  # only a -1 label in evidence
+    chain.pending[tx.txid] = (tx, ((3, -1),))  # only a -1 label in its verdict
     signed, lists = chain.next_block(n_txs=0, n_unchecked=0)
     b = signed.block
     bad = Block(b.serial, b.leader_id, (tx,), b.mt_root, b.prev_hash)

@@ -247,6 +247,32 @@ def test_prose_slope_fits_wasted_verifications_of_closed_epochs():
 # -- regret over engine runs --------------------------------------------------------
 
 
+def _closed_prose(raw):
+    cfg = ScenarioConfig.from_dict(raw)
+    _, metrics = run(cfg)
+    report = compute_regret(metrics, 0)
+    return report.prose_slope, [ep.prose_loss for ep in report.epochs if ep.closed]
+
+
+def test_wasted_verifications_grow_linearly_without_an_honest_collector():
+    # The O(sqrt T) verification cost needs at least one collector that
+    # behaves well. The same doubling world without its Honest slot wastes
+    # a verification on almost every invalid transaction (measured at seed
+    # 0: prose_loss 31 -> 956 over T = 100 -> 3200, slope 0.97, against
+    # 21 -> 207 and 0.69 with the Honest slot). A characterization, not a bound.
+    with_honest = dict(scenarios.doubling(), T=100, total_rounds=110)
+    without = dict(
+        with_honest, n=3, topology=[[0, 1, 2]],
+        strategies=[{"kind": "AlwaysPlus"}, {"kind": "FlipProb", "q": 0.3},
+                    {"kind": "Withhold", "q": 0.5}],
+    )
+    honest_slope, honest_prose = _closed_prose(with_honest)
+    slope, prose = _closed_prose(without)
+    assert slope >= 0.9
+    assert slope >= honest_slope + 0.15
+    assert prose[-1] >= 3 * honest_prose[-1]
+
+
 def test_all_honest_run_has_zero_regret():
     cfg = ScenarioConfig.from_dict(scenarios.smoke())
     _, metrics = run(cfg)

@@ -9,6 +9,7 @@ from repuchain.core_types import (
     Transaction,
     label_signing_bytes,
 )
+from repuchain.consensus import propose_block, validate_and_append
 from repuchain.crypto_sim import sign, substream
 from repuchain import metrics_oracle, nodes, reputation
 from repuchain.metrics_oracle import mc_expected_loss
@@ -256,7 +257,7 @@ def test_screen_single_honest_collector_always_verifies(registry):
     res = g.screen(tx.txid)
     assert res.outcome == "valid"
     assert res.loss == 0.0
-    assert g.pending_valid == [tx]
+    assert g.pending == {tx.txid: (tx, ((0, 1),))}
     assert g.rep[0].cnt == 1
 
 
@@ -275,7 +276,7 @@ def test_screen_drawn_minus_goes_unchecked(registry):
     assert g.rep[0].reps == (0, 0)
     assert tx.txid in g.inbox  # no verdict: it stays until the round clears it
     g.clear_screened([tx.txid])
-    assert not g.inbox and not g.evidence and not g.invalid_archive
+    assert not g.inbox and not g.pending and not g.ledger.settled
 
 
 def test_screen_verified_invalid_loss_is_plus_mass(registry):
@@ -358,7 +359,7 @@ def _two_verdicts(registry):
 
 
 def replica_state(g):
-    return (dict(g.inbox), list(g.pending_valid), set(g.invalid_archive), tuple(g.rep))
+    return (dict(g.inbox), dict(g.pending), tuple(g.rep))
 
 
 def test_verification_replay_in_and_out_of_order(registry):
@@ -456,15 +457,34 @@ def test_replica_replay_reaches_leader_state(registry):
     for res in results:
         replica.on_verification_message(res.message)
     assert replica.rep == leader.rep
-    assert replica.evidence == leader.evidence
-    assert replica.invalid_archive == leader.invalid_archive == {txs[0].txid}
-    assert replica.pending_valid == leader.pending_valid == txs[1:]
+    assert not replica.inbox and not leader.inbox
+    assert replica.pending == leader.pending
+    assert list(replica.pending) == [tx.txid for tx in txs[1:]]
     assert replica.state_fingerprint() == leader.state_fingerprint()
 
 
+def append_round_block(g, results, b_limit=8):
+    """Sign and append the block of the round ``results`` screened, as step_round does."""
+    signed, lists = propose_block(
+        serial=g.ledger.last.serial + 1, leader_id=g.id, leader_kp=g.keypair,
+        tx_list=g.take_block_txs(b_limit),
+        invalid_list=tuple(res.tx for res in results if res.outcome == "invalid"),
+        unchecked_list=tuple(res.tx for res in results if res.outcome == "unchecked"),
+        prev_hash=g.ledger.tip_hash(),
+    )
+    assert validate_and_append(
+        g.ledger, signed, g.id, g.registry, g.governor_publics[g.id], g.provider_publics,
+        b_limit, g.pending, lists,
+    ) is None
+    g.note_block_appended(signed.block.tx_list)
+
+
 def test_settled_transaction_is_refused_and_starts_no_timer(registry):
-    leader, txs, _ = _closing_epoch_run(registry)
+    leader, txs, results = _closing_epoch_run(registry)
     leader.clear_screened([tx.txid for tx in txs])
+    for tx in txs[1:]:  # verified valid: pending until its block
+        assert deliver(registry, leader, tx, 0, round_no=9, kind="AlwaysPlus") == "settled"
+    append_round_block(leader, results)  # settles the invalid-listed one too
     for tx in txs:
         assert deliver(registry, leader, tx, 0, round_no=9, kind="AlwaysPlus") == "settled"
     assert not leader.inbox
@@ -472,25 +492,27 @@ def test_settled_transaction_is_refused_and_starts_no_timer(registry):
 
 
 def test_clear_screened_keeps_valid_txs_until_their_block(registry):
-    leader, txs, _ = _closing_epoch_run(registry)
+    leader, txs, results = _closing_epoch_run(registry)
     leader.clear_screened([tx.txid for tx in txs])
     assert not leader.inbox
-    assert leader.pending_valid == txs[1:]
-    assert set(leader.evidence) == {tx.txid for tx in txs[1:]}
-    leader.note_block_appended(leader.take_block_txs(8))
-    assert not leader.evidence and not leader.pending_valid
-    assert leader.on_chain_ids == {tx.txid for tx in txs[1:]}
-    assert leader.invalid_archive == {txs[0].txid}
+    assert list(leader.pending) == [tx.txid for tx in txs[1:]]
+    assert not leader.ledger.settled
+    with pytest.raises(SimulationError, match="carry-over"):
+        leader.note_block_appended(tuple(reversed(txs[1:])))
+    append_round_block(leader, results)
+    assert leader.ledger.last.tx_list == tuple(txs[1:])
+    assert not leader.pending
+    assert leader.ledger.settled == {tx.txid for tx in txs}
 
 
 @pytest.mark.parametrize("index", [0, 1], ids=["invalid", "valid"])
 def test_second_verdict_for_settled_tx_raises(registry, index):
     leader, txs, results = _closing_epoch_run(registry)
     msg = results[index].message
-    before = (list(leader.pending_valid), set(leader.invalid_archive), tuple(leader.rep))
+    before = (dict(leader.pending), tuple(leader.rep))
     with pytest.raises(SimulationError, match="settled"):
         leader.apply_verdict(msg)
-    assert (leader.pending_valid, leader.invalid_archive, tuple(leader.rep)) == before
+    assert (leader.pending, tuple(leader.rep)) == before
 
 
 def test_validate_governor_reads_ground_truth(registry):

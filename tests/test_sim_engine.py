@@ -346,17 +346,22 @@ def test_every_governor_keeps_each_tx_in_one_home(raw):
     for _ in range(cfg.total_rounds):
         step_round(w)
         for g, s in zip(w.governors, seen):
-            homes = (g.inbox.keys(), g.evidence.keys(), g.invalid_archive, g.on_chain_ids)
-            unchecked = {
-                t.txid for rl in g.ledger.round_lists.values() for t in rl.unchecked_list
-            }
+            ledger = g.ledger
+            homes = (g.inbox.keys(), g.pending.keys(), ledger.settled)
+            unchecked = {t.txid for rl in ledger.round_lists.values() for t in rl.unchecked_list}
             for txid in s:
                 n_homes = sum(txid in home for home in homes)
                 # An unchecked tx leaves the governor until its provider resubmits it.
                 assert n_homes == 1 or (n_homes == 0 and txid in unchecked), txid
             assert set().union(*homes) <= s
-            assert list(g.evidence) == [t.txid for t in g.pending_valid]
-    assert len(w.governors) == cfg.m and any(g.on_chain_ids for g in w.governors)
+            # The settled index holds exactly what the chain settled.
+            chained = [t.txid for b in ledger.blocks for t in b.tx_list]
+            invalid = [t.txid for rl in ledger.round_lists.values() for t in rl.invalid_list]
+            assert ledger.settled == set(chained) | set(invalid)
+            assert len(ledger.settled) == len(chained) + len(invalid)
+    assert len(w.governors) == cfg.m and all(
+        any(b.tx_list for b in g.ledger.blocks) for g in w.governors
+    )
 
 
 def _bump_rep(g):
@@ -369,16 +374,24 @@ def _bump_rep(g):
 def _reorder_pending_tail(g):
     # The next block takes only the head (b_limit 1), so the block checks
     # pass and only the replica comparison sees the new order.
-    assert len(g.pending_valid) >= 3
-    g.pending_valid[1:] = g.pending_valid[:0:-1]
+    assert len(g.pending) >= 3
+    head, *tail = g.pending.items()
+    g.pending = dict([head, *reversed(tail)])
+
+
+def _settle_last_unchecked(g):
+    ledger = g.ledger
+    unchecked = ledger.round_lists[ledger.last.serial].unchecked_list
+    assert unchecked
+    ledger.settled.add(unchecked[0].txid)
 
 
 @pytest.mark.parametrize("alter", [
     _bump_rep,
     _reorder_pending_tail,
-    lambda g: g.invalid_archive.add((99, 99, 99)),
-    lambda g: g.on_chain_ids.add((99, 99, 99)),
-], ids=["rep", "pending_order", "invalid_archive", "on_chain_count"])
+    lambda g: g.ledger.settled.add((99, 99, 99)),
+    _settle_last_unchecked,
+], ids=["rep", "pending_order", "settled_unminted", "settled_unchecked"])
 def test_replica_divergence_detected(alter):
     cfg = ScenarioConfig.from_dict(dict(scenarios.properties(10), b_limit=1))
     w = init_world(cfg)
