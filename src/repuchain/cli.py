@@ -174,6 +174,9 @@ def oracle_instance_error(raw) -> str | None:
     """
     if not isinstance(raw, dict):
         return "instance: expected a JSON object"
+    unknown = sorted(set(raw) - {"labels", "validity", "eta", "initial_reps"})
+    if unknown:
+        return f"field '{unknown[0]}': unknown"
     for key in ("labels", "validity", "eta"):
         if key not in raw:
             return f"field '{key}': missing"

@@ -161,7 +161,7 @@ def validate_block(
     signed: SignedBlock,
     expected_leader: int,
     registry: KeyRegistry,
-    leader_public: bytes,
+    leader_public: bytes | None,
     provider_publics: Mapping[int, bytes],
     b_limit: int,
     pending: Mapping[TxId, PendingEntry],
@@ -171,7 +171,8 @@ def validate_block(
 
     Every packed transaction must carry a valid provider signature and at
     least one +1 label among the signed labels of its ``pending`` entry, and
-    the block's ``mt_root`` must commit to the round's broadcast lists.
+    the block's ``mt_root`` must commit to the round's broadcast lists. A
+    ``leader_public`` of None (an unknown leader) fails the signature check.
     """
     block = signed.block
     last = ledger.last
@@ -202,7 +203,7 @@ def validate_and_append(
     signed: SignedBlock,
     expected_leader: int,
     registry: KeyRegistry,
-    leader_public: bytes,
+    leader_public: bytes | None,
     provider_publics: Mapping[int, bytes],
     b_limit: int,
     pending: Mapping[TxId, PendingEntry],

@@ -5,10 +5,9 @@ issued keys that models the identity manager installing verification keys on
 every node. This gives unforgeability-by-assumption without real asymmetric
 crypto, keeps runs reproducible, and needs no dependencies.
 
-A tag is SHA-256 over ``b"sig" + secret + msg``. The registry keeps, per
-public key, a SHA-256 state that has absorbed ``b"sig" + secret``; it is
-built on the first verification under that key, so issuing keys costs no
-more than before. Every verification copies that state, hashes its own
+A tag is SHA-256 over ``b"sig" + secret + msg``. When a key is registered,
+the registry stores, next to its secret, a SHA-256 state that has absorbed
+``b"sig" + secret``. Every verification copies that state, hashes its own
 message into the copy and compares the digest with the tag, so each check
 still computes its own digest and none reuses another's verdict.
 
@@ -85,7 +84,7 @@ class KeyRegistry:
     def __init__(self, root_seed: int = 0):
         self._root = enc_int(root_seed)
         self._by_public: dict[bytes, bytes] = {}
-        # public -> SHA-256 state after b"sig" + secret, built on first verify
+        # public -> SHA-256 state after b"sig" + secret
         self._sig_states: dict[bytes, hashlib._Hash] = {}
 
     def issue(self, node_id: int) -> KeyPair:
@@ -96,14 +95,12 @@ class KeyRegistry:
 
     def register(self, kp: KeyPair) -> None:
         self._by_public[kp.public] = kp.secret
+        self._sig_states[kp.public] = hashlib.sha256(b"sig" + kp.secret)
 
     def verify(self, public: bytes, msg: bytes, sig: SimSignature) -> bool:
         state = self._sig_states.get(public)
         if state is None:
-            secret = self._by_public.get(public)
-            if secret is None:
-                return False
-            state = self._sig_states[public] = hashlib.sha256(b"sig" + secret)
+            return False
         h = state.copy()
         h.update(msg)
         return h.digest() == sig.tag

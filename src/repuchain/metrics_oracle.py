@@ -283,8 +283,9 @@ def instance_shape_error(
     """Why an oracle instance has the wrong shape, naming the field; None if right.
 
     One validity entry per label row, every row one slot per collector (at
-    least one), and one initial reputation per slot. Both oracles check this,
-    so the ``oracle`` command does through ``exact_expected_loss``.
+    least one), and one initial reputation per slot, each below 2^53 in
+    magnitude so a float holds it exactly. Both oracles check this, so the
+    ``oracle`` command does through ``exact_expected_loss``.
     """
     u = len(label_matrix[0]) if label_matrix else 0
     if u == 0:
@@ -297,6 +298,8 @@ def instance_shape_error(
     if initial_reps is not None and len(initial_reps) != u:
         return (f"field 'initial_reps': {len(initial_reps)} entries, "
                 f"but each label row has {u} slots")
+    if initial_reps is not None and any(abs(r) >= 1 << 53 for r in initial_reps):
+        return "field 'initial_reps': every entry must be below 2^53 in magnitude"
     return None
 
 

@@ -13,14 +13,20 @@ its block. A block settles its payload and the round's invalid list. An
 unchecked transaction leaves the inbox at the end of its screening round
 and comes back, if its provider resubmits it, as a fresh arrival.
 
-A verified transaction changes governor state through one transition,
-``GovernorNode.apply_verdict(msg)``, whose one input is the leader's signed
-``VerificationMessage``: penalize the slots, advance the epoch at its
-boundary and move the transaction out of the inbox. The leader signs the
-message after its draw (``cnt`` is the provider's next update) and applies
-it; every other governor applies the same object after checking the
-signature and that ``cnt`` is exactly the next one, raising
-``SimulationError`` before any state changes otherwise.
+A governor changes state only through three transitions, each taking one
+signed input:
+
+- ``on_labeled_transaction(ltx, r)``: a collector's label enters the inbox.
+- ``apply_verdict(msg)``: the leader's ``VerificationMessage`` penalizes the
+  slots, advances the epoch at its boundary and moves the transaction out
+  of the inbox. The leader signs the message after its draw (``cnt`` is the
+  provider's next update) and applies it; every other governor applies the
+  same object after checking the signature and that ``cnt`` is exactly the
+  next one, raising ``SimulationError`` before any state changes otherwise.
+- ``apply_block(signed, lists, leader_id, b)``: the block the leader built
+  with ``propose_round`` from its screening is validated and appended, its
+  payload leaves ``pending`` and its unchecked list leaves the inbox. A
+  block that fails validation raises ``ChainViolation`` and changes nothing.
 
 Ground truth is read exclusively through ``validate_collector`` /
 ``validate_governor``; the rest of the node logic treats validity as unknown.
@@ -33,9 +39,11 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable
 
-from .consensus import Ledger, PendingEntry, TxId
+from .consensus import (ChainViolation, Ledger, PendingEntry, SignedBlock, TxId,
+                        propose_block, validate_and_append)
 from .core_types import (
     LabeledTransaction,
+    RoundLists,
     SimSignature,
     Transaction,
     label_signing_bytes,
@@ -250,7 +258,8 @@ class VerificationMessage:
     """Leader broadcast after verifying a transaction; replicas replay it.
 
     ``cnt`` orders the reputation updates per provider so no governor can
-    skip or reorder one.
+    skip or reorder one. It resets when an epoch closes, so it orders updates
+    within an epoch; the settled check in ``apply_verdict`` refuses older ones.
     """
 
     leader_id: int
@@ -450,7 +459,11 @@ class GovernorNode:
         self.apply_verdict(msg)
 
     def assert_no_gaps(self, msg: VerificationMessage) -> None:
-        """Raise unless ``msg.cnt`` is the provider's next update: not stale, none skipped."""
+        """Raise unless ``msg.cnt`` is the provider's next update: not stale, none skipped.
+
+        ``cnt`` orders updates within an epoch; a message from an earlier
+        epoch can pass here, and the settled check in ``apply_verdict`` refuses it.
+        """
         expected = self.rep[msg.provider_id].cnt + 1
         if msg.cnt != expected:
             kind = "stale" if msg.cnt < expected else "skipped-ahead"
@@ -470,6 +483,36 @@ class GovernorNode:
             raise SimulationError("block payload does not match the carry-over queue")
         for tx in txs:
             del self.pending[tx.txid]
+
+    def propose_round(self, results: list[ScreeningResult],
+                      b_limit: int) -> tuple[SignedBlock, RoundLists] | None:
+        """The leader's block: the head of ``pending``, and ``results``' invalid and
+        unchecked transactions in screening order; None if all three are empty."""
+        invalid, unchecked = (
+            tuple(res.tx for res in results if res.outcome == outcome)
+            for outcome in ("invalid", "unchecked")
+        )
+        tx_list = self.take_block_txs(b_limit)
+        if not (tx_list or invalid or unchecked):
+            return None
+        return propose_block(
+            serial=self.ledger.last.serial + 1, leader_id=self.id, leader_kp=self.keypair,
+            tx_list=tx_list, invalid_list=invalid, unchecked_list=unchecked,
+            prev_hash=self.ledger.tip_hash(),
+        )
+
+    def apply_block(self, signed: SignedBlock, lists: RoundLists, leader_id: int,
+                    b_limit: int) -> None:
+        """Append ``leader_id``'s block, then drop its payload and unchecked list;
+        raise ``ChainViolation``, changing nothing, if it fails validation."""
+        violation = validate_and_append(
+            self.ledger, signed, leader_id, self.registry, self.governor_publics.get(leader_id),
+            self.provider_publics, b_limit, self.pending, lists,
+        )
+        if violation is not None:
+            raise ChainViolation(violation, f"block {signed.block.serial}, governor {self.id}")
+        self.note_block_appended(signed.block.tx_list)
+        self.clear_screened(tx.txid for tx in lists.unchecked_list)
 
     def state_fingerprint(self) -> tuple:
         """Replication check: equal fingerprints mean equal replicated state.

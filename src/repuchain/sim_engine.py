@@ -6,11 +6,13 @@ window expired, replicate the reputation updates, and append the block.
 Provider->collector and collector->governor messages, plus the feedback
 broadcast, are delivered exactly one round after sending: each of these
 three hops is a ``World`` field holding what the previous round sent, and
-``step_round`` swaps in what this round sends. Governor-to-
-governor consensus traffic (verification messages, the block, the lists)
-completes within the round's processing phase: governors are modeled as a
-deterministic replicated state machine, and their equality is asserted at
-every round boundary.
+``step_round`` swaps in what this round sends. The feedback hop carries the
+round's block payload and its signed ``RoundLists``: providers learn which
+of their transactions reached the chain or came back unchecked, collectors
+which were proved invalid. Governor-to-governor consensus traffic
+(verification messages, the block, the lists) completes within the round's
+processing phase: governors are modeled as a deterministic replicated state
+machine, and their equality is asserted at every round boundary.
 
 Randomness: the root seed expands into one substream per node, so adding a
 node leaves every other node's stream untouched.
@@ -24,15 +26,8 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any
 
-from .consensus import (
-    ChainViolation,
-    Ledger,
-    Violation,
-    elect_leader,
-    propose_block,
-    validate_and_append,
-)
-from .core_types import LabeledTransaction, Transaction
+from .consensus import ChainViolation, Ledger, Violation, elect_leader
+from .core_types import LabeledTransaction, RoundLists, Transaction
 from .crypto_sim import KeyRegistry, substream
 from .metrics_oracle import MetricsLog, RoundRow
 from .nodes import (
@@ -74,6 +69,13 @@ def is_number(v: Any) -> bool:
             and abs(v) <= sys.float_info.max)
 
 
+def refuse_unknown_keys(obj: dict, dataclass_type, prefix: str = "") -> None:
+    """Raise ConfigError naming the first key of ``obj`` not a field of ``dataclass_type``."""
+    unknown = sorted(set(obj) - {f.name for f in fields(dataclass_type)})
+    if unknown:
+        raise ConfigError(f"field '{prefix}{unknown[0]}': unknown")
+
+
 def check_seed(seed: Any, field: str = "seed") -> int:
     """``seed`` as an integer in [0, 2^64), the range enc_int encodes."""
     return need_int(seed, field, 0)
@@ -105,9 +107,7 @@ class ScenarioConfig:
         for key in CONFIG_FIELDS:
             if key not in raw:
                 raise ConfigError(f"field '{key}': missing")
-        unknown = set(raw) - set(CONFIG_FIELDS)
-        if unknown:
-            raise ConfigError(f"field '{sorted(unknown)[0]}': unknown")
+        refuse_unknown_keys(raw, ScenarioConfig)
 
         seed = check_seed(raw["seed"])
         l, n, m, T, delta_rounds, b_limit, gen_rate, total_rounds = (
@@ -140,6 +140,7 @@ class ScenarioConfig:
         for j, s in enumerate(strategies_raw):
             if not isinstance(s, dict) or "kind" not in s:
                 raise ConfigError(f"field 'strategies[{j}]': expected an object with 'kind'")
+            refuse_unknown_keys(s, StrategySpec, f"strategies[{j}].")
             q = s.get("q", 0.0)
             if not is_number(q) or not 0 <= q <= 1:
                 raise ConfigError(f"field 'strategies[{j}].q': expected number in [0, 1], got {q!r}")
@@ -161,6 +162,7 @@ class ScenarioConfig:
         policy_raw = raw["eta_policy"]
         if not isinstance(policy_raw, dict) or "kind" not in policy_raw:
             raise ConfigError("field 'eta_policy': expected an object with 'kind'")
+        refuse_unknown_keys(policy_raw, EtaPolicy, "eta_policy.")
         value = policy_raw.get("value")
         if value is not None and (not is_number(value) or value <= 0):
             raise ConfigError(f"field 'eta_policy.value': expected positive number, got {value!r}")
@@ -207,7 +209,7 @@ class World:
         # The one-round hops: what the last completed round sent.
         self.to_collectors: list[tuple[int, Transaction]] = []
         self.to_governors: list[LabeledTransaction] = []
-        self.feedback: tuple[tuple[TxId, ...], tuple[TxId, ...], tuple[TxId, ...]] | None = None
+        self.feedback: tuple[RoundLists, tuple[Transaction, ...]] | None = None  # lists, payload
         self.metrics = MetricsLog(config.l)
 
         provider_kps = [self.registry.issue(i) for i in range(config.l)]
@@ -310,20 +312,22 @@ def step_round(world: World) -> World:
     feedback, world.feedback = world.feedback, None
     resubmissions: dict[int, list[Transaction]] = {}
     if feedback is not None:
+        lists, chained_txs = feedback
         # A provider's pending set holds only its own txids, so each provider
-        # is handed only the ids it minted (txid[0] is the provider id).
+        # is handed only the ids it minted.
         per_provider = [([], []) for _ in world.providers]
-        for i, ids in enumerate(feedback[1:]):
-            for txid in ids:
-                per_provider[txid[0]][i].append(txid)
+        for i, txs in enumerate((lists.unchecked_list, chained_txs)):
+            for tx in txs:
+                per_provider[tx.provider_id][i].append(tx.txid)
         for p, (unchecked, chained) in zip(world.providers, per_provider):
             p.on_chain(chained)
             resub = p.on_feedback(unchecked)
             if resub:
                 resubmissions[p.id] = resub
                 metrics.resubmissions += len(resub)
+        invalid_ids = tuple(t.txid for t in lists.invalid_list)
         for c in world.collectors:
-            c.note_invalid(feedback[0])
+            c.note_invalid(invalid_ids)
 
     # Phase 1: collecting.
     sends_pc: list[tuple[int, Transaction]] = []
@@ -359,8 +363,7 @@ def step_round(world: World) -> World:
     leader_idx = election.winner
     leader = governors[leader_idx]
 
-    expired = leader.expired(r)
-    screening = [leader.screen(txid) for txid in expired]
+    screening = [leader.screen(txid) for txid in leader.expired(r)]
     messages = [res.message for res in screening if res.message is not None]
     for res in screening:
         metrics.record_screening(res)
@@ -372,41 +375,15 @@ def step_round(world: World) -> World:
             for msg in messages:
                 g.on_verification_message(msg)
 
-    invalid_this, unchecked_this = (
-        tuple(res.tx for res in screening if res.outcome == outcome)
-        for outcome in ("invalid", "unchecked")
-    )
-
-    tx_list = leader.take_block_txs(config.b_limit)
-    made_block = bool(tx_list or invalid_this or unchecked_this)
-    if made_block:
-        # Rounds with nothing to record leave the ledger untouched.
-        signed, round_lists = propose_block(
-            serial=leader.ledger.last.serial + 1,
-            leader_id=leader_idx,
-            leader_kp=leader.keypair,
-            tx_list=tx_list,
-            invalid_list=invalid_this,
-            unchecked_list=unchecked_this,
-            prev_hash=leader.ledger.tip_hash(),
-        )
+    # Rounds with nothing to record leave the ledger untouched.
+    block = leader.propose_round(screening, config.b_limit)
+    if block is not None:
         for g in governors:
-            violation = validate_and_append(
-                g.ledger, signed, leader_idx, world.registry,
-                leader_public=g.governor_publics[leader_idx],
-                provider_publics=world.provider_publics,
-                b_limit=config.b_limit,
-                pending=g.pending,
-                round_lists=round_lists,
-            )
-            if violation is not None:
-                raise ChainViolation(violation, f"round {r}, governor {g.id}")
-            g.note_block_appended(tx_list)
-
-    for tx in tx_list:
-        metrics.record_on_chain(tx.txid, r)
-    for g in governors:
-        g.clear_screened(expired)
+            g.apply_block(*block, leader_idx, config.b_limit)
+        signed, lists = block
+        for tx in signed.block.tx_list:
+            metrics.record_on_chain(tx.txid, r)
+        world.feedback = (lists, signed.block.tx_list)
 
     if m > 1:
         tip = governors[0].ledger.tip_hash()
@@ -417,21 +394,14 @@ def step_round(world: World) -> World:
             if g.state_fingerprint() != fp:
                 raise SimulationError(f"replicated state divergence at round {r}")
 
-    if made_block:
-        world.feedback = (
-            tuple(t.txid for t in invalid_this),
-            tuple(t.txid for t in unchecked_this),
-            tuple(t.txid for t in tx_list),
-        )
-
     row = RoundRow(round=r, leader_id=leader_idx)
     row.txs_screened = len(screening)
     row.txs_verified = sum(1 for res in screening if res.verified)
     row.wasted_verifications = sum(1 for res in screening if res.outcome == "invalid")
-    row.blocks = 1 if made_block else 0
+    row.blocks = 0 if block is None else 1
     row.messages_pc = len(sends_pc)
     row.messages_cg = len(uploads) * m
-    row.messages_gg = m * (m - 1) + len(messages) * (m - 1) + (1 if made_block else 0) * (m - 1)
+    row.messages_gg = m * (m - 1) + len(messages) * (m - 1) + row.blocks * (m - 1)
     metrics.rounds.append(row)
 
     world.round = r

@@ -205,6 +205,27 @@ def test_failed_run_exits_one_even_when_its_check_ignores_runs(smoke_config, tmp
     assert run["traceback"].startswith("Traceback (most recent call last):")
 
 
+# -- README examples -------------------------------------------------------------
+
+
+README = (SCENARIOS_DIR.parent / "README.md").read_text()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["oracle", "--instance", "scenarios/oracle_uniform_invalid.json"], 0),
+    (["run", "--config", "scenarios/smoke.json", "--seeds", "1", "--checks", "scaling"], 1),
+], ids=["oracle", "smoke-scaling"])
+def test_readme_fast_examples_print_what_the_readme_shows(tmp_path, capsys, monkeypatch,
+                                                          argv, code):
+    monkeypatch.chdir(SCENARIOS_DIR.parent)
+    out = ["--out", str(tmp_path / "out")] if argv[0] == "run" else []
+    assert cli.main(argv + out) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines
+    for line in lines:
+        assert line in README, line
+
+
 # -- oracle ----------------------------------------------------------------------
 
 
@@ -240,6 +261,9 @@ def test_oracle_accepts_a_well_formed_instance(tmp_path, capsys):
     ("initial_reps", [0, 0, 0]),
     pytest.param("eta", 10**400, id="eta-huge"),
     pytest.param("labels", [[1.0, -1], [1, 1]], id="labels-float"),
+    pytest.param("initial_reps", [10**400, 0], id="initial_reps-huge"),
+    pytest.param("initial_reps", [1 << 53, 0], id="initial_reps-2^53"),
+    pytest.param("initial_rep", [5, 0], id="unknown-key"),
 ])
 def test_oracle_rejects_malformed_instance_naming_the_field(tmp_path, capsys, field, value):
     path = tmp_path / "instance.json"

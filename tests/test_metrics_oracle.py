@@ -86,6 +86,7 @@ def test_oracle_rejects_malformed_input():
     ("initial_reps", [[1, 1]], [True], [0]),
     ("labels", [[True, False]], [False], None),
     ("labels", [[1.0, -1]], [False], None),
+    ("initial_reps", [[1, 1]], [True], [-(1 << 53), 0]),
 ])
 def test_both_oracles_reject_malformed_shapes(field, labels, validity, reps):
     with pytest.raises(ValueError, match=f"field '{field}'"):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -9,7 +10,7 @@ from repuchain.core_types import (
     Transaction,
     label_signing_bytes,
 )
-from repuchain.consensus import propose_block, validate_and_append
+from repuchain.consensus import ChainViolation, Violation
 from repuchain.crypto_sim import sign, substream
 from repuchain import metrics_oracle, nodes, reputation
 from repuchain.metrics_oracle import mc_expected_loss
@@ -447,13 +448,19 @@ def test_leader_screening_reports_epoch_closure(registry):
     assert [r.epoch_index for r in results] == [0, 0, 1]
 
 
-def test_replica_replay_reaches_leader_state(registry):
-    leader, txs, results = _closing_epoch_run(registry)
+def _replica_of(registry, leader, txs):
+    """A second governor that received the same labels as ``_closing_epoch_run``'s leader."""
     replica = make_governor(registry, topology=((0, 1),), threshold=2, gov_index=1)
     replica.governor_publics[0] = leader.keypair.public
     for tx in txs:
         deliver(registry, replica, tx, 0, round_no=1, kind="AlwaysPlus")
         deliver(registry, replica, tx, 1, round_no=1, kind="Honest")
+    return replica
+
+
+def test_replica_replay_reaches_leader_state(registry):
+    leader, txs, results = _closing_epoch_run(registry)
+    replica = _replica_of(registry, leader, txs)
     for res in results:
         replica.on_verification_message(res.message)
     assert replica.rep == leader.rep
@@ -463,20 +470,23 @@ def test_replica_replay_reaches_leader_state(registry):
     assert replica.state_fingerprint() == leader.state_fingerprint()
 
 
+def test_verdict_replayed_into_the_next_epoch_is_refused(registry):
+    # The closing verdict resets cnt, so the first verdict's cnt=1 is "next"
+    # again; only the settled check in apply_verdict refuses the replay.
+    leader, txs, results = _closing_epoch_run(registry)
+    replica = _replica_of(registry, leader, txs)
+    replica.on_verification_message(results[0].message)
+    replica.on_verification_message(results[1].message)
+    before = (dict(replica.inbox), dict(replica.pending), tuple(replica.rep))
+    with pytest.raises(SimulationError, match=re.escape(
+            "verdict for unseen or settled transaction (0, 1, 1)")):
+        replica.on_verification_message(results[0].message)
+    assert (replica.inbox, replica.pending, tuple(replica.rep)) == before
+
+
 def append_round_block(g, results, b_limit=8):
-    """Sign and append the block of the round ``results`` screened, as step_round does."""
-    signed, lists = propose_block(
-        serial=g.ledger.last.serial + 1, leader_id=g.id, leader_kp=g.keypair,
-        tx_list=g.take_block_txs(b_limit),
-        invalid_list=tuple(res.tx for res in results if res.outcome == "invalid"),
-        unchecked_list=tuple(res.tx for res in results if res.outcome == "unchecked"),
-        prev_hash=g.ledger.tip_hash(),
-    )
-    assert validate_and_append(
-        g.ledger, signed, g.id, g.registry, g.governor_publics[g.id], g.provider_publics,
-        b_limit, g.pending, lists,
-    ) is None
-    g.note_block_appended(signed.block.tx_list)
+    """Propose and apply the block of the round ``results`` screened, as step_round does."""
+    g.apply_block(*g.propose_round(results, b_limit), g.id, b_limit)
 
 
 def test_settled_transaction_is_refused_and_starts_no_timer(registry):
@@ -503,6 +513,30 @@ def test_clear_screened_keeps_valid_txs_until_their_block(registry):
     assert leader.ledger.last.tx_list == tuple(txs[1:])
     assert not leader.pending
     assert leader.ledger.settled == {tx.txid for tx in txs}
+
+
+@pytest.mark.parametrize("leader_id", [1, 99], ids=["wrong-leader", "unknown-leader"])
+def test_block_from_another_leader_is_refused_and_changes_nothing(registry, leader_id):
+    leader, txs, results = _closing_epoch_run(registry)
+    leader.governor_publics[1] = registry.issue(2001).public
+    p = make_provider(registry, node_id=0, gen_rate=1, connected=(0, 1))
+    (waiting,) = p.generate(5)  # still in its window, so the inbox is not empty
+    assert deliver(registry, leader, waiting, 0, round_no=5) == "ok"
+    block = leader.propose_round(results, 8)
+
+    def state():
+        return (leader.ledger.tip_hash(), dict(leader.inbox), dict(leader.pending),
+                set(leader.ledger.settled))
+
+    before = state()
+    with pytest.raises(ChainViolation) as exc:
+        leader.apply_block(*block, leader_id, 8)
+    assert exc.value.violation is Violation.WRONG_LEADER
+    assert state() == before
+    leader.apply_block(*block, leader.id, 8)
+    assert leader.ledger.last.tx_list == tuple(txs[1:])
+    assert not leader.pending
+    assert leader.propose_round([], 8) is None  # nothing to record, so no block
 
 
 @pytest.mark.parametrize("index", [0, 1], ids=["invalid", "valid"])

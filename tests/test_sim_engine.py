@@ -127,6 +127,28 @@ def test_malformed_value_fails_closed_like_the_schema(field, value):
     assert not validator.is_valid(raw)
 
 
+# (field, scenario key, well-formed value, the same with one key misspelt)
+UNKNOWN_NESTED_KEYS = [
+    ("strategies[0].forge_rat", "strategies",
+     [{"kind": "Forger", "forge_rate": 5}], [{"kind": "Forger", "forge_rat": 5}]),
+    ("eta_policy.vlaue", "eta_policy",
+     {"kind": "PerEpochSqrt", "value": 0.1}, {"kind": "PerEpochSqrt", "vlaue": 0.1}),
+]
+
+
+@pytest.mark.parametrize("field,key,good,typo", UNKNOWN_NESTED_KEYS,
+                         ids=[case[0] for case in UNKNOWN_NESTED_KEYS])
+def test_unknown_nested_key_fails_closed_like_the_schema(field, key, good, typo):
+    validator = json_schema_validator()
+    good_raw = {**scenarios.smoke(), key: good}
+    ScenarioConfig.from_dict(good_raw)
+    assert validator.is_valid(good_raw)
+    raw = {**scenarios.smoke(), key: typo}
+    with pytest.raises(ConfigError, match=re.escape(f"field '{field}': unknown")):
+        ScenarioConfig.from_dict(raw)
+    assert not validator.is_valid(raw)
+
+
 @pytest.mark.parametrize("field", ["mu", "invalid_fraction", "strategies[0].q",
                                    "eta_policy.value"])
 def test_number_past_the_float_range_is_refused(field):
