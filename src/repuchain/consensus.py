@@ -48,6 +48,7 @@ class Violation(Enum):
     BAD_TX_SIGNATURE = "bad_tx_signature"
     UNLABELED_TX = "unlabeled_tx"
     MT_ROOT_MISMATCH = "mt_root_mismatch"
+    ALREADY_SETTLED = "already_settled"
 
 
 class ChainViolation(RuntimeError):
@@ -171,8 +172,10 @@ def validate_block(
 
     Every packed transaction must carry a valid provider signature and at
     least one +1 label among the signed labels of its ``pending`` entry, and
-    the block's ``mt_root`` must commit to the round's broadcast lists. A
-    ``leader_public`` of None (an unknown leader) fails the signature check.
+    the block's ``mt_root`` must commit to the round's broadcast lists. No
+    packed or invalid-listed txid may be in ``ledger.settled`` already: each
+    transaction is settled once. A ``leader_public`` of None (an unknown
+    leader) fails the signature check.
     """
     block = signed.block
     last = ledger.last
@@ -195,6 +198,11 @@ def validate_block(
     recomputed = lists_commitment_root(round_lists.invalid_list, round_lists.unchecked_list)
     if recomputed != block.mt_root:
         return Violation.MT_ROOT_MISMATCH
+    settled = ledger.settled
+    for txs in (block.tx_list, round_lists.invalid_list):
+        for tx in txs:
+            if tx.txid in settled:
+                return Violation.ALREADY_SETTLED
     return None
 
 

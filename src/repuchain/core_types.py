@@ -14,10 +14,21 @@ layout with one precompiled ``struct.Struct`` instead of composing the
 [0, 2^64) raise in both forms (``struct.error`` here, ``OverflowError`` from
 ``enc_int``).
 
-Each signed object builds the bytes its signature covers once, at
-construction, and carries them as ``signing_bytes`` (and ``wire_bytes``);
-every check reads the carried bytes and computes its own digest. A
-transaction carries its identity triple as ``txid`` the same way.
+Each signed object carries the bytes its signature covers as
+``signing_bytes`` (and ``wire_bytes``); every check reads the carried bytes
+and computes its own digest. The public constructor encodes them. A signer
+that has just encoded them to sign builds the record with ``carrying``
+instead, so the bytes are encoded once. A transaction carries its identity
+triple as ``txid``.
+
+The records built once or more per transaction (here ``SimSignature``,
+``Transaction`` and ``LabeledTransaction``; elsewhere the verdict, the
+screening result and the reputation state) are frozen slots dataclasses
+whose ``__init__`` stores each field through its slot descriptor
+(``slot_setters``), not the generated ``object.__setattr__`` path, which
+costs more than encoding the record. Assignment still raises
+``FrozenInstanceError``; equality, hashing, repr and
+``dataclasses.replace`` are the dataclass's own.
 
 A block carries its SHA-256 digest as ``hash``, but not its bytes: a copy
 of those would duplicate every chained transaction's wire bytes. The
@@ -34,7 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 DIGEST_SIZE = 32
@@ -75,11 +86,22 @@ def enc_list(items: Sequence[bytes]) -> bytes:
     return enc_int(len(items)) + b"".join(enc_field(i) for i in items)
 
 
-@dataclass(frozen=True, slots=True)
+def slot_setters(cls) -> tuple:
+    """The ``__set__`` of each field's slot descriptor of ``cls``, in field order."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class SimSignature:
     """Keyed-hash tag standing in for a digital signature."""
 
     tag: bytes
+
+    def __init__(self, tag: bytes) -> None:
+        _set_tag(self, tag)
+
+
+(_set_tag,) = slot_setters(SimSignature)
 
 
 def tx_signing_bytes(provider_id: int, seq: int, timestamp: int) -> bytes:
@@ -87,7 +109,7 @@ def tx_signing_bytes(provider_id: int, seq: int, timestamp: int) -> bytes:
     return _TX_SIGNING.pack(8, provider_id, 8, seq, 8, timestamp)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Transaction:
     """Provider-signed payload; (provider_id, seq, timestamp) is its identity.
 
@@ -104,12 +126,22 @@ class Transaction:
     signing_bytes: bytes = field(init=False, repr=False, compare=False)
     wire_bytes: bytes = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "txid", (self.provider_id, self.seq, self.timestamp))
-        signing = tx_signing_bytes(self.provider_id, self.seq, self.timestamp)
-        object.__setattr__(self, "signing_bytes", signing)
-        tag = self.signature.tag
-        object.__setattr__(self, "wire_bytes", signing + _U64.pack(len(tag)) + tag)
+    def __init__(self, provider_id: int, seq: int, timestamp: int,
+                 ground_truth_valid: bool, signature: SimSignature) -> None:
+        s_provider, s_seq, s_time, s_valid, s_sig, s_txid, s_signing, s_wire = _TX_SLOTS
+        signing = tx_signing_bytes(provider_id, seq, timestamp)
+        tag = signature.tag
+        s_provider(self, provider_id)
+        s_seq(self, seq)
+        s_time(self, timestamp)
+        s_valid(self, ground_truth_valid)
+        s_sig(self, signature)
+        s_txid(self, (provider_id, seq, timestamp))
+        s_signing(self, signing)
+        s_wire(self, signing + _U64.pack(len(tag)) + tag)
+
+
+_TX_SLOTS = slot_setters(Transaction)
 
 
 def tx_wire_bytes(tx: Transaction) -> bytes:
@@ -117,7 +149,7 @@ def tx_wire_bytes(tx: Transaction) -> bytes:
     return tx.wire_bytes
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LabeledTransaction:
     """A transaction plus one collector's +1/-1 label and signature."""
 
@@ -127,10 +159,33 @@ class LabeledTransaction:
     signature: SimSignature
     signing_bytes: bytes = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.label not in (+1, -1):
-            raise ValueError(f"label must be +1 or -1, got {self.label}")
-        object.__setattr__(self, "signing_bytes", label_signing_bytes(self.tx, self.label))
+    def __init__(self, tx: Transaction, label: int, collector_id: int,
+                 signature: SimSignature) -> None:
+        _fill_label(self, tx, label, collector_id, signature, label_signing_bytes(tx, label))
+
+    @classmethod
+    def carrying(cls, signing_bytes: bytes, tx: Transaction, label: int, collector_id: int,
+                 signature: SimSignature) -> "LabeledTransaction":
+        """The label its collector just signed: ``signing_bytes`` are the
+        ``label_signing_bytes(tx, label)`` the signature covers."""
+        ltx = _new(cls)
+        _fill_label(ltx, tx, label, collector_id, signature, signing_bytes)
+        return ltx
+
+
+_new = object.__new__
+_LTX_SLOTS = slot_setters(LabeledTransaction)
+
+
+def _fill_label(ltx, tx, label, collector_id, signature, signing_bytes) -> None:
+    if label != 1 and label != -1:
+        raise ValueError(f"label must be +1 or -1, got {label}")
+    s_tx, s_label, s_collector, s_sig, s_signing = _LTX_SLOTS
+    s_tx(ltx, tx)
+    s_label(ltx, label)
+    s_collector(ltx, collector_id)
+    s_sig(ltx, signature)
+    s_signing(ltx, signing_bytes)
 
 
 def label_signing_bytes(tx: Transaction, label: int) -> bytes:

@@ -31,10 +31,6 @@ from .core_types import SimSignature, Transaction, enc_int, sha256
 SECRET_SIZE = 32
 
 
-def _sig_tag(secret: bytes, msg: bytes) -> bytes:
-    return hashlib.sha256(b"sig" + secret + msg).digest()
-
-
 def _vrf_pair(secret: bytes, vrf_input: bytes) -> tuple[bytes, bytes]:
     return (
         sha256(b"vrf" + secret + vrf_input),
@@ -66,7 +62,7 @@ def keypair_from_secret(node_id: int, secret: bytes) -> KeyPair:
 
 
 def sign(kp: KeyPair, msg: bytes) -> SimSignature:
-    return SimSignature(tag=_sig_tag(kp.secret, msg))
+    return SimSignature(hashlib.sha256(b"sig" + kp.secret + msg).digest())
 
 
 def vrf_eval(kp: KeyPair, vrf_input: bytes) -> VrfOutput:

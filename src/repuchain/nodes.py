@@ -13,10 +13,12 @@ its block. A block settles its payload and the round's invalid list. An
 unchecked transaction leaves the inbox at the end of its screening round
 and comes back, if its provider resubmits it, as a fresh arrival.
 
-A governor changes state only through three transitions, each taking one
+A governor changes state only through three transitions, each taking
 signed input:
 
-- ``on_labeled_transaction(ltx, r)``: a collector's label enters the inbox.
+- ``ingest(batch, r)``: a round's labeled copies enter the inbox in one
+  call, each after its own collector and provider signature checks
+  (``on_labeled_transaction(ltx, r)`` is the one-copy form).
 - ``apply_verdict(msg)``: the leader's ``VerificationMessage`` penalizes the
   slots, advances the epoch at its boundary and moves the transaction out
   of the inbox. The leader signs the message after its draw (``cnt`` is the
@@ -47,6 +49,7 @@ from .core_types import (
     SimSignature,
     Transaction,
     label_signing_bytes,
+    slot_setters,
     tx_signing_bytes,
 )
 from .crypto_sim import KeyPair, KeyRegistry, sign
@@ -221,12 +224,12 @@ class CollectorNode:
         label = self._label_for(tx)
         if label is None:
             return None
-        return LabeledTransaction(
-            tx=tx,
-            label=label,
-            collector_id=self.id,
-            signature=sign(self.keypair, label_signing_bytes(tx, label)),
-        )
+        return self._signed(tx, label)
+
+    def _signed(self, tx: Transaction, label: int) -> LabeledTransaction:
+        """``tx`` with this collector's signed label; the signed bytes are encoded once."""
+        body = label_signing_bytes(tx, label)
+        return LabeledTransaction.carrying(body, tx, label, self.id, sign(self.keypair, body))
 
     def forge(self, round_no: int, provider_count: int) -> list[LabeledTransaction]:
         """Fabricate transactions with bogus provider signatures (Forger only)."""
@@ -242,18 +245,11 @@ class CollectorNode:
                 ground_truth_valid=False,
                 signature=SimSignature(tag=self.rng.randbytes(32)),
             )
-            out.append(
-                LabeledTransaction(
-                    tx=fake,
-                    label=1,
-                    collector_id=self.id,
-                    signature=sign(self.keypair, label_signing_bytes(fake, 1)),
-                )
-            )
+            out.append(self._signed(fake, 1))
         return out
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class VerificationMessage:
     """Leader broadcast after verifying a transaction; replicas replay it.
 
@@ -271,11 +267,39 @@ class VerificationMessage:
     signature: SimSignature
     signing_bytes: bytes = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        body = verification_message_bytes(
-            self.leader_id, self.provider_id, self.txid, self.validbit, self.received, self.cnt
-        )
-        object.__setattr__(self, "signing_bytes", body)
+    def __init__(self, leader_id: int, provider_id: int, txid: TxId, validbit: bool,
+                 received: tuple[tuple[int, int], ...], cnt: int,
+                 signature: SimSignature) -> None:
+        body = verification_message_bytes(leader_id, provider_id, txid, validbit, received, cnt)
+        _fill_message(self, body, leader_id, provider_id, txid, validbit, received, cnt, signature)
+
+    @classmethod
+    def carrying(cls, signing_bytes: bytes, leader_id: int, provider_id: int, txid: TxId,
+                 validbit: bool, received: tuple[tuple[int, int], ...], cnt: int,
+                 signature: SimSignature) -> "VerificationMessage":
+        """The message its leader just signed: ``signing_bytes`` are the
+        ``verification_message_bytes`` of the other fields, which the signature covers."""
+        msg = _new(cls)
+        _fill_message(msg, signing_bytes, leader_id, provider_id, txid, validbit, received, cnt,
+                      signature)
+        return msg
+
+
+_new = object.__new__
+_VMSG_SLOTS = slot_setters(VerificationMessage)
+
+
+def _fill_message(msg, signing_bytes, leader_id, provider_id, txid, validbit, received, cnt,
+                  signature) -> None:
+    s_leader, s_provider, s_txid, s_valid, s_received, s_cnt, s_sig, s_signing = _VMSG_SLOTS
+    s_leader(msg, leader_id)
+    s_provider(msg, provider_id)
+    s_txid(msg, txid)
+    s_valid(msg, validbit)
+    s_received(msg, received)
+    s_cnt(msg, cnt)
+    s_sig(msg, signature)
+    s_signing(msg, signing_bytes)
 
 
 def verification_message_bytes(
@@ -305,7 +329,7 @@ class EpochClosure:
     revenue: tuple[float, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ScreeningResult:
     """Everything the leader learned screening one expired transaction."""
 
@@ -317,9 +341,24 @@ class ScreeningResult:
     message: VerificationMessage | None
     closure: EpochClosure | None
 
+    def __init__(self, tx: Transaction, outcome: str, loss: float, penalized: tuple[int, ...],
+                 epoch_index: int, message: VerificationMessage | None,
+                 closure: EpochClosure | None) -> None:
+        s_tx, s_outcome, s_loss, s_pen, s_epoch, s_msg, s_closure = _RESULT_SLOTS
+        s_tx(self, tx)
+        s_outcome(self, outcome)
+        s_loss(self, loss)
+        s_pen(self, penalized)
+        s_epoch(self, epoch_index)
+        s_msg(self, message)
+        s_closure(self, closure)
+
     @property
     def verified(self) -> bool:
         return self.outcome in ("valid", "invalid")
+
+
+_RESULT_SLOTS = slot_setters(ScreeningResult)
 
 
 class GovernorNode:
@@ -366,29 +405,62 @@ class GovernorNode:
 
     # -- uploading-phase intake -------------------------------------------
 
+    def ingest(self, batch: Iterable[LabeledTransaction], round_no: int) -> list[str]:
+        """Ingest a round's labeled copies in order; returns each copy's disposition.
+
+        Every copy gets its own collector-signature and provider-signature
+        check. A copy enters the inbox ("ok") unless one fails
+        ("bad_collector_sig", "forged"), its collector serves another
+        provider ("not_connected"), the transaction is verified or settled
+        ("settled"), or its collector's label is already in ("duplicate":
+        the first label wins, conflicting or not).
+        """
+        verify = self.registry.verify
+        verify_tx = self.registry.verify_tx
+        collector_publics = self.collector_publics
+        provider_publics = self.provider_publics
+        slot_of = self.slot_of
+        n_providers = len(slot_of)
+        inbox = self.inbox
+        pending = self.pending
+        settled = self.ledger.settled
+        expiry = round_no + self.delta_rounds
+        codes: list[str] = []
+        code = codes.append
+        for ltx in batch:
+            tx = ltx.tx
+            cid = ltx.collector_id
+            cpub = collector_publics.get(cid)
+            if cpub is None or not verify(cpub, ltx.signing_bytes, ltx.signature):
+                self.dropped_bad_signature += 1
+                code("bad_collector_sig")
+                continue
+            if not verify_tx(provider_publics, tx):
+                self.dropped_forged += 1
+                code("forged")
+                continue
+            provider = tx.provider_id
+            if provider >= n_providers or cid not in slot_of[provider]:
+                code("not_connected")
+                continue
+            txid = tx.txid
+            entry = inbox.get(txid)
+            if entry is None:
+                if txid in pending or txid in settled:
+                    code("settled")
+                    continue
+                entry = inbox[txid] = (tx, expiry, {})
+            labels = entry[2]
+            if cid in labels:
+                code("duplicate")
+                continue
+            labels[cid] = ltx.label
+            code("ok")
+        return codes
+
     def on_labeled_transaction(self, ltx: LabeledTransaction, round_no: int) -> str:
-        """Ingest one labeled copy; returns a disposition code for metrics."""
-        tx = ltx.tx
-        cpub = self.collector_publics.get(ltx.collector_id)
-        if cpub is None or not self.registry.verify(cpub, ltx.signing_bytes, ltx.signature):
-            self.dropped_bad_signature += 1
-            return "bad_collector_sig"
-        if not self.registry.verify_tx(self.provider_publics, tx):
-            self.dropped_forged += 1
-            return "forged"
-        if tx.provider_id >= len(self.slot_of) or ltx.collector_id not in self.slot_of[tx.provider_id]:
-            return "not_connected"
-        txid = tx.txid
-        entry = self.inbox.get(txid)
-        if entry is None:
-            if txid in self.pending or txid in self.ledger.settled:
-                return "settled"
-            entry = self.inbox[txid] = (tx, round_no + self.delta_rounds, {})
-        labels = entry[2]
-        if ltx.collector_id in labels:
-            return "duplicate"  # first label wins, conflicting or not
-        labels[ltx.collector_id] = ltx.label
-        return "ok"
+        """Ingest one labeled copy; returns its disposition code (see ``ingest``)."""
+        return self.ingest((ltx,), round_no)[0]
 
     def expired(self, round_no: int) -> list[TxId]:
         """Transactions whose waiting window ends this round, in arrival order."""
@@ -414,8 +486,9 @@ class GovernorNode:
             return ScreeningResult(tx, "unchecked", loss, pen, state.epoch_index, None, None)
         snapshot = tuple(sorted(received.items()))
         cnt = state.cnt + 1  # this verdict's place in the provider's update order
-        body = (self.id, provider, txid, validbit, snapshot, cnt)  # every field but the signature
-        message = VerificationMessage(*body, sign(self.keypair, verification_message_bytes(*body)))
+        fields = (self.id, provider, txid, validbit, snapshot, cnt)  # all but the signature
+        body = verification_message_bytes(*fields)
+        message = VerificationMessage.carrying(body, *fields, sign(self.keypair, body))
         closure = self.apply_verdict(message)
         return ScreeningResult(
             tx, "valid" if validbit else "invalid",

@@ -12,8 +12,10 @@ learning rate is retuned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
+
+from .core_types import slot_setters
 
 
 class TopologyError(ValueError):
@@ -43,15 +45,37 @@ class EtaPolicy:
         return math.sqrt(math.log(u) / threshold)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ReputationState:
-    """Per-provider reputation vector plus epoch counters."""
+    """Per-provider reputation vector plus epoch counters.
+
+    ``probs`` is the selection distribution of ``reps`` under ``eta``, a
+    function of those two alone: the first ``screen_draw`` on the state
+    computes it and stores it there, and every later draw on the same state
+    (one after an unchecked screening, or the oracle's next run) reads it.
+    It takes no part in equality, hashing or repr.
+    """
 
     reps: tuple[int, ...]
     cnt: int
     epoch_threshold: int
     eta: float
     epoch_index: int
+    probs: tuple[float, ...] | None = field(init=False, repr=False, compare=False)
+
+    def __init__(self, reps: tuple[int, ...], cnt: int, epoch_threshold: int, eta: float,
+                 epoch_index: int) -> None:
+        s_reps, s_cnt, s_threshold, s_eta, s_epoch, s_probs = _STATE_SLOTS
+        s_reps(self, reps)
+        s_cnt(self, cnt)
+        s_threshold(self, epoch_threshold)
+        s_eta(self, eta)
+        s_epoch(self, epoch_index)
+        s_probs(self, None)
+
+
+_STATE_SLOTS = slot_setters(ReputationState)
+_set_probs = _STATE_SLOTS[-1]
 
 
 def initial_state(u: int, threshold: int, policy: EtaPolicy) -> ReputationState:
@@ -119,9 +143,12 @@ def screen_draw(
     Returns ``(verdict, penalized, loss)``: ``verify(subject)``, or None when
     the drawn slot did not vouch +1 (an absent label counts as -1); the slots
     to penalize; and the selection-probability mass on them. Leaves ``state``
-    unchanged.
+    unchanged, apart from storing its ``probs`` on the first draw.
     """
-    probs = selection_probabilities(state.reps, state.eta)
+    probs = state.probs
+    if probs is None:
+        probs = selection_probabilities(state.reps, state.eta)
+        _set_probs(state, probs)
     if labels.get(draw_collector(probs, rng)) != 1:
         return None, (), 0.0
     valid = verify(subject)

@@ -355,8 +355,7 @@ def step_round(world: World) -> World:
 
     # Phase 3: processing.
     for g in governors:
-        for ltx in batch:
-            g.on_labeled_transaction(ltx, r)
+        g.ingest(batch, r)
 
     round_seed = governors[0].ledger.tip_hash()
     election = elect_leader(config.stakes, round_seed, world.governor_kps, world.registry)

@@ -293,6 +293,17 @@ def test_append_indexes_chained_and_invalid_listed_txids_only():
 # -- violations -------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("listed", ["payload", "invalid_list"])
+def test_txid_already_settled_is_refused(listed):
+    chain = Chain()
+    signed, lists = chain.next_block(n_txs=1, n_unchecked=0, n_invalid=1)
+    tx = signed.block.tx_list[0] if listed == "payload" else lists.invalid_list[0]
+    chain.ledger.settled.add(tx.txid)
+    before = (list(chain.ledger.blocks), set(chain.ledger.settled))
+    assert chain.append(signed, lists) is Violation.ALREADY_SETTLED
+    assert (chain.ledger.blocks, chain.ledger.settled) == before
+
+
 def test_serial_gap_is_no_skipping():
     chain = Chain()
     signed, lists = chain.next_block()

@@ -24,6 +24,7 @@ from repuchain.core_types import (
     tx_wire_bytes,
 )
 from repuchain.crypto_sim import keypair_from_secret, sign
+from repuchain.nodes import VerificationMessage, verification_message_bytes
 
 
 def ref_merkle(items):
@@ -189,6 +190,61 @@ def test_replace_rebuilds_carried_bytes():
     assert nxt.txid == (2, 9, 3) != tx.txid == (2, 8, 3)
     assert nxt.signing_bytes == tx_signing_bytes(2, 9, 3) != tx.signing_bytes
     assert nxt.wire_bytes == tx_signing_bytes(2, 9, 3) + tx.wire_bytes[len(tx.signing_bytes):]
+    sig = SimSignature(b"\x05" * 32)
+    ltx = LabeledTransaction.carrying(label_signing_bytes(tx, 1), tx, 1, 4, sig)
+    flipped = dataclasses.replace(ltx, label=-1)
+    assert flipped.signing_bytes == label_signing_bytes(tx, -1) != ltx.signing_bytes
+    moved = dataclasses.replace(ltx, tx=nxt)
+    assert moved.signing_bytes == label_signing_bytes(nxt, 1)
+    fields = (0, 2, tx.txid, True, ((4, 1),), 3)
+    msg = VerificationMessage.carrying(verification_message_bytes(*fields), *fields, sig)
+    later = dataclasses.replace(msg, cnt=4)
+    assert later.signing_bytes == verification_message_bytes(*fields[:-1], 4) != msg.signing_bytes
+
+
+def _signer_and_public_records():
+    """(carrying, public) pairs: each record built on the signer's path and publicly."""
+    tx = make_tx(provider=1, seq=6, ts=2)
+    sig = SimSignature(b"\x09" * 32)
+    pairs = []
+    for label in (1, -1):
+        pairs.append((LabeledTransaction.carrying(label_signing_bytes(tx, label), tx, label, 3, sig),
+                      LabeledTransaction(tx, label, 3, sig)))
+    for received in ((), ((0, 1),), ((0, -1), (2, 1), (5, -1))):
+        fields = (4, 1, tx.txid, bool(received), received, 7)
+        pairs.append((VerificationMessage.carrying(verification_message_bytes(*fields), *fields, sig),
+                      VerificationMessage(*fields, sig)))
+    return pairs
+
+
+def test_records_built_from_carried_bytes_equal_the_public_ones():
+    for carried, public in _signer_and_public_records():
+        assert type(carried) is type(public)
+        assert carried == public and hash(carried) == hash(public)
+        assert repr(carried) == repr(public)
+        assert "signing_bytes" not in repr(carried)
+        assert carried.signing_bytes == public.signing_bytes
+
+
+def test_records_refuse_assignment_on_every_path():
+    records = [r for pair in _signer_and_public_records() for r in pair] + [make_tx()]
+    for record in records:
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+
+
+@pytest.mark.parametrize("label", [0, 2, -2, None])
+def test_label_outside_plus_minus_one_is_refused_on_every_path(label):
+    tx = make_tx()
+    sig = SimSignature(b"\0" * 32)
+    with pytest.raises(ValueError, match="label must be"):
+        LabeledTransaction(tx, label, 1, sig)
+    with pytest.raises(ValueError, match="label must be"):
+        LabeledTransaction.carrying(label_signing_bytes(tx, -1), tx, label, 1, sig)
+    ltx = LabeledTransaction(tx, 1, 1, sig)
+    with pytest.raises(ValueError, match="label must be"):
+        dataclasses.replace(ltx, label=label)
 
 
 def test_no_module_level_caches():

@@ -12,7 +12,7 @@ from repuchain.core_types import (
 )
 from repuchain.consensus import ChainViolation, Violation
 from repuchain.crypto_sim import sign, substream
-from repuchain import metrics_oracle, nodes, reputation
+from repuchain import core_types, metrics_oracle, nodes, reputation
 from repuchain.metrics_oracle import mc_expected_loss
 from repuchain.reputation import revenue_shares
 from repuchain.nodes import (
@@ -248,6 +248,71 @@ def test_forged_transactions_rejected_10k_attempts(registry):
     assert accepted == 0
     assert g.dropped_forged == 10_000
     assert not g.inbox
+
+
+def test_batched_ingest_matches_one_copy_at_a_time(registry):
+    # Provider 0 reaches collectors 0 and 1, provider 1 only collector 2.
+    topology = ((0, 1), (2,))
+    governors = [make_governor(registry, topology=topology, gov_index=k) for k in (0, 1)]
+    c0, c1, c2 = (make_collector(registry, index=j, n_providers=2) for j in range(3))
+    a, b, verified, settled = make_provider(registry, gen_rate=4).generate(1)
+    (d,) = make_provider(registry, node_id=1, connected=(2,)).generate(1)
+    for g in governors:
+        g.pending[verified.txid] = (verified, ((0, 1),))
+        g.ledger.settled.add(settled.txid)
+    forged_tx = Transaction(0, 99, 1, True, SimSignature(b"\x42" * 32))
+    conflicting = LabeledTransaction(a, -1, 0, sign(c0.keypair, label_signing_bytes(a, -1)))
+    batch = [
+        c0.process(a),
+        c1.process(a),
+        conflicting,
+        c0.process(a),
+        LabeledTransaction(b, 1, 0, SimSignature(b"\x01" * 32)),
+        LabeledTransaction(b, 1, 9, SimSignature(b"\x01" * 32)),  # unknown collector
+        LabeledTransaction(forged_tx, 1, 0, sign(c0.keypair, label_signing_bytes(forged_tx, 1))),
+        c2.process(b),  # collector 2 does not serve provider 0
+        c1.process(verified),
+        c1.process(settled),
+        c1.process(b),
+        c2.process(d),
+    ]
+    batched, one_by_one = governors
+    codes = batched.ingest(batch, 5)
+    assert codes == [one_by_one.on_labeled_transaction(ltx, 5) for ltx in batch]
+    assert codes == ["ok", "ok", "duplicate", "duplicate", "bad_collector_sig",
+                     "bad_collector_sig", "forged", "not_connected", "settled", "settled",
+                     "ok", "ok"]
+    assert list(batched.inbox.items()) == list(one_by_one.inbox.items())
+    assert list(batched.inbox) == [a.txid, b.txid, d.txid]
+    assert batched.inbox[a.txid] == (a, 6, {0: 1, 1: 1})
+    assert list(batched.pending.items()) == list(one_by_one.pending.items())
+    for g in governors:
+        assert (g.dropped_bad_signature, g.dropped_forged) == (2, 1)
+
+
+def test_signers_encode_each_signed_record_once(registry, monkeypatch):
+    # The bytes a collector or leader signs are the bytes its record carries.
+    calls = {}
+    for module in (core_types, nodes):
+        for name in ("label_signing_bytes", "verification_message_bytes"):
+            if hasattr(module, name):
+                def counting(*args, _original=getattr(module, name), _name=name):
+                    calls[_name] = calls.get(_name, 0) + 1
+                    return _original(*args)
+
+                monkeypatch.setattr(module, name, counting)
+    g = make_governor(registry, topology=((0,),))
+    (tx,) = make_provider(registry, gen_rate=1, invalid=0.0).generate(1)
+    ltx = make_collector(registry).process(tx)
+    assert calls == {"label_signing_bytes": 1}
+    assert ltx.signing_bytes == label_signing_bytes(tx, 1)  # the test's unwrapped binding
+    assert g.ingest([ltx], 1) == ["ok"]
+    res = g.screen(tx.txid)
+    assert res.outcome == "valid"
+    assert calls == {"label_signing_bytes": 1, "verification_message_bytes": 1}
+    msg = res.message
+    assert msg.signing_bytes == verification_message_bytes(
+        msg.leader_id, msg.provider_id, msg.txid, msg.validbit, msg.received, msg.cnt)
 
 
 def test_screen_single_honest_collector_always_verifies(registry):

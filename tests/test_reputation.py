@@ -1,8 +1,10 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
+from repuchain import reputation
 from repuchain.crypto_sim import substream
 from repuchain.reputation import (
     EtaPolicy,
@@ -12,6 +14,7 @@ from repuchain.reputation import (
     initial_state,
     maybe_advance_epoch,
     revenue_shares,
+    screen_draw,
     selection_probabilities,
     update_reputations,
 )
@@ -80,6 +83,32 @@ def test_draw_reproducible_for_fixed_seed():
 def fresh_state(u=2, threshold=100, eta=0.5):
     return ReputationState(reps=(0,) * u, cnt=0, epoch_threshold=threshold,
                            eta=eta, epoch_index=0)
+
+
+def test_state_carries_its_draw_distribution(monkeypatch):
+    computed = []
+
+    def counting(reps, eta, _original=reputation.selection_probabilities):
+        computed.append(reps)
+        return _original(reps, eta)
+
+    monkeypatch.setattr(reputation, "selection_probabilities", counting)
+    state = ReputationState((0, -2, -1), 0, 10, 0.5, 0)
+    fresh = ReputationState((0, -2, -1), 0, 10, 0.5, 0)
+    assert state.probs is None
+    assert screen_draw(state, {}, random.Random(1), bool, True) == (None, (), 0.0)
+    assert state.probs == selection_probabilities((0, -2, -1), 0.5)
+    assert state == fresh and hash(state) == hash(fresh) and repr(state) == repr(fresh)
+    # The stored distribution draws exactly as a fresh computation does.
+    labels = {0: 1, 1: 1, 2: -1}
+    rng_a, rng_b = random.Random(5), random.Random(5)
+    for _ in range(50):
+        assert screen_draw(state, labels, rng_a, bool, False) == screen_draw(
+            fresh, labels, rng_b, bool, False)
+        fresh = dataclasses.replace(fresh)
+    assert rng_a.random() == rng_b.random()
+    assert computed.count((0, -2, -1)) == 51  # once for ``state``, once per fresh copy
+    assert dataclasses.replace(state).probs is None
 
 
 def test_update_valid_penalizes_non_plus_labels():

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import SCENARIOS_DIR
 from repuchain import scenarios
-from repuchain.consensus import ChainViolation
+from repuchain.consensus import ChainViolation, Violation
 from repuchain.metrics_oracle import compute_regret, emit_csv
 from repuchain.nodes import FORGED_SEQ_BASE, FORGED_SEQ_STRIDE, SimulationError
 from repuchain.sim_engine import (
@@ -346,15 +346,14 @@ def test_every_governor_applies_each_signed_verdict_once():
 
 def _record_ingested(g, seen):
     """Wrap one governor's ingest so every txid it accepts lands in ``seen``."""
-    ingest = g.on_labeled_transaction
+    ingest = g.ingest
 
-    def wrapped(ltx, round_no):
-        code = ingest(ltx, round_no)
-        if code == "ok":
-            seen.add(ltx.tx.txid)
-        return code
+    def wrapped(batch, round_no):
+        codes = ingest(batch, round_no)
+        seen.update(ltx.tx.txid for ltx, code in zip(batch, codes) if code == "ok")
+        return codes
 
-    g.on_labeled_transaction = wrapped
+    g.ingest = wrapped
 
 
 @pytest.mark.parametrize("raw", [scenarios.smoke(), scenarios.properties(10)],
@@ -423,6 +422,20 @@ def test_replica_divergence_detected(alter):
     alter(w.governors[1])
     with pytest.raises((SimulationError, ChainViolation), match="divergence"):
         step_round(w)
+
+
+def test_replica_that_settled_the_next_head_refuses_the_block():
+    # The tip hash proves the blocks equal, not the settled index derived
+    # from them: only the block check sees this replica's extra txid.
+    cfg = ScenarioConfig.from_dict(dict(scenarios.properties(10), b_limit=1))
+    w = init_world(cfg)
+    for _ in range(12):
+        step_round(w)
+    g = w.governors[1]
+    g.ledger.settled.add(next(iter(g.pending)))
+    with pytest.raises(ChainViolation, match="already_settled") as raised:
+        step_round(w)
+    assert raised.value.violation is Violation.ALREADY_SETTLED
 
 
 def test_round_row_count_matches_total_rounds():
