@@ -10,10 +10,12 @@ Governors are trusted not to equivocate, so consensus is modeled as a
 deterministic replicated state machine: every governor runs the same
 election, replays the same update stream, and appends the same block. The
 stake of each governor is fixed for the run (``ScenarioConfig.stakes``).
-Every append is validated against the chain tip and the round's broadcast
-lists, so the four safety properties (agreement, chain integrity, no
-skipping, almost-no-creation) hold block by block; any violation halts the
-simulation, since it would indicate a bug rather than an attack.
+Every append is validated whole, before any state changes, against the
+chain tip, the governor's queue of verified-valid transactions and the
+round's broadcast lists, so the four safety properties (agreement, chain
+integrity, no skipping, almost-no-creation) hold block by block; any
+violation halts the simulation, since it would indicate a bug rather than an
+attack.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from typing import Mapping, Sequence
 
 from .core_types import (
@@ -40,6 +43,13 @@ PendingEntry = tuple[Transaction, tuple[tuple[int, int], ...]]
 
 
 class Violation(Enum):
+    """Why ``validate_block`` refused a block.
+
+    ``UNLABELED_TX`` covers the whole payload rule: a packed transaction that
+    is not the next one in ``pending`` (out of order, skipped, or never
+    verified valid), or whose verdict holds no +1 label.
+    """
+
     NO_SKIPPING = "no_skipping"
     CHAIN_INTEGRITY = "chain_integrity"
     WRONG_LEADER = "wrong_leader"
@@ -170,12 +180,13 @@ def validate_block(
 ) -> Violation | None:
     """Check one block against the chain; returns the first violation found.
 
-    Every packed transaction must carry a valid provider signature and at
-    least one +1 label among the signed labels of its ``pending`` entry, and
-    the block's ``mt_root`` must commit to the round's broadcast lists. No
-    packed or invalid-listed txid may be in ``ledger.settled`` already: each
-    transaction is settled once. A ``leader_public`` of None (an unknown
-    leader) fails the signature check.
+    The payload rule: the block's ``tx_list`` must be the first
+    ``len(tx_list)`` transactions of ``pending``, in order, each with a valid
+    provider signature and at least one +1 label among its entry's signed
+    labels. The block's ``mt_root`` must commit to the round's broadcast
+    lists. No packed or invalid-listed txid may be in ``ledger.settled``
+    already: each transaction is settled once. A ``leader_public`` of None
+    (an unknown leader) fails the signature check.
     """
     block = signed.block
     last = ledger.last
@@ -187,13 +198,15 @@ def validate_block(
         return Violation.WRONG_LEADER
     if not registry.verify(leader_public, block_bytes(block), signed.signature):
         return Violation.BAD_LEADER_SIGNATURE
-    if len(block.tx_list) > b_limit:
+    tx_list = block.tx_list
+    if len(tx_list) > b_limit:
         return Violation.OVERSIZE_TX_LIST
-    for tx in block.tx_list:
+    head = islice(pending.values(), len(tx_list))
+    for tx in tx_list:
         if not registry.verify_tx(provider_publics, tx):
             return Violation.BAD_TX_SIGNATURE
-        entry = pending.get(tx.txid)
-        if entry is None or not any(lab == 1 for _, lab in entry[1]):
+        queued, labels = next(head, (None, ()))
+        if queued != tx or not any(lab == 1 for _, lab in labels):
             return Violation.UNLABELED_TX
     recomputed = lists_commitment_root(round_lists.invalid_list, round_lists.unchecked_list)
     if recomputed != block.mt_root:

@@ -16,10 +16,12 @@ layout with one precompiled ``struct.Struct`` instead of composing the
 
 Each signed object carries the bytes its signature covers as
 ``signing_bytes`` (and ``wire_bytes``); every check reads the carried bytes
-and computes its own digest. The public constructor encodes them. A signer
-that has just encoded them to sign builds the record with ``carrying``
-instead, so the bytes are encoded once. A transaction carries its identity
-triple as ``txid``.
+and computes its own digest. Each record has one constructor, whose optional
+last argument ``signing_bytes`` is for its signer: the provider, collector or
+leader passes the bytes it has just encoded and signed, so they are encoded
+once. Anyone else, ``dataclasses.replace`` included, leaves it out and the
+constructor encodes them. A transaction carries its identity triple as
+``txid``.
 
 The records built once or more per transaction (here ``SimSignature``,
 ``Transaction`` and ``LabeledTransaction``; elsewhere the verdict, the
@@ -127,9 +129,10 @@ class Transaction:
     wire_bytes: bytes = field(init=False, repr=False, compare=False)
 
     def __init__(self, provider_id: int, seq: int, timestamp: int,
-                 ground_truth_valid: bool, signature: SimSignature) -> None:
+                 ground_truth_valid: bool, signature: SimSignature,
+                 signing_bytes: bytes | None = None) -> None:
         s_provider, s_seq, s_time, s_valid, s_sig, s_txid, s_signing, s_wire = _TX_SLOTS
-        signing = tx_signing_bytes(provider_id, seq, timestamp)
+        signing = signing_bytes or tx_signing_bytes(provider_id, seq, timestamp)
         tag = signature.tag
         s_provider(self, provider_id)
         s_seq(self, seq)
@@ -160,32 +163,18 @@ class LabeledTransaction:
     signing_bytes: bytes = field(init=False, repr=False, compare=False)
 
     def __init__(self, tx: Transaction, label: int, collector_id: int,
-                 signature: SimSignature) -> None:
-        _fill_label(self, tx, label, collector_id, signature, label_signing_bytes(tx, label))
-
-    @classmethod
-    def carrying(cls, signing_bytes: bytes, tx: Transaction, label: int, collector_id: int,
-                 signature: SimSignature) -> "LabeledTransaction":
-        """The label its collector just signed: ``signing_bytes`` are the
-        ``label_signing_bytes(tx, label)`` the signature covers."""
-        ltx = _new(cls)
-        _fill_label(ltx, tx, label, collector_id, signature, signing_bytes)
-        return ltx
+                 signature: SimSignature, signing_bytes: bytes | None = None) -> None:
+        if label != 1 and label != -1:
+            raise ValueError(f"label must be +1 or -1, got {label}")
+        s_tx, s_label, s_collector, s_sig, s_signing = _LTX_SLOTS
+        s_tx(self, tx)
+        s_label(self, label)
+        s_collector(self, collector_id)
+        s_sig(self, signature)
+        s_signing(self, signing_bytes or label_signing_bytes(tx, label))
 
 
-_new = object.__new__
 _LTX_SLOTS = slot_setters(LabeledTransaction)
-
-
-def _fill_label(ltx, tx, label, collector_id, signature, signing_bytes) -> None:
-    if label != 1 and label != -1:
-        raise ValueError(f"label must be +1 or -1, got {label}")
-    s_tx, s_label, s_collector, s_sig, s_signing = _LTX_SLOTS
-    s_tx(ltx, tx)
-    s_label(ltx, label)
-    s_collector(ltx, collector_id)
-    s_sig(ltx, signature)
-    s_signing(ltx, signing_bytes)
 
 
 def label_signing_bytes(tx: Transaction, label: int) -> bytes:

@@ -25,8 +25,10 @@ signed input:
   provider's next update) and applies it; every other governor applies the
   same object after checking the signature and that ``cnt`` is exactly the
   next one, raising ``SimulationError`` before any state changes otherwise.
-- ``apply_block(signed, lists, leader_id, b)``: the block the leader built
-  with ``propose_round`` from its screening is validated and appended, its
+- ``apply_block(signed, lists, leader_id)``: the block the leader built with
+  ``propose_round`` from its screening is checked whole by ``validate_block``
+  (its payload must be the head of ``pending``, in order, at most the
+  governor's ``b_limit``) before any state changes; it is then appended, its
   payload leaves ``pending`` and its unchecked list leaves the inbox. A
   block that fails validation raises ``ChainViolation`` and changes nothing.
 
@@ -65,7 +67,17 @@ from .reputation import (
 # An unsettled transaction on a governor: (tx, expiry round, collector -> label).
 InboxEntry = tuple[Transaction, int, dict[int, int]]
 
-STRATEGY_KINDS = ("Honest", "AlwaysPlus", "AlwaysMinus", "FlipProb", "Withhold", "Forger")
+# Each strategy kind's labelling rule: (truth, rng, q) -> the label, or None to
+# withhold. Only FlipProb and Withhold draw, once per transaction.
+LABEL_RULES = {
+    "Honest": lambda truth, rng, q: truth,
+    "AlwaysPlus": lambda truth, rng, q: 1,
+    "AlwaysMinus": lambda truth, rng, q: -1,
+    "FlipProb": lambda truth, rng, q: -truth if rng.random() < q else truth,
+    "Withhold": lambda truth, rng, q: None if rng.random() < q else truth,
+    "Forger": lambda truth, rng, q: truth,
+}
+STRATEGY_KINDS = tuple(LABEL_RULES)
 
 # Forged transactions get sequence numbers far above anything a provider
 # could reach, so fabricated identities never collide with real ones:
@@ -147,14 +159,8 @@ class ProviderNode:
         for _ in range(self.gen_rate):
             valid = self.rng.random() >= self.invalid_fraction
             self._seq += 1
-            sig = sign(self.keypair, tx_signing_bytes(self.id, self._seq, round_no))
-            tx = Transaction(
-                provider_id=self.id,
-                seq=self._seq,
-                timestamp=round_no,
-                ground_truth_valid=valid,
-                signature=sig,
-            )
+            body = tx_signing_bytes(self.id, self._seq, round_no)
+            tx = Transaction(self.id, self._seq, round_no, valid, sign(self.keypair, body), body)
             if valid:
                 self.pending[tx.txid] = tx
             out.append(tx)
@@ -188,6 +194,7 @@ class CollectorNode:
         self.id = node_id
         self.keypair = keypair
         self.strategy = strategy
+        self.label_rule = LABEL_RULES[strategy.kind]
         self.registry = registry
         self.provider_publics = provider_publics
         self.rng = rng
@@ -199,21 +206,6 @@ class CollectorNode:
         """Transactions proved invalid on chain are never relabeled."""
         self.ignored.update(txids)
 
-    def _label_for(self, tx: Transaction) -> int | None:
-        truth = 1 if validate_collector(tx) else -1
-        kind = self.strategy.kind
-        if kind in ("Honest", "Forger"):
-            return truth
-        if kind == "AlwaysPlus":
-            return 1
-        if kind == "AlwaysMinus":
-            return -1
-        if kind == "FlipProb":
-            return -truth if self.rng.random() < self.strategy.q else truth
-        if kind == "Withhold":
-            return None if self.rng.random() < self.strategy.q else truth
-        raise AssertionError(kind)
-
     def process(self, tx: Transaction) -> LabeledTransaction | None:
         """Label one delivered transaction, or withhold it."""
         if tx.txid in self.ignored:
@@ -221,7 +213,7 @@ class CollectorNode:
         if not self.registry.verify_tx(self.provider_publics, tx):
             self.dropped_bad_signature += 1
             return None
-        label = self._label_for(tx)
+        label = self.label_rule(1 if validate_collector(tx) else -1, self.rng, self.strategy.q)
         if label is None:
             return None
         return self._signed(tx, label)
@@ -229,7 +221,7 @@ class CollectorNode:
     def _signed(self, tx: Transaction, label: int) -> LabeledTransaction:
         """``tx`` with this collector's signed label; the signed bytes are encoded once."""
         body = label_signing_bytes(tx, label)
-        return LabeledTransaction.carrying(body, tx, label, self.id, sign(self.keypair, body))
+        return LabeledTransaction(tx, label, self.id, sign(self.keypair, body), body)
 
     def forge(self, round_no: int, provider_count: int) -> list[LabeledTransaction]:
         """Fabricate transactions with bogus provider signatures (Forger only)."""
@@ -268,38 +260,21 @@ class VerificationMessage:
     signing_bytes: bytes = field(init=False, repr=False, compare=False)
 
     def __init__(self, leader_id: int, provider_id: int, txid: TxId, validbit: bool,
-                 received: tuple[tuple[int, int], ...], cnt: int,
-                 signature: SimSignature) -> None:
-        body = verification_message_bytes(leader_id, provider_id, txid, validbit, received, cnt)
-        _fill_message(self, body, leader_id, provider_id, txid, validbit, received, cnt, signature)
-
-    @classmethod
-    def carrying(cls, signing_bytes: bytes, leader_id: int, provider_id: int, txid: TxId,
-                 validbit: bool, received: tuple[tuple[int, int], ...], cnt: int,
-                 signature: SimSignature) -> "VerificationMessage":
-        """The message its leader just signed: ``signing_bytes`` are the
-        ``verification_message_bytes`` of the other fields, which the signature covers."""
-        msg = _new(cls)
-        _fill_message(msg, signing_bytes, leader_id, provider_id, txid, validbit, received, cnt,
-                      signature)
-        return msg
+                 received: tuple[tuple[int, int], ...], cnt: int, signature: SimSignature,
+                 signing_bytes: bytes | None = None) -> None:
+        s_leader, s_provider, s_txid, s_valid, s_received, s_cnt, s_sig, s_signing = _VMSG_SLOTS
+        s_leader(self, leader_id)
+        s_provider(self, provider_id)
+        s_txid(self, txid)
+        s_valid(self, validbit)
+        s_received(self, received)
+        s_cnt(self, cnt)
+        s_sig(self, signature)
+        s_signing(self, signing_bytes or verification_message_bytes(
+            leader_id, provider_id, txid, validbit, received, cnt))
 
 
-_new = object.__new__
 _VMSG_SLOTS = slot_setters(VerificationMessage)
-
-
-def _fill_message(msg, signing_bytes, leader_id, provider_id, txid, validbit, received, cnt,
-                  signature) -> None:
-    s_leader, s_provider, s_txid, s_valid, s_received, s_cnt, s_sig, s_signing = _VMSG_SLOTS
-    s_leader(msg, leader_id)
-    s_provider(msg, provider_id)
-    s_txid(msg, txid)
-    s_valid(msg, validbit)
-    s_received(msg, received)
-    s_cnt(msg, cnt)
-    s_sig(msg, signature)
-    s_signing(msg, signing_bytes)
 
 
 def verification_message_bytes(
@@ -377,6 +352,7 @@ class GovernorNode:
         eta_policy: EtaPolicy,
         mu: float,
         delta_rounds: int,
+        b_limit: int,
         draw_rng,
     ):
         self.id = node_id
@@ -391,6 +367,7 @@ class GovernorNode:
         self.eta_policy = eta_policy
         self.mu = mu
         self.delta_rounds = delta_rounds
+        self.b_limit = b_limit
         self.draw_rng = draw_rng
 
         self.ledger = Ledger()
@@ -488,7 +465,7 @@ class GovernorNode:
         cnt = state.cnt + 1  # this verdict's place in the provider's update order
         fields = (self.id, provider, txid, validbit, snapshot, cnt)  # all but the signature
         body = verification_message_bytes(*fields)
-        message = VerificationMessage.carrying(body, *fields, sign(self.keypair, body))
+        message = VerificationMessage(*fields, sign(self.keypair, body), body)
         closure = self.apply_verdict(message)
         return ScreeningResult(
             tx, "valid" if validbit else "invalid",
@@ -547,25 +524,21 @@ class GovernorNode:
 
     # -- chain bookkeeping --------------------------------------------------
 
-    def take_block_txs(self, b_limit: int) -> tuple[Transaction, ...]:
-        """Next block's payload: oldest verified-valid transactions first."""
-        return tuple(tx for tx, _ in islice(self.pending.values(), b_limit))
-
     def note_block_appended(self, txs: tuple[Transaction, ...]) -> None:
-        if self.take_block_txs(len(txs)) != txs:
-            raise SimulationError("block payload does not match the carry-over queue")
+        """Drop an appended block's payload, which validation found at the head of ``pending``."""
         for tx in txs:
             del self.pending[tx.txid]
 
-    def propose_round(self, results: list[ScreeningResult],
-                      b_limit: int) -> tuple[SignedBlock, RoundLists] | None:
-        """The leader's block: the head of ``pending``, and ``results``' invalid and
-        unchecked transactions in screening order; None if all three are empty."""
+    def propose_round(
+        self, results: list[ScreeningResult],
+    ) -> tuple[SignedBlock, RoundLists] | None:
+        """The leader's block: the first ``b_limit`` of ``pending``, and ``results``' invalid
+        and unchecked transactions in screening order; None if all three are empty."""
         invalid, unchecked = (
             tuple(res.tx for res in results if res.outcome == outcome)
             for outcome in ("invalid", "unchecked")
         )
-        tx_list = self.take_block_txs(b_limit)
+        tx_list = tuple(tx for tx, _ in islice(self.pending.values(), self.b_limit))
         if not (tx_list or invalid or unchecked):
             return None
         return propose_block(
@@ -574,13 +547,12 @@ class GovernorNode:
             prev_hash=self.ledger.tip_hash(),
         )
 
-    def apply_block(self, signed: SignedBlock, lists: RoundLists, leader_id: int,
-                    b_limit: int) -> None:
+    def apply_block(self, signed: SignedBlock, lists: RoundLists, leader_id: int) -> None:
         """Append ``leader_id``'s block, then drop its payload and unchecked list;
         raise ``ChainViolation``, changing nothing, if it fails validation."""
         violation = validate_and_append(
             self.ledger, signed, leader_id, self.registry, self.governor_publics.get(leader_id),
-            self.provider_publics, b_limit, self.pending, lists,
+            self.provider_publics, self.b_limit, self.pending, lists,
         )
         if violation is not None:
             raise ChainViolation(violation, f"block {signed.block.serial}, governor {self.id}")

@@ -256,6 +256,7 @@ class World:
                 eta_policy=config.eta_policy,
                 mu=config.mu,
                 delta_rounds=config.delta_rounds,
+                b_limit=config.b_limit,
                 draw_rng=substream(config.seed, "governor", k),
             )
             for k in range(config.m)
@@ -375,10 +376,10 @@ def step_round(world: World) -> World:
                 g.on_verification_message(msg)
 
     # Rounds with nothing to record leave the ledger untouched.
-    block = leader.propose_round(screening, config.b_limit)
+    block = leader.propose_round(screening)
     if block is not None:
         for g in governors:
-            g.apply_block(*block, leader_idx, config.b_limit)
+            g.apply_block(*block, leader_idx)
         signed, lists = block
         for tx in signed.block.tx_list:
             metrics.record_on_chain(tx.txid, r)

@@ -30,6 +30,7 @@ def make_governor(
     eta=0.5,
     mu=0.7,
     delta_rounds=1,
+    b_limit=8,
     gov_index=0,
     n_providers=None,
     n_collectors=None,
@@ -58,6 +59,7 @@ def make_governor(
         eta_policy=EtaPolicy(kind="Fixed", value=eta),
         mu=mu,
         delta_rounds=delta_rounds,
+        b_limit=b_limit,
         draw_rng=substream(42, "governor", gov_index),
     )
 

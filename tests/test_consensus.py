@@ -76,7 +76,8 @@ class Chain:
         return signed, lists
 
     def append(self, signed, lists):
-        return validate_and_append(
+        """Validate and append; on success the payload leaves ``pending``, as on a governor."""
+        violation = validate_and_append(
             self.ledger, signed, self.leader_id, self.registry,
             leader_public=self.leader_kp.public,
             provider_publics={0: self.provider_kp.public},
@@ -84,6 +85,10 @@ class Chain:
             pending=self.pending,
             round_lists=lists,
         )
+        if violation is None:
+            for tx in signed.block.tx_list:
+                del self.pending[tx.txid]
+        return violation
 
     def validate_only(self, signed, lists):
         return validate_block(
@@ -364,6 +369,21 @@ def test_tx_without_positive_label_detected():
     bad = Block(b.serial, b.leader_id, (tx,), b.mt_root, b.prev_hash)
     resigned = type(signed)(bad, sign(chain.leader_kp, block_bytes(bad)))
     assert chain.validate_only(resigned, lists) is Violation.UNLABELED_TX
+
+
+@pytest.mark.parametrize("order", ["reversed", "skipped-head"])
+def test_payload_not_the_head_of_pending_is_refused(order):
+    chain = Chain()
+    signed, lists = chain.next_block(n_txs=3)
+    b = signed.block
+    payload = tuple(reversed(b.tx_list)) if order == "reversed" else b.tx_list[1:]
+    bad = Block(b.serial, b.leader_id, payload, b.mt_root, b.prev_hash)
+    resigned = type(signed)(bad, sign(chain.leader_kp, block_bytes(bad)))
+    before = (list(chain.ledger.blocks), set(chain.ledger.settled), list(chain.pending))
+    assert chain.append(resigned, lists) is Violation.UNLABELED_TX
+    assert (chain.ledger.blocks, chain.ledger.settled, list(chain.pending)) == before
+    assert chain.append(signed, lists) is None
+    assert not chain.pending
 
 
 def test_mt_root_mismatch_detected():

@@ -185,34 +185,34 @@ def test_equal_transactions_compare_and_hash_equal():
 
 
 def test_replace_rebuilds_carried_bytes():
-    tx = make_tx(provider=2, seq=8, ts=3)
+    tx = Transaction(2, 8, 3, True, SimSignature(b"\x07" * 32), tx_signing_bytes(2, 8, 3))
     nxt = dataclasses.replace(tx, seq=tx.seq + 1)
     assert nxt.txid == (2, 9, 3) != tx.txid == (2, 8, 3)
     assert nxt.signing_bytes == tx_signing_bytes(2, 9, 3) != tx.signing_bytes
     assert nxt.wire_bytes == tx_signing_bytes(2, 9, 3) + tx.wire_bytes[len(tx.signing_bytes):]
     sig = SimSignature(b"\x05" * 32)
-    ltx = LabeledTransaction.carrying(label_signing_bytes(tx, 1), tx, 1, 4, sig)
+    ltx = LabeledTransaction(tx, 1, 4, sig, label_signing_bytes(tx, 1))
     flipped = dataclasses.replace(ltx, label=-1)
     assert flipped.signing_bytes == label_signing_bytes(tx, -1) != ltx.signing_bytes
     moved = dataclasses.replace(ltx, tx=nxt)
     assert moved.signing_bytes == label_signing_bytes(nxt, 1)
     fields = (0, 2, tx.txid, True, ((4, 1),), 3)
-    msg = VerificationMessage.carrying(verification_message_bytes(*fields), *fields, sig)
+    msg = VerificationMessage(*fields, sig, verification_message_bytes(*fields))
     later = dataclasses.replace(msg, cnt=4)
     assert later.signing_bytes == verification_message_bytes(*fields[:-1], 4) != msg.signing_bytes
 
 
 def _signer_and_public_records():
-    """(carrying, public) pairs: each record built on the signer's path and publicly."""
+    """(signer's, public) pairs: each record built from its signer's bytes and without them."""
     tx = make_tx(provider=1, seq=6, ts=2)
     sig = SimSignature(b"\x09" * 32)
-    pairs = []
+    pairs = [(Transaction(1, 6, 2, True, tx.signature, tx_signing_bytes(1, 6, 2)), tx)]
     for label in (1, -1):
-        pairs.append((LabeledTransaction.carrying(label_signing_bytes(tx, label), tx, label, 3, sig),
+        pairs.append((LabeledTransaction(tx, label, 3, sig, label_signing_bytes(tx, label)),
                       LabeledTransaction(tx, label, 3, sig)))
     for received in ((), ((0, 1),), ((0, -1), (2, 1), (5, -1))):
         fields = (4, 1, tx.txid, bool(received), received, 7)
-        pairs.append((VerificationMessage.carrying(verification_message_bytes(*fields), *fields, sig),
+        pairs.append((VerificationMessage(*fields, sig, verification_message_bytes(*fields)),
                       VerificationMessage(*fields, sig)))
     return pairs
 
@@ -223,7 +223,8 @@ def test_records_built_from_carried_bytes_equal_the_public_ones():
         assert carried == public and hash(carried) == hash(public)
         assert repr(carried) == repr(public)
         assert "signing_bytes" not in repr(carried)
-        assert carried.signing_bytes == public.signing_bytes
+        for name in ("signing_bytes", "wire_bytes", "txid"):
+            assert getattr(carried, name, None) == getattr(public, name, None)
 
 
 def test_records_refuse_assignment_on_every_path():
@@ -241,7 +242,7 @@ def test_label_outside_plus_minus_one_is_refused_on_every_path(label):
     with pytest.raises(ValueError, match="label must be"):
         LabeledTransaction(tx, label, 1, sig)
     with pytest.raises(ValueError, match="label must be"):
-        LabeledTransaction.carrying(label_signing_bytes(tx, -1), tx, label, 1, sig)
+        LabeledTransaction(tx, label, 1, sig, label_signing_bytes(tx, -1))
     ltx = LabeledTransaction(tx, 1, 1, sig)
     with pytest.raises(ValueError, match="label must be"):
         dataclasses.replace(ltx, label=label)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -8,7 +9,9 @@ from repuchain.core_types import (
     LabeledTransaction,
     SimSignature,
     Transaction,
+    block_bytes,
     label_signing_bytes,
+    tx_signing_bytes,
 )
 from repuchain.consensus import ChainViolation, Violation
 from repuchain.crypto_sim import sign, substream
@@ -291,10 +294,10 @@ def test_batched_ingest_matches_one_copy_at_a_time(registry):
 
 
 def test_signers_encode_each_signed_record_once(registry, monkeypatch):
-    # The bytes a collector or leader signs are the bytes its record carries.
+    # The bytes a provider, collector or leader signs are the bytes its record carries.
     calls = {}
     for module in (core_types, nodes):
-        for name in ("label_signing_bytes", "verification_message_bytes"):
+        for name in ("tx_signing_bytes", "label_signing_bytes", "verification_message_bytes"):
             if hasattr(module, name):
                 def counting(*args, _original=getattr(module, name), _name=name):
                     calls[_name] = calls.get(_name, 0) + 1
@@ -302,14 +305,18 @@ def test_signers_encode_each_signed_record_once(registry, monkeypatch):
 
                 monkeypatch.setattr(module, name, counting)
     g = make_governor(registry, topology=((0,),))
-    (tx,) = make_provider(registry, gen_rate=1, invalid=0.0).generate(1)
+    txs = make_provider(registry, gen_rate=3, invalid=0.0).generate(1)
+    assert calls == {"tx_signing_bytes": 3}
+    tx = txs[0]
+    assert tx.signing_bytes == tx_signing_bytes(*tx.txid)  # the test's unwrapped binding
     ltx = make_collector(registry).process(tx)
-    assert calls == {"label_signing_bytes": 1}
-    assert ltx.signing_bytes == label_signing_bytes(tx, 1)  # the test's unwrapped binding
+    assert calls == {"tx_signing_bytes": 3, "label_signing_bytes": 1}
+    assert ltx.signing_bytes == label_signing_bytes(tx, 1)
     assert g.ingest([ltx], 1) == ["ok"]
     res = g.screen(tx.txid)
     assert res.outcome == "valid"
-    assert calls == {"label_signing_bytes": 1, "verification_message_bytes": 1}
+    assert calls == {"tx_signing_bytes": 3, "label_signing_bytes": 1,
+                     "verification_message_bytes": 1}
     msg = res.message
     assert msg.signing_bytes == verification_message_bytes(
         msg.leader_id, msg.provider_id, msg.txid, msg.validbit, msg.received, msg.cnt)
@@ -549,9 +556,9 @@ def test_verdict_replayed_into_the_next_epoch_is_refused(registry):
     assert (replica.inbox, replica.pending, tuple(replica.rep)) == before
 
 
-def append_round_block(g, results, b_limit=8):
+def append_round_block(g, results):
     """Propose and apply the block of the round ``results`` screened, as step_round does."""
-    g.apply_block(*g.propose_round(results, b_limit), g.id, b_limit)
+    g.apply_block(*g.propose_round(results), g.id)
 
 
 def test_settled_transaction_is_refused_and_starts_no_timer(registry):
@@ -572,8 +579,6 @@ def test_clear_screened_keeps_valid_txs_until_their_block(registry):
     assert not leader.inbox
     assert list(leader.pending) == [tx.txid for tx in txs[1:]]
     assert not leader.ledger.settled
-    with pytest.raises(SimulationError, match="carry-over"):
-        leader.note_block_appended(tuple(reversed(txs[1:])))
     append_round_block(leader, results)
     assert leader.ledger.last.tx_list == tuple(txs[1:])
     assert not leader.pending
@@ -587,7 +592,7 @@ def test_block_from_another_leader_is_refused_and_changes_nothing(registry, lead
     p = make_provider(registry, node_id=0, gen_rate=1, connected=(0, 1))
     (waiting,) = p.generate(5)  # still in its window, so the inbox is not empty
     assert deliver(registry, leader, waiting, 0, round_no=5) == "ok"
-    block = leader.propose_round(results, 8)
+    block = leader.propose_round(results)
 
     def state():
         return (leader.ledger.tip_hash(), dict(leader.inbox), dict(leader.pending),
@@ -595,13 +600,40 @@ def test_block_from_another_leader_is_refused_and_changes_nothing(registry, lead
 
     before = state()
     with pytest.raises(ChainViolation) as exc:
-        leader.apply_block(*block, leader_id, 8)
+        leader.apply_block(*block, leader_id)
     assert exc.value.violation is Violation.WRONG_LEADER
     assert state() == before
-    leader.apply_block(*block, leader.id, 8)
+    leader.apply_block(*block, leader.id)
     assert leader.ledger.last.tx_list == tuple(txs[1:])
     assert not leader.pending
-    assert leader.propose_round([], 8) is None  # nothing to record, so no block
+    assert leader.propose_round([]) is None  # nothing to record, so no block
+
+
+@pytest.mark.parametrize("order", ["reversed", "skipped-head"])
+def test_block_not_packing_the_head_of_pending_changes_nothing(registry, order):
+    leader, txs, results = _closing_epoch_run(registry)
+    p = make_provider(registry, node_id=0, gen_rate=1, connected=(0, 1))
+    (waiting,) = p.generate(5)  # still in its window, so the inbox is not empty
+    assert deliver(registry, leader, waiting, 0, round_no=5) == "ok"
+    good, lists = leader.propose_round(results)
+    head = good.block.tx_list
+    assert head == tuple(txs[1:])
+    payload = tuple(reversed(head)) if order == "reversed" else head[1:]
+    block = dataclasses.replace(good.block, tx_list=payload)
+    signed = dataclasses.replace(good, block=block,
+                                 signature=sign(leader.keypair, block_bytes(block)))
+
+    def state():
+        return (leader.ledger.tip_hash(), set(leader.ledger.settled), list(leader.pending.items()),
+                dict(leader.inbox))
+
+    before = state()
+    with pytest.raises(ChainViolation) as exc:
+        leader.apply_block(signed, lists, leader.id)
+    assert exc.value.violation is Violation.UNLABELED_TX
+    assert state() == before
+    leader.apply_block(good, lists, leader.id)
+    assert leader.ledger.last.tx_list == head and not leader.pending
 
 
 @pytest.mark.parametrize("index", [0, 1], ids=["invalid", "valid"])
