@@ -183,10 +183,13 @@ def validate_block(
     The payload rule: the block's ``tx_list`` must be the first
     ``len(tx_list)`` transactions of ``pending``, in order, each with a valid
     provider signature and at least one +1 label among its entry's signed
-    labels. The block's ``mt_root`` must commit to the round's broadcast
-    lists. No packed or invalid-listed txid may be in ``ledger.settled``
-    already: each transaction is settled once. A ``leader_public`` of None
-    (an unknown leader) fails the signature check.
+    labels. ``pending`` holds only transactions whose provider signature this
+    governor checked at ingest, so a payload transaction whose ``wire_bytes``
+    equal its ``pending`` entry's is not checked again; any other is checked
+    before the order is. The block's ``mt_root`` must commit to the round's
+    broadcast lists. No packed or invalid-listed txid may be in
+    ``ledger.settled`` already: each transaction is settled once. A
+    ``leader_public`` of None (an unknown leader) fails the signature check.
     """
     block = signed.block
     last = ledger.last
@@ -203,9 +206,10 @@ def validate_block(
         return Violation.OVERSIZE_TX_LIST
     head = islice(pending.values(), len(tx_list))
     for tx in tx_list:
-        if not registry.verify_tx(provider_publics, tx):
-            return Violation.BAD_TX_SIGNATURE
         queued, labels = next(head, (None, ()))
+        if ((queued is None or queued.wire_bytes != tx.wire_bytes)
+                and not registry.verify_tx(provider_publics, tx)):
+            return Violation.BAD_TX_SIGNATURE
         if queued != tx or not any(lab == 1 for _, lab in labels):
             return Violation.UNLABELED_TX
     recomputed = lists_commitment_root(round_lists.invalid_list, round_lists.unchecked_list)

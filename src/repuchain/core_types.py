@@ -16,12 +16,15 @@ layout with one precompiled ``struct.Struct`` instead of composing the
 
 Each signed object carries the bytes its signature covers as
 ``signing_bytes`` (and ``wire_bytes``); every check reads the carried bytes
-and computes its own digest. Each record has one constructor, whose optional
-last argument ``signing_bytes`` is for its signer: the provider, collector or
-leader passes the bytes it has just encoded and signed, so they are encoded
-once. Anyone else, ``dataclasses.replace`` included, leaves it out and the
-constructor encodes them. A transaction carries its identity triple as
-``txid``.
+and computes its own digest, and a governor skips a provider check only for
+a copy whose ``wire_bytes`` equal those of a transaction it already accepted
+(see :mod:`repuchain.nodes`). Equality ignores the carried bytes, so that
+comparison is made on the bytes, never on the records. Each record has one
+constructor, whose optional last argument ``signing_bytes`` is for its
+signer: the provider, collector or leader passes the bytes it has just
+encoded and signed, so they are encoded once. Anyone else,
+``dataclasses.replace`` included, leaves it out and the constructor encodes
+them. A transaction carries its identity triple as ``txid``.
 
 The records built once or more per transaction (here ``SimSignature``,
 ``Transaction`` and ``LabeledTransaction``; elsewhere the verdict, the

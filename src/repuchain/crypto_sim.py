@@ -9,7 +9,10 @@ A tag is SHA-256 over ``b"sig" + secret + msg``. When a key is registered,
 the registry stores, next to its secret, a SHA-256 state that has absorbed
 ``b"sig" + secret``. Every verification copies that state, hashes its own
 message into the copy and compares the digest with the tag, so each check
-still computes its own digest and none reuses another's verdict.
+computes its own digest. The registry keeps no verdicts: a check is a pure
+function of the key, the bytes and the tag, and a governor that has already
+accepted a transaction's exact bytes does not ask again
+(``nodes.GovernorNode.ingest``, ``consensus.validate_block``).
 
 The VRF is a pair of keyed hashes: a governor's value and proof for an
 input are SHA-256 over ``b"vrf" + secret + input`` and

@@ -17,7 +17,8 @@ A governor changes state only through three transitions, each taking
 signed input:
 
 - ``ingest(batch, r)``: a round's labeled copies enter the inbox in one
-  call, each after its own collector and provider signature checks
+  call, each after its own collector signature check and, unless the inbox
+  already holds its exact bytes, its provider signature check
   (``on_labeled_transaction(ltx, r)`` is the one-copy form).
 - ``apply_verdict(msg)``: the leader's ``VerificationMessage`` penalizes the
   slots, advances the epoch at its boundary and moves the transaction out
@@ -31,6 +32,15 @@ signed input:
   governor's ``b_limit``) before any state changes; it is then appended, its
   payload leaves ``pending`` and its unchecked list leaves the inbox. A
   block that fails validation raises ``ChainViolation`` and changes nothing.
+
+Inbox and ``pending`` entries hold only transactions whose provider
+signature this governor checked itself. The check is a pure function of the
+key, the bytes and the tag, so a copy whose ``wire_bytes`` equal an entry's
+is not checked again, in ``ingest`` or in ``validate_block``. Any other copy
+is, even under a txid already held: ``Transaction`` equality ignores the
+carried bytes, so only the bytes themselves can stand for the check. Every
+collector and leader signature is checked on every copy, and no verdict
+passes between nodes.
 
 Ground truth is read exclusively through ``validate_collector`` /
 ``validate_governor``; the rest of the node logic treats validity as unknown.
@@ -385,8 +395,10 @@ class GovernorNode:
     def ingest(self, batch: Iterable[LabeledTransaction], round_no: int) -> list[str]:
         """Ingest a round's labeled copies in order; returns each copy's disposition.
 
-        Every copy gets its own collector-signature and provider-signature
-        check. A copy enters the inbox ("ok") unless one fails
+        Every copy gets its own collector-signature check, and a
+        provider-signature check unless the inbox entry for its txid holds
+        the same ``wire_bytes`` (see the module docstring). A copy enters the
+        inbox ("ok") unless one fails
         ("bad_collector_sig", "forged"), its collector serves another
         provider ("not_connected"), the transaction is verified or settled
         ("settled"), or its collector's label is already in ("duplicate":
@@ -412,7 +424,10 @@ class GovernorNode:
                 self.dropped_bad_signature += 1
                 code("bad_collector_sig")
                 continue
-            if not verify_tx(provider_publics, tx):
+            txid = tx.txid
+            entry = inbox.get(txid)
+            if ((entry is None or entry[0].wire_bytes != tx.wire_bytes)
+                    and not verify_tx(provider_publics, tx)):
                 self.dropped_forged += 1
                 code("forged")
                 continue
@@ -420,8 +435,6 @@ class GovernorNode:
             if provider >= n_providers or cid not in slot_of[provider]:
                 code("not_connected")
                 continue
-            txid = tx.txid
-            entry = inbox.get(txid)
             if entry is None:
                 if txid in pending or txid in settled:
                     code("settled")

@@ -42,17 +42,22 @@ def unequal_stakes() -> dict:
     }
 
 
+# (name, config, tip, world_state_hash, (dropped_forged, summed governor
+# dropped_bad_signature)). Neither digest covers the disposition counters, so
+# they are pinned beside them.
 PINS = [
-    ("regret_u8", scenarios.regret_bound(8), "1394c68c9f881b9c", "12c077b8e01038c8"),
-    ("properties_10", scenarios.properties(10), "b832cfb9341b7d6f", "df0a86725ff06a89"),
+    ("regret_u8", scenarios.regret_bound(8), "1394c68c9f881b9c", "12c077b8e01038c8", (0, 0)),
+    ("properties_10", scenarios.properties(10), "b832cfb9341b7d6f", "df0a86725ff06a89",
+     (3204, 0)),
     ("properties_11_seed7", dict(scenarios.properties(11), seed=7),
-     "b8015ae5613430bc", "176d0d9010cdfa97"),
-    ("unequal_stakes", unequal_stakes(), "1df0eff7b7cb63e5", "d0ffb3da87bb00fa"),
+     "b8015ae5613430bc", "176d0d9010cdfa97", (4272, 0)),
+    ("unequal_stakes", unequal_stakes(), "1df0eff7b7cb63e5", "d0ffb3da87bb00fa", (348, 0)),
 ]
 
 
-@pytest.mark.parametrize("raw,tip,state", [p[1:] for p in PINS], ids=[p[0] for p in PINS])
-def test_world_digests_pinned(raw, tip, state):
+@pytest.mark.parametrize("raw,tip,state,dropped", [p[1:] for p in PINS],
+                         ids=[p[0] for p in PINS])
+def test_world_digests_pinned(raw, tip, state, dropped):
     cfg = ScenarioConfig.from_dict(raw)
     world = init_world(cfg)
     for _ in range(cfg.total_rounds):
@@ -60,3 +65,5 @@ def test_world_digests_pinned(raw, tip, state):
     finalize(world)
     assert world.ledger.tip_hash().hex()[:16] == tip
     assert world_state_hash(world)[:16] == state
+    assert (world.metrics.dropped_forged,
+            sum(g.dropped_bad_signature for g in world.governors)) == dropped

@@ -14,7 +14,7 @@ from repuchain.core_types import (
     tx_signing_bytes,
 )
 from repuchain.consensus import ChainViolation, Violation
-from repuchain.crypto_sim import sign, substream
+from repuchain.crypto_sim import KeyRegistry, sign, substream
 from repuchain import core_types, metrics_oracle, nodes, reputation
 from repuchain.metrics_oracle import mc_expected_loss
 from repuchain.reputation import revenue_shares
@@ -291,6 +291,67 @@ def test_batched_ingest_matches_one_copy_at_a_time(registry):
     assert list(batched.pending.items()) == list(one_by_one.pending.items())
     for g in governors:
         assert (g.dropped_bad_signature, g.dropped_forged) == (2, 1)
+
+
+def _tag_flipped(tx):
+    """``tx`` under the same txid, with the last byte of its provider tag flipped."""
+    tag = tx.signature.tag
+    return Transaction(tx.provider_id, tx.seq, tx.timestamp, tx.ground_truth_valid,
+                       SimSignature(tag[:-1] + bytes([tag[-1] ^ 1])))
+
+
+def test_copy_under_an_accepted_txid_with_other_bytes_is_checked(registry):
+    # Only a byte-identical copy skips the provider check; the txid alone proves nothing.
+    g = make_governor(registry, topology=((0, 1),))
+    (tx,) = make_provider(registry, connected=(0, 1)).generate(1)
+    assert deliver(registry, g, tx, 0) == "ok"
+    forged = _tag_flipped(tx)
+    assert forged.txid == tx.txid and forged.wire_bytes != tx.wire_bytes
+    c1 = make_collector(registry, index=1)
+    copy = LabeledTransaction(forged, 1, 1, sign(c1.keypair, label_signing_bytes(forged, 1)))
+    assert g.ingest([copy], 5) == ["forged"]
+    assert g.dropped_forged == 1
+    (held, expiry, labels) = g.inbox[tx.txid]
+    assert (held, expiry, labels) == (tx, 6, {0: 1})
+    assert held.wire_bytes == tx.wire_bytes
+    assert deliver(registry, g, tx, 1) == "ok"  # the genuine copy still lands
+    assert g.inbox[tx.txid][2] == {0: 1, 1: 1}
+
+
+def test_each_governor_checks_a_provider_signature_once(registry, monkeypatch):
+    # k copies cost k collector checks and one provider check per governor, and a
+    # block packing the head of pending costs the leader-signature check alone.
+    k = 3
+    topology = ((0, 1, 2),)
+    leader, replica = (make_governor(registry, topology=topology, gov_index=i) for i in (0, 1))
+    replica.governor_publics[0] = leader.keypair.public
+    (tx,) = make_provider(registry, connected=(0, 1, 2)).generate(1)
+    copies = [make_collector(registry, index=j).process(tx) for j in range(k)]
+    checked = []
+    original = KeyRegistry.verify
+
+    def counting(self, public, msg, sig):
+        checked.append(msg)
+        return original(self, public, msg, sig)
+
+    monkeypatch.setattr(KeyRegistry, "verify", counting)
+    for g in (leader, replica):
+        checked.clear()
+        assert g.ingest(copies, 1) == ["ok"] * k
+        assert checked == [copies[0].signing_bytes, tx.signing_bytes,
+                           *(c.signing_bytes for c in copies[1:])]
+    res = leader.screen(tx.txid)
+    assert res.outcome == "valid"
+    checked.clear()
+    replica.on_verification_message(res.message)
+    assert checked == [res.message.signing_bytes]
+    signed, lists = leader.propose_round([res])
+    assert signed.block.tx_list == (tx,)
+    for g in (leader, replica):
+        checked.clear()
+        g.apply_block(signed, lists, leader.id)
+        assert checked == [block_bytes(signed.block)]
+        assert g.ledger.settled == {tx.txid} and not g.pending
 
 
 def test_signers_encode_each_signed_record_once(registry, monkeypatch):
@@ -632,6 +693,42 @@ def test_block_not_packing_the_head_of_pending_changes_nothing(registry, order):
         leader.apply_block(signed, lists, leader.id)
     assert exc.value.violation is Violation.UNLABELED_TX
     assert state() == before
+    leader.apply_block(good, lists, leader.id)
+    assert leader.ledger.last.tx_list == head and not leader.pending
+
+
+def test_block_payload_one_tag_byte_off_the_head_of_pending_changes_nothing(registry):
+    leader, txs, results = _closing_epoch_run(registry)
+    p = make_provider(registry, node_id=0, gen_rate=1, connected=(0, 1))
+    (waiting,) = p.generate(5)  # still in its window, so the inbox is not empty
+    assert deliver(registry, leader, waiting, 0, round_no=5) == "ok"
+    good, lists = leader.propose_round(results)
+    head = good.block.tx_list
+
+    def resigned(payload):
+        block = dataclasses.replace(good.block, tx_list=payload)
+        return dataclasses.replace(good, block=block,
+                                   signature=sign(leader.keypair, block_bytes(block)))
+
+    def state():
+        return (leader.ledger.tip_hash(), set(leader.ledger.settled), list(leader.pending.items()),
+                dict(leader.inbox))
+
+    before = state()
+    with pytest.raises(ChainViolation) as exc:
+        leader.apply_block(resigned((_tag_flipped(head[0]),) + head[1:]), lists, leader.id)
+    assert exc.value.violation is Violation.BAD_TX_SIGNATURE
+    assert state() == before
+    # A payload byte-identical to the head skips the provider check, not the label rule.
+    first = head[0].txid
+    queued, labels = leader.pending[first]
+    leader.pending[first] = (queued, tuple((c, -1) for c, _ in labels))
+    unlabeled = state()
+    with pytest.raises(ChainViolation) as exc:
+        leader.apply_block(good, lists, leader.id)
+    assert exc.value.violation is Violation.UNLABELED_TX
+    assert state() == unlabeled
+    leader.pending[first] = (queued, labels)
     leader.apply_block(good, lists, leader.id)
     assert leader.ledger.last.tx_list == head and not leader.pending
 
