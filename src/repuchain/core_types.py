@@ -19,16 +19,21 @@ Each signed object carries the bytes its signature covers as
 and computes its own digest, and a governor skips a provider check only for
 a copy whose ``wire_bytes`` equal those of a transaction it already accepted
 (see :mod:`repuchain.nodes`). Equality ignores the carried bytes, so that
-comparison is made on the bytes, never on the records. Each record has one
-constructor, whose optional last argument ``signing_bytes`` is for its
-signer: the provider, collector or leader passes the bytes it has just
-encoded and signed, so they are encoded once. Anyone else,
+comparison is made on the bytes, never on the records. A ``Transaction``
+encodes its bytes from its fields, and carries its identity triple as
+``txid``: collectors, who may misbehave, pass transactions on, and bytes
+taken on trust could carry a genuine provider signature under a made-up
+txid. A label or a verdict takes an optional last argument
+``signing_bytes`` for its signer, the collector or leader, which passes the
+bytes it has just encoded and signed, so they are encoded once. Only the
+signer builds these records, and bytes that disagreed with their fields
+could misstate only the signer's own statement. Anyone else,
 ``dataclasses.replace`` included, leaves it out and the constructor encodes
-them. A transaction carries its identity triple as ``txid``.
+them.
 
 The records built once or more per transaction (here ``SimSignature``,
-``Transaction`` and ``LabeledTransaction``; elsewhere the verdict, the
-screening result and the reputation state) are frozen slots dataclasses
+``Transaction`` and ``LabeledTransaction``; elsewhere the verdict and the
+reputation state) are frozen slots dataclasses
 whose ``__init__`` stores each field through its slot descriptor
 (``slot_setters``), not the generated ``object.__setattr__`` path, which
 costs more than encoding the record. Assignment still raises
@@ -132,10 +137,9 @@ class Transaction:
     wire_bytes: bytes = field(init=False, repr=False, compare=False)
 
     def __init__(self, provider_id: int, seq: int, timestamp: int,
-                 ground_truth_valid: bool, signature: SimSignature,
-                 signing_bytes: bytes | None = None) -> None:
+                 ground_truth_valid: bool, signature: SimSignature) -> None:
         s_provider, s_seq, s_time, s_valid, s_sig, s_txid, s_signing, s_wire = _TX_SLOTS
-        signing = signing_bytes or tx_signing_bytes(provider_id, seq, timestamp)
+        signing = tx_signing_bytes(provider_id, seq, timestamp)
         tag = signature.tag
         s_provider(self, provider_id)
         s_seq(self, seq)

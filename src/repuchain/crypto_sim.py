@@ -5,14 +5,15 @@ issued keys that models the identity manager installing verification keys on
 every node. This gives unforgeability-by-assumption without real asymmetric
 crypto, keeps runs reproducible, and needs no dependencies.
 
-A tag is SHA-256 over ``b"sig" + secret + msg``. When a key is registered,
-the registry stores, next to its secret, a SHA-256 state that has absorbed
-``b"sig" + secret``. Every verification copies that state, hashes its own
-message into the copy and compares the digest with the tag, so each check
-computes its own digest. The registry keeps no verdicts: a check is a pure
-function of the key, the bytes and the tag, and a governor that has already
-accepted a transaction's exact bytes does not ask again
-(``nodes.GovernorNode.ingest``, ``consensus.validate_block``).
+A tag is SHA-256 over ``b"sig" + secret + msg``. A ``KeyPair`` carries, as
+``sig_state``, the SHA-256 state after ``b"sig" + secret``, built once with
+the key; ``sign`` and every check copy it and hash their own message into the
+copy. The registry maps each public to its ``KeyPair`` and keeps no
+verdicts: a check is a pure function of the key, the bytes and the tag, and a
+governor that has already accepted a transaction's exact bytes does not ask
+again (``nodes.GovernorNode.ingest``, ``consensus.validate_block``).
+``KeyRegistry.verify`` alone refuses unknown signers: an unregistered public,
+or None for a node id with no public, verifies nothing.
 
 The VRF is a pair of keyed hashes: a governor's value and proof for an
 input are SHA-256 over ``b"vrf" + secret + input`` and
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .core_types import SimSignature, Transaction, enc_int, sha256
@@ -46,6 +47,10 @@ class KeyPair:
     node_id: int
     secret: bytes
     public: bytes
+    sig_state: hashlib._Hash = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sig_state", hashlib.sha256(b"sig" + self.secret))
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,7 +70,9 @@ def keypair_from_secret(node_id: int, secret: bytes) -> KeyPair:
 
 
 def sign(kp: KeyPair, msg: bytes) -> SimSignature:
-    return SimSignature(hashlib.sha256(b"sig" + kp.secret + msg).digest())
+    h = kp.sig_state.copy()
+    h.update(msg)
+    return SimSignature(h.digest())
 
 
 def vrf_eval(kp: KeyPair, vrf_input: bytes) -> VrfOutput:
@@ -82,9 +89,7 @@ class KeyRegistry:
 
     def __init__(self, root_seed: int = 0):
         self._root = enc_int(root_seed)
-        self._by_public: dict[bytes, bytes] = {}
-        # public -> SHA-256 state after b"sig" + secret
-        self._sig_states: dict[bytes, hashlib._Hash] = {}
+        self._keys: dict[bytes, KeyPair] = {}
 
     def issue(self, node_id: int) -> KeyPair:
         secret = sha256(b"key" + self._root + enc_int(node_id))
@@ -93,27 +98,25 @@ class KeyRegistry:
         return kp
 
     def register(self, kp: KeyPair) -> None:
-        self._by_public[kp.public] = kp.secret
-        self._sig_states[kp.public] = hashlib.sha256(b"sig" + kp.secret)
+        self._keys[kp.public] = kp
 
-    def verify(self, public: bytes, msg: bytes, sig: SimSignature) -> bool:
-        state = self._sig_states.get(public)
-        if state is None:
+    def verify(self, public: bytes | None, msg: bytes, sig: SimSignature) -> bool:
+        kp = self._keys.get(public)
+        if kp is None:
             return False
-        h = state.copy()
+        h = kp.sig_state.copy()
         h.update(msg)
         return h.digest() == sig.tag
 
     def verify_tx(self, provider_publics: Mapping[int, bytes], tx: Transaction) -> bool:
         """Check a transaction's provider signature; unknown providers fail closed."""
-        public = provider_publics.get(tx.provider_id)
-        return public is not None and self.verify(public, tx.signing_bytes, tx.signature)
+        return self.verify(provider_publics.get(tx.provider_id), tx.signing_bytes, tx.signature)
 
     def vrf_verify(self, public: bytes, vrf_input: bytes, out: VrfOutput) -> bool:
-        secret = self._by_public.get(public)
-        if secret is None:
+        kp = self._keys.get(public)
+        if kp is None:
             return False
-        return (out.value, out.proof) == _vrf_pair(secret, vrf_input)
+        return (out.value, out.proof) == _vrf_pair(kp.secret, vrf_input)
 
 
 def substream(seed: int, *labels: int | str | bytes) -> random.Random:

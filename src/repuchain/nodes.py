@@ -169,8 +169,8 @@ class ProviderNode:
         for _ in range(self.gen_rate):
             valid = self.rng.random() >= self.invalid_fraction
             self._seq += 1
-            body = tx_signing_bytes(self.id, self._seq, round_no)
-            tx = Transaction(self.id, self._seq, round_no, valid, sign(self.keypair, body), body)
+            signature = sign(self.keypair, tx_signing_bytes(self.id, self._seq, round_no))
+            tx = Transaction(self.id, self._seq, round_no, valid, signature)
             if valid:
                 self.pending[tx.txid] = tx
             out.append(tx)
@@ -314,7 +314,7 @@ class EpochClosure:
     revenue: tuple[float, ...]
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(slots=True)
 class ScreeningResult:
     """Everything the leader learned screening one expired transaction."""
 
@@ -326,24 +326,9 @@ class ScreeningResult:
     message: VerificationMessage | None
     closure: EpochClosure | None
 
-    def __init__(self, tx: Transaction, outcome: str, loss: float, penalized: tuple[int, ...],
-                 epoch_index: int, message: VerificationMessage | None,
-                 closure: EpochClosure | None) -> None:
-        s_tx, s_outcome, s_loss, s_pen, s_epoch, s_msg, s_closure = _RESULT_SLOTS
-        s_tx(self, tx)
-        s_outcome(self, outcome)
-        s_loss(self, loss)
-        s_pen(self, penalized)
-        s_epoch(self, epoch_index)
-        s_msg(self, message)
-        s_closure(self, closure)
-
     @property
     def verified(self) -> bool:
         return self.outcome in ("valid", "invalid")
-
-
-_RESULT_SLOTS = slot_setters(ScreeningResult)
 
 
 class GovernorNode:
@@ -419,8 +404,7 @@ class GovernorNode:
         for ltx in batch:
             tx = ltx.tx
             cid = ltx.collector_id
-            cpub = collector_publics.get(cid)
-            if cpub is None or not verify(cpub, ltx.signing_bytes, ltx.signature):
+            if not verify(collector_publics.get(cid), ltx.signing_bytes, ltx.signature):
                 self.dropped_bad_signature += 1
                 code("bad_collector_sig")
                 continue
@@ -516,7 +500,7 @@ class GovernorNode:
     def on_verification_message(self, msg: VerificationMessage) -> None:
         """Replay the leader's verdict; raise, changing nothing, unless signed and next."""
         lpub = self.governor_publics.get(msg.leader_id)
-        if lpub is None or not self.registry.verify(lpub, msg.signing_bytes, msg.signature):
+        if not self.registry.verify(lpub, msg.signing_bytes, msg.signature):
             raise SimulationError(f"bad leader signature on verification message {msg.txid}")
         self.assert_no_gaps(msg)
         self.apply_verdict(msg)

@@ -185,7 +185,7 @@ def test_equal_transactions_compare_and_hash_equal():
 
 
 def test_replace_rebuilds_carried_bytes():
-    tx = Transaction(2, 8, 3, True, SimSignature(b"\x07" * 32), tx_signing_bytes(2, 8, 3))
+    tx = Transaction(2, 8, 3, True, SimSignature(b"\x07" * 32))
     nxt = dataclasses.replace(tx, seq=tx.seq + 1)
     assert nxt.txid == (2, 9, 3) != tx.txid == (2, 8, 3)
     assert nxt.signing_bytes == tx_signing_bytes(2, 9, 3) != tx.signing_bytes
@@ -203,10 +203,10 @@ def test_replace_rebuilds_carried_bytes():
 
 
 def _signer_and_public_records():
-    """(signer's, public) pairs: each record built from its signer's bytes and without them."""
+    """(signer's, public) pairs: each label or verdict built with its signer's bytes and without."""
     tx = make_tx(provider=1, seq=6, ts=2)
     sig = SimSignature(b"\x09" * 32)
-    pairs = [(Transaction(1, 6, 2, True, tx.signature, tx_signing_bytes(1, 6, 2)), tx)]
+    pairs = []
     for label in (1, -1):
         pairs.append((LabeledTransaction(tx, label, 3, sig, label_signing_bytes(tx, label)),
                       LabeledTransaction(tx, label, 3, sig)))

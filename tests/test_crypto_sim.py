@@ -39,6 +39,7 @@ def test_verify_rejects_other_messages(registry):
 def test_verify_rejects_unknown_public(registry):
     stranger = keypair_from_secret(99, b"\x55" * 32)
     assert not registry.verify(stranger.public, b"m", sign(stranger, b"m"))
+    assert not registry.verify(None, b"m", sign(stranger, b"m"))  # a node id with no public
 
 
 def test_verify_accepts_vector_tags_and_rejects_tampering(crypto_vectors):
@@ -75,6 +76,17 @@ def test_verify_keeps_key_state_between_messages(registry):
         assert registry.verify(kp.public, m2, s2)
         assert not registry.verify(kp.public, m2, s1)
         assert not registry.verify(kp.public, m1, s2)
+
+
+def test_sign_keeps_key_state_between_messages(crypto_vectors):
+    # The signing twin: a sign that hashed into the key's state instead of a
+    # copy would change every later tag under that key.
+    entries = crypto_vectors["sign"]
+    kps = [keypair_from_secret(0, bytes.fromhex(e["secret"])) for e in entries]
+    for _ in range(3):
+        for kp, entry in zip(kps, entries):
+            sign(kp, b"another message")
+            assert sign(kp, bytes.fromhex(entry["msg"])).tag.hex() == entry["tag"]
 
 
 def test_unforgeability_100k_random_attempts(registry):
@@ -143,8 +155,13 @@ def test_registry_issues_distinct_deterministic_keys():
     r2 = KeyRegistry(root_seed=5)
     kps1 = [r1.issue(i) for i in range(10)]
     kps2 = [r2.issue(i) for i in range(10)]
-    assert kps1 == kps2
+    assert kps1 == kps2 and [hash(kp) for kp in kps1] == [hash(kp) for kp in kps2]
     assert len({kp.secret for kp in kps1}) == 10
+    # The carried signing state is built per key and left out of equality and repr.
+    twin = keypair_from_secret(kps1[0].node_id, kps1[0].secret)
+    assert twin == kps1[0] and hash(twin) == hash(kps1[0])
+    assert twin.sig_state is not kps1[0].sig_state
+    assert repr(twin) == repr(kps1[0]) and "sig_state" not in repr(twin)
 
 
 def test_substreams_independent_and_reproducible():

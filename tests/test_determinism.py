@@ -52,6 +52,9 @@ PINS = [
     ("properties_11_seed7", dict(scenarios.properties(11), seed=7),
      "b8015ae5613430bc", "176d0d9010cdfa97", (4272, 0)),
     ("unequal_stakes", unequal_stakes(), "1df0eff7b7cb63e5", "d0ffb3da87bb00fa", (348, 0)),
+    # The headline scenario, cut to 120 rounds: three epochs close under PerEpochSqrt.
+    ("doubling_120", dict(scenarios.doubling(), total_rounds=120),
+     "5cbf59e29024fc6c", "066060cdc854811a", (0, 0)),
 ]
 
 

@@ -126,6 +126,26 @@ def test_theorem_inequality_exhaustive_tiny():
     assert count == 18 + 18 * 18
 
 
+def test_expected_wasted_verifications_within_the_waiting_time_bound():
+    # With an Honest slot at reputation 0, a slot penalized D times is drawn with
+    # probability at most e^(-eta*D), so after vouching +1 on N invalid rows it
+    # is expected to waste at most ln(1 + N(e^eta - 1))/eta + 1 verifications;
+    # E[W] is at most the sum of that over the slots with N > 0.
+    rng = random.Random(2002)
+    for _ in range(400):
+        u, T, eta = rng.choice((2, 3)), rng.randint(1, 12), rng.uniform(0.05, 3.0)
+        honest = rng.randrange(u)
+        validity = [rng.random() < 0.5 for _ in range(T)]
+        labels = [[(1 if valid else -1) if k == honest else rng.choice((1, -1, None))
+                   for k in range(u)] for valid in validity]
+        bound = 0.0
+        for k in range(u):
+            n = sum(1 for row, valid in zip(labels, validity) if not valid and row[k] == 1)
+            if n:
+                bound += math.log1p(n * math.expm1(eta)) / eta + 1
+        assert exact_expected_loss(labels, validity, eta).prose_loss <= bound + 1e-9
+
+
 def test_monte_carlo_matches_exact():
     instances = [
         ([[1, -1]], [False], 0.5),

@@ -156,6 +156,10 @@ def test_collector_drops_bad_provider_signature(registry):
     forged = Transaction(0, 1, 1, True, SimSignature(b"\x42" * 32))
     assert c.process(forged) is None
     assert c.dropped_bad_signature == 1
+    # A registered key, but provider 7 has no public on this collector.
+    unknown = Transaction(7, 1, 1, True, sign(registry.issue(7), tx_signing_bytes(7, 1, 1)))
+    assert c.process(unknown) is None
+    assert c.dropped_bad_signature == 2
 
 
 def test_collector_ignores_known_invalid(registry):
@@ -293,6 +297,24 @@ def test_batched_ingest_matches_one_copy_at_a_time(registry):
         assert (g.dropped_bad_signature, g.dropped_forged) == (2, 1)
 
 
+def test_detached_provider_signature_is_forged(registry):
+    # A collector that wraps a genuine provider tag in a record with a made-up
+    # seq gains nothing: the record's bytes come from its fields alone.
+    g = make_governor(registry, topology=((0,),))
+    (tx,) = make_provider(registry).generate(1)
+    assert deliver(registry, g, tx, 0) == "ok"
+    before = dict(g.inbox)
+    detached = Transaction(tx.provider_id, tx.seq + 1, tx.timestamp, False, tx.signature)
+    c0 = make_collector(registry)
+    copy = LabeledTransaction(detached, 1, 0, sign(c0.keypair, label_signing_bytes(detached, 1)))
+    assert g.ingest([copy], 5) == ["forged"]
+    assert g.dropped_forged == 1
+    assert g.inbox == before
+    with pytest.raises(TypeError):
+        Transaction(tx.provider_id, tx.seq + 1, tx.timestamp, False, tx.signature,
+                    tx.signing_bytes)
+
+
 def _tag_flipped(tx):
     """``tx`` under the same txid, with the last byte of its provider tag flipped."""
     tag = tx.signature.tag
@@ -355,7 +377,8 @@ def test_each_governor_checks_a_provider_signature_once(registry, monkeypatch):
 
 
 def test_signers_encode_each_signed_record_once(registry, monkeypatch):
-    # The bytes a provider, collector or leader signs are the bytes its record carries.
+    # The bytes a collector or leader signs are the bytes its record carries. A
+    # transaction is encoded twice: by its provider to sign, by its constructor to carry.
     calls = {}
     for module in (core_types, nodes):
         for name in ("tx_signing_bytes", "label_signing_bytes", "verification_message_bytes"):
@@ -367,16 +390,16 @@ def test_signers_encode_each_signed_record_once(registry, monkeypatch):
                 monkeypatch.setattr(module, name, counting)
     g = make_governor(registry, topology=((0,),))
     txs = make_provider(registry, gen_rate=3, invalid=0.0).generate(1)
-    assert calls == {"tx_signing_bytes": 3}
+    assert calls == {"tx_signing_bytes": 6}
     tx = txs[0]
     assert tx.signing_bytes == tx_signing_bytes(*tx.txid)  # the test's unwrapped binding
     ltx = make_collector(registry).process(tx)
-    assert calls == {"tx_signing_bytes": 3, "label_signing_bytes": 1}
+    assert calls == {"tx_signing_bytes": 6, "label_signing_bytes": 1}
     assert ltx.signing_bytes == label_signing_bytes(tx, 1)
     assert g.ingest([ltx], 1) == ["ok"]
     res = g.screen(tx.txid)
     assert res.outcome == "valid"
-    assert calls == {"tx_signing_bytes": 3, "label_signing_bytes": 1,
+    assert calls == {"tx_signing_bytes": 6, "label_signing_bytes": 1,
                      "verification_message_bytes": 1}
     msg = res.message
     assert msg.signing_bytes == verification_message_bytes(
@@ -544,11 +567,16 @@ def test_verification_message_bad_signature_rejected(registry):
     assert msg.signing_bytes == verification_message_bytes(
         msg.leader_id, msg.provider_id, msg.txid, msg.validbit, msg.received, msg.cnt
     ) != tampered.signing_bytes
+    fields = (99, msg.provider_id, msg.txid, msg.validbit, msg.received, msg.cnt)
+    unknown_leader = type(msg)(*fields, sign(leader.keypair, verification_message_bytes(*fields)))
     replica = make_governor(registry, topology=((0,),), gov_index=1)
     replica.governor_publics[0] = leader.keypair.public
     deliver(registry, replica, tx, 0, round_no=1, kind="AlwaysPlus")
-    with pytest.raises(SimulationError):
-        replica.on_verification_message(tampered)
+    before = replica_state(replica)
+    for bad in (tampered, unknown_leader):
+        with pytest.raises(SimulationError, match="bad leader signature"):
+            replica.on_verification_message(bad)
+        assert replica_state(replica) == before
 
 
 def _closing_epoch_run(registry):
