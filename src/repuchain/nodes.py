@@ -6,6 +6,11 @@ back unchecked. Collectors label transactions per a pluggable strategy
 the replicated reputation state, screen transactions after the waiting
 window, and verify only when the drawn slot vouched +1.
 
+A collector labels a round's deliveries in one call, ``label(txs)``, in
+arrival order (``process(tx)`` is the one-copy form). Each copy still gets
+its own provider-signature check and its own signature, and the strategy
+draws from the collector's stream in the same order as one call per copy.
+
 A governor keeps only what its ``Ledger.settled`` has not indexed: the
 ``inbox`` while a transaction waits out its window and is screened, then
 ``pending`` (with its verdict's signed labels) once verified valid, until
@@ -216,17 +221,36 @@ class CollectorNode:
         """Transactions proved invalid on chain are never relabeled."""
         self.ignored.update(txids)
 
+    def label(self, txs: Iterable[Transaction]) -> list[LabeledTransaction | None]:
+        """Label a round's deliveries in arrival order; None where a copy is withheld.
+
+        Every copy gets its own provider-signature check and, unless it is
+        ignored, dropped or withheld, its own signature. The labelling rule
+        draws from ``rng`` in delivery order, as one ``process`` per copy would.
+        """
+        ignored = self.ignored
+        verify_tx = self.registry.verify_tx
+        provider_publics = self.provider_publics
+        rule = self.label_rule
+        rng = self.rng
+        q = self.strategy.q
+        signed = self._signed
+        out: list[LabeledTransaction | None] = []
+        emit = out.append
+        for tx in txs:
+            if tx.txid in ignored:
+                emit(None)
+            elif not verify_tx(provider_publics, tx):
+                self.dropped_bad_signature += 1
+                emit(None)
+            else:
+                label = rule(1 if validate_collector(tx) else -1, rng, q)
+                emit(None if label is None else signed(tx, label))
+        return out
+
     def process(self, tx: Transaction) -> LabeledTransaction | None:
-        """Label one delivered transaction, or withhold it."""
-        if tx.txid in self.ignored:
-            return None
-        if not self.registry.verify_tx(self.provider_publics, tx):
-            self.dropped_bad_signature += 1
-            return None
-        label = self.label_rule(1 if validate_collector(tx) else -1, self.rng, self.strategy.q)
-        if label is None:
-            return None
-        return self._signed(tx, label)
+        """Label one delivered transaction, or withhold it (see ``label``)."""
+        return self.label((tx,))[0]
 
     def _signed(self, tx: Transaction, label: int) -> LabeledTransaction:
         """``tx`` with this collector's signed label; the signed bytes are encoded once."""

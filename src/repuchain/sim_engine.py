@@ -6,20 +6,37 @@ window expired, replicate the reputation updates, and append the block.
 Provider->collector and collector->governor messages, plus the feedback
 broadcast, are delivered exactly one round after sending: each of these
 three hops is a ``World`` field holding what the previous round sent, and
-``step_round`` swaps in what this round sends. The feedback hop carries the
-round's block payload and its signed ``RoundLists``: providers learn which
-of their transactions reached the chain or came back unchecked, collectors
-which were proved invalid. Governor-to-governor consensus traffic
-(verification messages, the block, the lists) completes within the round's
-processing phase: governors are modeled as a deterministic replicated state
-machine, and their equality is asserted at every round boundary.
+``step_round`` swaps in what this round sends. The provider->collector hop
+holds each sent transaction once; its copies go to the collectors its
+provider is connected to (``config.topology``). Each collector labels its
+deliveries in one call, in arrival order, and the uploads are then put back
+in transaction-major order, copies in topology order, so the collector->
+governor hop is what one label call per copy would have sent. The feedback
+hop carries the round's block payload and its signed ``RoundLists``:
+providers learn which of their transactions reached the chain or came back
+unchecked, collectors which were proved invalid. Governor-to-governor
+consensus traffic (verification messages, the block, the lists) completes
+within the round's processing phase: governors are modeled as a
+deterministic replicated state machine, and their equality is asserted at
+every round boundary.
 
 Randomness: the root seed expands into one substream per node, so adding a
 node leaves every other node's stream untouched.
+
+Garbage collection: ``step_round`` pauses CPython's cyclic collector for the
+round and restores the caller's setting after it, also when the round
+raises. A round makes no reference cycles, so reference counting frees
+everything it drops; what the pause saves is the collector's repeated walks
+over the ledger's records, which dominate the tracked objects of a long
+run. The pause rests on that no-cycles condition, which a tier-1 test
+checks; a cycle made anyway is found by the next collection outside a
+round. The collector is neither frozen nor retuned, since both would act
+on the whole process.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import sys
@@ -206,8 +223,9 @@ class World:
         self.config = config
         self.registry = KeyRegistry(root_seed=config.seed)
         self.round = 0
-        # The one-round hops: what the last completed round sent.
-        self.to_collectors: list[tuple[int, Transaction]] = []
+        # The one-round hops: what the last completed round sent. A sent
+        # transaction is held once; its provider's collectors each get a copy.
+        self.to_collectors: list[Transaction] = []
         self.to_governors: list[LabeledTransaction] = []
         self.feedback: tuple[RoundLists, tuple[Transaction, ...]] | None = None  # lists, payload
         self.metrics = MetricsLog(config.l)
@@ -267,13 +285,18 @@ class World:
         return self.governors[0].ledger
 
     def audit_conservation(self) -> dict[str, set[TxId]]:
-        """Classify every generated transaction into exactly one bucket."""
+        """Classify every generated transaction into exactly one bucket.
+
+        A transaction in the provider->collector hop is in flight, however
+        many collectors its copies go to; one in the collector->governor hop
+        is in flight through any of its labeled copies.
+        """
         g0 = self.governors[0]
         unchecked_archive: set[TxId] = set()
         for rl in g0.ledger.round_lists.values():
             unchecked_archive.update(t.txid for t in rl.unchecked_list)
         in_flight = (
-            {tx.txid for _, tx in self.to_collectors}
+            {tx.txid for tx in self.to_collectors}
             | {ltx.tx.txid for ltx in self.to_governors}
             | set(g0.inbox)
             | set(g0.pending)
@@ -302,7 +325,20 @@ def init_world(config: ScenarioConfig) -> World:
 
 
 def step_round(world: World) -> World:
-    """One full three-phase iteration; exposed for step-debugging and tests."""
+    """One full three-phase iteration; exposed for step-debugging and tests.
+
+    The cyclic collector is paused for the round (see the module docstring).
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _round(world)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _round(world: World) -> World:
     config = world.config
     r = world.round + 1
     metrics = world.metrics
@@ -331,22 +367,34 @@ def step_round(world: World) -> World:
             c.note_invalid(invalid_ids)
 
     # Phase 1: collecting.
-    sends_pc: list[tuple[int, Transaction]] = []
+    sends_pc: list[Transaction] = []
+    messages_pc = 0
     for p in world.providers:
         fresh = p.generate(r)
         for tx in fresh:
             metrics.record_generated(tx.txid, r, tx.ground_truth_valid)
-        for tx in fresh + resubmissions.get(p.id, []):
-            for cid in p.connected_collectors:
-                sends_pc.append((cid, tx))
+        sent = fresh + resubmissions.get(p.id, [])
+        sends_pc += sent
+        messages_pc += len(sent) * len(p.connected_collectors)
     arrived, world.to_collectors = world.to_collectors, sends_pc
 
     # Phase 2: uploading (labels what arrived this round, i.e. sent at r-1).
+    # One label call per collector over its deliveries in arrival order, then
+    # the uploads in transaction-major order, as one call per copy made them.
+    topology = config.topology
+    deliveries: list[list[Transaction]] = [[] for _ in world.collectors]
+    deliver = [[deliveries[cid].append for cid in adj] for adj in topology]
+    for tx in arrived:
+        for put in deliver[tx.provider_id]:
+            put(tx)
+    labeled = [iter(c.label(txs)).__next__ for c, txs in zip(world.collectors, deliveries)]
+    take = [[labeled[cid] for cid in adj] for adj in topology]
     uploads = []
-    for cid, tx in arrived:
-        ltx = world.collectors[cid].process(tx)
-        if ltx is not None:
-            uploads.append(ltx)
+    for tx in arrived:
+        for nxt in take[tx.provider_id]:
+            ltx = nxt()
+            if ltx is not None:
+                uploads.append(ltx)
     for c in world.collectors:
         forged = c.forge(r, config.l)
         if forged:
@@ -399,7 +447,7 @@ def step_round(world: World) -> World:
     row.txs_verified = sum(1 for res in screening if res.verified)
     row.wasted_verifications = sum(1 for res in screening if res.outcome == "invalid")
     row.blocks = 0 if block is None else 1
-    row.messages_pc = len(sends_pc)
+    row.messages_pc = messages_pc
     row.messages_cg = len(uploads) * m
     row.messages_gg = m * (m - 1) + len(messages) * (m - 1) + row.blocks * (m - 1)
     metrics.rounds.append(row)

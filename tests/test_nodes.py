@@ -170,6 +170,36 @@ def test_collector_ignores_known_invalid(registry):
     assert c.process(tx) is None
 
 
+@pytest.mark.parametrize("kind,q", [
+    ("Honest", 0.0), ("FlipProb", 0.4), ("Withhold", 0.4), ("AlwaysMinus", 0.0),
+])
+def test_batched_labels_equal_one_copy_at_a_time(registry, kind, q):
+    txs = [tx for i in range(2) for tx in make_provider(
+        registry, node_id=i, gen_rate=12, invalid=0.3).generate(1)]
+    bad_tag = Transaction(0, 99, 1, True, SimSignature(b"\x42" * 32))
+    # A registered key, but provider 7 has no public on these collectors.
+    unknown = Transaction(7, 1, 1, True, sign(registry.issue(7), tx_signing_bytes(7, 1, 1)))
+    deliveries = txs[:5] + [bad_tag] + txs[5:15] + [unknown] + txs[15:] + txs[:3]
+    ignored = txs[7].txid
+
+    batched, single = (make_collector(registry, index=3, kind=kind, q=q, n_providers=2)
+                       for _ in range(2))
+    for c in (batched, single):
+        c.note_invalid([ignored])
+    labels = batched.label(deliveries)
+    assert labels == [single.process(tx) for tx in deliveries]
+    assert len(labels) == len(deliveries)
+    assert labels[deliveries.index(bad_tag)] is None
+    assert labels[deliveries.index(unknown)] is None
+    assert labels[deliveries.index(txs[7])] is None
+    assert batched.dropped_bad_signature == single.dropped_bad_signature == 2
+    assert batched.rng.getstate() == single.rng.getstate()
+    fresh = make_collector(registry, index=3, kind=kind, q=q, n_providers=2)
+    assert (batched.rng.getstate() != fresh.rng.getstate()) == (kind in ("FlipProb", "Withhold"))
+    if kind != "Withhold":
+        assert sum(ltx is not None for ltx in labels) == len(deliveries) - 3
+
+
 def test_collector_signature_binds_label(registry):
     c = make_collector(registry)
     p = make_provider(registry, gen_rate=1)

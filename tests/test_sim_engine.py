@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import gc
 import json
 import math
 import re
@@ -6,6 +8,7 @@ import re
 import pytest
 
 from conftest import SCENARIOS_DIR
+from test_determinism import unequal_stakes
 from repuchain import scenarios
 from repuchain.consensus import ChainViolation, Violation
 from repuchain.metrics_oracle import compute_regret, emit_csv
@@ -422,6 +425,61 @@ def test_replica_divergence_detected(alter):
     alter(w.governors[1])
     with pytest.raises((SimulationError, ChainViolation), match="divergence"):
         step_round(w)
+
+
+
+@pytest.fixture
+def collector_setting():
+    """Put the cyclic collector back as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_step_round_restores_the_callers_collector_setting(enabled, collector_setting):
+    cfg = ScenarioConfig.from_dict(dict(scenarios.properties(10), b_limit=1))
+    w = init_world(cfg)
+    g0 = w.governors[0]
+    ingest, during = g0.ingest, []
+    g0.ingest = lambda batch, r: during.append(gc.isenabled()) or ingest(batch, r)
+    (gc.enable if enabled else gc.disable)()
+    for _ in range(12):
+        step_round(w)
+        assert gc.isenabled() is enabled
+    assert during == [False] * 12
+    # A round that raises restores the setting too.
+    _bump_rep(w.governors[1])
+    with pytest.raises(SimulationError, match="divergence"):
+        step_round(w)
+    assert gc.isenabled() is enabled
+
+
+def test_rounds_make_no_reference_cycles(collector_setting):
+    # step_round pauses the cyclic collector for each round. That frees
+    # nothing late only while a round leaves no cycle behind.
+    worlds = {
+        "properties_10": scenarios.properties(10),
+        "unequal_stakes": unequal_stakes(),
+        "doubling_40": dict(scenarios.doubling(), total_rounds=40),
+    }
+    debug = gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for raw in worlds.values():
+            cfg = ScenarioConfig.from_dict(raw)
+            world = init_world(cfg)
+            for _ in range(cfg.total_rounds):
+                step_round(world)
+        del world
+        unreachable = gc.collect()
+        cycles = collections.Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+    assert unreachable == 0, cycles.most_common(5)
 
 
 def test_replica_that_settled_the_next_head_refuses_the_block():
