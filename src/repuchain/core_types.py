@@ -23,13 +23,11 @@ comparison is made on the bytes, never on the records. A ``Transaction``
 encodes its bytes from its fields, and carries its identity triple as
 ``txid``: collectors, who may misbehave, pass transactions on, and bytes
 taken on trust could carry a genuine provider signature under a made-up
-txid. A label or a verdict takes an optional last argument
-``signing_bytes`` for its signer, the collector or leader, which passes the
-bytes it has just encoded and signed, so they are encoded once. Only the
-signer builds these records, and bytes that disagreed with their fields
-could misstate only the signer's own statement. Anyone else,
-``dataclasses.replace`` included, leaves it out and the constructor encodes
-them.
+txid. No caller supplies a record's bytes. A label's or a verdict's
+constructor encodes them from its fields, as ``dataclasses.replace`` does;
+its signer, the collector or leader, builds it with the classmethod
+``signed``, which encodes the bytes once, signs them through the given
+callable and stores both.
 
 The records built once or more per transaction (here ``SimSignature``,
 ``Transaction`` and ``LabeledTransaction``; elsewhere the verdict and the
@@ -56,7 +54,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field, fields
-from typing import Sequence
+from typing import Callable, Sequence
 
 DIGEST_SIZE = 32
 ZERO_DIGEST = b"\x00" * DIGEST_SIZE
@@ -71,8 +69,7 @@ _U64 = struct.Struct(">Q")
 # Three length-prefixed integers: (8, provider_id, 8, seq, 8, timestamp).
 _TX_SIGNING = struct.Struct(">QQQQQQ")
 # The label field of a label's signing bytes: (8, 1) for +1, (8, 0) for -1.
-_LABEL_PLUS = struct.pack(">QQ", 8, 1)
-_LABEL_MINUS = struct.pack(">QQ", 8, 0)
+_LABEL_FIELDS = {1: struct.pack(">QQ", 8, 1), -1: struct.pack(">QQ", 8, 0)}
 # A block's serial and leader fields, then its list field's length and count.
 _BLOCK_HEAD = struct.Struct(">QQQQQQ")
 
@@ -170,24 +167,39 @@ class LabeledTransaction:
     signing_bytes: bytes = field(init=False, repr=False, compare=False)
 
     def __init__(self, tx: Transaction, label: int, collector_id: int,
-                 signature: SimSignature, signing_bytes: bytes | None = None) -> None:
-        if label != 1 and label != -1:
-            raise ValueError(f"label must be +1 or -1, got {label}")
-        s_tx, s_label, s_collector, s_sig, s_signing = _LTX_SLOTS
-        s_tx(self, tx)
-        s_label(self, label)
-        s_collector(self, collector_id)
-        s_sig(self, signature)
-        s_signing(self, signing_bytes or label_signing_bytes(tx, label))
+                 signature: SimSignature) -> None:
+        _store_label(self, tx, label, collector_id, signature, label_signing_bytes(tx, label))
+
+    @classmethod
+    def signed(cls, tx: Transaction, label: int, collector_id: int,
+               sign_bytes: Callable[[bytes], SimSignature]) -> "LabeledTransaction":
+        """The label whose bytes ``sign_bytes`` signs: encoded once, signed, stored."""
+        body = label_signing_bytes(tx, label)
+        self = cls.__new__(cls)
+        _store_label(self, tx, label, collector_id, sign_bytes(body), body)
+        return self
 
 
 _LTX_SLOTS = slot_setters(LabeledTransaction)
 
 
+def _store_label(ltx: LabeledTransaction, tx: Transaction, label: int, collector_id: int,
+                 signature: SimSignature, body: bytes) -> None:
+    s_tx, s_label, s_collector, s_sig, s_signing = _LTX_SLOTS
+    s_tx(ltx, tx)
+    s_label(ltx, label)
+    s_collector(ltx, collector_id)
+    s_sig(ltx, signature)
+    s_signing(ltx, body)
+
+
 def label_signing_bytes(tx: Transaction, label: int) -> bytes:
-    """Bytes the collector signs: the wire transaction and its label."""
+    """Bytes the collector signs: the wire transaction and its label, +1 or -1."""
+    label_field = _LABEL_FIELDS.get(label)
+    if label_field is None:
+        raise ValueError(f"label must be +1 or -1, got {label}")
     wire = tx.wire_bytes
-    return _U64.pack(len(wire)) + wire + (_LABEL_PLUS if label == 1 else _LABEL_MINUS)
+    return _U64.pack(len(wire)) + wire + label_field
 
 
 @dataclass(frozen=True, slots=True)

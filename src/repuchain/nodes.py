@@ -6,10 +6,10 @@ back unchecked. Collectors label transactions per a pluggable strategy
 the replicated reputation state, screen transactions after the waiting
 window, and verify only when the drawn slot vouched +1.
 
-A collector labels a round's deliveries in one call, ``label(txs)``, in
-arrival order (``process(tx)`` is the one-copy form). Each copy still gets
-its own provider-signature check and its own signature, and the strategy
-draws from the collector's stream in the same order as one call per copy.
+A collector labels each copy as it arrives, in ``process(tx)``. A slot is
+a collector's position in its provider's ``topology`` list; reputations,
+inbox labels and verdicts are kept per slot, and ``ingest`` alone maps a
+collector id to its slot.
 
 A governor keeps only what its ``Ledger.settled`` has not indexed: the
 ``inbox`` while a transaction waits out its window and is screened, then
@@ -23,8 +23,9 @@ signed input:
 
 - ``ingest(batch, r)``: a round's labeled copies enter the inbox in one
   call, each after its own collector signature check and, unless the inbox
-  already holds its exact bytes, its provider signature check
-  (``on_labeled_transaction(ltx, r)`` is the one-copy form).
+  already holds its exact bytes, its provider signature check, each label
+  filed under its collector's slot (``on_labeled_transaction(ltx, r)`` is
+  the one-copy form).
 - ``apply_verdict(msg)``: the leader's ``VerificationMessage`` penalizes the
   slots, advances the epoch at its boundary and moves the transaction out
   of the inbox. The leader signs the message after its draw (``cnt`` is the
@@ -56,7 +57,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .consensus import (ChainViolation, Ledger, PendingEntry, SignedBlock, TxId,
                         propose_block, validate_and_append)
@@ -65,7 +66,6 @@ from .core_types import (
     RoundLists,
     SimSignature,
     Transaction,
-    label_signing_bytes,
     slot_setters,
     tx_signing_bytes,
 )
@@ -79,7 +79,7 @@ from .reputation import (
     update_reputations,
 )
 
-# An unsettled transaction on a governor: (tx, expiry round, collector -> label).
+# An unsettled transaction on a governor: (tx, expiry round, slot -> label).
 InboxEntry = tuple[Transaction, int, dict[int, int]]
 
 # Each strategy kind's labelling rule: (truth, rng, q) -> the label, or None to
@@ -112,6 +112,11 @@ _VMSG_TAIL = struct.Struct(">QQ")
 
 class SimulationError(RuntimeError):
     """Internal consistency failure; indicates a scheduler or protocol bug."""
+
+
+def signer(keypair: KeyPair) -> Callable[[bytes], SimSignature]:
+    """Signs bytes with ``keypair``, looking ``sign`` up at each call, not once."""
+    return lambda body: sign(keypair, body)
 
 
 def validate_collector(tx: Transaction) -> bool:
@@ -210,6 +215,7 @@ class CollectorNode:
         self.keypair = keypair
         self.strategy = strategy
         self.label_rule = LABEL_RULES[strategy.kind]
+        self.sign_bytes = signer(keypair)
         self.registry = registry
         self.provider_publics = provider_publics
         self.rng = rng
@@ -221,41 +227,21 @@ class CollectorNode:
         """Transactions proved invalid on chain are never relabeled."""
         self.ignored.update(txids)
 
-    def label(self, txs: Iterable[Transaction]) -> list[LabeledTransaction | None]:
-        """Label a round's deliveries in arrival order; None where a copy is withheld.
-
-        Every copy gets its own provider-signature check and, unless it is
-        ignored, dropped or withheld, its own signature. The labelling rule
-        draws from ``rng`` in delivery order, as one ``process`` per copy would.
-        """
-        ignored = self.ignored
-        verify_tx = self.registry.verify_tx
-        provider_publics = self.provider_publics
-        rule = self.label_rule
-        rng = self.rng
-        q = self.strategy.q
-        signed = self._signed
-        out: list[LabeledTransaction | None] = []
-        emit = out.append
-        for tx in txs:
-            if tx.txid in ignored:
-                emit(None)
-            elif not verify_tx(provider_publics, tx):
-                self.dropped_bad_signature += 1
-                emit(None)
-            else:
-                label = rule(1 if validate_collector(tx) else -1, rng, q)
-                emit(None if label is None else signed(tx, label))
-        return out
-
     def process(self, tx: Transaction) -> LabeledTransaction | None:
-        """Label one delivered transaction, or withhold it (see ``label``)."""
-        return self.label((tx,))[0]
+        """Label one delivered copy; None if it is ignored, dropped or withheld.
 
-    def _signed(self, tx: Transaction, label: int) -> LabeledTransaction:
-        """``tx`` with this collector's signed label; the signed bytes are encoded once."""
-        body = label_signing_bytes(tx, label)
-        return LabeledTransaction(tx, label, self.id, sign(self.keypair, body), body)
+        Only FlipProb and Withhold draw from ``rng``, once per copy that
+        passes the provider-signature check.
+        """
+        if tx.txid in self.ignored:
+            return None
+        if not self.registry.verify_tx(self.provider_publics, tx):
+            self.dropped_bad_signature += 1
+            return None
+        label = self.label_rule(1 if validate_collector(tx) else -1, self.rng, self.strategy.q)
+        if label is None:
+            return None
+        return LabeledTransaction.signed(tx, label, self.id, self.sign_bytes)
 
     def forge(self, round_no: int, provider_count: int) -> list[LabeledTransaction]:
         """Fabricate transactions with bogus provider signatures (Forger only)."""
@@ -271,7 +257,7 @@ class CollectorNode:
                 ground_truth_valid=False,
                 signature=SimSignature(tag=self.rng.randbytes(32)),
             )
-            out.append(self._signed(fake, 1))
+            out.append(LabeledTransaction.signed(fake, 1, self.id, self.sign_bytes))
         return out
 
 
@@ -279,9 +265,11 @@ class CollectorNode:
 class VerificationMessage:
     """Leader broadcast after verifying a transaction; replicas replay it.
 
-    ``cnt`` orders the reputation updates per provider so no governor can
-    skip or reorder one. It resets when an epoch closes, so it orders updates
-    within an epoch; the settled check in ``apply_verdict`` refuses older ones.
+    ``received`` holds the transaction's labels as sorted ``(slot, label)``
+    pairs. ``cnt`` orders the reputation updates per provider so no governor
+    can skip or reorder one. It resets when an epoch closes, so it orders
+    updates within an epoch; the settled check in ``apply_verdict`` refuses
+    older ones.
     """
 
     leader_id: int
@@ -294,38 +282,46 @@ class VerificationMessage:
     signing_bytes: bytes = field(init=False, repr=False, compare=False)
 
     def __init__(self, leader_id: int, provider_id: int, txid: TxId, validbit: bool,
-                 received: tuple[tuple[int, int], ...], cnt: int, signature: SimSignature,
-                 signing_bytes: bytes | None = None) -> None:
-        s_leader, s_provider, s_txid, s_valid, s_received, s_cnt, s_sig, s_signing = _VMSG_SLOTS
-        s_leader(self, leader_id)
-        s_provider(self, provider_id)
-        s_txid(self, txid)
-        s_valid(self, validbit)
-        s_received(self, received)
-        s_cnt(self, cnt)
-        s_sig(self, signature)
-        s_signing(self, signing_bytes or verification_message_bytes(
-            leader_id, provider_id, txid, validbit, received, cnt))
+                 received: tuple[tuple[int, int], ...], cnt: int, signature: SimSignature) -> None:
+        fields = (leader_id, provider_id, txid, validbit, received, cnt)
+        _store_verdict(self, fields, signature, verification_message_bytes(*fields))
+
+    @classmethod
+    def signed(cls, leader_id: int, provider_id: int, txid: TxId, validbit: bool,
+               received: tuple[tuple[int, int], ...], cnt: int,
+               sign_bytes: Callable[[bytes], SimSignature]) -> "VerificationMessage":
+        """The verdict whose bytes ``sign_bytes`` signs: encoded once, signed, stored."""
+        fields = (leader_id, provider_id, txid, validbit, received, cnt)
+        body = verification_message_bytes(*fields)
+        self = cls.__new__(cls)
+        _store_verdict(self, fields, sign_bytes(body), body)
+        return self
 
 
 _VMSG_SLOTS = slot_setters(VerificationMessage)
+
+
+def _store_verdict(msg: VerificationMessage, fields: tuple, signature: SimSignature,
+                   body: bytes) -> None:
+    for store, value in zip(_VMSG_SLOTS, (*fields, signature, body)):
+        store(msg, value)
 
 
 def verification_message_bytes(
     leader_id: int, provider_id: int, txid: TxId, validbit: bool,
     received: tuple[tuple[int, int], ...], cnt: int,
 ) -> bytes:
-    """Bytes the leader signs: ids, txid, verdict, the (collector, label) list, cnt.
+    """Bytes the leader signs: ids, txid, verdict, the sorted (slot, label) list, cnt.
 
     Packed per the canonical rule: one head, one 24-byte item per received
-    label (its 16-byte length, then collector id and 1/0 for +1/-1), a tail.
+    label (its 16-byte length, then slot and 1/0 for +1/-1), a tail.
     """
     n = len(received)
     item = _VMSG_ITEM.pack
     parts = [_VMSG_HEAD.pack(8, leader_id, 8, provider_id, 24, *txid,
                              8, 1 if validbit else 0, 8 + 24 * n, n)]
-    for c, lab in received:
-        parts.append(item(16, c, 1 if lab == 1 else 0))
+    for slot, lab in received:
+        parts.append(item(16, slot, 1 if lab == 1 else 0))
     parts.append(_VMSG_TAIL.pack(8, cnt))
     return b"".join(parts)
 
@@ -376,10 +372,11 @@ class GovernorNode:
     ):
         self.id = node_id
         self.keypair = keypair
+        self.sign_bytes = signer(keypair)
         self.registry = registry
-        self.slot_of = [
-            {cid: slot for slot, cid in enumerate(collectors)} for collectors in topology
-        ]
+        # (provider, collector id) -> slot; read by ingest alone.
+        self.slot_of = {(provider, cid): slot for provider, collectors in enumerate(topology)
+                        for slot, cid in enumerate(collectors)}
         self.provider_publics = provider_publics
         self.collector_publics = collector_publics
         self.governor_publics = governor_publics
@@ -406,19 +403,18 @@ class GovernorNode:
 
         Every copy gets its own collector-signature check, and a
         provider-signature check unless the inbox entry for its txid holds
-        the same ``wire_bytes`` (see the module docstring). A copy enters the
-        inbox ("ok") unless one fails
-        ("bad_collector_sig", "forged"), its collector serves another
-        provider ("not_connected"), the transaction is verified or settled
-        ("settled"), or its collector's label is already in ("duplicate":
-        the first label wins, conflicting or not).
+        the same ``wire_bytes`` (see the module docstring). A copy's label
+        enters the inbox under its collector's slot ("ok") unless a check
+        fails ("bad_collector_sig", "forged"), its collector has no slot for
+        the provider ("not_connected"), the transaction is verified or
+        settled ("settled"), or that slot's label is already in
+        ("duplicate": the first label wins, conflicting or not).
         """
         verify = self.registry.verify
         verify_tx = self.registry.verify_tx
         collector_publics = self.collector_publics
         provider_publics = self.provider_publics
         slot_of = self.slot_of
-        n_providers = len(slot_of)
         inbox = self.inbox
         pending = self.pending
         settled = self.ledger.settled
@@ -439,8 +435,8 @@ class GovernorNode:
                 self.dropped_forged += 1
                 code("forged")
                 continue
-            provider = tx.provider_id
-            if provider >= n_providers or cid not in slot_of[provider]:
+            slot = slot_of.get((tx.provider_id, cid))
+            if slot is None:
                 code("not_connected")
                 continue
             if entry is None:
@@ -449,10 +445,10 @@ class GovernorNode:
                     continue
                 entry = inbox[txid] = (tx, expiry, {})
             labels = entry[2]
-            if cid in labels:
+            if slot in labels:
                 code("duplicate")
                 continue
-            labels[cid] = ltx.label
+            labels[slot] = ltx.label
             code("ok")
         return codes
 
@@ -473,20 +469,16 @@ class GovernorNode:
 
     def screen(self, txid: TxId) -> ScreeningResult:
         """Draw one slot by reputation; verify only if it vouched +1."""
-        tx, _, received = self.inbox[txid]
+        tx, _, labels = self.inbox[txid]
         provider = tx.provider_id
-        slot_map = self.slot_of[provider]
-        labels = {slot_map[cid]: lab for cid, lab in received.items()}
         state = self.rep[provider]
         validbit, pen, loss = screen_draw(state, labels, self.draw_rng, validate_governor, tx)
         if validbit is None:
             # Discarded unverified, no reputation change.
             return ScreeningResult(tx, "unchecked", loss, pen, state.epoch_index, None, None)
-        snapshot = tuple(sorted(received.items()))
         cnt = state.cnt + 1  # this verdict's place in the provider's update order
-        fields = (self.id, provider, txid, validbit, snapshot, cnt)  # all but the signature
-        body = verification_message_bytes(*fields)
-        message = VerificationMessage(*fields, sign(self.keypair, body), body)
+        message = VerificationMessage.signed(
+            self.id, provider, txid, validbit, tuple(sorted(labels.items())), cnt, self.sign_bytes)
         closure = self.apply_verdict(message)
         return ScreeningResult(
             tx, "valid" if validbit else "invalid",
@@ -509,11 +501,9 @@ class GovernorNode:
         if entry is None:
             raise SimulationError(f"verdict for unseen or settled transaction {txid}")
         provider = msg.provider_id
-        slot_map = self.slot_of[provider]
-        labels = {slot_map[cid]: lab for cid, lab in msg.received}
         state = self.rep[provider]
         self.rep[provider], revenue = maybe_advance_epoch(
-            update_reputations(state, labels, msg.validbit), self.mu, self.eta_policy
+            update_reputations(state, dict(msg.received), msg.validbit), self.mu, self.eta_policy
         )
         if msg.validbit:
             self.pending[txid] = (entry[0], msg.received)

@@ -8,17 +8,16 @@ broadcast, are delivered exactly one round after sending: each of these
 three hops is a ``World`` field holding what the previous round sent, and
 ``step_round`` swaps in what this round sends. The provider->collector hop
 holds each sent transaction once; its copies go to the collectors its
-provider is connected to (``config.topology``). Each collector labels its
-deliveries in one call, in arrival order, and the uploads are then put back
-in transaction-major order, copies in topology order, so the collector->
-governor hop is what one label call per copy would have sent. The feedback
-hop carries the round's block payload and its signed ``RoundLists``:
-providers learn which of their transactions reached the chain or came back
-unchecked, collectors which were proved invalid. Governor-to-governor
-consensus traffic (verification messages, the block, the lists) completes
-within the round's processing phase: governors are modeled as a
-deterministic replicated state machine, and their equality is asserted at
-every round boundary.
+provider is connected to (``config.topology``). Collectors label the copies
+one at a time, transaction by transaction and, within one, in topology
+order, and the collector->governor hop carries the labels in that order.
+The feedback hop carries the round's block payload and its signed
+``RoundLists``: providers learn which of their transactions reached the
+chain or came back unchecked, collectors which were proved invalid.
+Governor-to-governor consensus traffic (verification messages, the block,
+the lists) completes within the round's processing phase: governors are
+modeled as a deterministic replicated state machine, and their equality is
+asserted at every round boundary.
 
 Randomness: the root seed expands into one substream per node, so adding a
 node leaves every other node's stream untouched.
@@ -378,23 +377,17 @@ def _round(world: World) -> World:
         messages_pc += len(sent) * len(p.connected_collectors)
     arrived, world.to_collectors = world.to_collectors, sends_pc
 
-    # Phase 2: uploading (labels what arrived this round, i.e. sent at r-1).
-    # One label call per collector over its deliveries in arrival order, then
-    # the uploads in transaction-major order, as one call per copy made them.
-    topology = config.topology
-    deliveries: list[list[Transaction]] = [[] for _ in world.collectors]
-    deliver = [[deliveries[cid].append for cid in adj] for adj in topology]
-    for tx in arrived:
-        for put in deliver[tx.provider_id]:
-            put(tx)
-    labeled = [iter(c.label(txs)).__next__ for c, txs in zip(world.collectors, deliveries)]
-    take = [[labeled[cid] for cid in adj] for adj in topology]
+    # Phase 2: uploading (labels what arrived this round, i.e. sent at r-1):
+    # each transaction's copies in turn, to its provider's collectors in topology order.
+    collectors = world.collectors
+    processors = [[collectors[cid].process for cid in adj] for adj in config.topology]
     uploads = []
+    upload = uploads.append
     for tx in arrived:
-        for nxt in take[tx.provider_id]:
-            ltx = nxt()
+        for process in processors[tx.provider_id]:
+            ltx = process(tx)
             if ltx is not None:
-                uploads.append(ltx)
+                upload(ltx)
     for c in world.collectors:
         forged = c.forge(r, config.l)
         if forged:

@@ -27,13 +27,14 @@ def digests():
     for _ in range(cfg.total_rounds):
         sim_engine.step_round(world)
     sim_engine.finalize(world)
-    return [world.ledger.tip_hash().hex(), sim_engine.world_state_hash(world)]
+    uploaded = sum(row.messages_cg for row in world.metrics.rounds) // cfg.m
+    return [world.ledger.tip_hash().hex(), sim_engine.world_state_hash(world)], uploaded
 
-plain = digests()
+plain, _ = digests()
 tracer = tracing.Tracer()
 tracer.install()
-traced = digests()
-print(json.dumps({"plain": plain, "traced": traced,
+traced, uploaded = digests()
+print(json.dumps({"plain": plain, "traced": traced, "uploaded": uploaded,
                   "counts": tracer.counts, "calls": tracer.calls}))
 """
 
@@ -55,3 +56,6 @@ def test_traced_run_matches_untraced_run():
     # Every replayed message passes the strict order check exactly once.
     assert out["calls"]["nodes.GovernorNode.assert_no_gaps"] == replayed
     assert out["counts"]["nodes.screen_calls"] > 0
+    # Every uploaded copy, labelled or forged, passes through a traced collector call.
+    assert out["uploaded"] > 0
+    assert out["counts"]["nodes.labels_emitted"] == out["uploaded"]

@@ -191,28 +191,28 @@ def test_replace_rebuilds_carried_bytes():
     assert nxt.signing_bytes == tx_signing_bytes(2, 9, 3) != tx.signing_bytes
     assert nxt.wire_bytes == tx_signing_bytes(2, 9, 3) + tx.wire_bytes[len(tx.signing_bytes):]
     sig = SimSignature(b"\x05" * 32)
-    ltx = LabeledTransaction(tx, 1, 4, sig, label_signing_bytes(tx, 1))
+    ltx = LabeledTransaction.signed(tx, 1, 4, lambda body: sig)
     flipped = dataclasses.replace(ltx, label=-1)
     assert flipped.signing_bytes == label_signing_bytes(tx, -1) != ltx.signing_bytes
     moved = dataclasses.replace(ltx, tx=nxt)
     assert moved.signing_bytes == label_signing_bytes(nxt, 1)
     fields = (0, 2, tx.txid, True, ((4, 1),), 3)
-    msg = VerificationMessage(*fields, sig, verification_message_bytes(*fields))
+    msg = VerificationMessage.signed(*fields, lambda body: sig)
     later = dataclasses.replace(msg, cnt=4)
     assert later.signing_bytes == verification_message_bytes(*fields[:-1], 4) != msg.signing_bytes
 
 
 def _signer_and_public_records():
-    """(signer's, public) pairs: each label or verdict built with its signer's bytes and without."""
+    """(signer's, public) pairs: each label or verdict built by ``signed`` and by its constructor."""
     tx = make_tx(provider=1, seq=6, ts=2)
     sig = SimSignature(b"\x09" * 32)
     pairs = []
     for label in (1, -1):
-        pairs.append((LabeledTransaction(tx, label, 3, sig, label_signing_bytes(tx, label)),
+        pairs.append((LabeledTransaction.signed(tx, label, 3, lambda body: sig),
                       LabeledTransaction(tx, label, 3, sig)))
     for received in ((), ((0, 1),), ((0, -1), (2, 1), (5, -1))):
         fields = (4, 1, tx.txid, bool(received), received, 7)
-        pairs.append((VerificationMessage(*fields, sig, verification_message_bytes(*fields)),
+        pairs.append((VerificationMessage.signed(*fields, lambda body: sig),
                       VerificationMessage(*fields, sig)))
     return pairs
 
@@ -241,8 +241,10 @@ def test_label_outside_plus_minus_one_is_refused_on_every_path(label):
     sig = SimSignature(b"\0" * 32)
     with pytest.raises(ValueError, match="label must be"):
         LabeledTransaction(tx, label, 1, sig)
+    signed = []
     with pytest.raises(ValueError, match="label must be"):
-        LabeledTransaction(tx, label, 1, sig, label_signing_bytes(tx, -1))
+        LabeledTransaction.signed(tx, label, 1, lambda body: signed.append(body) or sig)
+    assert signed == []  # refused before anything is signed
     ltx = LabeledTransaction(tx, 1, 1, sig)
     with pytest.raises(ValueError, match="label must be"):
         dataclasses.replace(ltx, label=label)

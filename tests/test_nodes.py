@@ -173,31 +173,42 @@ def test_collector_ignores_known_invalid(registry):
 @pytest.mark.parametrize("kind,q", [
     ("Honest", 0.0), ("FlipProb", 0.4), ("Withhold", 0.4), ("AlwaysMinus", 0.0),
 ])
-def test_batched_labels_equal_one_copy_at_a_time(registry, kind, q):
+def test_process_labels_each_copy_by_its_rule(registry, kind, q):
     txs = [tx for i in range(2) for tx in make_provider(
         registry, node_id=i, gen_rate=12, invalid=0.3).generate(1)]
     bad_tag = Transaction(0, 99, 1, True, SimSignature(b"\x42" * 32))
-    # A registered key, but provider 7 has no public on these collectors.
+    # A registered key, but provider 7 has no public on this collector.
     unknown = Transaction(7, 1, 1, True, sign(registry.issue(7), tx_signing_bytes(7, 1, 1)))
-    deliveries = txs[:5] + [bad_tag] + txs[5:15] + [unknown] + txs[15:] + txs[:3]
-    ignored = txs[7].txid
-
-    batched, single = (make_collector(registry, index=3, kind=kind, q=q, n_providers=2)
-                       for _ in range(2))
-    for c in (batched, single):
-        c.note_invalid([ignored])
-    labels = batched.label(deliveries)
-    assert labels == [single.process(tx) for tx in deliveries]
-    assert len(labels) == len(deliveries)
-    assert labels[deliveries.index(bad_tag)] is None
-    assert labels[deliveries.index(unknown)] is None
-    assert labels[deliveries.index(txs[7])] is None
-    assert batched.dropped_bad_signature == single.dropped_bad_signature == 2
-    assert batched.rng.getstate() == single.rng.getstate()
-    fresh = make_collector(registry, index=3, kind=kind, q=q, n_providers=2)
-    assert (batched.rng.getstate() != fresh.rng.getstate()) == (kind in ("FlipProb", "Withhold"))
+    ignored = txs[7]
+    c = make_collector(registry, index=3, kind=kind, q=q, n_providers=2)
+    c.note_invalid([ignored.txid])
+    untouched = c.rng.getstate()
+    for tx in (bad_tag, unknown, ignored):
+        assert c.process(tx) is None
+    assert c.dropped_bad_signature == 2
+    assert c.rng.getstate() == untouched  # nothing withheld above drew
+    delivered = [tx for tx in txs if tx is not ignored] + txs[:3]
+    got = [c.process(tx) for tx in delivered]
+    assert c.dropped_bad_signature == 2
+    truths = [1 if tx.ground_truth_valid else -1 for tx in delivered]
+    draws = substream(42, "collector", 3)  # the collector's own stream, replayed
+    if kind == "Honest":
+        expected = truths
+    elif kind == "AlwaysMinus":
+        expected = [-1] * len(truths)
+    elif kind == "FlipProb":
+        expected = [-t if draws.random() < q else t for t in truths]
+    else:
+        expected = [None if draws.random() < q else t for t in truths]
+    assert [None if ltx is None else ltx.label for ltx in got] == expected
+    assert c.rng.getstate() == draws.getstate()
+    assert (draws.getstate() != untouched) == (kind in ("FlipProb", "Withhold"))
     if kind != "Withhold":
-        assert sum(ltx is not None for ltx in labels) == len(deliveries) - 3
+        assert sum(ltx is not None for ltx in got) == len(delivered)
+    for tx, ltx in zip(delivered, got):
+        if ltx is not None:
+            assert (ltx.tx, ltx.collector_id) == (tx, 3)
+            assert registry.verify(c.keypair.public, ltx.signing_bytes, ltx.signature)
 
 
 def test_collector_signature_binds_label(registry):
@@ -216,7 +227,7 @@ def test_collector_signature_binds_label(registry):
 
 def deliver(registry, governor, tx, collector_index=0, round_no=5, kind="Honest"):
     c = make_collector(registry, index=collector_index, kind=kind,
-                       n_providers=len(governor.slot_of))
+                       n_providers=len(governor.rep))
     ltx = c.process(tx)
     assert ltx is not None
     return governor.on_labeled_transaction(ltx, round_no)
@@ -272,7 +283,14 @@ def test_relabeled_copy_with_original_signature_refused(registry):
     )
     assert flipped.signing_bytes == label_signing_bytes(tx, -ltx.label)
     assert g.on_labeled_transaction(flipped, 1) == "bad_collector_sig"
+    # No caller can hand a label or a verdict the bytes of the record it copies.
+    with pytest.raises(TypeError):
+        LabeledTransaction(tx, -ltx.label, 0, ltx.signature, ltx.signing_bytes)
     assert g.on_labeled_transaction(ltx, 1) == "ok"
+    msg = g.screen(tx.txid).message
+    with pytest.raises(TypeError):
+        nodes.VerificationMessage(msg.leader_id, msg.provider_id, msg.txid, not msg.validbit,
+                                  msg.received, msg.cnt, msg.signature, msg.signing_bytes)
 
 
 def test_forged_transactions_rejected_10k_attempts(registry):
@@ -325,6 +343,37 @@ def test_batched_ingest_matches_one_copy_at_a_time(registry):
     assert list(batched.pending.items()) == list(one_by_one.pending.items())
     for g in governors:
         assert (g.dropped_bad_signature, g.dropped_forged) == (2, 1)
+
+
+def test_labels_are_filed_and_signed_by_slot_not_collector_id(registry):
+    # Provider 0's slots are collectors (3, 1), provider 1's (1, 0): no slot is its id.
+    topology = ((3, 1), (1, 0))
+    leader, replica = (make_governor(registry, topology=topology, gov_index=k) for k in (0, 1))
+    replica.governor_publics[0] = leader.keypair.public
+    leader.draw_rng = ForcedRng([0.0, 0.0])  # draw slot 0 for both transactions
+    kinds = ("AlwaysMinus", "Honest", "Honest", "AlwaysPlus")
+    c = [make_collector(registry, index=j, kind=kind, n_providers=2)
+         for j, kind in enumerate(kinds)]
+    (bad,) = make_provider(registry, node_id=0, connected=(3, 1), invalid=1.0).generate(1)
+    (good,) = make_provider(registry, node_id=1, connected=(1, 0)).generate(1)
+    copies = [c[3].process(bad), c[1].process(bad), c[1].process(good), c[0].process(good)]
+    for g in (leader, replica):
+        assert g.ingest(copies, 1) == ["ok"] * 4
+        assert g.inbox[bad.txid][2] == {0: 1, 1: -1}
+        assert g.inbox[good.txid][2] == {0: 1, 1: -1}
+        stray = [c[2].process(good), c[3].process(good), c[1].process(good)]
+        assert g.ingest(stray, 1) == ["not_connected", "not_connected", "duplicate"]
+        assert g.inbox[good.txid][2] == {0: 1, 1: -1}
+    results = [leader.screen(tx.txid) for tx in (bad, good)]
+    assert [res.outcome for res in results] == ["invalid", "valid"]
+    assert [res.penalized for res in results] == [(0,), (1,)]
+    assert [res.message.received for res in results] == [((0, 1), (1, -1))] * 2
+    assert leader.pending[good.txid] == (good, ((0, 1), (1, -1)))
+    assert leader.rep[0].reps == (-1, 0) and leader.rep[1].reps == (0, -1)
+    for res in results:
+        replica.on_verification_message(res.message)
+    assert replica.rep == leader.rep
+    assert replica.state_fingerprint() == leader.state_fingerprint()
 
 
 def test_detached_provider_signature_is_forged(registry):

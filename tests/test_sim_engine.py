@@ -247,6 +247,33 @@ def test_end_to_end_honest_all_on_chain():
     assert regret == 0.0
 
 
+def test_honest_slots_of_a_shuffled_topology_are_never_penalized():
+    # Each provider has one Honest collector, at a slot other than its id. A
+    # label filed under the collector id would leave that slot absent, and
+    # absent slots are penalized on every valid verdict.
+    raw = {
+        "seed": 5, "l": 3, "n": 6, "m": 2,
+        "topology": [[4, 3, 0], [2, 0, 5], [1, 4, 2]],
+        "strategies": [
+            {"kind": "AlwaysPlus"}, {"kind": "Honest"}, {"kind": "FlipProb", "q": 0.3},
+            {"kind": "Honest"}, {"kind": "AlwaysMinus"}, {"kind": "Honest"},
+        ],
+        "stakes": [1, 2], "T": 8, "eta_policy": {"kind": "PerEpochSqrt"}, "mu": 0.7,
+        "delta_rounds": 1, "b_limit": 6, "gen_rate": 2, "invalid_fraction": 0.3,
+        "total_rounds": 40,
+    }
+    cfg = ScenarioConfig.from_dict(raw)
+    _, metrics = run(cfg)
+    for provider, adj in enumerate(cfg.topology):
+        (honest,) = [slot for slot, cid in enumerate(adj) if cfg.strategies[cid].kind == "Honest"]
+        assert adj[honest] != honest
+        report = compute_regret(metrics, provider)
+        assert sum(ep.closed for ep in report.epochs) >= 2
+        for ep in report.epochs:
+            assert ep.slot_penalties[honest] == 0
+            assert ep.S_T_min == 0 and max(ep.slot_penalties) > 0
+
+
 def test_step_round_composition_equals_run():
     cfg = minimal_config(total_rounds=2)
     w1 = init_world(cfg)
