@@ -13,6 +13,7 @@ import os
 import statistics
 import sys
 import traceback
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -26,7 +27,9 @@ from .metrics_oracle import (
     write_summary,
 )
 from .scenarios import DRAIN_ROUNDS
-from .sim_engine import ConfigError, ScenarioConfig, check_seed, is_number, load_config, run
+from .sim_engine import (
+    ConfigError, ScenarioConfig, check_seed, is_number, load_config, read_json, run,
+)
 
 # A lone number is a seed count; past this it is almost surely one seed.
 MAX_SEED_COUNT = 10_000
@@ -35,21 +38,26 @@ MAX_SEED_COUNT = 10_000
 def parse_seeds(spec: str) -> tuple[int, ...]:
     """A seed count ("20" runs seeds 0..19) or a comma list ("0,7,13", "7,").
 
-    Raises ValueError naming the field 'seeds' for anything else.
+    Raises ConfigError naming the field 'seeds' for anything else, a seed
+    listed twice included.
     """
     spec = spec.strip()
     parts = [s for s in spec.split(",") if s.strip()]
     try:
         numbers = [int(s) for s in parts]
     except ValueError:
-        raise ValueError(f"field 'seeds': cannot parse {spec!r}") from None
+        raise ConfigError(f"field 'seeds': cannot parse {spec!r}") from None
     if not numbers:
-        raise ValueError(f"field 'seeds': no seeds in {spec!r}")
+        raise ConfigError(f"field 'seeds': no seeds in {spec!r}")
     if "," in spec:
-        return tuple(check_seed(s, "seeds") for s in numbers)
+        seeds = tuple(check_seed(s, "seeds") for s in numbers)
+        twice = [s for s, k in Counter(seeds).items() if k > 1]
+        if twice:
+            raise ConfigError(f"field 'seeds': seed {twice[0]} is listed twice")
+        return seeds
     (count,) = numbers
     if not 1 <= count <= MAX_SEED_COUNT:
-        raise ValueError(
+        raise ConfigError(
             f"field 'seeds': a seed count must be in [1, {MAX_SEED_COUNT}], got {count}; "
             f"write '{count},' to run that single seed"
         )
@@ -107,37 +115,31 @@ def cmd_run(
     parallel: int,
     overwrite: bool,
 ) -> int:
+    """Run every seed and evaluate ``checks``; raise ConfigError before any run on bad input."""
     if parallel < 1:
-        print(f"error: field 'parallel': must be >= 1, got {parallel}", file=sys.stderr)
-        return 2
-    try:
-        config = load_config(config_path)
-    except FileNotFoundError:
-        print(f"error: config file not found: {config_path}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for name in checks:
+        raise ConfigError(f"field 'parallel': must be >= 1, got {parallel}")
+    config = load_config(config_path)
+    for name, k in Counter(checks).items():
         if name not in CHECK_NAMES:
-            print(
-                f"error: unknown check '{name}' (known: {', '.join(CHECK_NAMES)})",
-                file=sys.stderr,
-            )
-            return 2
+            raise ConfigError(f"field 'checks': unknown check '{name}' "
+                              f"(known: {', '.join(CHECK_NAMES)})")
+        if k > 1:
+            raise ConfigError(f"field 'checks': check '{name}' is listed twice")
 
     out_root = Path(out_dir)
     seed_dirs = {seed: out_root / f"seed_{seed}" for seed in seeds}
     aggregate_path = out_root / "aggregate.json"
-    if not overwrite:
-        existing = [p for p in [aggregate_path, *seed_dirs.values()] if p.exists()]
-        if existing:
-            print(
-                f"error: output already exists (pass --overwrite): {existing[0]}",
-                file=sys.stderr,
-            )
-            return 2
-    out_root.mkdir(parents=True, exist_ok=True)
+    existing = [p for p in [aggregate_path, *seed_dirs.values()] if p.exists()]
+    if existing and not overwrite:
+        raise ConfigError(f"output already exists (pass --overwrite): {existing[0]}")
+    for path in existing:
+        if path.is_dir() == (path == aggregate_path):  # a seed's output is a directory
+            raise ConfigError(f"field 'out': --overwrite cannot replace {path}")
+    try:
+        out_root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"field 'out': cannot make directory {out_root} "
+                          f"({exc.strerror})") from None
 
     jobs = [(config, seed, str(seed_dirs[seed])) for seed in seeds]
     # The fork start method launches every worker up front, so never ask for
@@ -167,56 +169,40 @@ def cmd_run(
     return 0 if not failed_runs and all(r.passed for r in results) else 1
 
 
-def oracle_instance_error(raw) -> str | None:
-    """Why ``raw`` lacks an oracle instance's JSON types, naming the field; None if not.
+def check_oracle_instance(raw: dict) -> None:
+    """Raise ConfigError naming the field if ``raw`` lacks an oracle instance's JSON types.
 
     ``exact_expected_loss`` checks the label values and the instance's shape.
     """
-    if not isinstance(raw, dict):
-        return "instance: expected a JSON object"
     unknown = sorted(set(raw) - {"labels", "validity", "eta", "initial_reps"})
     if unknown:
-        return f"field '{unknown[0]}': unknown"
+        raise ConfigError(f"field '{unknown[0]}': unknown")
     for key in ("labels", "validity", "eta"):
         if key not in raw:
-            return f"field '{key}': missing"
+            raise ConfigError(f"field '{key}': missing")
     labels, validity, eta = raw["labels"], raw["validity"], raw["eta"]
     reps = raw.get("initial_reps")
     if not (isinstance(labels, list) and labels and all(type(r) is list for r in labels)):
-        return "field 'labels': expected a non-empty list of lists"
+        raise ConfigError("field 'labels': expected a non-empty list of lists")
     if not (isinstance(validity, list) and all(type(v) is bool for v in validity)):
-        return "field 'validity': expected a list of booleans"
+        raise ConfigError("field 'validity': expected a list of booleans")
     if not (is_number(eta) and eta > 0):
-        return f"field 'eta': expected a finite number > 0, got {eta!r}"
+        raise ConfigError(f"field 'eta': expected a finite number > 0, got {eta!r}")
     if reps is not None and not (isinstance(reps, list) and all(type(r) is int for r in reps)):
-        return "field 'initial_reps': expected a list of integers"
-    return None
+        raise ConfigError("field 'initial_reps': expected a list of integers")
 
 
 def cmd_oracle(instance_path: str) -> int:
-    try:
-        raw = json.loads(Path(instance_path).read_text())
-    except FileNotFoundError:
-        print(f"error: instance file not found: {instance_path}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON at line {exc.lineno}: {exc.msg}", file=sys.stderr)
-        return 2
-    problem = oracle_instance_error(raw)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
-    try:
-        result = exact_expected_loss(
-            raw["labels"], raw["validity"], float(raw["eta"]),
-            initial_reps=raw.get("initial_reps"),
-        )
-    except ValueError as exc:  # includes InstanceTooLargeError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    raw = read_json(instance_path, "instance")
+    check_oracle_instance(raw)
     u = len(raw["labels"][0])
     T = len(raw["labels"])
     eta = float(raw["eta"])
+    try:
+        result = exact_expected_loss(raw["labels"], raw["validity"], eta,
+                                     initial_reps=raw.get("initial_reps"))
+    except ValueError as exc:  # the label values, the shape or the size (InstanceTooLargeError)
+        raise ConfigError(str(exc)) from None
     bound = theorem_bound(u, eta, T)
     print(f"instance: u={u} T={T} eta={eta}")
     print(f"expected wasted verifications (prose L_T): {result.prose_loss:.6f}")
@@ -255,18 +241,15 @@ def main(argv: list[str] | None = None) -> int:
     oracle_p.add_argument("--instance", required=True, help="instance JSON path")
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        try:
-            seeds = parse_seeds(args.seeds)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        if args.command == "oracle":
+            return cmd_oracle(args.instance)
         checks = tuple(c for c in args.checks.split(",") if c)
-        return cmd_run(args.config, seeds, args.out, checks, args.parallel, args.overwrite)
-    if args.command == "oracle":
-        return cmd_oracle(args.instance)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+        return cmd_run(args.config, parse_seeds(args.seeds), args.out, checks, args.parallel,
+                       args.overwrite)
+    except ConfigError as exc:  # bad input only: a fault in a run or a check keeps its traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -275,12 +275,12 @@ def _normalize_labels(
     return rows
 
 
-def instance_shape_error(
+def check_instance_shape(
     label_matrix: Sequence[Sequence[int | None]],
     validity: Sequence[bool],
     initial_reps: Sequence[int] | None = None,
-) -> str | None:
-    """Why an oracle instance has the wrong shape, naming the field; None if right.
+) -> None:
+    """Raise ValueError naming the field if an oracle instance has the wrong shape.
 
     One validity entry per label row, every row one slot per collector (at
     least one), and one initial reputation per slot, each below 2^53 in
@@ -289,18 +289,17 @@ def instance_shape_error(
     """
     u = len(label_matrix[0]) if label_matrix else 0
     if u == 0:
-        return "field 'labels': instance has no collector slots"
+        raise ValueError("field 'labels': instance has no collector slots")
     if any(len(row) != u for row in label_matrix):
-        return f"field 'labels': every row must have {u} slots, as the first does"
+        raise ValueError(f"field 'labels': every row must have {u} slots, as the first does")
     if len(validity) != len(label_matrix):
-        return (f"field 'validity': {len(validity)} entries, "
-                f"but 'labels' has {len(label_matrix)} rows")
+        raise ValueError(f"field 'validity': {len(validity)} entries, "
+                         f"but 'labels' has {len(label_matrix)} rows")
     if initial_reps is not None and len(initial_reps) != u:
-        return (f"field 'initial_reps': {len(initial_reps)} entries, "
-                f"but each label row has {u} slots")
+        raise ValueError(f"field 'initial_reps': {len(initial_reps)} entries, "
+                         f"but each label row has {u} slots")
     if initial_reps is not None and any(abs(r) >= 1 << 53 for r in initial_reps):
-        return "field 'initial_reps': every entry must be below 2^53 in magnitude"
-    return None
+        raise ValueError("field 'initial_reps': every entry must be below 2^53 in magnitude")
 
 
 @dataclass(frozen=True, slots=True)
@@ -330,9 +329,7 @@ def exact_expected_loss(
     it shares no code with the reputation module it validates.
     """
     labels = _normalize_labels(label_matrix)
-    problem = instance_shape_error(labels, validity, initial_reps)
-    if problem is not None:
-        raise ValueError(problem)
+    check_instance_shape(labels, validity, initial_reps)
     T = len(labels)
     u = len(labels[0])
     if u > ORACLE_MAX_U or T > ORACLE_MAX_T:
@@ -414,9 +411,7 @@ def mc_expected_loss(
     production selection/update code paths, for agreement checks against
     the exact oracle."""
     labels = _normalize_labels(label_matrix)
-    problem = instance_shape_error(labels, validity, initial_reps)
-    if problem is not None:
-        raise ValueError(problem)
+    check_instance_shape(labels, validity, initial_reps)
     u = len(labels[0])
     reps0 = tuple(initial_reps) if initial_reps is not None else (0,) * u
     rng = substream(seed, "oracle-mc")

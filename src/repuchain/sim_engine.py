@@ -60,7 +60,10 @@ from .reputation import EtaPolicy
 
 
 class ConfigError(ValueError):
-    """Scenario rejected before any round runs; message names the field."""
+    """CLI input rejected before anything runs; the message names the file or field.
+
+    It covers every input: a scenario or oracle instance file, and every argument.
+    """
 
 
 INT_LIMIT = 1 << 64  # every integer field is below 2^64, the range enc_int encodes
@@ -120,6 +123,8 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(raw: dict[str, Any]) -> "ScenarioConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError("scenario: expected a JSON object")
         for key in CONFIG_FIELDS:
             if key not in raw:
                 raise ConfigError(f"field '{key}': missing")
@@ -480,10 +485,24 @@ def world_state_hash(world: World) -> str:
     return h.hexdigest()
 
 
-def load_config(path) -> ScenarioConfig:
-    with open(path) as fh:
-        try:
+def read_json(path, what: str) -> dict[str, Any]:
+    """The JSON object in the UTF-8 file at ``path``; ``what`` names the file in errors."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return ScenarioConfig.from_dict(raw)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{what} file {path}: cannot read ({exc.strerror})") from None
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deeply
+        raise ConfigError(f"{what} file {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} file {path}: invalid JSON at line {exc.lineno}: "
+                          f"{exc.msg}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} file {path}: expected a JSON object")
+    return raw
+
+
+def load_config(path) -> ScenarioConfig:
+    return ScenarioConfig.from_dict(read_json(path, "config"))

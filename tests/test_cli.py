@@ -88,14 +88,54 @@ def test_failing_check_exits_one(smoke_config, tmp_path, capsys):
     (["--seeds", ","], "field 'seeds': no seeds"),
     (["--seeds", "1", "--parallel", "0"], "field 'parallel'"),
     (["--seeds", "1", "--parallel", "-3"], "field 'parallel'"),
+    (["--seeds", "0,0"], "field 'seeds': seed 0 is listed twice"),
+    (["--seeds", "3,4,3", "--parallel", "2"], "field 'seeds': seed 3 is listed twice"),
+    (["--seeds", "1", "--checks", "properties,properties"],
+     "field 'checks': check 'properties' is listed twice"),
+    # The last --out wins, so the run's output would be the scenario file itself.
+    (["--seeds", "1", "--out", "{config}"], "field 'out': cannot make directory"),
 ])
 def test_usage_errors_exit_two(smoke_config, tmp_path, capsys, argv, message):
-    argv = [a.format(missing=tmp_path / "nope.json") for a in argv]
+    argv = [a.format(missing=tmp_path / "nope.json", config=smoke_config) for a in argv]
     if "--config" not in argv:
         argv = ["--config", str(smoke_config), *argv]
     assert cli.main(["run", "--out", str(tmp_path / "out"), *argv]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+BAD_FILES = {
+    "missing": None,
+    "directory": None,
+    "not-utf8": b'{"labels": "\xff"}',
+    "invalid-json": b'{"labels": ',
+    "nested-too-deeply": b"[" * 100_000,
+    "number": b"5",
+    "list": b"[]",
+    "string": b'"x"',
+    "null": b"null",
+}
+
+
+@pytest.mark.parametrize("kind", BAD_FILES)
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_bad_input_file_exits_two_naming_it(tmp_path, capsys, command, kind):
+    path = tmp_path / "input.json"
+    if kind == "directory":
+        path.mkdir()
+    elif BAD_FILES[kind] is not None:
+        path.write_bytes(BAD_FILES[kind])
+    out = tmp_path / "out"
+    if command == "run":
+        argv = ["run", "--config", str(path), "--seeds", "1", "--out", str(out)]
+    else:
+        argv = ["oracle", "--instance", str(path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and str(path) in line
+    assert not out.exists()
 
 
 def test_existing_output_needs_overwrite(smoke_config, tmp_path, capsys):
@@ -104,6 +144,20 @@ def test_existing_output_needs_overwrite(smoke_config, tmp_path, capsys):
     assert run_cli(smoke_config, out, "--seeds", "1,") == 2
     assert "--overwrite" in capsys.readouterr().err
     assert run_cli(smoke_config, out, "--seeds", "1,", "--overwrite") == 0
+
+
+@pytest.mark.parametrize("name", ["aggregate.json", "seed_1"])
+def test_overwrite_refuses_output_of_the_other_kind(smoke_config, tmp_path, capsys, name):
+    # aggregate.json must be a file and seed_<s> a directory, or the run fails after running.
+    out = tmp_path / "out"
+    out.mkdir()
+    if name == "aggregate.json":
+        (out / name).mkdir()
+    else:
+        (out / name).touch()
+    assert run_cli(smoke_config, out, "--seeds", "1,", "--overwrite") == 2
+    assert f"error: field 'out': --overwrite cannot replace {out / name}" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [name]
 
 
 def test_parallel_runs_match_serial(smoke_config, tmp_path):
@@ -203,6 +257,16 @@ def test_failed_run_exits_one_even_when_its_check_ignores_runs(smoke_config, tmp
     assert agg["checks"]["oracle-agreement"]["passed"] is True
     (run,) = agg["runs"]
     assert run["traceback"].startswith("Traceback (most recent call last):")
+
+
+def test_fault_in_a_check_keeps_its_traceback(smoke_config, tmp_path, monkeypatch):
+    # A ValueError from the program is a fault, not bad input: it must not exit 2.
+    def broken(checks, summaries):
+        raise ValueError("broken check")
+
+    monkeypatch.setattr(cli, "evaluate", broken)
+    with pytest.raises(ValueError, match="broken check"):
+        run_cli(smoke_config, tmp_path / "out", "--seeds", "1", "--checks", "properties")
 
 
 # -- README examples -------------------------------------------------------------

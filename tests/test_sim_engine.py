@@ -130,6 +130,13 @@ def test_malformed_value_fails_closed_like_the_schema(field, value):
     assert not validator.is_valid(raw)
 
 
+@pytest.mark.parametrize("raw", [5, [], "x", None], ids=repr)
+def test_top_level_not_an_object_fails_closed_like_the_schema(raw):
+    with pytest.raises(ConfigError, match="expected a JSON object"):
+        ScenarioConfig.from_dict(raw)
+    assert not json_schema_validator().is_valid(raw)
+
+
 # (field, scenario key, well-formed value, the same with one key misspelt)
 UNKNOWN_NESTED_KEYS = [
     ("strategies[0].forge_rat", "strategies",
