@@ -272,7 +272,7 @@ def test_fault_in_a_check_keeps_its_traceback(smoke_config, tmp_path, monkeypatc
 # -- README examples -------------------------------------------------------------
 
 
-README = (SCENARIOS_DIR.parent / "README.md").read_text()
+README_LINES = set((SCENARIOS_DIR.parent / "README.md").read_text().splitlines())
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -287,7 +287,7 @@ def test_readme_fast_examples_print_what_the_readme_shows(tmp_path, capsys, monk
     lines = capsys.readouterr().out.splitlines()
     assert lines
     for line in lines:
-        assert line in README, line
+        assert line in README_LINES, line
 
 
 # -- oracle ----------------------------------------------------------------------
