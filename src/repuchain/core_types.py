@@ -1,4 +1,4 @@
-"""Domain objects shared by every layer: transactions, labels, blocks, Merkle roots.
+"""Domain objects shared by every layer: transactions, labels, uploads, blocks, Merkle roots.
 
 Canonical serialization rule (used for every digest and signature in the
 system): fields are concatenated in declared order, each prefixed with its
@@ -23,11 +23,17 @@ comparison is made on the bytes, never on the records. A ``Transaction``
 encodes its bytes from its fields, and carries its identity triple as
 ``txid``: collectors, who may misbehave, pass transactions on, and bytes
 taken on trust could carry a genuine provider signature under a made-up
-txid. No caller supplies a record's bytes. A label's or a verdict's
-constructor encodes them from its fields, as ``dataclasses.replace`` does;
-its signer, the collector or leader, builds it with the classmethod
-``signed``, which encodes the bytes once, signs them through the given
-callable and stores both.
+txid. No caller supplies a record's bytes. A verdict's constructor encodes
+them from its fields, as ``dataclasses.replace`` does; the leader builds it
+with the classmethod ``signed``, which encodes the bytes once, signs them
+through the given callable and stores both.
+
+A label is not signed by itself. It carries its ``body``, encoded from its
+fields, and a collector signs one upload a round: ``upload_bytes`` over its
+id, the round and its labels' bodies in upload order. A governor rebuilds
+each upload from the labels it received under that collector id and checks
+the one signature, so a label flipped, moved to another collector's upload
+or replayed in another round breaks the whole upload.
 
 The records built once or more per transaction (here ``SimSignature``,
 ``Transaction`` and ``LabeledTransaction``; elsewhere the verdict and the
@@ -54,7 +60,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field, fields
-from typing import Callable, Sequence
+from typing import Sequence
 
 DIGEST_SIZE = 32
 ZERO_DIGEST = b"\x00" * DIGEST_SIZE
@@ -68,10 +74,12 @@ TAG_UNCHECKED = b"\x02"
 _U64 = struct.Struct(">Q")
 # Three length-prefixed integers: (8, provider_id, 8, seq, 8, timestamp).
 _TX_SIGNING = struct.Struct(">QQQQQQ")
-# The label field of a label's signing bytes: (8, 1) for +1, (8, 0) for -1.
+# The label field of a label's body: (8, 1) for +1, (8, 0) for -1.
 _LABEL_FIELDS = {1: struct.pack(">QQ", 8, 1), -1: struct.pack(">QQ", 8, 0)}
 # A block's serial and leader fields, then its list field's length and count.
 _BLOCK_HEAD = struct.Struct(">QQQQQQ")
+# An upload's collector and round fields, then its list field's length and count.
+_UPLOAD_HEAD = struct.Struct(">QQQQQQ")
 
 
 def sha256(data: bytes) -> bytes:
@@ -158,48 +166,43 @@ def tx_wire_bytes(tx: Transaction) -> bytes:
 
 @dataclass(frozen=True, slots=True, init=False)
 class LabeledTransaction:
-    """A transaction plus one collector's +1/-1 label and signature."""
+    """A transaction plus one collector's +1/-1 label, unsigned.
+
+    ``body`` is the label's entry in its collector's signed round upload
+    (see ``upload_bytes``); the upload, not the label, carries the signature.
+    """
 
     tx: Transaction
     label: int
     collector_id: int
-    signature: SimSignature
-    signing_bytes: bytes = field(init=False, repr=False, compare=False)
+    body: bytes = field(init=False, repr=False, compare=False)
 
-    def __init__(self, tx: Transaction, label: int, collector_id: int,
-                 signature: SimSignature) -> None:
-        _store_label(self, tx, label, collector_id, signature, label_signing_bytes(tx, label))
-
-    @classmethod
-    def signed(cls, tx: Transaction, label: int, collector_id: int,
-               sign_bytes: Callable[[bytes], SimSignature]) -> "LabeledTransaction":
-        """The label whose bytes ``sign_bytes`` signs: encoded once, signed, stored."""
+    def __init__(self, tx: Transaction, label: int, collector_id: int) -> None:
+        s_tx, s_label, s_collector, s_body = _LTX_SLOTS
         body = label_signing_bytes(tx, label)
-        self = cls.__new__(cls)
-        _store_label(self, tx, label, collector_id, sign_bytes(body), body)
-        return self
+        s_tx(self, tx)
+        s_label(self, label)
+        s_collector(self, collector_id)
+        s_body(self, body)
 
 
 _LTX_SLOTS = slot_setters(LabeledTransaction)
 
 
-def _store_label(ltx: LabeledTransaction, tx: Transaction, label: int, collector_id: int,
-                 signature: SimSignature, body: bytes) -> None:
-    s_tx, s_label, s_collector, s_sig, s_signing = _LTX_SLOTS
-    s_tx(ltx, tx)
-    s_label(ltx, label)
-    s_collector(ltx, collector_id)
-    s_sig(ltx, signature)
-    s_signing(ltx, body)
-
-
 def label_signing_bytes(tx: Transaction, label: int) -> bytes:
-    """Bytes the collector signs: the wire transaction and its label, +1 or -1."""
+    """A label's body, as an upload lists it: the wire transaction and its label, +1 or -1."""
     label_field = _LABEL_FIELDS.get(label)
     if label_field is None:
         raise ValueError(f"label must be +1 or -1, got {label}")
     wire = tx.wire_bytes
     return _U64.pack(len(wire)) + wire + label_field
+
+
+def upload_bytes(collector_id: int, round_no: int, bodies: Sequence[bytes]) -> bytes:
+    """Bytes a collector signs once a round: its id, the round, its label bodies in order."""
+    pack = _U64.pack
+    items = b"".join([pack(len(b)) + b for b in bodies])
+    return _UPLOAD_HEAD.pack(8, collector_id, 8, round_no, 8 + len(items), len(bodies)) + items
 
 
 @dataclass(frozen=True, slots=True)

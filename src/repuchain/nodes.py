@@ -2,14 +2,18 @@
 
 Providers generate signed transactions and resubmit the valid ones that come
 back unchecked. Collectors label transactions per a pluggable strategy
-(honest or adversarial) and forward them to every governor. Governors hold
-the replicated reputation state, screen transactions after the waiting
-window, and verify only when the drawn slot vouched +1.
+(honest or adversarial) and upload each round's labels, under one signature,
+to every governor. Governors hold the replicated reputation state, screen
+transactions after the waiting window, and verify only when the drawn slot
+vouched +1.
 
-A collector labels each copy as it arrives, in ``process(tx)``. A slot is
-a collector's position in its provider's ``topology`` list; reputations,
-inbox labels and verdicts are kept per slot, and ``ingest`` alone maps a
-collector id to its slot.
+A collector labels each copy as it arrives, in ``process(tx)``, which signs
+nothing. At the end of the round it signs its upload once, with
+``sign_upload``: the canonical ``upload_bytes`` over its id, the round and
+its labels' bodies in upload order (``upload_bodies`` groups a round's
+labels by collector). A slot is a collector's position in its provider's
+``topology`` list; reputations, inbox labels and verdicts are kept per
+slot, and ``ingest`` alone maps a collector id to its slot.
 
 A governor keeps only what its ``Ledger.settled`` has not indexed: the
 ``inbox`` while a transaction waits out its window and is screened, then
@@ -21,11 +25,13 @@ and comes back, if its provider resubmits it, as a fresh arrival.
 A governor changes state only through three transitions, each taking
 signed input:
 
-- ``ingest(batch, r)``: a round's labeled copies enter the inbox in one
-  call, each after its own collector signature check and, unless the inbox
-  already holds its exact bytes, its provider signature check, each label
-  filed under its collector's slot (``on_labeled_transaction(ltx, r)`` is
-  the one-copy form).
+- ``ingest(batch, signatures, r)``: a round's labeled copies enter the
+  inbox in one call. Each collector's upload is rebuilt from the copies it
+  sent and its signature checked once; then each copy, unless its upload
+  failed, gets its provider signature check (unless the inbox already holds
+  its exact bytes) and its label is filed under its collector's slot
+  (``on_labeled_transaction(ltx, signature, r)`` is the one-label-upload
+  form).
 - ``apply_verdict(msg)``: the leader's ``VerificationMessage`` penalizes the
   slots, advances the epoch at its boundary and moves the transaction out
   of the inbox. The leader signs the message after its draw (``cnt`` is the
@@ -45,8 +51,8 @@ key, the bytes and the tag, so a copy whose ``wire_bytes`` equal an entry's
 is not checked again, in ``ingest`` or in ``validate_block``. Any other copy
 is, even under a txid already held: ``Transaction`` equality ignores the
 carried bytes, so only the bytes themselves can stand for the check. Every
-collector and leader signature is checked on every copy, and no verdict
-passes between nodes.
+collector upload is checked by every governor, every leader signature on
+every copy, and no verdict passes between nodes.
 
 Ground truth is read exclusively through ``validate_collector`` /
 ``validate_governor``; the rest of the node logic treats validity as unknown.
@@ -57,7 +63,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .consensus import (ChainViolation, Ledger, PendingEntry, SignedBlock, TxId,
                         propose_block, validate_and_append)
@@ -68,6 +74,7 @@ from .core_types import (
     Transaction,
     slot_setters,
     tx_signing_bytes,
+    upload_bytes,
 )
 from .crypto_sim import KeyPair, KeyRegistry, sign
 from .reputation import (
@@ -117,6 +124,17 @@ class SimulationError(RuntimeError):
 def signer(keypair: KeyPair) -> Callable[[bytes], SimSignature]:
     """Signs bytes with ``keypair``, looking ``sign`` up at each call, not once."""
     return lambda body: sign(keypair, body)
+
+
+def upload_bodies(labels: Iterable[LabeledTransaction]) -> dict[int, list[bytes]]:
+    """Each collector id's label bodies, in delivery order: the list its upload signs."""
+    uploads: dict[int, list[bytes]] = {}
+    for ltx in labels:
+        bodies = uploads.get(ltx.collector_id)
+        if bodies is None:
+            bodies = uploads[ltx.collector_id] = []
+        bodies.append(ltx.body)
+    return uploads
 
 
 def validate_collector(tx: Transaction) -> bool:
@@ -200,7 +218,7 @@ class ProviderNode:
 
 
 class CollectorNode:
-    """Labels incoming transactions per its strategy and signs the result."""
+    """Labels incoming transactions per its strategy and signs its round's upload."""
 
     def __init__(
         self,
@@ -215,7 +233,6 @@ class CollectorNode:
         self.keypair = keypair
         self.strategy = strategy
         self.label_rule = LABEL_RULES[strategy.kind]
-        self.sign_bytes = signer(keypair)
         self.registry = registry
         self.provider_publics = provider_publics
         self.rng = rng
@@ -228,7 +245,7 @@ class CollectorNode:
         self.ignored.update(txids)
 
     def process(self, tx: Transaction) -> LabeledTransaction | None:
-        """Label one delivered copy; None if it is ignored, dropped or withheld.
+        """Label one delivered copy, unsigned; None if it is ignored, dropped or withheld.
 
         Only FlipProb and Withhold draw from ``rng``, once per copy that
         passes the provider-signature check.
@@ -241,7 +258,7 @@ class CollectorNode:
         label = self.label_rule(1 if validate_collector(tx) else -1, self.rng, self.strategy.q)
         if label is None:
             return None
-        return LabeledTransaction.signed(tx, label, self.id, self.sign_bytes)
+        return LabeledTransaction(tx, label, self.id)
 
     def forge(self, round_no: int, provider_count: int) -> list[LabeledTransaction]:
         """Fabricate transactions with bogus provider signatures (Forger only)."""
@@ -257,8 +274,12 @@ class CollectorNode:
                 ground_truth_valid=False,
                 signature=SimSignature(tag=self.rng.randbytes(32)),
             )
-            out.append(LabeledTransaction.signed(fake, 1, self.id, self.sign_bytes))
+            out.append(LabeledTransaction(fake, 1, self.id))
         return out
+
+    def sign_upload(self, round_no: int, bodies: Sequence[bytes]) -> SimSignature:
+        """The signature of this collector's upload of ``bodies`` in ``round_no``."""
+        return sign(self.keypair, upload_bytes(self.id, round_no, bodies))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -398,21 +419,33 @@ class GovernorNode:
 
     # -- uploading-phase intake -------------------------------------------
 
-    def ingest(self, batch: Iterable[LabeledTransaction], round_no: int) -> list[str]:
+    def ingest(self, batch: Sequence[LabeledTransaction],
+               signatures: Mapping[int, SimSignature], round_no: int) -> list[str]:
         """Ingest a round's labeled copies in order; returns each copy's disposition.
 
-        Every copy gets its own collector-signature check, and a
-        provider-signature check unless the inbox entry for its txid holds
-        the same ``wire_bytes`` (see the module docstring). A copy's label
-        enters the inbox under its collector's slot ("ok") unless a check
-        fails ("bad_collector_sig", "forged"), its collector has no slot for
-        the provider ("not_connected"), the transaction is verified or
+        The hop delivers one round after sending, so the copies ingested in
+        ``round_no`` were uploaded in ``round_no - 1``. Each collector's
+        upload is rebuilt from its copies in ``batch``, in order, and its
+        signature in ``signatures`` checked once. Every copy of an upload
+        whose signature is missing or bad is refused ("bad_collector_sig").
+        Any other copy gets a provider-signature check unless the inbox
+        entry for its txid holds the same ``wire_bytes`` (see the module
+        docstring). Its label enters the inbox under its collector's slot
+        ("ok") unless that check fails ("forged"), its collector has no slot
+        for the provider ("not_connected"), the transaction is verified or
         settled ("settled"), or that slot's label is already in
         ("duplicate": the first label wins, conflicting or not).
         """
         verify = self.registry.verify
         verify_tx = self.registry.verify_tx
         collector_publics = self.collector_publics
+        sent = round_no - 1
+        refused = set()
+        for cid, bodies in upload_bodies(batch).items():
+            signature = signatures.get(cid)
+            if signature is None or not verify(
+                    collector_publics.get(cid), upload_bytes(cid, sent, bodies), signature):
+                refused.add(cid)
         provider_publics = self.provider_publics
         slot_of = self.slot_of
         inbox = self.inbox
@@ -424,7 +457,7 @@ class GovernorNode:
         for ltx in batch:
             tx = ltx.tx
             cid = ltx.collector_id
-            if not verify(collector_publics.get(cid), ltx.signing_bytes, ltx.signature):
+            if cid in refused:
                 self.dropped_bad_signature += 1
                 code("bad_collector_sig")
                 continue
@@ -452,9 +485,10 @@ class GovernorNode:
             code("ok")
         return codes
 
-    def on_labeled_transaction(self, ltx: LabeledTransaction, round_no: int) -> str:
-        """Ingest one labeled copy; returns its disposition code (see ``ingest``)."""
-        return self.ingest((ltx,), round_no)[0]
+    def on_labeled_transaction(self, ltx: LabeledTransaction, signature: SimSignature,
+                               round_no: int) -> str:
+        """Ingest a one-label upload; returns the copy's disposition code (see ``ingest``)."""
+        return self.ingest((ltx,), {ltx.collector_id: signature}, round_no)[0]
 
     def expired(self, round_no: int) -> list[TxId]:
         """Transactions whose waiting window ends this round, in arrival order."""

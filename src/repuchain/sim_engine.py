@@ -10,7 +10,11 @@ three hops is a ``World`` field holding what the previous round sent, and
 holds each sent transaction once; its copies go to the collectors its
 provider is connected to (``config.topology``). Collectors label the copies
 one at a time, transaction by transaction and, within one, in topology
-order, and the collector->governor hop carries the labels in that order.
+order, and the collector->governor hop carries the labels in that order,
+with one signature per collector that uploaded anything: over its id, the
+round and its labels' bodies, in that order (``nodes.upload_bodies``).
+Each governor rebuilds every upload from the labels and checks its
+signature once, then files the labels in the order they were made.
 The feedback hop carries the round's block payload and its signed
 ``RoundLists``: providers learn which of their transactions reached the
 chain or came back unchecked, collectors which were proved invalid.
@@ -43,7 +47,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from typing import Any
 
 from .consensus import ChainViolation, Ledger, Violation, elect_leader
-from .core_types import LabeledTransaction, RoundLists, Transaction
+from .core_types import LabeledTransaction, RoundLists, SimSignature, Transaction
 from .crypto_sim import KeyRegistry, substream
 from .metrics_oracle import MetricsLog, RoundRow
 from .nodes import (
@@ -55,6 +59,7 @@ from .nodes import (
     SimulationError,
     StrategySpec,
     TxId,
+    upload_bodies,
 )
 from .reputation import EtaPolicy
 
@@ -229,8 +234,10 @@ class World:
         self.round = 0
         # The one-round hops: what the last completed round sent. A sent
         # transaction is held once; its provider's collectors each get a copy.
+        # Labels travel in the order they were made, beside each collector's
+        # upload signature.
         self.to_collectors: list[Transaction] = []
-        self.to_governors: list[LabeledTransaction] = []
+        self.to_governors: tuple[list[LabeledTransaction], dict[int, SimSignature]] = ([], {})
         self.feedback: tuple[RoundLists, tuple[Transaction, ...]] | None = None  # lists, payload
         self.metrics = MetricsLog(config.l)
 
@@ -293,7 +300,7 @@ class World:
 
         A transaction in the provider->collector hop is in flight, however
         many collectors its copies go to; one in the collector->governor hop
-        is in flight through any of its labeled copies.
+        is in flight through any of its labeled copies, in any upload.
         """
         g0 = self.governors[0]
         unchecked_archive: set[TxId] = set()
@@ -301,7 +308,7 @@ class World:
             unchecked_archive.update(t.txid for t in rl.unchecked_list)
         in_flight = (
             {tx.txid for tx in self.to_collectors}
-            | {ltx.tx.txid for ltx in self.to_governors}
+            | {ltx.tx.txid for ltx in self.to_governors[0]}
             | set(g0.inbox)
             | set(g0.pending)
         )
@@ -398,11 +405,14 @@ def _round(world: World) -> World:
         if forged:
             metrics.forgery_attempts += len(forged)
             uploads.extend(forged)
-    batch, world.to_governors = world.to_governors, uploads
+    # Each collector that uploads anything signs its upload once.
+    signatures = {cid: collectors[cid].sign_upload(r, bodies)
+                  for cid, bodies in upload_bodies(uploads).items()}
+    (batch, batch_signatures), world.to_governors = world.to_governors, (uploads, signatures)
 
     # Phase 3: processing.
     for g in governors:
-        g.ingest(batch, r)
+        g.ingest(batch, batch_signatures, r)
 
     round_seed = governors[0].ledger.tip_hash()
     election = elect_leader(config.stakes, round_seed, world.governor_kps, world.registry)

@@ -143,7 +143,7 @@ def test_tx_signing_bytes_distinct_per_identity():
 def test_label_must_be_plus_or_minus_one():
     tx = make_tx()
     with pytest.raises(ValueError):
-        LabeledTransaction(tx=tx, label=0, collector_id=1, signature=SimSignature(b"\0" * 32))
+        LabeledTransaction(tx=tx, label=0, collector_id=1)
 
 
 def test_commitment_separates_lists_by_domain_tag():
@@ -172,9 +172,9 @@ def test_carried_bytes_match_encoders_and_vectors(crypto_vectors):
     assert tx_wire_bytes(tx) == tx.wire_bytes
     assert tx.wire_bytes.hex() == v["wire_bytes"]
     for label, key in ((1, "label_plus_bytes"), (-1, "label_minus_bytes")):
-        ltx = LabeledTransaction(tx=tx, label=label, collector_id=1, signature=tx.signature)
-        assert ltx.signing_bytes == label_signing_bytes(tx, label)
-        assert ltx.signing_bytes.hex() == v[key]
+        ltx = LabeledTransaction(tx=tx, label=label, collector_id=1)
+        assert ltx.body == label_signing_bytes(tx, label)
+        assert ltx.body.hex() == v[key]
 
 
 def test_equal_transactions_compare_and_hash_equal():
@@ -191,11 +191,11 @@ def test_replace_rebuilds_carried_bytes():
     assert nxt.signing_bytes == tx_signing_bytes(2, 9, 3) != tx.signing_bytes
     assert nxt.wire_bytes == tx_signing_bytes(2, 9, 3) + tx.wire_bytes[len(tx.signing_bytes):]
     sig = SimSignature(b"\x05" * 32)
-    ltx = LabeledTransaction.signed(tx, 1, 4, lambda body: sig)
+    ltx = LabeledTransaction(tx, 1, 4)
     flipped = dataclasses.replace(ltx, label=-1)
-    assert flipped.signing_bytes == label_signing_bytes(tx, -1) != ltx.signing_bytes
+    assert flipped.body == label_signing_bytes(tx, -1) != ltx.body
     moved = dataclasses.replace(ltx, tx=nxt)
-    assert moved.signing_bytes == label_signing_bytes(nxt, 1)
+    assert moved.body == label_signing_bytes(nxt, 1)
     fields = (0, 2, tx.txid, True, ((4, 1),), 3)
     msg = VerificationMessage.signed(*fields, lambda body: sig)
     later = dataclasses.replace(msg, cnt=4)
@@ -203,13 +203,10 @@ def test_replace_rebuilds_carried_bytes():
 
 
 def _signer_and_public_records():
-    """(signer's, public) pairs: each label or verdict built by ``signed`` and by its constructor."""
+    """(signer's, public) pairs: each verdict built by ``signed`` and by its constructor."""
     tx = make_tx(provider=1, seq=6, ts=2)
     sig = SimSignature(b"\x09" * 32)
     pairs = []
-    for label in (1, -1):
-        pairs.append((LabeledTransaction.signed(tx, label, 3, lambda body: sig),
-                      LabeledTransaction(tx, label, 3, sig)))
     for received in ((), ((0, 1),), ((0, -1), (2, 1), (5, -1))):
         fields = (4, 1, tx.txid, bool(received), received, 7)
         pairs.append((VerificationMessage.signed(*fields, lambda body: sig),
@@ -227,8 +224,19 @@ def test_records_built_from_carried_bytes_equal_the_public_ones():
             assert getattr(carried, name, None) == getattr(public, name, None)
 
 
+def test_labels_compare_without_their_body():
+    tx = make_tx(provider=1, seq=6, ts=2)
+    a, b = LabeledTransaction(tx, -1, 3), LabeledTransaction(tx, -1, 3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a.body == b.body == label_signing_bytes(tx, -1)
+    assert "body" not in repr(a)
+    assert a != LabeledTransaction(tx, 1, 3) and a != LabeledTransaction(tx, -1, 4)
+
+
 def test_records_refuse_assignment_on_every_path():
-    records = [r for pair in _signer_and_public_records() for r in pair] + [make_tx()]
+    tx = make_tx()
+    records = [r for pair in _signer_and_public_records() for r in pair] + [tx] + [
+        LabeledTransaction(tx, label, 3) for label in (1, -1)]
     for record in records:
         for f in dataclasses.fields(record):
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -238,14 +246,9 @@ def test_records_refuse_assignment_on_every_path():
 @pytest.mark.parametrize("label", [0, 2, -2, None])
 def test_label_outside_plus_minus_one_is_refused_on_every_path(label):
     tx = make_tx()
-    sig = SimSignature(b"\0" * 32)
     with pytest.raises(ValueError, match="label must be"):
-        LabeledTransaction(tx, label, 1, sig)
-    signed = []
-    with pytest.raises(ValueError, match="label must be"):
-        LabeledTransaction.signed(tx, label, 1, lambda body: signed.append(body) or sig)
-    assert signed == []  # refused before anything is signed
-    ltx = LabeledTransaction(tx, 1, 1, sig)
+        LabeledTransaction(tx, label, 1)
+    ltx = LabeledTransaction(tx, 1, 1)
     with pytest.raises(ValueError, match="label must be"):
         dataclasses.replace(ltx, label=label)
 

@@ -28,6 +28,7 @@ from repuchain.core_types import (
     sha256,
     tx_signing_bytes,
     tx_wire_bytes,
+    upload_bytes,
 )
 from repuchain.crypto_sim import keypair_from_secret, sign
 from repuchain.nodes import VerificationMessage, verification_message_bytes
@@ -49,6 +50,10 @@ def spec_tx_wire(tx):
 
 def spec_label(tx, label):
     return enc_field(spec_tx_wire(tx)) + enc_field(enc_int(1 if label == 1 else 0))
+
+
+def spec_upload(collector_id, round_no, bodies):
+    return enc_field(enc_int(collector_id)) + enc_field(enc_int(round_no)) + enc_field(enc_list(bodies))
 
 
 def spec_verification_message(leader_id, provider_id, txid, validbit, received, cnt):
@@ -100,6 +105,22 @@ def test_verification_message_vector(crypto_vectors):
     assert msg.signature.tag.hex() == v["signature"]
 
 
+def test_upload_vector(crypto_vectors):
+    v = crypto_vectors["upload"]
+    kp = keypair_from_secret(0, bytes.fromhex(v["secret"]))
+    labels = [
+        LabeledTransaction(Transaction(*ident, True, sign(kp, tx_signing_bytes(*ident))), label,
+                           v["collector_id"])
+        for ident, label in zip(v["transactions"], v["labels"])
+    ]
+    bodies = [ltx.body for ltx in labels]
+    body = upload_bytes(v["collector_id"], v["round"], bodies)
+    assert body.hex() == v["bytes"]
+    assert spec_upload(v["collector_id"], v["round"], bodies) == body
+    assert nodes.upload_bodies(labels) == {v["collector_id"]: bodies}
+    assert sign(kp, body).tag.hex() == v["signature"]
+
+
 def test_block_vector(crypto_vectors):
     v = crypto_vectors["block"]
     kp = keypair_from_secret(0, bytes.fromhex(v["secret"]))
@@ -140,8 +161,8 @@ def test_transaction_layouts_match_specification():
         assert tx_signing_bytes(*ident) == spec_tx_signing(*ident) == tx.signing_bytes
         assert tx_wire_bytes(tx) == spec_tx_wire(tx) == tx.wire_bytes
         for label in (1, -1):
-            ltx = LabeledTransaction(tx, label, rand_id(rng), SimSignature(b""))
-            assert label_signing_bytes(tx, label) == spec_label(tx, label) == ltx.signing_bytes
+            ltx = LabeledTransaction(tx, label, rand_id(rng))
+            assert label_signing_bytes(tx, label) == spec_label(tx, label) == ltx.body
 
 
 @pytest.mark.parametrize("u", range(9))
@@ -156,6 +177,16 @@ def test_verification_message_layout_matches_specification(u):
         assert verification_message_bytes(*args) == spec_verification_message(*args)
         assert VerificationMessage(*args, SimSignature(b"")).signing_bytes == \
             spec_verification_message(*args)
+
+
+@pytest.mark.parametrize("n_labels", [0, 1, 2, 300])
+def test_upload_layout_matches_specification(n_labels):
+    rng = random.Random(50 + n_labels)
+    for _ in range(5):
+        bodies = [label_signing_bytes(rand_tx(rng), rng.choice((1, -1))) for _ in range(n_labels)]
+        for collector_id, round_no in ((rand_id(rng), rand_id(rng)), (U64_MAX, U64_MAX)):
+            assert upload_bytes(collector_id, round_no, bodies) == \
+                spec_upload(collector_id, round_no, bodies)
 
 
 @pytest.mark.parametrize("n_txs", [0, 1, 2, 400])
@@ -195,6 +226,8 @@ def test_out_of_range_integers_raise(bad):
     for serial, leader in ((bad, 0), (0, bad)):
         with pytest.raises(struct.error):
             block_bytes(Block(serial, leader, (), core_types.ZERO_DIGEST, core_types.ZERO_DIGEST))
+        with pytest.raises(struct.error):
+            upload_bytes(serial, leader, [b"body"])
 
 
 # -- the benchmark's tracer wraps the encoders by name ------------------------------------
@@ -214,7 +247,7 @@ def test_objects_call_the_encoders_through_their_module_globals(monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
     tx = Transaction(1, 2, 3, True, SimSignature(b"\x07" * 32))
-    LabeledTransaction(tx, 1, 4, SimSignature(b""))
+    LabeledTransaction(tx, 1, 4)
     block = Block(1, 0, (tx,), core_types.ZERO_DIGEST, core_types.ZERO_DIGEST)
     assert len(block.hash) == core_types.DIGEST_SIZE
     VerificationMessage(0, 1, tx.txid, True, ((4, 1),), 1, SimSignature(b""))

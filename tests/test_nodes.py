@@ -12,10 +12,11 @@ from repuchain.core_types import (
     block_bytes,
     label_signing_bytes,
     tx_signing_bytes,
+    upload_bytes,
 )
 from repuchain.consensus import ChainViolation, Violation
 from repuchain.crypto_sim import KeyRegistry, sign, substream
-from repuchain import core_types, metrics_oracle, nodes, reputation
+from repuchain import core_types, metrics_oracle, nodes, reputation, scenarios
 from repuchain.metrics_oracle import mc_expected_loss
 from repuchain.reputation import revenue_shares
 from repuchain.nodes import (
@@ -23,9 +24,11 @@ from repuchain.nodes import (
     ProviderNode,
     SimulationError,
     StrategySpec,
+    upload_bodies,
     validate_governor,
     verification_message_bytes,
 )
+from repuchain.sim_engine import ScenarioConfig, init_world, step_round
 
 
 class ForcedRng:
@@ -59,6 +62,19 @@ def make_collector(registry, index=0, kind="Honest", q=0.0, forge_rate=1, n_prov
         provider_publics=publics,
         rng=substream(42, "collector", index),
     )
+
+
+def upload_signatures(collectors, batch, round_no):
+    """Each uploading collector's signature over its labels in ``batch``, as
+    ``step_round`` makes them, for a governor that ingests ``batch`` in ``round_no``."""
+    by_id = {c.id: c for c in collectors}
+    return {cid: by_id[cid].sign_upload(round_no - 1, bodies)
+            for cid, bodies in upload_bodies(batch).items()}
+
+
+def ingest_signed(g, collectors, batch, round_no):
+    """``g.ingest`` of ``batch`` with every upload genuinely signed."""
+    return g.ingest(batch, upload_signatures(collectors, batch, round_no), round_no)
 
 
 # -- providers ---------------------------------------------------------------
@@ -208,29 +224,32 @@ def test_process_labels_each_copy_by_its_rule(registry, kind, q):
     for tx, ltx in zip(delivered, got):
         if ltx is not None:
             assert (ltx.tx, ltx.collector_id) == (tx, 3)
-            assert registry.verify(c.keypair.public, ltx.signing_bytes, ltx.signature)
+            assert ltx.body == label_signing_bytes(tx, ltx.label)
 
 
 def test_collector_signature_binds_label(registry):
-    c = make_collector(registry)
-    p = make_provider(registry, gen_rate=1)
-    (tx,) = p.generate(1)
-    ltx = c.process(tx)
-    from repuchain.core_types import label_signing_bytes
-
-    assert registry.verify(c.keypair.public, label_signing_bytes(tx, ltx.label), ltx.signature)
-    assert not registry.verify(c.keypair.public, label_signing_bytes(tx, -ltx.label), ltx.signature)
+    c = make_collector(registry, index=2)
+    txs = make_provider(registry, gen_rate=3).generate(1)
+    bodies = [c.process(tx).body for tx in txs]
+    sig = c.sign_upload(7, bodies)
+    assert registry.verify(c.keypair.public, upload_bytes(2, 7, bodies), sig)
+    flipped = [bodies[0], label_signing_bytes(txs[1], -1), bodies[2]]
+    for other in (upload_bytes(2, 7, flipped), upload_bytes(2, 8, bodies),
+                  upload_bytes(3, 7, bodies), upload_bytes(2, 7, bodies[::-1]),
+                  upload_bytes(2, 7, bodies[:2])):
+        assert not registry.verify(c.keypair.public, other, sig)
 
 
 # -- governors ----------------------------------------------------------------
 
 
 def deliver(registry, governor, tx, collector_index=0, round_no=5, kind="Honest"):
+    """One collector's one-label upload of ``tx``, ingested in ``round_no``."""
     c = make_collector(registry, index=collector_index, kind=kind,
                        n_providers=len(governor.rep))
     ltx = c.process(tx)
     assert ltx is not None
-    return governor.on_labeled_transaction(ltx, round_no)
+    return governor.on_labeled_transaction(ltx, c.sign_upload(round_no - 1, [ltx.body]), round_no)
 
 
 def test_first_copy_starts_timer(registry):
@@ -250,47 +269,112 @@ def test_conflicting_label_from_same_collector_ignored(registry):
     (tx,) = p.generate(1)
     c = make_collector(registry, index=0, kind="Honest", n_providers=1)
     plus = c.process(tx)
-    minus = LabeledTransaction(
-        tx=tx, label=-1, collector_id=0,
-        signature=sign(c.keypair, label_signing_bytes(tx, -1)),
-    )
-    assert g.on_labeled_transaction(plus, 1) == "ok"
-    assert g.on_labeled_transaction(minus, 1) == "duplicate"
+    minus = LabeledTransaction(tx=tx, label=-1, collector_id=0)
+    # One upload: the first label wins, and a conflicting or exact duplicate changes nothing.
+    assert ingest_signed(g, [c], [plus, minus, plus], 1) == ["ok", "duplicate", "duplicate"]
     assert g.inbox[tx.txid][2] == {0: 1}
-    # exact duplicate also leaves the set unchanged
-    assert g.on_labeled_transaction(plus, 1) == "duplicate"
-    assert g.inbox[tx.txid][2] == {0: 1}
+
+
+def _two_collector_world(registry):
+    """A governor for provider 0 on collectors (0, 1), each collector's two labels, and the collectors."""
+    g = make_governor(registry, topology=((0, 1),))
+    a, b = make_provider(registry, gen_rate=2, connected=(0, 1)).generate(1)
+    c = [make_collector(registry, index=j) for j in (0, 1)]
+    labels = [[cj.process(tx) for tx in (a, b)] for cj in c]
+    return g, (a, b), c, labels
 
 
 def test_bad_collector_signature_dropped(registry):
-    g = make_governor(registry, topology=((0,),))
-    p = make_provider(registry, gen_rate=1)
-    (tx,) = p.generate(1)
-    fake = LabeledTransaction(tx=tx, label=1, collector_id=0, signature=SimSignature(b"\1" * 32))
-    assert g.on_labeled_transaction(fake, 1) == "bad_collector_sig"
-    assert g.dropped_bad_signature == 1
-    assert tx.txid not in g.inbox
+    g, (a, b), _, (labels0, _) = _two_collector_world(registry)
+    bad = SimSignature(b"\1" * 32)
+    assert g.ingest(labels0, {0: bad}, 1) == ["bad_collector_sig"] * 2
+    assert g.dropped_bad_signature == 2  # counted per copy
+    assert not g.inbox
 
 
 def test_relabeled_copy_with_original_signature_refused(registry):
-    g = make_governor(registry, topology=((0,),))
-    p = make_provider(registry, gen_rate=1)
-    (tx,) = p.generate(1)
-    c = make_collector(registry, index=0, kind="Honest", n_providers=1)
-    ltx = c.process(tx)
-    flipped = LabeledTransaction(
-        tx=tx, label=-ltx.label, collector_id=0, signature=ltx.signature
-    )
-    assert flipped.signing_bytes == label_signing_bytes(tx, -ltx.label)
-    assert g.on_labeled_transaction(flipped, 1) == "bad_collector_sig"
+    g, (a, b), c, (labels0, _) = _two_collector_world(registry)
+    signatures = upload_signatures(c, labels0, 1)
+    flipped = dataclasses.replace(labels0[1], label=-labels0[1].label)
+    assert flipped.body == label_signing_bytes(b, -labels0[1].label) != labels0[1].body
+    assert g.ingest([labels0[0], flipped], signatures, 1) == ["bad_collector_sig"] * 2
+    assert not g.inbox and g.dropped_bad_signature == 2
+    assert g.ingest(labels0, signatures, 1) == ["ok", "ok"]  # the genuine upload lands
     # No caller can hand a label or a verdict the bytes of the record it copies.
     with pytest.raises(TypeError):
-        LabeledTransaction(tx, -ltx.label, 0, ltx.signature, ltx.signing_bytes)
-    assert g.on_labeled_transaction(ltx, 1) == "ok"
-    msg = g.screen(tx.txid).message
+        LabeledTransaction(b, -labels0[1].label, 0, labels0[1].body)
+    msg = g.screen(a.txid).message
     with pytest.raises(TypeError):
         nodes.VerificationMessage(msg.leader_id, msg.provider_id, msg.txid, not msg.validbit,
                                   msg.received, msg.cnt, msg.signature, msg.signing_bytes)
+
+
+def test_label_moved_into_another_collectors_upload_refuses_both(registry):
+    g, (a, b), c, (labels0, labels1) = _two_collector_world(registry)
+    signatures = upload_signatures(c, [labels0[0], labels0[1], labels1[0]], 1)
+    moved = dataclasses.replace(labels0[1], collector_id=1)
+    assert g.ingest([labels0[0], labels1[0], moved], signatures, 1) == ["bad_collector_sig"] * 3
+    assert not g.inbox and g.dropped_bad_signature == 3
+
+
+def test_upload_replayed_under_another_round_is_refused(registry):
+    g, (a, b), c, (labels0, _) = _two_collector_world(registry)
+    signatures = upload_signatures(c, labels0, 5)  # uploaded in round 4, due in round 5
+    for r in (4, 6):
+        assert g.ingest(labels0, signatures, r) == ["bad_collector_sig"] * 2
+    assert not g.inbox
+    assert g.ingest(labels0, signatures, 5) == ["ok", "ok"]
+
+
+def test_collector_with_labels_but_no_signature_is_refused(registry):
+    g, (a, b), c, (labels0, labels1) = _two_collector_world(registry)
+    batch = [labels0[0], labels1[0], labels0[1], labels1[1]]
+    signatures = upload_signatures(c, batch, 1)
+    del signatures[1]
+    assert g.ingest(batch, signatures, 1) == ["ok", "bad_collector_sig"] * 2
+    assert g.ingest(labels1, {}, 1) == ["bad_collector_sig"] * 2
+    assert g.dropped_bad_signature == 4
+
+
+def test_bad_upload_leaves_another_collectors_labels_ok(registry):
+    g, (a, b), c, (labels0, labels1) = _two_collector_world(registry)
+    batch = [labels0[0], labels1[0], labels0[1], labels1[1]]
+    signatures = {**upload_signatures(c, batch, 1), 0: SimSignature(b"\1" * 32)}
+    assert g.ingest(batch, signatures, 1) == ["bad_collector_sig", "ok"] * 2
+    assert g.inbox[a.txid][2] == g.inbox[b.txid][2] == {1: 1}
+    assert g.dropped_bad_signature == 2
+
+
+def test_a_round_signs_one_upload_per_uploading_collector(monkeypatch):
+    # Labelling signs nothing; each collector that uploads anything, forgeries
+    # included, signs once at the end of the round.
+    cfg = ScenarioConfig.from_dict(scenarios.properties(10))
+    w = init_world(cfg)
+    collector_keys = {c.keypair.node_id: c.id for c in w.collectors}
+    signed = []
+    original_sign, original_process = nodes.sign, CollectorNode.process
+
+    def counting_sign(kp, msg):
+        signed.append(kp.node_id)
+        return original_sign(kp, msg)
+
+    def process_signing_nothing(self, tx):
+        before = len(signed)
+        out = original_process(self, tx)
+        assert len(signed) == before
+        return out
+
+    monkeypatch.setattr(nodes, "sign", counting_sign)
+    monkeypatch.setattr(CollectorNode, "process", process_signing_nothing)
+    forgers = {c.id for c in w.collectors if c.strategy.kind == "Forger"}
+    assert forgers
+    for _ in range(8):
+        signed.clear()
+        step_round(w)
+        labels, signatures = w.to_governors
+        uploaders = {ltx.collector_id for ltx in labels}
+        assert forgers <= uploaders and set(signatures) == uploaders
+        assert sorted(collector_keys[k] for k in signed if k in collector_keys) == sorted(uploaders)
 
 
 def test_forged_transactions_rejected_10k_attempts(registry):
@@ -299,8 +383,8 @@ def test_forged_transactions_rejected_10k_attempts(registry):
                             n_providers=2)
     attempts = forger.forge(round_no=1, provider_count=2)
     assert len(attempts) == 10_000
-    accepted = sum(1 for ltx in attempts if g.on_labeled_transaction(ltx, 1) == "ok")
-    assert accepted == 0
+    codes = ingest_signed(g, [forger], attempts, 2)  # the upload's own signature is genuine
+    assert codes == ["forged"] * 10_000
     assert g.dropped_forged == 10_000
     assert not g.inbox
 
@@ -308,32 +392,41 @@ def test_forged_transactions_rejected_10k_attempts(registry):
 def test_batched_ingest_matches_one_copy_at_a_time(registry):
     # Provider 0 reaches collectors 0 and 1, provider 1 only collector 2.
     topology = ((0, 1), (2,))
-    governors = [make_governor(registry, topology=topology, gov_index=k) for k in (0, 1)]
-    c0, c1, c2 = (make_collector(registry, index=j, n_providers=2) for j in range(3))
+    governors = [make_governor(registry, topology=topology, gov_index=k, n_collectors=4)
+                 for k in (0, 1)]
+    c0, c1, c2, c3 = (make_collector(registry, index=j, n_providers=2) for j in range(4))
     a, b, verified, settled = make_provider(registry, gen_rate=4).generate(1)
     (d,) = make_provider(registry, node_id=1, connected=(2,)).generate(1)
     for g in governors:
         g.pending[verified.txid] = (verified, ((0, 1),))
         g.ledger.settled.add(settled.txid)
     forged_tx = Transaction(0, 99, 1, True, SimSignature(b"\x42" * 32))
-    conflicting = LabeledTransaction(a, -1, 0, sign(c0.keypair, label_signing_bytes(a, -1)))
     batch = [
         c0.process(a),
         c1.process(a),
-        conflicting,
+        LabeledTransaction(a, -1, 0),  # conflicting
         c0.process(a),
-        LabeledTransaction(b, 1, 0, SimSignature(b"\x01" * 32)),
-        LabeledTransaction(b, 1, 9, SimSignature(b"\x01" * 32)),  # unknown collector
-        LabeledTransaction(forged_tx, 1, 0, sign(c0.keypair, label_signing_bytes(forged_tx, 1))),
+        c3.process(b),  # collector 3's upload carries a bad tag
+        LabeledTransaction(b, 1, 9),  # unknown collector
+        LabeledTransaction(forged_tx, 1, 0),
         c2.process(b),  # collector 2 does not serve provider 0
         c1.process(verified),
         c1.process(settled),
         c1.process(b),
         c2.process(d),
     ]
+    bad = SimSignature(b"\x01" * 32)
+
+    def one_label_signature(ltx):
+        signer = {0: c0, 1: c1, 2: c2}.get(ltx.collector_id)
+        return bad if signer is None else signer.sign_upload(4, [ltx.body])
+
     batched, one_by_one = governors
-    codes = batched.ingest(batch, 5)
-    assert codes == [one_by_one.on_labeled_transaction(ltx, 5) for ltx in batch]
+    genuine = [ltx for ltx in batch if ltx.collector_id in (0, 1, 2)]
+    signatures = {**upload_signatures([c0, c1, c2], genuine, 5), 3: bad, 9: bad}
+    codes = batched.ingest(batch, signatures, 5)
+    assert codes == [one_by_one.on_labeled_transaction(ltx, one_label_signature(ltx), 5)
+                     for ltx in batch]
     assert codes == ["ok", "ok", "duplicate", "duplicate", "bad_collector_sig",
                      "bad_collector_sig", "forged", "not_connected", "settled", "settled",
                      "ok", "ok"]
@@ -358,11 +451,11 @@ def test_labels_are_filed_and_signed_by_slot_not_collector_id(registry):
     (good,) = make_provider(registry, node_id=1, connected=(1, 0)).generate(1)
     copies = [c[3].process(bad), c[1].process(bad), c[1].process(good), c[0].process(good)]
     for g in (leader, replica):
-        assert g.ingest(copies, 1) == ["ok"] * 4
+        assert ingest_signed(g, c, copies, 1) == ["ok"] * 4
         assert g.inbox[bad.txid][2] == {0: 1, 1: -1}
         assert g.inbox[good.txid][2] == {0: 1, 1: -1}
         stray = [c[2].process(good), c[3].process(good), c[1].process(good)]
-        assert g.ingest(stray, 1) == ["not_connected", "not_connected", "duplicate"]
+        assert ingest_signed(g, c, stray, 2) == ["not_connected", "not_connected", "duplicate"]
         assert g.inbox[good.txid][2] == {0: 1, 1: -1}
     results = [leader.screen(tx.txid) for tx in (bad, good)]
     assert [res.outcome for res in results] == ["invalid", "valid"]
@@ -385,8 +478,8 @@ def test_detached_provider_signature_is_forged(registry):
     before = dict(g.inbox)
     detached = Transaction(tx.provider_id, tx.seq + 1, tx.timestamp, False, tx.signature)
     c0 = make_collector(registry)
-    copy = LabeledTransaction(detached, 1, 0, sign(c0.keypair, label_signing_bytes(detached, 1)))
-    assert g.ingest([copy], 5) == ["forged"]
+    copy = LabeledTransaction(detached, 1, 0)
+    assert ingest_signed(g, [c0], [copy], 5) == ["forged"]
     assert g.dropped_forged == 1
     assert g.inbox == before
     with pytest.raises(TypeError):
@@ -409,8 +502,8 @@ def test_copy_under_an_accepted_txid_with_other_bytes_is_checked(registry):
     forged = _tag_flipped(tx)
     assert forged.txid == tx.txid and forged.wire_bytes != tx.wire_bytes
     c1 = make_collector(registry, index=1)
-    copy = LabeledTransaction(forged, 1, 1, sign(c1.keypair, label_signing_bytes(forged, 1)))
-    assert g.ingest([copy], 5) == ["forged"]
+    copy = LabeledTransaction(forged, 1, 1)
+    assert ingest_signed(g, [c1], [copy], 5) == ["forged"]
     assert g.dropped_forged == 1
     (held, expiry, labels) = g.inbox[tx.txid]
     assert (held, expiry, labels) == (tx, 6, {0: 1})
@@ -420,14 +513,17 @@ def test_copy_under_an_accepted_txid_with_other_bytes_is_checked(registry):
 
 
 def test_each_governor_checks_a_provider_signature_once(registry, monkeypatch):
-    # k copies cost k collector checks and one provider check per governor, and a
-    # block packing the head of pending costs the leader-signature check alone.
+    # k copies from k collectors cost k upload checks and one provider check per
+    # governor, and a block packing the head of pending costs the leader-signature
+    # check alone.
     k = 3
     topology = ((0, 1, 2),)
     leader, replica = (make_governor(registry, topology=topology, gov_index=i) for i in (0, 1))
     replica.governor_publics[0] = leader.keypair.public
     (tx,) = make_provider(registry, connected=(0, 1, 2)).generate(1)
-    copies = [make_collector(registry, index=j).process(tx) for j in range(k)]
+    collectors = [make_collector(registry, index=j) for j in range(k)]
+    copies = [c.process(tx) for c in collectors]
+    signatures = upload_signatures(collectors, copies, 1)
     checked = []
     original = KeyRegistry.verify
 
@@ -438,9 +534,9 @@ def test_each_governor_checks_a_provider_signature_once(registry, monkeypatch):
     monkeypatch.setattr(KeyRegistry, "verify", counting)
     for g in (leader, replica):
         checked.clear()
-        assert g.ingest(copies, 1) == ["ok"] * k
-        assert checked == [copies[0].signing_bytes, tx.signing_bytes,
-                           *(c.signing_bytes for c in copies[1:])]
+        assert g.ingest(copies, signatures, 1) == ["ok"] * k
+        assert checked == [*(upload_bytes(j, 0, [c.body]) for j, c in enumerate(copies)),
+                           tx.signing_bytes]
     res = leader.screen(tx.txid)
     assert res.outcome == "valid"
     checked.clear()
@@ -456,11 +552,14 @@ def test_each_governor_checks_a_provider_signature_once(registry, monkeypatch):
 
 
 def test_signers_encode_each_signed_record_once(registry, monkeypatch):
-    # The bytes a collector or leader signs are the bytes its record carries. A
-    # transaction is encoded twice: by its provider to sign, by its constructor to carry.
+    # A label's body is encoded once, by its constructor; an upload by its signer and
+    # by each governor that checks it. The bytes a leader signs are the bytes its
+    # verdict carries. A transaction is encoded twice: by its provider to sign, by
+    # its constructor to carry.
     calls = {}
     for module in (core_types, nodes):
-        for name in ("tx_signing_bytes", "label_signing_bytes", "verification_message_bytes"):
+        for name in ("tx_signing_bytes", "label_signing_bytes", "upload_bytes",
+                     "verification_message_bytes"):
             if hasattr(module, name):
                 def counting(*args, _original=getattr(module, name), _name=name):
                     calls[_name] = calls.get(_name, 0) + 1
@@ -472,13 +571,16 @@ def test_signers_encode_each_signed_record_once(registry, monkeypatch):
     assert calls == {"tx_signing_bytes": 6}
     tx = txs[0]
     assert tx.signing_bytes == tx_signing_bytes(*tx.txid)  # the test's unwrapped binding
-    ltx = make_collector(registry).process(tx)
+    c = make_collector(registry)
+    ltx = c.process(tx)
     assert calls == {"tx_signing_bytes": 6, "label_signing_bytes": 1}
-    assert ltx.signing_bytes == label_signing_bytes(tx, 1)
-    assert g.ingest([ltx], 1) == ["ok"]
+    assert ltx.body == label_signing_bytes(tx, 1)
+    signature = c.sign_upload(0, [ltx.body])
+    assert calls == {"tx_signing_bytes": 6, "label_signing_bytes": 1, "upload_bytes": 1}
+    assert g.ingest([ltx], {c.id: signature}, 1) == ["ok"]
     res = g.screen(tx.txid)
     assert res.outcome == "valid"
-    assert calls == {"tx_signing_bytes": 6, "label_signing_bytes": 1,
+    assert calls == {"tx_signing_bytes": 6, "label_signing_bytes": 1, "upload_bytes": 2,
                      "verification_message_bytes": 1}
     msg = res.message
     assert msg.signing_bytes == verification_message_bytes(

@@ -385,8 +385,8 @@ def _record_ingested(g, seen):
     """Wrap one governor's ingest so every txid it accepts lands in ``seen``."""
     ingest = g.ingest
 
-    def wrapped(batch, round_no):
-        codes = ingest(batch, round_no)
+    def wrapped(batch, signatures, round_no):
+        codes = ingest(batch, signatures, round_no)
         seen.update(ltx.tx.txid for ltx, code in zip(batch, codes) if code == "ok")
         return codes
 
@@ -476,7 +476,7 @@ def test_step_round_restores_the_callers_collector_setting(enabled, collector_se
     w = init_world(cfg)
     g0 = w.governors[0]
     ingest, during = g0.ingest, []
-    g0.ingest = lambda batch, r: during.append(gc.isenabled()) or ingest(batch, r)
+    g0.ingest = lambda batch, sigs, r: during.append(gc.isenabled()) or ingest(batch, sigs, r)
     (gc.enable if enabled else gc.disable)()
     for _ in range(12):
         step_round(w)
