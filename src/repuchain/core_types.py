@@ -26,14 +26,16 @@ taken on trust could carry a genuine provider signature under a made-up
 txid. No caller supplies a record's bytes. A verdict's constructor encodes
 them from its fields, as ``dataclasses.replace`` does; the leader builds it
 with the classmethod ``signed``, which encodes the bytes once, signs them
-through the given callable and stores both.
+with the given key pair and stores both.
 
-A label is not signed by itself. It carries its ``body``, encoded from its
-fields, and a collector signs one upload a round: ``upload_bytes`` over its
-id, the round and its labels' bodies in upload order. A governor rebuilds
-each upload from the labels it received under that collector id and checks
-the one signature, so a label flipped, moved to another collector's upload
-or replayed in another round breaks the whole upload.
+A label is neither signed by itself nor tied to a collector. It carries its
+``body``, encoded from its fields. A collector's round upload is one
+``Upload`` record: its id, its labels in upload order and one signature over
+``upload_bytes`` (the id, the round and the labels' bodies). A governor
+rebuilds those bytes from the record, checks the one signature and files
+the labels under the record's collector id, so a label flipped, moved to
+another collector's upload or replayed in another round breaks the whole
+upload, and no label is filed under an id its signature does not cover.
 
 The records built once or more per transaction (here ``SimSignature``,
 ``Transaction`` and ``LabeledTransaction``; elsewhere the verdict and the
@@ -166,27 +168,30 @@ def tx_wire_bytes(tx: Transaction) -> bytes:
 
 @dataclass(frozen=True, slots=True, init=False)
 class LabeledTransaction:
-    """A transaction plus one collector's +1/-1 label, unsigned.
+    """A transaction plus a +1/-1 label, unsigned and without its collector.
 
     ``body`` is the label's entry in its collector's signed round upload
-    (see ``upload_bytes``); the upload, not the label, carries the signature.
+    (see ``upload_bytes``); the upload, not the label, carries the
+    signature and the collector id.
     """
 
     tx: Transaction
     label: int
-    collector_id: int
     body: bytes = field(init=False, repr=False, compare=False)
 
-    def __init__(self, tx: Transaction, label: int, collector_id: int) -> None:
-        s_tx, s_label, s_collector, s_body = _LTX_SLOTS
+    def __init__(self, tx: Transaction, label: int) -> None:
+        s_tx, s_label, s_body = _LTX_SLOTS
         body = label_signing_bytes(tx, label)
         s_tx(self, tx)
         s_label(self, label)
-        s_collector(self, collector_id)
         s_body(self, body)
 
 
 _LTX_SLOTS = slot_setters(LabeledTransaction)
+
+# A collector's round upload, as the collector->governor hop carries it:
+# (collector id, its labels in upload order, its signature over upload_bytes).
+Upload = tuple[int, list[LabeledTransaction], SimSignature]
 
 
 def label_signing_bytes(tx: Transaction, label: int) -> bytes:

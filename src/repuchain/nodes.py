@@ -10,8 +10,9 @@ vouched +1.
 A collector labels each copy as it arrives, in ``process(tx)``, which signs
 nothing. At the end of the round it signs its upload once, with
 ``sign_upload``: the canonical ``upload_bytes`` over its id, the round and
-its labels' bodies in upload order (``upload_bodies`` groups a round's
-labels by collector). A slot is a collector's position in its provider's
+its labels' bodies in upload order. The upload travels as one ``Upload``
+record, ``(collector id, labels, signature)``; a label carries no collector
+id of its own. A slot is a collector's position in its provider's
 ``topology`` list; reputations, inbox labels and verdicts are kept per
 slot, and ``ingest`` alone maps a collector id to its slot.
 
@@ -25,13 +26,13 @@ and comes back, if its provider resubmits it, as a fresh arrival.
 A governor changes state only through three transitions, each taking
 signed input:
 
-- ``ingest(batch, signatures, r)``: a round's labeled copies enter the
-  inbox in one call. Each collector's upload is rebuilt from the copies it
-  sent and its signature checked once; then each copy, unless its upload
-  failed, gets its provider signature check (unless the inbox already holds
-  its exact bytes) and its label is filed under its collector's slot
-  (``on_labeled_transaction(ltx, signature, r)`` is the one-label-upload
-  form).
+- ``ingest(uploads, r)``: a round's uploads enter the inbox in one call,
+  upload by upload. Each upload's bytes are rebuilt from the record and its
+  one signature checked; then each of its copies, unless that check failed,
+  gets its provider signature check (unless the inbox already holds its
+  exact bytes) and its label is filed under the upload's collector's slot
+  (``on_labeled_transaction(collector_id, ltx, signature, r)`` is the
+  one-label-upload form).
 - ``apply_verdict(msg)``: the leader's ``VerificationMessage`` penalizes the
   slots, advances the epoch at its boundary and moves the transaction out
   of the inbox. The leader signs the message after its draw (``cnt`` is the
@@ -63,7 +64,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .consensus import (ChainViolation, Ledger, PendingEntry, SignedBlock, TxId,
                         propose_block, validate_and_append)
@@ -72,6 +73,7 @@ from .core_types import (
     RoundLists,
     SimSignature,
     Transaction,
+    Upload,
     slot_setters,
     tx_signing_bytes,
     upload_bytes,
@@ -119,22 +121,6 @@ _VMSG_TAIL = struct.Struct(">QQ")
 
 class SimulationError(RuntimeError):
     """Internal consistency failure; indicates a scheduler or protocol bug."""
-
-
-def signer(keypair: KeyPair) -> Callable[[bytes], SimSignature]:
-    """Signs bytes with ``keypair``, looking ``sign`` up at each call, not once."""
-    return lambda body: sign(keypair, body)
-
-
-def upload_bodies(labels: Iterable[LabeledTransaction]) -> dict[int, list[bytes]]:
-    """Each collector id's label bodies, in delivery order: the list its upload signs."""
-    uploads: dict[int, list[bytes]] = {}
-    for ltx in labels:
-        bodies = uploads.get(ltx.collector_id)
-        if bodies is None:
-            bodies = uploads[ltx.collector_id] = []
-        bodies.append(ltx.body)
-    return uploads
 
 
 def validate_collector(tx: Transaction) -> bool:
@@ -258,7 +244,7 @@ class CollectorNode:
         label = self.label_rule(1 if validate_collector(tx) else -1, self.rng, self.strategy.q)
         if label is None:
             return None
-        return LabeledTransaction(tx, label, self.id)
+        return LabeledTransaction(tx, label)
 
     def forge(self, round_no: int, provider_count: int) -> list[LabeledTransaction]:
         """Fabricate transactions with bogus provider signatures (Forger only)."""
@@ -274,12 +260,12 @@ class CollectorNode:
                 ground_truth_valid=False,
                 signature=SimSignature(tag=self.rng.randbytes(32)),
             )
-            out.append(LabeledTransaction(fake, 1, self.id))
+            out.append(LabeledTransaction(fake, 1))
         return out
 
-    def sign_upload(self, round_no: int, bodies: Sequence[bytes]) -> SimSignature:
-        """The signature of this collector's upload of ``bodies`` in ``round_no``."""
-        return sign(self.keypair, upload_bytes(self.id, round_no, bodies))
+    def sign_upload(self, round_no: int, labels: Sequence[LabeledTransaction]) -> SimSignature:
+        """The signature of this collector's upload of ``labels`` in ``round_no``."""
+        return sign(self.keypair, upload_bytes(self.id, round_no, [ltx.body for ltx in labels]))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -310,12 +296,12 @@ class VerificationMessage:
     @classmethod
     def signed(cls, leader_id: int, provider_id: int, txid: TxId, validbit: bool,
                received: tuple[tuple[int, int], ...], cnt: int,
-               sign_bytes: Callable[[bytes], SimSignature]) -> "VerificationMessage":
-        """The verdict whose bytes ``sign_bytes`` signs: encoded once, signed, stored."""
+               keypair: KeyPair) -> "VerificationMessage":
+        """The verdict ``keypair`` signs: encoded once, signed, stored."""
         fields = (leader_id, provider_id, txid, validbit, received, cnt)
         body = verification_message_bytes(*fields)
         self = cls.__new__(cls)
-        _store_verdict(self, fields, sign_bytes(body), body)
+        _store_verdict(self, fields, sign(keypair, body), body)
         return self
 
 
@@ -393,11 +379,12 @@ class GovernorNode:
     ):
         self.id = node_id
         self.keypair = keypair
-        self.sign_bytes = signer(keypair)
         self.registry = registry
-        # (provider, collector id) -> slot; read by ingest alone.
-        self.slot_of = {(provider, cid): slot for provider, collectors in enumerate(topology)
-                        for slot, cid in enumerate(collectors)}
+        # collector id -> {provider: slot}; read by ingest alone.
+        self.slot_of: dict[int, dict[int, int]] = {}
+        for provider, collectors in enumerate(topology):
+            for slot, cid in enumerate(collectors):
+                self.slot_of.setdefault(cid, {})[provider] = slot
         self.provider_publics = provider_publics
         self.collector_publics = collector_publics
         self.governor_publics = governor_publics
@@ -419,76 +406,69 @@ class GovernorNode:
 
     # -- uploading-phase intake -------------------------------------------
 
-    def ingest(self, batch: Sequence[LabeledTransaction],
-               signatures: Mapping[int, SimSignature], round_no: int) -> list[str]:
-        """Ingest a round's labeled copies in order; returns each copy's disposition.
+    def ingest(self, uploads: Iterable[Upload], round_no: int) -> list[str]:
+        """Ingest a round's uploads in order; returns each copy's disposition, in order.
 
-        The hop delivers one round after sending, so the copies ingested in
-        ``round_no`` were uploaded in ``round_no - 1``. Each collector's
-        upload is rebuilt from its copies in ``batch``, in order, and its
-        signature in ``signatures`` checked once. Every copy of an upload
-        whose signature is missing or bad is refused ("bad_collector_sig").
+        The hop delivers one round after sending, so the uploads ingested in
+        ``round_no`` were signed in ``round_no - 1``. Each upload's bytes are
+        rebuilt from its labels and its signature checked once; every copy
+        of an upload whose check fails is refused ("bad_collector_sig").
         Any other copy gets a provider-signature check unless the inbox
         entry for its txid holds the same ``wire_bytes`` (see the module
-        docstring). Its label enters the inbox under its collector's slot
-        ("ok") unless that check fails ("forged"), its collector has no slot
-        for the provider ("not_connected"), the transaction is verified or
-        settled ("settled"), or that slot's label is already in
-        ("duplicate": the first label wins, conflicting or not).
+        docstring). Its label enters the inbox under the upload's
+        collector's slot ("ok") unless that check fails ("forged"), the
+        collector has no slot for the provider ("not_connected"), the
+        transaction is verified or settled ("settled"), or that slot's label
+        is already in ("duplicate": the first label wins, conflicting or not).
         """
         verify = self.registry.verify
         verify_tx = self.registry.verify_tx
         collector_publics = self.collector_publics
-        sent = round_no - 1
-        refused = set()
-        for cid, bodies in upload_bodies(batch).items():
-            signature = signatures.get(cid)
-            if signature is None or not verify(
-                    collector_publics.get(cid), upload_bytes(cid, sent, bodies), signature):
-                refused.add(cid)
         provider_publics = self.provider_publics
-        slot_of = self.slot_of
         inbox = self.inbox
         pending = self.pending
         settled = self.ledger.settled
+        sent = round_no - 1
         expiry = round_no + self.delta_rounds
         codes: list[str] = []
         code = codes.append
-        for ltx in batch:
-            tx = ltx.tx
-            cid = ltx.collector_id
-            if cid in refused:
-                self.dropped_bad_signature += 1
-                code("bad_collector_sig")
+        for cid, labels, signature in uploads:
+            if not verify(collector_publics.get(cid),
+                          upload_bytes(cid, sent, [ltx.body for ltx in labels]), signature):
+                self.dropped_bad_signature += len(labels)
+                codes += ["bad_collector_sig"] * len(labels)
                 continue
-            txid = tx.txid
-            entry = inbox.get(txid)
-            if ((entry is None or entry[0].wire_bytes != tx.wire_bytes)
-                    and not verify_tx(provider_publics, tx)):
-                self.dropped_forged += 1
-                code("forged")
-                continue
-            slot = slot_of.get((tx.provider_id, cid))
-            if slot is None:
-                code("not_connected")
-                continue
-            if entry is None:
-                if txid in pending or txid in settled:
-                    code("settled")
+            slots = self.slot_of.get(cid, {})
+            for ltx in labels:
+                tx = ltx.tx
+                txid = tx.txid
+                entry = inbox.get(txid)
+                if ((entry is None or entry[0].wire_bytes != tx.wire_bytes)
+                        and not verify_tx(provider_publics, tx)):
+                    self.dropped_forged += 1
+                    code("forged")
                     continue
-                entry = inbox[txid] = (tx, expiry, {})
-            labels = entry[2]
-            if slot in labels:
-                code("duplicate")
-                continue
-            labels[slot] = ltx.label
-            code("ok")
+                slot = slots.get(tx.provider_id)
+                if slot is None:
+                    code("not_connected")
+                    continue
+                if entry is None:
+                    if txid in pending or txid in settled:
+                        code("settled")
+                        continue
+                    entry = inbox[txid] = (tx, expiry, {})
+                entry_labels = entry[2]
+                if slot in entry_labels:
+                    code("duplicate")
+                    continue
+                entry_labels[slot] = ltx.label
+                code("ok")
         return codes
 
-    def on_labeled_transaction(self, ltx: LabeledTransaction, signature: SimSignature,
-                               round_no: int) -> str:
-        """Ingest a one-label upload; returns the copy's disposition code (see ``ingest``)."""
-        return self.ingest((ltx,), {ltx.collector_id: signature}, round_no)[0]
+    def on_labeled_transaction(self, collector_id: int, ltx: LabeledTransaction,
+                               signature: SimSignature, round_no: int) -> str:
+        """Ingest ``collector_id``'s one-label upload; returns its disposition (see ``ingest``)."""
+        return self.ingest([(collector_id, [ltx], signature)], round_no)[0]
 
     def expired(self, round_no: int) -> list[TxId]:
         """Transactions whose waiting window ends this round, in arrival order."""
@@ -512,7 +492,7 @@ class GovernorNode:
             return ScreeningResult(tx, "unchecked", loss, pen, state.epoch_index, None, None)
         cnt = state.cnt + 1  # this verdict's place in the provider's update order
         message = VerificationMessage.signed(
-            self.id, provider, txid, validbit, tuple(sorted(labels.items())), cnt, self.sign_bytes)
+            self.id, provider, txid, validbit, tuple(sorted(labels.items())), cnt, self.keypair)
         closure = self.apply_verdict(message)
         return ScreeningResult(
             tx, "valid" if validbit else "invalid",

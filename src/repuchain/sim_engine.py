@@ -10,11 +10,12 @@ three hops is a ``World`` field holding what the previous round sent, and
 holds each sent transaction once; its copies go to the collectors its
 provider is connected to (``config.topology``). Collectors label the copies
 one at a time, transaction by transaction and, within one, in topology
-order, and the collector->governor hop carries the labels in that order,
-with one signature per collector that uploaded anything: over its id, the
-round and its labels' bodies, in that order (``nodes.upload_bodies``).
-Each governor rebuilds every upload from the labels and checks its
-signature once, then files the labels in the order they were made.
+order; each label goes straight onto its collector's upload list. The
+collector->governor hop carries one ``Upload`` record per collector that
+labelled or forged anything, in collector-id order: its id, its labels in
+the order it made them, and its one signature over its id, the round and
+those labels' bodies. Each governor checks every upload's signature once
+and files its labels upload by upload.
 The feedback hop carries the round's block payload and its signed
 ``RoundLists``: providers learn which of their transactions reached the
 chain or came back unchecked, collectors which were proved invalid.
@@ -47,7 +48,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from typing import Any
 
 from .consensus import ChainViolation, Ledger, Violation, elect_leader
-from .core_types import LabeledTransaction, RoundLists, SimSignature, Transaction
+from .core_types import RoundLists, Transaction, Upload
 from .crypto_sim import KeyRegistry, substream
 from .metrics_oracle import MetricsLog, RoundRow
 from .nodes import (
@@ -59,7 +60,6 @@ from .nodes import (
     SimulationError,
     StrategySpec,
     TxId,
-    upload_bodies,
 )
 from .reputation import EtaPolicy
 
@@ -234,10 +234,9 @@ class World:
         self.round = 0
         # The one-round hops: what the last completed round sent. A sent
         # transaction is held once; its provider's collectors each get a copy.
-        # Labels travel in the order they were made, beside each collector's
-        # upload signature.
+        # Labels travel in their collectors' uploads, in collector-id order.
         self.to_collectors: list[Transaction] = []
-        self.to_governors: tuple[list[LabeledTransaction], dict[int, SimSignature]] = ([], {})
+        self.to_governors: list[Upload] = []
         self.feedback: tuple[RoundLists, tuple[Transaction, ...]] | None = None  # lists, payload
         self.metrics = MetricsLog(config.l)
 
@@ -308,7 +307,7 @@ class World:
             unchecked_archive.update(t.txid for t in rl.unchecked_list)
         in_flight = (
             {tx.txid for tx in self.to_collectors}
-            | {ltx.tx.txid for ltx in self.to_governors[0]}
+            | {ltx.tx.txid for _, labels, _ in self.to_governors for ltx in labels}
             | set(g0.inbox)
             | set(g0.pending)
         )
@@ -390,29 +389,30 @@ def _round(world: World) -> World:
     arrived, world.to_collectors = world.to_collectors, sends_pc
 
     # Phase 2: uploading (labels what arrived this round, i.e. sent at r-1):
-    # each transaction's copies in turn, to its provider's collectors in topology order.
+    # each transaction's copies in turn, to its provider's collectors in topology
+    # order, each label onto its collector's upload list.
     collectors = world.collectors
-    processors = [[collectors[cid].process for cid in adj] for adj in config.topology]
-    uploads = []
-    upload = uploads.append
+    labelled = [[] for _ in collectors]
+    slots = [[(collectors[cid].process, labelled[cid].append) for cid in adj]
+             for adj in config.topology]
     for tx in arrived:
-        for process in processors[tx.provider_id]:
+        for process, upload in slots[tx.provider_id]:
             ltx = process(tx)
             if ltx is not None:
                 upload(ltx)
-    for c in world.collectors:
+    for c, labels in zip(collectors, labelled):
         forged = c.forge(r, config.l)
         if forged:
             metrics.forgery_attempts += len(forged)
-            uploads.extend(forged)
+            labels.extend(forged)
     # Each collector that uploads anything signs its upload once.
-    signatures = {cid: collectors[cid].sign_upload(r, bodies)
-                  for cid, bodies in upload_bodies(uploads).items()}
-    (batch, batch_signatures), world.to_governors = world.to_governors, (uploads, signatures)
+    uploads = [(c.id, labels, c.sign_upload(r, labels))
+               for c, labels in zip(collectors, labelled) if labels]
+    delivered, world.to_governors = world.to_governors, uploads
 
     # Phase 3: processing.
     for g in governors:
-        g.ingest(batch, batch_signatures, r)
+        g.ingest(delivered, r)
 
     round_seed = governors[0].ledger.tip_hash()
     election = elect_leader(config.stakes, round_seed, world.governor_kps, world.registry)
@@ -456,7 +456,7 @@ def _round(world: World) -> World:
     row.wasted_verifications = sum(1 for res in screening if res.outcome == "invalid")
     row.blocks = 0 if block is None else 1
     row.messages_pc = messages_pc
-    row.messages_cg = len(uploads) * m
+    row.messages_cg = sum(len(labels) for _, labels, _ in uploads) * m
     row.messages_gg = m * (m - 1) + len(messages) * (m - 1) + row.blocks * (m - 1)
     metrics.rounds.append(row)
 

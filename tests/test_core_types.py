@@ -143,7 +143,7 @@ def test_tx_signing_bytes_distinct_per_identity():
 def test_label_must_be_plus_or_minus_one():
     tx = make_tx()
     with pytest.raises(ValueError):
-        LabeledTransaction(tx=tx, label=0, collector_id=1)
+        LabeledTransaction(tx=tx, label=0)
 
 
 def test_commitment_separates_lists_by_domain_tag():
@@ -172,7 +172,7 @@ def test_carried_bytes_match_encoders_and_vectors(crypto_vectors):
     assert tx_wire_bytes(tx) == tx.wire_bytes
     assert tx.wire_bytes.hex() == v["wire_bytes"]
     for label, key in ((1, "label_plus_bytes"), (-1, "label_minus_bytes")):
-        ltx = LabeledTransaction(tx=tx, label=label, collector_id=1)
+        ltx = LabeledTransaction(tx=tx, label=label)
         assert ltx.body == label_signing_bytes(tx, label)
         assert ltx.body.hex() == v[key]
 
@@ -191,13 +191,13 @@ def test_replace_rebuilds_carried_bytes():
     assert nxt.signing_bytes == tx_signing_bytes(2, 9, 3) != tx.signing_bytes
     assert nxt.wire_bytes == tx_signing_bytes(2, 9, 3) + tx.wire_bytes[len(tx.signing_bytes):]
     sig = SimSignature(b"\x05" * 32)
-    ltx = LabeledTransaction(tx, 1, 4)
+    ltx = LabeledTransaction(tx, 1)
     flipped = dataclasses.replace(ltx, label=-1)
     assert flipped.body == label_signing_bytes(tx, -1) != ltx.body
     moved = dataclasses.replace(ltx, tx=nxt)
     assert moved.body == label_signing_bytes(nxt, 1)
     fields = (0, 2, tx.txid, True, ((4, 1),), 3)
-    msg = VerificationMessage.signed(*fields, lambda body: sig)
+    msg = VerificationMessage(*fields, sig)
     later = dataclasses.replace(msg, cnt=4)
     assert later.signing_bytes == verification_message_bytes(*fields[:-1], 4) != msg.signing_bytes
 
@@ -205,12 +205,12 @@ def test_replace_rebuilds_carried_bytes():
 def _signer_and_public_records():
     """(signer's, public) pairs: each verdict built by ``signed`` and by its constructor."""
     tx = make_tx(provider=1, seq=6, ts=2)
-    sig = SimSignature(b"\x09" * 32)
+    kp = keypair_from_secret(4, b"\x09" * 32)
     pairs = []
     for received in ((), ((0, 1),), ((0, -1), (2, 1), (5, -1))):
         fields = (4, 1, tx.txid, bool(received), received, 7)
-        pairs.append((VerificationMessage.signed(*fields, lambda body: sig),
-                      VerificationMessage(*fields, sig)))
+        pairs.append((VerificationMessage.signed(*fields, kp),
+                      VerificationMessage(*fields, sign(kp, verification_message_bytes(*fields)))))
     return pairs
 
 
@@ -226,17 +226,17 @@ def test_records_built_from_carried_bytes_equal_the_public_ones():
 
 def test_labels_compare_without_their_body():
     tx = make_tx(provider=1, seq=6, ts=2)
-    a, b = LabeledTransaction(tx, -1, 3), LabeledTransaction(tx, -1, 3)
+    a, b = LabeledTransaction(tx, -1), LabeledTransaction(tx, -1)
     assert a is not b and a == b and hash(a) == hash(b)
     assert a.body == b.body == label_signing_bytes(tx, -1)
     assert "body" not in repr(a)
-    assert a != LabeledTransaction(tx, 1, 3) and a != LabeledTransaction(tx, -1, 4)
+    assert a != LabeledTransaction(tx, 1) and a != LabeledTransaction(make_tx(seq=7), -1)
 
 
 def test_records_refuse_assignment_on_every_path():
     tx = make_tx()
     records = [r for pair in _signer_and_public_records() for r in pair] + [tx] + [
-        LabeledTransaction(tx, label, 3) for label in (1, -1)]
+        LabeledTransaction(tx, label) for label in (1, -1)]
     for record in records:
         for f in dataclasses.fields(record):
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -247,8 +247,8 @@ def test_records_refuse_assignment_on_every_path():
 def test_label_outside_plus_minus_one_is_refused_on_every_path(label):
     tx = make_tx()
     with pytest.raises(ValueError, match="label must be"):
-        LabeledTransaction(tx, label, 1)
-    ltx = LabeledTransaction(tx, 1, 1)
+        LabeledTransaction(tx, label)
+    ltx = LabeledTransaction(tx, 1)
     with pytest.raises(ValueError, match="label must be"):
         dataclasses.replace(ltx, label=label)
 

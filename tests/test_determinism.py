@@ -51,7 +51,9 @@ PINS = [
      (3204, 0)),
     ("properties_11_seed7", dict(scenarios.properties(11), seed=7),
      "b8015ae5613430bc", "176d0d9010cdfa97", (4272, 0)),
-    ("unequal_stakes", unequal_stakes(), "1df0eff7b7cb63e5", "d0ffb3da87bb00fa", (348, 0)),
+    # A governor's inbox follows upload order, collector by collector. Providers
+    # 2 and 4 are not wired to collector 0, whose upload is filed first.
+    ("unequal_stakes", unequal_stakes(), "a6477049a0abf4e1", "a8a3937d16205beb", (348, 0)),
     # The headline scenario, cut to 120 rounds: three epochs close under PerEpochSqrt.
     ("doubling_120", dict(scenarios.doubling(), total_rounds=120),
      "5cbf59e29024fc6c", "066060cdc854811a", (0, 0)),

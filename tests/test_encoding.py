@@ -109,16 +109,17 @@ def test_upload_vector(crypto_vectors):
     v = crypto_vectors["upload"]
     kp = keypair_from_secret(0, bytes.fromhex(v["secret"]))
     labels = [
-        LabeledTransaction(Transaction(*ident, True, sign(kp, tx_signing_bytes(*ident))), label,
-                           v["collector_id"])
+        LabeledTransaction(Transaction(*ident, True, sign(kp, tx_signing_bytes(*ident))), label)
         for ident, label in zip(v["transactions"], v["labels"])
     ]
     bodies = [ltx.body for ltx in labels]
     body = upload_bytes(v["collector_id"], v["round"], bodies)
     assert body.hex() == v["bytes"]
     assert spec_upload(v["collector_id"], v["round"], bodies) == body
-    assert nodes.upload_bodies(labels) == {v["collector_id"]: bodies}
     assert sign(kp, body).tag.hex() == v["signature"]
+    collector = nodes.CollectorNode(v["collector_id"], kp, nodes.StrategySpec("Honest"),
+                                    None, {}, None)
+    assert collector.sign_upload(v["round"], labels).tag.hex() == v["signature"]
 
 
 def test_block_vector(crypto_vectors):
@@ -161,7 +162,7 @@ def test_transaction_layouts_match_specification():
         assert tx_signing_bytes(*ident) == spec_tx_signing(*ident) == tx.signing_bytes
         assert tx_wire_bytes(tx) == spec_tx_wire(tx) == tx.wire_bytes
         for label in (1, -1):
-            ltx = LabeledTransaction(tx, label, rand_id(rng))
+            ltx = LabeledTransaction(tx, label)
             assert label_signing_bytes(tx, label) == spec_label(tx, label) == ltx.body
 
 
@@ -247,7 +248,7 @@ def test_objects_call_the_encoders_through_their_module_globals(monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
     tx = Transaction(1, 2, 3, True, SimSignature(b"\x07" * 32))
-    LabeledTransaction(tx, 1, 4)
+    LabeledTransaction(tx, 1)
     block = Block(1, 0, (tx,), core_types.ZERO_DIGEST, core_types.ZERO_DIGEST)
     assert len(block.hash) == core_types.DIGEST_SIZE
     VerificationMessage(0, 1, tx.txid, True, ((4, 1),), 1, SimSignature(b""))

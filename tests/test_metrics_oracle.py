@@ -159,6 +159,19 @@ def test_monte_carlo_matches_exact():
         assert abs(mc.mean_prose - exact.prose_loss) <= 3 * mc.se_prose + 1e-9
 
 
+def test_monte_carlo_matches_exact_with_absent_labels_and_initial_reps():
+    # Slot 1 is absent on two valid transactions, so it is penalized there, and
+    # starts ahead: with eta 0.8 it is drawn often, and each of its penalties moves
+    # the draw. Neither an absent label nor a non-zero start is covered elsewhere.
+    labels = [[1, None, -1], [-1, None, 1], [None, 1, 1], [1, -1, None]]
+    validity = [True, True, False, True]
+    eta, reps = 0.8, [-1, 2, 0]
+    exact = exact_expected_loss(labels, validity, eta, initial_reps=reps)
+    mc = mc_expected_loss(labels, validity, eta, n_runs=6000, seed=11, initial_reps=reps)
+    assert abs(mc.mean_proof - exact.proof_loss) <= 3 * mc.se_proof + 1e-9
+    assert abs(mc.mean_prose - exact.prose_loss) <= 3 * mc.se_prose + 1e-9
+
+
 def test_full_engine_mean_loss_matches_enumerated_oracle():
     # u=2 (honest + always-plus): the label matrix is a function of validity,
     # so the engine's expected loss is the validity-weighted oracle average
@@ -292,6 +305,27 @@ def test_wasted_verifications_grow_linearly_without_an_honest_collector():
     assert slope >= 0.9
     assert slope >= honest_slope + 0.15
     assert prose[-1] >= 3 * honest_prose[-1]
+
+
+def test_per_epoch_rule_holds_on_every_closed_epoch():
+    # Under PerEpochSqrt each closed epoch i verified T_i = T0 * 2^i transactions
+    # under eta = sqrt(ln u / T_i) and paid revenue shares summing to 1.
+    raw = dict(scenarios.doubling(), total_rounds=120)
+    cfg = ScenarioConfig.from_dict(raw)
+    _, metrics = run(cfg)
+    u = len(cfg.topology[0])
+    closed = [ep for ep in compute_regret(metrics, 0).epochs if ep.closed]
+    assert len(closed) >= 3
+    for i, ep in enumerate(closed):
+        assert ep.epoch_index == i
+        assert ep.T == cfg.T * 2 ** i
+        assert abs(ep.eta - math.sqrt(math.log(u) / ep.T)) <= 1e-15
+        assert abs(math.fsum(ep.revenue) - 1.0) <= 1e-12
+    # A Fixed eta is never retuned.
+    raw = scenarios.regret_bound(8)
+    _, metrics = run(ScenarioConfig.from_dict(raw))
+    epochs = compute_regret(metrics, 0).epochs
+    assert epochs and all(ep.eta == raw["eta_policy"]["value"] for ep in epochs)
 
 
 def test_all_honest_run_has_zero_regret():

@@ -24,7 +24,6 @@ from repuchain.nodes import (
     ProviderNode,
     SimulationError,
     StrategySpec,
-    upload_bodies,
     validate_governor,
     verification_message_bytes,
 )
@@ -64,17 +63,15 @@ def make_collector(registry, index=0, kind="Honest", q=0.0, forge_rate=1, n_prov
     )
 
 
-def upload_signatures(collectors, batch, round_no):
-    """Each uploading collector's signature over its labels in ``batch``, as
-    ``step_round`` makes them, for a governor that ingests ``batch`` in ``round_no``."""
-    by_id = {c.id: c for c in collectors}
-    return {cid: by_id[cid].sign_upload(round_no - 1, bodies)
-            for cid, bodies in upload_bodies(batch).items()}
+def signed_upload(collector, labels, round_no):
+    """``collector``'s upload of ``labels``, signed as ``step_round`` signs it, for a
+    governor that ingests it in ``round_no``."""
+    return (collector.id, list(labels), collector.sign_upload(round_no - 1, labels))
 
 
-def ingest_signed(g, collectors, batch, round_no):
-    """``g.ingest`` of ``batch`` with every upload genuinely signed."""
-    return g.ingest(batch, upload_signatures(collectors, batch, round_no), round_no)
+def ingest_signed(g, uploads, round_no):
+    """``g.ingest`` of ``(collector, labels)`` pairs, each upload genuinely signed."""
+    return g.ingest([signed_upload(c, labels, round_no) for c, labels in uploads], round_no)
 
 
 # -- providers ---------------------------------------------------------------
@@ -223,15 +220,16 @@ def test_process_labels_each_copy_by_its_rule(registry, kind, q):
         assert sum(ltx is not None for ltx in got) == len(delivered)
     for tx, ltx in zip(delivered, got):
         if ltx is not None:
-            assert (ltx.tx, ltx.collector_id) == (tx, 3)
+            assert ltx.tx == tx
             assert ltx.body == label_signing_bytes(tx, ltx.label)
 
 
 def test_collector_signature_binds_label(registry):
     c = make_collector(registry, index=2)
     txs = make_provider(registry, gen_rate=3).generate(1)
-    bodies = [c.process(tx).body for tx in txs]
-    sig = c.sign_upload(7, bodies)
+    labels = [c.process(tx) for tx in txs]
+    bodies = [ltx.body for ltx in labels]
+    sig = c.sign_upload(7, labels)
     assert registry.verify(c.keypair.public, upload_bytes(2, 7, bodies), sig)
     flipped = [bodies[0], label_signing_bytes(txs[1], -1), bodies[2]]
     for other in (upload_bytes(2, 7, flipped), upload_bytes(2, 8, bodies),
@@ -249,7 +247,7 @@ def deliver(registry, governor, tx, collector_index=0, round_no=5, kind="Honest"
                        n_providers=len(governor.rep))
     ltx = c.process(tx)
     assert ltx is not None
-    return governor.on_labeled_transaction(ltx, c.sign_upload(round_no - 1, [ltx.body]), round_no)
+    return governor.on_labeled_transaction(c.id, ltx, c.sign_upload(round_no - 1, [ltx]), round_no)
 
 
 def test_first_copy_starts_timer(registry):
@@ -269,14 +267,15 @@ def test_conflicting_label_from_same_collector_ignored(registry):
     (tx,) = p.generate(1)
     c = make_collector(registry, index=0, kind="Honest", n_providers=1)
     plus = c.process(tx)
-    minus = LabeledTransaction(tx=tx, label=-1, collector_id=0)
+    minus = LabeledTransaction(tx=tx, label=-1)
     # One upload: the first label wins, and a conflicting or exact duplicate changes nothing.
-    assert ingest_signed(g, [c], [plus, minus, plus], 1) == ["ok", "duplicate", "duplicate"]
+    assert ingest_signed(g, [(c, [plus, minus, plus])], 1) == ["ok", "duplicate", "duplicate"]
     assert g.inbox[tx.txid][2] == {0: 1}
 
 
 def _two_collector_world(registry):
-    """A governor for provider 0 on collectors (0, 1), each collector's two labels, and the collectors."""
+    """A governor for provider 0 on collectors (0, 1), its two transactions, the
+    collectors, and each collector's two labels."""
     g = make_governor(registry, topology=((0, 1),))
     a, b = make_provider(registry, gen_rate=2, connected=(0, 1)).generate(1)
     c = [make_collector(registry, index=j) for j in (0, 1)]
@@ -287,22 +286,22 @@ def _two_collector_world(registry):
 def test_bad_collector_signature_dropped(registry):
     g, (a, b), _, (labels0, _) = _two_collector_world(registry)
     bad = SimSignature(b"\1" * 32)
-    assert g.ingest(labels0, {0: bad}, 1) == ["bad_collector_sig"] * 2
+    assert g.ingest([(0, labels0, bad)], 1) == ["bad_collector_sig"] * 2
     assert g.dropped_bad_signature == 2  # counted per copy
     assert not g.inbox
 
 
 def test_relabeled_copy_with_original_signature_refused(registry):
     g, (a, b), c, (labels0, _) = _two_collector_world(registry)
-    signatures = upload_signatures(c, labels0, 1)
+    signature = c[0].sign_upload(0, labels0)
     flipped = dataclasses.replace(labels0[1], label=-labels0[1].label)
     assert flipped.body == label_signing_bytes(b, -labels0[1].label) != labels0[1].body
-    assert g.ingest([labels0[0], flipped], signatures, 1) == ["bad_collector_sig"] * 2
+    assert g.ingest([(0, [labels0[0], flipped], signature)], 1) == ["bad_collector_sig"] * 2
     assert not g.inbox and g.dropped_bad_signature == 2
-    assert g.ingest(labels0, signatures, 1) == ["ok", "ok"]  # the genuine upload lands
+    assert g.ingest([(0, labels0, signature)], 1) == ["ok", "ok"]  # the genuine upload lands
     # No caller can hand a label or a verdict the bytes of the record it copies.
     with pytest.raises(TypeError):
-        LabeledTransaction(b, -labels0[1].label, 0, labels0[1].body)
+        LabeledTransaction(b, -labels0[1].label, labels0[1].body)
     msg = g.screen(a.txid).message
     with pytest.raises(TypeError):
         nodes.VerificationMessage(msg.leader_id, msg.provider_id, msg.txid, not msg.validbit,
@@ -311,46 +310,52 @@ def test_relabeled_copy_with_original_signature_refused(registry):
 
 def test_label_moved_into_another_collectors_upload_refuses_both(registry):
     g, (a, b), c, (labels0, labels1) = _two_collector_world(registry)
-    signatures = upload_signatures(c, [labels0[0], labels0[1], labels1[0]], 1)
-    moved = dataclasses.replace(labels0[1], collector_id=1)
-    assert g.ingest([labels0[0], labels1[0], moved], signatures, 1) == ["bad_collector_sig"] * 3
+    sig0, sig1 = c[0].sign_upload(0, labels0), c[1].sign_upload(0, labels1[:1])
+    moved = [(0, labels0[:1], sig0), (1, [labels1[0], labels0[1]], sig1)]
+    assert g.ingest(moved, 1) == ["bad_collector_sig"] * 3
     assert not g.inbox and g.dropped_bad_signature == 3
+    # A whole upload carried under another collector's id is refused too.
+    assert g.ingest([(1, labels0, sig0)], 1) == ["bad_collector_sig"] * 2
+    assert not g.inbox and g.dropped_bad_signature == 5
 
 
 def test_upload_replayed_under_another_round_is_refused(registry):
     g, (a, b), c, (labels0, _) = _two_collector_world(registry)
-    signatures = upload_signatures(c, labels0, 5)  # uploaded in round 4, due in round 5
+    upload = signed_upload(c[0], labels0, 5)  # uploaded in round 4, due in round 5
     for r in (4, 6):
-        assert g.ingest(labels0, signatures, r) == ["bad_collector_sig"] * 2
+        assert g.ingest([upload], r) == ["bad_collector_sig"] * 2
     assert not g.inbox
-    assert g.ingest(labels0, signatures, 5) == ["ok", "ok"]
+    assert g.ingest([upload], 5) == ["ok", "ok"]
 
 
-def test_collector_with_labels_but_no_signature_is_refused(registry):
+def test_labels_outside_the_signed_upload_are_refused(registry):
+    # An upload always carries a signature; labels its signature does not cover,
+    # appended after signing or under the signature of an empty upload, refuse it whole.
     g, (a, b), c, (labels0, labels1) = _two_collector_world(registry)
-    batch = [labels0[0], labels1[0], labels0[1], labels1[1]]
-    signatures = upload_signatures(c, batch, 1)
-    del signatures[1]
-    assert g.ingest(batch, signatures, 1) == ["ok", "bad_collector_sig"] * 2
-    assert g.ingest(labels1, {}, 1) == ["bad_collector_sig"] * 2
+    appended = (1, labels1, c[1].sign_upload(0, labels1[:1]))
+    assert g.ingest([signed_upload(c[0], labels0, 1), appended], 1) == \
+        ["ok", "ok", "bad_collector_sig", "bad_collector_sig"]
+    assert g.ingest([(1, labels1, c[1].sign_upload(0, []))], 1) == ["bad_collector_sig"] * 2
     assert g.dropped_bad_signature == 4
+    assert g.inbox[a.txid][2] == g.inbox[b.txid][2] == {0: 1}
 
 
 def test_bad_upload_leaves_another_collectors_labels_ok(registry):
     g, (a, b), c, (labels0, labels1) = _two_collector_world(registry)
-    batch = [labels0[0], labels1[0], labels0[1], labels1[1]]
-    signatures = {**upload_signatures(c, batch, 1), 0: SimSignature(b"\1" * 32)}
-    assert g.ingest(batch, signatures, 1) == ["bad_collector_sig", "ok"] * 2
+    uploads = [(0, labels0, SimSignature(b"\1" * 32)), signed_upload(c[1], labels1, 1)]
+    assert g.ingest(uploads, 1) == ["bad_collector_sig"] * 2 + ["ok"] * 2
     assert g.inbox[a.txid][2] == g.inbox[b.txid][2] == {1: 1}
     assert g.dropped_bad_signature == 2
 
 
 def test_a_round_signs_one_upload_per_uploading_collector(monkeypatch):
     # Labelling signs nothing; each collector that uploads anything, forgeries
-    # included, signs once at the end of the round.
+    # included, signs once at the end of the round. The leader signs each verdict
+    # through the same module global, which the benchmark's tracer rebinds.
     cfg = ScenarioConfig.from_dict(scenarios.properties(10))
     w = init_world(cfg)
     collector_keys = {c.keypair.node_id: c.id for c in w.collectors}
+    governor_keys = {g.keypair.node_id for g in w.governors}
     signed = []
     original_sign, original_process = nodes.sign, CollectorNode.process
 
@@ -368,13 +373,19 @@ def test_a_round_signs_one_upload_per_uploading_collector(monkeypatch):
     monkeypatch.setattr(CollectorNode, "process", process_signing_nothing)
     forgers = {c.id for c in w.collectors if c.strategy.kind == "Forger"}
     assert forgers
+    signed_verdicts = 0
     for _ in range(8):
         signed.clear()
         step_round(w)
-        labels, signatures = w.to_governors
-        uploaders = {ltx.collector_id for ltx in labels}
-        assert forgers <= uploaders and set(signatures) == uploaders
-        assert sorted(collector_keys[k] for k in signed if k in collector_keys) == sorted(uploaders)
+        uploaders = [cid for cid, _, _ in w.to_governors]
+        assert uploaders == sorted(set(uploaders))  # one upload a collector, in id order
+        assert all(labels for _, labels, _ in w.to_governors)
+        assert forgers <= set(uploaders)
+        assert sorted(collector_keys[k] for k in signed if k in collector_keys) == uploaders
+        verdicts = sum(k in governor_keys for k in signed)
+        assert verdicts == w.metrics.rounds[-1].txs_verified
+        signed_verdicts += verdicts
+    assert signed_verdicts > 0
 
 
 def test_forged_transactions_rejected_10k_attempts(registry):
@@ -383,7 +394,7 @@ def test_forged_transactions_rejected_10k_attempts(registry):
                             n_providers=2)
     attempts = forger.forge(round_no=1, provider_count=2)
     assert len(attempts) == 10_000
-    codes = ingest_signed(g, [forger], attempts, 2)  # the upload's own signature is genuine
+    codes = ingest_signed(g, [(forger, attempts)], 2)  # the upload's own signature is genuine
     assert codes == ["forged"] * 10_000
     assert g.dropped_forged == 10_000
     assert not g.inbox
@@ -401,35 +412,33 @@ def test_batched_ingest_matches_one_copy_at_a_time(registry):
         g.pending[verified.txid] = (verified, ((0, 1),))
         g.ledger.settled.add(settled.txid)
     forged_tx = Transaction(0, 99, 1, True, SimSignature(b"\x42" * 32))
-    batch = [
-        c0.process(a),
-        c1.process(a),
-        LabeledTransaction(a, -1, 0),  # conflicting
-        c0.process(a),
-        c3.process(b),  # collector 3's upload carries a bad tag
-        LabeledTransaction(b, 1, 9),  # unknown collector
-        LabeledTransaction(forged_tx, 1, 0),
-        c2.process(b),  # collector 2 does not serve provider 0
-        c1.process(verified),
-        c1.process(settled),
-        c1.process(b),
-        c2.process(d),
-    ]
     bad = SimSignature(b"\x01" * 32)
+    uploads = [
+        signed_upload(c0, [
+            c0.process(a),
+            LabeledTransaction(a, -1),  # conflicting
+            c0.process(a),
+            LabeledTransaction(forged_tx, 1),
+        ], 5),
+        (3, [c3.process(b)], bad),  # collector 3's upload carries a bad tag
+        signed_upload(c1, [c1.process(a), c1.process(verified), c1.process(settled),
+                           c1.process(b)], 5),
+        (9, [LabeledTransaction(b, 1)], bad),  # unknown collector
+        signed_upload(c2, [c2.process(b), c2.process(d)], 5),  # 2 does not serve provider 0
+    ]
+    signers = {0: c0, 1: c1, 2: c2}
 
-    def one_label_signature(ltx):
-        signer = {0: c0, 1: c1, 2: c2}.get(ltx.collector_id)
-        return bad if signer is None else signer.sign_upload(4, [ltx.body])
+    def one_label_signature(cid, ltx):
+        signer = signers.get(cid)
+        return bad if signer is None else signer.sign_upload(4, [ltx])
 
     batched, one_by_one = governors
-    genuine = [ltx for ltx in batch if ltx.collector_id in (0, 1, 2)]
-    signatures = {**upload_signatures([c0, c1, c2], genuine, 5), 3: bad, 9: bad}
-    codes = batched.ingest(batch, signatures, 5)
-    assert codes == [one_by_one.on_labeled_transaction(ltx, one_label_signature(ltx), 5)
-                     for ltx in batch]
-    assert codes == ["ok", "ok", "duplicate", "duplicate", "bad_collector_sig",
-                     "bad_collector_sig", "forged", "not_connected", "settled", "settled",
-                     "ok", "ok"]
+    codes = batched.ingest(uploads, 5)
+    assert codes == [one_by_one.on_labeled_transaction(cid, ltx, one_label_signature(cid, ltx), 5)
+                     for cid, labels, _ in uploads for ltx in labels]
+    assert codes == ["ok", "duplicate", "duplicate", "forged", "bad_collector_sig",
+                     "ok", "settled", "settled", "ok", "bad_collector_sig",
+                     "not_connected", "ok"]
     assert list(batched.inbox.items()) == list(one_by_one.inbox.items())
     assert list(batched.inbox) == [a.txid, b.txid, d.txid]
     assert batched.inbox[a.txid] == (a, 6, {0: 1, 1: 1})
@@ -449,13 +458,14 @@ def test_labels_are_filed_and_signed_by_slot_not_collector_id(registry):
          for j, kind in enumerate(kinds)]
     (bad,) = make_provider(registry, node_id=0, connected=(3, 1), invalid=1.0).generate(1)
     (good,) = make_provider(registry, node_id=1, connected=(1, 0)).generate(1)
-    copies = [c[3].process(bad), c[1].process(bad), c[1].process(good), c[0].process(good)]
+    uploads = [(c[0], [c[0].process(good)]), (c[1], [c[1].process(bad), c[1].process(good)]),
+               (c[3], [c[3].process(bad)])]
     for g in (leader, replica):
-        assert ingest_signed(g, c, copies, 1) == ["ok"] * 4
+        assert ingest_signed(g, uploads, 1) == ["ok"] * 4
         assert g.inbox[bad.txid][2] == {0: 1, 1: -1}
         assert g.inbox[good.txid][2] == {0: 1, 1: -1}
-        stray = [c[2].process(good), c[3].process(good), c[1].process(good)]
-        assert ingest_signed(g, c, stray, 2) == ["not_connected", "not_connected", "duplicate"]
+        stray = [(cj, [cj.process(good)]) for cj in (c[2], c[3], c[1])]
+        assert ingest_signed(g, stray, 2) == ["not_connected", "not_connected", "duplicate"]
         assert g.inbox[good.txid][2] == {0: 1, 1: -1}
     results = [leader.screen(tx.txid) for tx in (bad, good)]
     assert [res.outcome for res in results] == ["invalid", "valid"]
@@ -478,8 +488,8 @@ def test_detached_provider_signature_is_forged(registry):
     before = dict(g.inbox)
     detached = Transaction(tx.provider_id, tx.seq + 1, tx.timestamp, False, tx.signature)
     c0 = make_collector(registry)
-    copy = LabeledTransaction(detached, 1, 0)
-    assert ingest_signed(g, [c0], [copy], 5) == ["forged"]
+    copy = LabeledTransaction(detached, 1)
+    assert ingest_signed(g, [(c0, [copy])], 5) == ["forged"]
     assert g.dropped_forged == 1
     assert g.inbox == before
     with pytest.raises(TypeError):
@@ -502,8 +512,8 @@ def test_copy_under_an_accepted_txid_with_other_bytes_is_checked(registry):
     forged = _tag_flipped(tx)
     assert forged.txid == tx.txid and forged.wire_bytes != tx.wire_bytes
     c1 = make_collector(registry, index=1)
-    copy = LabeledTransaction(forged, 1, 1)
-    assert ingest_signed(g, [c1], [copy], 5) == ["forged"]
+    copy = LabeledTransaction(forged, 1)
+    assert ingest_signed(g, [(c1, [copy])], 5) == ["forged"]
     assert g.dropped_forged == 1
     (held, expiry, labels) = g.inbox[tx.txid]
     assert (held, expiry, labels) == (tx, 6, {0: 1})
@@ -514,8 +524,8 @@ def test_copy_under_an_accepted_txid_with_other_bytes_is_checked(registry):
 
 def test_each_governor_checks_a_provider_signature_once(registry, monkeypatch):
     # k copies from k collectors cost k upload checks and one provider check per
-    # governor, and a block packing the head of pending costs the leader-signature
-    # check alone.
+    # governor (the first copy's; the others carry the same bytes), and a block
+    # packing the head of pending costs the leader-signature check alone.
     k = 3
     topology = ((0, 1, 2),)
     leader, replica = (make_governor(registry, topology=topology, gov_index=i) for i in (0, 1))
@@ -523,7 +533,7 @@ def test_each_governor_checks_a_provider_signature_once(registry, monkeypatch):
     (tx,) = make_provider(registry, connected=(0, 1, 2)).generate(1)
     collectors = [make_collector(registry, index=j) for j in range(k)]
     copies = [c.process(tx) for c in collectors]
-    signatures = upload_signatures(collectors, copies, 1)
+    uploads = [signed_upload(c, [copy], 1) for c, copy in zip(collectors, copies)]
     checked = []
     original = KeyRegistry.verify
 
@@ -534,9 +544,9 @@ def test_each_governor_checks_a_provider_signature_once(registry, monkeypatch):
     monkeypatch.setattr(KeyRegistry, "verify", counting)
     for g in (leader, replica):
         checked.clear()
-        assert g.ingest(copies, signatures, 1) == ["ok"] * k
-        assert checked == [*(upload_bytes(j, 0, [c.body]) for j, c in enumerate(copies)),
-                           tx.signing_bytes]
+        assert g.ingest(uploads, 1) == ["ok"] * k
+        upload_checks = [upload_bytes(j, 0, [c.body]) for j, c in enumerate(copies)]
+        assert checked == [upload_checks[0], tx.signing_bytes, *upload_checks[1:]]
     res = leader.screen(tx.txid)
     assert res.outcome == "valid"
     checked.clear()
@@ -575,9 +585,9 @@ def test_signers_encode_each_signed_record_once(registry, monkeypatch):
     ltx = c.process(tx)
     assert calls == {"tx_signing_bytes": 6, "label_signing_bytes": 1}
     assert ltx.body == label_signing_bytes(tx, 1)
-    signature = c.sign_upload(0, [ltx.body])
+    signature = c.sign_upload(0, [ltx])
     assert calls == {"tx_signing_bytes": 6, "label_signing_bytes": 1, "upload_bytes": 1}
-    assert g.ingest([ltx], {c.id: signature}, 1) == ["ok"]
+    assert g.ingest([(c.id, [ltx], signature)], 1) == ["ok"]
     res = g.screen(tx.txid)
     assert res.outcome == "valid"
     assert calls == {"tx_signing_bytes": 6, "label_signing_bytes": 1, "upload_bytes": 2,

@@ -385,9 +385,10 @@ def _record_ingested(g, seen):
     """Wrap one governor's ingest so every txid it accepts lands in ``seen``."""
     ingest = g.ingest
 
-    def wrapped(batch, signatures, round_no):
-        codes = ingest(batch, signatures, round_no)
-        seen.update(ltx.tx.txid for ltx, code in zip(batch, codes) if code == "ok")
+    def wrapped(uploads, round_no):
+        codes = ingest(uploads, round_no)
+        copies = [ltx for _, labels, _ in uploads for ltx in labels]
+        seen.update(ltx.tx.txid for ltx, code in zip(copies, codes) if code == "ok")
         return codes
 
     g.ingest = wrapped
@@ -476,7 +477,7 @@ def test_step_round_restores_the_callers_collector_setting(enabled, collector_se
     w = init_world(cfg)
     g0 = w.governors[0]
     ingest, during = g0.ingest, []
-    g0.ingest = lambda batch, sigs, r: during.append(gc.isenabled()) or ingest(batch, sigs, r)
+    g0.ingest = lambda uploads, r: during.append(gc.isenabled()) or ingest(uploads, r)
     (gc.enable if enabled else gc.disable)()
     for _ in range(12):
         step_round(w)
