@@ -172,8 +172,6 @@ def validate_block(
     signed: SignedBlock,
     expected_leader: int,
     registry: KeyRegistry,
-    leader_public: bytes | None,
-    provider_publics: Mapping[int, bytes],
     b_limit: int,
     pending: Mapping[TxId, PendingEntry],
     round_lists: RoundLists,
@@ -188,8 +186,8 @@ def validate_block(
     equal its ``pending`` entry's is not checked again; any other is checked
     before the order is. The block's ``mt_root`` must commit to the round's
     broadcast lists. No packed or invalid-listed txid may be in
-    ``ledger.settled`` already: each transaction is settled once. A
-    ``leader_public`` of None (an unknown leader) fails the signature check.
+    ``ledger.settled`` already: each transaction is settled once. Signers are
+    looked up by role in ``registry``; one not enrolled fails its check.
     """
     block = signed.block
     last = ledger.last
@@ -199,7 +197,7 @@ def validate_block(
         return Violation.CHAIN_INTEGRITY
     if block.leader_id != expected_leader:
         return Violation.WRONG_LEADER
-    if not registry.verify(leader_public, block_bytes(block), signed.signature):
+    if not registry.verify_as("governor", expected_leader, block_bytes(block), signed.signature):
         return Violation.BAD_LEADER_SIGNATURE
     tx_list = block.tx_list
     if len(tx_list) > b_limit:
@@ -208,7 +206,7 @@ def validate_block(
     for tx in tx_list:
         queued, labels = next(head, (None, ()))
         if ((queued is None or queued.wire_bytes != tx.wire_bytes)
-                and not registry.verify_tx(provider_publics, tx)):
+                and not registry.verify_tx(tx)):
             return Violation.BAD_TX_SIGNATURE
         if queued != tx or not any(lab == 1 for _, lab in labels):
             return Violation.UNLABELED_TX
@@ -228,15 +226,12 @@ def validate_and_append(
     signed: SignedBlock,
     expected_leader: int,
     registry: KeyRegistry,
-    leader_public: bytes | None,
-    provider_publics: Mapping[int, bytes],
     b_limit: int,
     pending: Mapping[TxId, PendingEntry],
     round_lists: RoundLists,
 ) -> Violation | None:
     violation = validate_block(
-        ledger, signed, expected_leader, registry, leader_public, provider_publics,
-        b_limit, pending, round_lists,
+        ledger, signed, expected_leader, registry, b_limit, pending, round_lists,
     )
     if violation is not None:
         return violation

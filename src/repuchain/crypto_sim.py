@@ -5,6 +5,11 @@ issued keys that models the identity manager installing verification keys on
 every node. This gives unforgeability-by-assumption without real asymmetric
 crypto, keeps runs reproducible, and needs no dependencies.
 
+The registry is the one identity directory: ``KeyRegistry.enrol`` installs
+a node's public under its role (provider, collector or governor) and index,
+and ``verify_as`` checks a signature as that member's, so a genuine key of
+another role verifies nothing. No node or block check holds a key map.
+
 A tag is SHA-256 over ``b"sig" + secret + msg``. A ``KeyPair`` carries, as
 ``sig_state``, the SHA-256 state after ``b"sig" + secret``, built once with
 the key; ``sign`` and every check copy it and hash their own message into the
@@ -13,7 +18,7 @@ verdicts: a check is a pure function of the key, the bytes and the tag, and a
 governor that has already accepted a transaction's exact bytes does not ask
 again (``nodes.GovernorNode.ingest``, ``consensus.validate_block``).
 ``KeyRegistry.verify`` alone refuses unknown signers: an unregistered public,
-or None for a node id with no public, verifies nothing.
+or None for a member with no public, verifies nothing.
 
 The VRF is a pair of keyed hashes: a governor's value and proof for an
 input are SHA-256 over ``b"vrf" + secret + input`` and
@@ -28,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from .core_types import SimSignature, Transaction, enc_int, sha256
 
@@ -85,16 +89,25 @@ class KeyRegistry:
 
     All key material derives from one root seed, so a scenario's identities
     are reproducible. Verification of unknown publics fails closed.
+    ``members`` maps each role to ``{index: public}``.
     """
 
     def __init__(self, root_seed: int = 0):
         self._root = enc_int(root_seed)
         self._keys: dict[bytes, KeyPair] = {}
+        self.members: dict[str, dict[int, bytes]] = {
+            role: {} for role in ("provider", "collector", "governor")}
 
     def issue(self, node_id: int) -> KeyPair:
         secret = sha256(b"key" + self._root + enc_int(node_id))
         kp = keypair_from_secret(node_id, secret)
         self.register(kp)
+        return kp
+
+    def enrol(self, role: str, index: int, node_id: int) -> KeyPair:
+        """Issue ``node_id``'s key and install its public as ``role`` member ``index``."""
+        kp = self.issue(node_id)
+        self.members[role][index] = kp.public
         return kp
 
     def register(self, kp: KeyPair) -> None:
@@ -108,9 +121,14 @@ class KeyRegistry:
         h.update(msg)
         return h.digest() == sig.tag
 
-    def verify_tx(self, provider_publics: Mapping[int, bytes], tx: Transaction) -> bool:
+    def verify_as(self, role: str, index: int, msg: bytes, sig: SimSignature) -> bool:
+        """Check ``sig`` as ``role`` member ``index``'s; a member not enrolled fails closed."""
+        return self.verify(self.members[role].get(index), msg, sig)
+
+    def verify_tx(self, tx: Transaction) -> bool:
         """Check a transaction's provider signature; unknown providers fail closed."""
-        return self.verify(provider_publics.get(tx.provider_id), tx.signing_bytes, tx.signature)
+        return self.verify(self.members["provider"].get(tx.provider_id), tx.signing_bytes,
+                           tx.signature)
 
     def vrf_verify(self, public: bytes, vrf_input: bytes, out: VrfOutput) -> bool:
         kp = self._keys.get(public)

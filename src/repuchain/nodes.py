@@ -53,7 +53,8 @@ is not checked again, in ``ingest`` or in ``validate_block``. Any other copy
 is, even under a txid already held: ``Transaction`` equality ignores the
 carried bytes, so only the bytes themselves can stand for the check. Every
 collector upload is checked by every governor, every leader signature on
-every copy, and no verdict passes between nodes.
+every copy, and no verdict passes between nodes. Each check looks its signer
+up by role in the shared ``KeyRegistry``; no node holds another's public key.
 
 Ground truth is read exclusively through ``validate_collector`` /
 ``validate_governor``; the rest of the node logic treats validity as unknown.
@@ -163,14 +164,12 @@ class ProviderNode:
         self,
         node_id: int,
         keypair: KeyPair,
-        connected_collectors: tuple[int, ...],
         gen_rate: int,
         invalid_fraction: float,
         rng,
     ):
         self.id = node_id
         self.keypair = keypair
-        self.connected_collectors = connected_collectors
         self.gen_rate = gen_rate
         self.invalid_fraction = invalid_fraction
         self.rng = rng
@@ -212,7 +211,6 @@ class CollectorNode:
         keypair: KeyPair,
         strategy: StrategySpec,
         registry: KeyRegistry,
-        provider_publics: dict[int, bytes],
         rng,
     ):
         self.id = node_id
@@ -220,7 +218,6 @@ class CollectorNode:
         self.strategy = strategy
         self.label_rule = LABEL_RULES[strategy.kind]
         self.registry = registry
-        self.provider_publics = provider_publics
         self.rng = rng
         self.ignored: set[TxId] = set()
         self.dropped_bad_signature = 0
@@ -238,7 +235,7 @@ class CollectorNode:
         """
         if tx.txid in self.ignored:
             return None
-        if not self.registry.verify_tx(self.provider_publics, tx):
+        if not self.registry.verify_tx(tx):
             self.dropped_bad_signature += 1
             return None
         label = self.label_rule(1 if validate_collector(tx) else -1, self.rng, self.strategy.q)
@@ -367,9 +364,6 @@ class GovernorNode:
         keypair: KeyPair,
         registry: KeyRegistry,
         topology: tuple[tuple[int, ...], ...],
-        provider_publics: dict[int, bytes],
-        collector_publics: dict[int, bytes],
-        governor_publics: dict[int, bytes],
         initial_threshold: int,
         eta_policy: EtaPolicy,
         mu: float,
@@ -385,9 +379,6 @@ class GovernorNode:
         for provider, collectors in enumerate(topology):
             for slot, cid in enumerate(collectors):
                 self.slot_of.setdefault(cid, {})[provider] = slot
-        self.provider_publics = provider_publics
-        self.collector_publics = collector_publics
-        self.governor_publics = governor_publics
         self.eta_policy = eta_policy
         self.mu = mu
         self.delta_rounds = delta_rounds
@@ -421,10 +412,8 @@ class GovernorNode:
         transaction is verified or settled ("settled"), or that slot's label
         is already in ("duplicate": the first label wins, conflicting or not).
         """
-        verify = self.registry.verify
+        verify_as = self.registry.verify_as
         verify_tx = self.registry.verify_tx
-        collector_publics = self.collector_publics
-        provider_publics = self.provider_publics
         inbox = self.inbox
         pending = self.pending
         settled = self.ledger.settled
@@ -433,8 +422,8 @@ class GovernorNode:
         codes: list[str] = []
         code = codes.append
         for cid, labels, signature in uploads:
-            if not verify(collector_publics.get(cid),
-                          upload_bytes(cid, sent, [ltx.body for ltx in labels]), signature):
+            if not verify_as("collector", cid,
+                             upload_bytes(cid, sent, [ltx.body for ltx in labels]), signature):
                 self.dropped_bad_signature += len(labels)
                 codes += ["bad_collector_sig"] * len(labels)
                 continue
@@ -444,7 +433,7 @@ class GovernorNode:
                 txid = tx.txid
                 entry = inbox.get(txid)
                 if ((entry is None or entry[0].wire_bytes != tx.wire_bytes)
-                        and not verify_tx(provider_publics, tx)):
+                        and not verify_tx(tx)):
                     self.dropped_forged += 1
                     code("forged")
                     continue
@@ -527,8 +516,8 @@ class GovernorNode:
 
     def on_verification_message(self, msg: VerificationMessage) -> None:
         """Replay the leader's verdict; raise, changing nothing, unless signed and next."""
-        lpub = self.governor_publics.get(msg.leader_id)
-        if not self.registry.verify(lpub, msg.signing_bytes, msg.signature):
+        if not self.registry.verify_as("governor", msg.leader_id, msg.signing_bytes,
+                                       msg.signature):
             raise SimulationError(f"bad leader signature on verification message {msg.txid}")
         self.assert_no_gaps(msg)
         self.apply_verdict(msg)
@@ -576,8 +565,7 @@ class GovernorNode:
         """Append ``leader_id``'s block, then drop its payload and unchecked list;
         raise ``ChainViolation``, changing nothing, if it fails validation."""
         violation = validate_and_append(
-            self.ledger, signed, leader_id, self.registry, self.governor_publics.get(leader_id),
-            self.provider_publics, self.b_limit, self.pending, lists,
+            self.ledger, signed, leader_id, self.registry, self.b_limit, self.pending, lists,
         )
         if violation is not None:
             raise ChainViolation(violation, f"block {signed.block.serial}, governor {self.id}")

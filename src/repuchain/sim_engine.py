@@ -240,20 +240,14 @@ class World:
         self.feedback: tuple[RoundLists, tuple[Transaction, ...]] | None = None  # lists, payload
         self.metrics = MetricsLog(config.l)
 
-        provider_kps = [self.registry.issue(i) for i in range(config.l)]
-        collector_kps = [self.registry.issue(config.l + j) for j in range(config.n)]
-        governor_kps = [self.registry.issue(config.l + config.n + k) for k in range(config.m)]
-        provider_publics = {i: kp.public for i, kp in enumerate(provider_kps)}
-        collector_publics = {j: kp.public for j, kp in enumerate(collector_kps)}
-        governor_publics = {k: kp.public for k, kp in enumerate(governor_kps)}
-        self.governor_kps = governor_kps
-        self.provider_publics = provider_publics
+        # A key's secret derives from its node id, so every tag and hash depends on these ids.
+        enrol = self.registry.enrol
+        self.provider_publics = self.registry.members["provider"]  # bench/verify.py reads it
 
         self.providers = [
             ProviderNode(
                 node_id=i,
-                keypair=provider_kps[i],
-                connected_collectors=config.topology[i],
+                keypair=enrol("provider", i, i),
                 gen_rate=config.gen_rate,
                 invalid_fraction=config.invalid_fraction,
                 rng=substream(config.seed, "provider", i),
@@ -263,10 +257,9 @@ class World:
         self.collectors = [
             CollectorNode(
                 node_id=j,
-                keypair=collector_kps[j],
+                keypair=enrol("collector", j, config.l + j),
                 strategy=config.strategies[j],
                 registry=self.registry,
-                provider_publics=provider_publics,
                 rng=substream(config.seed, "collector", j),
             )
             for j in range(config.n)
@@ -274,12 +267,9 @@ class World:
         self.governors = [
             GovernorNode(
                 node_id=k,
-                keypair=governor_kps[k],
+                keypair=enrol("governor", k, config.l + config.n + k),
                 registry=self.registry,
                 topology=config.topology,
-                provider_publics=provider_publics,
-                collector_publics=collector_publics,
-                governor_publics=governor_publics,
                 initial_threshold=config.T,
                 eta_policy=config.eta_policy,
                 mu=config.mu,
@@ -379,13 +369,13 @@ def _round(world: World) -> World:
     # Phase 1: collecting.
     sends_pc: list[Transaction] = []
     messages_pc = 0
-    for p in world.providers:
+    for p, adj in zip(world.providers, config.topology):
         fresh = p.generate(r)
         for tx in fresh:
             metrics.record_generated(tx.txid, r, tx.ground_truth_valid)
         sent = fresh + resubmissions.get(p.id, [])
         sends_pc += sent
-        messages_pc += len(sent) * len(p.connected_collectors)
+        messages_pc += len(sent) * len(adj)
     arrived, world.to_collectors = world.to_collectors, sends_pc
 
     # Phase 2: uploading (labels what arrived this round, i.e. sent at r-1):
@@ -415,7 +405,8 @@ def _round(world: World) -> World:
         g.ingest(delivered, r)
 
     round_seed = governors[0].ledger.tip_hash()
-    election = elect_leader(config.stakes, round_seed, world.governor_kps, world.registry)
+    election = elect_leader(config.stakes, round_seed, [g.keypair for g in governors],
+                            world.registry)
     leader_idx = election.winner
     leader = governors[leader_idx]
 

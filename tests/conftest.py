@@ -35,26 +35,23 @@ def make_governor(
     n_providers=None,
     n_collectors=None,
 ) -> GovernorNode:
-    """Wire up a single governor with issued keys for the given topology."""
+    """Wire up a single governor for the given topology, enrolling its providers
+    (node ids 0..), collectors (1000 + index) and itself (2000 + gov_index)."""
     n_providers = n_providers if n_providers is not None else len(topology)
     n_collectors = (
         n_collectors
         if n_collectors is not None
         else 1 + max(c for adj in topology for c in adj)
     )
-    provider_publics = {i: registry.issue(i).public for i in range(n_providers)}
-    collector_publics = {
-        j: registry.issue(1000 + j).public for j in range(n_collectors)
-    }
-    gov_kp = registry.issue(2000 + gov_index)
+    for i in range(n_providers):
+        registry.enrol("provider", i, i)
+    for j in range(n_collectors):
+        registry.enrol("collector", j, 1000 + j)
     return GovernorNode(
         node_id=gov_index,
-        keypair=gov_kp,
+        keypair=registry.enrol("governor", gov_index, 2000 + gov_index),
         registry=registry,
         topology=[tuple(adj) for adj in topology],
-        provider_publics=provider_publics,
-        collector_publics=collector_publics,
-        governor_publics={gov_index: gov_kp.public},
         initial_threshold=threshold,
         eta_policy=EtaPolicy(kind="Fixed", value=eta),
         mu=mu,

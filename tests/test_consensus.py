@@ -42,8 +42,8 @@ class Chain:
 
     def __init__(self, registry=None):
         self.registry = registry or KeyRegistry(root_seed=99)
-        self.provider_kp = self.registry.issue(0)
-        self.leader_kp = self.registry.issue(50)
+        self.provider_kp = self.registry.enrol("provider", 0, 0)
+        self.leader_kp = self.registry.enrol("governor", 0, 50)
         self.leader_id = 0
         self.ledger = Ledger()
         self.pending = {}
@@ -79,8 +79,6 @@ class Chain:
         """Validate and append; on success the payload leaves ``pending``, as on a governor."""
         violation = validate_and_append(
             self.ledger, signed, self.leader_id, self.registry,
-            leader_public=self.leader_kp.public,
-            provider_publics={0: self.provider_kp.public},
             b_limit=self.b_limit,
             pending=self.pending,
             round_lists=lists,
@@ -93,8 +91,6 @@ class Chain:
     def validate_only(self, signed, lists):
         return validate_block(
             self.ledger, signed, self.leader_id, self.registry,
-            leader_public=self.leader_kp.public,
-            provider_publics={0: self.provider_kp.public},
             b_limit=self.b_limit,
             pending=self.pending,
             round_lists=lists,

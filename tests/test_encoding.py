@@ -118,7 +118,7 @@ def test_upload_vector(crypto_vectors):
     assert spec_upload(v["collector_id"], v["round"], bodies) == body
     assert sign(kp, body).tag.hex() == v["signature"]
     collector = nodes.CollectorNode(v["collector_id"], kp, nodes.StrategySpec("Honest"),
-                                    None, {}, None)
+                                    None, None)
     assert collector.sign_upload(v["round"], labels).tag.hex() == v["signature"]
 
 

@@ -40,11 +40,10 @@ class ForcedRng:
         return self.values.pop(0) if self.values else 0.0
 
 
-def make_provider(registry, node_id=0, connected=(0,), gen_rate=1, invalid=0.0):
+def make_provider(registry, node_id=0, gen_rate=1, invalid=0.0):
     return ProviderNode(
         node_id=node_id,
         keypair=registry.issue(node_id),
-        connected_collectors=tuple(connected),
         gen_rate=gen_rate,
         invalid_fraction=invalid,
         rng=substream(42, "provider", node_id),
@@ -52,13 +51,14 @@ def make_provider(registry, node_id=0, connected=(0,), gen_rate=1, invalid=0.0):
 
 
 def make_collector(registry, index=0, kind="Honest", q=0.0, forge_rate=1, n_providers=1):
-    publics = {i: registry.issue(i).public for i in range(n_providers)}
+    """Collector ``index`` (node id 1000 + index), enrolled with providers 0..n_providers-1."""
+    for i in range(n_providers):
+        registry.enrol("provider", i, i)
     return CollectorNode(
         node_id=index,
-        keypair=registry.issue(1000 + index),
+        keypair=registry.enrol("collector", index, 1000 + index),
         strategy=StrategySpec(kind=kind, q=q, forge_rate=forge_rate),
         registry=registry,
-        provider_publics=publics,
         rng=substream(42, "collector", index),
     )
 
@@ -169,7 +169,7 @@ def test_collector_drops_bad_provider_signature(registry):
     forged = Transaction(0, 1, 1, True, SimSignature(b"\x42" * 32))
     assert c.process(forged) is None
     assert c.dropped_bad_signature == 1
-    # A registered key, but provider 7 has no public on this collector.
+    # A registered key, but not enrolled as provider 7.
     unknown = Transaction(7, 1, 1, True, sign(registry.issue(7), tx_signing_bytes(7, 1, 1)))
     assert c.process(unknown) is None
     assert c.dropped_bad_signature == 2
@@ -190,7 +190,7 @@ def test_process_labels_each_copy_by_its_rule(registry, kind, q):
     txs = [tx for i in range(2) for tx in make_provider(
         registry, node_id=i, gen_rate=12, invalid=0.3).generate(1)]
     bad_tag = Transaction(0, 99, 1, True, SimSignature(b"\x42" * 32))
-    # A registered key, but provider 7 has no public on this collector.
+    # A registered key, but not enrolled as provider 7.
     unknown = Transaction(7, 1, 1, True, sign(registry.issue(7), tx_signing_bytes(7, 1, 1)))
     ignored = txs[7]
     c = make_collector(registry, index=3, kind=kind, q=q, n_providers=2)
@@ -252,7 +252,7 @@ def deliver(registry, governor, tx, collector_index=0, round_no=5, kind="Honest"
 
 def test_first_copy_starts_timer(registry):
     g = make_governor(registry, topology=((0, 1),), delta_rounds=2)
-    p = make_provider(registry, gen_rate=1, connected=(0, 1))
+    p = make_provider(registry, gen_rate=1)
     (tx,) = p.generate(4)
     assert deliver(registry, g, tx, 0, round_no=5) == "ok"
     assert g.inbox[tx.txid][:2] == (tx, 7)  # first sighting + delta
@@ -263,7 +263,7 @@ def test_first_copy_starts_timer(registry):
 
 def test_conflicting_label_from_same_collector_ignored(registry):
     g = make_governor(registry, topology=((0, 1),))
-    p = make_provider(registry, gen_rate=1, connected=(0, 1))
+    p = make_provider(registry, gen_rate=1)
     (tx,) = p.generate(1)
     c = make_collector(registry, index=0, kind="Honest", n_providers=1)
     plus = c.process(tx)
@@ -277,7 +277,7 @@ def _two_collector_world(registry):
     """A governor for provider 0 on collectors (0, 1), its two transactions, the
     collectors, and each collector's two labels."""
     g = make_governor(registry, topology=((0, 1),))
-    a, b = make_provider(registry, gen_rate=2, connected=(0, 1)).generate(1)
+    a, b = make_provider(registry, gen_rate=2).generate(1)
     c = [make_collector(registry, index=j) for j in (0, 1)]
     labels = [[cj.process(tx) for tx in (a, b)] for cj in c]
     return g, (a, b), c, labels
@@ -407,7 +407,7 @@ def test_batched_ingest_matches_one_copy_at_a_time(registry):
                  for k in (0, 1)]
     c0, c1, c2, c3 = (make_collector(registry, index=j, n_providers=2) for j in range(4))
     a, b, verified, settled = make_provider(registry, gen_rate=4).generate(1)
-    (d,) = make_provider(registry, node_id=1, connected=(2,)).generate(1)
+    (d,) = make_provider(registry, node_id=1).generate(1)
     for g in governors:
         g.pending[verified.txid] = (verified, ((0, 1),))
         g.ledger.settled.add(settled.txid)
@@ -451,13 +451,12 @@ def test_labels_are_filed_and_signed_by_slot_not_collector_id(registry):
     # Provider 0's slots are collectors (3, 1), provider 1's (1, 0): no slot is its id.
     topology = ((3, 1), (1, 0))
     leader, replica = (make_governor(registry, topology=topology, gov_index=k) for k in (0, 1))
-    replica.governor_publics[0] = leader.keypair.public
     leader.draw_rng = ForcedRng([0.0, 0.0])  # draw slot 0 for both transactions
     kinds = ("AlwaysMinus", "Honest", "Honest", "AlwaysPlus")
     c = [make_collector(registry, index=j, kind=kind, n_providers=2)
          for j, kind in enumerate(kinds)]
-    (bad,) = make_provider(registry, node_id=0, connected=(3, 1), invalid=1.0).generate(1)
-    (good,) = make_provider(registry, node_id=1, connected=(1, 0)).generate(1)
+    (bad,) = make_provider(registry, node_id=0, invalid=1.0).generate(1)
+    (good,) = make_provider(registry, node_id=1).generate(1)
     uploads = [(c[0], [c[0].process(good)]), (c[1], [c[1].process(bad), c[1].process(good)]),
                (c[3], [c[3].process(bad)])]
     for g in (leader, replica):
@@ -507,7 +506,7 @@ def _tag_flipped(tx):
 def test_copy_under_an_accepted_txid_with_other_bytes_is_checked(registry):
     # Only a byte-identical copy skips the provider check; the txid alone proves nothing.
     g = make_governor(registry, topology=((0, 1),))
-    (tx,) = make_provider(registry, connected=(0, 1)).generate(1)
+    (tx,) = make_provider(registry).generate(1)
     assert deliver(registry, g, tx, 0) == "ok"
     forged = _tag_flipped(tx)
     assert forged.txid == tx.txid and forged.wire_bytes != tx.wire_bytes
@@ -529,8 +528,7 @@ def test_each_governor_checks_a_provider_signature_once(registry, monkeypatch):
     k = 3
     topology = ((0, 1, 2),)
     leader, replica = (make_governor(registry, topology=topology, gov_index=i) for i in (0, 1))
-    replica.governor_publics[0] = leader.keypair.public
-    (tx,) = make_provider(registry, connected=(0, 1, 2)).generate(1)
+    (tx,) = make_provider(registry).generate(1)
     collectors = [make_collector(registry, index=j) for j in range(k)]
     copies = [c.process(tx) for c in collectors]
     uploads = [signed_upload(c, [copy], 1) for c, copy in zip(collectors, copies)]
@@ -679,7 +677,7 @@ def test_screen_and_the_mc_oracle_run_the_one_screening_step(registry, monkeypat
 def test_screen_verified_valid_penalizes_minus_and_absent(registry):
     g = make_governor(registry, topology=((0, 1, 2),))
     g.draw_rng = ForcedRng([0.0])
-    p = make_provider(registry, gen_rate=1, invalid=0.0, connected=(0, 1, 2))
+    p = make_provider(registry, gen_rate=1, invalid=0.0)
     (tx,) = p.generate(1)
     deliver(registry, g, tx, 0, round_no=1, kind="Honest")       # +1
     deliver(registry, g, tx, 1, round_no=1, kind="AlwaysMinus")  # -1
@@ -700,7 +698,6 @@ def _two_verdicts(registry):
         deliver(registry, leader, tx, 0, round_no=1, kind="AlwaysPlus")
     messages = [leader.screen(tx.txid).message for tx in txs]
     replica = make_governor(registry, topology=((0,),), gov_index=1)
-    replica.governor_publics[0] = leader.keypair.public
     for tx in txs:
         deliver(registry, replica, tx, 0, round_no=1, kind="AlwaysPlus")
     return leader, replica, messages
@@ -761,7 +758,6 @@ def test_verification_message_bad_signature_rejected(registry):
     fields = (99, msg.provider_id, msg.txid, msg.validbit, msg.received, msg.cnt)
     unknown_leader = type(msg)(*fields, sign(leader.keypair, verification_message_bytes(*fields)))
     replica = make_governor(registry, topology=((0,),), gov_index=1)
-    replica.governor_publics[0] = leader.keypair.public
     deliver(registry, replica, tx, 0, round_no=1, kind="AlwaysPlus")
     before = replica_state(replica)
     for bad in (tampered, unknown_leader):
@@ -774,7 +770,7 @@ def _closing_epoch_run(registry):
     """A leader with T=2 screens invalid, valid, valid: the epoch closes on tx 2."""
     leader = make_governor(registry, topology=((0, 1),), threshold=2, gov_index=0)
     leader.draw_rng = ForcedRng([])  # always draws slot 0, the AlwaysPlus one
-    p = make_provider(registry, gen_rate=1, connected=(0, 1))
+    p = make_provider(registry, gen_rate=1)
     p.invalid_fraction = 1.0
     txs = p.generate(1)
     p.invalid_fraction = 0.0
@@ -803,7 +799,6 @@ def test_leader_screening_reports_epoch_closure(registry):
 def _replica_of(registry, leader, txs):
     """A second governor that received the same labels as ``_closing_epoch_run``'s leader."""
     replica = make_governor(registry, topology=((0, 1),), threshold=2, gov_index=1)
-    replica.governor_publics[0] = leader.keypair.public
     for tx in txs:
         deliver(registry, replica, tx, 0, round_no=1, kind="AlwaysPlus")
         deliver(registry, replica, tx, 1, round_no=1, kind="Honest")
@@ -868,8 +863,8 @@ def test_clear_screened_keeps_valid_txs_until_their_block(registry):
 @pytest.mark.parametrize("leader_id", [1, 99], ids=["wrong-leader", "unknown-leader"])
 def test_block_from_another_leader_is_refused_and_changes_nothing(registry, leader_id):
     leader, txs, results = _closing_epoch_run(registry)
-    leader.governor_publics[1] = registry.issue(2001).public
-    p = make_provider(registry, node_id=0, gen_rate=1, connected=(0, 1))
+    registry.enrol("governor", 1, 2001)  # leader 1 is a known governor, just not this round's
+    p = make_provider(registry, node_id=0, gen_rate=1)
     (waiting,) = p.generate(5)  # still in its window, so the inbox is not empty
     assert deliver(registry, leader, waiting, 0, round_no=5) == "ok"
     block = leader.propose_round(results)
@@ -892,7 +887,7 @@ def test_block_from_another_leader_is_refused_and_changes_nothing(registry, lead
 @pytest.mark.parametrize("order", ["reversed", "skipped-head"])
 def test_block_not_packing_the_head_of_pending_changes_nothing(registry, order):
     leader, txs, results = _closing_epoch_run(registry)
-    p = make_provider(registry, node_id=0, gen_rate=1, connected=(0, 1))
+    p = make_provider(registry, node_id=0, gen_rate=1)
     (waiting,) = p.generate(5)  # still in its window, so the inbox is not empty
     assert deliver(registry, leader, waiting, 0, round_no=5) == "ok"
     good, lists = leader.propose_round(results)
@@ -918,7 +913,7 @@ def test_block_not_packing_the_head_of_pending_changes_nothing(registry, order):
 
 def test_block_payload_one_tag_byte_off_the_head_of_pending_changes_nothing(registry):
     leader, txs, results = _closing_epoch_run(registry)
-    p = make_provider(registry, node_id=0, gen_rate=1, connected=(0, 1))
+    p = make_provider(registry, node_id=0, gen_rate=1)
     (waiting,) = p.generate(5)  # still in its window, so the inbox is not empty
     assert deliver(registry, leader, waiting, 0, round_no=5) == "ok"
     good, lists = leader.propose_round(results)
@@ -950,6 +945,50 @@ def test_block_payload_one_tag_byte_off_the_head_of_pending_changes_nothing(regi
     leader.pending[first] = (queued, labels)
     leader.apply_block(good, lists, leader.id)
     assert leader.ledger.last.tx_list == head and not leader.pending
+
+
+@pytest.mark.parametrize("case", ["tx-by-collector", "upload-by-provider",
+                                  "verdict-by-collector", "block-by-collector"])
+def test_a_key_enrolled_under_another_role_verifies_nothing(registry, case):
+    # Every signer here is genuine and enrolled, under the same index 0 as the
+    # member it signs as, only not in that role.
+    leader, txs, results = _closing_epoch_run(registry)
+    replica = _replica_of(registry, leader, txs)
+    collector = make_collector(registry, index=0)
+    provider_kp = registry.issue(0)  # enrolled as provider 0 by make_governor
+    g = replica if case == "verdict-by-collector" else leader
+
+    def state():
+        return (g.ledger.tip_hash(), set(g.ledger.settled), list(g.pending.items()),
+                dict(g.inbox), tuple(g.rep))
+
+    before = state()
+    if case == "tx-by-collector":
+        fields = (0, 99, 5)  # a transaction of provider 0's
+        tx = Transaction(*fields, True, sign(collector.keypair, tx_signing_bytes(*fields)))
+        assert collector.process(tx) is None and collector.dropped_bad_signature == 1
+        assert ingest_signed(g, [(collector, [LabeledTransaction(tx, 1)])], 6) == ["forged"]
+        assert g.dropped_forged == 1
+    elif case == "upload-by-provider":
+        (tx,) = make_provider(registry).generate(5)
+        labels = [collector.process(tx)]
+        body = upload_bytes(0, 5, [ltx.body for ltx in labels])
+        assert g.ingest([(0, labels, sign(provider_kp, body))], 6) == ["bad_collector_sig"]
+        assert g.dropped_bad_signature == 1
+    elif case == "verdict-by-collector":
+        msg = results[0].message
+        fields = (msg.leader_id, msg.provider_id, msg.txid, msg.validbit, msg.received, msg.cnt)
+        forged = type(msg)(*fields, sign(collector.keypair, msg.signing_bytes))
+        with pytest.raises(SimulationError, match="bad leader signature"):
+            g.on_verification_message(forged)
+    else:
+        good, lists = leader.propose_round(results)
+        forged = dataclasses.replace(good, signature=sign(collector.keypair,
+                                                          block_bytes(good.block)))
+        with pytest.raises(ChainViolation) as exc:
+            g.apply_block(forged, lists, leader.id)
+        assert exc.value.violation is Violation.BAD_LEADER_SIGNATURE
+    assert state() == before
 
 
 @pytest.mark.parametrize("index", [0, 1], ids=["invalid", "valid"])
