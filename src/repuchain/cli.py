@@ -81,7 +81,7 @@ def run_seed(config: ScenarioConfig, seed: int, out_dir: Path | None) -> dict:
         out_dir.mkdir(parents=True, exist_ok=True)
         emit_csv(metrics, reports, out_dir)
         write_summary(summary, out_dir / "summary.json")
-        (out_dir / "ledger.hex").write_text("\n".join(ledger.export_lines()) + "\n")
+        ledger.write_hex(out_dir / "ledger.hex")
     cutoff = max(cfg.total_rounds - DRAIN_ROUNDS, 1)
     latencies = metrics.inclusion_latencies(max_gen_round=cutoff)
     on_chain_ok = ledger.settled <= metrics.gen_round.keys()

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
+from pathlib import Path
 from typing import Mapping, Sequence
 
 from .core_types import (
@@ -92,9 +93,15 @@ class Ledger:
     def tip_hash(self) -> bytes:
         return self.last.hash
 
-    def export_lines(self) -> list[str]:
-        """Canonical block serializations as hex, one per line."""
-        return [block_bytes(b).hex() for b in self.blocks]
+    def write_hex(self, path: Path) -> None:
+        """Write each block's canonical bytes as hex, one block a line, genesis first.
+
+        Blocks are encoded and written one at a time, so writing holds one
+        block's line, never the whole file.
+        """
+        with path.open("w") as out:
+            for block in self.blocks:
+                out.write(block_bytes(block).hex() + "\n")
 
 
 UNIT_SCALE = float(1 << 53)  # U = (top 64 bits >> 11) / 2^53 lies in [0, 1)

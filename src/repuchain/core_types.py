@@ -14,19 +14,22 @@ layout with one precompiled ``struct.Struct`` instead of composing the
 [0, 2^64) raise in both forms (``struct.error`` here, ``OverflowError`` from
 ``enc_int``).
 
-Each signed object carries the bytes its signature covers as
-``signing_bytes`` (and ``wire_bytes``); every check reads the carried bytes
-and computes its own digest, and a governor skips a provider check only for
-a copy whose ``wire_bytes`` equal those of a transaction it already accepted
-(see :mod:`repuchain.nodes`). Equality ignores the carried bytes, so that
-comparison is made on the bytes, never on the records. A ``Transaction``
-encodes its bytes from its fields, and carries its identity triple as
-``txid``: collectors, who may misbehave, pass transactions on, and bytes
-taken on trust could carry a genuine provider signature under a made-up
-txid. No caller supplies a record's bytes. A verdict's constructor encodes
-them from its fields, as ``dataclasses.replace`` does; the leader builds it
-with the classmethod ``signed``, which encodes the bytes once, signs them
-with the given key pair and stores both.
+Each signed object carries the bytes its signature covers, once. A verdict
+carries them as ``signing_bytes``. A transaction carries only
+``wire_bytes``, which open with the signed triple: the signed bytes are its
+first ``TX_SIGNING_SIZE`` bytes, and no second copy is kept. Every check
+reads the carried bytes and computes its own digest, and a governor skips a
+provider check only for a copy whose ``wire_bytes`` equal those of a
+transaction it already accepted (see :mod:`repuchain.nodes`). Equality
+ignores the carried bytes, so that comparison is made on the bytes, never on
+the records. A ``Transaction`` encodes its bytes from its fields, and
+carries its identity triple as ``txid``: collectors, who may misbehave, pass
+transactions on, and bytes taken on trust could carry a genuine provider
+signature under a made-up txid. No caller supplies a record's bytes. A
+verdict's constructor encodes them from its fields, as
+``dataclasses.replace`` does; the leader builds it with the classmethod
+``signed``, which encodes the bytes once, signs them with the given key pair
+and stores both.
 
 A label is neither signed by itself nor tied to a collector. It carries its
 ``body``, encoded from its fields. A collector's round upload is one
@@ -76,6 +79,8 @@ TAG_UNCHECKED = b"\x02"
 _U64 = struct.Struct(">Q")
 # Three length-prefixed integers: (8, provider_id, 8, seq, 8, timestamp).
 _TX_SIGNING = struct.Struct(">QQQQQQ")
+# A transaction's wire bytes open with its signed triple, so the triple is their prefix.
+TX_SIGNING_SIZE = _TX_SIGNING.size
 # The label field of a label's body: (8, 1) for +1, (8, 0) for -1.
 _LABEL_FIELDS = {1: struct.pack(">QQ", 8, 1), -1: struct.pack(">QQ", 8, 0)}
 # A block's serial and leader fields, then its list field's length and count.
@@ -140,13 +145,11 @@ class Transaction:
     ground_truth_valid: bool
     signature: SimSignature
     txid: tuple[int, int, int] = field(init=False, repr=False, compare=False)
-    signing_bytes: bytes = field(init=False, repr=False, compare=False)
     wire_bytes: bytes = field(init=False, repr=False, compare=False)
 
     def __init__(self, provider_id: int, seq: int, timestamp: int,
                  ground_truth_valid: bool, signature: SimSignature) -> None:
-        s_provider, s_seq, s_time, s_valid, s_sig, s_txid, s_signing, s_wire = _TX_SLOTS
-        signing = tx_signing_bytes(provider_id, seq, timestamp)
+        s_provider, s_seq, s_time, s_valid, s_sig, s_txid, s_wire = _TX_SLOTS
         tag = signature.tag
         s_provider(self, provider_id)
         s_seq(self, seq)
@@ -154,8 +157,7 @@ class Transaction:
         s_valid(self, ground_truth_valid)
         s_sig(self, signature)
         s_txid(self, (provider_id, seq, timestamp))
-        s_signing(self, signing)
-        s_wire(self, signing + _U64.pack(len(tag)) + tag)
+        s_wire(self, tx_signing_bytes(provider_id, seq, timestamp) + _U64.pack(len(tag)) + tag)
 
 
 _TX_SLOTS = slot_setters(Transaction)

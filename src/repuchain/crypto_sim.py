@@ -12,13 +12,16 @@ another role verifies nothing. No node or block check holds a key map.
 
 A tag is SHA-256 over ``b"sig" + secret + msg``. A ``KeyPair`` carries, as
 ``sig_state``, the SHA-256 state after ``b"sig" + secret``, built once with
-the key; ``sign`` and every check copy it and hash their own message into the
-copy. The registry maps each public to its ``KeyPair`` and keeps no
-verdicts: a check is a pure function of the key, the bytes and the tag, and a
-governor that has already accepted a transaction's exact bytes does not ask
-again (``nodes.GovernorNode.ingest``, ``consensus.validate_block``).
-``KeyRegistry.verify`` alone refuses unknown signers: an unregistered public,
-or None for a member with no public, verifies nothing.
+the key; ``sign`` and every check copy it and hash their own message into
+the copy. ``verify_tx`` hashes a transaction's signed triple as the first
+``core_types.TX_SIGNING_SIZE`` bytes of its ``wire_bytes``, the one place
+the transaction keeps it. The registry maps each public to its ``KeyPair``
+and keeps no verdicts: a check is a pure function of the key, the bytes and
+the tag, and a governor that has already accepted a transaction's exact
+bytes does not ask again (``nodes.GovernorNode.ingest``,
+``consensus.validate_block``). ``KeyRegistry.verify`` alone refuses unknown
+signers: an unregistered public, or None for a member with no public,
+verifies nothing.
 
 The VRF is a pair of keyed hashes: a governor's value and proof for an
 input are SHA-256 over ``b"vrf" + secret + input`` and
@@ -34,7 +37,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
-from .core_types import SimSignature, Transaction, enc_int, sha256
+from .core_types import TX_SIGNING_SIZE, SimSignature, Transaction, enc_int, sha256
 
 SECRET_SIZE = 32
 
@@ -127,8 +130,8 @@ class KeyRegistry:
 
     def verify_tx(self, tx: Transaction) -> bool:
         """Check a transaction's provider signature; unknown providers fail closed."""
-        return self.verify(self.members["provider"].get(tx.provider_id), tx.signing_bytes,
-                           tx.signature)
+        return self.verify(self.members["provider"].get(tx.provider_id),
+                           tx.wire_bytes[:TX_SIGNING_SIZE], tx.signature)
 
     def vrf_verify(self, public: bytes, vrf_input: bytes, out: VrfOutput) -> bool:
         kp = self._keys.get(public)

@@ -8,6 +8,7 @@ import pytest
 
 import repuchain
 from repuchain.core_types import (
+    TX_SIGNING_SIZE,
     ZERO_DIGEST,
     Block,
     LabeledTransaction,
@@ -167,14 +168,30 @@ def test_carried_bytes_match_encoders_and_vectors(crypto_vectors):
     ident = (v["provider_id"], v["seq"], v["timestamp"])
     tx = Transaction(*ident, True, sign(kp, tx_signing_bytes(*ident)))
     assert tx.signature.tag.hex() == v["signature"]
-    assert tx.signing_bytes == tx_signing_bytes(*ident)
-    assert tx.signing_bytes.hex() == v["signing_bytes"]
+    assert tx.wire_bytes[:TX_SIGNING_SIZE] == tx_signing_bytes(*ident)
+    assert tx_signing_bytes(*tx.txid).hex() == v["signing_bytes"]
     assert tx_wire_bytes(tx) == tx.wire_bytes
     assert tx.wire_bytes.hex() == v["wire_bytes"]
     for label, key in ((1, "label_plus_bytes"), (-1, "label_minus_bytes")):
         ltx = LabeledTransaction(tx=tx, label=label)
         assert ltx.body == label_signing_bytes(tx, label)
         assert ltx.body.hex() == v[key]
+
+
+def test_transaction_holds_its_signed_triple_once(crypto_vectors):
+    # The signed triple is the prefix of the wire bytes; no second copy is kept.
+    v = crypto_vectors["transaction"]
+    kp = keypair_from_secret(0, bytes.fromhex(v["secret"]))
+    ident = (v["provider_id"], v["seq"], v["timestamp"])
+    tx = Transaction(*ident, True, sign(kp, tx_signing_bytes(*ident)))
+    assert "signing_bytes" not in Transaction.__slots__
+    assert not hasattr(tx, "signing_bytes")
+    assert TX_SIGNING_SIZE == len(tx_signing_bytes(*ident))
+    assert tx.wire_bytes[:TX_SIGNING_SIZE].hex() == v["signing_bytes"]
+    for nxt in (tx, dataclasses.replace(tx, seq=tx.seq + 1),
+                dataclasses.replace(tx, provider_id=tx.provider_id + 3, timestamp=9)):
+        assert nxt.wire_bytes[:TX_SIGNING_SIZE] == tx_signing_bytes(*nxt.txid)
+        assert nxt.wire_bytes[TX_SIGNING_SIZE:] == tx.wire_bytes[TX_SIGNING_SIZE:]
 
 
 def test_equal_transactions_compare_and_hash_equal():
@@ -188,8 +205,9 @@ def test_replace_rebuilds_carried_bytes():
     tx = Transaction(2, 8, 3, True, SimSignature(b"\x07" * 32))
     nxt = dataclasses.replace(tx, seq=tx.seq + 1)
     assert nxt.txid == (2, 9, 3) != tx.txid == (2, 8, 3)
-    assert nxt.signing_bytes == tx_signing_bytes(2, 9, 3) != tx.signing_bytes
-    assert nxt.wire_bytes == tx_signing_bytes(2, 9, 3) + tx.wire_bytes[len(tx.signing_bytes):]
+    assert nxt.wire_bytes[:TX_SIGNING_SIZE] == tx_signing_bytes(2, 9, 3) \
+        != tx_signing_bytes(*tx.txid)
+    assert nxt.wire_bytes == tx_signing_bytes(2, 9, 3) + tx.wire_bytes[TX_SIGNING_SIZE:]
     sig = SimSignature(b"\x05" * 32)
     ltx = LabeledTransaction(tx, 1)
     flipped = dataclasses.replace(ltx, label=-1)

@@ -14,6 +14,7 @@ import pytest
 
 from repuchain import core_types, nodes
 from repuchain.core_types import (
+    TX_SIGNING_SIZE,
     Block,
     LabeledTransaction,
     SimSignature,
@@ -159,7 +160,8 @@ def test_transaction_layouts_match_specification():
     for _ in range(300):
         tx = rand_tx(rng)
         ident = (tx.provider_id, tx.seq, tx.timestamp)
-        assert tx_signing_bytes(*ident) == spec_tx_signing(*ident) == tx.signing_bytes
+        assert tx_signing_bytes(*ident) == spec_tx_signing(*ident) == \
+            tx.wire_bytes[:TX_SIGNING_SIZE]
         assert tx_wire_bytes(tx) == spec_tx_wire(tx) == tx.wire_bytes
         for label in (1, -1):
             ltx = LabeledTransaction(tx, label)

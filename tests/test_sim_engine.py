@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import re
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from conftest import SCENARIOS_DIR
 from test_determinism import unequal_stakes
 from repuchain import scenarios
 from repuchain.consensus import ChainViolation, Violation
+from repuchain.core_types import block_bytes
 from repuchain.metrics_oracle import compute_regret, emit_csv
 from repuchain.nodes import FORGED_SEQ_BASE, FORGED_SEQ_STRIDE, SimulationError
 from repuchain.sim_engine import (
@@ -233,10 +235,31 @@ def test_fixed_seed_bitwise_reproducible(tmp_path):
         reports = [compute_regret(metrics, p) for p in range(cfg.l)]
         d = tmp_path / sub
         emit_csv(metrics, reports, d)
-        (d / "ledger.hex").write_text("\n".join(ledger.export_lines()) + "\n")
+        ledger.write_hex(d / "ledger.hex")
         out.append(d)
     for name in ("rounds.csv", "epochs.csv", "ledger.hex"):
         assert (out[0] / name).read_bytes() == (out[1] / name).read_bytes()
+
+
+def test_ledger_hex_is_written_block_by_block(tmp_path):
+    # Writing holds one block's line at a time, so its peak is a small multiple
+    # of the longest line, not of the file.
+    cfg = minimal_config(gen_rate=100, b_limit=100, total_rounds=105, T=100_000)
+    ledger, _ = run(cfg)
+    assert len(ledger.blocks) >= 100
+    path = tmp_path / "ledger.hex"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ledger.write_hex(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    lines = [block_bytes(b).hex() + "\n" for b in ledger.blocks]
+    assert path.read_bytes() == "".join(lines).encode()
+    longest = max(map(len, lines))
+    assert sum(map(len, lines)) > 50 * longest
+    assert peak < 4 * longest
 
 
 def test_end_to_end_honest_all_on_chain():
