@@ -15,7 +15,7 @@ layout with one precompiled ``struct.Struct`` instead of composing the
 ``enc_int``).
 
 Each signed object carries the bytes its signature covers, once. A verdict
-carries them as ``signing_bytes``. A transaction carries only
+and an upload carry them as ``signing_bytes``. A transaction carries only
 ``wire_bytes``, which open with the signed triple: the signed bytes are its
 first ``TX_SIGNING_SIZE`` bytes, and no second copy is kept. Every check
 reads the carried bytes and computes its own digest, and a governor skips a
@@ -26,23 +26,27 @@ the records. A ``Transaction`` encodes its bytes from its fields, and
 carries its identity triple as ``txid``: collectors, who may misbehave, pass
 transactions on, and bytes taken on trust could carry a genuine provider
 signature under a made-up txid. No caller supplies a record's bytes. A
-verdict's constructor encodes them from its fields, as
-``dataclasses.replace`` does; the leader builds it with the classmethod
-``signed``, which encodes the bytes once, signs them with the given key pair
-and stores both.
+verdict's or an upload's constructor encodes them from its fields, as
+``dataclasses.replace`` does; the signer builds it with the classmethod
+``signed``, which encodes the bytes once, signs them and stores both.
 
 A label is neither signed by itself nor tied to a collector. It carries its
 ``body``, encoded from its fields. A collector's round upload is one
-``Upload`` record: its id, its labels in upload order and one signature over
-``upload_bytes`` (the id, the round and the labels' bodies). A governor
-rebuilds those bytes from the record, checks the one signature and files
-the labels under the record's collector id, so a label flipped, moved to
-another collector's upload or replayed in another round breaks the whole
-upload, and no label is filed under an id its signature does not cover.
+``Upload`` record: its id, the round it was sent in, its labels in upload
+order, one signature over ``upload_bytes`` (the id, the round and the
+labels' bodies) and those bytes, which its constructor encodes from the
+other fields. A governor checks the one signature over the carried bytes
+without rebuilding them: like a transaction's ``wire_bytes``, they are a
+function of the record's fields, so a label flipped or moved to another
+collector's upload yields bytes the signature does not cover. The
+governor compares the record's round with its own, so an upload replayed
+in another round is refused too. It files the labels under the record's
+collector id, so no label is filed under an id its signature does not
+cover.
 
 The records built once or more per transaction (here ``SimSignature``,
 ``Transaction`` and ``LabeledTransaction``; elsewhere the verdict and the
-reputation state) are frozen slots dataclasses
+reputation state), and the upload, are frozen slots dataclasses
 whose ``__init__`` stores each field through its slot descriptor
 (``slot_setters``), not the generated ``object.__setattr__`` path, which
 costs more than encoding the record. Assignment still raises
@@ -65,7 +69,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field, fields
-from typing import Sequence
+from typing import Callable, Sequence
 
 DIGEST_SIZE = 32
 ZERO_DIGEST = b"\x00" * DIGEST_SIZE
@@ -191,10 +195,6 @@ class LabeledTransaction:
 
 _LTX_SLOTS = slot_setters(LabeledTransaction)
 
-# A collector's round upload, as the collector->governor hop carries it:
-# (collector id, its labels in upload order, its signature over upload_bytes).
-Upload = tuple[int, list[LabeledTransaction], SimSignature]
-
 
 def label_signing_bytes(tx: Transaction, label: int) -> bytes:
     """A label's body, as an upload lists it: the wire transaction and its label, +1 or -1."""
@@ -210,6 +210,53 @@ def upload_bytes(collector_id: int, round_no: int, bodies: Sequence[bytes]) -> b
     pack = _U64.pack
     items = b"".join([pack(len(b)) + b for b in bodies])
     return _UPLOAD_HEAD.pack(8, collector_id, 8, round_no, 8 + len(items), len(bodies)) + items
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class Upload:
+    """A collector's round upload, as the collector->governor hop carries it.
+
+    ``labels`` are the collector's labels in upload order and ``round_no`` the
+    round it sent them in. ``signing_bytes`` is ``upload_bytes`` over the id,
+    the round and the labels' bodies, encoded by the constructor from those
+    fields, so a governor checks the signature against bytes no sender chose.
+    """
+
+    collector_id: int
+    round_no: int
+    labels: tuple[LabeledTransaction, ...]
+    signature: SimSignature
+    signing_bytes: bytes = field(init=False, repr=False, compare=False)
+
+    def __init__(self, collector_id: int, round_no: int, labels: Sequence[LabeledTransaction],
+                 signature: SimSignature) -> None:
+        labels = tuple(labels)
+        body = upload_bytes(collector_id, round_no, [ltx.body for ltx in labels])
+        _store_upload(self, collector_id, round_no, labels, signature, body)
+
+    @classmethod
+    def signed(cls, collector_id: int, round_no: int, labels: Sequence[LabeledTransaction],
+               sign: Callable[[bytes], SimSignature]) -> "Upload":
+        """The upload ``sign`` signs: encoded once, signed, stored."""
+        labels = tuple(labels)
+        body = upload_bytes(collector_id, round_no, [ltx.body for ltx in labels])
+        self = cls.__new__(cls)
+        _store_upload(self, collector_id, round_no, labels, sign(body), body)
+        return self
+
+
+_UPLOAD_SLOTS = slot_setters(Upload)
+
+
+def _store_upload(upload: Upload, collector_id: int, round_no: int,
+                  labels: tuple[LabeledTransaction, ...], signature: SimSignature,
+                  body: bytes) -> None:
+    s_cid, s_round, s_labels, s_sig, s_body = _UPLOAD_SLOTS
+    s_cid(upload, collector_id)
+    s_round(upload, round_no)
+    s_labels(upload, labels)
+    s_sig(upload, signature)
+    s_body(upload, body)
 
 
 @dataclass(frozen=True, slots=True)

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .crypto_sim import substream
 from .nodes import EpochClosure, ScreeningResult, TxId
-from .reputation import ReputationState, screen_draw, update_reputations
+from .reputation import ReputationState, apply_penalties, plus_slots, screen_draw
 
 ORACLE_MAX_U = 3
 ORACLE_MAX_T = 12
@@ -408,8 +408,9 @@ def mc_expected_loss(
     initial_reps: Sequence[int] | None = None,
 ) -> MonteCarloLoss:
     """Monte-Carlo estimate of the same instance, driven through the
-    production selection/update code paths, for agreement checks against
-    the exact oracle."""
+    production code paths (the leader's ``screen_draw`` and a governor's
+    ``apply_penalties``, each row's +1 slots derived once), for agreement
+    checks against the exact oracle."""
     labels = _normalize_labels(label_matrix)
     check_instance_shape(labels, validity, initial_reps)
     u = len(labels[0])
@@ -420,20 +421,22 @@ def mc_expected_loss(
     base = ReputationState(
         reps=reps0, cnt=0, epoch_threshold=1 << 30, eta=eta, epoch_index=0
     )
-    rows = [({k: lab for k, lab in enumerate(row) if lab is not None}, valid)
-            for row, valid in zip(labels, validity)]
+    rows = []
+    for row, valid in zip(labels, validity):
+        received = {k: lab for k, lab in enumerate(row) if lab is not None}
+        rows.append((received, plus_slots(received.items()), valid))
     for _ in range(n_runs):
         state = base
         proof = 0.0
         prose = 0
-        for received, valid in rows:
+        for received, plus, valid in rows:
             verdict, _, loss = screen_draw(state, received, rng, bool, valid)
             if verdict is None:
                 continue
             if not verdict:
                 prose += 1
             proof += loss
-            state = update_reputations(state, received, verdict)
+            state = apply_penalties(state, plus, verdict)
         proof_samples.append(proof)
         prose_samples.append(prose)
     mp, sp = mean_se(proof_samples)

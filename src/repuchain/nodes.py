@@ -11,10 +11,11 @@ A collector labels each copy as it arrives, in ``process(tx)``, which signs
 nothing. At the end of the round it signs its upload once, with
 ``sign_upload``: the canonical ``upload_bytes`` over its id, the round and
 its labels' bodies in upload order. The upload travels as one ``Upload``
-record, ``(collector id, labels, signature)``; a label carries no collector
-id of its own. A slot is a collector's position in its provider's
-``topology`` list; reputations, inbox labels and verdicts are kept per
-slot, and ``ingest`` alone maps a collector id to its slot.
+record (collector id, round, labels, signature, and the signed bytes its
+constructor encoded); a label carries no collector id of its own. A slot is
+a collector's position in its provider's ``topology`` list; reputations,
+inbox labels and verdicts are kept per slot, and ``ingest`` alone maps a
+collector id to its slot.
 
 A governor keeps only what its ``Ledger.settled`` has not indexed: the
 ``inbox`` while a transaction waits out its window and is screened, then
@@ -27,15 +28,18 @@ A governor changes state only through three transitions, each taking
 signed input:
 
 - ``ingest(uploads, r)``: a round's uploads enter the inbox in one call,
-  upload by upload. Each upload's bytes are rebuilt from the record and its
-  one signature checked; then each of its copies, unless that check failed,
-  gets its provider signature check (unless the inbox already holds its
-  exact bytes) and its label is filed under the upload's collector's slot
+  upload by upload. Each upload's round is compared with ``r - 1`` and its
+  one signature checked over the bytes the record carries, which its
+  constructor encoded from its fields, so no governor re-encodes an upload.
+  Then each of its copies, unless that check failed, gets its provider
+  signature check (unless the inbox already holds its exact bytes) and its
+  label is filed under the upload's collector's slot
   (``on_labeled_transaction(collector_id, ltx, signature, r)`` is the
   one-label-upload form).
 - ``apply_verdict(msg)``: the leader's ``VerificationMessage`` penalizes the
-  slots, advances the epoch at its boundary and moves the transaction out
-  of the inbox. The leader signs the message after its draw (``cnt`` is the
+  slots (``reputation.apply_penalties`` on the message's ``plus`` slots),
+  advances the epoch at its boundary and moves the transaction out of the
+  inbox. The leader signs the message after its draw (``cnt`` is the
   provider's next update) and applies it; every other governor applies the
   same object after checking the signature and that ``cnt`` is exactly the
   next one, raising ``SimulationError`` before any state changes otherwise.
@@ -77,16 +81,16 @@ from .core_types import (
     Upload,
     slot_setters,
     tx_signing_bytes,
-    upload_bytes,
 )
 from .crypto_sim import KeyPair, KeyRegistry, sign
 from .reputation import (
     EtaPolicy,
     ReputationState,
+    apply_penalties,
     initial_state,
     maybe_advance_epoch,
+    plus_slots,
     screen_draw,
-    update_reputations,
 )
 
 # An unsettled transaction on a governor: (tx, expiry round, slot -> label).
@@ -260,9 +264,10 @@ class CollectorNode:
             out.append(LabeledTransaction(fake, 1))
         return out
 
-    def sign_upload(self, round_no: int, labels: Sequence[LabeledTransaction]) -> SimSignature:
-        """The signature of this collector's upload of ``labels`` in ``round_no``."""
-        return sign(self.keypair, upload_bytes(self.id, round_no, [ltx.body for ltx in labels]))
+    def sign_upload(self, round_no: int, labels: Sequence[LabeledTransaction]) -> Upload:
+        """This collector's upload of ``labels`` in ``round_no``, signed."""
+        keypair = self.keypair
+        return Upload.signed(self.id, round_no, labels, lambda body: sign(keypair, body))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -273,7 +278,9 @@ class VerificationMessage:
     pairs. ``cnt`` orders the reputation updates per provider so no governor
     can skip or reorder one. It resets when an epoch closes, so it orders
     updates within an epoch; the settled check in ``apply_verdict`` refuses
-    older ones.
+    older ones. ``plus``, the slots in ``received`` that vouched +1, is
+    derived by both constructors, as ``signing_bytes`` is, so every governor
+    applies the penalty rule to the same set without rebuilding it.
     """
 
     leader_id: int
@@ -284,6 +291,7 @@ class VerificationMessage:
     cnt: int
     signature: SimSignature
     signing_bytes: bytes = field(init=False, repr=False, compare=False)
+    plus: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, leader_id: int, provider_id: int, txid: TxId, validbit: bool,
                  received: tuple[tuple[int, int], ...], cnt: int, signature: SimSignature) -> None:
@@ -307,7 +315,8 @@ _VMSG_SLOTS = slot_setters(VerificationMessage)
 
 def _store_verdict(msg: VerificationMessage, fields: tuple, signature: SimSignature,
                    body: bytes) -> None:
-    for store, value in zip(_VMSG_SLOTS, (*fields, signature, body)):
+    received = fields[4]
+    for store, value in zip(_VMSG_SLOTS, (*fields, signature, body, plus_slots(received))):
         store(msg, value)
 
 
@@ -401,9 +410,11 @@ class GovernorNode:
         """Ingest a round's uploads in order; returns each copy's disposition, in order.
 
         The hop delivers one round after sending, so the uploads ingested in
-        ``round_no`` were signed in ``round_no - 1``. Each upload's bytes are
-        rebuilt from its labels and its signature checked once; every copy
-        of an upload whose check fails is refused ("bad_collector_sig").
+        ``round_no`` must have been sent in ``round_no - 1``. An upload from
+        another round is refused unchecked; any other has its one signature
+        checked against the ``signing_bytes`` its constructor encoded from its
+        fields. Every copy of an upload that fails is refused
+        ("bad_collector_sig").
         Any other copy gets a provider-signature check unless the inbox
         entry for its txid holds the same ``wire_bytes`` (see the module
         docstring). Its label enters the inbox under the upload's
@@ -421,13 +432,14 @@ class GovernorNode:
         expiry = round_no + self.delta_rounds
         codes: list[str] = []
         code = codes.append
-        for cid, labels, signature in uploads:
-            if not verify_as("collector", cid,
-                             upload_bytes(cid, sent, [ltx.body for ltx in labels]), signature):
+        for upload in uploads:
+            labels = upload.labels
+            if upload.round_no != sent or not verify_as(
+                    "collector", upload.collector_id, upload.signing_bytes, upload.signature):
                 self.dropped_bad_signature += len(labels)
                 codes += ["bad_collector_sig"] * len(labels)
                 continue
-            slots = self.slot_of.get(cid, {})
+            slots = self.slot_of.get(upload.collector_id, {})
             for ltx in labels:
                 tx = ltx.tx
                 txid = tx.txid
@@ -456,8 +468,9 @@ class GovernorNode:
 
     def on_labeled_transaction(self, collector_id: int, ltx: LabeledTransaction,
                                signature: SimSignature, round_no: int) -> str:
-        """Ingest ``collector_id``'s one-label upload; returns its disposition (see ``ingest``)."""
-        return self.ingest([(collector_id, [ltx], signature)], round_no)[0]
+        """Ingest ``collector_id``'s one-label upload, sent the round before ``round_no``;
+        returns its disposition (see ``ingest``)."""
+        return self.ingest([Upload(collector_id, round_no - 1, (ltx,), signature)], round_no)[0]
 
     def expired(self, round_no: int) -> list[TxId]:
         """Transactions whose waiting window ends this round, in arrival order."""
@@ -506,7 +519,7 @@ class GovernorNode:
         provider = msg.provider_id
         state = self.rep[provider]
         self.rep[provider], revenue = maybe_advance_epoch(
-            update_reputations(state, dict(msg.received), msg.validbit), self.mu, self.eta_policy
+            apply_penalties(state, msg.plus, msg.validbit), self.mu, self.eta_policy
         )
         if msg.validbit:
             self.pending[txid] = (entry[0], msg.received)

@@ -4,16 +4,19 @@ epoch doubling with reset, and revenue allocation.
 Reputations are nonpositive integers per (provider, collector-slot). Slots
 labeling a verified transaction wrongly lose one unit; an absent report
 counts as a -1 label, so it is penalized only when the transaction turns out
-valid. After ``epoch_threshold`` verified transactions the accumulated
-reputations pay out revenue, reset to zero, the threshold doubles, and the
-learning rate is retuned.
+valid. ``penalized_set`` states that rule once, over the set of slots that
+vouched +1; the leader's draw (``screen_draw``), ``update_reputations``,
+the Monte-Carlo oracle and a governor's verdict (``apply_penalties``) all
+go through it. After ``epoch_threshold`` verified transactions the
+accumulated reputations pay out revenue, reset to zero, the threshold
+doubles, and the learning rate is retuned.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .core_types import slot_setters
 
@@ -121,17 +124,26 @@ def draw_collector(probs: Sequence[float], rng) -> int:
     return last
 
 
+def plus_slots(labels: Iterable[tuple[int, int]]) -> frozenset[int]:
+    """The slots among ``(slot, label)`` pairs that vouched +1."""
+    return frozenset([k for k, lab in labels if lab == 1])
+
+
+def penalized_set(u: int, plus: frozenset[int], valid: bool) -> frozenset[int]:
+    """The penalty rule, stated here alone: which of ``u`` slots lose one unit.
+
+    Slot k loses one iff whether it vouched +1 (``k in plus``) differs from
+    the verdict: verified valid, every slot that reported -1 or stayed
+    silent; verified invalid, every slot that reported +1.
+    """
+    return plus.symmetric_difference(range(u)) if valid else plus
+
+
 def penalized_slots(
     u: int, received_labels: Mapping[int, int], valid: bool
 ) -> tuple[int, ...]:
-    """Slots that lose one reputation unit for this verified transaction.
-
-    Verified valid: every slot whose effective label is not +1 (reported -1
-    or stayed silent). Verified invalid: every slot that reported +1.
-    """
-    if valid:
-        return tuple(k for k in range(u) if received_labels.get(k) != 1)
-    return tuple(k for k in range(u) if received_labels.get(k) == 1)
+    """Slots that lose one reputation unit for this verified transaction, in order."""
+    return tuple(sorted(penalized_set(u, plus_slots(received_labels.items()), valid)))
 
 
 def screen_draw(
@@ -160,16 +172,15 @@ def update_reputations(
     state: ReputationState, received_labels: Mapping[int, int], valid: bool
 ) -> ReputationState:
     """Apply one verified transaction's penalties and bump the epoch counter."""
-    reps = list(state.reps)
-    for k in penalized_slots(len(reps), received_labels, valid):
-        reps[k] -= 1
-    return ReputationState(
-        reps=tuple(reps),
-        cnt=state.cnt + 1,
-        epoch_threshold=state.epoch_threshold,
-        eta=state.eta,
-        epoch_index=state.epoch_index,
-    )
+    return apply_penalties(state, plus_slots(received_labels.items()), valid)
+
+
+def apply_penalties(state: ReputationState, plus: frozenset[int], valid: bool) -> ReputationState:
+    """``update_reputations`` for a verdict whose +1 slots are ``plus``, in one pass over the reps."""
+    reps = state.reps
+    pen = penalized_set(len(reps), plus, valid)
+    return ReputationState(tuple([r - (k in pen) for k, r in enumerate(reps)]), state.cnt + 1,
+                           state.epoch_threshold, state.eta, state.epoch_index)
 
 
 def revenue_shares(reps: Sequence[int], mu: float) -> tuple[float, ...]:
@@ -182,7 +193,7 @@ def maybe_advance_epoch(
 ) -> tuple[ReputationState, tuple[float, ...] | None]:
     """At the epoch boundary: pay revenue, reset reputations, double T, retune eta.
 
-    Call after every update_reputations. At the boundary it returns the next
+    Call after every ``apply_penalties``. At the boundary it returns the next
     epoch's state (u = ``len(state.reps)`` zeros) and the closed epoch's
     revenue shares; anywhere short of it, ``(state, None)``.
     """

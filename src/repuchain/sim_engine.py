@@ -12,10 +12,11 @@ provider is connected to (``config.topology``). Collectors label the copies
 one at a time, transaction by transaction and, within one, in topology
 order; each label goes straight onto its collector's upload list. The
 collector->governor hop carries one ``Upload`` record per collector that
-labelled or forged anything, in collector-id order: its id, its labels in
-the order it made them, and its one signature over its id, the round and
-those labels' bodies. Each governor checks every upload's signature once
-and files its labels upload by upload.
+labelled or forged anything, in collector-id order: its id, the round, its
+labels in the order it made them, its one signature over its id, the round
+and those labels' bodies, and those signed bytes, encoded once when the
+collector builds the record. Each governor checks every upload's round and
+signature once and files its labels upload by upload.
 The feedback hop carries the round's block payload and its signed
 ``RoundLists``: providers learn which of their transactions reached the
 chain or came back unchecked, collectors which were proved invalid.
@@ -297,7 +298,7 @@ class World:
             unchecked_archive.update(t.txid for t in rl.unchecked_list)
         in_flight = (
             {tx.txid for tx in self.to_collectors}
-            | {ltx.tx.txid for _, labels, _ in self.to_governors for ltx in labels}
+            | {ltx.tx.txid for upload in self.to_governors for ltx in upload.labels}
             | set(g0.inbox)
             | set(g0.pending)
         )
@@ -395,14 +396,16 @@ def _round(world: World) -> World:
         if forged:
             metrics.forgery_attempts += len(forged)
             labels.extend(forged)
-    # Each collector that uploads anything signs its upload once.
-    uploads = [(c.id, labels, c.sign_upload(r, labels))
-               for c, labels in zip(collectors, labelled) if labels]
-    delivered, world.to_governors = world.to_governors, uploads
 
-    # Phase 3: processing.
+    # Phase 3: processing. Last round's uploads are ingested and dropped before
+    # this round's are signed, so no two rounds' signed bytes are held at once.
+    delivered, world.to_governors = world.to_governors, []
     for g in governors:
         g.ingest(delivered, r)
+    del delivered
+    # Each collector that uploads anything signs its upload once; it arrives next round.
+    uploads = world.to_governors = [c.sign_upload(r, labels)
+                                    for c, labels in zip(collectors, labelled) if labels]
 
     round_seed = governors[0].ledger.tip_hash()
     election = elect_leader(config.stakes, round_seed, [g.keypair for g in governors],
@@ -447,7 +450,7 @@ def _round(world: World) -> World:
     row.wasted_verifications = sum(1 for res in screening if res.outcome == "invalid")
     row.blocks = 0 if block is None else 1
     row.messages_pc = messages_pc
-    row.messages_cg = sum(len(labels) for _, labels, _ in uploads) * m
+    row.messages_cg = sum(len(upload.labels) for upload in uploads) * m
     row.messages_gg = m * (m - 1) + len(messages) * (m - 1) + row.blocks * (m - 1)
     metrics.rounds.append(row)
 

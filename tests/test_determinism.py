@@ -42,6 +42,31 @@ def unequal_stakes() -> dict:
     }
 
 
+def eight_governors() -> dict:
+    """Eight governors with unequal stakes. Withhold and AlwaysMinus slots leave
+    labels absent or -1 on valid transactions, and T=6 closes epochs."""
+    return {
+        "seed": 88, "l": 6, "n": 5, "m": 8,
+        "topology": [[0, 1, 3, 4], [1, 2, 3], [0, 3, 4], [2, 4], [0, 1, 2, 3], [1, 4]],
+        "strategies": [
+            {"kind": "Honest"},
+            {"kind": "Withhold", "q": 0.5},
+            {"kind": "FlipProb", "q": 0.2},
+            {"kind": "AlwaysMinus"},
+            {"kind": "Honest"},
+        ],
+        "stakes": [10, 20, 30, 40, 50, 60, 70, 80],
+        "T": 6,
+        "eta_policy": {"kind": "PerEpochSqrt"},
+        "mu": 0.7,
+        "delta_rounds": 1,
+        "b_limit": 4,
+        "gen_rate": 2,
+        "invalid_fraction": 0.3,
+        "total_rounds": 30,
+    }
+
+
 # (name, config, tip, world_state_hash, (dropped_forged, summed governor
 # dropped_bad_signature)). Neither digest covers the disposition counters, so
 # they are pinned beside them.
@@ -54,6 +79,8 @@ PINS = [
     # A governor's inbox follows upload order, collector by collector. Providers
     # 2 and 4 are not wired to collector 0, whose upload is filed first.
     ("unequal_stakes", unequal_stakes(), "a6477049a0abf4e1", "a8a3937d16205beb", (348, 0)),
+    # m=8: every governor leads at least once, and every provider's epoch closes twice or more.
+    ("eight_governors", eight_governors(), "2cc86bb9813c710b", "b936646d4213d6c4", (0, 0)),
     # The headline scenario, cut to 120 rounds: three epochs close under PerEpochSqrt.
     ("doubling_120", dict(scenarios.doubling(), total_rounds=120),
      "5cbf59e29024fc6c", "066060cdc854811a", (0, 0)),

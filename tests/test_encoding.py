@@ -120,7 +120,9 @@ def test_upload_vector(crypto_vectors):
     assert sign(kp, body).tag.hex() == v["signature"]
     collector = nodes.CollectorNode(v["collector_id"], kp, nodes.StrategySpec("Honest"),
                                     None, None)
-    assert collector.sign_upload(v["round"], labels).tag.hex() == v["signature"]
+    upload = collector.sign_upload(v["round"], labels)
+    assert upload.signing_bytes == body
+    assert upload.signature.tag.hex() == v["signature"]
 
 
 def test_block_vector(crypto_vectors):

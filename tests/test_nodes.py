@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 
@@ -10,6 +11,7 @@ from repuchain.core_types import (
     LabeledTransaction,
     SimSignature,
     Transaction,
+    Upload,
     block_bytes,
     label_signing_bytes,
     tx_signing_bytes,
@@ -19,7 +21,14 @@ from repuchain.consensus import ChainViolation, Violation
 from repuchain.crypto_sim import KeyRegistry, sign, substream
 from repuchain import core_types, metrics_oracle, nodes, reputation, scenarios
 from repuchain.metrics_oracle import mc_expected_loss
-from repuchain.reputation import revenue_shares
+from repuchain.reputation import (
+    ReputationState,
+    maybe_advance_epoch,
+    revenue_shares,
+    screen_draw,
+    selection_probabilities,
+    update_reputations,
+)
 from repuchain.nodes import (
     CollectorNode,
     ProviderNode,
@@ -67,7 +76,7 @@ def make_collector(registry, index=0, kind="Honest", q=0.0, forge_rate=1, n_prov
 def signed_upload(collector, labels, round_no):
     """``collector``'s upload of ``labels``, signed as ``step_round`` signs it, for a
     governor that ingests it in ``round_no``."""
-    return (collector.id, list(labels), collector.sign_upload(round_no - 1, labels))
+    return collector.sign_upload(round_no - 1, labels)
 
 
 def ingest_signed(g, uploads, round_no):
@@ -230,7 +239,10 @@ def test_collector_signature_binds_label(registry):
     txs = make_provider(registry, gen_rate=3).generate(1)
     labels = [c.process(tx) for tx in txs]
     bodies = [ltx.body for ltx in labels]
-    sig = c.sign_upload(7, labels)
+    upload = c.sign_upload(7, labels)
+    assert (upload.collector_id, upload.round_no, upload.labels) == (2, 7, tuple(labels))
+    assert upload.signing_bytes == upload_bytes(2, 7, bodies)
+    sig = upload.signature
     assert registry.verify(c.keypair.public, upload_bytes(2, 7, bodies), sig)
     flipped = [bodies[0], label_signing_bytes(txs[1], -1), bodies[2]]
     for other in (upload_bytes(2, 7, flipped), upload_bytes(2, 8, bodies),
@@ -248,7 +260,8 @@ def deliver(registry, governor, tx, collector_index=0, round_no=5, kind="Honest"
                        n_providers=len(governor.rep))
     ltx = c.process(tx)
     assert ltx is not None
-    return governor.on_labeled_transaction(c.id, ltx, c.sign_upload(round_no - 1, [ltx]), round_no)
+    signature = c.sign_upload(round_no - 1, [ltx]).signature
+    return governor.on_labeled_transaction(c.id, ltx, signature, round_no)
 
 
 def test_first_copy_starts_timer(registry):
@@ -287,22 +300,25 @@ def _two_collector_world(registry):
 def test_bad_collector_signature_dropped(registry):
     g, (a, b), _, (labels0, _) = _two_collector_world(registry)
     bad = SimSignature(b"\1" * 32)
-    assert g.ingest([(0, labels0, bad)], 1) == ["bad_collector_sig"] * 2
+    assert g.ingest([Upload(0, 0, labels0, bad)], 1) == ["bad_collector_sig"] * 2
     assert g.dropped_bad_signature == 2  # counted per copy
     assert not g.inbox
 
 
 def test_relabeled_copy_with_original_signature_refused(registry):
     g, (a, b), c, (labels0, _) = _two_collector_world(registry)
-    signature = c[0].sign_upload(0, labels0)
+    upload = c[0].sign_upload(0, labels0)
     flipped = dataclasses.replace(labels0[1], label=-labels0[1].label)
     assert flipped.body == label_signing_bytes(b, -labels0[1].label) != labels0[1].body
-    assert g.ingest([(0, [labels0[0], flipped], signature)], 1) == ["bad_collector_sig"] * 2
+    relabeled = Upload(0, 0, [labels0[0], flipped], upload.signature)
+    assert g.ingest([relabeled], 1) == ["bad_collector_sig"] * 2
     assert not g.inbox and g.dropped_bad_signature == 2
-    assert g.ingest([(0, labels0, signature)], 1) == ["ok", "ok"]  # the genuine upload lands
-    # No caller can hand a label or a verdict the bytes of the record it copies.
+    assert g.ingest([upload], 1) == ["ok", "ok"]  # the genuine upload lands
+    # No caller can hand a label, an upload or a verdict the bytes of the record it copies.
     with pytest.raises(TypeError):
         LabeledTransaction(b, -labels0[1].label, labels0[1].body)
+    with pytest.raises(TypeError):
+        Upload(0, 0, relabeled.labels, upload.signature, upload.signing_bytes)
     msg = g.screen(a.txid).message
     with pytest.raises(TypeError):
         nodes.VerificationMessage(msg.leader_id, msg.provider_id, msg.txid, not msg.validbit,
@@ -311,12 +327,13 @@ def test_relabeled_copy_with_original_signature_refused(registry):
 
 def test_label_moved_into_another_collectors_upload_refuses_both(registry):
     g, (a, b), c, (labels0, labels1) = _two_collector_world(registry)
-    sig0, sig1 = c[0].sign_upload(0, labels0), c[1].sign_upload(0, labels1[:1])
-    moved = [(0, labels0[:1], sig0), (1, [labels1[0], labels0[1]], sig1)]
+    up0, up1 = c[0].sign_upload(0, labels0), c[1].sign_upload(0, labels1[:1])
+    moved = [Upload(0, 0, labels0[:1], up0.signature),
+             Upload(1, 0, [labels1[0], labels0[1]], up1.signature)]
     assert g.ingest(moved, 1) == ["bad_collector_sig"] * 3
     assert not g.inbox and g.dropped_bad_signature == 3
     # A whole upload carried under another collector's id is refused too.
-    assert g.ingest([(1, labels0, sig0)], 1) == ["bad_collector_sig"] * 2
+    assert g.ingest([dataclasses.replace(up0, collector_id=1)], 1) == ["bad_collector_sig"] * 2
     assert not g.inbox and g.dropped_bad_signature == 5
 
 
@@ -325,7 +342,11 @@ def test_upload_replayed_under_another_round_is_refused(registry):
     upload = signed_upload(c[0], labels0, 5)  # uploaded in round 4, due in round 5
     for r in (4, 6):
         assert g.ingest([upload], r) == ["bad_collector_sig"] * 2
-    assert not g.inbox
+        # Restamped with the round it is replayed in, it carries bytes its signature does not cover.
+        restamped = dataclasses.replace(upload, round_no=r - 1)
+        assert restamped.signing_bytes == upload_bytes(0, r - 1, [ltx.body for ltx in labels0])
+        assert g.ingest([restamped], r) == ["bad_collector_sig"] * 2
+    assert not g.inbox and g.dropped_bad_signature == 8
     assert g.ingest([upload], 5) == ["ok", "ok"]
 
 
@@ -333,17 +354,19 @@ def test_labels_outside_the_signed_upload_are_refused(registry):
     # An upload always carries a signature; labels its signature does not cover,
     # appended after signing or under the signature of an empty upload, refuse it whole.
     g, (a, b), c, (labels0, labels1) = _two_collector_world(registry)
-    appended = (1, labels1, c[1].sign_upload(0, labels1[:1]))
+    appended = dataclasses.replace(c[1].sign_upload(0, labels1[:1]), labels=tuple(labels1))
     assert g.ingest([signed_upload(c[0], labels0, 1), appended], 1) == \
         ["ok", "ok", "bad_collector_sig", "bad_collector_sig"]
-    assert g.ingest([(1, labels1, c[1].sign_upload(0, []))], 1) == ["bad_collector_sig"] * 2
+    empty = c[1].sign_upload(0, [])
+    assert g.ingest([dataclasses.replace(empty, labels=tuple(labels1))], 1) == \
+        ["bad_collector_sig"] * 2
     assert g.dropped_bad_signature == 4
     assert g.inbox[a.txid][2] == g.inbox[b.txid][2] == {0: 1}
 
 
 def test_bad_upload_leaves_another_collectors_labels_ok(registry):
     g, (a, b), c, (labels0, labels1) = _two_collector_world(registry)
-    uploads = [(0, labels0, SimSignature(b"\1" * 32)), signed_upload(c[1], labels1, 1)]
+    uploads = [Upload(0, 0, labels0, SimSignature(b"\1" * 32)), signed_upload(c[1], labels1, 1)]
     assert g.ingest(uploads, 1) == ["bad_collector_sig"] * 2 + ["ok"] * 2
     assert g.inbox[a.txid][2] == g.inbox[b.txid][2] == {1: 1}
     assert g.dropped_bad_signature == 2
@@ -378,9 +401,9 @@ def test_a_round_signs_one_upload_per_uploading_collector(monkeypatch):
     for _ in range(8):
         signed.clear()
         step_round(w)
-        uploaders = [cid for cid, _, _ in w.to_governors]
+        uploaders = [upload.collector_id for upload in w.to_governors]
         assert uploaders == sorted(set(uploaders))  # one upload a collector, in id order
-        assert all(labels for _, labels, _ in w.to_governors)
+        assert all(upload.labels for upload in w.to_governors)
         assert forgers <= set(uploaders)
         assert sorted(collector_keys[k] for k in signed if k in collector_keys) == uploaders
         verdicts = sum(k in governor_keys for k in signed)
@@ -421,22 +444,23 @@ def test_batched_ingest_matches_one_copy_at_a_time(registry):
             c0.process(a),
             LabeledTransaction(forged_tx, 1),
         ], 5),
-        (3, [c3.process(b)], bad),  # collector 3's upload carries a bad tag
+        Upload(3, 4, [c3.process(b)], bad),  # collector 3's upload carries a bad tag
         signed_upload(c1, [c1.process(a), c1.process(verified), c1.process(settled),
                            c1.process(b)], 5),
-        (9, [LabeledTransaction(b, 1)], bad),  # unknown collector
+        Upload(9, 4, [LabeledTransaction(b, 1)], bad),  # unknown collector
         signed_upload(c2, [c2.process(b), c2.process(d)], 5),  # 2 does not serve provider 0
     ]
     signers = {0: c0, 1: c1, 2: c2}
 
     def one_label_signature(cid, ltx):
         signer = signers.get(cid)
-        return bad if signer is None else signer.sign_upload(4, [ltx])
+        return bad if signer is None else signer.sign_upload(4, [ltx]).signature
 
     batched, one_by_one = governors
     codes = batched.ingest(uploads, 5)
-    assert codes == [one_by_one.on_labeled_transaction(cid, ltx, one_label_signature(cid, ltx), 5)
-                     for cid, labels, _ in uploads for ltx in labels]
+    assert codes == [one_by_one.on_labeled_transaction(
+                         u.collector_id, ltx, one_label_signature(u.collector_id, ltx), 5)
+                     for u in uploads for ltx in u.labels]
     assert codes == ["ok", "duplicate", "duplicate", "forged", "bad_collector_sig",
                      "ok", "settled", "settled", "ok", "bad_collector_sig",
                      "not_connected", "ok"]
@@ -561,10 +585,10 @@ def test_each_governor_checks_a_provider_signature_once(registry, monkeypatch):
 
 
 def test_signers_encode_each_signed_record_once(registry, monkeypatch):
-    # A label's body is encoded once, by its constructor; an upload by its signer and
-    # by each governor that checks it. The bytes a leader signs are the bytes its
-    # verdict carries. A transaction is encoded twice: by its provider to sign, by
-    # its constructor to carry.
+    # A label's body is encoded once, by its constructor; an upload once, by its
+    # signer, however many governors check it. The bytes a leader signs are the
+    # bytes its verdict carries, and a replica checks those. A transaction is
+    # encoded twice: by its provider to sign, by its constructor to carry.
     calls = {}
     for module in (core_types, nodes):
         for name in ("tx_signing_bytes", "label_signing_bytes", "upload_bytes",
@@ -575,7 +599,7 @@ def test_signers_encode_each_signed_record_once(registry, monkeypatch):
                     return _original(*args)
 
                 monkeypatch.setattr(module, name, counting)
-    g = make_governor(registry, topology=((0,),))
+    leader, replica = (make_governor(registry, topology=((0,),), gov_index=k) for k in (0, 1))
     txs = make_provider(registry, gen_rate=3, invalid=0.0).generate(1)
     assert calls == {"tx_signing_bytes": 6}
     tx = txs[0]
@@ -585,16 +609,66 @@ def test_signers_encode_each_signed_record_once(registry, monkeypatch):
     ltx = c.process(tx)
     assert calls == {"tx_signing_bytes": 6, "label_signing_bytes": 1}
     assert ltx.body == label_signing_bytes(tx, 1)
-    signature = c.sign_upload(0, [ltx])
+    upload = c.sign_upload(0, [ltx])
     assert calls == {"tx_signing_bytes": 6, "label_signing_bytes": 1, "upload_bytes": 1}
-    assert g.ingest([(c.id, [ltx], signature)], 1) == ["ok"]
-    res = g.screen(tx.txid)
+    assert upload.signing_bytes == upload_bytes(c.id, 0, [ltx.body])
+    for g in (leader, replica):
+        assert g.ingest([upload], 1) == ["ok"]
+    res = leader.screen(tx.txid)
     assert res.outcome == "valid"
-    assert calls == {"tx_signing_bytes": 6, "label_signing_bytes": 1, "upload_bytes": 2,
+    replica.on_verification_message(res.message)
+    assert replica.state_fingerprint() == leader.state_fingerprint()
+    assert calls == {"tx_signing_bytes": 6, "label_signing_bytes": 1, "upload_bytes": 1,
                      "verification_message_bytes": 1}
     msg = res.message
     assert msg.signing_bytes == verification_message_bytes(
         msg.leader_id, msg.provider_id, msg.txid, msg.validbit, msg.received, msg.cnt)
+
+
+def test_upload_record_encodes_its_own_bytes(registry):
+    # The constructor, the signer and dataclasses.replace all encode an upload's
+    # bytes from its fields; a record changed after signing no longer verifies.
+    g, (a, b), c, (labels0, _) = _two_collector_world(registry)
+    upload = c[0].sign_upload(0, labels0)
+    assert upload.labels == tuple(labels0)
+    assert upload == Upload(0, 0, labels0, upload.signature)
+    with pytest.raises(TypeError):
+        Upload(0, 0, labels0, upload.signature, upload.signing_bytes)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        upload.signing_bytes = upload_bytes(0, 1, [ltx.body for ltx in labels0])
+    changed = [dataclasses.replace(upload, labels=upload.labels[:1]),
+               dataclasses.replace(upload, labels=upload.labels[::-1]),
+               dataclasses.replace(upload, round_no=1)]
+    for other in changed:
+        assert other.signature == upload.signature
+        assert other.signing_bytes == upload_bytes(
+            other.collector_id, other.round_no, [ltx.body for ltx in other.labels])
+        assert other.signing_bytes != upload.signing_bytes
+    assert g.ingest(changed[:2], 1) == ["bad_collector_sig"] * 3
+    assert g.ingest(changed[2:], 2) == ["bad_collector_sig"] * 2
+    assert not g.inbox and g.dropped_bad_signature == 5
+    assert g.ingest([upload], 1) == ["ok", "ok"]
+
+
+def test_upload_from_another_round_is_refused_unchecked(registry, monkeypatch):
+    # The governor compares the upload's round with its own before any signature
+    # check: a genuine signature for another round costs no verify call.
+    g, (a, b), c, (labels0, _) = _two_collector_world(registry)
+    checked = []
+    original = KeyRegistry.verify
+
+    def counting(self, public, msg, sig):
+        checked.append(msg)
+        return original(self, public, msg, sig)
+
+    monkeypatch.setattr(KeyRegistry, "verify", counting)
+    for sent in (0, 1, 3):
+        upload = c[0].sign_upload(sent, labels0)
+        assert g.ingest([upload], 3) == ["bad_collector_sig"] * 2
+    assert checked == [] and not g.inbox
+    upload = c[0].sign_upload(2, labels0)
+    assert g.ingest([upload], 3) == ["ok", "ok"]
+    assert checked[0] == upload.signing_bytes
 
 
 def test_screen_single_honest_collector_always_verifies(registry):
@@ -798,6 +872,56 @@ def test_leader_screening_reports_epoch_closure(registry):
     assert [r.epoch_index for r in results] == [0, 0, 1]
 
 
+def _slot_labels(u):
+    """Every assignment of +1, -1 or no label to ``u`` slots, as a slot -> label dict."""
+    for combo in itertools.product((1, -1, None), repeat=u):
+        yield {k: lab for k, lab in enumerate(combo) if lab is not None}
+
+
+@pytest.mark.parametrize("u", [1, 2, 3, 4])
+def test_replica_verdict_transition_matches_the_reference_update(registry, u):
+    # Every per-slot label in {+1, -1, absent} and both verdicts, from a state in
+    # mid-epoch and from one a step short of its boundary: a replica's transition
+    # equals the oracle's update followed by the epoch step, and penalizes the
+    # slots the leader's screening draw reports.
+    leader, replica = (make_governor(registry, topology=(tuple(range(u)),), threshold=4,
+                                     gov_index=k) for k in (0, 1))
+    (tx,) = make_provider(registry).generate(1)
+    starts = [
+        ReputationState(tuple(-k for k in range(u)), 1, 4, 0.5, 0),
+        ReputationState(tuple(-2 * k for k in range(u)), 3, 4, 0.5, 2),
+    ]
+    closures = 0
+    for state, labels, validbit in itertools.product(starts, _slot_labels(u), (True, False)):
+        received = tuple(sorted(labels.items()))
+        msg = nodes.VerificationMessage.signed(leader.id, 0, tx.txid, validbit, received,
+                                               state.cnt + 1, leader.keypair)
+        assert msg.plus == {k for k, lab in labels.items() if lab == 1}
+        replica.rep[0] = state
+        replica.inbox[tx.txid] = (tx, 2, dict(labels))
+        replica.pending.clear()
+        closure = replica.apply_verdict(msg)
+        updated = update_reputations(state, labels, validbit)
+        expected, revenue = maybe_advance_epoch(updated, replica.mu, replica.eta_policy)
+        assert replica.rep[0] == expected
+        assert closure == (None if revenue is None
+                           else nodes.EpochClosure(0, state.epoch_index, state.eta, revenue))
+        closures += closure is not None
+        assert (tx.txid in replica.pending) is validbit and tx.txid not in replica.inbox
+        # The rule as the reputation module states it, written out here on its own.
+        rule = tuple(k for k in range(u)
+                     if (labels.get(k) != 1 if validbit else labels.get(k) == 1))
+        assert updated.reps == tuple(r - (k in rule) for k, r in enumerate(state.reps))
+        # The leader's draw, landing on each +1 slot in turn, penalizes the same slots.
+        probs = selection_probabilities(state.reps, state.eta)
+        for k in msg.plus:
+            rng = ForcedRng([sum(probs[:k]) + probs[k] / 2])
+            verdict, pen, loss = screen_draw(state, labels, rng, lambda _: validbit, None)
+            assert verdict is validbit and pen == rule
+            assert loss == sum(probs[j] for j in rule)
+    assert closures == 2 * 3 ** u
+
+
 def _replica_of(registry, leader, txs):
     """A second governor that received the same labels as ``_closing_epoch_run``'s leader."""
     replica = make_governor(registry, topology=((0, 1),), threshold=2, gov_index=1)
@@ -975,7 +1099,7 @@ def test_a_key_enrolled_under_another_role_verifies_nothing(registry, case):
         (tx,) = make_provider(registry).generate(5)
         labels = [collector.process(tx)]
         body = upload_bytes(0, 5, [ltx.body for ltx in labels])
-        assert g.ingest([(0, labels, sign(provider_kp, body))], 6) == ["bad_collector_sig"]
+        assert g.ingest([Upload(0, 5, labels, sign(provider_kp, body))], 6) == ["bad_collector_sig"]
         assert g.dropped_bad_signature == 1
     elif case == "verdict-by-collector":
         msg = results[0].message

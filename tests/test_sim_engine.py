@@ -410,7 +410,7 @@ def _record_ingested(g, seen):
 
     def wrapped(uploads, round_no):
         codes = ingest(uploads, round_no)
-        copies = [ltx for _, labels, _ in uploads for ltx in labels]
+        copies = [ltx for upload in uploads for ltx in upload.labels]
         seen.update(ltx.tx.txid for ltx, code in zip(copies, codes) if code == "ok")
         return codes
 
