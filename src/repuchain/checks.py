@@ -21,8 +21,12 @@ class CheckResult:
     detail: str
 
 
-def _failed_runs(summaries: Sequence[dict]) -> list[dict]:
-    return [s for s in summaries if "error" in s]
+def _aborted(name: str, summaries: Sequence[dict]) -> CheckResult | None:
+    """The failing verdict of a check that reads runs when any run aborted, else None."""
+    failed = [s for s in summaries if "error" in s]
+    if not failed:
+        return None
+    return CheckResult(name, False, f"{len(failed)} run(s) aborted: {failed[0]['error']}")
 
 
 def check_regret_bound(summaries: Sequence[dict]) -> CheckResult:
@@ -37,9 +41,8 @@ def check_regret_bound(summaries: Sequence[dict]) -> CheckResult:
     <= ln(u)/eta + eta T / 2 for any loss sequence, adaptive ones included,
     so every (seed, provider, epoch) is held to it, up to 1e-9 of rounding.
     """
-    failed = _failed_runs(summaries)
-    if failed:
-        return CheckResult("regret-bound", False, f"{len(failed)} run(s) aborted")
+    if aborted := _aborted("regret-bound", summaries):
+        return aborted
     worst = min(
         ((ep["bound"] - ep["regret"], s["seed"], prov["provider_id"], ep)
          for s in summaries for prov in s["providers"] for ep in prov["epochs"]),
@@ -58,9 +61,8 @@ def check_regret_bound(summaries: Sequence[dict]) -> CheckResult:
 
 def check_scaling(summaries: Sequence[dict]) -> CheckResult:
     """Mean log-log slope of per-epoch regret vs epoch size within the window."""
-    failed = _failed_runs(summaries)
-    if failed:
-        return CheckResult("scaling", False, f"{len(failed)} run(s) aborted")
+    if aborted := _aborted("scaling", summaries):
+        return aborted
     slopes = []
     for s in summaries:
         for prov in s["providers"]:
@@ -79,12 +81,8 @@ def check_scaling(summaries: Sequence[dict]) -> CheckResult:
 
 def check_properties(summaries: Sequence[dict]) -> CheckResult:
     """No safety violations, full inclusion, and zero forged txs on chain."""
-    failed = _failed_runs(summaries)
-    if failed:
-        return CheckResult(
-            "properties", False,
-            f"{len(failed)} run(s) aborted: {failed[0]['error']}",
-        )
+    if aborted := _aborted("properties", summaries):
+        return aborted
     problems = []
     for s in summaries:
         if not s["on_chain_all_generated"]:
@@ -124,20 +122,14 @@ def check_oracle_agreement(_summaries: Sequence[dict]) -> CheckResult:
         mc = mc_expected_loss(
             inst["labels"], inst["validity"], inst["eta"], n_runs=n_runs, seed=idx
         )
-        tol = 3 * mc.se_proof + 1e-9
-        if abs(mc.mean_proof - exact.proof_loss) > tol:
-            return CheckResult(
-                "oracle-agreement", False,
-                f"instance {idx}: |{mc.mean_proof:.5f} - {exact.proof_loss:.5f}| "
-                f"> 3*se = {tol:.5f}",
-            )
-        tol = 3 * mc.se_prose + 1e-9
-        if abs(mc.mean_prose - exact.prose_loss) > tol:
-            return CheckResult(
-                "oracle-agreement", False,
-                f"instance {idx} (prose): |{mc.mean_prose:.5f} - {exact.prose_loss:.5f}| "
-                f"> 3*se = {tol:.5f}",
-            )
+        for tag, mean, se, want in (("", mc.mean_proof, mc.se_proof, exact.proof_loss),
+                                    (" (prose)", mc.mean_prose, mc.se_prose, exact.prose_loss)):
+            tol = 3 * se + 1e-9
+            if abs(mean - want) > tol:
+                return CheckResult(
+                    "oracle-agreement", False,
+                    f"instance {idx}{tag}: |{mean:.5f} - {want:.5f}| > 3*se = {tol:.5f}",
+                )
     return CheckResult(
         "oracle-agreement", True,
         f"{len(ORACLE_AGREEMENT_INSTANCES)} instances within 3 standard errors",

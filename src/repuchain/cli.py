@@ -28,7 +28,7 @@ from .metrics_oracle import (
 )
 from .scenarios import DRAIN_ROUNDS
 from .sim_engine import (
-    ConfigError, ScenarioConfig, check_seed, is_number, load_config, read_json, run,
+    ConfigError, ScenarioConfig, check_seed, load_config, read_json, run,
 )
 
 # A lone number is a seed count; past this it is almost surely one seed.
@@ -169,40 +169,21 @@ def cmd_run(
     return 0 if not failed_runs and all(r.passed for r in results) else 1
 
 
-def check_oracle_instance(raw: dict) -> None:
-    """Raise ConfigError naming the field if ``raw`` lacks an oracle instance's JSON types.
-
-    ``exact_expected_loss`` checks the label values and the instance's shape.
-    """
+def cmd_oracle(instance_path: str) -> int:
+    """Print the exact oracle's expectations; ``checked_instance`` states a valid instance."""
+    raw = read_json(instance_path, "instance")
     unknown = sorted(set(raw) - {"labels", "validity", "eta", "initial_reps"})
     if unknown:
         raise ConfigError(f"field '{unknown[0]}': unknown")
     for key in ("labels", "validity", "eta"):
         if key not in raw:
             raise ConfigError(f"field '{key}': missing")
-    labels, validity, eta = raw["labels"], raw["validity"], raw["eta"]
-    reps = raw.get("initial_reps")
-    if not (isinstance(labels, list) and labels and all(type(r) is list for r in labels)):
-        raise ConfigError("field 'labels': expected a non-empty list of lists")
-    if not (isinstance(validity, list) and all(type(v) is bool for v in validity)):
-        raise ConfigError("field 'validity': expected a list of booleans")
-    if not (is_number(eta) and eta > 0):
-        raise ConfigError(f"field 'eta': expected a finite number > 0, got {eta!r}")
-    if reps is not None and not (isinstance(reps, list) and all(type(r) is int for r in reps)):
-        raise ConfigError("field 'initial_reps': expected a list of integers")
-
-
-def cmd_oracle(instance_path: str) -> int:
-    raw = read_json(instance_path, "instance")
-    check_oracle_instance(raw)
-    u = len(raw["labels"][0])
-    T = len(raw["labels"])
-    eta = float(raw["eta"])
     try:
-        result = exact_expected_loss(raw["labels"], raw["validity"], eta,
+        result = exact_expected_loss(raw["labels"], raw["validity"], raw["eta"],
                                      initial_reps=raw.get("initial_reps"))
-    except ValueError as exc:  # the label values, the shape or the size (InstanceTooLargeError)
+    except ValueError as exc:  # a field checked_instance refuses, or InstanceTooLargeError
         raise ConfigError(str(exc)) from None
+    u, T, eta = len(result.slot_penalties), len(raw["labels"]), float(raw["eta"])
     bound = theorem_bound(u, eta, T)
     print(f"instance: u={u} T={T} eta={eta}")
     print(f"expected wasted verifications (prose L_T): {result.prose_loss:.6f}")

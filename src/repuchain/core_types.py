@@ -68,8 +68,9 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import sys
 from dataclasses import dataclass, field, fields
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 DIGEST_SIZE = 32
 ZERO_DIGEST = b"\x00" * DIGEST_SIZE
@@ -91,6 +92,12 @@ _LABEL_FIELDS = {1: struct.pack(">QQ", 8, 1), -1: struct.pack(">QQ", 8, 0)}
 _BLOCK_HEAD = struct.Struct(">QQQQQQ")
 # An upload's collector and round fields, then its list field's length and count.
 _UPLOAD_HEAD = struct.Struct(">QQQQQQ")
+
+
+def is_number(v: Any) -> bool:
+    """A JSON number a float can hold (not NaN, inf or a huge int), never ``bool``."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def sha256(data: bytes) -> bytes:

@@ -13,7 +13,11 @@ Two loss metrics are tracked side by side and never merged:
 
 The exact oracle recomputes both losses by enumerating the selection
 distribution per transaction with its own softmax, independent of the
-reputation module it cross-checks.
+reputation module it cross-checks; the Monte-Carlo oracle samples the same
+instance through the production draw and update. Both open with
+``checked_instance``, the one statement of a valid instance, so bad input
+fails closed with a ValueError naming the field, in the library as in the
+``oracle`` command.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
+from .core_types import is_number
 from .crypto_sim import substream
 from .nodes import EpochClosure, ScreeningResult, TxId
 from .reputation import ReputationState, apply_penalties, plus_slots, screen_draw
@@ -259,47 +264,53 @@ def scaling_fit(points: Sequence[tuple[float, float]]) -> float | None:
 # -- exact oracle ------------------------------------------------------------
 
 
-def _normalize_labels(
-    label_matrix: Sequence[Sequence[int | None]],
-) -> list[tuple[int | None, ...]]:
-    rows = []
-    for row in label_matrix:
-        norm = []
+def checked_instance(
+    labels: Sequence[Sequence[int | None]],
+    validity: Sequence[bool],
+    eta: float,
+    initial_reps: Sequence[int] | None = None,
+) -> tuple[list[tuple[int | None, ...]], tuple[bool, ...], float, tuple[int, ...]]:
+    """An oracle instance as both oracles read it; ValueError naming the field otherwise.
+
+    The one statement of a valid instance: ``labels`` a non-empty list of
+    rows, each with one slot per collector (at least one) and each entry +1,
+    -1, or 0/None for absent; ``validity`` one boolean per row; ``eta`` a
+    finite number > 0; ``initial_reps`` (all zero when omitted) one integer
+    per slot, each below 2^53 in magnitude so a float holds it exactly.
+    Returns the rows with None for absent, the validity tuple, eta as a
+    float and the starting reputations.
+    """
+    if not (isinstance(labels, (list, tuple)) and labels
+            and all(isinstance(row, (list, tuple)) for row in labels)):
+        raise ValueError("field 'labels': expected a non-empty list of lists")
+    for row in labels:
         for lab in row:
             if not (lab is None or (type(lab) is int and lab in (1, -1, 0))):
                 raise ValueError(
                     f"field 'labels': expected +1, -1, or 0/null for absent, got {lab!r}"
                 )
-            norm.append(None if lab in (None, 0) else lab)
-        rows.append(tuple(norm))
-    return rows
-
-
-def check_instance_shape(
-    label_matrix: Sequence[Sequence[int | None]],
-    validity: Sequence[bool],
-    initial_reps: Sequence[int] | None = None,
-) -> None:
-    """Raise ValueError naming the field if an oracle instance has the wrong shape.
-
-    One validity entry per label row, every row one slot per collector (at
-    least one), and one initial reputation per slot, each below 2^53 in
-    magnitude so a float holds it exactly. Both oracles check this, so the
-    ``oracle`` command does through ``exact_expected_loss``.
-    """
-    u = len(label_matrix[0]) if label_matrix else 0
+    rows = [tuple(None if lab in (None, 0) else lab for lab in row) for row in labels]
+    u = len(rows[0])
     if u == 0:
         raise ValueError("field 'labels': instance has no collector slots")
-    if any(len(row) != u for row in label_matrix):
+    if any(len(row) != u for row in rows):
         raise ValueError(f"field 'labels': every row must have {u} slots, as the first does")
-    if len(validity) != len(label_matrix):
+    if not (isinstance(validity, (list, tuple)) and all(type(v) is bool for v in validity)):
+        raise ValueError("field 'validity': expected a list of booleans")
+    if len(validity) != len(rows):
         raise ValueError(f"field 'validity': {len(validity)} entries, "
-                         f"but 'labels' has {len(label_matrix)} rows")
-    if initial_reps is not None and len(initial_reps) != u:
-        raise ValueError(f"field 'initial_reps': {len(initial_reps)} entries, "
+                         f"but 'labels' has {len(rows)} rows")
+    if not (is_number(eta) and eta > 0):
+        raise ValueError(f"field 'eta': expected a finite number > 0, got {eta!r}")
+    reps0 = (0,) * u if initial_reps is None else initial_reps
+    if not (isinstance(reps0, (list, tuple)) and all(type(r) is int for r in reps0)):
+        raise ValueError("field 'initial_reps': expected a list of integers")
+    if len(reps0) != u:
+        raise ValueError(f"field 'initial_reps': {len(reps0)} entries, "
                          f"but each label row has {u} slots")
-    if initial_reps is not None and any(abs(r) >= 1 << 53 for r in initial_reps):
+    if any(abs(r) >= 1 << 53 for r in reps0):
         raise ValueError("field 'initial_reps': every entry must be below 2^53 in magnitude")
+    return rows, tuple(validity), float(eta), tuple(reps0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -328,16 +339,14 @@ def exact_expected_loss(
     expectations are computed without sampling. Deliberately self-contained:
     it shares no code with the reputation module it validates.
     """
-    labels = _normalize_labels(label_matrix)
-    check_instance_shape(labels, validity, initial_reps)
+    labels, validity, eta, reps0 = checked_instance(label_matrix, validity, eta, initial_reps)
     T = len(labels)
-    u = len(labels[0])
+    u = len(reps0)
     if u > ORACLE_MAX_U or T > ORACLE_MAX_T:
         raise InstanceTooLargeError(
             f"instance with u={u}, T={T} exceeds oracle bounds "
             f"(u <= {ORACLE_MAX_U}, T <= {ORACLE_MAX_T})"
         )
-    reps0 = tuple(initial_reps) if initial_reps is not None else (0,) * u
 
     dist: dict[tuple[int, ...], float] = {reps0: 1.0}
     proof_loss = 0.0
@@ -411,10 +420,7 @@ def mc_expected_loss(
     production code paths (the leader's ``screen_draw`` and a governor's
     ``apply_penalties``, each row's +1 slots derived once), for agreement
     checks against the exact oracle."""
-    labels = _normalize_labels(label_matrix)
-    check_instance_shape(labels, validity, initial_reps)
-    u = len(labels[0])
-    reps0 = tuple(initial_reps) if initial_reps is not None else (0,) * u
+    labels, validity, eta, reps0 = checked_instance(label_matrix, validity, eta, initial_reps)
     rng = substream(seed, "oracle-mc")
     proof_samples = []
     prose_samples = []

@@ -44,12 +44,11 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
-import sys
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any
 
 from .consensus import ChainViolation, Ledger, Violation, elect_leader
-from .core_types import RoundLists, Transaction, Upload
+from .core_types import RoundLists, Transaction, Upload, is_number
 from .crypto_sim import KeyRegistry, substream
 from .metrics_oracle import MetricsLog, RoundRow
 from .nodes import (
@@ -86,12 +85,6 @@ def need_int(v: Any, field: str, lo: int, hi: int = INT_LIMIT) -> int:
     if not isinstance(i, int) or isinstance(i, bool) or not lo <= i < hi:
         raise ConfigError(f"field '{field}': expected integer in [{lo}, {hi}), got {v!r}")
     return i
-
-
-def is_number(v: Any) -> bool:
-    """A JSON number a float can hold (not NaN, inf or a huge int), never ``bool``."""
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max)
 
 
 def refuse_unknown_keys(obj: dict, dataclass_type, prefix: str = "") -> None:

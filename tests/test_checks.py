@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import pytest
 
-from repuchain import scenarios
+from repuchain import checks, scenarios
 from repuchain.checks import (
+    check_oracle_agreement,
     check_properties,
     check_regret_bound,
     check_scaling,
     evaluate,
 )
 from repuchain.cli import run_seed
-from repuchain.metrics_oracle import mean_se
+from repuchain.metrics_oracle import mc_expected_loss, mean_se
 from repuchain.scenarios import LATENCY_FACTOR, SLOPE_WINDOW
 from repuchain.sim_engine import ScenarioConfig
 
@@ -66,7 +69,9 @@ def test_regret_bound_fails_beyond_bound():
 
 
 def test_regret_bound_fails_on_aborted_or_empty_runs():
-    assert not check_regret_bound([summary(), ABORTED]).passed
+    aborted = check_regret_bound([summary(), ABORTED])
+    assert not aborted.passed
+    assert "1 run(s) aborted" in aborted.detail and "divergence" in aborted.detail
     empty = check_regret_bound([summary(margins=())])
     assert not empty.passed and "no epochs" in empty.detail
 
@@ -86,7 +91,9 @@ def test_scaling_fails_outside_window():
 
 def test_scaling_fails_without_slopes_or_on_aborted_runs():
     assert not check_scaling([summary(slope=None)]).passed
-    assert not check_scaling([summary(), ABORTED]).passed
+    aborted = check_scaling([summary(), ABORTED])
+    assert not aborted.passed
+    assert "1 run(s) aborted" in aborted.detail and "divergence" in aborted.detail
 
 
 # -- properties ---------------------------------------------------------------------
@@ -123,6 +130,29 @@ def test_properties_reports_the_aborted_run():
     result = check_properties([summary(), ABORTED])
     assert not result.passed
     assert "1 run(s) aborted" in result.detail and "divergence" in result.detail
+
+
+# -- oracle-agreement ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field,tag", [("mean_proof", ""), ("mean_prose", " (prose)")])
+def test_oracle_agreement_fails_past_three_standard_errors(monkeypatch, field, tag):
+    # Shift one instance's Monte-Carlo mean past 3 SE; the check names that
+    # instance, and the prose comparison alone says so.
+    shifted = 2
+
+    def off(labels, validity, eta, n_runs, seed):
+        mc = mc_expected_loss(labels, validity, eta, n_runs=n_runs, seed=seed)
+        if seed != shifted:
+            return mc
+        se = mc.se_proof if field == "mean_proof" else mc.se_prose
+        return replace(mc, **{field: getattr(mc, field) + 3 * se + 0.01})
+
+    monkeypatch.setattr(checks, "mc_expected_loss", off)
+    result = check_oracle_agreement([])
+    assert not result.passed
+    assert result.detail.startswith(f"instance {shifted}{tag}: |")
+    assert ("(prose)" in result.detail) == bool(tag)
 
 
 def test_evaluate_runs_the_named_checks_in_order():

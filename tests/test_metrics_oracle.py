@@ -11,6 +11,7 @@ from repuchain.metrics_oracle import (
     emit_csv,
     exact_expected_loss,
     mc_expected_loss,
+    mean_se,
     scaling_fit,
     theorem_bound,
 )
@@ -76,23 +77,42 @@ def test_oracle_rejects_malformed_input():
         exact_expected_loss([[1, 1], [1]], [True, False], eta=0.5)
 
 
-@pytest.mark.parametrize("field,labels,validity,reps", [
-    ("validity", [[1, 1], [1, -1]], [False], None),
-    ("validity", [[1, 1]], [True, False], None),
-    ("labels", [[1, 1], [1]], [True, False], None),
-    ("labels", [[1], [1, -1]], [True, False], None),
-    ("labels", [[]], [True], None),
-    ("initial_reps", [[1, 1]], [True], [0, 0, 0]),
-    ("initial_reps", [[1, 1]], [True], [0]),
-    ("labels", [[True, False]], [False], None),
-    ("labels", [[1.0, -1]], [False], None),
-    ("initial_reps", [[1, 1]], [True], [-(1 << 53), 0]),
+# Every row names its id, so adding a row or a column renames no test.
+@pytest.mark.parametrize("field,labels,validity,eta,reps", [
+    pytest.param("validity", [[1, 1], [1, -1]], [False], 0.5, None,
+                 id="validity-labels0-validity0-None"),
+    pytest.param("validity", [[1, 1]], [True, False], 0.5, None,
+                 id="validity-labels1-validity1-None"),
+    pytest.param("labels", [[1, 1], [1]], [True, False], 0.5, None,
+                 id="labels-labels2-validity2-None"),
+    pytest.param("labels", [[1], [1, -1]], [True, False], 0.5, None,
+                 id="labels-labels3-validity3-None"),
+    pytest.param("labels", [[]], [True], 0.5, None,
+                 id="labels-labels4-validity4-None"),
+    pytest.param("initial_reps", [[1, 1]], [True], 0.5, [0, 0, 0],
+                 id="initial_reps-labels5-validity5-reps5"),
+    pytest.param("initial_reps", [[1, 1]], [True], 0.5, [0],
+                 id="initial_reps-labels6-validity6-reps6"),
+    pytest.param("labels", [[True, False]], [False], 0.5, None,
+                 id="labels-labels7-validity7-None"),
+    pytest.param("labels", [[1.0, -1]], [False], 0.5, None,
+                 id="labels-labels8-validity8-None"),
+    pytest.param("initial_reps", [[1, 1]], [True], 0.5, [-(1 << 53), 0],
+                 id="initial_reps-labels9-validity9-reps9"),
+    pytest.param("eta", [[1, -1]], [False], float("nan"), None, id="eta-nan"),
+    pytest.param("eta", [[1, -1]], [False], 0, None, id="eta-zero"),
+    pytest.param("eta", [[1, -1]], [False], -0.5, None, id="eta-negative"),
+    pytest.param("eta", [[1, -1]], [False], True, None, id="eta-bool"),
+    pytest.param("eta", [[1, -1]], [False], 10**400, None, id="eta-huge"),
+    pytest.param("validity", [[1, -1]], [1], 0.5, None, id="validity-int"),
+    pytest.param("validity", [[1, -1]], ["no"], 0.5, None, id="validity-str"),
+    pytest.param("initial_reps", [[1, -1]], [False], 0.5, [0.5, 0], id="initial_reps-float"),
 ])
-def test_both_oracles_reject_malformed_shapes(field, labels, validity, reps):
+def test_both_oracles_reject_malformed_shapes(field, labels, validity, eta, reps):
     with pytest.raises(ValueError, match=f"field '{field}'"):
-        exact_expected_loss(labels, validity, eta=0.5, initial_reps=reps)
+        exact_expected_loss(labels, validity, eta=eta, initial_reps=reps)
     with pytest.raises(ValueError, match=f"field '{field}'"):
-        mc_expected_loss(labels, validity, 0.5, n_runs=10, seed=0, initial_reps=reps)
+        mc_expected_loss(labels, validity, eta, n_runs=10, seed=0, initial_reps=reps)
 
 
 def test_theorem_bound_closed_form():
@@ -206,11 +226,6 @@ def test_full_engine_mean_loss_matches_enumerated_oracle():
         assert len(events) == T_steps
         proof_samples.append(sum(e[2] for e in events))
         prose_samples.append(compute_regret(metrics, 0).cumulative_prose_loss)
-
-    def mean_se(xs):
-        mu = sum(xs) / len(xs)
-        var = sum((x - mu) ** 2 for x in xs) / (len(xs) - 1)
-        return mu, math.sqrt(var / len(xs))
 
     mp, sp = mean_se(proof_samples)
     mw, sw = mean_se([float(x) for x in prose_samples])
