@@ -12,10 +12,10 @@ from .consensus import (
 )
 from .core_types import (
     Block,
-    LabeledTransaction,
     RoundLists,
     SimSignature,
     Transaction,
+    Upload,
     hash_block,
     lists_commitment_root,
     make_genesis,
@@ -67,11 +67,11 @@ from .sim_engine import (
 __all__ = [
     "Block", "ChainViolation", "CollectorNode", "ConfigError", "EtaPolicy",
     "ExactLoss", "GovernorNode", "InstanceTooLargeError", "KeyPair",
-    "KeyRegistry", "LabeledTransaction", "Ledger", "MetricsLog",
+    "KeyRegistry", "Ledger", "MetricsLog",
     "ProviderNode", "RegretReport", "ReputationState",
     "RoundLists", "ScenarioConfig", "SignedBlock", "SimSignature",
     "SimulationError", "StrategySpec",
-    "TopologyError", "Transaction", "Violation", "VrfOutput", "World",
+    "TopologyError", "Transaction", "Upload", "Violation", "VrfOutput", "World",
     "compute_regret", "draw_collector", "elect_leader",
     "emit_csv", "exact_expected_loss", "hash_block", "init_world",
     "lists_commitment_root", "load_config", "make_genesis", "maybe_advance_epoch",

@@ -1,4 +1,4 @@
-"""Domain objects shared by every layer: transactions, labels, uploads, blocks, Merkle roots.
+"""Domain objects shared by every layer: transactions, label uploads, blocks, Merkle roots.
 
 Canonical serialization rule (used for every digest and signature in the
 system): fields are concatenated in declared order, each prefixed with its
@@ -26,31 +26,31 @@ the records. A ``Transaction`` encodes its bytes from its fields, and
 carries its identity triple as ``txid``: collectors, who may misbehave, pass
 transactions on, and bytes taken on trust could carry a genuine provider
 signature under a made-up txid. No caller supplies a record's bytes. A
-verdict's or an upload's constructor encodes them from its fields, as
-``dataclasses.replace`` does; the signer builds it with the classmethod
-``signed``, which encodes the bytes once, signs them and stores both.
+record's constructor encodes them from its fields, as ``dataclasses.replace``
+does; the signer builds it with ``signed``, which encodes them once, signs
+them and stores both.
 
-A label is neither signed by itself nor tied to a collector. It carries its
-``body``, encoded from its fields. A collector's round upload is one
-``Upload`` record: its id, the round it was sent in, its labels in upload
-order, one signature over ``upload_bytes`` (the id, the round and the
-labels' bodies) and those bytes, which its constructor encodes from the
-other fields. A governor checks the one signature over the carried bytes
-without rebuilding them: like a transaction's ``wire_bytes``, they are a
-function of the record's fields, so a label flipped or moved to another
-collector's upload yields bytes the signature does not cover. The
-governor compares the record's round with its own, so an upload replayed
-in another round is refused too. It files the labels under the record's
-collector id, so no label is filed under an id its signature does not
-cover.
+A label is a plain ``(tx, label)`` pair, label +1 or -1: no record, no bytes
+of its own, not signed by itself, not tied to a collector. A collector's
+round upload is one ``Upload`` record: its id, the round it was sent in, its
+labels in upload order, one signature over ``upload_bytes`` (the id, the
+round and the labels' bodies, packed as each pair is read; any other label
+raises ``ValueError`` before anything is signed) and those bytes, which its
+constructor encodes from the other fields. A governor checks the one
+signature over the carried bytes without rebuilding them: like a
+transaction's ``wire_bytes``, they are a function of the record's fields, so
+a label flipped or moved to another collector's upload yields bytes the
+signature does not cover. The governor compares the record's round with its
+own, so an upload replayed in another round is refused too. It files the
+labels under the record's collector id, so no label is filed under an id its
+signature does not cover.
 
-The records built once or more per transaction (here ``SimSignature``,
-``Transaction`` and ``LabeledTransaction``; elsewhere the verdict and the
-reputation state), and the upload, are frozen slots dataclasses
-whose ``__init__`` stores each field through its slot descriptor
-(``slot_setters``), not the generated ``object.__setattr__`` path, which
-costs more than encoding the record. Assignment still raises
-``FrozenInstanceError``; equality, hashing, repr and
+The records built once or more per transaction (here ``SimSignature`` and
+``Transaction``; elsewhere the verdict and the reputation state), and the
+upload, are frozen slots dataclasses whose ``__init__`` stores each field
+through its slot descriptor (``slot_setters``), not the generated
+``object.__setattr__`` path, which costs more than encoding the record.
+Assignment still raises ``FrozenInstanceError``; equality, hashing, repr and
 ``dataclasses.replace`` are the dataclass's own.
 
 A block carries its SHA-256 digest as ``hash``, but not its bytes: a copy
@@ -86,7 +86,9 @@ _U64 = struct.Struct(">Q")
 _TX_SIGNING = struct.Struct(">QQQQQQ")
 # A transaction's wire bytes open with its signed triple, so the triple is their prefix.
 TX_SIGNING_SIZE = _TX_SIGNING.size
-# The label field of a label's body: (8, 1) for +1, (8, 0) for -1.
+# A label's body: its length and its wire field's length (24 less), the wire
+# bytes, then the label field: (8, 1) for +1, (8, 0) for -1.
+_LABEL_HEAD = struct.Struct(">QQ")
 _LABEL_FIELDS = {1: struct.pack(">QQ", 8, 1), -1: struct.pack(">QQ", 8, 0)}
 # A block's serial and leader fields, then its list field's length and count.
 _BLOCK_HEAD = struct.Struct(">QQQQQQ")
@@ -160,18 +162,33 @@ class Transaction:
 
     def __init__(self, provider_id: int, seq: int, timestamp: int,
                  ground_truth_valid: bool, signature: SimSignature) -> None:
-        s_provider, s_seq, s_time, s_valid, s_sig, s_txid, s_wire = _TX_SLOTS
-        tag = signature.tag
-        s_provider(self, provider_id)
-        s_seq(self, seq)
-        s_time(self, timestamp)
-        s_valid(self, ground_truth_valid)
-        s_sig(self, signature)
-        s_txid(self, (provider_id, seq, timestamp))
-        s_wire(self, tx_signing_bytes(provider_id, seq, timestamp) + _U64.pack(len(tag)) + tag)
+        _store_tx(self, provider_id, seq, timestamp, ground_truth_valid, signature,
+                  tx_signing_bytes(provider_id, seq, timestamp))
+
+    @classmethod
+    def signed(cls, provider_id: int, seq: int, timestamp: int, valid: bool,
+               sign: Callable[[bytes], SimSignature]) -> "Transaction":
+        """The transaction ``sign`` signs: its triple encoded once, signed, stored."""
+        body = tx_signing_bytes(provider_id, seq, timestamp)
+        self = cls.__new__(cls)
+        _store_tx(self, provider_id, seq, timestamp, valid, sign(body), body)
+        return self
 
 
 _TX_SLOTS = slot_setters(Transaction)
+
+
+def _store_tx(tx: Transaction, provider_id: int, seq: int, timestamp: int,
+              ground_truth_valid: bool, signature: SimSignature, body: bytes) -> None:
+    s_provider, s_seq, s_time, s_valid, s_sig, s_txid, s_wire = _TX_SLOTS
+    tag = signature.tag
+    s_provider(tx, provider_id)
+    s_seq(tx, seq)
+    s_time(tx, timestamp)
+    s_valid(tx, ground_truth_valid)
+    s_sig(tx, signature)
+    s_txid(tx, (provider_id, seq, timestamp))
+    s_wire(tx, body + _U64.pack(len(tag)) + tag)
 
 
 def tx_wire_bytes(tx: Transaction) -> bytes:
@@ -179,74 +196,61 @@ def tx_wire_bytes(tx: Transaction) -> bytes:
     return tx.wire_bytes
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class LabeledTransaction:
-    """A transaction plus a +1/-1 label, unsigned and without its collector.
-
-    ``body`` is the label's entry in its collector's signed round upload
-    (see ``upload_bytes``); the upload, not the label, carries the
-    signature and the collector id.
-    """
-
-    tx: Transaction
-    label: int
-    body: bytes = field(init=False, repr=False, compare=False)
-
-    def __init__(self, tx: Transaction, label: int) -> None:
-        s_tx, s_label, s_body = _LTX_SLOTS
-        body = label_signing_bytes(tx, label)
-        s_tx(self, tx)
-        s_label(self, label)
-        s_body(self, body)
-
-
-_LTX_SLOTS = slot_setters(LabeledTransaction)
+Label = tuple[Transaction, int]  # a collector's label on a transaction: +1 or -1
 
 
 def label_signing_bytes(tx: Transaction, label: int) -> bytes:
-    """A label's body, as an upload lists it: the wire transaction and its label, +1 or -1."""
+    """A label's body, as ``upload_bytes`` packs it: the wire transaction, its label (+1 or -1)."""
     label_field = _LABEL_FIELDS.get(label)
     if label_field is None:
         raise ValueError(f"label must be +1 or -1, got {label}")
-    wire = tx.wire_bytes
-    return _U64.pack(len(wire)) + wire + label_field
+    return _U64.pack(len(tx.wire_bytes)) + tx.wire_bytes + label_field
 
 
-def upload_bytes(collector_id: int, round_no: int, bodies: Sequence[bytes]) -> bytes:
-    """Bytes a collector signs once a round: its id, the round, its label bodies in order."""
-    pack = _U64.pack
-    items = b"".join([pack(len(b)) + b for b in bodies])
-    return _UPLOAD_HEAD.pack(8, collector_id, 8, round_no, 8 + len(items), len(bodies)) + items
+def upload_bytes(collector_id: int, round_no: int, labels: Sequence[Label]) -> bytes:
+    """Bytes a collector signs once a round: its id, the round, its labels' bodies in order."""
+    pack = _LABEL_HEAD.pack
+    parts: list[bytes] = []
+    put = parts.append
+    for tx, label in labels:
+        label_field = _LABEL_FIELDS.get(label)
+        if label_field is None:
+            raise ValueError(f"label must be +1 or -1, got {label}")
+        wire = tx.wire_bytes
+        put(pack(len(wire) + 24, len(wire)))
+        put(wire)
+        put(label_field)
+    items = b"".join(parts)
+    return _UPLOAD_HEAD.pack(8, collector_id, 8, round_no, 8 + len(items), len(labels)) + items
 
 
 @dataclass(frozen=True, slots=True, init=False)
 class Upload:
     """A collector's round upload, as the collector->governor hop carries it.
 
-    ``labels`` are the collector's labels in upload order and ``round_no`` the
-    round it sent them in. ``signing_bytes`` is ``upload_bytes`` over the id,
-    the round and the labels' bodies, encoded by the constructor from those
-    fields, so a governor checks the signature against bytes no sender chose.
+    ``labels`` are the collector's ``(tx, label)`` pairs in upload order, sent in
+    ``round_no``. The constructor encodes ``signing_bytes`` (``upload_bytes``) from
+    the fields, so a governor checks the signature against bytes no sender chose.
     """
 
     collector_id: int
     round_no: int
-    labels: tuple[LabeledTransaction, ...]
+    labels: tuple[Label, ...]
     signature: SimSignature
     signing_bytes: bytes = field(init=False, repr=False, compare=False)
 
-    def __init__(self, collector_id: int, round_no: int, labels: Sequence[LabeledTransaction],
+    def __init__(self, collector_id: int, round_no: int, labels: Sequence[Label],
                  signature: SimSignature) -> None:
         labels = tuple(labels)
-        body = upload_bytes(collector_id, round_no, [ltx.body for ltx in labels])
+        body = upload_bytes(collector_id, round_no, labels)
         _store_upload(self, collector_id, round_no, labels, signature, body)
 
     @classmethod
-    def signed(cls, collector_id: int, round_no: int, labels: Sequence[LabeledTransaction],
+    def signed(cls, collector_id: int, round_no: int, labels: Sequence[Label],
                sign: Callable[[bytes], SimSignature]) -> "Upload":
         """The upload ``sign`` signs: encoded once, signed, stored."""
         labels = tuple(labels)
-        body = upload_bytes(collector_id, round_no, [ltx.body for ltx in labels])
+        body = upload_bytes(collector_id, round_no, labels)
         self = cls.__new__(cls)
         _store_upload(self, collector_id, round_no, labels, sign(body), body)
         return self
@@ -255,15 +259,10 @@ class Upload:
 _UPLOAD_SLOTS = slot_setters(Upload)
 
 
-def _store_upload(upload: Upload, collector_id: int, round_no: int,
-                  labels: tuple[LabeledTransaction, ...], signature: SimSignature,
-                  body: bytes) -> None:
-    s_cid, s_round, s_labels, s_sig, s_body = _UPLOAD_SLOTS
-    s_cid(upload, collector_id)
-    s_round(upload, round_no)
-    s_labels(upload, labels)
-    s_sig(upload, signature)
-    s_body(upload, body)
+def _store_upload(upload: Upload, *values) -> None:
+    """Store ``(collector_id, round_no, labels, signature, signing_bytes)`` in ``upload``."""
+    for store, value in zip(_UPLOAD_SLOTS, values):
+        store(upload, value)
 
 
 @dataclass(frozen=True, slots=True)

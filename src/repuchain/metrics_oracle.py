@@ -419,8 +419,10 @@ def mc_expected_loss(
     """Monte-Carlo estimate of the same instance, driven through the
     production code paths (the leader's ``screen_draw`` and a governor's
     ``apply_penalties``, each row's +1 slots derived once), for agreement
-    checks against the exact oracle."""
+    checks against the exact oracle. ``n_runs`` must be an integer >= 1."""
     labels, validity, eta, reps0 = checked_instance(label_matrix, validity, eta, initial_reps)
+    if not (type(n_runs) is int and n_runs >= 1):
+        raise ValueError(f"argument 'n_runs': expected an integer >= 1, got {n_runs!r}")
     rng = substream(seed, "oracle-mc")
     proof_samples = []
     prose_samples = []

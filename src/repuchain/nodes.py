@@ -8,14 +8,14 @@ transactions after the waiting window, and verify only when the drawn slot
 vouched +1.
 
 A collector labels each copy as it arrives, in ``process(tx)``, which signs
-nothing. At the end of the round it signs its upload once, with
-``sign_upload``: the canonical ``upload_bytes`` over its id, the round and
-its labels' bodies in upload order. The upload travels as one ``Upload``
-record (collector id, round, labels, signature, and the signed bytes its
-constructor encoded); a label carries no collector id of its own. A slot is
-a collector's position in its provider's ``topology`` list; reputations,
-inbox labels and verdicts are kept per slot, and ``ingest`` alone maps a
-collector id to its slot.
+and encodes nothing: a label is the plain ``(tx, label)`` pair. At the end
+of the round it signs its upload once, with ``sign_upload``: the canonical
+``upload_bytes`` over its id, the round and its labels in upload order. The
+upload travels as one ``Upload`` record (collector id, round, labels,
+signature, and the signed bytes its constructor encoded); a label carries no
+collector id of its own. A slot is a collector's position in its provider's
+``topology`` list; reputations, inbox labels and verdicts are kept per slot,
+and ``ingest`` alone maps a collector id to its slot.
 
 A governor keeps only what its ``Ledger.settled`` has not indexed: the
 ``inbox`` while a transaction waits out its window and is screened, then
@@ -34,8 +34,8 @@ signed input:
   Then each of its copies, unless that check failed, gets its provider
   signature check (unless the inbox already holds its exact bytes) and its
   label is filed under the upload's collector's slot
-  (``on_labeled_transaction(collector_id, ltx, signature, r)`` is the
-  one-label-upload form).
+  (``on_labeled_transaction(collector_id, (tx, label), signature, r)`` is
+  the one-label-upload form).
 - ``apply_verdict(msg)``: the leader's ``VerificationMessage`` penalizes the
   slots (``reputation.apply_penalties`` on the message's ``plus`` slots),
   advances the epoch at its boundary and moves the transaction out of the
@@ -74,13 +74,12 @@ from typing import Iterable, Sequence
 from .consensus import (ChainViolation, Ledger, PendingEntry, SignedBlock, TxId,
                         propose_block, validate_and_append)
 from .core_types import (
-    LabeledTransaction,
+    Label,
     RoundLists,
     SimSignature,
     Transaction,
     Upload,
     slot_setters,
-    tx_signing_bytes,
 )
 from .crypto_sim import KeyPair, KeyRegistry, sign
 from .reputation import (
@@ -182,12 +181,12 @@ class ProviderNode:
 
     def generate(self, round_no: int) -> list[Transaction]:
         """Mint gen_rate fresh transactions stamped with the current round."""
+        keypair = self.keypair
         out = []
         for _ in range(self.gen_rate):
             valid = self.rng.random() >= self.invalid_fraction
             self._seq += 1
-            signature = sign(self.keypair, tx_signing_bytes(self.id, self._seq, round_no))
-            tx = Transaction(self.id, self._seq, round_no, valid, signature)
+            tx = Transaction.signed(self.id, self._seq, round_no, valid, lambda b: sign(keypair, b))
             if valid:
                 self.pending[tx.txid] = tx
             out.append(tx)
@@ -231,8 +230,8 @@ class CollectorNode:
         """Transactions proved invalid on chain are never relabeled."""
         self.ignored.update(txids)
 
-    def process(self, tx: Transaction) -> LabeledTransaction | None:
-        """Label one delivered copy, unsigned; None if it is ignored, dropped or withheld.
+    def process(self, tx: Transaction) -> Label | None:
+        """Label one delivered copy: ``(tx, label)``, unsigned; None if ignored, dropped or withheld.
 
         Only FlipProb and Withhold draw from ``rng``, once per copy that
         passes the provider-signature check.
@@ -245,9 +244,9 @@ class CollectorNode:
         label = self.label_rule(1 if validate_collector(tx) else -1, self.rng, self.strategy.q)
         if label is None:
             return None
-        return LabeledTransaction(tx, label)
+        return tx, label
 
-    def forge(self, round_no: int, provider_count: int) -> list[LabeledTransaction]:
+    def forge(self, round_no: int, provider_count: int) -> list[Label]:
         """Fabricate transactions with bogus provider signatures (Forger only)."""
         if self.strategy.kind != "Forger":
             return []
@@ -261,10 +260,10 @@ class CollectorNode:
                 ground_truth_valid=False,
                 signature=SimSignature(tag=self.rng.randbytes(32)),
             )
-            out.append(LabeledTransaction(fake, 1))
+            out.append((fake, 1))
         return out
 
-    def sign_upload(self, round_no: int, labels: Sequence[LabeledTransaction]) -> Upload:
+    def sign_upload(self, round_no: int, labels: Sequence[Label]) -> Upload:
         """This collector's upload of ``labels`` in ``round_no``, signed."""
         keypair = self.keypair
         return Upload.signed(self.id, round_no, labels, lambda body: sign(keypair, body))
@@ -440,8 +439,7 @@ class GovernorNode:
                 codes += ["bad_collector_sig"] * len(labels)
                 continue
             slots = self.slot_of.get(upload.collector_id, {})
-            for ltx in labels:
-                tx = ltx.tx
+            for tx, label in labels:
                 txid = tx.txid
                 entry = inbox.get(txid)
                 if ((entry is None or entry[0].wire_bytes != tx.wire_bytes)
@@ -462,15 +460,15 @@ class GovernorNode:
                 if slot in entry_labels:
                     code("duplicate")
                     continue
-                entry_labels[slot] = ltx.label
+                entry_labels[slot] = label
                 code("ok")
         return codes
 
-    def on_labeled_transaction(self, collector_id: int, ltx: LabeledTransaction,
+    def on_labeled_transaction(self, collector_id: int, label: Label,
                                signature: SimSignature, round_no: int) -> str:
-        """Ingest ``collector_id``'s one-label upload, sent the round before ``round_no``;
-        returns its disposition (see ``ingest``)."""
-        return self.ingest([Upload(collector_id, round_no - 1, (ltx,), signature)], round_no)[0]
+        """Ingest ``collector_id``'s one-label upload of the ``(tx, label)`` pair, sent the
+        round before ``round_no``; returns its disposition (see ``ingest``)."""
+        return self.ingest([Upload(collector_id, round_no - 1, (label,), signature)], round_no)[0]
 
     def expired(self, round_no: int) -> list[TxId]:
         """Transactions whose waiting window ends this round, in arrival order."""

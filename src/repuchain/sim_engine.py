@@ -10,13 +10,13 @@ three hops is a ``World`` field holding what the previous round sent, and
 holds each sent transaction once; its copies go to the collectors its
 provider is connected to (``config.topology``). Collectors label the copies
 one at a time, transaction by transaction and, within one, in topology
-order; each label goes straight onto its collector's upload list. The
-collector->governor hop carries one ``Upload`` record per collector that
-labelled or forged anything, in collector-id order: its id, the round, its
-labels in the order it made them, its one signature over its id, the round
-and those labels' bodies, and those signed bytes, encoded once when the
-collector builds the record. Each governor checks every upload's round and
-signature once and files its labels upload by upload.
+order; each label, a ``(tx, label)`` pair, goes straight onto its
+collector's upload list. The collector->governor hop carries one ``Upload``
+record per collector that labelled or forged anything, in collector-id
+order: its id, the round, its labels in the order it made them, its one
+signature over its id, the round and those labels, and those bytes, encoded
+once when the collector builds the record. Each governor checks every
+upload's round and signature once and files its labels upload by upload.
 The feedback hop carries the round's block payload and its signed
 ``RoundLists``: providers learn which of their transactions reached the
 chain or came back unchecked, collectors which were proved invalid.
@@ -291,7 +291,7 @@ class World:
             unchecked_archive.update(t.txid for t in rl.unchecked_list)
         in_flight = (
             {tx.txid for tx in self.to_collectors}
-            | {ltx.tx.txid for upload in self.to_governors for ltx in upload.labels}
+            | {tx.txid for upload in self.to_governors for tx, _ in upload.labels}
             | set(g0.inbox)
             | set(g0.pending)
         )
@@ -381,9 +381,9 @@ def _round(world: World) -> World:
              for adj in config.topology]
     for tx in arrived:
         for process, upload in slots[tx.provider_id]:
-            ltx = process(tx)
-            if ltx is not None:
-                upload(ltx)
+            label = process(tx)
+            if label is not None:
+                upload(label)
     for c, labels in zip(collectors, labelled):
         forged = c.forge(r, config.l)
         if forged:

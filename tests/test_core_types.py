@@ -11,9 +11,9 @@ from repuchain.core_types import (
     TX_SIGNING_SIZE,
     ZERO_DIGEST,
     Block,
-    LabeledTransaction,
     Transaction,
     SimSignature,
+    Upload,
     block_bytes,
     hash_block,
     label_signing_bytes,
@@ -23,6 +23,7 @@ from repuchain.core_types import (
     sha256,
     tx_signing_bytes,
     tx_wire_bytes,
+    upload_bytes,
 )
 from repuchain.crypto_sim import keypair_from_secret, sign
 from repuchain.nodes import VerificationMessage, verification_message_bytes
@@ -144,7 +145,7 @@ def test_tx_signing_bytes_distinct_per_identity():
 def test_label_must_be_plus_or_minus_one():
     tx = make_tx()
     with pytest.raises(ValueError):
-        LabeledTransaction(tx=tx, label=0)
+        Upload(0, 1, [(tx, 0)], SimSignature(b""))
 
 
 def test_commitment_separates_lists_by_domain_tag():
@@ -173,9 +174,11 @@ def test_carried_bytes_match_encoders_and_vectors(crypto_vectors):
     assert tx_wire_bytes(tx) == tx.wire_bytes
     assert tx.wire_bytes.hex() == v["wire_bytes"]
     for label, key in ((1, "label_plus_bytes"), (-1, "label_minus_bytes")):
-        ltx = LabeledTransaction(tx=tx, label=label)
-        assert ltx.body == label_signing_bytes(tx, label)
-        assert ltx.body.hex() == v[key]
+        # A one-label upload lists the label's body after its 48-byte head and
+        # the body's 8-byte length.
+        upload = Upload(0, 1, [(tx, label)], SimSignature(b""))
+        assert upload.signing_bytes[56:] == label_signing_bytes(tx, label)
+        assert upload.signing_bytes[56:].hex() == v[key]
 
 
 def test_transaction_holds_its_signed_triple_once(crypto_vectors):
@@ -209,11 +212,12 @@ def test_replace_rebuilds_carried_bytes():
         != tx_signing_bytes(*tx.txid)
     assert nxt.wire_bytes == tx_signing_bytes(2, 9, 3) + tx.wire_bytes[TX_SIGNING_SIZE:]
     sig = SimSignature(b"\x05" * 32)
-    ltx = LabeledTransaction(tx, 1)
-    flipped = dataclasses.replace(ltx, label=-1)
-    assert flipped.body == label_signing_bytes(tx, -1) != ltx.body
-    moved = dataclasses.replace(ltx, tx=nxt)
-    assert moved.body == label_signing_bytes(nxt, 1)
+    upload = Upload(0, 1, [(tx, 1)], sig)
+    flipped = dataclasses.replace(upload, labels=((tx, -1),))
+    assert flipped.signing_bytes == upload_bytes(0, 1, [(tx, -1)]) != upload.signing_bytes
+    assert flipped.signing_bytes[56:] == label_signing_bytes(tx, -1)
+    moved = dataclasses.replace(upload, labels=((nxt, 1),))
+    assert moved.signing_bytes[56:] == label_signing_bytes(nxt, 1)
     fields = (0, 2, tx.txid, True, ((4, 1),), 3)
     msg = VerificationMessage(*fields, sig)
     later = dataclasses.replace(msg, cnt=4)
@@ -243,32 +247,54 @@ def test_records_built_from_carried_bytes_equal_the_public_ones():
 
 
 def test_labels_compare_without_their_body():
-    tx = make_tx(provider=1, seq=6, ts=2)
-    a, b = LabeledTransaction(tx, -1), LabeledTransaction(tx, -1)
-    assert a is not b and a == b and hash(a) == hash(b)
-    assert a.body == b.body == label_signing_bytes(tx, -1)
-    assert "body" not in repr(a)
-    assert a != LabeledTransaction(tx, 1) and a != LabeledTransaction(make_tx(seq=7), -1)
+    # A label is a (tx, label) pair with no bytes of its own; the upload that
+    # carries it encodes its body, and compares without those bytes.
+    a, b = (make_tx(provider=1, seq=6, ts=2), -1), (make_tx(provider=1, seq=6, ts=2), -1)
+    assert a[0] is not b[0] and a == b and hash(a) == hash(b)
+    assert label_signing_bytes(*a) == label_signing_bytes(*b)
+    assert "wire_bytes" not in repr(a)
+    assert a != (a[0], 1) and a != (make_tx(seq=7), -1)
+    ua, ub = (Upload(0, 1, [x], SimSignature(b"")) for x in (a, b))
+    assert ua == ub and hash(ua) == hash(ub)
+    assert ua.signing_bytes == ub.signing_bytes
+    assert ua.signing_bytes[56:] == label_signing_bytes(*a)
+    assert "signing_bytes" not in repr(ua)
 
 
 def test_records_refuse_assignment_on_every_path():
     tx = make_tx()
+    kp = keypair_from_secret(4, b"\x09" * 32)
     records = [r for pair in _signer_and_public_records() for r in pair] + [tx] + [
-        LabeledTransaction(tx, label) for label in (1, -1)]
+        Upload(0, 1, [(tx, label)], SimSignature(b"")) for label in (1, -1)] + [
+        Upload.signed(0, 1, [(tx, label)], lambda body: sign(kp, body)) for label in (1, -1)]
     for record in records:
         for f in dataclasses.fields(record):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, f.name, getattr(record, f.name))
 
 
-@pytest.mark.parametrize("label", [0, 2, -2, None])
+@pytest.mark.parametrize("label", [0, 2, -2, None, "1"])
 def test_label_outside_plus_minus_one_is_refused_on_every_path(label):
     tx = make_tx()
+    signed = []
+
+    def sign_body(body):
+        signed.append(body)
+        return SimSignature(b"")
+
     with pytest.raises(ValueError, match="label must be"):
-        LabeledTransaction(tx, label)
-    ltx = LabeledTransaction(tx, 1)
+        label_signing_bytes(tx, label)
+    for labels in ([(tx, label)], [(tx, 1), (make_tx(seq=2), label)]):
+        with pytest.raises(ValueError, match="label must be"):
+            upload_bytes(0, 1, labels)
+        with pytest.raises(ValueError, match="label must be"):
+            Upload(0, 1, labels, SimSignature(b""))
+        with pytest.raises(ValueError, match="label must be"):
+            Upload.signed(0, 1, labels, sign_body)
+    upload = Upload(0, 1, [(tx, 1)], SimSignature(b""))
     with pytest.raises(ValueError, match="label must be"):
-        dataclasses.replace(ltx, label=label)
+        dataclasses.replace(upload, labels=((tx, label),))
+    assert signed == []
 
 
 def test_no_module_level_caches():

@@ -16,7 +16,6 @@ from repuchain import core_types, nodes
 from repuchain.core_types import (
     TX_SIGNING_SIZE,
     Block,
-    LabeledTransaction,
     SimSignature,
     Transaction,
     block_bytes,
@@ -110,11 +109,11 @@ def test_upload_vector(crypto_vectors):
     v = crypto_vectors["upload"]
     kp = keypair_from_secret(0, bytes.fromhex(v["secret"]))
     labels = [
-        LabeledTransaction(Transaction(*ident, True, sign(kp, tx_signing_bytes(*ident))), label)
+        (Transaction(*ident, True, sign(kp, tx_signing_bytes(*ident))), label)
         for ident, label in zip(v["transactions"], v["labels"])
     ]
-    bodies = [ltx.body for ltx in labels]
-    body = upload_bytes(v["collector_id"], v["round"], bodies)
+    bodies = [label_signing_bytes(tx, label) for tx, label in labels]
+    body = upload_bytes(v["collector_id"], v["round"], labels)
     assert body.hex() == v["bytes"]
     assert spec_upload(v["collector_id"], v["round"], bodies) == body
     assert sign(kp, body).tag.hex() == v["signature"]
@@ -166,8 +165,9 @@ def test_transaction_layouts_match_specification():
             tx.wire_bytes[:TX_SIGNING_SIZE]
         assert tx_wire_bytes(tx) == spec_tx_wire(tx) == tx.wire_bytes
         for label in (1, -1):
-            ltx = LabeledTransaction(tx, label)
-            assert label_signing_bytes(tx, label) == spec_label(tx, label) == ltx.body
+            # A one-label upload lists the body after its 48-byte head and 8-byte length.
+            assert label_signing_bytes(tx, label) == spec_label(tx, label) == \
+                upload_bytes(0, 0, [(tx, label)])[56:]
 
 
 @pytest.mark.parametrize("u", range(9))
@@ -186,12 +186,24 @@ def test_verification_message_layout_matches_specification(u):
 
 @pytest.mark.parametrize("n_labels", [0, 1, 2, 300])
 def test_upload_layout_matches_specification(n_labels):
+    # The one-pass encoder over (tx, label) pairs against the specification over
+    # the pairs' label_signing_bytes bodies: random transactions with tags of
+    # several lengths, both label values, and a Forger's forged transactions.
     rng = random.Random(50 + n_labels)
+    forger = nodes.CollectorNode(3, None, nodes.StrategySpec("Forger", forge_rate=n_labels),
+                                 None, random.Random(n_labels))
+    seen = set()
     for _ in range(5):
-        bodies = [label_signing_bytes(rand_tx(rng), rng.choice((1, -1))) for _ in range(n_labels)]
-        for collector_id, round_no in ((rand_id(rng), rand_id(rng)), (U64_MAX, U64_MAX)):
-            assert upload_bytes(collector_id, round_no, bodies) == \
-                spec_upload(collector_id, round_no, bodies)
+        for labels in ([(rand_tx(rng), rng.choice((1, -1))) for _ in range(n_labels)],
+                       forger.forge(rand_id(rng), 1 + rng.randrange(50))):
+            assert len(labels) == n_labels
+            bodies = [label_signing_bytes(tx, label) for tx, label in labels]
+            assert bodies == [spec_label(tx, label) for tx, label in labels]
+            seen.update(label for _, label in labels)
+            for collector_id, round_no in ((rand_id(rng), rand_id(rng)), (U64_MAX, U64_MAX)):
+                assert upload_bytes(collector_id, round_no, labels) == \
+                    spec_upload(collector_id, round_no, bodies)
+    assert seen == ({1, -1} if n_labels else set())
 
 
 @pytest.mark.parametrize("n_txs", [0, 1, 2, 400])
@@ -232,7 +244,7 @@ def test_out_of_range_integers_raise(bad):
         with pytest.raises(struct.error):
             block_bytes(Block(serial, leader, (), core_types.ZERO_DIGEST, core_types.ZERO_DIGEST))
         with pytest.raises(struct.error):
-            upload_bytes(serial, leader, [b"body"])
+            upload_bytes(serial, leader, [(Transaction(1, 2, 3, True, SimSignature(b"")), 1)])
 
 
 # -- the benchmark's tracer wraps the encoders by name ------------------------------------
@@ -242,7 +254,7 @@ def test_objects_call_the_encoders_through_their_module_globals(monkeypatch):
     # The tracer counts core_types.encode_calls by rebinding these names; an
     # object that bound an encoder early would bypass it and read 0.
     calls = {}
-    targets = [(core_types, "tx_signing_bytes"), (core_types, "label_signing_bytes"),
+    targets = [(core_types, "tx_signing_bytes"), (core_types, "upload_bytes"),
                (core_types, "block_bytes"), (core_types, "hash_block"),
                (nodes, "verification_message_bytes")]
     for module, name in targets:
@@ -252,8 +264,10 @@ def test_objects_call_the_encoders_through_their_module_globals(monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
     tx = Transaction(1, 2, 3, True, SimSignature(b"\x07" * 32))
-    LabeledTransaction(tx, 1)
+    core_types.Upload(0, 1, [(tx, 1)], SimSignature(b""))
     block = Block(1, 0, (tx,), core_types.ZERO_DIGEST, core_types.ZERO_DIGEST)
     assert len(block.hash) == core_types.DIGEST_SIZE
     VerificationMessage(0, 1, tx.txid, True, ((4, 1),), 1, SimSignature(b""))
     assert calls == {name: 1 for _, name in targets}
+    Transaction.signed(1, 3, 3, True, lambda body: SimSignature(b""))
+    assert calls["tx_signing_bytes"] == 2

@@ -115,6 +115,12 @@ def test_both_oracles_reject_malformed_shapes(field, labels, validity, eta, reps
         mc_expected_loss(labels, validity, eta, n_runs=10, seed=0, initial_reps=reps)
 
 
+@pytest.mark.parametrize("n_runs", [0, -3, 2.5, True])
+def test_mc_oracle_refuses_a_run_count_below_one_or_not_an_integer(n_runs):
+    with pytest.raises(ValueError, match="'n_runs'"):
+        mc_expected_loss([[1, -1]], [False], 0.5, n_runs=n_runs, seed=0)
+
+
 def test_theorem_bound_closed_form():
     # at eta = sqrt(ln u / T) the bound collapses to (3/2) sqrt(T ln u)
     eta = math.sqrt(math.log(2) / 100)

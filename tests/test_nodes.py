@@ -8,7 +8,6 @@ import pytest
 from conftest import make_governor
 from repuchain.core_types import (
     TX_SIGNING_SIZE,
-    LabeledTransaction,
     SimSignature,
     Transaction,
     Upload,
@@ -146,19 +145,18 @@ def test_honest_labels_match_ground_truth(registry):
     c = make_collector(registry)
     p = make_provider(registry, gen_rate=1, invalid=0.0)
     (tx,) = p.generate(1)
-    ltx = c.process(tx)
-    assert ltx is not None and ltx.label == 1
+    assert c.process(tx) == (tx, 1)
 
     p2 = make_provider(registry, gen_rate=1, invalid=1.0)
     (bad,) = p2.generate(1)
-    assert c.process(bad).label == -1
+    assert c.process(bad) == (bad, -1)
 
 
 def test_always_minus_labels_valid_tx_minus(registry):
     c = make_collector(registry, kind="AlwaysMinus")
     p = make_provider(registry, gen_rate=1, invalid=0.0)
     (tx,) = p.generate(1)
-    assert c.process(tx).label == -1
+    assert c.process(tx) == (tx, -1)
 
 
 def test_flip_and_withhold_statistics(registry):
@@ -166,7 +164,7 @@ def test_flip_and_withhold_statistics(registry):
     txs = p.generate(1)
 
     flip = make_collector(registry, index=1, kind="FlipProb", q=0.3)
-    flipped = sum(1 for tx in txs if flip.process(tx).label == -1)
+    flipped = sum(1 for tx in txs if flip.process(tx) == (tx, -1))
     assert abs(flipped - 600) <= 3 * math.sqrt(2000 * 0.3 * 0.7)
 
     withhold = make_collector(registry, index=2, kind="Withhold", q=0.5)
@@ -223,31 +221,31 @@ def test_process_labels_each_copy_by_its_rule(registry, kind, q):
         expected = [-t if draws.random() < q else t for t in truths]
     else:
         expected = [None if draws.random() < q else t for t in truths]
-    assert [None if ltx is None else ltx.label for ltx in got] == expected
+    assert [None if pair is None else pair[1] for pair in got] == expected
     assert c.rng.getstate() == draws.getstate()
     assert (draws.getstate() != untouched) == (kind in ("FlipProb", "Withhold"))
     if kind != "Withhold":
-        assert sum(ltx is not None for ltx in got) == len(delivered)
-    for tx, ltx in zip(delivered, got):
-        if ltx is not None:
-            assert ltx.tx == tx
-            assert ltx.body == label_signing_bytes(tx, ltx.label)
+        assert sum(pair is not None for pair in got) == len(delivered)
+    for tx, pair in zip(delivered, got):
+        if pair is not None:
+            assert type(pair) is tuple and pair[0] is tx
+            # A one-label upload lists the pair's body after its 48-byte head and 8-byte length.
+            assert upload_bytes(c.id, 1, [pair])[56:] == label_signing_bytes(*pair)
 
 
 def test_collector_signature_binds_label(registry):
     c = make_collector(registry, index=2)
     txs = make_provider(registry, gen_rate=3).generate(1)
     labels = [c.process(tx) for tx in txs]
-    bodies = [ltx.body for ltx in labels]
     upload = c.sign_upload(7, labels)
     assert (upload.collector_id, upload.round_no, upload.labels) == (2, 7, tuple(labels))
-    assert upload.signing_bytes == upload_bytes(2, 7, bodies)
+    assert upload.signing_bytes == upload_bytes(2, 7, labels)
     sig = upload.signature
-    assert registry.verify(c.keypair.public, upload_bytes(2, 7, bodies), sig)
-    flipped = [bodies[0], label_signing_bytes(txs[1], -1), bodies[2]]
-    for other in (upload_bytes(2, 7, flipped), upload_bytes(2, 8, bodies),
-                  upload_bytes(3, 7, bodies), upload_bytes(2, 7, bodies[::-1]),
-                  upload_bytes(2, 7, bodies[:2])):
+    assert registry.verify(c.keypair.public, upload_bytes(2, 7, labels), sig)
+    flipped = [labels[0], (txs[1], -1), labels[2]]
+    for other in (upload_bytes(2, 7, flipped), upload_bytes(2, 8, labels),
+                  upload_bytes(3, 7, labels), upload_bytes(2, 7, labels[::-1]),
+                  upload_bytes(2, 7, labels[:2])):
         assert not registry.verify(c.keypair.public, other, sig)
 
 
@@ -258,10 +256,10 @@ def deliver(registry, governor, tx, collector_index=0, round_no=5, kind="Honest"
     """One collector's one-label upload of ``tx``, ingested in ``round_no``."""
     c = make_collector(registry, index=collector_index, kind=kind,
                        n_providers=len(governor.rep))
-    ltx = c.process(tx)
-    assert ltx is not None
-    signature = c.sign_upload(round_no - 1, [ltx]).signature
-    return governor.on_labeled_transaction(c.id, ltx, signature, round_no)
+    label = c.process(tx)
+    assert label is not None
+    signature = c.sign_upload(round_no - 1, [label]).signature
+    return governor.on_labeled_transaction(c.id, label, signature, round_no)
 
 
 def test_first_copy_starts_timer(registry):
@@ -281,7 +279,7 @@ def test_conflicting_label_from_same_collector_ignored(registry):
     (tx,) = p.generate(1)
     c = make_collector(registry, index=0, kind="Honest", n_providers=1)
     plus = c.process(tx)
-    minus = LabeledTransaction(tx=tx, label=-1)
+    minus = (tx, -1)
     # One upload: the first label wins, and a conflicting or exact duplicate changes nothing.
     assert ingest_signed(g, [(c, [plus, minus, plus])], 1) == ["ok", "duplicate", "duplicate"]
     assert g.inbox[tx.txid][2] == {0: 1}
@@ -308,15 +306,14 @@ def test_bad_collector_signature_dropped(registry):
 def test_relabeled_copy_with_original_signature_refused(registry):
     g, (a, b), c, (labels0, _) = _two_collector_world(registry)
     upload = c[0].sign_upload(0, labels0)
-    flipped = dataclasses.replace(labels0[1], label=-labels0[1].label)
-    assert flipped.body == label_signing_bytes(b, -labels0[1].label) != labels0[1].body
+    flipped = (b, -labels0[1][1])
+    assert label_signing_bytes(*flipped) != label_signing_bytes(*labels0[1])
     relabeled = Upload(0, 0, [labels0[0], flipped], upload.signature)
     assert g.ingest([relabeled], 1) == ["bad_collector_sig"] * 2
     assert not g.inbox and g.dropped_bad_signature == 2
     assert g.ingest([upload], 1) == ["ok", "ok"]  # the genuine upload lands
-    # No caller can hand a label, an upload or a verdict the bytes of the record it copies.
-    with pytest.raises(TypeError):
-        LabeledTransaction(b, -labels0[1].label, labels0[1].body)
+    # No caller can hand an upload or a verdict the bytes of the record it copies;
+    # a label is a bare (tx, label) pair and has no bytes to hand.
     with pytest.raises(TypeError):
         Upload(0, 0, relabeled.labels, upload.signature, upload.signing_bytes)
     msg = g.screen(a.txid).message
@@ -344,7 +341,7 @@ def test_upload_replayed_under_another_round_is_refused(registry):
         assert g.ingest([upload], r) == ["bad_collector_sig"] * 2
         # Restamped with the round it is replayed in, it carries bytes its signature does not cover.
         restamped = dataclasses.replace(upload, round_no=r - 1)
-        assert restamped.signing_bytes == upload_bytes(0, r - 1, [ltx.body for ltx in labels0])
+        assert restamped.signing_bytes == upload_bytes(0, r - 1, labels0)
         assert g.ingest([restamped], r) == ["bad_collector_sig"] * 2
     assert not g.inbox and g.dropped_bad_signature == 8
     assert g.ingest([upload], 5) == ["ok", "ok"]
@@ -440,27 +437,27 @@ def test_batched_ingest_matches_one_copy_at_a_time(registry):
     uploads = [
         signed_upload(c0, [
             c0.process(a),
-            LabeledTransaction(a, -1),  # conflicting
+            (a, -1),  # conflicting
             c0.process(a),
-            LabeledTransaction(forged_tx, 1),
+            (forged_tx, 1),
         ], 5),
         Upload(3, 4, [c3.process(b)], bad),  # collector 3's upload carries a bad tag
         signed_upload(c1, [c1.process(a), c1.process(verified), c1.process(settled),
                            c1.process(b)], 5),
-        Upload(9, 4, [LabeledTransaction(b, 1)], bad),  # unknown collector
+        Upload(9, 4, [(b, 1)], bad),  # unknown collector
         signed_upload(c2, [c2.process(b), c2.process(d)], 5),  # 2 does not serve provider 0
     ]
     signers = {0: c0, 1: c1, 2: c2}
 
-    def one_label_signature(cid, ltx):
+    def one_label_signature(cid, label):
         signer = signers.get(cid)
-        return bad if signer is None else signer.sign_upload(4, [ltx]).signature
+        return bad if signer is None else signer.sign_upload(4, [label]).signature
 
     batched, one_by_one = governors
     codes = batched.ingest(uploads, 5)
     assert codes == [one_by_one.on_labeled_transaction(
-                         u.collector_id, ltx, one_label_signature(u.collector_id, ltx), 5)
-                     for u in uploads for ltx in u.labels]
+                         u.collector_id, label, one_label_signature(u.collector_id, label), 5)
+                     for u in uploads for label in u.labels]
     assert codes == ["ok", "duplicate", "duplicate", "forged", "bad_collector_sig",
                      "ok", "settled", "settled", "ok", "bad_collector_sig",
                      "not_connected", "ok"]
@@ -512,7 +509,7 @@ def test_detached_provider_signature_is_forged(registry):
     before = dict(g.inbox)
     detached = Transaction(tx.provider_id, tx.seq + 1, tx.timestamp, False, tx.signature)
     c0 = make_collector(registry)
-    copy = LabeledTransaction(detached, 1)
+    copy = (detached, 1)
     assert ingest_signed(g, [(c0, [copy])], 5) == ["forged"]
     assert g.dropped_forged == 1
     assert g.inbox == before
@@ -536,7 +533,7 @@ def test_copy_under_an_accepted_txid_with_other_bytes_is_checked(registry):
     forged = _tag_flipped(tx)
     assert forged.txid == tx.txid and forged.wire_bytes != tx.wire_bytes
     c1 = make_collector(registry, index=1)
-    copy = LabeledTransaction(forged, 1)
+    copy = (forged, 1)
     assert ingest_signed(g, [(c1, [copy])], 5) == ["forged"]
     assert g.dropped_forged == 1
     (held, expiry, labels) = g.inbox[tx.txid]
@@ -568,7 +565,7 @@ def test_each_governor_checks_a_provider_signature_once(registry, monkeypatch):
     for g in (leader, replica):
         checked.clear()
         assert g.ingest(uploads, 1) == ["ok"] * k
-        upload_checks = [upload_bytes(j, 0, [c.body]) for j, c in enumerate(copies)]
+        upload_checks = [upload_bytes(j, 0, [copy]) for j, copy in enumerate(copies)]
         assert checked == [upload_checks[0], tx_signing_bytes(*tx.txid), *upload_checks[1:]]
     res = leader.screen(tx.txid)
     assert res.outcome == "valid"
@@ -585,10 +582,11 @@ def test_each_governor_checks_a_provider_signature_once(registry, monkeypatch):
 
 
 def test_signers_encode_each_signed_record_once(registry, monkeypatch):
-    # A label's body is encoded once, by its constructor; an upload once, by its
-    # signer, however many governors check it. The bytes a leader signs are the
-    # bytes its verdict carries, and a replica checks those. A transaction is
-    # encoded twice: by its provider to sign, by its constructor to carry.
+    # A transaction's signed triple is encoded once, by its provider, which signs
+    # those bytes and carries them as its wire bytes' prefix. A label is encoded
+    # only inside its upload, and an upload once, by its signer, however many
+    # governors check it. The bytes a leader signs are the bytes its verdict
+    # carries, and a replica checks those.
     calls = {}
     for module in (core_types, nodes):
         for name in ("tx_signing_bytes", "label_signing_bytes", "upload_bytes",
@@ -601,25 +599,25 @@ def test_signers_encode_each_signed_record_once(registry, monkeypatch):
                 monkeypatch.setattr(module, name, counting)
     leader, replica = (make_governor(registry, topology=((0,),), gov_index=k) for k in (0, 1))
     txs = make_provider(registry, gen_rate=3, invalid=0.0).generate(1)
-    assert calls == {"tx_signing_bytes": 6}
+    assert calls == {"tx_signing_bytes": 3}
     tx = txs[0]
     # The test's own, unwrapped binding: this call is not counted.
     assert tx.wire_bytes[:TX_SIGNING_SIZE] == tx_signing_bytes(*tx.txid)
     c = make_collector(registry)
-    ltx = c.process(tx)
-    assert calls == {"tx_signing_bytes": 6, "label_signing_bytes": 1}
-    assert ltx.body == label_signing_bytes(tx, 1)
-    upload = c.sign_upload(0, [ltx])
-    assert calls == {"tx_signing_bytes": 6, "label_signing_bytes": 1, "upload_bytes": 1}
-    assert upload.signing_bytes == upload_bytes(c.id, 0, [ltx.body])
+    label = c.process(tx)
+    assert calls == {"tx_signing_bytes": 3}
+    assert label == (tx, 1)
+    upload = c.sign_upload(0, [label])
+    assert calls == {"tx_signing_bytes": 3, "upload_bytes": 1}
+    assert upload.signing_bytes == upload_bytes(c.id, 0, [label])
+    assert upload.signing_bytes[56:] == label_signing_bytes(tx, 1)
     for g in (leader, replica):
         assert g.ingest([upload], 1) == ["ok"]
     res = leader.screen(tx.txid)
     assert res.outcome == "valid"
     replica.on_verification_message(res.message)
     assert replica.state_fingerprint() == leader.state_fingerprint()
-    assert calls == {"tx_signing_bytes": 6, "label_signing_bytes": 1, "upload_bytes": 1,
-                     "verification_message_bytes": 1}
+    assert calls == {"tx_signing_bytes": 3, "upload_bytes": 1, "verification_message_bytes": 1}
     msg = res.message
     assert msg.signing_bytes == verification_message_bytes(
         msg.leader_id, msg.provider_id, msg.txid, msg.validbit, msg.received, msg.cnt)
@@ -635,14 +633,13 @@ def test_upload_record_encodes_its_own_bytes(registry):
     with pytest.raises(TypeError):
         Upload(0, 0, labels0, upload.signature, upload.signing_bytes)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        upload.signing_bytes = upload_bytes(0, 1, [ltx.body for ltx in labels0])
+        upload.signing_bytes = upload_bytes(0, 1, labels0)
     changed = [dataclasses.replace(upload, labels=upload.labels[:1]),
                dataclasses.replace(upload, labels=upload.labels[::-1]),
                dataclasses.replace(upload, round_no=1)]
     for other in changed:
         assert other.signature == upload.signature
-        assert other.signing_bytes == upload_bytes(
-            other.collector_id, other.round_no, [ltx.body for ltx in other.labels])
+        assert other.signing_bytes == upload_bytes(other.collector_id, other.round_no, other.labels)
         assert other.signing_bytes != upload.signing_bytes
     assert g.ingest(changed[:2], 1) == ["bad_collector_sig"] * 3
     assert g.ingest(changed[2:], 2) == ["bad_collector_sig"] * 2
@@ -1093,12 +1090,12 @@ def test_a_key_enrolled_under_another_role_verifies_nothing(registry, case):
         fields = (0, 99, 5)  # a transaction of provider 0's
         tx = Transaction(*fields, True, sign(collector.keypair, tx_signing_bytes(*fields)))
         assert collector.process(tx) is None and collector.dropped_bad_signature == 1
-        assert ingest_signed(g, [(collector, [LabeledTransaction(tx, 1)])], 6) == ["forged"]
+        assert ingest_signed(g, [(collector, [(tx, 1)])], 6) == ["forged"]
         assert g.dropped_forged == 1
     elif case == "upload-by-provider":
         (tx,) = make_provider(registry).generate(5)
         labels = [collector.process(tx)]
-        body = upload_bytes(0, 5, [ltx.body for ltx in labels])
+        body = upload_bytes(0, 5, labels)
         assert g.ingest([Upload(0, 5, labels, sign(provider_kp, body))], 6) == ["bad_collector_sig"]
         assert g.dropped_bad_signature == 1
     elif case == "verdict-by-collector":

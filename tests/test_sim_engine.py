@@ -410,8 +410,8 @@ def _record_ingested(g, seen):
 
     def wrapped(uploads, round_no):
         codes = ingest(uploads, round_no)
-        copies = [ltx for upload in uploads for ltx in upload.labels]
-        seen.update(ltx.tx.txid for ltx, code in zip(copies, codes) if code == "ok")
+        copies = [tx for upload in uploads for tx, _ in upload.labels]
+        seen.update(tx.txid for tx, code in zip(copies, codes) if code == "ok")
         return codes
 
     g.ingest = wrapped
