@@ -30,7 +30,6 @@ from typing import Mapping, Sequence
 from .core_types import (
     Block,
     RoundLists,
-    SimSignature,
     Transaction,
     block_bytes,
     lists_commitment_root,
@@ -71,7 +70,7 @@ class ChainViolation(RuntimeError):
 @dataclass(frozen=True, slots=True)
 class SignedBlock:
     block: Block
-    signature: SimSignature
+    signature: bytes
 
 
 @dataclass

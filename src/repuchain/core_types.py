@@ -14,21 +14,32 @@ layout with one precompiled ``struct.Struct`` instead of composing the
 [0, 2^64) raise in both forms (``struct.error`` here, ``OverflowError`` from
 ``enc_int``).
 
+A signature is its tag's bytes: ``crypto_sim.sign`` returns the digest
+itself, with no record around it. ``SimSignature`` is a ``bytes`` subclass
+whose ``tag`` is itself, for a tag built by hand or read back from a
+transaction.
+
 Each signed object carries the bytes its signature covers, once. A verdict
-and an upload carry them as ``signing_bytes``. A transaction carries only
-``wire_bytes``, which open with the signed triple: the signed bytes are its
-first ``TX_SIGNING_SIZE`` bytes, and no second copy is kept. Every check
-reads the carried bytes and computes its own digest, and a governor skips a
-provider check only for a copy whose ``wire_bytes`` equal those of a
-transaction it already accepted (see :mod:`repuchain.nodes`). Equality
-ignores the carried bytes, so that comparison is made on the bytes, never on
-the records. A ``Transaction`` encodes its bytes from its fields, and
-carries its identity triple as ``txid``: collectors, who may misbehave, pass
-transactions on, and bytes taken on trust could carry a genuine provider
-signature under a made-up txid. No caller supplies a record's bytes. A
-record's constructor encodes them from its fields, as ``dataclasses.replace``
-does; the signer builds it with ``signed``, which encodes them once, signs
-them and stores both.
+and an upload carry them as ``signing_bytes``, beside their signature. A
+transaction carries only ``wire_bytes``: the signed triple, then its
+provider's tag as a length-prefixed field. The signed bytes are its first
+``TX_SIGNING_SIZE`` bytes and the tag runs from ``TX_TAG_OFFSET`` to the
+end; no second copy of either is kept, and ``tx.signature`` copies the tag
+out on each read. Every check reads the carried bytes and computes its own
+digest, and a governor skips a provider check only for a copy whose
+``wire_bytes`` equal those of a transaction it already accepted (see
+:mod:`repuchain.nodes`). That comparison is made on the bytes, never on the
+records: upload and verdict equality ignores the carried bytes, and
+transaction equality, which compares them because they hold the tag, also
+compares the validity bit, which no signature covers. A ``Transaction``
+encodes its bytes from its fields, and carries its identity triple as
+``txid``: collectors, who may misbehave, pass transactions on, and bytes
+taken on trust could carry a genuine provider signature under a made-up
+txid. No caller supplies a record's bytes. A record's constructor encodes
+them from its fields, and so does ``dataclasses.replace`` on an upload or a
+verdict; on a transaction it raises ``TypeError``, since the tag is no field
+it can pass on. The signer builds a record with ``signed``, which encodes
+its bytes once, signs them and stores both.
 
 A label is a plain ``(tx, label)`` pair, label +1 or -1: no record, no bytes
 of its own, not signed by itself, not tied to a collector. A collector's
@@ -45,11 +56,11 @@ own, so an upload replayed in another round is refused too. It files the
 labels under the record's collector id, so no label is filed under an id its
 signature does not cover.
 
-The records built once or more per transaction (here ``SimSignature`` and
-``Transaction``; elsewhere the verdict and the reputation state), and the
-upload, are frozen slots dataclasses whose ``__init__`` stores each field
-through its slot descriptor (``slot_setters``), not the generated
-``object.__setattr__`` path, which costs more than encoding the record.
+The records built once or more per transaction (here ``Transaction``;
+elsewhere the verdict and the reputation state), and the upload, are frozen
+slots dataclasses whose ``__init__`` stores each field through its slot
+descriptor (``slot_setters``), not the generated ``object.__setattr__``
+path, which costs more than encoding the record.
 Assignment still raises ``FrozenInstanceError``; equality, hashing, repr and
 ``dataclasses.replace`` are the dataclass's own.
 
@@ -84,8 +95,10 @@ TAG_UNCHECKED = b"\x02"
 _U64 = struct.Struct(">Q")
 # Three length-prefixed integers: (8, provider_id, 8, seq, 8, timestamp).
 _TX_SIGNING = struct.Struct(">QQQQQQ")
-# A transaction's wire bytes open with its signed triple, so the triple is their prefix.
+# A transaction's wire bytes open with its signed triple, so the triple is their prefix;
+# the provider's tag follows its 8-byte length and runs to the end.
 TX_SIGNING_SIZE = _TX_SIGNING.size
+TX_TAG_OFFSET = TX_SIGNING_SIZE + 8
 # A label's body: its length and its wire field's length (24 less), the wire
 # bytes, then the label field: (8, 1) for +1, (8, 0) for -1.
 _LABEL_HEAD = struct.Struct(">QQ")
@@ -126,17 +139,20 @@ def slot_setters(cls) -> tuple:
     return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class SimSignature:
-    """Keyed-hash tag standing in for a digital signature."""
+class SimSignature(bytes):
+    """Keyed-hash tag standing in for a digital signature: the tag's bytes themselves.
 
-    tag: bytes
+    Any ``bytes`` is a signature, and ``sign`` returns plain ``bytes``: an
+    instance of this class, as of any class defined in Python, is tracked by
+    the cyclic GC, so none is kept. It serves readers of ``.tag``, such as
+    ``Transaction.signature``, and tags built by hand.
+    """
 
-    def __init__(self, tag: bytes) -> None:
-        _set_tag(self, tag)
+    __slots__ = ()
 
-
-(_set_tag,) = slot_setters(SimSignature)
+    @property
+    def tag(self) -> bytes:
+        return self
 
 
 def tx_signing_bytes(provider_id: int, seq: int, timestamp: int) -> bytes:
@@ -149,46 +165,50 @@ class Transaction:
     """Provider-signed payload; (provider_id, seq, timestamp) is its identity.
 
     Resubmitting an unchecked transaction reuses the identical value, so the
-    identity triple is stable across retries.
+    identity triple is stable across retries. The provider's tag is kept only
+    as the tail of ``wire_bytes``, so equality compares those bytes: two
+    transactions are equal iff their triples, validity bits and tags are.
     """
 
     provider_id: int
     seq: int
     timestamp: int
     ground_truth_valid: bool
-    signature: SimSignature
     txid: tuple[int, int, int] = field(init=False, repr=False, compare=False)
-    wire_bytes: bytes = field(init=False, repr=False, compare=False)
+    wire_bytes: bytes = field(init=False, repr=False)
 
     def __init__(self, provider_id: int, seq: int, timestamp: int,
-                 ground_truth_valid: bool, signature: SimSignature) -> None:
+                 ground_truth_valid: bool, signature: bytes) -> None:
         _store_tx(self, provider_id, seq, timestamp, ground_truth_valid, signature,
                   tx_signing_bytes(provider_id, seq, timestamp))
 
     @classmethod
     def signed(cls, provider_id: int, seq: int, timestamp: int, valid: bool,
-               sign: Callable[[bytes], SimSignature]) -> "Transaction":
+               sign: Callable[[bytes], bytes]) -> "Transaction":
         """The transaction ``sign`` signs: its triple encoded once, signed, stored."""
         body = tx_signing_bytes(provider_id, seq, timestamp)
         self = cls.__new__(cls)
         _store_tx(self, provider_id, seq, timestamp, valid, sign(body), body)
         return self
 
+    @property
+    def signature(self) -> SimSignature:
+        """The provider's tag, copied out of the tail of ``wire_bytes`` on each read."""
+        return SimSignature(self.wire_bytes[TX_TAG_OFFSET:])
+
 
 _TX_SLOTS = slot_setters(Transaction)
 
 
 def _store_tx(tx: Transaction, provider_id: int, seq: int, timestamp: int,
-              ground_truth_valid: bool, signature: SimSignature, body: bytes) -> None:
-    s_provider, s_seq, s_time, s_valid, s_sig, s_txid, s_wire = _TX_SLOTS
-    tag = signature.tag
+              ground_truth_valid: bool, signature: bytes, body: bytes) -> None:
+    s_provider, s_seq, s_time, s_valid, s_txid, s_wire = _TX_SLOTS
     s_provider(tx, provider_id)
     s_seq(tx, seq)
     s_time(tx, timestamp)
     s_valid(tx, ground_truth_valid)
-    s_sig(tx, signature)
     s_txid(tx, (provider_id, seq, timestamp))
-    s_wire(tx, body + _U64.pack(len(tag)) + tag)
+    s_wire(tx, body + _U64.pack(len(signature)) + signature)
 
 
 def tx_wire_bytes(tx: Transaction) -> bytes:
@@ -236,18 +256,18 @@ class Upload:
     collector_id: int
     round_no: int
     labels: tuple[Label, ...]
-    signature: SimSignature
+    signature: bytes
     signing_bytes: bytes = field(init=False, repr=False, compare=False)
 
     def __init__(self, collector_id: int, round_no: int, labels: Sequence[Label],
-                 signature: SimSignature) -> None:
+                 signature: bytes) -> None:
         labels = tuple(labels)
         body = upload_bytes(collector_id, round_no, labels)
         _store_upload(self, collector_id, round_no, labels, signature, body)
 
     @classmethod
     def signed(cls, collector_id: int, round_no: int, labels: Sequence[Label],
-               sign: Callable[[bytes], SimSignature]) -> "Upload":
+               sign: Callable[[bytes], bytes]) -> "Upload":
         """The upload ``sign`` signs: encoded once, signed, stored."""
         labels = tuple(labels)
         body = upload_bytes(collector_id, round_no, labels)

@@ -10,15 +10,18 @@ a node's public under its role (provider, collector or governor) and index,
 and ``verify_as`` checks a signature as that member's, so a genuine key of
 another role verifies nothing. No node or block check holds a key map.
 
-A tag is SHA-256 over ``b"sig" + secret + msg``. A ``KeyPair`` carries, as
-``sig_state``, the SHA-256 state after ``b"sig" + secret``, built once with
-the key; ``sign`` and every check copy it and hash their own message into
-the copy. ``verify_tx`` hashes a transaction's signed triple as the first
-``core_types.TX_SIGNING_SIZE`` bytes of its ``wire_bytes``, the one place
-the transaction keeps it. The registry maps each public to its ``KeyPair``
-and keeps no verdicts: a check is a pure function of the key, the bytes and
-the tag, and a governor that has already accepted a transaction's exact
-bytes does not ask again (``nodes.GovernorNode.ingest``,
+A tag is SHA-256 over ``b"sig" + secret + msg``, and a signature is the
+tag's 32 bytes: ``sign`` returns the digest itself. A ``KeyPair`` carries,
+as ``sig_state``, the SHA-256 state after ``b"sig" + secret``, built once
+with the key; ``sign`` and every check copy it and hash their own message
+into the copy. ``KeyRegistry.verify`` is the one check: it compares that
+digest with the tag's bytes. ``verify_tx`` passes it a transaction's signed
+triple, the first ``core_types.TX_SIGNING_SIZE`` bytes of its
+``wire_bytes``, and its tag, the bytes from ``core_types.TX_TAG_OFFSET``
+on: the one place the transaction keeps either. The registry maps each
+public to its ``KeyPair`` and keeps no verdicts: a check is a pure function
+of the key, the bytes and the tag, and a governor that has already accepted
+a transaction's exact bytes does not ask again (``nodes.GovernorNode.ingest``,
 ``consensus.validate_block``). ``KeyRegistry.verify`` alone refuses unknown
 signers: an unregistered public, or None for a member with no public,
 verifies nothing.
@@ -37,7 +40,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
-from .core_types import TX_SIGNING_SIZE, SimSignature, Transaction, enc_int, sha256
+from .core_types import TX_SIGNING_SIZE, TX_TAG_OFFSET, Transaction, enc_int, sha256
 
 SECRET_SIZE = 32
 
@@ -76,10 +79,11 @@ def keypair_from_secret(node_id: int, secret: bytes) -> KeyPair:
     return KeyPair(node_id=node_id, secret=secret, public=public_from_secret(secret))
 
 
-def sign(kp: KeyPair, msg: bytes) -> SimSignature:
+def sign(kp: KeyPair, msg: bytes) -> bytes:
+    """``kp``'s tag over ``msg``: the digest itself, with no record around it."""
     h = kp.sig_state.copy()
     h.update(msg)
-    return SimSignature(h.digest())
+    return h.digest()
 
 
 def vrf_eval(kp: KeyPair, vrf_input: bytes) -> VrfOutput:
@@ -100,6 +104,7 @@ class KeyRegistry:
         self._keys: dict[bytes, KeyPair] = {}
         self.members: dict[str, dict[int, bytes]] = {
             role: {} for role in ("provider", "collector", "governor")}
+        self._providers = self.members["provider"]  # verify_tx's lookup, bound once
 
     def issue(self, node_id: int) -> KeyPair:
         secret = sha256(b"key" + self._root + enc_int(node_id))
@@ -116,22 +121,24 @@ class KeyRegistry:
     def register(self, kp: KeyPair) -> None:
         self._keys[kp.public] = kp
 
-    def verify(self, public: bytes | None, msg: bytes, sig: SimSignature) -> bool:
+    def verify(self, public: bytes | None, msg: bytes, sig: bytes) -> bool:
+        """Check the tag ``sig`` as ``public``'s over ``msg``; any ``bytes``, ``SimSignature`` too."""
         kp = self._keys.get(public)
         if kp is None:
             return False
         h = kp.sig_state.copy()
         h.update(msg)
-        return h.digest() == sig.tag
+        return h.digest() == sig
 
-    def verify_as(self, role: str, index: int, msg: bytes, sig: SimSignature) -> bool:
+    def verify_as(self, role: str, index: int, msg: bytes, sig: bytes) -> bool:
         """Check ``sig`` as ``role`` member ``index``'s; a member not enrolled fails closed."""
         return self.verify(self.members[role].get(index), msg, sig)
 
     def verify_tx(self, tx: Transaction) -> bool:
         """Check a transaction's provider signature; unknown providers fail closed."""
-        return self.verify(self.members["provider"].get(tx.provider_id),
-                           tx.wire_bytes[:TX_SIGNING_SIZE], tx.signature)
+        wire = tx.wire_bytes
+        return self.verify(self._providers.get(tx.provider_id),
+                           wire[:TX_SIGNING_SIZE], wire[TX_TAG_OFFSET:])
 
     def vrf_verify(self, public: bytes, vrf_input: bytes, out: VrfOutput) -> bool:
         kp = self._keys.get(public)

@@ -54,8 +54,8 @@ Inbox and ``pending`` entries hold only transactions whose provider
 signature this governor checked itself. The check is a pure function of the
 key, the bytes and the tag, so a copy whose ``wire_bytes`` equal an entry's
 is not checked again, in ``ingest`` or in ``validate_block``. Any other copy
-is, even under a txid already held: ``Transaction`` equality ignores the
-carried bytes, so only the bytes themselves can stand for the check. Every
+is, even under a txid already held. Only the bytes stand for the check, not
+``Transaction`` equality, which also compares the oracle validity bit. Every
 collector upload is checked by every governor, every leader signature on
 every copy, and no verdict passes between nodes. Each check looks its signer
 up by role in the shared ``KeyRegistry``; no node holds another's public key.
@@ -76,7 +76,6 @@ from .consensus import (ChainViolation, Ledger, PendingEntry, SignedBlock, TxId,
 from .core_types import (
     Label,
     RoundLists,
-    SimSignature,
     Transaction,
     Upload,
     slot_setters,
@@ -258,7 +257,7 @@ class CollectorNode:
                 seq=FORGED_SEQ_BASE + self.id * FORGED_SEQ_STRIDE + self._forge_seq,
                 timestamp=round_no,
                 ground_truth_valid=False,
-                signature=SimSignature(tag=self.rng.randbytes(32)),
+                signature=self.rng.randbytes(32),
             )
             out.append((fake, 1))
         return out
@@ -288,12 +287,12 @@ class VerificationMessage:
     validbit: bool
     received: tuple[tuple[int, int], ...]
     cnt: int
-    signature: SimSignature
+    signature: bytes
     signing_bytes: bytes = field(init=False, repr=False, compare=False)
     plus: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, leader_id: int, provider_id: int, txid: TxId, validbit: bool,
-                 received: tuple[tuple[int, int], ...], cnt: int, signature: SimSignature) -> None:
+                 received: tuple[tuple[int, int], ...], cnt: int, signature: bytes) -> None:
         fields = (leader_id, provider_id, txid, validbit, received, cnt)
         _store_verdict(self, fields, signature, verification_message_bytes(*fields))
 
@@ -312,7 +311,7 @@ class VerificationMessage:
 _VMSG_SLOTS = slot_setters(VerificationMessage)
 
 
-def _store_verdict(msg: VerificationMessage, fields: tuple, signature: SimSignature,
+def _store_verdict(msg: VerificationMessage, fields: tuple, signature: bytes,
                    body: bytes) -> None:
     received = fields[4]
     for store, value in zip(_VMSG_SLOTS, (*fields, signature, body, plus_slots(received))):
@@ -465,7 +464,7 @@ class GovernorNode:
         return codes
 
     def on_labeled_transaction(self, collector_id: int, label: Label,
-                               signature: SimSignature, round_no: int) -> str:
+                               signature: bytes, round_no: int) -> str:
         """Ingest ``collector_id``'s one-label upload of the ``(tx, label)`` pair, sent the
         round before ``round_no``; returns its disposition (see ``ingest``)."""
         return self.ingest([Upload(collector_id, round_no - 1, (label,), signature)], round_no)[0]

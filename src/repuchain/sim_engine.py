@@ -186,6 +186,9 @@ class ScenarioConfig:
         value = policy_raw.get("value")
         if value is not None and (not is_number(value) or value <= 0):
             raise ConfigError(f"field 'eta_policy.value': expected positive number, got {value!r}")
+        if value is not None and policy_raw["kind"] == "PerEpochSqrt":
+            # The rule sets eta itself; a value would be ignored, then written back by to_dict.
+            raise ConfigError("field 'eta_policy.value': not allowed with kind PerEpochSqrt")
         try:
             eta_policy = EtaPolicy(kind=policy_raw["kind"], value=value)
         except ValueError as exc:

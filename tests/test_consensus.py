@@ -430,7 +430,7 @@ def mutate_signed_block(signed, rng):
         prev[rng.randrange(32)] ^= 1 << rng.randrange(8)
         mutated = Block(b.serial, b.leader_id, b.tx_list, b.mt_root, bytes(prev))
     else:
-        tag = bytearray(signed.signature.tag)
+        tag = bytearray(signed.signature)
         tag[rng.randrange(32)] ^= 1 << rng.randrange(8)
         return type(signed)(b, SimSignature(bytes(tag))), "signature"
     return type(signed)(mutated, signed.signature), f"field_{kind}"

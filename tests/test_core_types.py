@@ -1,8 +1,11 @@
 import dataclasses
+import gc
 import hashlib
 import importlib
 import pkgutil
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -191,10 +194,70 @@ def test_transaction_holds_its_signed_triple_once(crypto_vectors):
     assert not hasattr(tx, "signing_bytes")
     assert TX_SIGNING_SIZE == len(tx_signing_bytes(*ident))
     assert tx.wire_bytes[:TX_SIGNING_SIZE].hex() == v["signing_bytes"]
-    for nxt in (tx, dataclasses.replace(tx, seq=tx.seq + 1),
-                dataclasses.replace(tx, provider_id=tx.provider_id + 3, timestamp=9)):
+    sig, valid = tx.signature, tx.ground_truth_valid
+    for nxt in (tx, Transaction(tx.provider_id, tx.seq + 1, tx.timestamp, valid, sig),
+                Transaction(tx.provider_id + 3, tx.seq, 9, valid, sig)):
         assert nxt.wire_bytes[:TX_SIGNING_SIZE] == tx_signing_bytes(*nxt.txid)
         assert nxt.wire_bytes[TX_SIGNING_SIZE:] == tx.wire_bytes[TX_SIGNING_SIZE:]
+
+
+def test_minted_transaction_keeps_its_tag_only_in_its_wire_bytes(crypto_vectors):
+    v = crypto_vectors["transaction"]
+    kp = keypair_from_secret(0, bytes.fromhex(v["secret"]))
+    tx = Transaction.signed(v["provider_id"], v["seq"], v["timestamp"], True,
+                            lambda body: sign(kp, body))
+    assert "signature" not in Transaction.__slots__
+    assert tx.signature.tag == tx.wire_bytes[TX_SIGNING_SIZE + 8:]
+    assert tx.signature.tag.hex() == v["signature"]
+    assert tx.wire_bytes.hex() == v["wire_bytes"]
+    # A signature is its tag's bytes: no record of its own for the cyclic GC to track.
+    assert not gc.is_tracked(sign(kp, b"m"))
+
+
+def _pymalloc_block(size):
+    """``size`` rounded up to pymalloc's 16-byte size classes."""
+    return -(-size // 16) * 16
+
+
+def test_minting_retains_only_the_record_its_txid_wire_bytes_and_seq():
+    # Each minted transaction may keep alive its record, its txid tuple, its wire
+    # bytes and its seq int (past the small-int cache; the other fields here are
+    # shared small ints and a bool). A signature kept beside the wire bytes, or
+    # any other per-transaction object, exceeds the bound.
+    kp = keypair_from_secret(0, b"\x03" * 32)
+    n = 10_000
+    txs = [None] * n
+    signer = lambda body: sign(kp, body)  # noqa: E731
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(n):
+            txs[i] = Transaction.signed(1, 1_000 + i, 2, True, signer)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    bound = sum(_pymalloc_block(sys.getsizeof(part))
+                for tx in txs for part in (tx, tx.txid, tx.wire_bytes, tx.seq))
+    assert 0 < retained <= bound
+
+
+@pytest.mark.parametrize("length", [0, 31, 32])
+def test_any_tag_length_round_trips_through_the_signature(length):
+    tag = bytes(range(length))
+    tx = make_tx(tag=tag)
+    assert tx.signature == SimSignature(tag) == tag
+    assert type(tx.signature) is SimSignature and tx.signature.tag == tag
+    assert tx.wire_bytes == tx_signing_bytes(*tx.txid) + length.to_bytes(8, "big") + tag
+
+
+def test_transactions_differing_only_in_their_tag_are_unequal():
+    a, b = make_tx(seq=4, tag=b"\x07" * 32), make_tx(seq=4, tag=b"\x07" * 31 + b"\x08")
+    assert a.txid == b.txid and a.ground_truth_valid == b.ground_truth_valid
+    assert a != b
+    assert make_tx(seq=4, tag=b"\x07" * 31) != a
+    same = make_tx(seq=4, tag=b"\x07" * 32)
+    assert same == a and hash(same) == hash(a)
+    assert make_tx(seq=4, valid=False) != a
 
 
 def test_equal_transactions_compare_and_hash_equal():
@@ -206,7 +269,11 @@ def test_equal_transactions_compare_and_hash_equal():
 
 def test_replace_rebuilds_carried_bytes():
     tx = Transaction(2, 8, 3, True, SimSignature(b"\x07" * 32))
-    nxt = dataclasses.replace(tx, seq=tx.seq + 1)
+    # The tag is no field of its own, so ``replace`` cannot pass it on: it
+    # raises rather than build a transaction without one.
+    with pytest.raises(TypeError, match="signature"):
+        dataclasses.replace(tx, seq=tx.seq + 1)
+    nxt = Transaction(tx.provider_id, tx.seq + 1, tx.timestamp, True, tx.signature)
     assert nxt.txid == (2, 9, 3) != tx.txid == (2, 8, 3)
     assert nxt.wire_bytes[:TX_SIGNING_SIZE] == tx_signing_bytes(2, 9, 3) \
         != tx_signing_bytes(*tx.txid)

@@ -2,7 +2,7 @@ import random
 
 from scipy import stats
 
-from repuchain.core_types import SimSignature
+from repuchain.core_types import SimSignature, Transaction, tx_signing_bytes
 from repuchain.crypto_sim import (
     KeyRegistry,
     VrfOutput,
@@ -42,13 +42,27 @@ def test_verify_rejects_unknown_public(registry):
     assert not registry.verify(None, b"m", sign(stranger, b"m"))  # a node id with no public
 
 
+def test_verify_takes_a_transactions_signature_property(registry):
+    # The shape of an off-path check: the signed triple and ``tx.signature``,
+    # a tag rebuilt from the tail of the wire bytes.
+    kp = registry.enrol("provider", 0, 7)
+    tx = Transaction.signed(0, 5, 3, True, lambda body: sign(kp, body))
+    assert registry.verify(kp.public, tx_signing_bytes(*tx.txid), tx.signature)
+    assert registry.verify_tx(tx)
+    tag = bytearray(tx.signature.tag)
+    tag[0] ^= 0x01
+    flipped = Transaction(0, 5, 3, True, SimSignature(bytes(tag)))
+    assert not registry.verify(kp.public, tx_signing_bytes(*tx.txid), flipped.signature)
+    assert not registry.verify_tx(flipped)
+
+
 def test_verify_accepts_vector_tags_and_rejects_tampering(crypto_vectors):
     registry = KeyRegistry()
     for entry in crypto_vectors["sign"]:
         kp = keypair_from_secret(0, bytes.fromhex(entry["secret"]))
         registry.register(kp)
         msg = bytes.fromhex(entry["msg"])
-        tag = SimSignature(tag=bytes.fromhex(entry["tag"]))
+        tag = SimSignature(bytes.fromhex(entry["tag"]))
         assert sign(kp, msg) == tag
         assert registry.verify(kp.public, msg, tag)
         for i in range(len(msg)):
@@ -86,7 +100,7 @@ def test_sign_keeps_key_state_between_messages(crypto_vectors):
     for _ in range(3):
         for kp, entry in zip(kps, entries):
             sign(kp, b"another message")
-            assert sign(kp, bytes.fromhex(entry["msg"])).tag.hex() == entry["tag"]
+            assert sign(kp, bytes.fromhex(entry["msg"])).hex() == entry["tag"]
 
 
 def test_unforgeability_100k_random_attempts(registry):
@@ -95,7 +109,7 @@ def test_unforgeability_100k_random_attempts(registry):
     rng = random.Random(1234)
     accepted = 0
     for _ in range(100_000):
-        if registry.verify(kp.public, msg, SimSignature(tag=rng.randbytes(32))):
+        if registry.verify(kp.public, msg, SimSignature(rng.randbytes(32))):
             accepted += 1
     assert accepted == 0
 
@@ -141,7 +155,7 @@ def test_frozen_vectors(crypto_vectors):
         assert kp.public.hex() == entry["public"]
     for entry in crypto_vectors["sign"]:
         kp = keypair_from_secret(0, bytes.fromhex(entry["secret"]))
-        tag = sign(kp, bytes.fromhex(entry["msg"])).tag
+        tag = sign(kp, bytes.fromhex(entry["msg"]))
         assert tag.hex() == entry["tag"]
     for entry in crypto_vectors["vrf"]:
         kp = keypair_from_secret(0, bytes.fromhex(entry["secret"]))

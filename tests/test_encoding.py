@@ -102,7 +102,7 @@ def test_verification_message_vector(crypto_vectors):
     assert spec_verification_message(*args) == body
     msg = VerificationMessage(*args, signature=sign(kp, body))
     assert msg.signing_bytes == body
-    assert msg.signature.tag.hex() == v["signature"]
+    assert msg.signature.hex() == v["signature"]
 
 
 def test_upload_vector(crypto_vectors):
@@ -116,12 +116,12 @@ def test_upload_vector(crypto_vectors):
     body = upload_bytes(v["collector_id"], v["round"], labels)
     assert body.hex() == v["bytes"]
     assert spec_upload(v["collector_id"], v["round"], bodies) == body
-    assert sign(kp, body).tag.hex() == v["signature"]
+    assert sign(kp, body).hex() == v["signature"]
     collector = nodes.CollectorNode(v["collector_id"], kp, nodes.StrategySpec("Honest"),
                                     None, None)
     upload = collector.sign_upload(v["round"], labels)
     assert upload.signing_bytes == body
-    assert upload.signature.tag.hex() == v["signature"]
+    assert upload.signature.hex() == v["signature"]
 
 
 def test_block_vector(crypto_vectors):

@@ -421,6 +421,23 @@ def test_forged_transactions_rejected_10k_attempts(registry):
     assert not g.inbox
 
 
+def test_forged_copies_are_refused_at_every_governor():
+    # properties(10): three governors and one Forger. Each round's forgeries
+    # reach every governor the round after, and each refuses all of them.
+    w = init_world(ScenarioConfig.from_dict(scenarios.properties(10)))
+    assert len(w.governors) > 1
+    for _ in range(6):
+        step_round(w)
+    in_flight = sum(tx.seq >= nodes.FORGED_SEQ_BASE
+                    for upload in w.to_governors for tx, _ in upload.labels)
+    delivered = w.metrics.forgery_attempts - in_flight
+    assert delivered > 0
+    for g in w.governors:
+        assert g.dropped_forged == delivered
+        held = list(g.inbox) + list(g.pending) + list(g.ledger.settled)
+        assert all(seq < nodes.FORGED_SEQ_BASE for _, seq, _ in held)
+
+
 def test_batched_ingest_matches_one_copy_at_a_time(registry):
     # Provider 0 reaches collectors 0 and 1, provider 1 only collector 2.
     topology = ((0, 1), (2,))

@@ -144,7 +144,7 @@ UNKNOWN_NESTED_KEYS = [
     ("strategies[0].forge_rat", "strategies",
      [{"kind": "Forger", "forge_rate": 5}], [{"kind": "Forger", "forge_rat": 5}]),
     ("eta_policy.vlaue", "eta_policy",
-     {"kind": "PerEpochSqrt", "value": 0.1}, {"kind": "PerEpochSqrt", "vlaue": 0.1}),
+     {"kind": "Fixed", "value": 0.1}, {"kind": "Fixed", "vlaue": 0.1}),
 ]
 
 
@@ -159,6 +159,24 @@ def test_unknown_nested_key_fails_closed_like_the_schema(field, key, good, typo)
     with pytest.raises(ConfigError, match=re.escape(f"field '{field}': unknown")):
         ScenarioConfig.from_dict(raw)
     assert not validator.is_valid(raw)
+
+
+@pytest.mark.parametrize("policy,field", [
+    ({"kind": "PerEpochSqrt", "value": 0.3}, "eta_policy.value"),
+    ({"kind": "Fixed"}, "eta_policy"),
+], ids=["PerEpochSqrt-with-value", "Fixed-without-value"])
+def test_eta_value_is_refused_or_required_by_kind_like_the_schema(policy, field):
+    # PerEpochSqrt sets eta itself: a value would be ignored, and to_dict would
+    # write it back into aggregate.json as if it had been used.
+    raw = {**scenarios.smoke(), "eta_policy": policy}
+    with pytest.raises(ConfigError, match=re.escape(f"field '{field}'")):
+        ScenarioConfig.from_dict(raw)
+    assert not json_schema_validator().is_valid(raw)
+    for good in ({"kind": "PerEpochSqrt"}, {"kind": "Fixed", "value": 0.3}):
+        raw = {**scenarios.smoke(), "eta_policy": good}
+        config = ScenarioConfig.from_dict(raw)
+        assert json_schema_validator().is_valid(raw)
+        assert ScenarioConfig.from_dict(config.to_dict()) == config
 
 
 @pytest.mark.parametrize("field", ["mu", "invalid_fraction", "strategies[0].q",
