@@ -16,6 +16,15 @@ round's broadcast lists, so the four safety properties (agreement, chain
 integrity, no skipping, almost-no-creation) hold block by block; any
 violation halts the simulation, since it would indicate a bug rather than an
 attack.
+
+Each round is committed and encoded once, by the leader. ``propose_block``
+builds the ``RoundLists`` first, whose constructor derives their Merkle
+root, and the block commits that same root; ``SignedBlock.signed`` encodes
+the block once, signs those bytes and carries them. Every governor checks
+the leader's signature over ``signed.signing_bytes`` and compares the
+lists' ``mt_root`` with the block's, so no governor re-encodes the block or
+rehashes the lists. The carried bytes live for one round: only the leader
+builds a ``SignedBlock``, and the ledger keeps the ``Block`` alone.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -32,8 +41,8 @@ from .core_types import (
     RoundLists,
     Transaction,
     block_bytes,
-    lists_commitment_root,
     make_genesis,
+    slot_setters,
 )
 from .crypto_sim import KeyPair, KeyRegistry, sign, vrf_eval
 
@@ -47,7 +56,10 @@ class Violation(Enum):
 
     ``UNLABELED_TX`` covers the whole payload rule: a packed transaction that
     is not the next one in ``pending`` (out of order, skipped, or never
-    verified valid), or whose verdict holds no +1 label.
+    verified valid), or whose verdict holds no +1 label. ``ALREADY_SETTLED``
+    covers a txid that an earlier block settled, and one that this block
+    would settle twice: named twice across its payload and the round's
+    invalid list.
     """
 
     NO_SKIPPING = "no_skipping"
@@ -67,10 +79,38 @@ class ChainViolation(RuntimeError):
         self.violation = violation
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SignedBlock:
+    """The leader's block with its signature, broadcast to the governors for one round.
+
+    The constructor encodes ``signing_bytes`` (``block_bytes``) from ``block``,
+    as does ``dataclasses.replace``, so a governor checks the signature over
+    bytes no sender chose. The leader builds it with ``signed``.
+    """
+
     block: Block
     signature: bytes
+    signing_bytes: bytes = field(init=False, repr=False, compare=False)
+
+    def __init__(self, block: Block, signature: bytes) -> None:
+        _store_signed_block(self, block, signature, block_bytes(block))
+
+    @classmethod
+    def signed(cls, block: Block, keypair: KeyPair) -> "SignedBlock":
+        """The block ``keypair`` signs: encoded once, signed, stored."""
+        body = block_bytes(block)
+        self = cls.__new__(cls)
+        _store_signed_block(self, block, sign(keypair, body), body)
+        return self
+
+
+_SIGNED_BLOCK_SLOTS = slot_setters(SignedBlock)
+
+
+def _store_signed_block(signed: SignedBlock, *values) -> None:
+    """Store ``(block, signature, signing_bytes)`` in ``signed``."""
+    for store, value in zip(_SIGNED_BLOCK_SLOTS, values):
+        store(signed, value)
 
 
 @dataclass
@@ -160,17 +200,18 @@ def propose_block(
 ) -> tuple[SignedBlock, RoundLists]:
     """Assemble and sign the round's block plus the broadcast lists.
 
-    ``tx_list`` is the capped payload (carry-over queue head).
+    ``tx_list`` is the capped payload (carry-over queue head). The block
+    commits the lists' own ``mt_root``.
     """
+    lists = RoundLists(invalid_list=invalid_list, unchecked_list=unchecked_list)
     block = Block(
         serial=serial,
         leader_id=leader_id,
         tx_list=tx_list,
-        mt_root=lists_commitment_root(invalid_list, unchecked_list),
+        mt_root=lists.mt_root,
         prev_hash=prev_hash,
     )
-    signed = SignedBlock(block=block, signature=sign(leader_kp, block_bytes(block)))
-    return signed, RoundLists(invalid_list=invalid_list, unchecked_list=unchecked_list)
+    return SignedBlock.signed(block, leader_kp), lists
 
 
 def validate_block(
@@ -190,10 +231,12 @@ def validate_block(
     labels. ``pending`` holds only transactions whose provider signature this
     governor checked at ingest, so a payload transaction whose ``wire_bytes``
     equal its ``pending`` entry's is not checked again; any other is checked
-    before the order is. The block's ``mt_root`` must commit to the round's
-    broadcast lists. No packed or invalid-listed txid may be in
-    ``ledger.settled`` already: each transaction is settled once. Signers are
-    looked up by role in ``registry``; one not enrolled fails its check.
+    before the order is. The leader's signature is checked over the bytes
+    ``signed`` carries, and the block's ``mt_root`` must equal the root the
+    round's broadcast lists carry; neither is recomputed here. Each packed or
+    invalid-listed txid must be named once in the block and lists, and not be
+    in ``ledger.settled`` already: each transaction is settled once. Signers
+    are looked up by role in ``registry``; one not enrolled fails its check.
     """
     block = signed.block
     last = ledger.last
@@ -203,7 +246,8 @@ def validate_block(
         return Violation.CHAIN_INTEGRITY
     if block.leader_id != expected_leader:
         return Violation.WRONG_LEADER
-    if not registry.verify_as("governor", expected_leader, block_bytes(block), signed.signature):
+    if not registry.verify_as("governor", expected_leader, signed.signing_bytes,
+                              signed.signature):
         return Violation.BAD_LEADER_SIGNATURE
     tx_list = block.tx_list
     if len(tx_list) > b_limit:
@@ -216,14 +260,12 @@ def validate_block(
             return Violation.BAD_TX_SIGNATURE
         if queued != tx or not any(lab == 1 for _, lab in labels):
             return Violation.UNLABELED_TX
-    recomputed = lists_commitment_root(round_lists.invalid_list, round_lists.unchecked_list)
-    if recomputed != block.mt_root:
+    if round_lists.mt_root != block.mt_root:
         return Violation.MT_ROOT_MISMATCH
-    settled = ledger.settled
-    for txs in (block.tx_list, round_lists.invalid_list):
-        for tx in txs:
-            if tx.txid in settled:
-                return Violation.ALREADY_SETTLED
+    invalid_list = round_lists.invalid_list
+    settles = {tx.txid for tx in chain(tx_list, invalid_list)}
+    if len(settles) < len(tx_list) + len(invalid_list) or not ledger.settled.isdisjoint(settles):
+        return Violation.ALREADY_SETTLED
     return None
 
 

@@ -65,9 +65,13 @@ Assignment still raises ``FrozenInstanceError``; equality, hashing, repr and
 ``dataclasses.replace`` are the dataclass's own.
 
 A block carries its SHA-256 digest as ``hash``, but not its bytes: a copy
-of those would duplicate every chained transaction's wire bytes. The
-leader signs ``block_bytes(block)``, and every governor verifies that
-signature over freshly encoded bytes.
+of those would duplicate every chained transaction's wire bytes for as long
+as the ledger holds the block. The leader signs ``block_bytes(block)``, and
+the ``consensus.SignedBlock`` it broadcasts carries those bytes for the one
+round it lives, encoded by its constructor from its block; every governor
+verifies the leader's signature over them. A round's ``RoundLists`` carries
+its commitment as ``mt_root``, derived by its constructor from the two
+lists, and the leader's block commits the same bytes object.
 
 The ``ground_truth_valid`` bit on a transaction is a simulation-only oracle
 field. By convention it is read exclusively through the ``validate_*``
@@ -322,10 +326,21 @@ def make_genesis() -> Block:
 
 @dataclass(frozen=True, slots=True)
 class RoundLists:
-    """One round's broadcast lists: screened invalid, and left unchecked."""
+    """One round's broadcast lists: screened invalid, and left unchecked.
+
+    The constructor derives ``mt_root``, the lists' commitment
+    (``lists_commitment_root``), from the two lists, as does
+    ``dataclasses.replace``; the leader's block carries the same bytes object,
+    and a governor compares the two without recomputing either.
+    """
 
     invalid_list: tuple[Transaction, ...]
     unchecked_list: tuple[Transaction, ...]
+    mt_root: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mt_root",
+                           lists_commitment_root(self.invalid_list, self.unchecked_list))
 
 
 def merkle_root(items: Sequence[bytes]) -> bytes:

@@ -47,8 +47,12 @@ signed input:
   ``propose_round`` from its screening is checked whole by ``validate_block``
   (its payload must be the head of ``pending``, in order, at most the
   governor's ``b_limit``) before any state changes; it is then appended, its
-  payload leaves ``pending`` and its unchecked list leaves the inbox. A
-  block that fails validation raises ``ChainViolation`` and changes nothing.
+  payload leaves ``pending`` and its unchecked list leaves the inbox. The
+  leader's signature is checked over the bytes ``signed`` carries, which its
+  constructor encoded from the block, and the block's ``mt_root`` against
+  the one ``lists`` carries, so no governor re-encodes the block or rehashes
+  the lists. A block that fails validation raises ``ChainViolation`` and
+  changes nothing.
 
 Inbox and ``pending`` entries hold only transactions whose provider
 signature this governor checked itself. The check is a pure function of the

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -7,6 +8,7 @@ from scipy import stats
 from repuchain import consensus
 from repuchain.consensus import (
     Ledger,
+    SignedBlock,
     Violation,
     elect_leader,
     propose_block,
@@ -16,6 +18,7 @@ from repuchain.consensus import (
 from repuchain.core_types import (
     ZERO_DIGEST,
     Block,
+    RoundLists,
     SimSignature,
     Transaction,
     block_bytes,
@@ -305,6 +308,24 @@ def test_txid_already_settled_is_refused(listed):
     assert (chain.ledger.blocks, chain.ledger.settled) == before
 
 
+@pytest.mark.parametrize("case", ["invalid-listed-twice", "packed-and-invalid-listed"])
+def test_a_block_settles_each_transaction_once(case):
+    # Neither txid is settled yet, but the block would settle one of them twice.
+    chain = Chain()
+    signed, lists = chain.next_block(n_txs=1, n_unchecked=1, n_invalid=1)
+    b = signed.block
+    again = lists.invalid_list if case == "invalid-listed-twice" else b.tx_list
+    bad, bad_lists = propose_block(
+        serial=b.serial, leader_id=b.leader_id, leader_kp=chain.leader_kp, tx_list=b.tx_list,
+        invalid_list=lists.invalid_list + again, unchecked_list=lists.unchecked_list,
+        prev_hash=b.prev_hash,
+    )
+    before = (list(chain.ledger.blocks), set(chain.ledger.settled), list(chain.pending))
+    assert chain.append(bad, bad_lists) is Violation.ALREADY_SETTLED
+    assert (chain.ledger.blocks, chain.ledger.settled, list(chain.pending)) == before
+    assert chain.append(signed, lists) is None
+
+
 def test_serial_gap_is_no_skipping():
     chain = Chain()
     signed, lists = chain.next_block()
@@ -387,6 +408,62 @@ def test_mt_root_mismatch_detected():
     signed, lists = chain.next_block(n_unchecked=2)
     shorter = type(lists)(lists.invalid_list, lists.unchecked_list[:1])
     assert chain.validate_only(signed, shorter) is Violation.MT_ROOT_MISMATCH
+
+
+def test_lists_and_signed_block_derive_what_they_carry():
+    # The lists carry their commitment and the signed block its signed bytes,
+    # each derived by the constructor from the record's own fields.
+    chain = Chain()
+    signed, lists = chain.next_block(n_txs=2, n_unchecked=2, n_invalid=1)
+    b = signed.block
+    assert lists.mt_root is b.mt_root  # the block commits the lists' own root
+    assert lists.mt_root == lists_commitment_root(lists.invalid_list, lists.unchecked_list)
+    assert signed.signing_bytes == block_bytes(b)
+    assert chain.registry.verify_as("governor", chain.leader_id, block_bytes(b), signed.signature)
+    assert SignedBlock(b, signed.signature) == signed
+    # dataclasses.replace re-derives each field from the changed record.
+    shorter = dataclasses.replace(lists, unchecked_list=lists.unchecked_list[:1])
+    assert shorter.mt_root == lists_commitment_root(lists.invalid_list, lists.unchecked_list[:1])
+    assert shorter.mt_root != lists.mt_root
+    smaller = dataclasses.replace(b, tx_list=b.tx_list[:1])
+    moved = dataclasses.replace(signed, block=smaller)
+    assert moved.signing_bytes == block_bytes(smaller) != signed.signing_bytes
+    # No caller supplies either field, and neither can be assigned.
+    with pytest.raises(TypeError):
+        RoundLists(lists.invalid_list, lists.unchecked_list, lists.mt_root)
+    with pytest.raises(TypeError):
+        RoundLists(lists.invalid_list, lists.unchecked_list, mt_root=lists.mt_root)
+    with pytest.raises(TypeError):
+        SignedBlock(b, signed.signature, signed.signing_bytes)
+    with pytest.raises(TypeError):
+        SignedBlock(b, signed.signature, signing_bytes=signed.signing_bytes)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lists.mt_root = ZERO_DIGEST
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        signed.signing_bytes = block_bytes(b)
+    # Equality, hashing and repr ignore them.
+    odd_lists = RoundLists(lists.invalid_list, lists.unchecked_list)
+    RoundLists.__dict__["mt_root"].__set__(odd_lists, ZERO_DIGEST)
+    assert odd_lists == lists and hash(odd_lists) == hash(lists)
+    odd_signed = SignedBlock(b, signed.signature)
+    SignedBlock.__dict__["signing_bytes"].__set__(odd_signed, b"")
+    assert odd_signed == signed
+    assert "mt_root" not in repr(lists)
+    assert "signing_bytes" not in repr(signed)
+
+
+def test_records_changed_after_signing_fail_validation():
+    chain = Chain()
+    signed, lists = chain.next_block(n_txs=2, n_unchecked=2)
+    shorter = dataclasses.replace(lists, unchecked_list=lists.unchecked_list[:1])
+    assert chain.validate_only(signed, shorter) is Violation.MT_ROOT_MISMATCH
+    b = signed.block
+    for changed in (dataclasses.replace(b, tx_list=b.tx_list[:1]),
+                    dataclasses.replace(b, mt_root=shorter.mt_root)):
+        for rebuilt in (dataclasses.replace(signed, block=changed),
+                        SignedBlock(changed, signed.signature)):
+            assert chain.validate_only(rebuilt, lists) is Violation.BAD_LEADER_SIGNATURE
+    assert chain.append(signed, lists) is None
 
 
 def test_single_field_mutations_all_caught():

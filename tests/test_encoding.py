@@ -12,7 +12,7 @@ import struct
 
 import pytest
 
-from repuchain import core_types, nodes
+from repuchain import consensus, core_types, nodes
 from repuchain.core_types import (
     TX_SIGNING_SIZE,
     Block,
@@ -251,15 +251,19 @@ def test_out_of_range_integers_raise(bad):
 
 
 def test_objects_call_the_encoders_through_their_module_globals(monkeypatch):
-    # The tracer counts core_types.encode_calls by rebinding these names; an
-    # object that bound an encoder early would bypass it and read 0.
+    # The tracer counts core_types.encode_calls and times core_types.merkle_s by
+    # rebinding these names in each module that binds them; an object that bound
+    # an encoder early would bypass it and read 0.
     calls = {}
     targets = [(core_types, "tx_signing_bytes"), (core_types, "upload_bytes"),
                (core_types, "block_bytes"), (core_types, "hash_block"),
+               (core_types, "lists_commitment_root"), (consensus, "block_bytes"),
                (nodes, "verification_message_bytes")]
     for module, name in targets:
-        def counting(*args, _original=getattr(module, name), _name=name):
-            calls[_name] = calls.get(_name, 0) + 1
+        key = f"{module.__name__}.{name}"
+
+        def counting(*args, _original=getattr(module, name), _key=key):
+            calls[_key] = calls.get(_key, 0) + 1
             return _original(*args)
 
         monkeypatch.setattr(module, name, counting)
@@ -268,6 +272,11 @@ def test_objects_call_the_encoders_through_their_module_globals(monkeypatch):
     block = Block(1, 0, (tx,), core_types.ZERO_DIGEST, core_types.ZERO_DIGEST)
     assert len(block.hash) == core_types.DIGEST_SIZE
     VerificationMessage(0, 1, tx.txid, True, ((4, 1),), 1, SimSignature(b""))
-    assert calls == {name: 1 for _, name in targets}
+    lists = core_types.RoundLists((tx,), ())
+    assert len(lists.mt_root) == core_types.DIGEST_SIZE
+    consensus.SignedBlock(block, SimSignature(b""))
+    assert calls == {f"{module.__name__}.{name}": 1 for module, name in targets}
     Transaction.signed(1, 3, 3, True, lambda body: SimSignature(b""))
-    assert calls["tx_signing_bytes"] == 2
+    assert calls["repuchain.core_types.tx_signing_bytes"] == 2
+    consensus.SignedBlock.signed(block, keypair_from_secret(0, b"\x01" * 32))
+    assert calls["repuchain.consensus.block_bytes"] == 2

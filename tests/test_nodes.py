@@ -18,7 +18,7 @@ from repuchain.core_types import (
 )
 from repuchain.consensus import ChainViolation, Violation
 from repuchain.crypto_sim import KeyRegistry, sign, substream
-from repuchain import core_types, metrics_oracle, nodes, reputation, scenarios
+from repuchain import consensus, core_types, metrics_oracle, nodes, reputation, scenarios
 from repuchain.metrics_oracle import mc_expected_loss
 from repuchain.reputation import (
     ReputationState,
@@ -638,6 +638,97 @@ def test_signers_encode_each_signed_record_once(registry, monkeypatch):
     msg = res.message
     assert msg.signing_bytes == verification_message_bytes(
         msg.leader_id, msg.provider_id, msg.txid, msg.validbit, msg.received, msg.cnt)
+
+
+def test_each_round_is_committed_once_and_encoded_at_most_twice(monkeypatch):
+    # The leader hashes the round's lists once, in RoundLists, and encodes its
+    # block at most twice: for Block.hash and for the bytes SignedBlock carries
+    # and the leader signs. Every governor checks against those, so neither
+    # count grows with the number of governors.
+    w = init_world(ScenarioConfig.from_dict(scenarios.properties(10)))
+    assert len(w.governors) >= 3
+    calls = {}
+    for module in (core_types, consensus, nodes):
+        for name in ("lists_commitment_root", "block_bytes"):
+            if hasattr(module, name):
+                def counting(*args, _original=getattr(module, name), _name=name):
+                    calls[_name] = calls.get(_name, 0) + 1
+                    return _original(*args)
+
+                monkeypatch.setattr(module, name, counting)
+    for _ in range(8):
+        step_round(w)
+    blocks = len(w.governors[0].ledger.blocks) - 1
+    assert blocks > 0
+    assert calls["lists_commitment_root"] == blocks
+    assert blocks <= calls["block_bytes"] <= 2 * blocks
+
+
+class TrustingRegistry:
+    """A governor's registry that takes every governor signature on trust."""
+
+    def __init__(self, registry):
+        self.registry = registry
+
+    def __getattr__(self, name):
+        return getattr(self.registry, name)
+
+    def verify_as(self, role, index, msg, sig):
+        return role == "governor" or self.registry.verify_as(role, index, msg, sig)
+
+
+@pytest.mark.parametrize("lazy", [None, "verdict", "block"])
+def test_every_replica_checks_every_leader_signature(monkeypatch, lazy):
+    # Each verdict is checked by the m - 1 replicas that replay it, and each
+    # block by all m governors, its leader too. A total of verifies against
+    # replays cannot see one replica skip a check; this count can, so a lazy
+    # replica, skipping its verdict or its block check, makes it come up short.
+    w = init_world(ScenarioConfig.from_dict(scenarios.properties(10)))
+    m = len(w.governors)
+    assert m == 3
+    counts = {"governor_checks": 0, "verdicts": 0}
+    verify_as, screen = KeyRegistry.verify_as, nodes.GovernorNode.screen
+
+    def counting_verify_as(self, role, index, msg, sig):
+        counts["governor_checks"] += role == "governor"
+        return verify_as(self, role, index, msg, sig)
+
+    def counting_screen(self, txid):
+        result = screen(self, txid)
+        counts["verdicts"] += result.message is not None
+        return result
+
+    monkeypatch.setattr(KeyRegistry, "verify_as", counting_verify_as)
+    monkeypatch.setattr(nodes.GovernorNode, "screen", counting_screen)
+    slacker = w.governors[1]
+    if lazy == "verdict":
+        replay = nodes.GovernorNode.on_verification_message
+
+        def skipping_replay(self, msg):
+            if self is not slacker:
+                return replay(self, msg)
+            self.assert_no_gaps(msg)
+            self.apply_verdict(msg)
+
+        monkeypatch.setattr(nodes.GovernorNode, "on_verification_message", skipping_replay)
+    elif lazy == "block":
+        validate_and_append = nodes.validate_and_append
+
+        def skipping_append(ledger, signed, leader, registry, *rest):
+            if ledger is slacker.ledger and leader != slacker.id:
+                registry = TrustingRegistry(registry)
+            return validate_and_append(ledger, signed, leader, registry, *rest)
+
+        monkeypatch.setattr(nodes, "validate_and_append", skipping_append)
+    for _ in range(8):
+        step_round(w)
+    blocks = len(w.governors[0].ledger.blocks) - 1
+    assert blocks > 0 and counts["verdicts"] > 0
+    expected = (m - 1) * counts["verdicts"] + m * blocks
+    if lazy is None:
+        assert counts["governor_checks"] == expected
+    else:
+        assert counts["governor_checks"] < expected
 
 
 def test_upload_record_encodes_its_own_bytes(registry):

@@ -5,14 +5,15 @@ import json
 import math
 import re
 import tracemalloc
+import types
 
 import pytest
 
 from conftest import SCENARIOS_DIR
 from test_determinism import unequal_stakes
 from repuchain import scenarios
-from repuchain.consensus import ChainViolation, Violation
-from repuchain.core_types import block_bytes
+from repuchain.consensus import ChainViolation, SignedBlock, Violation
+from repuchain.core_types import Block, RoundLists, block_bytes
 from repuchain.metrics_oracle import compute_regret, emit_csv
 from repuchain.nodes import FORGED_SEQ_BASE, FORGED_SEQ_STRIDE, SimulationError
 from repuchain.sim_engine import (
@@ -556,6 +557,28 @@ def test_rounds_make_no_reference_cycles(collector_setting):
         gc.set_debug(debug)
         gc.garbage.clear()
     assert unreachable == 0, cycles.most_common(5)
+
+
+def test_no_signed_block_outlives_its_round():
+    # Only the leader builds a SignedBlock, with the block's bytes, and the
+    # round drops it: the feedback hop keeps the lists and the payload, and
+    # each ledger the Block alone.
+    w = init_world(ScenarioConfig.from_dict(scenarios.properties(10)))
+    for _ in range(8):
+        step_round(w)
+    assert w.feedback is not None
+    skip = (type, types.ModuleType, types.FunctionType, types.MethodType,
+            types.BuiltinFunctionType)
+    seen, stack, reached = set(), [w], collections.Counter()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        reached[type(obj)] += 1
+        stack.extend(gc.get_referents(obj))
+    assert reached[Block] > 1 and reached[RoundLists] > 0
+    assert reached[SignedBlock] == 0
 
 
 def test_replica_that_settled_the_next_head_refuses_the_block():
