@@ -84,7 +84,7 @@ def run_seed(config: ScenarioConfig, seed: int, out_dir: Path | None) -> dict:
         ledger.write_hex(out_dir / "ledger.hex")
     cutoff = max(cfg.total_rounds - DRAIN_ROUNDS, 1)
     latencies = metrics.inclusion_latencies(max_gen_round=cutoff)
-    on_chain_ok = ledger.settled <= metrics.gen_round.keys()
+    on_chain_ok = all(map(metrics.was_generated, ledger.settled))
     return {
         "seed": seed,
         "providers": summary["providers"],

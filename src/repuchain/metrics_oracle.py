@@ -25,13 +25,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core_types import is_number
 from .crypto_sim import substream
-from .nodes import EpochClosure, ScreeningResult, TxId
+from .nodes import EpochClosure, ScreeningResult, SimulationError, TxId
 from .reputation import ReputationState, apply_penalties, plus_slots, screen_draw
 
 ORACLE_MAX_U = 3
@@ -70,7 +71,19 @@ class RoundRow:
 
 
 class MetricsLog:
-    """Per-run event log: screening events, epochs, latencies, message counts."""
+    """Per-run event log: screening events, epochs, latencies, message counts.
+
+    Per-transaction facts are kept once, by (provider, seq). A provider's
+    seqs run 1, 2, 3, ... in minting order, so ``gen_rounds[p][seq - 1]`` is
+    the round that minted seq (its timestamp) and ``chain_rounds[p][seq - 1]``
+    the round whose block packed it, 0 while it is off chain. Both are
+    ``array('Q')``, 8 bytes per transaction; ``generated`` and
+    ``was_generated`` read them as the txid-keyed map they stand for.
+    ``gen_valid`` stays a dict, keyed by txid, because the benchmark's
+    checker reads it so. Screening events share what repeats: all unchecked
+    screenings of one provider in one epoch are one tuple, and each
+    penalized-slot pattern is one tuple.
+    """
 
     def __init__(self, provider_count: int):
         # One (epoch_index, outcome, loss, penalized) tuple per screened tx.
@@ -79,36 +92,75 @@ class MetricsLog:
         ]
         self.epoch_records: list[list[EpochClosure]] = [[] for _ in range(provider_count)]
         self.final_states: list[ReputationState] | None = None
-        self.gen_round: dict[TxId, int] = {}
+        self.gen_rounds: list[array] = [array("Q") for _ in range(provider_count)]
+        self.chain_rounds: list[array] = [array("Q") for _ in range(provider_count)]
         self.gen_valid: dict[TxId, int] = {}
-        self.chain_round: dict[TxId, int] = {}
         self.rounds: list[RoundRow] = []
         self.forgery_attempts = 0
         self.dropped_forged = 0
         self.resubmissions = 0
+        # What events share: each provider's latest unchecked event, and the
+        # penalized-slot patterns, each kept once by value.
+        self._unchecked: list[tuple | None] = [None] * provider_count
+        self._patterns: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     # -- recording hooks driven by the engine -------------------------------
 
     def record_generated(self, txid: TxId, round_no: int, valid: bool) -> None:
-        self.gen_round[txid] = round_no
+        """File a freshly minted transaction: its seq must be its provider's next, and
+        ``round_no`` its timestamp."""
+        provider, seq, timestamp = txid
+        rounds = self.gen_rounds[provider]
+        if seq != len(rounds) + 1 or round_no != timestamp:
+            raise SimulationError(
+                f"provider {provider}: seq {seq} stamped {timestamp}, recorded at round "
+                f"{round_no}; its next seq is {len(rounds) + 1}, stamped with that round")
+        rounds.append(round_no)
+        self.chain_rounds[provider].append(0)
         if valid:
             self.gen_valid[txid] = round_no
 
     def record_screening(self, result: ScreeningResult) -> None:
-        self.events[result.tx.provider_id].append(
-            (result.epoch_index, OUTCOME_CODES[result.outcome], result.loss, result.penalized)
-        )
+        provider = result.tx.provider_id
+        code = OUTCOME_CODES[result.outcome]
+        penalized = result.penalized
+        if code == OUTCOME_UNCHECKED:
+            event = (result.epoch_index, code, result.loss, penalized)
+            if event == self._unchecked[provider]:
+                event = self._unchecked[provider]
+            else:
+                self._unchecked[provider] = event
+        else:
+            penalized = self._patterns.setdefault(penalized, penalized)
+            event = (result.epoch_index, code, result.loss, penalized)
+        self.events[provider].append(event)
 
     def record_epoch_close(self, closure: EpochClosure) -> None:
         self.epoch_records[closure.provider_id].append(closure)
 
     def record_on_chain(self, txid: TxId, round_no: int) -> None:
-        self.chain_round[txid] = round_no
+        if not self.was_generated(txid):
+            raise SimulationError(f"transaction {txid} reached the chain but was never generated")
+        self.chain_rounds[txid[0]][txid[1] - 1] = round_no
 
     def finalize(self, states: Sequence[ReputationState]) -> None:
         self.final_states = list(states)
 
     # -- derived views -------------------------------------------------------
+
+    def generated(self) -> Iterator[tuple[TxId, int]]:
+        """Every generated ``(txid, round)`` pair, in txid order."""
+        for provider, rounds in enumerate(self.gen_rounds):
+            for seq, round_no in enumerate(rounds, 1):
+                yield (provider, seq, round_no), round_no
+
+    def was_generated(self, txid: TxId) -> bool:
+        """Whether a provider minted ``txid``: its seq, under that very timestamp."""
+        provider, seq, timestamp = txid
+        try:
+            return provider >= 0 and seq > 0 and self.gen_rounds[provider][seq - 1] == timestamp
+        except IndexError:  # a provider or seq past the last generated
+            return False
 
     def window_regret(
         self, provider: int, first_n: int | None = None
@@ -123,12 +175,13 @@ class MetricsLog:
 
     def inclusion_latencies(self, max_gen_round: int | None = None) -> list[int]:
         """Rounds from generation to on-chain for valid transactions."""
+        chain_rounds = self.chain_rounds
         out = []
-        for txid, gen in self.gen_valid.items():
+        for (provider, seq, _), gen in self.gen_valid.items():
             if max_gen_round is not None and gen > max_gen_round:
                 continue
-            chained = self.chain_round.get(txid)
-            if chained is not None:
+            chained = chain_rounds[provider][seq - 1]
+            if chained:
                 out.append(chained - gen)
         return out
 
@@ -138,11 +191,13 @@ class MetricsLog:
         The cap excludes the drain window at the end of a run, where
         transactions are still legitimately in flight.
         """
-        eligible = [t for t, g in self.gen_valid.items() if g <= max_gen_round]
-        if not eligible:
-            return 1.0
-        on_chain = sum(1 for t in eligible if t in self.chain_round)
-        return on_chain / len(eligible)
+        chain_rounds = self.chain_rounds
+        eligible = on_chain = 0
+        for (provider, seq, _), gen in self.gen_valid.items():
+            if gen <= max_gen_round:
+                eligible += 1
+                on_chain += chain_rounds[provider][seq - 1] != 0
+        return on_chain / eligible if eligible else 1.0
 
 
 def tally(

@@ -45,7 +45,8 @@ import gc
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Any
+from itertools import islice
+from typing import Any, Iterator
 
 from .consensus import ChainViolation, Ledger, Violation, elect_leader
 from .core_types import RoundLists, Transaction, Upload, is_number
@@ -305,7 +306,7 @@ class World:
             "settled": set(), "in_flight": set(),
             "unchecked_or_pending": set(), "unclassified": set(),
         }
-        for txid in self.metrics.gen_round:
+        for txid, _ in self.metrics.generated():
             if txid in g0.ledger.settled:
                 buckets["settled"].add(txid)
             elif txid in in_flight:
@@ -470,8 +471,29 @@ def run(config: ScenarioConfig) -> tuple[Ledger, MetricsLog]:
     return world.ledger, world.metrics
 
 
+HASH_CHUNK = 1024  # items formatted per hash update in world_state_hash
+
+
+def _hash_joined(h, reprs: Iterator[str]) -> int:
+    """Feed ``h`` the ``", "``-joined ``reprs``, HASH_CHUNK at a time; return how many."""
+    count = 0
+    while chunk := list(islice(reprs, HASH_CHUNK)):
+        h.update(((", " if count else "") + ", ".join(chunk)).encode())
+        count += len(chunk)
+    return count
+
+
 def world_state_hash(world: World) -> str:
-    """Stable digest of the observable world state, for decomposition tests."""
+    """Stable digest of the observable world state, for decomposition tests.
+
+    It hashes ``str(round)``, the tip hash, then the ``repr`` of
+    ``(rep, pending, invalid, n_on_chain)``, of every generated
+    ``(txid, round)`` pair as a sorted list, and of each provider's sorted
+    pending ids. The two long sequences, the invalid ids and the generated
+    pairs, are formatted and hashed HASH_CHUNK items at a time, the pairs as
+    ``MetricsLog.generated`` yields them, already in txid order; neither is
+    held whole as a string.
+    """
     g0 = world.governors[0]
     h = hashlib.sha256()
     h.update(str(world.round).encode())
@@ -479,8 +501,13 @@ def world_state_hash(world: World) -> str:
     rep, pending, _ = g0.state_fingerprint()
     invalid = sorted(t.txid for rl in g0.ledger.round_lists.values() for t in rl.invalid_list)
     n_on_chain = sum(len(b.tx_list) for b in g0.ledger.blocks)
-    h.update(repr((rep, pending, tuple(invalid), n_on_chain)).encode())
-    h.update(repr(sorted(world.metrics.gen_round.items())).encode())
+    h.update(f"({rep!r}, {pending!r}, (".encode())
+    one = _hash_joined(h, map(repr, invalid)) == 1
+    h.update(f"{',' if one else ''}), {n_on_chain})".encode())
+    h.update(b"[")
+    _hash_joined(h, (f"(({p}, {seq}, {stamp}), {r})"
+                     for (p, seq, stamp), r in world.metrics.generated()))
+    h.update(b"]")
     h.update(repr([sorted(p.pending) for p in world.providers]).encode())
     return h.hexdigest()
 

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from repuchain import checks, scenarios
+from repuchain import checks, cli, scenarios
 from repuchain.checks import (
     check_oracle_agreement,
     check_properties,
@@ -12,8 +12,9 @@ from repuchain.checks import (
 )
 from repuchain.cli import run_seed
 from repuchain.metrics_oracle import mc_expected_loss, mean_se
+from repuchain.nodes import FORGED_SEQ_BASE
 from repuchain.scenarios import LATENCY_FACTOR, SLOPE_WINDOW
-from repuchain.sim_engine import ScenarioConfig
+from repuchain.sim_engine import ScenarioConfig, run
 
 ABORTED = {"seed": 9, "error": "SimulationError: replicated state divergence"}
 
@@ -124,6 +125,29 @@ def test_every_properties_world_passes_at_its_own_seed(index):
     summary = run_seed(ScenarioConfig.from_dict(raw), raw["seed"], None)
     result = check_properties([summary])
     assert result.passed, result.detail
+
+
+@pytest.mark.parametrize("settled", ["forged-range seq", "other timestamp", "provider past l"])
+def test_on_chain_all_generated_fails_closed(monkeypatch, settled):
+    # A settled txid that no provider minted: a seq in the forged range, a real
+    # (provider, seq) under another timestamp, or a provider index >= l.
+    raw = scenarios.properties(1)
+
+    def run_then_settle(config):
+        ledger, metrics = run(config)
+        (provider, seq, stamp), _ = list(metrics.generated())[-1]
+        ledger.settled.add({
+            "forged-range seq": (provider, FORGED_SEQ_BASE + 1, stamp),
+            "other timestamp": (provider, seq, stamp + 1),
+            "provider past l": (config.l, seq, stamp),
+        }[settled])
+        return ledger, metrics
+
+    monkeypatch.setattr(cli, "run", run_then_settle)
+    summary = run_seed(ScenarioConfig.from_dict(raw), raw["seed"], None)
+    assert summary["on_chain_all_generated"] is False
+    result = check_properties([summary])
+    assert not result.passed and "non-provider transaction" in result.detail
 
 
 def test_properties_reports_the_aborted_run():

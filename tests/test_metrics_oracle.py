@@ -5,6 +5,8 @@ import random
 import pytest
 
 from repuchain.metrics_oracle import (
+    OUTCOME_CODES,
+    OUTCOME_UNCHECKED,
     InstanceTooLargeError,
     MetricsLog,
     compute_regret,
@@ -16,7 +18,7 @@ from repuchain.metrics_oracle import (
     theorem_bound,
 )
 from repuchain.checks import check_scaling
-from repuchain.nodes import EpochClosure
+from repuchain.nodes import EpochClosure, GovernorNode
 from repuchain.reputation import EtaPolicy, initial_state
 from repuchain.sim_engine import ScenarioConfig, run
 from repuchain import scenarios
@@ -389,6 +391,32 @@ def test_slot_penalty_counters_match_reputation_deltas():
         assert sum(ep.slot_penalties) == sum(
             len(e[3]) for e in metrics.events[0] if e[0] == ep.epoch_index
         )
+
+
+def test_screening_events_share_what_repeats(monkeypatch):
+    # Each event keeps what the leader's screening returned. The unchecked
+    # events of one provider and epoch are one tuple, and each penalized-slot
+    # pattern is one tuple, wherever it occurs.
+    results = []
+    screen = GovernorNode.screen
+    monkeypatch.setattr(GovernorNode, "screen",
+                        lambda self, txid: results.append(screen(self, txid)) or results[-1])
+    cfg = ScenarioConfig.from_dict(scenarios.properties(1))
+    _, metrics = run(cfg)
+    expected = [[] for _ in range(cfg.l)]
+    for res in results:
+        expected[res.tx.provider_id].append(
+            (res.epoch_index, OUTCOME_CODES[res.outcome], res.loss, res.penalized))
+    assert metrics.events == expected
+    patterns = {}
+    for events in metrics.events:
+        unchecked = {}
+        for event in events:
+            assert patterns.setdefault(event[3], event[3]) is event[3]
+            if event[1] == OUTCOME_UNCHECKED:
+                assert unchecked.setdefault(event[0], event) is event
+        assert len(unchecked) > 1
+    assert len(patterns) > 1
 
 
 def test_window_regret_slices_first_events():

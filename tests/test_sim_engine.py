@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import re
@@ -11,14 +12,16 @@ import pytest
 
 from conftest import SCENARIOS_DIR
 from test_determinism import unequal_stakes
-from repuchain import scenarios
+from repuchain import scenarios, sim_engine
 from repuchain.consensus import ChainViolation, SignedBlock, Violation
 from repuchain.core_types import Block, RoundLists, block_bytes
-from repuchain.metrics_oracle import compute_regret, emit_csv
-from repuchain.nodes import FORGED_SEQ_BASE, FORGED_SEQ_STRIDE, SimulationError
+from repuchain.metrics_oracle import MetricsLog, compute_regret, emit_csv
+from repuchain.nodes import FORGED_SEQ_BASE, FORGED_SEQ_STRIDE, ProviderNode, SimulationError
 from repuchain.sim_engine import (
+    HASH_CHUNK,
     ConfigError,
     ScenarioConfig,
+    finalize,
     init_world,
     run,
     step_round,
@@ -281,12 +284,141 @@ def test_ledger_hex_is_written_block_by_block(tmp_path):
     assert peak < 4 * longest
 
 
+def reference_world_state_hash(world, gen_round):
+    """``world_state_hash`` by its definition: each part one ``repr``, the
+    generated pairs those of a txid -> round dict."""
+    g0 = world.governors[0]
+    h = hashlib.sha256()
+    h.update(str(world.round).encode())
+    h.update(g0.ledger.tip_hash())
+    rep, pending, _ = g0.state_fingerprint()
+    invalid = sorted(t.txid for rl in g0.ledger.round_lists.values() for t in rl.invalid_list)
+    n_on_chain = sum(len(b.tx_list) for b in g0.ledger.blocks)
+    h.update(repr((rep, pending, tuple(invalid), n_on_chain)).encode())
+    h.update(repr(sorted(gen_round.items())).encode())
+    h.update(repr([sorted(p.pending) for p in world.providers]).encode())
+    return h.hexdigest()
+
+
+def step_recording(monkeypatch, world, each_round=lambda world, minted: None):
+    """Step ``world`` to its last round; return each minted transaction and each
+    chained txid's round, this one read off the blocks each round appended."""
+    minted = []
+    generate = ProviderNode.generate
+
+    def recording(self, round_no):
+        fresh = generate(self, round_no)
+        minted.extend(fresh)
+        return fresh
+
+    monkeypatch.setattr(ProviderNode, "generate", recording)
+    chained = {}
+    for _ in range(world.config.total_rounds):
+        appended = len(world.ledger.blocks)
+        step_round(world)
+        for block in world.ledger.blocks[appended:]:
+            chained.update((tx.txid, world.round) for tx in block.tx_list)
+        each_round(world, minted)
+    finalize(world)
+    return minted, chained
+
+
+def test_generation_index_holds_what_the_txid_maps_held(monkeypatch):
+    cfg = ScenarioConfig.from_dict(scenarios.properties(1))
+    assert cfg.l == 2
+    world = init_world(cfg)
+    minted, chained = step_recording(monkeypatch, world)
+    metrics = world.metrics
+    gen_round = {tx.txid: tx.timestamp for tx in minted}
+    assert {p for p, _, _ in gen_round} == {0, 1}
+    assert dict(metrics.generated()) == gen_round
+    assert list(metrics.generated()) == sorted(gen_round.items())
+    assert all(map(metrics.was_generated, gen_round))
+    assert metrics.gen_valid == {tx.txid: tx.timestamp for tx in minted if tx.ground_truth_valid}
+    assert set(chained) <= metrics.gen_valid.keys()
+    for cutoff in (None, cfg.total_rounds - 10, 1):
+        expected = [chained[t] - g for t, g in metrics.gen_valid.items()
+                    if t in chained and (cutoff is None or g <= cutoff)]
+        assert metrics.inclusion_latencies(cutoff) == expected
+    for cutoff in (cfg.total_rounds - 10, cfg.total_rounds, 0):
+        eligible = [t for t, g in metrics.gen_valid.items() if g <= cutoff]
+        rate = sum(t in chained for t in eligible) / len(eligible) if eligible else 1.0
+        assert metrics.inclusion_rate(cutoff) == rate
+    assert 0 < metrics.inclusion_rate(cfg.total_rounds) < 1
+
+
+@pytest.mark.parametrize("chunk", [1, 7, HASH_CHUNK])
+def test_world_state_hash_equals_its_one_repr_definition(monkeypatch, chunk):
+    # Compared after every round, so the hash meets no, one and many invalid
+    # ids, and generated pairs that fill some chunks exactly.
+    monkeypatch.setattr(sim_engine, "HASH_CHUNK", chunk)
+    world = init_world(ScenarioConfig.from_dict(scenarios.properties(1)))
+    invalid_counts = set()
+
+    def compare(world, minted):
+        gen_round = {tx.txid: tx.timestamp for tx in minted}
+        assert world_state_hash(world) == reference_world_state_hash(world, gen_round)
+        rl = world.ledger.round_lists.values()
+        invalid_counts.add(min(2, sum(len(lists.invalid_list) for lists in rl)))
+
+    step_recording(monkeypatch, world, compare)
+    assert invalid_counts == {0, 1, 2}
+
+
+def test_world_state_hash_streams_the_generated_pairs():
+    # The doubling world mints 72,000 transactions. Formatting them HASH_CHUNK
+    # at a time bounds the hash's peak by a chunk's strings, whatever the run's
+    # length; one repr of every pair peaked at 6.6 MB. The sorted invalid ids,
+    # 8 B a pointer each (1,949 here), are what else it holds.
+    cfg = ScenarioConfig.from_dict(scenarios.doubling()).with_seed(1)
+    world = init_world(cfg)
+    for _ in range(cfg.total_rounds):
+        step_round(world)
+    finalize(world)
+    assert sum(map(len, world.metrics.gen_rounds)) == 72_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        world_state_hash(world)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+
+
+def test_record_generated_refuses_a_seq_out_of_turn():
+    log = MetricsLog(2)
+    log.record_generated((1, 1, 3), 3, True)
+    with pytest.raises(SimulationError, match=r"provider 1: seq 3 .* next seq is 2"):
+        log.record_generated((1, 3, 4), 4, True)  # seq 2 skipped
+    with pytest.raises(SimulationError, match=r"provider 1: seq 1 .* next seq is 2"):
+        log.record_generated((1, 1, 4), 4, False)  # seq 1 again
+    with pytest.raises(SimulationError, match=r"provider 0: seq 1 stamped 5, recorded at round 6"):
+        log.record_generated((0, 1, 5), 6, True)
+    assert list(log.generated()) == [((1, 1, 3), 3)]
+    assert log.gen_valid == {(1, 1, 3): 3}
+    assert [list(rounds) for rounds in log.chain_rounds] == [[], [0]]
+
+
+def test_only_a_generated_transaction_reaches_the_chain_record():
+    log = MetricsLog(2)
+    log.record_generated((0, 1, 1), 1, True)
+    log.record_generated((1, 1, 1), 1, False)
+    for txid in [(0, 2, 1), (0, 1, 2), (2, 1, 1), (-1, 1, 1), (0, FORGED_SEQ_BASE + 1, 1),
+                 (0, 0, 1)]:
+        assert not log.was_generated(txid)
+        with pytest.raises(SimulationError, match="never generated"):
+            log.record_on_chain(txid, 3)
+    log.record_on_chain((0, 1, 1), 3)
+    assert log.inclusion_latencies() == [2]
+
+
 def test_end_to_end_honest_all_on_chain():
     # 100 valid transactions, one honest collector: everything lands, no loss
     cfg = minimal_config(gen_rate=4, total_rounds=29, invalid_fraction=0.0,
                          T=1000, b_limit=50)
     ledger, metrics = run(cfg)
-    generated = [txid for txid, r in metrics.gen_round.items() if r <= 25]
+    generated = [txid for txid, r in metrics.generated() if r <= 25]
     assert len(generated) == 100
     on_chain = {tx.txid for b in ledger.blocks for tx in b.tx_list}
     assert set(generated) <= on_chain
@@ -380,7 +512,7 @@ def test_conservation_every_tx_in_exactly_one_bucket():
     buckets = w.audit_conservation()
     assert not buckets["unclassified"]
     total = sum(len(v) for v in buckets.values())
-    assert total == len(w.metrics.gen_round)
+    assert total == sum(1 for _ in w.metrics.generated())
 
 
 def test_multi_governor_replicas_stay_identical():
