@@ -230,7 +230,11 @@ class CollectorNode:
         self._forge_seq = 0
 
     def note_invalid(self, txids: Iterable[TxId]) -> None:
-        """Transactions proved invalid on chain are never relabeled."""
+        """Transactions proved invalid on chain are never relabeled.
+
+        No run calls this, so ``ignored`` stays empty: providers resend only
+        valid transactions. It is kept while ``bench/tracing.py`` names it.
+        """
         self.ignored.update(txids)
 
     def process(self, tx: Transaction) -> Label | None:

@@ -81,7 +81,9 @@ _STATE_SLOTS = slot_setters(ReputationState)
 _set_probs = _STATE_SLOTS[-1]
 
 
-def initial_state(u: int, threshold: int, policy: EtaPolicy) -> ReputationState:
+def initial_state(u: int, threshold: int, policy: EtaPolicy,
+                  epoch_index: int = 0) -> ReputationState:
+    """Epoch ``epoch_index``'s start: u zero reputations, threshold ``threshold``, its eta."""
     if u < 1:
         raise TopologyError("provider has no collector slots")
     if threshold < 1:
@@ -91,7 +93,7 @@ def initial_state(u: int, threshold: int, policy: EtaPolicy) -> ReputationState:
         cnt=0,
         epoch_threshold=threshold,
         eta=policy.eta_for(u, threshold),
-        epoch_index=0,
+        epoch_index=epoch_index,
     )
 
 
@@ -199,16 +201,6 @@ def maybe_advance_epoch(
     """
     if state.cnt < state.epoch_threshold:
         return state, None
-    shares = revenue_shares(state.reps, mu)
-    u = len(state.reps)
-    new_threshold = state.epoch_threshold * 2
-    return (
-        ReputationState(
-            reps=(0,) * u,
-            cnt=0,
-            epoch_threshold=new_threshold,
-            eta=policy.eta_for(u, new_threshold),
-            epoch_index=state.epoch_index + 1,
-        ),
-        shares,
-    )
+    next_epoch = initial_state(len(state.reps), state.epoch_threshold * 2, policy,
+                               state.epoch_index + 1)
+    return next_epoch, revenue_shares(state.reps, mu)

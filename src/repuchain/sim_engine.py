@@ -17,9 +17,10 @@ order: its id, the round, its labels in the order it made them, its one
 signature over its id, the round and those labels, and those bytes, encoded
 once when the collector builds the record. Each governor checks every
 upload's round and signature once and files its labels upload by upload.
-The feedback hop carries the round's block payload and its signed
-``RoundLists``: providers learn which of their transactions reached the
-chain or came back unchecked, collectors which were proved invalid.
+The feedback hop carries the round's block payload and unchecked list to the
+providers alone: each forgets its chained transactions and resends its
+unchecked valid ones in the pass that mints. Collectors get no invalid list,
+since no provider resends an invalid transaction.
 Governor-to-governor consensus traffic (verification messages, the block,
 the lists) completes within the round's processing phase: governors are
 modeled as a deterministic replicated state machine, and their equality is
@@ -49,7 +50,7 @@ from itertools import islice
 from typing import Any, Iterator
 
 from .consensus import ChainViolation, Ledger, Violation, elect_leader
-from .core_types import RoundLists, Transaction, Upload, is_number
+from .core_types import Transaction, Upload, is_number
 from .crypto_sim import KeyRegistry, substream
 from .metrics_oracle import MetricsLog, RoundRow
 from .nodes import (
@@ -86,6 +87,17 @@ def need_int(v: Any, field: str, lo: int, hi: int = INT_LIMIT) -> int:
     if not isinstance(i, int) or isinstance(i, bool) or not lo <= i < hi:
         raise ConfigError(f"field '{field}': expected integer in [{lo}, {hi}), got {v!r}")
     return i
+
+
+def need_number(v: Any, field: str, unit: bool = False) -> Any:
+    """``v`` itself if ``is_number(v)`` and it is above 0, or in [0, 1] when ``unit``.
+
+    Anything else raises ConfigError naming ``field``.
+    """
+    if not is_number(v) or not (0 <= v <= 1 if unit else v > 0):
+        expected = "number in [0, 1]" if unit else "positive number"
+        raise ConfigError(f"field '{field}': expected {expected}, got {v!r}")
+    return v
 
 
 def refuse_unknown_keys(obj: dict, dataclass_type, prefix: str = "") -> None:
@@ -162,9 +174,7 @@ class ScenarioConfig:
             if not isinstance(s, dict) or "kind" not in s:
                 raise ConfigError(f"field 'strategies[{j}]': expected an object with 'kind'")
             refuse_unknown_keys(s, StrategySpec, f"strategies[{j}].")
-            q = s.get("q", 0.0)
-            if not is_number(q) or not 0 <= q <= 1:
-                raise ConfigError(f"field 'strategies[{j}].q': expected number in [0, 1], got {q!r}")
+            q = need_number(s.get("q", 0.0), f"strategies[{j}].q", unit=True)
             forge_rate = need_int(s.get("forge_rate", 1), f"strategies[{j}].forge_rate", 0)
             last_forged = FORGED_SEQ_BASE + j * FORGED_SEQ_STRIDE + forge_rate * total_rounds
             if s["kind"] == "Forger" and last_forged >= INT_LIMIT:
@@ -185,24 +195,18 @@ class ScenarioConfig:
             raise ConfigError("field 'eta_policy': expected an object with 'kind'")
         refuse_unknown_keys(policy_raw, EtaPolicy, "eta_policy.")
         value = policy_raw.get("value")
-        if value is not None and (not is_number(value) or value <= 0):
-            raise ConfigError(f"field 'eta_policy.value': expected positive number, got {value!r}")
-        if value is not None and policy_raw["kind"] == "PerEpochSqrt":
-            # The rule sets eta itself; a value would be ignored, then written back by to_dict.
-            raise ConfigError("field 'eta_policy.value': not allowed with kind PerEpochSqrt")
+        if value is not None:
+            need_number(value, "eta_policy.value")
+            if policy_raw["kind"] == "PerEpochSqrt":
+                # The rule sets eta itself; a value would be ignored, then written back by to_dict.
+                raise ConfigError("field 'eta_policy.value': not allowed with kind PerEpochSqrt")
         try:
             eta_policy = EtaPolicy(kind=policy_raw["kind"], value=value)
         except ValueError as exc:
             raise ConfigError(f"field 'eta_policy': {exc}") from exc
 
-        mu = raw["mu"]
-        if not is_number(mu) or mu <= 0:
-            raise ConfigError(f"field 'mu': expected positive number, got {mu!r}")
-        invalid_fraction = raw["invalid_fraction"]
-        if not is_number(invalid_fraction) or not 0 <= invalid_fraction <= 1:
-            raise ConfigError(
-                f"field 'invalid_fraction': expected number in [0, 1], got {invalid_fraction!r}"
-            )
+        mu = need_number(raw["mu"], "mu")
+        invalid_fraction = need_number(raw["invalid_fraction"], "invalid_fraction", unit=True)
 
         return ScenarioConfig(
             seed=seed, l=l, n=n, m=m, topology=tuple(topology),
@@ -235,7 +239,8 @@ class World:
         # Labels travel in their collectors' uploads, in collector-id order.
         self.to_collectors: list[Transaction] = []
         self.to_governors: list[Upload] = []
-        self.feedback: tuple[RoundLists, tuple[Transaction, ...]] | None = None  # lists, payload
+        # The last block's unchecked list and payload, for the providers alone.
+        self.feedback: tuple[tuple[Transaction, ...], tuple[Transaction, ...]] = ((), ())
         self.metrics = MetricsLog(config.l)
 
         # A key's secret derives from its node id, so every tag and hash depends on these ids.
@@ -343,35 +348,25 @@ def _round(world: World) -> World:
     governors = world.governors
     m = config.m
 
-    # Feedback from the previous round's block reaches providers/collectors now.
-    feedback, world.feedback = world.feedback, None
-    resubmissions: dict[int, list[Transaction]] = {}
-    if feedback is not None:
-        lists, chained_txs = feedback
-        # A provider's pending set holds only its own txids, so each provider
-        # is handed only the ids it minted.
-        per_provider = [([], []) for _ in world.providers]
-        for i, txs in enumerate((lists.unchecked_list, chained_txs)):
-            for tx in txs:
-                per_provider[tx.provider_id][i].append(tx.txid)
-        for p, (unchecked, chained) in zip(world.providers, per_provider):
-            p.on_chain(chained)
-            resub = p.on_feedback(unchecked)
-            if resub:
-                resubmissions[p.id] = resub
-                metrics.resubmissions += len(resub)
-        invalid_ids = tuple(t.txid for t in lists.invalid_list)
-        for c in world.collectors:
-            c.note_invalid(invalid_ids)
-
-    # Phase 1: collecting.
+    # Phase 1: collecting. Last round's feedback reaches the providers now, each
+    # handed only the ids it minted (its pending set holds no others). In one
+    # pass a provider forgets its chained transactions and sends what it mints,
+    # then its pending ones that came back unchecked.
+    feedback = [([], []) for _ in world.providers]
+    for i, txs in enumerate(world.feedback):
+        for tx in txs:
+            feedback[tx.provider_id][i].append(tx.txid)
+    world.feedback = ((), ())
     sends_pc: list[Transaction] = []
     messages_pc = 0
-    for p, adj in zip(world.providers, config.topology):
+    for p, adj, (unchecked, chained) in zip(world.providers, config.topology, feedback):
+        p.on_chain(chained)
+        resub = p.on_feedback(unchecked)
+        metrics.resubmissions += len(resub)
         fresh = p.generate(r)
         for tx in fresh:
             metrics.record_generated(tx.txid, r, tx.ground_truth_valid)
-        sent = fresh + resubmissions.get(p.id, [])
+        sent = fresh + resub
         sends_pc += sent
         messages_pc += len(sent) * len(adj)
     arrived, world.to_collectors = world.to_collectors, sends_pc
@@ -430,7 +425,7 @@ def _round(world: World) -> World:
         signed, lists = block
         for tx in signed.block.tx_list:
             metrics.record_on_chain(tx.txid, r)
-        world.feedback = (lists, signed.block.tx_list)
+        world.feedback = (lists.unchecked_list, signed.block.tx_list)
 
     if m > 1:
         tip = governors[0].ledger.tip_hash()

@@ -493,6 +493,34 @@ def test_message_takes_one_round_per_hop():
     assert len(w.governors[0].inbox) == 1
 
 
+@pytest.mark.parametrize("raw", [
+    scenarios.properties(2), scenarios.properties(7), scenarios.properties(11),
+    dict(scenarios.doubling(), total_rounds=120),
+], ids=["properties_2", "properties_7", "properties_11", "doubling_120"])
+def test_no_collector_is_sent_an_invalid_listed_transaction(raw):
+    # Collectors are not told the invalid lists, since no copy they are sent
+    # was invalid-listed by the round it arrives: a provider resends only
+    # pending transactions, and those are valid. A round's lists would reach
+    # the collectors before they label what the round sent, so each round's
+    # sends are checked against every invalid list up to that round.
+    w = init_world(ScenarioConfig.from_dict(raw))
+    round_lists = w.governors[0].ledger.round_lists
+    invalid = set()
+    resent = 0
+    for r in range(1, w.config.total_rounds + 1):
+        step_round(w)
+        lists = round_lists.get(w.ledger.last.serial)
+        if lists is not None:
+            invalid.update(tx.txid for tx in lists.invalid_list)
+        for tx in w.to_collectors:
+            assert tx.txid not in invalid
+            if tx.timestamp < r:
+                resent += 1
+                assert tx.ground_truth_valid
+    assert resent == w.metrics.resubmissions > 0 and invalid
+    assert not any(c.ignored for c in w.collectors)
+
+
 def test_carry_over_respects_b_limit():
     cfg = minimal_config(gen_rate=3, total_rounds=12, invalid_fraction=0.0,
                          b_limit=2, T=1000)
@@ -693,12 +721,12 @@ def test_rounds_make_no_reference_cycles(collector_setting):
 
 def test_no_signed_block_outlives_its_round():
     # Only the leader builds a SignedBlock, with the block's bytes, and the
-    # round drops it: the feedback hop keeps the lists and the payload, and
-    # each ledger the Block alone.
+    # round drops it: the feedback hop keeps the unchecked list and the
+    # payload, and each ledger the Block and its lists.
     w = init_world(ScenarioConfig.from_dict(scenarios.properties(10)))
     for _ in range(8):
         step_round(w)
-    assert w.feedback is not None
+    assert all(w.feedback)  # round 8 made a block with both
     skip = (type, types.ModuleType, types.FunctionType, types.MethodType,
             types.BuiltinFunctionType)
     seen, stack, reached = set(), [w], collections.Counter()
