@@ -28,7 +28,8 @@ from .metrics_oracle import (
 )
 from .scenarios import DRAIN_ROUNDS
 from .sim_engine import (
-    ConfigError, ScenarioConfig, check_seed, load_config, read_json, run,
+    ConfigError, ScenarioConfig, check_seed, load_config, read_json, refuse_unknown_keys,
+    require_keys, run,
 )
 
 # A lone number is a seed count; past this it is almost surely one seed.
@@ -172,12 +173,9 @@ def cmd_run(
 def cmd_oracle(instance_path: str) -> int:
     """Print the exact oracle's expectations; ``checked_instance`` states a valid instance."""
     raw = read_json(instance_path, "instance")
-    unknown = sorted(set(raw) - {"labels", "validity", "eta", "initial_reps"})
-    if unknown:
-        raise ConfigError(f"field '{unknown[0]}': unknown")
-    for key in ("labels", "validity", "eta"):
-        if key not in raw:
-            raise ConfigError(f"field '{key}': missing")
+    required = ("labels", "validity", "eta")
+    refuse_unknown_keys(raw, required + ("initial_reps",))
+    require_keys(raw, required)
     try:
         result = exact_expected_loss(raw["labels"], raw["validity"], raw["eta"],
                                      initial_reps=raw.get("initial_reps"))

@@ -123,8 +123,11 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+INT_LIMIT = 1 << 64  # every integer field is below 2^64, the range enc_int encodes
+
+
 def enc_int(value: int) -> bytes:
-    """8-byte big-endian encoding of a nonnegative integer."""
+    """8-byte big-endian encoding of a nonnegative integer below INT_LIMIT."""
     return value.to_bytes(8, "big")
 
 

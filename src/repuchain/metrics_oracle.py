@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .core_types import is_number
+from .core_types import INT_LIMIT, is_number
 from .crypto_sim import substream
 from .nodes import EpochClosure, ScreeningResult, SimulationError, TxId
 from .reputation import ReputationState, apply_penalties, plus_slots, screen_draw
@@ -474,10 +474,13 @@ def mc_expected_loss(
     """Monte-Carlo estimate of the same instance, driven through the
     production code paths (the leader's ``screen_draw`` and a governor's
     ``apply_penalties``, each row's +1 slots derived once), for agreement
-    checks against the exact oracle. ``n_runs`` must be an integer >= 1."""
+    checks against the exact oracle. ``n_runs`` must be an integer >= 1, and
+    ``seed`` one in [0, 2^64), as a scenario's seed is."""
     labels, validity, eta, reps0 = checked_instance(label_matrix, validity, eta, initial_reps)
     if not (type(n_runs) is int and n_runs >= 1):
         raise ValueError(f"argument 'n_runs': expected an integer >= 1, got {n_runs!r}")
+    if not (type(seed) is int and 0 <= seed < INT_LIMIT):
+        raise ValueError(f"argument 'seed': expected an integer in [0, 2^64), got {seed!r}")
     rng = substream(seed, "oracle-mc")
     proof_samples = []
     prose_samples = []

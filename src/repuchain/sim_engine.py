@@ -46,11 +46,10 @@ import gc
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import islice
-from typing import Any, Iterator
+from typing import Any, Iterable
 
 from .consensus import ChainViolation, Ledger, Violation, elect_leader
-from .core_types import Transaction, Upload, is_number
+from .core_types import INT_LIMIT, Transaction, Upload, is_number
 from .crypto_sim import KeyRegistry, substream
 from .metrics_oracle import MetricsLog, RoundRow
 from .nodes import (
@@ -71,9 +70,6 @@ class ConfigError(ValueError):
 
     It covers every input: a scenario or oracle instance file, and every argument.
     """
-
-
-INT_LIMIT = 1 << 64  # every integer field is below 2^64, the range enc_int encodes
 
 
 def need_int(v: Any, field: str, lo: int, hi: int = INT_LIMIT) -> int:
@@ -100,11 +96,18 @@ def need_number(v: Any, field: str, unit: bool = False) -> Any:
     return v
 
 
-def refuse_unknown_keys(obj: dict, dataclass_type, prefix: str = "") -> None:
-    """Raise ConfigError naming the first key of ``obj`` not a field of ``dataclass_type``."""
-    unknown = sorted(set(obj) - {f.name for f in fields(dataclass_type)})
+def refuse_unknown_keys(obj: dict, allowed: Iterable[str], prefix: str = "") -> None:
+    """Raise ConfigError naming the first key of ``obj``, in sorted order, not in ``allowed``."""
+    unknown = sorted(set(obj).difference(allowed))
     if unknown:
         raise ConfigError(f"field '{prefix}{unknown[0]}': unknown")
+
+
+def require_keys(obj: dict, required: Iterable[str]) -> None:
+    """Raise ConfigError naming the first of ``required`` that ``obj`` lacks."""
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"field '{key}': missing")
 
 
 def check_seed(seed: Any, field: str = "seed") -> int:
@@ -137,10 +140,8 @@ class ScenarioConfig:
     def from_dict(raw: dict[str, Any]) -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise ConfigError("scenario: expected a JSON object")
-        for key in CONFIG_FIELDS:
-            if key not in raw:
-                raise ConfigError(f"field '{key}': missing")
-        refuse_unknown_keys(raw, ScenarioConfig)
+        require_keys(raw, CONFIG_FIELDS)
+        refuse_unknown_keys(raw, CONFIG_FIELDS)
 
         seed = check_seed(raw["seed"])
         l, n, m, T, delta_rounds, b_limit, gen_rate, total_rounds = (
@@ -173,7 +174,7 @@ class ScenarioConfig:
         for j, s in enumerate(strategies_raw):
             if not isinstance(s, dict) or "kind" not in s:
                 raise ConfigError(f"field 'strategies[{j}]': expected an object with 'kind'")
-            refuse_unknown_keys(s, StrategySpec, f"strategies[{j}].")
+            refuse_unknown_keys(s, (f.name for f in fields(StrategySpec)), f"strategies[{j}].")
             q = need_number(s.get("q", 0.0), f"strategies[{j}].q", unit=True)
             forge_rate = need_int(s.get("forge_rate", 1), f"strategies[{j}].forge_rate", 0)
             last_forged = FORGED_SEQ_BASE + j * FORGED_SEQ_STRIDE + forge_rate * total_rounds
@@ -193,7 +194,7 @@ class ScenarioConfig:
         policy_raw = raw["eta_policy"]
         if not isinstance(policy_raw, dict) or "kind" not in policy_raw:
             raise ConfigError("field 'eta_policy': expected an object with 'kind'")
-        refuse_unknown_keys(policy_raw, EtaPolicy, "eta_policy.")
+        refuse_unknown_keys(policy_raw, (f.name for f in fields(EtaPolicy)), "eta_policy.")
         value = policy_raw.get("value")
         if value is not None:
             need_number(value, "eta_policy.value")
@@ -466,45 +467,24 @@ def run(config: ScenarioConfig) -> tuple[Ledger, MetricsLog]:
     return world.ledger, world.metrics
 
 
-HASH_CHUNK = 1024  # items formatted per hash update in world_state_hash
-
-
-def _hash_joined(h, reprs: Iterator[str]) -> int:
-    """Feed ``h`` the ``", "``-joined ``reprs``, HASH_CHUNK at a time; return how many."""
-    count = 0
-    while chunk := list(islice(reprs, HASH_CHUNK)):
-        h.update(((", " if count else "") + ", ".join(chunk)).encode())
-        count += len(chunk)
-    return count
-
-
 def world_state_hash(world: World) -> str:
-    """Stable digest of the observable world state, for decomposition tests.
+    """Stable digest of the world state the chain does not commit, for decomposition tests.
 
-    It hashes ``str(round)``, the tip hash, then the ``repr`` of
-    ``(rep, pending, invalid, n_on_chain)``, of every generated
-    ``(txid, round)`` pair as a sorted list, and of each provider's sorted
-    pending ids. The two long sequences, the invalid ids and the generated
-    pairs, are formatted and hashed HASH_CHUNK items at a time, the pairs as
-    ``MetricsLog.generated`` yields them, already in txid order; neither is
-    held whole as a string.
+    One SHA-256 over the ``repr`` of the round, the tip hash, governor 0's
+    reputations and pending order as ``state_fingerprint`` gives them, how
+    many transactions each provider minted, and each provider's sorted
+    pending ids. The tip hash commits every block, and each block's Merkle
+    root its round's invalid and unchecked lists, so no packed or listed
+    transaction is hashed again. Nor is any minted stamp: every provider
+    mints ``gen_rate`` a round, and ``MetricsLog.record_generated`` refuses a
+    seq out of turn or stamped with another round.
     """
     g0 = world.governors[0]
-    h = hashlib.sha256()
-    h.update(str(world.round).encode())
-    h.update(g0.ledger.tip_hash())
     rep, pending, _ = g0.state_fingerprint()
-    invalid = sorted(t.txid for rl in g0.ledger.round_lists.values() for t in rl.invalid_list)
-    n_on_chain = sum(len(b.tx_list) for b in g0.ledger.blocks)
-    h.update(f"({rep!r}, {pending!r}, (".encode())
-    one = _hash_joined(h, map(repr, invalid)) == 1
-    h.update(f"{',' if one else ''}), {n_on_chain})".encode())
-    h.update(b"[")
-    _hash_joined(h, (f"(({p}, {seq}, {stamp}), {r})"
-                     for (p, seq, stamp), r in world.metrics.generated()))
-    h.update(b"]")
-    h.update(repr([sorted(p.pending) for p in world.providers]).encode())
-    return h.hexdigest()
+    state = (world.round, g0.ledger.tip_hash(), rep, pending,
+             [len(rounds) for rounds in world.metrics.gen_rounds],
+             [sorted(p.pending) for p in world.providers])
+    return hashlib.sha256(repr(state).encode()).hexdigest()
 
 
 def read_json(path, what: str) -> dict[str, Any]:

@@ -334,3 +334,10 @@ def test_oracle_rejects_malformed_instance_naming_the_field(tmp_path, capsys, fi
     path.write_text(json.dumps({**ORACLE_INSTANCE, field: value}))
     assert cli.main(["oracle", "--instance", str(path)]) == 2
     assert f"error: field '{field}': " in capsys.readouterr().err
+
+
+def test_oracle_rejects_an_instance_missing_a_required_key(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({k: v for k, v in ORACLE_INSTANCE.items() if k != "eta"}))
+    assert cli.main(["oracle", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == "error: field 'eta': missing\n"

@@ -1,9 +1,13 @@
 """Pinned ledger tips and world-state hashes of whole worlds.
 
-Any change to encoding, signing, the VRF election, screening or the replica
-bookkeeping that alters behaviour moves one of these digests. The m=1 pin
-(``regret_u8``) does not depend on the election law: its sole governor
-always leads.
+The tip hash covers the chain: every block, hash-linked to its parent, and
+through each block's Merkle root its round's invalid and unchecked lists.
+``world_state_hash`` covers what the chain does not commit: the round, the
+tip, governor 0's reputations and pending order, how many transactions each
+provider minted, and each provider's pending ids. Any change to encoding,
+signing, the VRF election, screening or the replica bookkeeping that alters
+behaviour moves one of these digests. The m=1 pin (``regret_u8``) does not
+depend on the election law: its sole governor always leads.
 """
 
 import pytest
@@ -71,19 +75,19 @@ def eight_governors() -> dict:
 # dropped_bad_signature)). Neither digest covers the disposition counters, so
 # they are pinned beside them.
 PINS = [
-    ("regret_u8", scenarios.regret_bound(8), "1394c68c9f881b9c", "12c077b8e01038c8", (0, 0)),
-    ("properties_10", scenarios.properties(10), "b832cfb9341b7d6f", "df0a86725ff06a89",
+    ("regret_u8", scenarios.regret_bound(8), "1394c68c9f881b9c", "389b3ec8c6d307dd", (0, 0)),
+    ("properties_10", scenarios.properties(10), "b832cfb9341b7d6f", "9ea23faa448f4c65",
      (3204, 0)),
     ("properties_11_seed7", dict(scenarios.properties(11), seed=7),
-     "b8015ae5613430bc", "176d0d9010cdfa97", (4272, 0)),
+     "b8015ae5613430bc", "684cd298cbb549bb", (4272, 0)),
     # A governor's inbox follows upload order, collector by collector. Providers
     # 2 and 4 are not wired to collector 0, whose upload is filed first.
-    ("unequal_stakes", unequal_stakes(), "a6477049a0abf4e1", "a8a3937d16205beb", (348, 0)),
+    ("unequal_stakes", unequal_stakes(), "a6477049a0abf4e1", "672c9e1258685ddf", (348, 0)),
     # m=8: every governor leads at least once, and every provider's epoch closes twice or more.
-    ("eight_governors", eight_governors(), "2cc86bb9813c710b", "b936646d4213d6c4", (0, 0)),
+    ("eight_governors", eight_governors(), "2cc86bb9813c710b", "3093c63483b97ca1", (0, 0)),
     # The headline scenario, cut to 120 rounds: three epochs close under PerEpochSqrt.
     ("doubling_120", dict(scenarios.doubling(), total_rounds=120),
-     "5cbf59e29024fc6c", "066060cdc854811a", (0, 0)),
+     "5cbf59e29024fc6c", "6751ddb6f89c28ac", (0, 0)),
 ]
 
 

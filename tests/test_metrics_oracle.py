@@ -123,6 +123,12 @@ def test_mc_oracle_refuses_a_run_count_below_one_or_not_an_integer(n_runs):
         mc_expected_loss([[1, -1]], [False], 0.5, n_runs=n_runs, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "3", True])
+def test_mc_oracle_refuses_a_seed_outside_the_encodable_integers(seed):
+    with pytest.raises(ValueError, match="'seed'"):
+        mc_expected_loss([[1, -1]], [False], 0.5, n_runs=1, seed=seed)
+
+
 def test_theorem_bound_closed_form():
     # at eta = sqrt(ln u / T) the bound collapses to (3/2) sqrt(T ln u)
     eta = math.sqrt(math.log(2) / 100)

@@ -1,7 +1,6 @@
 import collections
 import dataclasses
 import gc
-import hashlib
 import json
 import math
 import re
@@ -12,13 +11,14 @@ import pytest
 
 from conftest import SCENARIOS_DIR
 from test_determinism import unequal_stakes
-from repuchain import scenarios, sim_engine
+from repuchain import scenarios
 from repuchain.consensus import ChainViolation, SignedBlock, Violation
 from repuchain.core_types import Block, RoundLists, block_bytes
 from repuchain.metrics_oracle import MetricsLog, compute_regret, emit_csv
-from repuchain.nodes import FORGED_SEQ_BASE, FORGED_SEQ_STRIDE, ProviderNode, SimulationError
+from repuchain.nodes import (
+    FORGED_SEQ_BASE, FORGED_SEQ_STRIDE, GovernorNode, ProviderNode, SimulationError,
+)
 from repuchain.sim_engine import (
-    HASH_CHUNK,
     ConfigError,
     ScenarioConfig,
     finalize,
@@ -284,22 +284,6 @@ def test_ledger_hex_is_written_block_by_block(tmp_path):
     assert peak < 4 * longest
 
 
-def reference_world_state_hash(world, gen_round):
-    """``world_state_hash`` by its definition: each part one ``repr``, the
-    generated pairs those of a txid -> round dict."""
-    g0 = world.governors[0]
-    h = hashlib.sha256()
-    h.update(str(world.round).encode())
-    h.update(g0.ledger.tip_hash())
-    rep, pending, _ = g0.state_fingerprint()
-    invalid = sorted(t.txid for rl in g0.ledger.round_lists.values() for t in rl.invalid_list)
-    n_on_chain = sum(len(b.tx_list) for b in g0.ledger.blocks)
-    h.update(repr((rep, pending, tuple(invalid), n_on_chain)).encode())
-    h.update(repr(sorted(gen_round.items())).encode())
-    h.update(repr([sorted(p.pending) for p in world.providers]).encode())
-    return h.hexdigest()
-
-
 def step_recording(monkeypatch, world, each_round=lambda world, minted: None):
     """Step ``world`` to its last round; return each minted transaction and each
     chained txid's round, this one read off the blocks each round appended."""
@@ -347,35 +331,71 @@ def test_generation_index_holds_what_the_txid_maps_held(monkeypatch):
     assert 0 < metrics.inclusion_rate(cfg.total_rounds) < 1
 
 
-@pytest.mark.parametrize("chunk", [1, 7, HASH_CHUNK])
-def test_world_state_hash_equals_its_one_repr_definition(monkeypatch, chunk):
-    # Compared after every round, so the hash meets no, one and many invalid
-    # ids, and generated pairs that fill some chunks exactly.
-    monkeypatch.setattr(sim_engine, "HASH_CHUNK", chunk)
-    world = init_world(ScenarioConfig.from_dict(scenarios.properties(1)))
-    invalid_counts = set()
-
-    def compare(world, minted):
-        gen_round = {tx.txid: tx.timestamp for tx in minted}
-        assert world_state_hash(world) == reference_world_state_hash(world, gen_round)
-        rl = world.ledger.round_lists.values()
-        invalid_counts.add(min(2, sum(len(lists.invalid_list) for lists in rl)))
-
-    step_recording(monkeypatch, world, compare)
-    assert invalid_counts == {0, 1, 2}
+def _drop_a_provider_pending_id(world):
+    p = next(p for p in world.providers if p.pending)
+    del p.pending[next(iter(p.pending))]
 
 
-def test_world_state_hash_streams_the_generated_pairs():
-    # The doubling world mints 72,000 transactions. Formatting them HASH_CHUNK
-    # at a time bounds the hash's peak by a chunk's strings, whatever the run's
-    # length; one repr of every pair peaked at 6.6 MB. The sorted invalid ids,
-    # 8 B a pointer each (1,949 here), are what else it holds.
-    cfg = ScenarioConfig.from_dict(scenarios.doubling()).with_seed(1)
+def _mint_one_more(world):
+    world.metrics.gen_rounds[0].append(world.round)
+
+
+@pytest.mark.parametrize("alter", [
+    lambda world: setattr(world, "round", world.round + 1),
+    lambda world: _bump_rep(world.governors[0]),
+    lambda world: _reorder_pending_tail(world.governors[0]),
+    _drop_a_provider_pending_id,
+    _mint_one_more,
+], ids=["round", "rep", "pending_order", "provider_pending", "minted"])
+def test_each_part_world_state_hash_covers_moves_it(alter):
+    cfg = ScenarioConfig.from_dict(dict(scenarios.properties(10), b_limit=1))
     world = init_world(cfg)
-    for _ in range(cfg.total_rounds):
+    for _ in range(12):
+        step_round(world)
+    before = world_state_hash(world)
+    assert world_state_hash(world) == before
+    alter(world)
+    assert world_state_hash(world) != before
+
+
+def test_the_tip_commits_the_invalid_lists_the_hash_leaves_out(monkeypatch):
+    # world_state_hash reads no round list. A leader that leaves one invalid
+    # transaction out of its lists still makes a block every governor accepts,
+    # and the tip, so the hash, differs from the honest run's from that round on.
+    cfg = ScenarioConfig.from_dict(scenarios.properties(10))
+    honest, patched = init_world(cfg), init_world(cfg)
+    propose = GovernorNode.propose_round
+    dropped = []
+
+    def dropping(self, results):
+        invalid = [res for res in results if res.outcome == "invalid"]
+        if invalid and not dropped:
+            dropped.append(invalid[0].tx.txid)
+            results = [res for res in results if res is not invalid[0]]
+        return propose(self, results)
+
+    while not dropped:
+        assert honest.ledger.tip_hash() == patched.ledger.tip_hash()
+        step_round(honest)
+        with monkeypatch.context() as patch:
+            patch.setattr(GovernorNode, "propose_round", dropping)
+            step_round(patched)
+    assert patched.round == honest.round and cfg.m == 3
+    assert dropped[0] in honest.ledger.settled
+    assert all(dropped[0] not in g.ledger.settled for g in patched.governors)
+    assert patched.ledger.tip_hash() != honest.ledger.tip_hash()
+    assert world_state_hash(patched) != world_state_hash(honest)
+
+
+@pytest.mark.parametrize("rounds", [120, 600])
+def test_world_state_hash_peak_does_not_grow_with_the_run(rounds):
+    # The hash reads the round's state, not the archives, so its traced peak
+    # (11-12 KB on either finished world) does not grow with the run.
+    cfg = ScenarioConfig.from_dict(dict(scenarios.doubling(), total_rounds=rounds))
+    world = init_world(cfg)
+    for _ in range(rounds):
         step_round(world)
     finalize(world)
-    assert sum(map(len, world.metrics.gen_rounds)) == 72_000
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -383,7 +403,7 @@ def test_world_state_hash_streams_the_generated_pairs():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 256 * 1024
+    assert peak < 32 * 1024
 
 
 def test_record_generated_refuses_a_seq_out_of_turn():
