@@ -1,12 +1,15 @@
-"""Synchronous round scheduler orchestrating the three phases.
+"""Synchronous round scheduler: ``step_round`` runs ``PHASES`` over one ``RoundRecord``.
 
-Each round: (1) providers generate and resubmit, (2) collectors label what
-arrived, (3) governors elect a leader, screen transactions whose waiting
-window expired, replicate the reputation updates, and append the block.
+The phases, in order: ``feed_and_mint`` (providers take feedback, mint and
+resubmit), ``label_and_forge`` (collectors label what arrived),
+``ingest_and_sign``, ``elect``, ``screen`` (transactions whose waiting window
+expired), ``replay_verdicts`` (the replicas' reputation updates),
+``append_block``, ``check_replicas`` and ``record_row``. Only the record,
+built and dropped by ``step_round``, passes between them.
 Provider->collector and collector->governor messages, plus the feedback
 broadcast, are delivered exactly one round after sending: each of these
 three hops is a ``World`` field holding what the previous round sent, and
-``step_round`` swaps in what this round sends. The provider->collector hop
+its phase swaps in what this round sends. The provider->collector hop
 holds each sent transaction once; its copies go to the collectors its
 provider is connected to (``config.topology``). Collectors label the copies
 one at a time, transaction by transaction and, within one, in topology
@@ -22,9 +25,9 @@ providers alone: each forgets its chained transactions and resends its
 unchecked valid ones in the pass that mints. Collectors get no invalid list,
 since no provider resends an invalid transaction.
 Governor-to-governor consensus traffic (verification messages, the block,
-the lists) completes within the round's processing phase: governors are
-modeled as a deterministic replicated state machine, and their equality is
-asserted at every round boundary.
+the lists) completes within the round, from ``elect`` to ``check_replicas``:
+governors are modeled as a deterministic replicated state machine, and
+``check_replicas`` asserts their equality at every round boundary.
 
 Randomness: the root seed expands into one substream per node, so adding a
 node leaves every other node's stream untouched.
@@ -36,8 +39,10 @@ everything it drops; what the pause saves is the collector's repeated walks
 over the ledger's records, which dominate the tracked objects of a long
 run. The pause rests on that no-cycles condition, which a tier-1 test
 checks; a cycle made anyway is found by the next collection outside a
-round. The collector is neither frozen nor retuned, since both would act
-on the whole process.
+round. The round record is built inside the pause: a round allocates far
+past the collector's threshold, so a tracked allocation after it would start
+a collection. The collector is neither frozen nor retuned, since both would
+act on the whole process.
 """
 
 from __future__ import annotations
@@ -328,31 +333,39 @@ def init_world(config: ScenarioConfig) -> World:
     return World(config)
 
 
-def step_round(world: World) -> World:
-    """One full three-phase iteration; exposed for step-debugging and tests.
+class RoundRecord:
+    """One round's state, passed from phase to phase; the phase that learns a slot sets it."""
 
-    The cyclic collector is paused for the round (see the module docstring).
+    __slots__ = ("round", "row", "arrived", "labelled", "leader", "screening")
+
+    def __init__(self, r: int):
+        self.round = r
+        self.row = RoundRow(round=r, leader_id=-1)  # elect sets the leader
+
+
+def step_round(world: World) -> World:
+    """One full round: each of ``PHASES``, read on every call, over one ``RoundRecord``.
+
+    The cyclic collector is paused for the round, and the record is built
+    inside the pause (see the module docstring).
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _round(world)
+        rnd = RoundRecord(world.round + 1)
+        for phase in PHASES:
+            phase(world, rnd)
+        return world
     finally:
         if enabled:
             gc.enable()
 
 
-def _round(world: World) -> World:
-    config = world.config
-    r = world.round + 1
-    metrics = world.metrics
-    governors = world.governors
-    m = config.m
-
-    # Phase 1: collecting. Last round's feedback reaches the providers now, each
-    # handed only the ids it minted (its pending set holds no others). In one
-    # pass a provider forgets its chained transactions and sends what it mints,
-    # then its pending ones that came back unchecked.
+def feed_and_mint(world: World, rnd: RoundRecord) -> None:
+    """Each provider gets last round's feedback on the ids it minted, the only ones it
+    holds. In one pass it forgets its chained ones and sends what it mints, then its
+    pending ones that came back unchecked. Last round's sends reach the collectors."""
+    r, metrics = rnd.round, world.metrics
     feedback = [([], []) for _ in world.providers]
     for i, txs in enumerate(world.feedback):
         for tx in txs:
@@ -360,7 +373,7 @@ def _round(world: World) -> World:
     world.feedback = ((), ())
     sends_pc: list[Transaction] = []
     messages_pc = 0
-    for p, adj, (unchecked, chained) in zip(world.providers, config.topology, feedback):
+    for p, adj, (unchecked, chained) in zip(world.providers, world.config.topology, feedback):
         p.on_chain(chained)
         resub = p.on_feedback(unchecked)
         metrics.resubmissions += len(resub)
@@ -370,85 +383,107 @@ def _round(world: World) -> World:
         sent = fresh + resub
         sends_pc += sent
         messages_pc += len(sent) * len(adj)
-    arrived, world.to_collectors = world.to_collectors, sends_pc
+    rnd.arrived, world.to_collectors = world.to_collectors, sends_pc
+    rnd.row.messages_pc = messages_pc
 
-    # Phase 2: uploading (labels what arrived this round, i.e. sent at r-1):
-    # each transaction's copies in turn, to its provider's collectors in topology
-    # order, each label onto its collector's upload list.
-    collectors = world.collectors
-    labelled = [[] for _ in collectors]
+
+def label_and_forge(world: World, rnd: RoundRecord) -> None:
+    """Collectors label each arrived transaction's copies in turn, in its provider's
+    topology order, each label onto its collector's upload list; then forgeries."""
+    collectors, config = world.collectors, world.config
+    labelled = rnd.labelled = [[] for _ in collectors]
     slots = [[(collectors[cid].process, labelled[cid].append) for cid in adj]
              for adj in config.topology]
-    for tx in arrived:
+    for tx in rnd.arrived:
         for process, upload in slots[tx.provider_id]:
             label = process(tx)
             if label is not None:
                 upload(label)
     for c, labels in zip(collectors, labelled):
-        forged = c.forge(r, config.l)
+        forged = c.forge(rnd.round, config.l)
         if forged:
-            metrics.forgery_attempts += len(forged)
+            world.metrics.forgery_attempts += len(forged)
             labels.extend(forged)
 
-    # Phase 3: processing. Last round's uploads are ingested and dropped before
-    # this round's are signed, so no two rounds' signed bytes are held at once.
+
+def ingest_and_sign(world: World, rnd: RoundRecord) -> None:
+    """Governors ingest last round's uploads and drop them; then each collector with labels
+    signs its one upload of this round, so no two rounds' signed bytes are held at once."""
     delivered, world.to_governors = world.to_governors, []
-    for g in governors:
-        g.ingest(delivered, r)
+    for g in world.governors:
+        g.ingest(delivered, rnd.round)
     del delivered
-    # Each collector that uploads anything signs its upload once; it arrives next round.
-    uploads = world.to_governors = [c.sign_upload(r, labels)
-                                    for c, labels in zip(collectors, labelled) if labels]
+    uploads = world.to_governors = [c.sign_upload(rnd.round, labels)
+                                    for c, labels in zip(world.collectors, rnd.labelled) if labels]
+    rnd.row.messages_cg = sum(len(upload.labels) for upload in uploads) * world.config.m
 
-    round_seed = governors[0].ledger.tip_hash()
-    election = elect_leader(config.stakes, round_seed, [g.keypair for g in governors],
-                            world.registry)
-    leader_idx = election.winner
-    leader = governors[leader_idx]
 
-    screening = [leader.screen(txid) for txid in leader.expired(r)]
-    messages = [res.message for res in screening if res.message is not None]
+def elect(world: World, rnd: RoundRecord) -> None:
+    """The governors elect the round's leader by stake-weighted VRF on the tip hash."""
+    governors, m = world.governors, world.config.m
+    election = elect_leader(world.config.stakes, governors[0].ledger.tip_hash(),
+                            [g.keypair for g in governors], world.registry)
+    rnd.leader = governors[election.winner]
+    rnd.row.leader_id, rnd.row.messages_gg = election.winner, m * (m - 1)
+
+
+def screen(world: World, rnd: RoundRecord) -> None:
+    """The leader screens each transaction whose waiting window ends this round."""
+    leader, metrics, row = rnd.leader, world.metrics, rnd.row
+    screening = rnd.screening = [leader.screen(txid) for txid in leader.expired(rnd.round)]
     for res in screening:
         metrics.record_screening(res)
         if res.closure is not None:
             metrics.record_epoch_close(res.closure)
+    row.txs_screened = len(screening)
+    row.txs_verified = sum(1 for res in screening if res.verified)
+    row.wasted_verifications = sum(1 for res in screening if res.outcome == "invalid")
 
-    for g in governors:
-        if g is not leader:
+
+def replay_verdicts(world: World, rnd: RoundRecord) -> None:
+    """Every other governor replays the leader's signed verdicts, in screening order."""
+    messages = [res.message for res in rnd.screening if res.message is not None]
+    for g in world.governors:
+        if g is not rnd.leader:
             for msg in messages:
                 g.on_verification_message(msg)
+    rnd.row.messages_gg += len(messages) * (world.config.m - 1)
 
-    # Rounds with nothing to record leave the ledger untouched.
-    block = leader.propose_round(screening)
+
+def append_block(world: World, rnd: RoundRecord) -> None:
+    """Every governor validates and appends the leader's block, if the round made one."""
+    block = rnd.leader.propose_round(rnd.screening)
     if block is not None:
-        for g in governors:
-            g.apply_block(*block, leader_idx)
+        for g in world.governors:
+            g.apply_block(*block, rnd.leader.id)
         signed, lists = block
         for tx in signed.block.tx_list:
-            metrics.record_on_chain(tx.txid, r)
+            world.metrics.record_on_chain(tx.txid, rnd.round)
         world.feedback = (lists.unchecked_list, signed.block.tx_list)
+        rnd.row.blocks = 1
+        rnd.row.messages_gg += world.config.m - 1
 
-    if m > 1:
-        tip = governors[0].ledger.tip_hash()
-        fp = governors[0].state_fingerprint()
-        for g in governors[1:]:
+
+def check_replicas(world: World, rnd: RoundRecord) -> None:
+    """At m > 1, every replica's tip hash and state fingerprint must equal governor 0's."""
+    if world.config.m > 1:
+        g0, *replicas = world.governors
+        tip, fp, r = g0.ledger.tip_hash(), g0.state_fingerprint(), rnd.round
+        for g in replicas:
             if g.ledger.tip_hash() != tip:
                 raise ChainViolation(Violation.CHAIN_INTEGRITY, f"ledger divergence at round {r}")
             if g.state_fingerprint() != fp:
                 raise SimulationError(f"replicated state divergence at round {r}")
 
-    row = RoundRow(round=r, leader_id=leader_idx)
-    row.txs_screened = len(screening)
-    row.txs_verified = sum(1 for res in screening if res.verified)
-    row.wasted_verifications = sum(1 for res in screening if res.outcome == "invalid")
-    row.blocks = 0 if block is None else 1
-    row.messages_pc = messages_pc
-    row.messages_cg = sum(len(upload.labels) for upload in uploads) * m
-    row.messages_gg = m * (m - 1) + len(messages) * (m - 1) + row.blocks * (m - 1)
-    metrics.rounds.append(row)
 
-    world.round = r
-    return world
+def record_row(world: World, rnd: RoundRecord) -> None:
+    """The round's counters become its ``rounds.csv`` row, and the round is complete."""
+    world.metrics.rounds.append(rnd.row)
+    world.round = rnd.round
+
+
+PHASES = (feed_and_mint, label_and_forge, ingest_and_sign, elect, screen, replay_verdicts,
+          append_block, check_replicas, record_row)
 
 
 def finalize(world: World) -> None:

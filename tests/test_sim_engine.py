@@ -11,7 +11,7 @@ import pytest
 
 from conftest import SCENARIOS_DIR
 from test_determinism import unequal_stakes
-from repuchain import scenarios
+from repuchain import scenarios, sim_engine
 from repuchain.consensus import ChainViolation, SignedBlock, Violation
 from repuchain.core_types import Block, RoundLists, block_bytes
 from repuchain.metrics_oracle import MetricsLog, compute_regret, emit_csv
@@ -20,6 +20,7 @@ from repuchain.nodes import (
 )
 from repuchain.sim_engine import (
     ConfigError,
+    RoundRecord,
     ScenarioConfig,
     finalize,
     init_world,
@@ -739,6 +740,28 @@ def test_rounds_make_no_reference_cycles(collector_setting):
     assert unreachable == 0, cycles.most_common(5)
 
 
+def test_rounds_start_no_cyclic_collection(collector_setting):
+    # Back-to-back rounds allocate nothing tracked outside the collector's
+    # pause, so the collections it put off never start.
+    cfg = ScenarioConfig.from_dict(dict(scenarios.doubling(), total_rounds=120))
+    world = init_world(cfg)
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        for _ in range(cfg.total_rounds):
+            step_round(world)
+    finally:
+        gc.callbacks.remove(count)
+    assert world.round == 120 and starts == []
+
+
 def test_no_signed_block_outlives_its_round():
     # Only the leader builds a SignedBlock, with the block's bytes, and the
     # round drops it: the feedback hop keeps the unchecked list and the
@@ -758,7 +781,51 @@ def test_no_signed_block_outlives_its_round():
         reached[type(obj)] += 1
         stack.extend(gc.get_referents(obj))
     assert reached[Block] > 1 and reached[RoundLists] > 0
-    assert reached[SignedBlock] == 0
+    assert reached[SignedBlock] == 0 and reached[RoundRecord] == 0
+
+
+@pytest.mark.parametrize("raw", [scenarios.properties(10),
+                                 dict(scenarios.doubling(), total_rounds=120)],
+                         ids=["properties_10", "doubling_120"])
+def test_step_round_runs_each_phase_once_a_round_in_order(raw, monkeypatch):
+    # step_round reads PHASES on every call, so wrapped entries observe each
+    # phase without patching a node method, and change no result.
+    cfg = ScenarioConfig.from_dict(raw)
+    plain = init_world(cfg)
+    for _ in range(cfg.total_rounds):
+        step_round(plain)
+    phases, log = sim_engine.PHASES, []
+
+    def logged(phase):
+        def wrapped(world, rnd):
+            log.append((rnd.round, phase.__name__))
+            phase(world, rnd)
+        return wrapped
+
+    monkeypatch.setattr(sim_engine, "PHASES", tuple(map(logged, phases)))
+    world = init_world(cfg)
+    for _ in range(cfg.total_rounds):
+        step_round(world)
+    assert log == [(r, phase.__name__) for r in range(1, cfg.total_rounds + 1)
+                   for phase in phases]
+    assert world.ledger.tip_hash() == plain.ledger.tip_hash()
+    assert world_state_hash(world) == world_state_hash(plain)
+
+
+@pytest.mark.parametrize("raw", [dict(scenarios.doubling(), total_rounds=40),
+                                 scenarios.properties(10)],
+                         ids=["doubling_40", "properties_10"])
+def test_replica_check_fingerprints_each_governor_only_with_replicas(raw, monkeypatch):
+    cfg = ScenarioConfig.from_dict(raw)
+    w = init_world(cfg)
+    calls = []
+    fingerprint = GovernorNode.state_fingerprint
+    monkeypatch.setattr(GovernorNode, "state_fingerprint",
+                        lambda g: calls.append(g.id) or fingerprint(g))
+    per_round = list(range(cfg.m)) if cfg.m > 1 else []
+    for r in range(1, cfg.total_rounds + 1):
+        step_round(w)
+        assert calls == per_round * r
 
 
 def test_replica_that_settled_the_next_head_refuses_the_block():
