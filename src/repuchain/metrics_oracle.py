@@ -35,8 +35,7 @@ from .crypto_sim import substream
 from .nodes import EpochClosure, ScreeningResult, SimulationError, TxId
 from .reputation import ReputationState, apply_penalties, plus_slots, screen_draw
 
-ORACLE_MAX_U = 3
-ORACLE_MAX_T = 12
+EXACT_ORACLE_BUDGET = 2_000_000  # reputation vectors carried, summed over the rows
 
 OUTCOME_UNCHECKED = 0
 OUTCOME_VALID = 1
@@ -47,7 +46,12 @@ OUTCOME_CODES = {
 
 
 class InstanceTooLargeError(ValueError):
-    """The exact oracle only enumerates instances with u <= 3 and T <= 12."""
+    """The exact oracle's DP carried more reputation vectors than ``EXACT_ORACLE_BUDGET``.
+
+    The count is the number of distinct reputation vectors carried into each
+    next row, summed over the rows so far: the DP's time grows with it, a few
+    microseconds a vector, whatever u and T are.
+    """
 
 
 def theorem_bound(u: int, eta: float, T: int) -> float:
@@ -386,29 +390,29 @@ def exact_expected_loss(
     eta: float,
     initial_reps: Sequence[int] | None = None,
 ) -> ExactLoss:
-    """Exact expectations by propagating the reachable reputation distribution.
+    """Exact expectations for the given fixed label matrix, by propagating the
+    reachable reputation distribution.
 
-    For each transaction only two successor states exist: verified (the
-    penalty vector is fixed by the labels and the verdict) and unverified
-    (unchanged), so the distribution over reputation vectors stays small and
-    expectations are computed without sampling. Deliberately self-contained:
-    it shares no code with the reputation module it validates.
+    The labels and the validity of every row are fixed; the expectation is
+    over the screening draws alone. For each transaction only two successor
+    states exist: verified (the penalty vector is fixed by the labels and the
+    verdict) and unverified (unchanged), and equal reputation vectors merge,
+    so expectations are computed without sampling. The work is bounded by
+    ``EXACT_ORACLE_BUDGET``, read at each call, on the vectors carried from
+    row to row: past it, ``InstanceTooLargeError`` names the count and the row.
+    Deliberately self-contained: it shares no code with the reputation module
+    it validates.
     """
     labels, validity, eta, reps0 = checked_instance(label_matrix, validity, eta, initial_reps)
-    T = len(labels)
     u = len(reps0)
-    if u > ORACLE_MAX_U or T > ORACLE_MAX_T:
-        raise InstanceTooLargeError(
-            f"instance with u={u}, T={T} exceeds oracle bounds "
-            f"(u <= {ORACLE_MAX_U}, T <= {ORACLE_MAX_T})"
-        )
 
     dist: dict[tuple[int, ...], float] = {reps0: 1.0}
+    carried = 0  # vectors carried into each next row, summed
     proof_loss = 0.0
     prose_loss = 0.0
     verified = 0.0
     slot_pen = [0.0] * u
-    for row, valid in zip(labels, validity):
+    for t, (row, valid) in enumerate(zip(labels, validity), 1):
         plus = [k for k in range(u) if row[k] == 1]
         if valid:
             pen = [k for k in range(u) if row[k] != 1]
@@ -436,6 +440,11 @@ def exact_expected_loss(
             if q < 1.0:
                 nxt[reps] = nxt.get(reps, 0.0) + pr * (1.0 - q)
         dist = nxt
+        carried += len(dist)
+        if carried > EXACT_ORACLE_BUDGET:
+            raise InstanceTooLargeError(
+                f"the exact oracle carried {carried} reputation vectors by row {t} "
+                f"of {len(labels)}, over its budget of {EXACT_ORACLE_BUDGET}")
     return ExactLoss(
         proof_loss=proof_loss,
         prose_loss=prose_loss,

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SCENARIOS_DIR
-from repuchain import cli, scenarios
+from repuchain import cli, metrics_oracle, scenarios
 from repuchain.sim_engine import ConfigError, ScenarioConfig
 
 
@@ -334,6 +334,21 @@ def test_oracle_rejects_malformed_instance_naming_the_field(tmp_path, capsys, fi
     path.write_text(json.dumps({**ORACLE_INSTANCE, field: value}))
     assert cli.main(["oracle", "--instance", str(path)]) == 2
     assert f"error: field '{field}': " in capsys.readouterr().err
+
+
+def test_oracle_refuses_an_instance_over_the_budget_naming_the_count(tmp_path, capsys,
+                                                                     monkeypatch):
+    # Slot 0 vouches +1 on 12 invalid rows: the DP carries 2, 3, ..., 13 vectors,
+    # 90 in all by the last row.
+    monkeypatch.setattr(metrics_oracle, "EXACT_ORACLE_BUDGET", 89)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"labels": [[1, -1, -1]] * 12, "validity": [False] * 12,
+                                "eta": 0.5}))
+    assert cli.main(["oracle", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the exact oracle carried 90 reputation vectors "
+                            "by row 12 of 12, over its budget of 89\n")
 
 
 def test_oracle_rejects_an_instance_missing_a_required_key(tmp_path, capsys):

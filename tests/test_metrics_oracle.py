@@ -17,6 +17,7 @@ from repuchain.metrics_oracle import (
     scaling_fit,
     theorem_bound,
 )
+from repuchain import metrics_oracle
 from repuchain.checks import check_scaling
 from repuchain.nodes import EpochClosure, GovernorNode
 from repuchain.reputation import EtaPolicy, initial_state
@@ -63,11 +64,43 @@ def test_absent_encoding_zero_and_none_equivalent():
     assert a.slot_penalties[1] == pytest.approx(0.5)
 
 
-def test_oracle_rejects_oversize_instances():
-    with pytest.raises(InstanceTooLargeError, match="u <= 3"):
-        exact_expected_loss([[1, 1, 1, 1]], [True], eta=0.5)
-    with pytest.raises(InstanceTooLargeError, match="T <= 12"):
-        exact_expected_loss([[1]] * 13, [True] * 13, eta=0.5)
+# Slot 0 vouches +1 on T invalid rows and nobody else does, so after row t the DP
+# carries the t + 1 vectors (-d, 0, 0), d = 0..t: T(T + 3)/2 = 90 in all at T = 12.
+BUDGET_LABELS, BUDGET_VALIDITY = [[1, -1, -1]] * 12, [False] * 12
+
+
+@pytest.mark.parametrize("budget,carried,row", [(89, 90, 12), (44, 54, 9), (1, 2, 1)])
+def test_oracle_refuses_once_the_carried_vectors_pass_its_budget(monkeypatch, budget,
+                                                                  carried, row):
+    monkeypatch.setattr(metrics_oracle, "EXACT_ORACLE_BUDGET", budget)
+    with pytest.raises(InstanceTooLargeError,
+                       match=rf"carried {carried} reputation vectors by row {row} of 12, "
+                             rf"over its budget of {budget}$"):
+        exact_expected_loss(BUDGET_LABELS, BUDGET_VALIDITY, eta=0.5)
+
+
+def test_oracle_at_its_budget_returns_what_it_returns_unbounded(monkeypatch):
+    unbounded = exact_expected_loss(BUDGET_LABELS, BUDGET_VALIDITY, eta=0.5)
+    monkeypatch.setattr(metrics_oracle, "EXACT_ORACLE_BUDGET", 90)
+    assert exact_expected_loss(BUDGET_LABELS, BUDGET_VALIDITY, eta=0.5) == unbounded
+
+
+def test_oracle_runs_instances_past_the_old_u_and_T_caps():
+    # u = 4: drawn uniformly, the tx is verified when slot 0 or 2 is drawn, and
+    # then the +1 slots, half the mass, are penalized.
+    r = exact_expected_loss([[1, -1, 1, None]], [False], eta=0.5)
+    assert r.verified == pytest.approx(0.5)
+    assert r.prose_loss == pytest.approx(0.5)
+    assert r.proof_loss == pytest.approx(0.25)
+    assert r.slot_penalties == pytest.approx((0.5, 0.0, 0.5, 0.0))
+    # T = 13 agrees with the production draw and update.
+    rng = random.Random(13)
+    validity = [rng.random() < 0.5 for _ in range(13)]
+    labels = [[1 if v else -1, rng.choice((1, -1, None))] for v in validity]
+    exact = exact_expected_loss(labels, validity, 0.6)
+    mc = mc_expected_loss(labels, validity, 0.6, n_runs=4000, seed=13)
+    assert abs(mc.mean_proof - exact.proof_loss) <= 3 * mc.se_proof + 1e-9
+    assert abs(mc.mean_prose - exact.prose_loss) <= 3 * mc.se_prose + 1e-9
 
 
 def test_oracle_rejects_malformed_input():
@@ -178,6 +211,30 @@ def test_expected_wasted_verifications_within_the_waiting_time_bound():
             if n:
                 bound += math.log1p(n * math.expm1(eta)) / eta + 1
         assert exact_expected_loss(labels, validity, eta).prose_loss <= bound + 1e-9
+
+
+def test_exact_loss_within_the_waiting_time_and_sharp_bounds_at_epoch_scale():
+    # The rows above at epoch scale, hundreds of screenings, with eta = sqrt(ln u / T).
+    # The regret also stays within Hedge's sharp bound ln(u)/eta + eta*T/8
+    # (Cesa-Bianchi & Lugosi 2006, Thm 2.2): that bound holds on every path, and
+    # E[L] - min_k E[S_k] <= E[L - min_k S_k].
+    rng = random.Random(2020)
+    sizes = [(2, rng.randint(100, 300)) for _ in range(20)]
+    sizes += [(3, rng.randint(100, 150)) for _ in range(3)]
+    for u, T in sizes:
+        eta = math.sqrt(math.log(u) / T)
+        honest = rng.randrange(u)
+        validity = [rng.random() < 0.5 for _ in range(T)]
+        labels = [[(1 if valid else -1) if k == honest else rng.choice((1, -1, None))
+                   for k in range(u)] for valid in validity]
+        bound = 0.0
+        for k in range(u):
+            n = sum(1 for row, valid in zip(labels, validity) if not valid and row[k] == 1)
+            if n:
+                bound += math.log1p(n * math.expm1(eta)) / eta + 1
+        r = exact_expected_loss(labels, validity, eta)
+        assert r.prose_loss <= bound + 1e-9
+        assert r.regret <= math.log(u) / eta + eta * T / 8 + 1e-9
 
 
 def test_monte_carlo_matches_exact():
