@@ -32,6 +32,7 @@ from .metrics_oracle import (
     exact_expected_loss,
     mc_expected_loss,
     scaling_fit,
+    sharp_bound,
     theorem_bound,
 )
 from .nodes import (
@@ -76,7 +77,7 @@ __all__ = [
     "emit_csv", "exact_expected_loss", "hash_block", "init_world",
     "lists_commitment_root", "load_config", "make_genesis", "maybe_advance_epoch",
     "mc_expected_loss", "merkle_root", "propose_block", "revenue_shares",
-    "run", "scaling_fit", "selection_probabilities", "sign", "step_round",
+    "run", "scaling_fit", "selection_probabilities", "sharp_bound", "sign", "step_round",
     "substream", "theorem_bound", "update_reputations", "validate_and_append",
     "validate_collector", "validate_governor", "vrf_eval",
     "world_state_hash",

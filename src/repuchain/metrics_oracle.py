@@ -59,6 +59,16 @@ def theorem_bound(u: int, eta: float, T: int) -> float:
     return math.log(u) / eta + eta * T / 2.0 if eta else 0.0
 
 
+def sharp_bound(u: int, eta: float, T: int) -> float:
+    """Hedge's sharp regret ceiling ln(u)/eta + eta*T/8 for one fixed-eta window; 0 when eta = 0.
+
+    Each slot's loss is 0 or 1 at each verified step, so Hoeffding's lemma
+    gives this bound on every path, adaptive collectors included
+    (Cesa-Bianchi & Lugosi 2006, Thm 2.2); ``theorem_bound``'s eta*T/2 is looser.
+    """
+    return math.log(u) / eta + eta * T / 8.0 if eta else 0.0
+
+
 @dataclass(slots=True)
 class RoundRow:
     """One round's counters; each field is a ``rounds.csv`` column, in order."""

@@ -36,13 +36,19 @@ signed input:
   label is filed under the upload's collector's slot
   (``on_labeled_transaction(collector_id, (tx, label), signature, r)`` is
   the one-label-upload form).
-- ``apply_verdict(msg)``: the leader's ``VerificationMessage`` penalizes the
-  slots (``reputation.apply_penalties`` on the message's ``plus`` slots),
-  advances the epoch at its boundary and moves the transaction out of the
-  inbox. The leader signs the message after its draw (``cnt`` is the
-  provider's next update) and applies it; every other governor applies the
-  same object after checking the signature and that ``cnt`` is exactly the
-  next one, raising ``SimulationError`` before any state changes otherwise.
+- ``apply_verdict(verdict)``: one of the leader's ``Verdict`` records
+  penalizes the slots (``reputation.apply_penalties`` on its ``plus``
+  slots), advances the epoch at its boundary and moves the transaction out
+  of the inbox. The leader builds the verdict, unsigned, after its draw
+  (``cnt`` is the provider's next update) and applies it. At the end of
+  screening it signs the round's verdicts once, as one
+  ``VerificationMessage`` (``sign_verdicts``; a round that verified nothing
+  sends none). Every other governor, in ``on_verification_message``, refuses
+  a message under another leader id or round, then checks its one
+  signature, both before any verdict applies; then it applies the same
+  verdict objects in order, each once its ``cnt`` is exactly the next one.
+  A refused message changes nothing; a gap inside a signed message raises
+  ``SimulationError`` after the verdicts before it applied, and stops the run.
 - ``apply_block(signed, lists, leader_id)``: the block the leader built with
   ``propose_round`` from its screening is checked whole by ``validate_block``
   (its payload must be the head of ``pending``, in order, at most the
@@ -118,12 +124,13 @@ STRATEGY_KINDS = tuple(LABEL_RULES)
 FORGED_SEQ_BASE = 1 << 40
 FORGED_SEQ_STRIDE = 1 << 20
 
-# A verification message's layout (see verification_message_bytes): the head
-# is the length-prefixed leader and provider ids, the 24-byte txid triple, the
-# validbit, then the received list's field length and element count.
-_VMSG_HEAD = struct.Struct(">12Q")
-_VMSG_ITEM = struct.Struct(">QQQ")
-_VMSG_TAIL = struct.Struct(">QQ")
+# A verification message's head (see verification_message_bytes): leader id, round,
+# verdict list length and count. A verdict's head: its body's length, the leader and
+# provider ids, txid triple, validbit, then its received list's length and count.
+_VMSG_HEAD = struct.Struct(">6Q")
+_VERDICT_HEAD = struct.Struct(">13Q")
+_VERDICT_ITEM = struct.Struct(">QQQ")
+_VERDICT_TAIL = struct.Struct(">QQ")
 
 
 class SimulationError(RuntimeError):
@@ -277,72 +284,99 @@ class CollectorNode:
 
 
 @dataclass(frozen=True, slots=True, init=False)
-class VerificationMessage:
-    """Leader broadcast after verifying a transaction; replicas replay it.
+class Verdict:
+    """The leader's finding on one verified transaction; its round's message carries it.
 
     ``received`` holds the transaction's labels as sorted ``(slot, label)``
     pairs. ``cnt`` orders the reputation updates per provider so no governor
     can skip or reorder one. It resets when an epoch closes, so it orders
     updates within an epoch; the settled check in ``apply_verdict`` refuses
     older ones. ``plus``, the slots in ``received`` that vouched +1, is
-    derived by both constructors, as ``signing_bytes`` is, so every governor
-    applies the penalty rule to the same set without rebuilding it.
+    derived by the constructor, so every governor applies the penalty rule
+    to the same set without rebuilding it. A verdict has no signature and no
+    bytes of its own: the ``VerificationMessage`` of its round signs it.
     """
 
-    leader_id: int
     provider_id: int
     txid: TxId
     validbit: bool
     received: tuple[tuple[int, int], ...]
     cnt: int
-    signature: bytes
-    signing_bytes: bytes = field(init=False, repr=False, compare=False)
     plus: frozenset[int] = field(init=False, repr=False, compare=False)
 
-    def __init__(self, leader_id: int, provider_id: int, txid: TxId, validbit: bool,
-                 received: tuple[tuple[int, int], ...], cnt: int, signature: bytes) -> None:
-        fields = (leader_id, provider_id, txid, validbit, received, cnt)
-        _store_verdict(self, fields, signature, verification_message_bytes(*fields))
+    def __init__(self, provider_id: int, txid: TxId, validbit: bool,
+                 received: tuple[tuple[int, int], ...], cnt: int) -> None:
+        for store, value in zip(_VERDICT_SLOTS, (provider_id, txid, validbit, received, cnt,
+                                                 plus_slots(received))):
+            store(self, value)
+
+
+_VERDICT_SLOTS = slot_setters(Verdict)
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class VerificationMessage:
+    """The leader's round broadcast: its verdicts in screening order, under one signature.
+
+    The constructor encodes ``signing_bytes`` (``verification_message_bytes``)
+    from the fields, as ``Upload``'s does, so a replica checks the signature
+    against bytes no sender chose; ``signed`` encodes them once and signs them.
+    """
+
+    leader_id: int
+    round_no: int
+    verdicts: tuple[Verdict, ...]
+    signature: bytes
+    signing_bytes: bytes = field(init=False, repr=False, compare=False)
+
+    def __init__(self, leader_id: int, round_no: int, verdicts: Sequence[Verdict],
+                 signature: bytes) -> None:
+        verdicts = tuple(verdicts)
+        body = verification_message_bytes(leader_id, round_no, verdicts)
+        _store_message(self, leader_id, round_no, verdicts, signature, body)
 
     @classmethod
-    def signed(cls, leader_id: int, provider_id: int, txid: TxId, validbit: bool,
-               received: tuple[tuple[int, int], ...], cnt: int,
+    def signed(cls, leader_id: int, round_no: int, verdicts: Sequence[Verdict],
                keypair: KeyPair) -> "VerificationMessage":
-        """The verdict ``keypair`` signs: encoded once, signed, stored."""
-        fields = (leader_id, provider_id, txid, validbit, received, cnt)
-        body = verification_message_bytes(*fields)
+        """The message ``keypair`` signs: encoded once, signed, stored."""
+        verdicts = tuple(verdicts)
+        body = verification_message_bytes(leader_id, round_no, verdicts)
         self = cls.__new__(cls)
-        _store_verdict(self, fields, sign(keypair, body), body)
+        _store_message(self, leader_id, round_no, verdicts, sign(keypair, body), body)
         return self
 
 
 _VMSG_SLOTS = slot_setters(VerificationMessage)
 
 
-def _store_verdict(msg: VerificationMessage, fields: tuple, signature: bytes,
-                   body: bytes) -> None:
-    received = fields[4]
-    for store, value in zip(_VMSG_SLOTS, (*fields, signature, body, plus_slots(received))):
+def _store_message(msg: VerificationMessage, *values) -> None:
+    """Store ``(leader_id, round_no, verdicts, signature, signing_bytes)`` in ``msg``."""
+    for store, value in zip(_VMSG_SLOTS, values):
         store(msg, value)
 
 
-def verification_message_bytes(
-    leader_id: int, provider_id: int, txid: TxId, validbit: bool,
-    received: tuple[tuple[int, int], ...], cnt: int,
-) -> bytes:
-    """Bytes the leader signs: ids, txid, verdict, the sorted (slot, label) list, cnt.
+def verification_message_bytes(leader_id: int, round_no: int,
+                               verdicts: Sequence[Verdict]) -> bytes:
+    """Bytes a leader signs once a round: its id, the round, its verdicts' bodies in order.
 
-    Packed per the canonical rule: one head, one 24-byte item per received
-    label (its 16-byte length, then slot and 1/0 for +1/-1), a tail.
+    Packed per the canonical rule in one pass, as ``upload_bytes`` packs
+    label bodies. A verdict's body is the leader and provider ids, the txid,
+    the validbit, the sorted (slot, label) list and ``cnt``: one head, one
+    24-byte item per received label (its 16-byte length, then slot and 1/0
+    for +1/-1), a tail.
     """
-    n = len(received)
-    item = _VMSG_ITEM.pack
-    parts = [_VMSG_HEAD.pack(8, leader_id, 8, provider_id, 24, *txid,
-                             8, 1 if validbit else 0, 8 + 24 * n, n)]
-    for slot, lab in received:
-        parts.append(item(16, slot, 1 if lab == 1 else 0))
-    parts.append(_VMSG_TAIL.pack(8, cnt))
-    return b"".join(parts)
+    head, item, tail = _VERDICT_HEAD.pack, _VERDICT_ITEM.pack, _VERDICT_TAIL.pack
+    parts: list[bytes] = []
+    put = parts.append
+    for v in verdicts:
+        n = len(v.received)
+        put(head(112 + 24 * n, 8, leader_id, 8, v.provider_id, 24, *v.txid,
+                 8, 1 if v.validbit else 0, 8 + 24 * n, n))
+        for slot, lab in v.received:
+            put(item(16, slot, 1 if lab == 1 else 0))
+        put(tail(8, v.cnt))
+    items = b"".join(parts)
+    return _VMSG_HEAD.pack(8, leader_id, 8, round_no, 8 + len(items), len(verdicts)) + items
 
 
 @dataclass(frozen=True, slots=True)
@@ -362,7 +396,7 @@ class ScreeningResult:
     loss: float
     penalized: tuple[int, ...]
     epoch_index: int
-    message: VerificationMessage | None
+    verdict: Verdict | None
     closure: EpochClosure | None
 
     @property
@@ -498,60 +532,75 @@ class GovernorNode:
             # Discarded unverified, no reputation change.
             return ScreeningResult(tx, "unchecked", loss, pen, state.epoch_index, None, None)
         cnt = state.cnt + 1  # this verdict's place in the provider's update order
-        message = VerificationMessage.signed(
-            self.id, provider, txid, validbit, tuple(sorted(labels.items())), cnt, self.keypair)
-        closure = self.apply_verdict(message)
+        verdict = Verdict(provider, txid, validbit, tuple(sorted(labels.items())), cnt)
+        closure = self.apply_verdict(verdict)
         return ScreeningResult(
             tx, "valid" if validbit else "invalid",
-            loss, pen, state.epoch_index, message, closure,
+            loss, pen, state.epoch_index, verdict, closure,
         )
+
+    def sign_verdicts(self, round_no: int, verdicts: Sequence[Verdict]) -> VerificationMessage:
+        """This leader's message of ``verdicts``, screened in ``round_no``, signed."""
+        return VerificationMessage.signed(self.id, round_no, verdicts, self.keypair)
 
     # -- the one state transition, shared by the leader and every replica ---
 
-    def apply_verdict(self, msg: VerificationMessage) -> EpochClosure | None:
-        """Apply one signed verdict: penalize, advance the epoch, leave the inbox.
+    def apply_verdict(self, verdict: Verdict) -> EpochClosure | None:
+        """Apply one verdict: penalize, advance the epoch, leave the inbox.
 
-        The leader applies the message it just signed; a replica, the same
-        object once its signature and ``cnt`` checked out. A valid transaction
-        moves to ``pending`` with the signed labels; an invalid one waits for
-        the round's block, whose append settles it. Returns the closure of
-        the epoch this verdict ended, if any.
+        The leader applies the verdict it just drew; a replica, the same
+        object once its message's signature and its ``cnt`` checked out. A
+        valid transaction moves to ``pending`` with the signed labels; an
+        invalid one waits for the round's block, whose append settles it.
+        Returns the closure of the epoch this verdict ended, if any.
         """
-        txid = msg.txid
+        txid = verdict.txid
         entry = self.inbox.pop(txid, None)
         if entry is None:
             raise SimulationError(f"verdict for unseen or settled transaction {txid}")
-        provider = msg.provider_id
+        provider = verdict.provider_id
         state = self.rep[provider]
         self.rep[provider], revenue = maybe_advance_epoch(
-            apply_penalties(state, msg.plus, msg.validbit), self.mu, self.eta_policy
+            apply_penalties(state, verdict.plus, verdict.validbit), self.mu, self.eta_policy
         )
-        if msg.validbit:
-            self.pending[txid] = (entry[0], msg.received)
+        if verdict.validbit:
+            self.pending[txid] = (entry[0], verdict.received)
         if revenue is None:
             return None
         return EpochClosure(provider, state.epoch_index, state.eta, revenue)
 
-    def on_verification_message(self, msg: VerificationMessage) -> None:
-        """Replay the leader's verdict; raise, changing nothing, unless signed and next."""
-        if not self.registry.verify_as("governor", msg.leader_id, msg.signing_bytes,
-                                       msg.signature):
-            raise SimulationError(f"bad leader signature on verification message {msg.txid}")
-        self.assert_no_gaps(msg)
-        self.apply_verdict(msg)
+    def on_verification_message(self, msg: VerificationMessage, leader_id: int,
+                                round_no: int) -> None:
+        """Replay the message ``leader_id``, the elected leader, signed in ``round_no``.
 
-    def assert_no_gaps(self, msg: VerificationMessage) -> None:
-        """Raise unless ``msg.cnt`` is the provider's next update: not stale, none skipped.
+        A message under another leader id or round is refused before any
+        signature check, and one whose signature fails is refused next: each
+        raises ``SimulationError`` and changes nothing. Then each verdict, in
+        order, passes ``assert_no_gaps`` and ``apply_verdict``. A verdict that
+        fails there raises too, with the verdicts before it already applied;
+        ``SimulationError`` stops the run, so no state is kept past it.
+        """
+        if msg.leader_id != leader_id or msg.round_no != round_no:
+            raise SimulationError(f"verification message from governor {msg.leader_id}, round "
+                                  f"{msg.round_no}; expected leader {leader_id}, round {round_no}")
+        if not self.registry.verify_as("governor", leader_id, msg.signing_bytes, msg.signature):
+            raise SimulationError(f"bad leader signature on the round {round_no} message")
+        for verdict in msg.verdicts:
+            self.assert_no_gaps(verdict)
+            self.apply_verdict(verdict)
 
-        ``cnt`` orders updates within an epoch; a message from an earlier
+    def assert_no_gaps(self, verdict: Verdict) -> None:
+        """Raise unless ``verdict.cnt`` is the provider's next update: not stale, none skipped.
+
+        ``cnt`` orders updates within an epoch; a verdict from an earlier
         epoch can pass here, and the settled check in ``apply_verdict`` refuses it.
         """
-        expected = self.rep[msg.provider_id].cnt + 1
-        if msg.cnt != expected:
-            kind = "stale" if msg.cnt < expected else "skipped-ahead"
+        expected = self.rep[verdict.provider_id].cnt + 1
+        if verdict.cnt != expected:
+            kind = "stale" if verdict.cnt < expected else "skipped-ahead"
             raise SimulationError(
-                f"{kind} verification message for provider {msg.provider_id}: "
-                f"cnt={msg.cnt}, expected {expected}"
+                f"{kind} verdict for provider {verdict.provider_id}: "
+                f"cnt={verdict.cnt}, expected {expected}"
             )
 
     # -- chain bookkeeping --------------------------------------------------

@@ -24,8 +24,8 @@ The feedback hop carries the round's block payload and unchecked list to the
 providers alone: each forgets its chained transactions and resends its
 unchecked valid ones in the pass that mints. Collectors get no invalid list,
 since no provider resends an invalid transaction.
-Governor-to-governor consensus traffic (verification messages, the block,
-the lists) completes within the round, from ``elect`` to ``check_replicas``:
+Governor-to-governor consensus traffic (the round's verification message,
+the block, the lists) completes within the round, from ``elect`` to ``check_replicas``:
 governors are modeled as a deterministic replicated state machine, and
 ``check_replicas`` asserts their equality at every round boundary.
 
@@ -336,7 +336,7 @@ def init_world(config: ScenarioConfig) -> World:
 class RoundRecord:
     """One round's state, passed from phase to phase; the phase that learns a slot sets it."""
 
-    __slots__ = ("round", "row", "arrived", "labelled", "leader", "screening")
+    __slots__ = ("round", "row", "arrived", "labelled", "leader", "screening", "verification")
 
     def __init__(self, r: int):
         self.round = r
@@ -428,26 +428,29 @@ def elect(world: World, rnd: RoundRecord) -> None:
 
 
 def screen(world: World, rnd: RoundRecord) -> None:
-    """The leader screens each transaction whose waiting window ends this round."""
+    """The leader screens each transaction whose waiting window ends this round, then
+    signs the round's verdicts as one message, if it verified any."""
     leader, metrics, row = rnd.leader, world.metrics, rnd.row
     screening = rnd.screening = [leader.screen(txid) for txid in leader.expired(rnd.round)]
+    verdicts = [res.verdict for res in screening if res.verdict is not None]
+    rnd.verification = leader.sign_verdicts(rnd.round, verdicts) if verdicts else None
     for res in screening:
         metrics.record_screening(res)
         if res.closure is not None:
             metrics.record_epoch_close(res.closure)
     row.txs_screened = len(screening)
-    row.txs_verified = sum(1 for res in screening if res.verified)
+    row.txs_verified = len(verdicts)
     row.wasted_verifications = sum(1 for res in screening if res.outcome == "invalid")
 
 
 def replay_verdicts(world: World, rnd: RoundRecord) -> None:
-    """Every other governor replays the leader's signed verdicts, in screening order."""
-    messages = [res.message for res in rnd.screening if res.message is not None]
-    for g in world.governors:
-        if g is not rnd.leader:
-            for msg in messages:
-                g.on_verification_message(msg)
-    rnd.row.messages_gg += len(messages) * (world.config.m - 1)
+    """Every other governor replays the leader's signed message of the round, if any."""
+    msg, leader = rnd.verification, rnd.leader
+    if msg is not None:
+        for g in world.governors:
+            if g is not leader:
+                g.on_verification_message(msg, leader.id, rnd.round)
+        rnd.row.messages_gg += len(msg.verdicts) * (world.config.m - 1)
 
 
 def append_block(world: World, rnd: RoundRecord) -> None:

@@ -27,14 +27,17 @@ def digests():
     for _ in range(cfg.total_rounds):
         sim_engine.step_round(world)
     sim_engine.finalize(world)
-    uploaded = sum(row.messages_cg for row in world.metrics.rounds) // cfg.m
-    return [world.ledger.tip_hash().hex(), sim_engine.world_state_hash(world)], uploaded
+    rows = world.metrics.rounds
+    counts = {"uploaded": sum(row.messages_cg for row in rows) // cfg.m,
+              "replicas": cfg.m - 1, "verified": sum(row.txs_verified for row in rows),
+              "verified_rounds": sum(1 for row in rows if row.txs_verified)}
+    return [world.ledger.tip_hash().hex(), sim_engine.world_state_hash(world)], counts
 
 plain, _ = digests()
 tracer = tracing.Tracer()
 tracer.install()
-traced, uploaded = digests()
-print(json.dumps({"plain": plain, "traced": traced, "uploaded": uploaded,
+traced, run = digests()
+print(json.dumps({"plain": plain, "traced": traced, "run": run,
                   "counts": tracer.counts, "calls": tracer.calls}))
 """
 
@@ -51,11 +54,13 @@ def test_traced_run_matches_untraced_run():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["traced"] == out["plain"]
-    replayed = out["counts"]["nodes.replicate_calls"]
-    assert replayed > 0
-    # Every replayed message passes the strict order check exactly once.
-    assert out["calls"]["nodes.GovernorNode.assert_no_gaps"] == replayed
+    run = out["run"]
+    # Each replica replays one message a round that verified anything, and each
+    # replayed verdict passes the strict order check exactly once.
+    assert run["verified"] > run["verified_rounds"] > 0
+    assert out["counts"]["nodes.replicate_calls"] == run["replicas"] * run["verified_rounds"]
+    assert out["calls"]["nodes.GovernorNode.assert_no_gaps"] == run["replicas"] * run["verified"]
     assert out["counts"]["nodes.screen_calls"] > 0
     # Every uploaded copy, labelled or forged, passes through a traced collector call.
-    assert out["uploaded"] > 0
-    assert out["counts"]["nodes.labels_emitted"] == out["uploaded"]
+    assert run["uploaded"] > 0
+    assert out["counts"]["nodes.labels_emitted"] == run["uploaded"]

@@ -29,7 +29,7 @@ from repuchain.core_types import (
     upload_bytes,
 )
 from repuchain.crypto_sim import keypair_from_secret, sign
-from repuchain.nodes import VerificationMessage, verification_message_bytes
+from repuchain.nodes import Verdict, VerificationMessage, verification_message_bytes
 
 
 def ref_merkle(items):
@@ -285,21 +285,28 @@ def test_replace_rebuilds_carried_bytes():
     assert flipped.signing_bytes[56:] == label_signing_bytes(tx, -1)
     moved = dataclasses.replace(upload, labels=((nxt, 1),))
     assert moved.signing_bytes[56:] == label_signing_bytes(nxt, 1)
-    fields = (0, 2, tx.txid, True, ((4, 1),), 3)
-    msg = VerificationMessage(*fields, sig)
-    later = dataclasses.replace(msg, cnt=4)
-    assert later.signing_bytes == verification_message_bytes(*fields[:-1], 4) != msg.signing_bytes
+    verdict = Verdict(2, tx.txid, True, ((4, 1),), 3)
+    msg = VerificationMessage(0, 5, (verdict,), sig)
+    later = dataclasses.replace(msg, verdicts=(dataclasses.replace(verdict, cnt=4),))
+    assert later.verdicts[0].plus == verdict.plus == {4}
+    assert later.signing_bytes == verification_message_bytes(0, 5, later.verdicts) \
+        != msg.signing_bytes
+    moved = dataclasses.replace(msg, round_no=6)
+    assert moved.signing_bytes == verification_message_bytes(0, 6, (verdict,)) != msg.signing_bytes
 
 
 def _signer_and_public_records():
-    """(signer's, public) pairs: each verdict built by ``signed`` and by its constructor."""
+    """(signer's, public) pairs: each verification message built by ``signed`` and by
+    its constructor."""
     tx = make_tx(provider=1, seq=6, ts=2)
     kp = keypair_from_secret(4, b"\x09" * 32)
+    verdicts = [Verdict(1, tx.txid, bool(received), received, 7)
+                for received in ((), ((0, 1),), ((0, -1), (2, 1), (5, -1)))]
     pairs = []
-    for received in ((), ((0, 1),), ((0, -1), (2, 1), (5, -1))):
-        fields = (4, 1, tx.txid, bool(received), received, 7)
-        pairs.append((VerificationMessage.signed(*fields, kp),
-                      VerificationMessage(*fields, sign(kp, verification_message_bytes(*fields)))))
+    for chosen in (verdicts[:1], verdicts[1:2], verdicts):
+        body = verification_message_bytes(4, 3, chosen)
+        pairs.append((VerificationMessage.signed(4, 3, chosen, kp),
+                      VerificationMessage(4, 3, chosen, sign(kp, body))))
     return pairs
 
 

@@ -31,7 +31,7 @@ from repuchain.core_types import (
     upload_bytes,
 )
 from repuchain.crypto_sim import keypair_from_secret, sign
-from repuchain.nodes import VerificationMessage, verification_message_bytes
+from repuchain.nodes import Verdict, VerificationMessage, verification_message_bytes
 
 U64_MAX = (1 << 64) - 1
 EDGE_IDS = (0, 1, 1 << 63, U64_MAX)
@@ -57,6 +57,7 @@ def spec_upload(collector_id, round_no, bodies):
 
 
 def spec_verification_message(leader_id, provider_id, txid, validbit, received, cnt):
+    """One verdict's body, as its round's message lists it."""
     return (
         enc_field(enc_int(leader_id))
         + enc_field(enc_int(provider_id))
@@ -65,6 +66,19 @@ def spec_verification_message(leader_id, provider_id, txid, validbit, received, 
         + enc_field(enc_list([enc_int(c) + enc_int(1 if lab == 1 else 0) for c, lab in received]))
         + enc_field(enc_int(cnt))
     )
+
+
+def verdict_args(v):
+    """A ``Verdict``'s fields as ``spec_verification_message`` takes them, after the leader id."""
+    return v.provider_id, v.txid, v.validbit, v.received, v.cnt
+
+
+def spec_round_message(leader_id, round_no, verdicts):
+    """A leader's round message over ``verdicts``, each a ``spec_verification_message``
+    argument tuple without the leader id."""
+    bodies = [spec_verification_message(leader_id, *v) for v in verdicts]
+    return (enc_field(enc_int(leader_id)) + enc_field(enc_int(round_no))
+            + enc_field(enc_list(bodies)))
 
 
 def spec_block(block):
@@ -92,17 +106,38 @@ def rand_tx(rng):
 # -- frozen vectors (computed with the enc_* composition) -----------------------------
 
 
+def _vector_verdict(v):
+    return Verdict(v["provider_id"], tuple(v["txid"]), v["validbit"],
+                   tuple(map(tuple, v["received"])), v["cnt"])
+
+
 def test_verification_message_vector(crypto_vectors):
+    # One verdict's body: a one-verdict round message lists it after its 48-byte
+    # head and 8-byte length, whatever the round.
     v = crypto_vectors["verification_message"]
     kp = keypair_from_secret(0, bytes.fromhex(v["secret"]))
-    args = (v["leader_id"], v["provider_id"], tuple(v["txid"]), v["validbit"],
-            tuple(map(tuple, v["received"])), v["cnt"])
-    body = verification_message_bytes(*args)
+    verdict = _vector_verdict(v)
+    body = bytes.fromhex(v["bytes"])
+    assert spec_verification_message(v["leader_id"], *verdict_args(verdict)) == body
+    for round_no in (0, 7):
+        msg = VerificationMessage(v["leader_id"], round_no, (verdict,), SimSignature(b""))
+        assert msg.signing_bytes[56:] == body
+        assert msg.signing_bytes[48:56] == len(body).to_bytes(8, "big")
+    assert sign(kp, body).hex() == v["signature"]
+
+
+def test_round_message_vector(crypto_vectors):
+    v = crypto_vectors["round_message"]
+    kp = keypair_from_secret(0, bytes.fromhex(v["secret"]))
+    verdicts = tuple(_vector_verdict(d) for d in v["verdicts"])
+    body = verification_message_bytes(v["leader_id"], v["round_no"], verdicts)
     assert body.hex() == v["bytes"]
-    assert spec_verification_message(*args) == body
-    msg = VerificationMessage(*args, signature=sign(kp, body))
+    assert spec_round_message(v["leader_id"], v["round_no"],
+                              [verdict_args(d) for d in verdicts]) == body
+    msg = VerificationMessage.signed(v["leader_id"], v["round_no"], verdicts, kp)
     assert msg.signing_bytes == body
     assert msg.signature.hex() == v["signature"]
+    assert msg == VerificationMessage(v["leader_id"], v["round_no"], verdicts, msg.signature)
 
 
 def test_upload_vector(crypto_vectors):
@@ -172,16 +207,21 @@ def test_transaction_layouts_match_specification():
 
 @pytest.mark.parametrize("u", range(9))
 def test_verification_message_layout_matches_specification(u):
+    # Round messages of 0 to 5 random verdicts, each with up to u received labels.
     rng = random.Random(30 + u)
     for _ in range(40):
-        received = tuple(sorted(
-            (rand_id(rng), rng.choice((1, -1))) for _ in range(rng.randrange(u + 1))
-        ))
-        args = (rand_id(rng), rand_id(rng), (rand_id(rng), rand_id(rng), rand_id(rng)),
-                rng.random() < 0.5, received, rand_id(rng))
-        assert verification_message_bytes(*args) == spec_verification_message(*args)
-        assert VerificationMessage(*args, SimSignature(b"")).signing_bytes == \
-            spec_verification_message(*args)
+        verdicts = []
+        for _ in range(rng.randrange(6)):
+            received = tuple(sorted(
+                (rand_id(rng), rng.choice((1, -1))) for _ in range(rng.randrange(u + 1))
+            ))
+            verdicts.append(Verdict(rand_id(rng), (rand_id(rng), rand_id(rng), rand_id(rng)),
+                                    rng.random() < 0.5, received, rand_id(rng)))
+        leader_id, round_no = rand_id(rng), rand_id(rng)
+        spec = spec_round_message(leader_id, round_no, [verdict_args(v) for v in verdicts])
+        assert verification_message_bytes(leader_id, round_no, verdicts) == spec
+        assert VerificationMessage(leader_id, round_no, verdicts,
+                                   SimSignature(b"")).signing_bytes == spec
 
 
 @pytest.mark.parametrize("n_labels", [0, 1, 2, 300])
@@ -231,15 +271,18 @@ def test_out_of_range_integers_raise(bad):
             tx_signing_bytes(*ident)
         with pytest.raises(struct.error):
             Transaction(*ident, True, SimSignature(b""))
-    for pos in (0, 1, 5):
-        args = [1, 2, (3, 4, 5), True, ((6, 1),), 7]
+    for pos in (0, 4):
+        args = [2, (3, 4, 5), True, ((6, 1),), 7]
         args[pos] = bad
         with pytest.raises(struct.error):
-            verification_message_bytes(*args)
-    with pytest.raises(struct.error):
-        verification_message_bytes(1, 2, (3, bad, 5), True, (), 7)
-    with pytest.raises(struct.error):
-        verification_message_bytes(1, 2, (3, 4, 5), True, ((bad, 1),), 7)
+            verification_message_bytes(1, 8, [Verdict(*args)])
+    for verdict in (Verdict(2, (3, bad, 5), True, (), 7),
+                    Verdict(2, (3, 4, 5), True, ((bad, 1),), 7)):
+        with pytest.raises(struct.error):
+            verification_message_bytes(1, 8, [verdict])
+    for leader_id, round_no in ((bad, 8), (1, bad)):
+        with pytest.raises(struct.error):
+            verification_message_bytes(leader_id, round_no, [])
     for serial, leader in ((bad, 0), (0, bad)):
         with pytest.raises(struct.error):
             block_bytes(Block(serial, leader, (), core_types.ZERO_DIGEST, core_types.ZERO_DIGEST))
@@ -271,7 +314,7 @@ def test_objects_call_the_encoders_through_their_module_globals(monkeypatch):
     core_types.Upload(0, 1, [(tx, 1)], SimSignature(b""))
     block = Block(1, 0, (tx,), core_types.ZERO_DIGEST, core_types.ZERO_DIGEST)
     assert len(block.hash) == core_types.DIGEST_SIZE
-    VerificationMessage(0, 1, tx.txid, True, ((4, 1),), 1, SimSignature(b""))
+    VerificationMessage(0, 1, (Verdict(1, tx.txid, True, ((4, 1),), 1),), SimSignature(b""))
     lists = core_types.RoundLists((tx,), ())
     assert len(lists.mt_root) == core_types.DIGEST_SIZE
     consensus.SignedBlock(block, SimSignature(b""))

@@ -15,6 +15,7 @@ from repuchain.metrics_oracle import (
     mc_expected_loss,
     mean_se,
     scaling_fit,
+    sharp_bound,
     theorem_bound,
 )
 from repuchain import metrics_oracle
@@ -169,6 +170,17 @@ def test_theorem_bound_closed_form():
     assert theorem_bound(2, eta, 100) == pytest.approx(12.4883, abs=1e-3)
 
 
+def test_sharp_bound_closed_form():
+    # at eta = sqrt(ln u / T) the sharp bound collapses to (9/8) sqrt(T ln u),
+    # three quarters of the paper's; u = 1 (eta = 0) has no regret to bound.
+    for u, T in ((2, 100), (4, 37)):
+        eta = math.sqrt(math.log(u) / T)
+        assert sharp_bound(u, eta, T) == pytest.approx(1.125 * math.sqrt(T * math.log(u)))
+        assert sharp_bound(u, eta, T) == pytest.approx(0.75 * theorem_bound(u, eta, T))
+    assert sharp_bound(2, 0.5, 100) == pytest.approx(2 * math.log(2) + 6.25)
+    assert sharp_bound(1, 0.0, 100) == 0.0
+
+
 def test_theorem_bound_is_zero_for_one_slot():
     # u = 1 gives eta = sqrt(ln 1 / T) = 0 under PerEpochSqrt; regret is identically 0.
     eta = EtaPolicy(kind="PerEpochSqrt").eta_for(1, 100)
@@ -234,7 +246,7 @@ def test_exact_loss_within_the_waiting_time_and_sharp_bounds_at_epoch_scale():
                 bound += math.log1p(n * math.expm1(eta)) / eta + 1
         r = exact_expected_loss(labels, validity, eta)
         assert r.prose_loss <= bound + 1e-9
-        assert r.regret <= math.log(u) / eta + eta * T / 8 + 1e-9
+        assert r.regret <= sharp_bound(u, eta, T) + 1e-9
 
 
 def test_monte_carlo_matches_exact():

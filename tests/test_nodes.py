@@ -33,6 +33,8 @@ from repuchain.nodes import (
     ProviderNode,
     SimulationError,
     StrategySpec,
+    Verdict,
+    VerificationMessage,
     validate_governor,
     verification_message_bytes,
 )
@@ -81,6 +83,28 @@ def signed_upload(collector, labels, round_no):
 def ingest_signed(g, uploads, round_no):
     """``g.ingest`` of ``(collector, labels)`` pairs, each upload genuinely signed."""
     return g.ingest([signed_upload(c, labels, round_no) for c, labels in uploads], round_no)
+
+
+def replay(replica, leader, results, round_no=1):
+    """``replica`` replays ``leader``'s signed message of the verdicts in ``results``,
+    as ``replay_verdicts`` does in round ``round_no``; returns the message."""
+    msg = leader.sign_verdicts(round_no, [res.verdict for res in results
+                                          if res.verdict is not None])
+    replica.on_verification_message(msg, leader.id, round_no)
+    return msg
+
+
+def _count_verifies(monkeypatch):
+    """Record the bytes of every ``KeyRegistry.verify`` call from here on."""
+    checked = []
+    original = KeyRegistry.verify
+
+    def counting(self, public, msg, sig):
+        checked.append(msg)
+        return original(self, public, msg, sig)
+
+    monkeypatch.setattr(KeyRegistry, "verify", counting)
+    return checked
 
 
 # -- providers ---------------------------------------------------------------
@@ -316,10 +340,10 @@ def test_relabeled_copy_with_original_signature_refused(registry):
     # a label is a bare (tx, label) pair and has no bytes to hand.
     with pytest.raises(TypeError):
         Upload(0, 0, relabeled.labels, upload.signature, upload.signing_bytes)
-    msg = g.screen(a.txid).message
+    msg = g.sign_verdicts(1, [g.screen(a.txid).verdict])
     with pytest.raises(TypeError):
-        nodes.VerificationMessage(msg.leader_id, msg.provider_id, msg.txid, not msg.validbit,
-                                  msg.received, msg.cnt, msg.signature, msg.signing_bytes)
+        VerificationMessage(msg.leader_id, msg.round_no, msg.verdicts, msg.signature,
+                            msg.signing_bytes)
 
 
 def test_label_moved_into_another_collectors_upload_refuses_both(registry):
@@ -371,8 +395,9 @@ def test_bad_upload_leaves_another_collectors_labels_ok(registry):
 
 def test_a_round_signs_one_upload_per_uploading_collector(monkeypatch):
     # Labelling signs nothing; each collector that uploads anything, forgeries
-    # included, signs once at the end of the round. The leader signs each verdict
-    # through the same module global, which the benchmark's tracer rebinds.
+    # included, signs once at the end of the round. The leader signs the round's
+    # verdicts once, when it verified any, through the same module global, which
+    # the benchmark's tracer rebinds.
     cfg = ScenarioConfig.from_dict(scenarios.properties(10))
     w = init_world(cfg)
     collector_keys = {c.keypair.node_id: c.id for c in w.collectors}
@@ -394,7 +419,7 @@ def test_a_round_signs_one_upload_per_uploading_collector(monkeypatch):
     monkeypatch.setattr(CollectorNode, "process", process_signing_nothing)
     forgers = {c.id for c in w.collectors if c.strategy.kind == "Forger"}
     assert forgers
-    signed_verdicts = 0
+    signed_messages = 0
     for _ in range(8):
         signed.clear()
         step_round(w)
@@ -403,10 +428,10 @@ def test_a_round_signs_one_upload_per_uploading_collector(monkeypatch):
         assert all(upload.labels for upload in w.to_governors)
         assert forgers <= set(uploaders)
         assert sorted(collector_keys[k] for k in signed if k in collector_keys) == uploaders
-        verdicts = sum(k in governor_keys for k in signed)
-        assert verdicts == w.metrics.rounds[-1].txs_verified
-        signed_verdicts += verdicts
-    assert signed_verdicts > 0
+        messages = sum(k in governor_keys for k in signed)
+        assert messages == (w.metrics.rounds[-1].txs_verified > 0)
+        signed_messages += messages
+    assert signed_messages > 0
 
 
 def test_forged_transactions_rejected_10k_attempts(registry):
@@ -508,11 +533,10 @@ def test_labels_are_filed_and_signed_by_slot_not_collector_id(registry):
     results = [leader.screen(tx.txid) for tx in (bad, good)]
     assert [res.outcome for res in results] == ["invalid", "valid"]
     assert [res.penalized for res in results] == [(0,), (1,)]
-    assert [res.message.received for res in results] == [((0, 1), (1, -1))] * 2
+    assert [res.verdict.received for res in results] == [((0, 1), (1, -1))] * 2
     assert leader.pending[good.txid] == (good, ((0, 1), (1, -1)))
     assert leader.rep[0].reps == (-1, 0) and leader.rep[1].reps == (0, -1)
-    for res in results:
-        replica.on_verification_message(res.message)
+    replay(replica, leader, results)
     assert replica.rep == leader.rep
     assert replica.state_fingerprint() == leader.state_fingerprint()
 
@@ -562,8 +586,9 @@ def test_copy_under_an_accepted_txid_with_other_bytes_is_checked(registry):
 
 def test_each_governor_checks_a_provider_signature_once(registry, monkeypatch):
     # k copies from k collectors cost k upload checks and one provider check per
-    # governor (the first copy's; the others carry the same bytes), and a block
-    # packing the head of pending costs the leader-signature check alone.
+    # governor (the first copy's; the others carry the same bytes), the round's
+    # verification message one leader-signature check at the replica, and a
+    # block packing the head of pending costs the leader-signature check alone.
     k = 3
     topology = ((0, 1, 2),)
     leader, replica = (make_governor(registry, topology=topology, gov_index=i) for i in (0, 1))
@@ -571,14 +596,7 @@ def test_each_governor_checks_a_provider_signature_once(registry, monkeypatch):
     collectors = [make_collector(registry, index=j) for j in range(k)]
     copies = [c.process(tx) for c in collectors]
     uploads = [signed_upload(c, [copy], 1) for c, copy in zip(collectors, copies)]
-    checked = []
-    original = KeyRegistry.verify
-
-    def counting(self, public, msg, sig):
-        checked.append(msg)
-        return original(self, public, msg, sig)
-
-    monkeypatch.setattr(KeyRegistry, "verify", counting)
+    checked = _count_verifies(monkeypatch)
     for g in (leader, replica):
         checked.clear()
         assert g.ingest(uploads, 1) == ["ok"] * k
@@ -587,8 +605,8 @@ def test_each_governor_checks_a_provider_signature_once(registry, monkeypatch):
     res = leader.screen(tx.txid)
     assert res.outcome == "valid"
     checked.clear()
-    replica.on_verification_message(res.message)
-    assert checked == [res.message.signing_bytes]
+    msg = replay(replica, leader, [res])
+    assert checked == [msg.signing_bytes]
     signed, lists = leader.propose_round([res])
     assert signed.block.tx_list == (tx,)
     for g in (leader, replica):
@@ -602,8 +620,9 @@ def test_signers_encode_each_signed_record_once(registry, monkeypatch):
     # A transaction's signed triple is encoded once, by its provider, which signs
     # those bytes and carries them as its wire bytes' prefix. A label is encoded
     # only inside its upload, and an upload once, by its signer, however many
-    # governors check it. The bytes a leader signs are the bytes its verdict
-    # carries, and a replica checks those.
+    # governors check it. A verdict is encoded only inside its round's message;
+    # the bytes a leader signs are the bytes that message carries, and a
+    # replica checks those.
     calls = {}
     for module in (core_types, nodes):
         for name in ("tx_signing_bytes", "label_signing_bytes", "upload_bytes",
@@ -632,12 +651,11 @@ def test_signers_encode_each_signed_record_once(registry, monkeypatch):
         assert g.ingest([upload], 1) == ["ok"]
     res = leader.screen(tx.txid)
     assert res.outcome == "valid"
-    replica.on_verification_message(res.message)
+    assert calls == {"tx_signing_bytes": 3, "upload_bytes": 1}
+    msg = replay(replica, leader, [res])
     assert replica.state_fingerprint() == leader.state_fingerprint()
     assert calls == {"tx_signing_bytes": 3, "upload_bytes": 1, "verification_message_bytes": 1}
-    msg = res.message
-    assert msg.signing_bytes == verification_message_bytes(
-        msg.leader_id, msg.provider_id, msg.txid, msg.validbit, msg.received, msg.cnt)
+    assert msg.signing_bytes == verification_message_bytes(leader.id, 1, (res.verdict,))
 
 
 def test_each_round_is_committed_once_and_encoded_at_most_twice(monkeypatch):
@@ -679,36 +697,38 @@ class TrustingRegistry:
 
 @pytest.mark.parametrize("lazy", [None, "verdict", "block"])
 def test_every_replica_checks_every_leader_signature(monkeypatch, lazy):
-    # Each verdict is checked by the m - 1 replicas that replay it, and each
-    # block by all m governors, its leader too. A total of verifies against
-    # replays cannot see one replica skip a check; this count can, so a lazy
-    # replica, skipping its verdict or its block check, makes it come up short.
+    # Each round's verification message, signed once over all of the round's
+    # verdicts, is checked by the m - 1 replicas that replay it, and each block
+    # by all m governors, its leader too. A total of verifies against replays
+    # cannot see one replica skip a check; this count can, so a lazy replica,
+    # skipping its message or its block check, makes it come up short.
     w = init_world(ScenarioConfig.from_dict(scenarios.properties(10)))
     m = len(w.governors)
     assert m == 3
-    counts = {"governor_checks": 0, "verdicts": 0}
-    verify_as, screen = KeyRegistry.verify_as, nodes.GovernorNode.screen
+    counts = {"governor_checks": 0, "messages": 0}
+    verify_as, sign_verdicts = KeyRegistry.verify_as, nodes.GovernorNode.sign_verdicts
 
     def counting_verify_as(self, role, index, msg, sig):
         counts["governor_checks"] += role == "governor"
         return verify_as(self, role, index, msg, sig)
 
-    def counting_screen(self, txid):
-        result = screen(self, txid)
-        counts["verdicts"] += result.message is not None
-        return result
+    def counting_sign_verdicts(self, round_no, verdicts):
+        assert verdicts  # a round that verified nothing sends no message
+        counts["messages"] += 1
+        return sign_verdicts(self, round_no, verdicts)
 
     monkeypatch.setattr(KeyRegistry, "verify_as", counting_verify_as)
-    monkeypatch.setattr(nodes.GovernorNode, "screen", counting_screen)
+    monkeypatch.setattr(nodes.GovernorNode, "sign_verdicts", counting_sign_verdicts)
     slacker = w.governors[1]
     if lazy == "verdict":
-        replay = nodes.GovernorNode.on_verification_message
+        replay_message = nodes.GovernorNode.on_verification_message
 
-        def skipping_replay(self, msg):
+        def skipping_replay(self, msg, leader_id, round_no):
             if self is not slacker:
-                return replay(self, msg)
-            self.assert_no_gaps(msg)
-            self.apply_verdict(msg)
+                return replay_message(self, msg, leader_id, round_no)
+            for verdict in msg.verdicts:
+                self.assert_no_gaps(verdict)
+                self.apply_verdict(verdict)
 
         monkeypatch.setattr(nodes.GovernorNode, "on_verification_message", skipping_replay)
     elif lazy == "block":
@@ -723,8 +743,10 @@ def test_every_replica_checks_every_leader_signature(monkeypatch, lazy):
     for _ in range(8):
         step_round(w)
     blocks = len(w.governors[0].ledger.blocks) - 1
-    assert blocks > 0 and counts["verdicts"] > 0
-    expected = (m - 1) * counts["verdicts"] + m * blocks
+    verified_rounds = sum(1 for row in w.metrics.rounds if row.txs_verified)
+    assert blocks > 0 and counts["messages"] == verified_rounds > 0
+    assert sum(row.txs_verified for row in w.metrics.rounds) > verified_rounds
+    expected = (m - 1) * verified_rounds + m * blocks
     if lazy is None:
         assert counts["governor_checks"] == expected
     else:
@@ -759,14 +781,7 @@ def test_upload_from_another_round_is_refused_unchecked(registry, monkeypatch):
     # The governor compares the upload's round with its own before any signature
     # check: a genuine signature for another round costs no verify call.
     g, (a, b), c, (labels0, _) = _two_collector_world(registry)
-    checked = []
-    original = KeyRegistry.verify
-
-    def counting(self, public, msg, sig):
-        checked.append(msg)
-        return original(self, public, msg, sig)
-
-    monkeypatch.setattr(KeyRegistry, "verify", counting)
+    checked = _count_verifies(monkeypatch)
     for sent in (0, 1, 3):
         upload = c[0].sign_upload(sent, labels0)
         assert g.ingest([upload], 3) == ["bad_collector_sig"] * 2
@@ -798,7 +813,7 @@ def test_screen_drawn_minus_goes_unchecked(registry):
     assert res.outcome == "unchecked"
     assert not res.verified
     assert res.loss == 0.0
-    assert res.message is None
+    assert res.verdict is None
     assert g.rep[0].cnt == 0  # no reputation change either
     assert g.rep[0].reps == (0, 0)
     assert tx.txid in g.inbox  # no verdict: it stays until the round clears it
@@ -818,10 +833,10 @@ def test_screen_verified_invalid_loss_is_plus_mass(registry):
     assert abs(res.loss - 0.5) < 1e-12  # mass of the +1 slots under uniform reps
     assert res.penalized == (0,)
     assert g.rep[0].reps == (-1, 0)
-    msg = res.message
-    assert msg is not None
-    assert msg.cnt == 1 and msg.validbit is False
-    assert dict(msg.received) == {0: 1, 1: -1}
+    verdict = res.verdict
+    assert verdict is not None
+    assert verdict.cnt == 1 and verdict.validbit is False
+    assert dict(verdict.received) == {0: 1, 1: -1}
 
 
 def test_screen_and_the_mc_oracle_run_the_one_screening_step(registry, monkeypatch):
@@ -870,18 +885,18 @@ def test_screen_verified_valid_penalizes_minus_and_absent(registry):
     assert g.rep[0].reps == (0, -1, -1)
 
 
-def _two_verdicts(registry):
-    """A leader's two messages for one provider, and a replica that saw both txs."""
+def _verdicts(registry, n=2):
+    """A leader's ``n`` verdicts for one provider, and a replica that saw every tx."""
     leader = make_governor(registry, topology=((0,),), gov_index=0)
-    p = make_provider(registry, gen_rate=2, invalid=1.0)
+    p = make_provider(registry, gen_rate=n, invalid=1.0)
     txs = p.generate(1)
     for tx in txs:
         deliver(registry, leader, tx, 0, round_no=1, kind="AlwaysPlus")
-    messages = [leader.screen(tx.txid).message for tx in txs]
+    verdicts = [leader.screen(tx.txid).verdict for tx in txs]
     replica = make_governor(registry, topology=((0,),), gov_index=1)
     for tx in txs:
         deliver(registry, replica, tx, 0, round_no=1, kind="AlwaysPlus")
-    return leader, replica, messages
+    return leader, replica, verdicts
 
 
 def replica_state(g):
@@ -889,62 +904,108 @@ def replica_state(g):
 
 
 def test_verification_replay_in_and_out_of_order(registry):
-    leader, replica_in_order, (m1, m2) = _two_verdicts(registry)
-    assert (m1.cnt, m2.cnt) == (1, 2)
-    replica_in_order.on_verification_message(m1)
-    replica_in_order.on_verification_message(m2)
+    # One message replays in its signed order. Reordered, it is still genuinely
+    # signed, but its first verdict skips ahead, so nothing applies.
+    leader, replica_in_order, (v1, v2) = _verdicts(registry)
+    assert (v1.cnt, v2.cnt) == (1, 2)
+    msg = leader.sign_verdicts(1, [v1, v2])
+    replica_in_order.on_verification_message(msg, leader.id, 1)
     assert replica_in_order.rep[0] == leader.rep[0]
+    assert replica_state(replica_in_order) == replica_state(leader)
 
-    _, replica_reversed, _ = _two_verdicts(registry)
+    _, replica_reversed, _ = _verdicts(registry)
     before = replica_state(replica_reversed)
     with pytest.raises(SimulationError, match="skipped-ahead.*cnt=2, expected 1"):
-        replica_reversed.on_verification_message(m2)
+        replica_reversed.on_verification_message(leader.sign_verdicts(1, [v2, v1]), leader.id, 1)
     assert replica_state(replica_reversed) == before
 
 
 def test_verification_gap_is_fatal(registry):
-    _, replica, (m1, m2) = _two_verdicts(registry)
-    del replica.inbox[m1.txid]  # only the second transaction reached it
+    # A gap at a message's first verdict changes nothing. A gap inside a signed
+    # message raises after the verdicts before it were applied: SimulationError
+    # stops the run, so that partial state is never read.
+    leader, replica, (v1, v2, v3) = _verdicts(registry, 3)
+    del replica.inbox[v1.txid]  # only the later transactions reached it
     before = replica_state(replica)
-    with pytest.raises(SimulationError, match="skipped-ahead"):
-        replica.on_verification_message(m2)
+    with pytest.raises(SimulationError, match="skipped-ahead.*cnt=2, expected 1"):
+        replica.on_verification_message(leader.sign_verdicts(1, [v2, v3]), leader.id, 1)
     assert replica_state(replica) == before
+
+    _, replica, _ = _verdicts(registry, 3)
+    _, after_first, _ = _verdicts(registry, 3)
+    after_first.on_verification_message(leader.sign_verdicts(1, [v1]), leader.id, 1)
+    with pytest.raises(SimulationError, match="skipped-ahead.*cnt=3, expected 2"):
+        replica.on_verification_message(leader.sign_verdicts(1, [v1, v3]), leader.id, 1)
+    assert replica_state(replica) == replica_state(after_first) != before
 
 
 def test_stale_verification_message_is_fatal(registry):
-    _, replica, (m1, m2) = _two_verdicts(registry)
-    replica.on_verification_message(m1)
-    replica.on_verification_message(m2)
+    # The round's message replayed twice, or its verdicts re-signed in a later
+    # round, passes the round and signature checks and is refused as stale.
+    leader, replica, (v1, v2) = _verdicts(registry)
+    msg = leader.sign_verdicts(1, [v1, v2])
+    replica.on_verification_message(msg, leader.id, 1)
     before = replica_state(replica)
-    for msg in (m1, m2):
-        with pytest.raises(SimulationError, match=f"stale.*cnt={msg.cnt}, expected 3"):
-            replica.on_verification_message(msg)
+    with pytest.raises(SimulationError, match="stale.*cnt=1, expected 3"):
+        replica.on_verification_message(msg, leader.id, 1)
+    for verdict in (v1, v2):
+        with pytest.raises(SimulationError, match=f"stale.*cnt={verdict.cnt}, expected 3"):
+            replica.on_verification_message(leader.sign_verdicts(2, [verdict]), leader.id, 2)
     assert replica_state(replica) == before
 
 
 def test_verification_message_bad_signature_rejected(registry):
-    leader = make_governor(registry, topology=((0,),), gov_index=0)
-    p = make_provider(registry, gen_rate=1, invalid=1.0)
-    (tx,) = p.generate(1)
-    deliver(registry, leader, tx, 0, round_no=1, kind="AlwaysPlus")
-    msg = leader.screen(tx.txid).message
-    tampered = type(msg)(
-        leader_id=msg.leader_id, provider_id=msg.provider_id, txid=msg.txid,
-        validbit=not msg.validbit, received=msg.received, cnt=msg.cnt,
-        signature=msg.signature,
-    )
-    assert msg.signing_bytes == verification_message_bytes(
-        msg.leader_id, msg.provider_id, msg.txid, msg.validbit, msg.received, msg.cnt
-    ) != tampered.signing_bytes
-    fields = (99, msg.provider_id, msg.txid, msg.validbit, msg.received, msg.cnt)
-    unknown_leader = type(msg)(*fields, sign(leader.keypair, verification_message_bytes(*fields)))
-    replica = make_governor(registry, topology=((0,),), gov_index=1)
-    deliver(registry, replica, tx, 0, round_no=1, kind="AlwaysPlus")
+    # A verdict changed under the leader's signature, a message signed by a key
+    # enrolled as no governor, and a flipped tag are each refused, changing nothing.
+    leader, replica, (v1, v2) = _verdicts(registry)
+    msg = leader.sign_verdicts(1, [v1, v2])
+    tampered = VerificationMessage(
+        msg.leader_id, msg.round_no,
+        (v1, dataclasses.replace(v2, validbit=not v2.validbit)), msg.signature)
+    assert msg.signing_bytes == verification_message_bytes(leader.id, 1, (v1, v2)) \
+        != tampered.signing_bytes
+    body = verification_message_bytes(99, 1, (v1, v2))
+    unknown_leader = VerificationMessage(99, 1, (v1, v2), sign(leader.keypair, body))
+    flipped = VerificationMessage(leader.id, 1, (v1, v2),
+                                  msg.signature[:-1] + bytes([msg.signature[-1] ^ 1]))
     before = replica_state(replica)
-    for bad in (tampered, unknown_leader):
+    for bad, leader_id in ((tampered, leader.id), (unknown_leader, 99), (flipped, leader.id)):
         with pytest.raises(SimulationError, match="bad leader signature"):
-            replica.on_verification_message(bad)
+            replica.on_verification_message(bad, leader_id, 1)
         assert replica_state(replica) == before
+    replica.on_verification_message(msg, leader.id, 1)  # the genuine message lands
+    assert replica_state(replica) == replica_state(leader)
+
+
+def test_verification_message_from_a_non_leader_governor_is_refused(registry, monkeypatch):
+    # Governor 2 is genuine and enrolled, and signs the leader's verdicts with its
+    # own key under its own id; the round elected governor 0. The replica refuses
+    # before any signature check, and nothing changes.
+    leader, replica, verdicts = _verdicts(registry)
+    other = make_governor(registry, topology=((0,),), gov_index=2)
+    forged = other.sign_verdicts(1, verdicts)
+    assert registry.verify_as("governor", 2, forged.signing_bytes, forged.signature)
+    checked = _count_verifies(monkeypatch)
+    before = replica_state(replica)
+    with pytest.raises(SimulationError,
+                       match="from governor 2, round 1; expected leader 0, round 1"):
+        replica.on_verification_message(forged, leader.id, 1)
+    assert replica_state(replica) == before and checked == []
+
+
+def test_verification_message_from_another_round_is_refused(registry, monkeypatch):
+    # The leader's genuine message of round 2, or of round 0, replayed in
+    # round 1: refused before any signature check, and nothing changes.
+    leader, replica, verdicts = _verdicts(registry)
+    checked = _count_verifies(monkeypatch)
+    before = replica_state(replica)
+    for sent in (0, 2):
+        with pytest.raises(SimulationError, match=f"round {sent}; expected leader 0, round 1"):
+            replica.on_verification_message(leader.sign_verdicts(sent, verdicts), leader.id, 1)
+    assert replica_state(replica) == before and checked == []
+    msg = leader.sign_verdicts(1, verdicts)
+    replica.on_verification_message(msg, leader.id, 1)
+    assert checked == [msg.signing_bytes]
 
 
 def _closing_epoch_run(registry):
@@ -966,7 +1027,7 @@ def _closing_epoch_run(registry):
 def test_leader_screening_reports_epoch_closure(registry):
     leader, txs, results = _closing_epoch_run(registry)
     assert [r.outcome for r in results] == ["invalid", "valid", "valid"]
-    assert [r.message.cnt for r in results] == [1, 2, 1]
+    assert [r.verdict.cnt for r in results] == [1, 2, 1]
     assert results[0].closure is None and results[2].closure is None
     closure = results[1].closure
     assert (closure.provider_id, closure.epoch_index) == (0, 0)
@@ -999,13 +1060,12 @@ def test_replica_verdict_transition_matches_the_reference_update(registry, u):
     closures = 0
     for state, labels, validbit in itertools.product(starts, _slot_labels(u), (True, False)):
         received = tuple(sorted(labels.items()))
-        msg = nodes.VerificationMessage.signed(leader.id, 0, tx.txid, validbit, received,
-                                               state.cnt + 1, leader.keypair)
-        assert msg.plus == {k for k, lab in labels.items() if lab == 1}
+        verdict = Verdict(0, tx.txid, validbit, received, state.cnt + 1)
+        assert verdict.plus == {k for k, lab in labels.items() if lab == 1}
         replica.rep[0] = state
         replica.inbox[tx.txid] = (tx, 2, dict(labels))
         replica.pending.clear()
-        closure = replica.apply_verdict(msg)
+        closure = replica.apply_verdict(verdict)
         updated = update_reputations(state, labels, validbit)
         expected, revenue = maybe_advance_epoch(updated, replica.mu, replica.eta_policy)
         assert replica.rep[0] == expected
@@ -1019,7 +1079,7 @@ def test_replica_verdict_transition_matches_the_reference_update(registry, u):
         assert updated.reps == tuple(r - (k in rule) for k, r in enumerate(state.reps))
         # The leader's draw, landing on each +1 slot in turn, penalizes the same slots.
         probs = selection_probabilities(state.reps, state.eta)
-        for k in msg.plus:
+        for k in verdict.plus:
             rng = ForcedRng([sum(probs[:k]) + probs[k] / 2])
             verdict, pen, loss = screen_draw(state, labels, rng, lambda _: validbit, None)
             assert verdict is validbit and pen == rule
@@ -1039,8 +1099,7 @@ def _replica_of(registry, leader, txs):
 def test_replica_replay_reaches_leader_state(registry):
     leader, txs, results = _closing_epoch_run(registry)
     replica = _replica_of(registry, leader, txs)
-    for res in results:
-        replica.on_verification_message(res.message)
+    replay(replica, leader, results)
     assert replica.rep == leader.rep
     assert not replica.inbox and not leader.inbox
     assert replica.pending == leader.pending
@@ -1050,15 +1109,15 @@ def test_replica_replay_reaches_leader_state(registry):
 
 def test_verdict_replayed_into_the_next_epoch_is_refused(registry):
     # The closing verdict resets cnt, so the first verdict's cnt=1 is "next"
-    # again; only the settled check in apply_verdict refuses the replay.
+    # again; only the settled check in apply_verdict refuses it, re-signed by
+    # the leader in the next round.
     leader, txs, results = _closing_epoch_run(registry)
     replica = _replica_of(registry, leader, txs)
-    replica.on_verification_message(results[0].message)
-    replica.on_verification_message(results[1].message)
+    replay(replica, leader, results[:2])
     before = (dict(replica.inbox), dict(replica.pending), tuple(replica.rep))
     with pytest.raises(SimulationError, match=re.escape(
             "verdict for unseen or settled transaction (0, 1, 1)")):
-        replica.on_verification_message(results[0].message)
+        replay(replica, leader, results[:1], round_no=2)
     assert (replica.inbox, replica.pending, tuple(replica.rep)) == before
 
 
@@ -1207,11 +1266,11 @@ def test_a_key_enrolled_under_another_role_verifies_nothing(registry, case):
         assert g.ingest([Upload(0, 5, labels, sign(provider_kp, body))], 6) == ["bad_collector_sig"]
         assert g.dropped_bad_signature == 1
     elif case == "verdict-by-collector":
-        msg = results[0].message
-        fields = (msg.leader_id, msg.provider_id, msg.txid, msg.validbit, msg.received, msg.cnt)
-        forged = type(msg)(*fields, sign(collector.keypair, msg.signing_bytes))
+        verdicts = (results[0].verdict,)
+        body = verification_message_bytes(leader.id, 1, verdicts)
+        forged = VerificationMessage(leader.id, 1, verdicts, sign(collector.keypair, body))
         with pytest.raises(SimulationError, match="bad leader signature"):
-            g.on_verification_message(forged)
+            g.on_verification_message(forged, leader.id, 1)
     else:
         good, lists = leader.propose_round(results)
         forged = dataclasses.replace(good, signature=sign(collector.keypair,
@@ -1225,10 +1284,10 @@ def test_a_key_enrolled_under_another_role_verifies_nothing(registry, case):
 @pytest.mark.parametrize("index", [0, 1], ids=["invalid", "valid"])
 def test_second_verdict_for_settled_tx_raises(registry, index):
     leader, txs, results = _closing_epoch_run(registry)
-    msg = results[index].message
+    verdict = results[index].verdict
     before = (dict(leader.pending), tuple(leader.rep))
     with pytest.raises(SimulationError, match="settled"):
-        leader.apply_verdict(msg)
+        leader.apply_verdict(verdict)
     assert (leader.pending, tuple(leader.rep)) == before
 
 

@@ -576,12 +576,13 @@ def test_multi_governor_replicas_stay_identical():
 
 
 def test_every_governor_applies_each_signed_verdict_once():
-    # The leader applies the message it signed, the replicas the same object:
-    # one input to the one transition, at all m governors.
+    # The leader applies each verdict it drew and signs them in the round's one
+    # message; the replicas apply the same objects from it: one input to the one
+    # transition, at all m governors.
     cfg = ScenarioConfig.from_dict(scenarios.properties(10))
     w = init_world(cfg)
     assert cfg.m == 3
-    signed = []
+    signed, in_messages = [], []
     applied = [[] for _ in w.governors]
     for g, log in zip(w.governors, applied):
         def recording_apply(msg, apply=g.apply_verdict, log=log):
@@ -590,15 +591,23 @@ def test_every_governor_applies_each_signed_verdict_once():
 
         def recording_screen(txid, screen=g.screen):
             res = screen(txid)
-            if res.message is not None:
-                signed.append(res.message)
+            if res.verdict is not None:
+                signed.append(res.verdict)
             return res
+
+        def recording_sign(round_no, verdicts, sign=g.sign_verdicts):
+            msg = sign(round_no, verdicts)
+            in_messages.extend(msg.verdicts)
+            return msg
 
         g.apply_verdict = recording_apply
         g.screen = recording_screen
+        g.sign_verdicts = recording_sign
     for _ in range(cfg.total_rounds):
         step_round(w)
     assert 0 < len(signed) == sum(row.txs_verified for row in w.metrics.rounds)
+    assert len(in_messages) == len(signed)
+    assert all(got is verdict for got, verdict in zip(in_messages, signed))
     for log in applied:
         assert len(log) == len(signed)
         assert all(got is msg for got, msg in zip(log, signed))
