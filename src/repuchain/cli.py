@@ -22,8 +22,8 @@ from .metrics_oracle import (
     compute_regret,
     emit_csv,
     exact_expected_loss,
+    instance_bound,
     summary_dict,
-    theorem_bound,
     write_summary,
 )
 from .scenarios import DRAIN_ROUNDS
@@ -182,13 +182,15 @@ def cmd_oracle(instance_path: str) -> int:
     except ValueError as exc:  # a field checked_instance refuses, or InstanceTooLargeError
         raise ConfigError(str(exc)) from None
     u, T, eta = len(result.slot_penalties), len(raw["labels"]), float(raw["eta"])
-    bound = theorem_bound(u, eta, T)
+    reps = raw.get("initial_reps") or [0] * u
+    bound = instance_bound(reps, eta, T)
+    form = "ln(u)/eta" if len(set(reps)) == 1 else "max-min rep + ln(sum e^(eta (rep-max)))/eta"
     print(f"instance: u={u} T={T} eta={eta}")
     print(f"expected wasted verifications (prose L_T): {result.prose_loss:.6f}")
     print(f"expected governor loss (proof-consistent L_T): {result.proof_loss:.6f}")
     print(f"per-slot expected penalties S_T: {[round(s, 6) for s in result.slot_penalties]}")
     print(f"regret (governor loss - min slot): {result.regret:.6f}")
-    print(f"theorem bound ln(u)/eta + eta*T/2: {bound:.6f}")
+    print(f"theorem bound {form} + eta*T/2: {bound:.6f}")
     if result.regret > bound + 1e-9:
         print("error: regret exceeds the theorem bound", file=sys.stderr)
         return 1

@@ -19,12 +19,13 @@ attack.
 
 Each round is committed and encoded once, by the leader. ``propose_block``
 builds the ``RoundLists`` first, whose constructor derives their Merkle
-root, and the block commits that same root; ``SignedBlock.signed`` encodes
-the block once, signs those bytes and carries them. Every governor checks
-the leader's signature over ``signed.signing_bytes`` and compares the
-lists' ``mt_root`` with the block's, so no governor re-encodes the block or
-rehashes the lists. The carried bytes live for one round: only the leader
-builds a ``SignedBlock``, and the ledger keeps the ``Block`` alone.
+root, and the block commits that same root; ``core_types.sign_record``
+builds the ``SignedBlock``: its ``__post_init__`` encodes the block once,
+and the leader's signature over those bytes is stored beside them. Every
+governor checks the leader's signature over ``signed.signing_bytes`` and
+compares the lists' ``mt_root`` with the block's, so no governor re-encodes
+the block or rehashes the lists. The carried bytes live for one round: only
+the leader builds a ``SignedBlock``, and the ledger keeps the ``Block`` alone.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .core_types import (
     Transaction,
     block_bytes,
     make_genesis,
-    slot_setters,
+    sign_record,
 )
 from .crypto_sim import KeyPair, KeyRegistry, sign, vrf_eval
 
@@ -79,38 +80,21 @@ class ChainViolation(RuntimeError):
         self.violation = violation
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class SignedBlock:
     """The leader's block with its signature, broadcast to the governors for one round.
 
-    The constructor encodes ``signing_bytes`` (``block_bytes``) from ``block``,
+    ``__post_init__`` encodes ``signing_bytes`` (``block_bytes``) from ``block``,
     as does ``dataclasses.replace``, so a governor checks the signature over
-    bytes no sender chose. The leader builds it with ``signed``.
+    bytes no sender chose. The leader builds it with ``sign_record``.
     """
 
     block: Block
     signature: bytes
     signing_bytes: bytes = field(init=False, repr=False, compare=False)
 
-    def __init__(self, block: Block, signature: bytes) -> None:
-        _store_signed_block(self, block, signature, block_bytes(block))
-
-    @classmethod
-    def signed(cls, block: Block, keypair: KeyPair) -> "SignedBlock":
-        """The block ``keypair`` signs: encoded once, signed, stored."""
-        body = block_bytes(block)
-        self = cls.__new__(cls)
-        _store_signed_block(self, block, sign(keypair, body), body)
-        return self
-
-
-_SIGNED_BLOCK_SLOTS = slot_setters(SignedBlock)
-
-
-def _store_signed_block(signed: SignedBlock, *values) -> None:
-    """Store ``(block, signature, signing_bytes)`` in ``signed``."""
-    for store, value in zip(_SIGNED_BLOCK_SLOTS, values):
-        store(signed, value)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "signing_bytes", block_bytes(self.block))
 
 
 @dataclass
@@ -211,7 +195,7 @@ def propose_block(
         mt_root=lists.mt_root,
         prev_hash=prev_hash,
     )
-    return SignedBlock.signed(block, leader_kp), lists
+    return sign_record(SignedBlock, lambda body: sign(leader_kp, body), block), lists
 
 
 def validate_block(

@@ -59,6 +59,15 @@ def theorem_bound(u: int, eta: float, T: int) -> float:
     return math.log(u) / eta + eta * T / 2.0 if eta else 0.0
 
 
+def instance_bound(reps: Sequence[int], eta: float, T: int) -> float:
+    """``theorem_bound`` from the reputations ``reps``: ``check_regret_bound``'s derivation
+    from W_0 = sum_i exp(eta r_i), not u, gives (r_max - r_min) + ln(sum_i exp(eta (r_i -
+    r_max)))/eta + eta*T/2, which overflows nowhere and is exactly it for equal ``reps``."""
+    top = max(reps)
+    log_mass = math.log(math.fsum(math.exp(eta * (r - top)) for r in reps)) / eta
+    return (top - min(reps)) + log_mass + eta * T / 2.0
+
+
 def sharp_bound(u: int, eta: float, T: int) -> float:
     """Hedge's sharp regret ceiling ln(u)/eta + eta*T/8 for one fixed-eta window; 0 when eta = 0.
 

@@ -12,10 +12,11 @@ and encodes nothing: a label is the plain ``(tx, label)`` pair. At the end
 of the round it signs its upload once, with ``sign_upload``: the canonical
 ``upload_bytes`` over its id, the round and its labels in upload order. The
 upload travels as one ``Upload`` record (collector id, round, labels,
-signature, and the signed bytes its constructor encoded); a label carries no
-collector id of its own. A slot is a collector's position in its provider's
-``topology`` list; reputations, inbox labels and verdicts are kept per slot,
-and ``ingest`` alone maps a collector id to its slot.
+signature, and the signed bytes its ``__post_init__`` encoded, built by
+``core_types.sign_record`` like the leader's message and block); a label
+carries no collector id of its own. A slot is a collector's position in its
+provider's ``topology`` list; reputations, inbox labels and verdicts are
+kept per slot, and ``ingest`` alone maps a collector id to its slot.
 
 A governor keeps only what its ``Ledger.settled`` has not indexed: the
 ``inbox`` while a transaction waits out its window and is screened, then
@@ -30,7 +31,7 @@ signed input:
 - ``ingest(uploads, r)``: a round's uploads enter the inbox in one call,
   upload by upload. Each upload's round is compared with ``r - 1`` and its
   one signature checked over the bytes the record carries, which its
-  constructor encoded from its fields, so no governor re-encodes an upload.
+  ``__post_init__`` encoded from its fields, so no governor re-encodes an upload.
   Then each of its copies, unless that check failed, gets its provider
   signature check (unless the inbox already holds its exact bytes) and its
   label is filed under the upload's collector's slot
@@ -55,7 +56,7 @@ signed input:
   governor's ``b_limit``) before any state changes; it is then appended, its
   payload leaves ``pending`` and its unchecked list leaves the inbox. The
   leader's signature is checked over the bytes ``signed`` carries, which its
-  constructor encoded from the block, and the block's ``mt_root`` against
+  ``__post_init__`` encoded from the block, and the block's ``mt_root`` against
   the one ``lists`` carries, so no governor re-encodes the block or rehashes
   the lists. A block that fails validation raises ``ChainViolation`` and
   changes nothing.
@@ -83,13 +84,7 @@ from typing import Iterable, Sequence
 
 from .consensus import (ChainViolation, Ledger, PendingEntry, SignedBlock, TxId,
                         propose_block, validate_and_append)
-from .core_types import (
-    Label,
-    RoundLists,
-    Transaction,
-    Upload,
-    slot_setters,
-)
+from .core_types import Label, RoundLists, Transaction, Upload, sign_record
 from .crypto_sim import KeyPair, KeyRegistry, sign
 from .reputation import (
     EtaPolicy,
@@ -280,10 +275,10 @@ class CollectorNode:
     def sign_upload(self, round_no: int, labels: Sequence[Label]) -> Upload:
         """This collector's upload of ``labels`` in ``round_no``, signed."""
         keypair = self.keypair
-        return Upload.signed(self.id, round_no, labels, lambda body: sign(keypair, body))
+        return sign_record(Upload, lambda body: sign(keypair, body), self.id, round_no, labels)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """The leader's finding on one verified transaction; its round's message carries it.
 
@@ -292,7 +287,7 @@ class Verdict:
     can skip or reorder one. It resets when an epoch closes, so it orders
     updates within an epoch; the settled check in ``apply_verdict`` refuses
     older ones. ``plus``, the slots in ``received`` that vouched +1, is
-    derived by the constructor, so every governor applies the penalty rule
+    derived by ``__post_init__``, so every governor applies the penalty rule
     to the same set without rebuilding it. A verdict has no signature and no
     bytes of its own: the ``VerificationMessage`` of its round signs it.
     """
@@ -304,23 +299,17 @@ class Verdict:
     cnt: int
     plus: frozenset[int] = field(init=False, repr=False, compare=False)
 
-    def __init__(self, provider_id: int, txid: TxId, validbit: bool,
-                 received: tuple[tuple[int, int], ...], cnt: int) -> None:
-        for store, value in zip(_VERDICT_SLOTS, (provider_id, txid, validbit, received, cnt,
-                                                 plus_slots(received))):
-            store(self, value)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "plus", plus_slots(self.received))
 
 
-_VERDICT_SLOTS = slot_setters(Verdict)
-
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class VerificationMessage:
     """The leader's round broadcast: its verdicts in screening order, under one signature.
 
-    The constructor encodes ``signing_bytes`` (``verification_message_bytes``)
+    ``__post_init__`` encodes ``signing_bytes`` (``verification_message_bytes``)
     from the fields, as ``Upload``'s does, so a replica checks the signature
-    against bytes no sender chose; ``signed`` encodes them once and signs them.
+    against bytes no sender chose; the leader builds it with ``sign_record``.
     """
 
     leader_id: int
@@ -329,30 +318,10 @@ class VerificationMessage:
     signature: bytes
     signing_bytes: bytes = field(init=False, repr=False, compare=False)
 
-    def __init__(self, leader_id: int, round_no: int, verdicts: Sequence[Verdict],
-                 signature: bytes) -> None:
-        verdicts = tuple(verdicts)
-        body = verification_message_bytes(leader_id, round_no, verdicts)
-        _store_message(self, leader_id, round_no, verdicts, signature, body)
-
-    @classmethod
-    def signed(cls, leader_id: int, round_no: int, verdicts: Sequence[Verdict],
-               keypair: KeyPair) -> "VerificationMessage":
-        """The message ``keypair`` signs: encoded once, signed, stored."""
-        verdicts = tuple(verdicts)
-        body = verification_message_bytes(leader_id, round_no, verdicts)
-        self = cls.__new__(cls)
-        _store_message(self, leader_id, round_no, verdicts, sign(keypair, body), body)
-        return self
-
-
-_VMSG_SLOTS = slot_setters(VerificationMessage)
-
-
-def _store_message(msg: VerificationMessage, *values) -> None:
-    """Store ``(leader_id, round_no, verdicts, signature, signing_bytes)`` in ``msg``."""
-    for store, value in zip(_VMSG_SLOTS, values):
-        store(msg, value)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "verdicts", tuple(self.verdicts))
+        object.__setattr__(self, "signing_bytes", verification_message_bytes(
+            self.leader_id, self.round_no, self.verdicts))
 
 
 def verification_message_bytes(leader_id: int, round_no: int,
@@ -452,8 +421,8 @@ class GovernorNode:
         The hop delivers one round after sending, so the uploads ingested in
         ``round_no`` must have been sent in ``round_no - 1``. An upload from
         another round is refused unchecked; any other has its one signature
-        checked against the ``signing_bytes`` its constructor encoded from its
-        fields. Every copy of an upload that fails is refused
+        checked against the ``signing_bytes`` its ``__post_init__`` encoded
+        from its fields. Every copy of an upload that fails is refused
         ("bad_collector_sig").
         Any other copy gets a provider-signature check unless the inbox
         entry for its txid holds the same ``wire_bytes`` (see the module
@@ -541,7 +510,9 @@ class GovernorNode:
 
     def sign_verdicts(self, round_no: int, verdicts: Sequence[Verdict]) -> VerificationMessage:
         """This leader's message of ``verdicts``, screened in ``round_no``, signed."""
-        return VerificationMessage.signed(self.id, round_no, verdicts, self.keypair)
+        keypair = self.keypair
+        return sign_record(VerificationMessage, lambda body: sign(keypair, body),
+                           self.id, round_no, verdicts)
 
     # -- the one state transition, shared by the leader and every replica ---
 

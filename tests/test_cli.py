@@ -351,6 +351,20 @@ def test_oracle_refuses_an_instance_over_the_budget_naming_the_count(tmp_path, c
                             "by row 12 of 12, over its budget of 89\n")
 
 
+def test_oracle_bounds_an_unequal_start_by_its_reputations(tmp_path, capsys):
+    # Slot 1 starts 40 behind, so the draw follows slot 0, which vouches +1 on
+    # every invalid row: regret about 10, over ln(u)/eta + eta*T/2 = 3.886294.
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"labels": [[1, -1]] * 10, "validity": [False] * 10,
+                                "eta": 0.5, "initial_reps": [0, -40]}))
+    assert cli.main(["oracle", "--instance", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    regret = float(lines[4].rpartition(": ")[2])
+    bound = float(lines[5].rpartition(": ")[2])
+    assert lines[5].startswith("theorem bound max-min rep")
+    assert 9.9 < regret <= bound == pytest.approx(42.5)
+
+
 def test_oracle_rejects_an_instance_missing_a_required_key(tmp_path, capsys):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps({k: v for k, v in ORACLE_INSTANCE.items() if k != "eta"}))

@@ -10,6 +10,7 @@ import tracemalloc
 import pytest
 
 import repuchain
+from repuchain.consensus import SignedBlock
 from repuchain.core_types import (
     TX_SIGNING_SIZE,
     ZERO_DIGEST,
@@ -24,6 +25,7 @@ from repuchain.core_types import (
     make_genesis,
     merkle_root,
     sha256,
+    sign_record,
     tx_signing_bytes,
     tx_wire_bytes,
     upload_bytes,
@@ -296,22 +298,28 @@ def test_replace_rebuilds_carried_bytes():
 
 
 def _signer_and_public_records():
-    """(signer's, public) pairs: each verification message built by ``signed`` and by
-    its constructor."""
+    """(signer's, public) pairs: verification messages, uploads and a signed block,
+    each built by ``sign_record`` and by its constructor."""
     tx = make_tx(provider=1, seq=6, ts=2)
     kp = keypair_from_secret(4, b"\x09" * 32)
+    signer = lambda body: sign(kp, body)  # noqa: E731
     verdicts = [Verdict(1, tx.txid, bool(received), received, 7)
                 for received in ((), ((0, 1),), ((0, -1), (2, 1), (5, -1)))]
-    pairs = []
-    for chosen in (verdicts[:1], verdicts[1:2], verdicts):
-        body = verification_message_bytes(4, 3, chosen)
-        pairs.append((VerificationMessage.signed(4, 3, chosen, kp),
-                      VerificationMessage(4, 3, chosen, sign(kp, body))))
-    return pairs
+    labels = [(tx, 1), (make_tx(seq=7), -1)]
+    block = Block(3, 4, (tx,), ZERO_DIGEST, ZERO_DIGEST)
+    cases = [(VerificationMessage, (4, 3, chosen), verification_message_bytes(4, 3, chosen))
+             for chosen in (verdicts[:1], verdicts[1:2], verdicts)]
+    cases += [(Upload, (0, 1, chosen), upload_bytes(0, 1, chosen))
+              for chosen in (labels[:1], labels)]
+    cases.append((SignedBlock, (block,), block_bytes(block)))
+    return [(sign_record(cls, signer, *values), cls(*values, sign(kp, body)))
+            for cls, values, body in cases]
 
 
 def test_records_built_from_carried_bytes_equal_the_public_ones():
-    for carried, public in _signer_and_public_records():
+    pairs = _signer_and_public_records()
+    assert {type(carried) for carried, _ in pairs} == {VerificationMessage, Upload, SignedBlock}
+    for carried, public in pairs:
         assert type(carried) is type(public)
         assert carried == public and hash(carried) == hash(public)
         assert repr(carried) == repr(public)
@@ -340,7 +348,7 @@ def test_records_refuse_assignment_on_every_path():
     kp = keypair_from_secret(4, b"\x09" * 32)
     records = [r for pair in _signer_and_public_records() for r in pair] + [tx] + [
         Upload(0, 1, [(tx, label)], SimSignature(b"")) for label in (1, -1)] + [
-        Upload.signed(0, 1, [(tx, label)], lambda body: sign(kp, body)) for label in (1, -1)]
+        sign_record(Upload, lambda body: sign(kp, body), 0, 1, [(tx, label)]) for label in (1, -1)]
     for record in records:
         for f in dataclasses.fields(record):
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -364,7 +372,7 @@ def test_label_outside_plus_minus_one_is_refused_on_every_path(label):
         with pytest.raises(ValueError, match="label must be"):
             Upload(0, 1, labels, SimSignature(b""))
         with pytest.raises(ValueError, match="label must be"):
-            Upload.signed(0, 1, labels, sign_body)
+            sign_record(Upload, sign_body, 0, 1, labels)
     upload = Upload(0, 1, [(tx, 1)], SimSignature(b""))
     with pytest.raises(ValueError, match="label must be"):
         dataclasses.replace(upload, labels=((tx, label),))

@@ -26,6 +26,7 @@ from repuchain.core_types import (
     label_signing_bytes,
     make_genesis,
     sha256,
+    sign_record,
     tx_signing_bytes,
     tx_wire_bytes,
     upload_bytes,
@@ -134,7 +135,8 @@ def test_round_message_vector(crypto_vectors):
     assert body.hex() == v["bytes"]
     assert spec_round_message(v["leader_id"], v["round_no"],
                               [verdict_args(d) for d in verdicts]) == body
-    msg = VerificationMessage.signed(v["leader_id"], v["round_no"], verdicts, kp)
+    msg = sign_record(VerificationMessage, lambda body: sign(kp, body),
+                      v["leader_id"], v["round_no"], verdicts)
     assert msg.signing_bytes == body
     assert msg.signature.hex() == v["signature"]
     assert msg == VerificationMessage(v["leader_id"], v["round_no"], verdicts, msg.signature)
@@ -321,5 +323,9 @@ def test_objects_call_the_encoders_through_their_module_globals(monkeypatch):
     assert calls == {f"{module.__name__}.{name}": 1 for module, name in targets}
     Transaction.signed(1, 3, 3, True, lambda body: SimSignature(b""))
     assert calls["repuchain.core_types.tx_signing_bytes"] == 2
-    consensus.SignedBlock.signed(block, keypair_from_secret(0, b"\x01" * 32))
+    sign_record(consensus.SignedBlock, lambda body: SimSignature(b""), block)
     assert calls["repuchain.consensus.block_bytes"] == 2
+    sign_record(core_types.Upload, lambda body: SimSignature(b""), 0, 1, [(tx, 1)])
+    assert calls["repuchain.core_types.upload_bytes"] == 2
+    sign_record(VerificationMessage, lambda body: SimSignature(b""), 0, 1, ())
+    assert calls["repuchain.nodes.verification_message_bytes"] == 2

@@ -12,6 +12,7 @@ from repuchain.metrics_oracle import (
     compute_regret,
     emit_csv,
     exact_expected_loss,
+    instance_bound,
     mc_expected_loss,
     mean_se,
     scaling_fit,
@@ -203,6 +204,30 @@ def test_theorem_inequality_exhaustive_tiny():
             assert r.regret <= bound + 1e-9
             count += 1
     assert count == 18 + 18 * 18
+
+
+def test_instance_bound_holds_from_unequal_reputations():
+    # ln(u) assumes equal starting weights; from unequal reputations
+    # W_0 = sum_i e^(eta r_i) takes its place. Every u=2 pattern for T <= 2.
+    alphabet = list(itertools.product((1, -1, None), repeat=2))
+    steps = [(row, valid) for row in alphabet for valid in (True, False)]
+    for reps in ((0, -3), (-40, 0), (5, -5)):
+        for T in (1, 2):
+            eta = math.sqrt(math.log(2) / T)
+            for combo in itertools.product(steps, repeat=T):
+                labels = [list(row) for row, _ in combo]
+                validity = [v for _, v in combo]
+                r = exact_expected_loss(labels, validity, eta=eta, initial_reps=reps)
+                assert r.regret <= instance_bound(reps, eta, T) + 1e-9
+
+
+def test_instance_bound_from_equal_reputations_is_the_theorem_bound():
+    for u, eta, T in ((1, 0.5, 3), (2, 0.3, 100), (4, 1.7, 9)):
+        for rep in (0, -7, (1 << 53) - 1):
+            assert instance_bound([rep] * u, eta, T) == theorem_bound(u, eta, T)
+    # Reputations 2^54 apart: each exponent is taken from the largest, so none overflows.
+    top = (1 << 53) - 1
+    assert instance_bound([top, -top], 2.0, 5) == pytest.approx(2.0 * top + 5.0)
 
 
 def test_expected_wasted_verifications_within_the_waiting_time_bound():

@@ -71,6 +71,14 @@ def test_bad_values_rejected():
         minimal_config(eta_policy={"kind": "Fixed"})
     with pytest.raises(ConfigError, match="unknown"):
         ScenarioConfig.from_dict({**scenarios.smoke(), "bananas": 1})
+    # Each per-node list must have one entry per node: a schema cannot compare
+    # a list's length with another field.
+    with pytest.raises(ConfigError, match=re.escape("field 'topology': expected 1 ")):
+        minimal_config(topology=[[0], [0]])
+    with pytest.raises(ConfigError, match=re.escape("field 'strategies': expected 1 ")):
+        minimal_config(strategies=[{"kind": "Honest"}] * 2)
+    with pytest.raises(ConfigError, match=re.escape("field 'stakes': expected 1 ")):
+        minimal_config(stakes=[1, 1])
 
 
 def smoke_with(field, value):
@@ -78,8 +86,8 @@ def smoke_with(field, value):
     raw = scenarios.smoke()
     if field in raw:
         raw[field] = value
-    elif field == "stakes[0]":
-        raw["stakes"] = [value]
+    elif field.endswith("[0]"):
+        raw[field[:-3]] = [value]
     elif field == "eta_policy.value":
         raw["eta_policy"] = {"kind": "Fixed", "value": value}
     else:
@@ -116,11 +124,15 @@ MALFORMED_VALUES = [
     ("gen_rate", 2.9), ("gen_rate", NAN), ("gen_rate", INF), ("gen_rate", True),
     # Past 2^64, the range every integer field shares with the seed.
     ("gen_rate", HUGE), ("T", HUGE), ("b_limit", HUGE), ("strategies[0].forge_rate", HUGE),
+    ("topology[0]", [0, 0]),
+    ("strategies[0]", 5), ("strategies[0]", {"q": 0.5}),
+    ("eta_policy", "Fixed"), ("eta_policy", {"value": 0.5}),
 ]
 # Per field, a value both accept, so each case fails on its value alone.
 WELL_FORMED = {"mu": 0.5, "invalid_fraction": 0.5, "stakes[0]": 2, "strategies[0].forge_rate": 2,
                "strategies[0].q": 0.5, "eta_policy.value": 0.5, "gen_rate": 2, "T": 3,
-               "b_limit": 3}
+               "b_limit": 3, "topology[0]": [0], "strategies[0]": {"kind": "Honest"},
+               "eta_policy": {"kind": "Fixed", "value": 0.5}}
 
 
 @pytest.mark.parametrize("field,value", MALFORMED_VALUES,
@@ -692,6 +704,20 @@ def test_replica_divergence_detected(alter):
     alter(w.governors[1])
     with pytest.raises((SimulationError, ChainViolation), match="divergence"):
         step_round(w)
+
+
+def test_replica_whose_tip_differs_is_a_chain_integrity_violation():
+    # A replica one block behind: its ledger diverges before its state is compared.
+    cfg = ScenarioConfig.from_dict(dict(scenarios.properties(10), b_limit=1))
+    w = init_world(cfg)
+    for _ in range(12):
+        step_round(w)
+    blocks = w.governors[2].ledger.blocks
+    assert len(blocks) > 1
+    blocks.pop()
+    with pytest.raises(ChainViolation, match="ledger divergence at round 12") as raised:
+        sim_engine.check_replicas(w, RoundRecord(w.round))
+    assert raised.value.violation is Violation.CHAIN_INTEGRITY
 
 
 
