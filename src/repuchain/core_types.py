@@ -19,8 +19,9 @@ itself, with no record around it. ``SimSignature`` is a ``bytes`` subclass
 whose ``tag`` is itself, for a tag built by hand or read back from a
 transaction.
 
-Each signed object carries the bytes its signature covers, once. A verdict
-and an upload carry them as ``signing_bytes``, beside their signature. A
+Each signed object carries the bytes its signature covers, once. An upload,
+a verification message and a signed block carry them as ``signing_bytes``
+beside their signature (a verdict has none: its round's message signs it). A
 transaction carries only ``wire_bytes``: the signed triple, then its
 provider's tag as a length-prefixed field. The signed bytes are its first
 ``TX_SIGNING_SIZE`` bytes and the tag runs from ``TX_TAG_OFFSET`` to the
@@ -29,7 +30,7 @@ out on each read. Every check reads the carried bytes and computes its own
 digest, and a governor skips a provider check only for a copy whose
 ``wire_bytes`` equal those of a transaction it already accepted (see
 :mod:`repuchain.nodes`). That comparison is made on the bytes, never on the
-records: upload and verdict equality ignores the carried bytes, and
+records: the other records' equality ignores the carried bytes, and
 transaction equality, which compares them because they hold the tag, also
 compares the validity bit, which no signature covers. A ``Transaction``
 encodes its bytes from its fields, and carries its identity triple as

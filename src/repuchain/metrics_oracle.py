@@ -37,12 +37,8 @@ from .reputation import ReputationState, apply_penalties, plus_slots, screen_dra
 
 EXACT_ORACLE_BUDGET = 2_000_000  # reputation vectors carried, summed over the rows
 
-OUTCOME_UNCHECKED = 0
 OUTCOME_VALID = 1
 OUTCOME_INVALID = 2
-OUTCOME_CODES = {
-    "unchecked": OUTCOME_UNCHECKED, "valid": OUTCOME_VALID, "invalid": OUTCOME_INVALID,
-}
 
 
 class InstanceTooLargeError(ValueError):
@@ -103,16 +99,17 @@ class MetricsLog:
     ``array('Q')``, 8 bytes per transaction; ``generated`` and
     ``was_generated`` read them as the txid-keyed map they stand for.
     ``gen_valid`` stays a dict, keyed by txid, because the benchmark's
-    checker reads it so. Screening events share what repeats: all unchecked
-    screenings of one provider in one epoch are one tuple, and each
-    penalized-slot pattern is one tuple.
+    checker reads it so. ``events`` holds the verified screenings, each
+    penalized-slot pattern one shared tuple; an unchecked one only moves
+    ``last_screened_epoch``, so an open epoch that verified nothing is reported.
     """
 
     def __init__(self, provider_count: int):
-        # One (epoch_index, outcome, loss, penalized) tuple per screened tx.
+        # One (epoch_index, OUTCOME_VALID or OUTCOME_INVALID, loss, penalized) per verified tx.
         self.events: list[list[tuple[int, int, float, tuple[int, ...]]]] = [
             [] for _ in range(provider_count)
         ]
+        self.last_screened_epoch = [-1] * provider_count  # -1 before any screening
         self.epoch_records: list[list[EpochClosure]] = [[] for _ in range(provider_count)]
         self.final_states: list[ReputationState] | None = None
         self.gen_rounds: list[array] = [array("Q") for _ in range(provider_count)]
@@ -122,9 +119,7 @@ class MetricsLog:
         self.forgery_attempts = 0
         self.dropped_forged = 0
         self.resubmissions = 0
-        # What events share: each provider's latest unchecked event, and the
-        # penalized-slot patterns, each kept once by value.
-        self._unchecked: list[tuple | None] = [None] * provider_count
+        # The penalized-slot patterns the events share, each kept once by value.
         self._patterns: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     # -- recording hooks driven by the engine -------------------------------
@@ -144,19 +139,13 @@ class MetricsLog:
             self.gen_valid[txid] = round_no
 
     def record_screening(self, result: ScreeningResult) -> None:
+        """File a verified screening as an event; note any screening's epoch."""
         provider = result.tx.provider_id
-        code = OUTCOME_CODES[result.outcome]
-        penalized = result.penalized
-        if code == OUTCOME_UNCHECKED:
-            event = (result.epoch_index, code, result.loss, penalized)
-            if event == self._unchecked[provider]:
-                event = self._unchecked[provider]
-            else:
-                self._unchecked[provider] = event
-        else:
-            penalized = self._patterns.setdefault(penalized, penalized)
-            event = (result.epoch_index, code, result.loss, penalized)
-        self.events[provider].append(event)
+        self.last_screened_epoch[provider] = result.epoch_index
+        if result.verdict is not None:
+            penalized = self._patterns.setdefault(result.penalized, result.penalized)
+            code = OUTCOME_VALID if result.verdict.validbit else OUTCOME_INVALID
+            self.events[provider].append((result.epoch_index, code, result.loss, penalized))
 
     def record_epoch_close(self, closure: EpochClosure) -> None:
         self.epoch_records[closure.provider_id].append(closure)
@@ -188,7 +177,7 @@ class MetricsLog:
     def window_regret(
         self, provider: int, first_n: int | None = None
     ) -> tuple[float, list[int], float]:
-        """(loss, per-slot penalties, regret) over the first_n screened events."""
+        """(loss, per-slot penalties, regret) over the first_n verified events."""
         assert self.final_states is not None, "finalize() not called"
         events = self.events[provider]
         if first_n is not None:
@@ -226,16 +215,13 @@ class MetricsLog:
 def tally(
     events: Sequence[tuple[int, int, float, tuple[int, ...]]], u: int
 ) -> tuple[float, int, int, list[int]]:
-    """(loss, wasted verifications, verified, per-slot penalties) over screening events."""
+    """(loss, wasted verifications, verified, per-slot penalties) over verified events."""
     counts = [0] * u
-    verified = 0
-    for _, outcome, _, penalized in events:
-        if outcome != OUTCOME_UNCHECKED:
-            verified += 1
+    for _, _, _, penalized in events:
         for k in penalized:
             counts[k] += 1
-    loss = sum(e[2] for e in events)
-    return loss, sum(1 for e in events if e[1] == OUTCOME_INVALID), verified, counts
+    loss = sum((e[2] for e in events), 0.0)
+    return loss, sum(1 for e in events if e[1] == OUTCOME_INVALID), len(events), counts
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,6 +272,8 @@ def compute_regret(log: MetricsLog, provider: int) -> RegretReport:
     by_epoch: dict[int, list[tuple[int, int, float, tuple[int, ...]]]] = {}
     for ev in log.events[provider]:
         by_epoch.setdefault(ev[0], []).append(ev)
+    if log.last_screened_epoch[provider] >= 0:  # an open epoch may have verified nothing
+        by_epoch.setdefault(log.last_screened_epoch[provider], [])
     epochs = []
     for idx in sorted(set(by_epoch) | set(closed)):
         loss, prose, verified, counts = tally(by_epoch.get(idx, []), u)

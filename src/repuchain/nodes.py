@@ -361,16 +361,21 @@ class ScreeningResult:
     """Everything the leader learned screening one expired transaction."""
 
     tx: Transaction
-    outcome: str  # "valid" | "invalid" | "unchecked"
     loss: float
     penalized: tuple[int, ...]
     epoch_index: int
-    verdict: Verdict | None
+    verdict: Verdict | None  # the outcome: None if unchecked, else its validbit decides
     closure: EpochClosure | None
 
     @property
+    def outcome(self) -> str:
+        """``verdict`` as a word: "unchecked", "valid" or "invalid"."""
+        verdict = self.verdict
+        return "unchecked" if verdict is None else "valid" if verdict.validbit else "invalid"
+
+    @property
     def verified(self) -> bool:
-        return self.outcome in ("valid", "invalid")
+        return self.verdict is not None
 
 
 class GovernorNode:
@@ -497,16 +502,12 @@ class GovernorNode:
         provider = tx.provider_id
         state = self.rep[provider]
         validbit, pen, loss = screen_draw(state, labels, self.draw_rng, validate_governor, tx)
-        if validbit is None:
-            # Discarded unverified, no reputation change.
-            return ScreeningResult(tx, "unchecked", loss, pen, state.epoch_index, None, None)
-        cnt = state.cnt + 1  # this verdict's place in the provider's update order
-        verdict = Verdict(provider, txid, validbit, tuple(sorted(labels.items())), cnt)
-        closure = self.apply_verdict(verdict)
-        return ScreeningResult(
-            tx, "valid" if validbit else "invalid",
-            loss, pen, state.epoch_index, verdict, closure,
-        )
+        verdict = closure = None  # unchecked: discarded unverified, no reputation change
+        if validbit is not None:
+            cnt = state.cnt + 1  # this verdict's place in the provider's update order
+            verdict = Verdict(provider, txid, validbit, tuple(sorted(labels.items())), cnt)
+            closure = self.apply_verdict(verdict)
+        return ScreeningResult(tx, loss, pen, state.epoch_index, verdict, closure)
 
     def sign_verdicts(self, round_no: int, verdicts: Sequence[Verdict]) -> VerificationMessage:
         """This leader's message of ``verdicts``, screened in ``round_no``, signed."""
@@ -586,10 +587,9 @@ class GovernorNode:
     ) -> tuple[SignedBlock, RoundLists] | None:
         """The leader's block: the first ``b_limit`` of ``pending``, and ``results``' invalid
         and unchecked transactions in screening order; None if all three are empty."""
-        invalid, unchecked = (
-            tuple(res.tx for res in results if res.outcome == outcome)
-            for outcome in ("invalid", "unchecked")
-        )
+        unchecked = tuple(res.tx for res in results if res.verdict is None)
+        invalid = tuple(res.tx for res in results
+                        if res.verdict is not None and not res.verdict.validbit)
         tx_list = tuple(tx for tx, _ in islice(self.pending.values(), self.b_limit))
         if not (tx_list or invalid or unchecked):
             return None

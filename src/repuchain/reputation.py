@@ -167,7 +167,7 @@ def screen_draw(
         return None, (), 0.0
     valid = verify(subject)
     pen = penalized_slots(len(state.reps), labels, valid)
-    return valid, pen, sum(probs[k] for k in pen)
+    return valid, pen, sum(probs[k] for k in pen) if pen else 0.0
 
 
 def update_reputations(

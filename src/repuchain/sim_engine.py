@@ -440,7 +440,7 @@ def screen(world: World, rnd: RoundRecord) -> None:
             metrics.record_epoch_close(res.closure)
     row.txs_screened = len(screening)
     row.txs_verified = len(verdicts)
-    row.wasted_verifications = sum(1 for res in screening if res.outcome == "invalid")
+    row.wasted_verifications = sum(1 for verdict in verdicts if not verdict.validbit)
 
 
 def replay_verdicts(world: World, rnd: RoundRecord) -> None:

@@ -30,6 +30,7 @@ def digests():
     rows = world.metrics.rounds
     counts = {"uploaded": sum(row.messages_cg for row in rows) // cfg.m,
               "replicas": cfg.m - 1, "verified": sum(row.txs_verified for row in rows),
+              "wasted": sum(row.wasted_verifications for row in rows),
               "verified_rounds": sum(1 for row in rows if row.txs_verified)}
     return [world.ledger.tip_hash().hex(), sim_engine.world_state_hash(world)], counts
 
@@ -61,6 +62,10 @@ def test_traced_run_matches_untraced_run():
     assert out["counts"]["nodes.replicate_calls"] == run["replicas"] * run["verified_rounds"]
     assert out["calls"]["nodes.GovernorNode.assert_no_gaps"] == run["replicas"] * run["verified"]
     assert out["counts"]["nodes.screen_calls"] > 0
+    # The tracer's two outcome counters read each screening's outcome.
+    assert run["wasted"] > 0
+    assert out["counts"]["nodes.verified"] == run["verified"]
+    assert out["counts"]["nodes.wasted_verifications"] == run["wasted"]
     # Every uploaded copy, labelled or forged, passes through a traced collector call.
     assert run["uploaded"] > 0
     assert out["counts"]["nodes.labels_emitted"] == run["uploaded"]

@@ -52,6 +52,35 @@ def test_one_slot_per_epoch_sqrt_run_passes_regret_bound(tmp_path):
     assert provider["epochs"] and all(ep["bound"] == 0.0 for ep in provider["epochs"])
 
 
+def test_losses_are_written_as_floats_even_when_zero(smoke_config, tmp_path):
+    # The honest smoke run penalizes no slot, so every loss is zero; the
+    # summary must still write it as the float its EpochRegret field declares.
+    out = tmp_path / "out"
+    assert run_cli(smoke_config, out, "--seeds", "0,") == 0
+    (provider,) = json.loads((out / "seed_0" / "summary.json").read_text())["providers"]
+    assert provider["epochs"]
+    for ep in provider["epochs"]:
+        assert type(ep["L_T"]) is float and type(ep["regret"]) is float, ep
+    assert type(provider["cumulative_regret"]) is float
+
+
+def test_world_that_verifies_nothing_reports_its_open_epoch(tmp_path):
+    # The one collector never vouches +1, so no draw is ever verified. The
+    # epoch it screened in is still reported, open and empty, and its regret
+    # (0) is within the bound ln(u)/eta.
+    path = tmp_path / "minus.json"
+    path.write_text(json.dumps({**scenarios.smoke(), "strategies": [{"kind": "AlwaysMinus"}]}))
+    out = tmp_path / "out"
+    assert run_cli(path, out, "--seeds", "0,", "--checks", "regret-bound") == 0
+    agg = aggregate(out)
+    assert agg["checks"]["regret-bound"]["passed"] is True
+    (provider,) = agg["runs"][0]["providers"]
+    (epoch,) = provider["epochs"]
+    assert (epoch["epoch_index"], epoch["T"], epoch["closed"]) == (0, 0, False)
+    assert epoch["L_T"] == 0.0 and type(epoch["L_T"]) is float
+    assert provider["T_total"] == 0
+
+
 def test_number_past_the_float_range_exits_two(tmp_path, capsys):
     path = tmp_path / "huge_mu.json"
     path.write_text(json.dumps({**scenarios.smoke(), "mu": 10**400}))

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from repuchain.metrics_oracle import (
-    OUTCOME_CODES,
-    OUTCOME_UNCHECKED,
+    OUTCOME_INVALID,
+    OUTCOME_VALID,
     InstanceTooLargeError,
     MetricsLog,
     compute_regret,
@@ -330,9 +330,8 @@ def test_full_engine_mean_loss_matches_enumerated_oracle():
     prose_samples = []
     for seed in range(n_seeds):
         _, metrics = run(base.with_seed(seed))
-        events = metrics.events[0]
-        assert len(events) == T_steps
-        proof_samples.append(sum(e[2] for e in events))
+        assert sum(row.txs_screened for row in metrics.rounds) == T_steps
+        proof_samples.append(sum(e[2] for e in metrics.events[0]))
         prose_samples.append(compute_regret(metrics, 0).cumulative_prose_loss)
 
     mp, sp = mean_se(proof_samples)
@@ -494,8 +493,8 @@ def test_slot_penalty_counters_match_reputation_deltas():
 
 
 def test_screening_events_share_what_repeats(monkeypatch):
-    # Each event keeps what the leader's screening returned. The unchecked
-    # events of one provider and epoch are one tuple, and each penalized-slot
+    # Each event keeps what the leader's screening of a verified transaction
+    # returned, and no unchecked screening makes one. Each penalized-slot
     # pattern is one tuple, wherever it occurs.
     results = []
     screen = GovernorNode.screen
@@ -505,17 +504,15 @@ def test_screening_events_share_what_repeats(monkeypatch):
     _, metrics = run(cfg)
     expected = [[] for _ in range(cfg.l)]
     for res in results:
-        expected[res.tx.provider_id].append(
-            (res.epoch_index, OUTCOME_CODES[res.outcome], res.loss, res.penalized))
+        if res.verdict is not None:
+            code = OUTCOME_VALID if res.verdict.validbit else OUTCOME_INVALID
+            expected[res.tx.provider_id].append((res.epoch_index, code, res.loss, res.penalized))
     assert metrics.events == expected
+    assert sum(map(len, expected)) < len(results)  # the run left some unchecked
     patterns = {}
     for events in metrics.events:
-        unchecked = {}
         for event in events:
             assert patterns.setdefault(event[3], event[3]) is event[3]
-            if event[1] == OUTCOME_UNCHECKED:
-                assert unchecked.setdefault(event[0], event) is event
-        assert len(unchecked) > 1
     assert len(patterns) > 1
 
 
@@ -525,7 +522,6 @@ def test_window_regret_slices_first_events():
 
     log.events[0] = [
         (0, 2, 0.5, (1,)),
-        (0, 0, 0.0, ()),
         (0, 1, 0.25, (0,)),
     ]
     log.finalize([ReputationState((0, 0), 0, 10, 0.5, 0)])
