@@ -48,8 +48,9 @@ from .core_types import (
 from .crypto_sim import KeyPair, KeyRegistry, sign, vrf_eval
 
 TxId = tuple[int, int, int]
-# A verified-valid transaction awaiting its block, with its verdict's signed labels.
-PendingEntry = tuple[Transaction, tuple[tuple[int, int], ...]]
+# A verified-valid transaction awaiting its block, with its verdict's +1 slots
+# (``Verdict.plus``, derived once from the signed labels and shared by every governor).
+PendingEntry = tuple[Transaction, frozenset[int]]
 
 
 class Violation(Enum):
@@ -211,11 +212,11 @@ def validate_block(
 
     The payload rule: the block's ``tx_list`` must be the first
     ``len(tx_list)`` transactions of ``pending``, in order, each with a valid
-    provider signature and at least one +1 label among its entry's signed
-    labels. ``pending`` holds only transactions whose provider signature this
-    governor checked at ingest, so a payload transaction whose ``wire_bytes``
-    equal its ``pending`` entry's is not checked again; any other is checked
-    before the order is. The leader's signature is checked over the bytes
+    provider signature and a nonempty set of +1 slots in its entry (its
+    verdict's ``plus``). ``pending`` holds only transactions whose provider
+    signature this governor checked at ingest, so a payload transaction that
+    is its ``pending`` entry's own object is not checked again; any other is
+    checked before the order is. The leader's signature is checked over the bytes
     ``signed`` carries, and the block's ``mt_root`` must equal the root the
     round's broadcast lists carry; neither is recomputed here. Each packed or
     invalid-listed txid must be named once in the block and lists, and not be
@@ -238,11 +239,13 @@ def validate_block(
         return Violation.OVERSIZE_TX_LIST
     head = islice(pending.values(), len(tx_list))
     for tx in tx_list:
-        queued, labels = next(head, (None, ()))
-        if ((queued is None or queued.wire_bytes != tx.wire_bytes)
-                and not registry.verify_tx(tx)):
-            return Violation.BAD_TX_SIGNATURE
-        if queued != tx or not any(lab == 1 for _, lab in labels):
+        queued, plus = next(head, (None, None))
+        if queued is not tx:
+            if not registry.verify_tx(tx):
+                return Violation.BAD_TX_SIGNATURE
+            if queued != tx:
+                return Violation.UNLABELED_TX
+        if not plus:
             return Violation.UNLABELED_TX
     if round_lists.mt_root != block.mt_root:
         return Violation.MT_ROOT_MISMATCH
@@ -269,7 +272,7 @@ def validate_and_append(
         return violation
     ledger.blocks.append(signed.block)
     ledger.round_lists[signed.block.serial] = round_lists
-    ledger.settled.update(tx.txid for tx in signed.block.tx_list)
-    ledger.settled.update(tx.txid for tx in round_lists.invalid_list)
+    ledger.settled.update([tx.txid for tx in chain(signed.block.tx_list,
+                                                    round_lists.invalid_list)])
     return None
 

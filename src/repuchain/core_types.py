@@ -27,18 +27,16 @@ provider's tag as a length-prefixed field. The signed bytes are its first
 ``TX_SIGNING_SIZE`` bytes and the tag runs from ``TX_TAG_OFFSET`` to the
 end; no second copy of either is kept, and ``tx.signature`` copies the tag
 out on each read. Every check reads the carried bytes and computes its own
-digest, and a governor skips a provider check only for a copy whose
-``wire_bytes`` equal those of a transaction it already accepted (see
-:mod:`repuchain.nodes`). That comparison is made on the bytes, never on the
-records: the other records' equality ignores the carried bytes, and
-transaction equality, which compares them because they hold the tag, also
-compares the validity bit, which no signature covers. A ``Transaction``
-encodes its bytes from its fields, and carries its identity triple as
-``txid``: collectors, who may misbehave, pass transactions on, and bytes
-taken on trust could carry a genuine provider signature under a made-up
-txid. No caller supplies a record's bytes. A transaction's ``__init__``
-encodes them from its fields; every other record's ``__post_init__`` derives
-its carried field from the others, and so does ``dataclasses.replace``,
+digest, and a governor skips a provider check only for the very object it
+already accepted (see :mod:`repuchain.nodes`), never for an equal record:
+transaction equality also compares the validity bit, which no signature
+covers. A ``Transaction`` encodes its bytes from its fields, and carries its
+identity triple as ``txid``: collectors, who may misbehave, pass
+transactions on, and bytes taken on trust could carry a genuine provider
+signature under a made-up txid. No caller supplies a record's bytes. A
+transaction's ``__init__`` encodes them from its fields; every other
+record's ``__post_init__`` derives its carried field from the others, and
+so does ``dataclasses.replace``,
 which on a transaction raises ``TypeError``: the tag is no field it can pass
 on. A provider signs with ``Transaction.signed``, every other signer with
 ``sign_record``; each takes a ``sign`` callable and encodes the message once.

@@ -36,6 +36,7 @@ from .nodes import EpochClosure, ScreeningResult, SimulationError, TxId
 from .reputation import ReputationState, apply_penalties, plus_slots, screen_draw
 
 EXACT_ORACLE_BUDGET = 2_000_000  # reputation vectors carried, summed over the rows
+MC_STATE_TABLE_LIMIT = 1 << 12  # successor states the Monte-Carlo oracle stores, over all rows
 
 OUTCOME_VALID = 1
 OUTCOME_INVALID = 2
@@ -300,7 +301,7 @@ def compute_regret(log: MetricsLog, provider: int) -> RegretReport:
         u=u,
         epochs=tuple(epochs),
         T_total=sum(ep.T for ep in epochs),
-        cumulative_regret=sum(ep.regret for ep in epochs),
+        cumulative_regret=sum((ep.regret for ep in epochs), 0.0),
         cumulative_prose_loss=sum(ep.prose_loss for ep in epochs),
         slope=scaling_fit([(float(ep.T), ep.regret) for ep in epochs if ep.closed]),
         prose_slope=scaling_fit([(float(ep.T), ep.prose_loss) for ep in epochs if ep.closed]),
@@ -491,7 +492,17 @@ def mc_expected_loss(
     production code paths (the leader's ``screen_draw`` and a governor's
     ``apply_penalties``, each row's +1 slots derived once), for agreement
     checks against the exact oracle. ``n_runs`` must be an integer >= 1, and
-    ``seed`` one in [0, 2^64), as a scenario's seed is."""
+    ``seed`` one in [0, 2^64), as a scenario's seed is.
+
+    Every step draws with ``screen_draw``. A verified step's successor comes
+    from a state table, one per row, keyed by the state the step leaves:
+    states are immutable and a row's verdict is its validity, so equal keys
+    give equal successors. ``apply_penalties`` builds each entry on first
+    use, at most 2^T - 1 in all for T rows, and later runs draw on the stored
+    states, whose ``probs`` the first draw on them already computed. The
+    tables stop growing at ``MC_STATE_TABLE_LIMIT`` states, so a long
+    instance, whose runs seldom meet the same state, holds bounded memory;
+    past the limit a new successor is built and not stored."""
     labels, validity, eta, reps0 = checked_instance(label_matrix, validity, eta, initial_reps)
     if not (type(n_runs) is int and n_runs >= 1):
         raise ValueError(f"argument 'n_runs': expected an integer >= 1, got {n_runs!r}")
@@ -506,19 +517,26 @@ def mc_expected_loss(
     rows = []
     for row, valid in zip(labels, validity):
         received = {k: lab for k, lab in enumerate(row) if lab is not None}
-        rows.append((received, plus_slots(received.items()), valid))
+        rows.append((received, plus_slots(received.items()), valid, {}))
+    room = MC_STATE_TABLE_LIMIT
     for _ in range(n_runs):
         state = base
         proof = 0.0
         prose = 0
-        for received, plus, valid in rows:
+        for received, plus, valid, successors in rows:
             verdict, _, loss = screen_draw(state, received, rng, bool, valid)
             if verdict is None:
                 continue
             if not verdict:
                 prose += 1
             proof += loss
-            state = apply_penalties(state, plus, verdict)
+            nxt = successors.get(state)
+            if nxt is None:
+                nxt = apply_penalties(state, plus, verdict)
+                if room:
+                    successors[state] = nxt
+                    room -= 1
+            state = nxt
         proof_samples.append(proof)
         prose_samples.append(prose)
     mp, sp = mean_se(proof_samples)

@@ -20,10 +20,10 @@ kept per slot, and ``ingest`` alone maps a collector id to its slot.
 
 A governor keeps only what its ``Ledger.settled`` has not indexed: the
 ``inbox`` while a transaction waits out its window and is screened, then
-``pending`` (with its verdict's signed labels) once verified valid, until
-its block. A block settles its payload and the round's invalid list. An
-unchecked transaction leaves the inbox at the end of its screening round
-and comes back, if its provider resubmits it, as a fresh arrival.
+``pending`` (with its verdict's +1 slots, ``Verdict.plus``) once verified
+valid, until its block. A block settles its payload and the round's invalid
+list. An unchecked transaction leaves the inbox at the end of its screening
+round and comes back, if its provider resubmits it, as a fresh arrival.
 
 A governor changes state only through three transitions, each taking
 signed input:
@@ -63,10 +63,10 @@ signed input:
 
 Inbox and ``pending`` entries hold only transactions whose provider
 signature this governor checked itself. The check is a pure function of the
-key, the bytes and the tag, so a copy whose ``wire_bytes`` equal an entry's
-is not checked again, in ``ingest`` or in ``validate_block``. Any other copy
-is, even under a txid already held. Only the bytes stand for the check, not
-``Transaction`` equality, which also compares the oracle validity bit. Every
+key, the bytes and the tag, so the held object itself is not checked again,
+in ``ingest`` or in ``validate_block``. Any other copy is checked, even under
+a txid already held. Only identity stands for the check, not ``Transaction``
+equality, which also compares the oracle validity bit. Every
 collector upload is checked by every governor, every leader signature on
 every copy, and no verdict passes between nodes. Each check looks its signer
 up by role in the shared ``KeyRegistry``; no node holds another's public key.
@@ -288,8 +288,9 @@ class Verdict:
     updates within an epoch; the settled check in ``apply_verdict`` refuses
     older ones. ``plus``, the slots in ``received`` that vouched +1, is
     derived by ``__post_init__``, so every governor applies the penalty rule
-    to the same set without rebuilding it. A verdict has no signature and no
-    bytes of its own: the ``VerificationMessage`` of its round signs it.
+    to the same set without rebuilding it, and files that set in ``pending``
+    for the payload rule. A verdict has no signature and no bytes of its
+    own: the ``VerificationMessage`` of its round signs it.
     """
 
     provider_id: int
@@ -430,7 +431,7 @@ class GovernorNode:
         from its fields. Every copy of an upload that fails is refused
         ("bad_collector_sig").
         Any other copy gets a provider-signature check unless the inbox
-        entry for its txid holds the same ``wire_bytes`` (see the module
+        entry for its txid holds that very object (see the module
         docstring). Its label enters the inbox under the upload's
         collector's slot ("ok") unless that check fails ("forged"), the
         collector has no slot for the provider ("not_connected"), the
@@ -457,8 +458,7 @@ class GovernorNode:
             for tx, label in labels:
                 txid = tx.txid
                 entry = inbox.get(txid)
-                if ((entry is None or entry[0].wire_bytes != tx.wire_bytes)
-                        and not verify_tx(tx)):
+                if (entry is None or entry[0] is not tx) and not verify_tx(tx):
                     self.dropped_forged += 1
                     code("forged")
                     continue
@@ -522,8 +522,10 @@ class GovernorNode:
 
         The leader applies the verdict it just drew; a replica, the same
         object once its message's signature and its ``cnt`` checked out. A
-        valid transaction moves to ``pending`` with the signed labels; an
-        invalid one waits for the round's block, whose append settles it.
+        valid transaction moves to ``pending`` with the verdict's own
+        ``plus`` set, which ``Verdict.__post_init__`` derived once from the
+        signed labels, so the leader and every replica file the same object;
+        an invalid one waits for the round's block, whose append settles it.
         Returns the closure of the epoch this verdict ended, if any.
         """
         txid = verdict.txid
@@ -536,7 +538,7 @@ class GovernorNode:
             apply_penalties(state, verdict.plus, verdict.validbit), self.mu, self.eta_policy
         )
         if verdict.validbit:
-            self.pending[txid] = (entry[0], verdict.received)
+            self.pending[txid] = (entry[0], verdict.plus)
         if revenue is None:
             return None
         return EpochClosure(provider, state.epoch_index, state.eta, revenue)

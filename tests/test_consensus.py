@@ -58,7 +58,7 @@ class Chain:
         for _ in range(n_txs):
             self.seq += 1
             tx = make_signed_tx(self.registry, self.provider_kp, self.seq)
-            self.pending[tx.txid] = (tx, ((3, 1),))
+            self.pending[tx.txid] = (tx, frozenset({3}))
             txs.append(tx)
         unchecked, invalid = [], []
         for _ in range(n_unchecked):
@@ -371,7 +371,7 @@ def test_unsigned_tx_detected():
     signed, lists = chain.next_block(n_txs=1)
     b = signed.block
     fake_tx = Transaction(0, 777, 777, True, SimSignature(b"\x01" * 32))
-    chain.pending[fake_tx.txid] = (fake_tx, ((3, 1),))
+    chain.pending[fake_tx.txid] = (fake_tx, frozenset({3}))
     bad = Block(b.serial, b.leader_id, (fake_tx,), b.mt_root, b.prev_hash)
     resigned = type(signed)(bad, sign(chain.leader_kp, block_bytes(bad)))
     assert chain.validate_only(resigned, lists) is Violation.BAD_TX_SIGNATURE
@@ -380,12 +380,43 @@ def test_unsigned_tx_detected():
 def test_tx_without_positive_label_detected():
     chain = Chain()
     tx = make_signed_tx(chain.registry, chain.provider_kp, 500)
-    chain.pending[tx.txid] = (tx, ((3, -1),))  # only a -1 label in its verdict
+    chain.pending[tx.txid] = (tx, frozenset())  # no slot vouched +1 in its verdict
     signed, lists = chain.next_block(n_txs=0, n_unchecked=0)
     b = signed.block
     bad = Block(b.serial, b.leader_id, (tx,), b.mt_root, b.prev_hash)
     resigned = type(signed)(bad, sign(chain.leader_kp, block_bytes(bad)))
     assert chain.validate_only(resigned, lists) is Violation.UNLABELED_TX
+
+
+def test_payload_that_is_not_the_held_object_is_checked_and_compared(monkeypatch):
+    # The held object passes at once; any distinct object gets the provider check,
+    # even with equal bytes, and must then equal the entry.
+    chain = Chain()
+    signed, lists = chain.next_block(n_txs=1, n_unchecked=0)
+    (tx,) = signed.block.tx_list
+    checked = []
+    verify_tx = KeyRegistry.verify_tx
+    monkeypatch.setattr(KeyRegistry, "verify_tx",
+                        lambda self, t: checked.append(t) or verify_tx(self, t))
+
+    def resigned(payload):
+        b = signed.block
+        block = Block(b.serial, b.leader_id, payload, b.mt_root, b.prev_hash)
+        return type(signed)(block, sign(chain.leader_kp, block_bytes(block)))
+
+    fields = (tx.provider_id, tx.seq, tx.timestamp)
+    twin = Transaction(*fields, tx.ground_truth_valid, tx.signature)
+    assert twin is not tx and twin == tx
+    assert chain.validate_only(resigned((twin,)), lists) is None
+    flipped = Transaction(*fields, not tx.ground_truth_valid, tx.signature)
+    assert flipped.wire_bytes == tx.wire_bytes and flipped != tx
+    assert chain.validate_only(resigned((flipped,)), lists) is Violation.UNLABELED_TX
+    tag = tx.signature.tag
+    forged = Transaction(*fields, tx.ground_truth_valid,
+                         SimSignature(tag[:-1] + bytes([tag[-1] ^ 1])))
+    assert chain.validate_only(resigned((forged,)), lists) is Violation.BAD_TX_SIGNATURE
+    assert checked == [twin, flipped, forged]
+    assert chain.append(signed, lists) is None and checked == [twin, flipped, forged]
 
 
 @pytest.mark.parametrize("order", ["reversed", "skipped-head"])

@@ -18,9 +18,10 @@ from repuchain.metrics_oracle import (
     scaling_fit,
     sharp_bound,
     theorem_bound,
+    write_summary,
 )
 from repuchain import metrics_oracle
-from repuchain.checks import check_scaling
+from repuchain.checks import ORACLE_AGREEMENT_INSTANCES, check_scaling
 from repuchain.nodes import EpochClosure, GovernorNode
 from repuchain.reputation import EtaPolicy, initial_state
 from repuchain.sim_engine import ScenarioConfig, run
@@ -300,6 +301,49 @@ def test_monte_carlo_matches_exact_with_absent_labels_and_initial_reps():
     assert abs(mc.mean_prose - exact.prose_loss) <= 3 * mc.se_prose + 1e-9
 
 
+# (mean_proof, se_proof, mean_prose, se_prose) of each ORACLE_AGREEMENT_INSTANCES
+# entry at 8000 runs and seed = its index, as float.hex: a table of successor
+# states must not move one bit of the estimate.
+AGREEMENT_MC_HEX = (
+    ("0x1.03b645a1cac08p-2", "0x1.6e577d8755816p-9", "0x1.03b645a1cac08p-1",
+     "0x1.6e577d8755816p-8"),
+    ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"),
+    ("0x1.7f1f30e281342p+0", "0x1.e72214e9bb046p-9", "0x1.7ee147ae147aep+0",
+     "0x1.6e5dc2a2b4851p-8"),
+    ("0x1.47ba418cc8132p-1", "0x1.ae34385ecce60p-9", "0x1.3ea7ef9db22d1p-1",
+     "0x1.cf98ed89bf907p-8"),
+)
+
+
+def test_monte_carlo_builds_each_successor_state_once(monkeypatch):
+    built = []
+    apply_penalties = metrics_oracle.apply_penalties
+    monkeypatch.setattr(metrics_oracle, "apply_penalties",
+                        lambda *args: built.append(args) or apply_penalties(*args))
+    for idx, (inst, pinned) in enumerate(zip(ORACLE_AGREEMENT_INSTANCES, AGREEMENT_MC_HEX)):
+        built.clear()
+        mc = mc_expected_loss(inst["labels"], inst["validity"], inst["eta"],
+                              n_runs=8000, seed=idx)
+        assert tuple(x.hex() for x in (mc.mean_proof, mc.se_proof, mc.mean_prose,
+                                       mc.se_prose)) == pinned
+        assert 1 <= len(built) <= 2 ** len(inst["labels"]) - 1
+
+
+def test_monte_carlo_past_its_state_table_limit_builds_without_storing(monkeypatch):
+    # A full table stores no more states; the steps past it rebuild theirs, and
+    # the estimate is the same to the bit.
+    monkeypatch.setattr(metrics_oracle, "MC_STATE_TABLE_LIMIT", 2)
+    built = []
+    apply_penalties = metrics_oracle.apply_penalties
+    monkeypatch.setattr(metrics_oracle, "apply_penalties",
+                        lambda *args: built.append(args) or apply_penalties(*args))
+    inst = ORACLE_AGREEMENT_INSTANCES[3]
+    mc = mc_expected_loss(inst["labels"], inst["validity"], inst["eta"], n_runs=8000, seed=3)
+    assert tuple(x.hex() for x in (mc.mean_proof, mc.se_proof, mc.mean_prose,
+                                   mc.se_prose)) == AGREEMENT_MC_HEX[3]
+    assert len(built) > 2 ** len(inst["labels"]) - 1
+
+
 def test_full_engine_mean_loss_matches_enumerated_oracle():
     # u=2 (honest + always-plus): the label matrix is a function of validity,
     # so the engine's expected loss is the validity-weighted oracle average
@@ -456,6 +500,15 @@ def test_all_honest_run_has_zero_regret():
     report = compute_regret(metrics, 0)
     assert report.cumulative_regret == 0.0
     assert all(ep.S_T_min == 0 for ep in report.epochs)
+
+
+def test_a_provider_that_screened_nothing_writes_a_float_regret(tmp_path):
+    _, metrics = run(ScenarioConfig.from_dict({**scenarios.smoke(), "gen_rate": 0}))
+    report = compute_regret(metrics, 0)
+    assert report.epochs == () and report.cumulative_regret == 0.0
+    assert type(report.cumulative_regret) is float
+    write_summary(metrics_oracle.summary_dict([report]), tmp_path / "summary.json")
+    assert '"cumulative_regret": 0.0,' in (tmp_path / "summary.json").read_text()
 
 
 def test_honest_plus_alwaysplus_on_valid_only_traffic():

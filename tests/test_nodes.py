@@ -472,7 +472,7 @@ def test_batched_ingest_matches_one_copy_at_a_time(registry):
     a, b, verified, settled = make_provider(registry, gen_rate=4).generate(1)
     (d,) = make_provider(registry, node_id=1).generate(1)
     for g in governors:
-        g.pending[verified.txid] = (verified, ((0, 1),))
+        g.pending[verified.txid] = (verified, frozenset({0}))
         g.ledger.settled.add(settled.txid)
     forged_tx = Transaction(0, 99, 1, True, SimSignature(b"\x42" * 32))
     bad = SimSignature(b"\x01" * 32)
@@ -534,11 +534,13 @@ def test_labels_are_filed_and_signed_by_slot_not_collector_id(registry):
     assert [res.outcome for res in results] == ["invalid", "valid"]
     assert [res.penalized for res in results] == [(0,), (1,)]
     assert [res.verdict.received for res in results] == [((0, 1), (1, -1))] * 2
-    assert leader.pending[good.txid] == (good, ((0, 1), (1, -1)))
+    assert leader.pending[good.txid] == (good, frozenset({0}))
     assert leader.rep[0].reps == (-1, 0) and leader.rep[1].reps == (0, -1)
     replay(replica, leader, results)
     assert replica.rep == leader.rep
     assert replica.state_fingerprint() == leader.state_fingerprint()
+    for g in (leader, replica):  # each files the verdict's own +1 set
+        assert g.pending[good.txid][1] is results[1].verdict.plus
 
 
 def test_detached_provider_signature_is_forged(registry):
@@ -567,7 +569,7 @@ def _tag_flipped(tx):
 
 
 def test_copy_under_an_accepted_txid_with_other_bytes_is_checked(registry):
-    # Only a byte-identical copy skips the provider check; the txid alone proves nothing.
+    # Only the held object skips the provider check; the txid alone proves nothing.
     g = make_governor(registry, topology=((0, 1),))
     (tx,) = make_provider(registry).generate(1)
     assert deliver(registry, g, tx, 0) == "ok"
@@ -584,9 +586,26 @@ def test_copy_under_an_accepted_txid_with_other_bytes_is_checked(registry):
     assert g.inbox[tx.txid][2] == {0: 1, 1: 1}
 
 
+def test_distinct_copy_with_the_held_bytes_is_checked(registry, monkeypatch):
+    # A copy that is not the held object gets the provider check even with its
+    # exact bytes; it passes, and its label joins the held entry.
+    g = make_governor(registry, topology=((0, 1),))
+    (tx,) = make_provider(registry).generate(1)
+    assert deliver(registry, g, tx, 0) == "ok"
+    twin = Transaction(tx.provider_id, tx.seq, tx.timestamp, tx.ground_truth_valid,
+                       tx.signature)
+    assert twin is not tx and twin.wire_bytes == tx.wire_bytes
+    upload = signed_upload(make_collector(registry, index=1), [(twin, 1)], 5)
+    checked = _count_verifies(monkeypatch)
+    assert g.ingest([upload], 5) == ["ok"]
+    assert checked == [upload.signing_bytes, tx_signing_bytes(*tx.txid)]
+    held, _, labels = g.inbox[tx.txid]
+    assert held is tx and labels == {0: 1, 1: 1}
+
+
 def test_each_governor_checks_a_provider_signature_once(registry, monkeypatch):
     # k copies from k collectors cost k upload checks and one provider check per
-    # governor (the first copy's; the others carry the same bytes), the round's
+    # governor (the first copy's; the others carry the same object), the round's
     # verification message one leader-signature check at the replica, and a
     # block packing the head of pending costs the leader-signature check alone.
     k = 3
@@ -753,6 +772,26 @@ def test_every_replica_checks_every_leader_signature(monkeypatch, lazy):
         assert counts["governor_checks"] < expected
 
 
+def test_every_governor_files_the_verdicts_own_plus_set(monkeypatch):
+    # The leader and every replica file in pending the +1 set the verdict
+    # derived once, not a set of their own.
+    w = init_world(ScenarioConfig.from_dict(scenarios.properties(10)))
+    apply_verdict = nodes.GovernorNode.apply_verdict
+    filed = {g.id: 0 for g in w.governors}
+
+    def checking_apply_verdict(self, verdict):
+        closure = apply_verdict(self, verdict)
+        if verdict.validbit:
+            assert self.pending[verdict.txid][1] is verdict.plus
+            filed[self.id] += 1
+        return closure
+
+    monkeypatch.setattr(nodes.GovernorNode, "apply_verdict", checking_apply_verdict)
+    for _ in range(8):
+        step_round(w)
+    assert len(filed) == 3 and len(set(filed.values())) == 1 and filed[0] > 0
+
+
 def test_upload_record_encodes_its_own_bytes(registry):
     # The constructor, the signer and dataclasses.replace all encode an upload's
     # bytes from its fields; a record changed after signing no longer verifies.
@@ -799,7 +838,8 @@ def test_screen_single_honest_collector_always_verifies(registry):
     res = g.screen(tx.txid)
     assert res.outcome == "valid"
     assert res.loss == 0.0
-    assert g.pending == {tx.txid: (tx, ((0, 1),))}
+    assert g.pending == {tx.txid: (tx, frozenset({0}))}
+    assert g.pending[tx.txid][1] is res.verdict.plus
     assert g.rep[0].cnt == 1
 
 
@@ -1223,16 +1263,17 @@ def test_block_payload_one_tag_byte_off_the_head_of_pending_changes_nothing(regi
         leader.apply_block(resigned((_tag_flipped(head[0]),) + head[1:]), lists, leader.id)
     assert exc.value.violation is Violation.BAD_TX_SIGNATURE
     assert state() == before
-    # A payload byte-identical to the head skips the provider check, not the label rule.
+    # A payload that is the head's own object skips the provider check, not the label rule.
     first = head[0].txid
-    queued, labels = leader.pending[first]
-    leader.pending[first] = (queued, tuple((c, -1) for c, _ in labels))
+    queued, plus = leader.pending[first]
+    assert queued is head[0]
+    leader.pending[first] = (queued, frozenset())
     unlabeled = state()
     with pytest.raises(ChainViolation) as exc:
         leader.apply_block(good, lists, leader.id)
     assert exc.value.violation is Violation.UNLABELED_TX
     assert state() == unlabeled
-    leader.pending[first] = (queued, labels)
+    leader.pending[first] = (queued, plus)
     leader.apply_block(good, lists, leader.id)
     assert leader.ledger.last.tx_list == head and not leader.pending
 
